@@ -1,12 +1,21 @@
 """Short-vector and dense-sublattice search: certified mu_max, semistability,
 and the canonical slope filtration at desk scale.
 
-Certification rests on classical reduction theory: any rank-k sublattice of
-determinant <= D has an LLL-reduced basis with all squared lengths at most
-B = 2^(k(k-1)/2) * D / min_sq^(k-1), and Minkowski's second theorem bounds the
-successive minima products, so a branch-and-bound over enumerated short
-vectors is complete.  Exceeding a resource cap yields an uncertified result,
-never a silent wrong answer.
+Certification rests on classical reduction theory.  Let M be a saturated
+rank-k sublattice of determinant <= D, and min_sq the minimum of the ambient
+lattice.  The dense-sublattice search enumerates a pool of vectors of squared
+length at most a radius B and branches over k-subsets of it:
+
+- k <= 8: B = gamma_k^k * D / min_sq^(k-1).  By Minkowski's second theorem
+  the successive minima of M, each >= min_sq, have product
+  <= gamma_k^k * det M, so vectors attaining them lie within B.  For k <= 4
+  they form a basis of M; for 5 <= k <= 8 they need not, so there a
+  candidate is judged by the determinant of its saturation, which is M.
+- k > 8, where gamma_k is not tabulated: B = 2^(k(k-1)/2) * D / min_sq^(k-1),
+  which bounds every vector of an LLL-reduced basis of M.
+
+So the branch-and-bound is complete.  Exceeding a resource cap yields an
+uncertified result, never a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -114,7 +123,10 @@ def lll_reduce(lat: EuclideanLattice, delta: Fraction = F(3, 4)):
             q = round(mu[k][j])
             if q != 0:
                 row_op(k, j, q)
-                mu, b = _gso(g)
+                # b_k -= q b_j keeps every b*_i, so only mu[k][0..j] moves
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
         if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
             k += 1
         else:
@@ -207,12 +219,6 @@ def minimum_sq(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> Fract
     return out
 
 
-def shortest_vectors(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP):
-    m = minimum_sq(lat, node_cap)
-    report = enumerate_short_vectors(lat, m, node_cap)
-    return tuple(v for v, sq in report.vectors if sq == m)
-
-
 _HERMITE_POW = {
     1: F(1),
     2: F(4, 3),
@@ -246,29 +252,6 @@ def _first_independent_subset(pool: Sequence[tuple[int, ...]], k: int):
     return None
 
 
-def _subset_gram_det(scaled_dots, idxs) -> int:
-    k = len(idxs)
-    m = [[scaled_dots(idxs[i], idxs[j]) for j in range(k)] for i in range(k)]
-    # integer Bareiss
-    sign = 1
-    prev = 1
-    for t in range(k - 1):
-        if m[t][t] == 0:
-            for i in range(t + 1, k):
-                if m[i][t] != 0:
-                    m[t], m[i] = m[i], m[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, k):
-            for j in range(t + 1, k):
-                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
-            m[i][t] = 0
-        prev = m[t][t]
-    return sign * m[k - 1][k - 1]
-
-
 def densest_sublattice(
     lat: EuclideanLattice,
     k: int,
@@ -276,12 +259,17 @@ def densest_sublattice(
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> Optional[Sublattice]:
     """A saturated rank-k sublattice of minimal determinant within the search
-    region defined by det_budget (per-vector squared-length bound
-    B = 2^(k(k-1)/2)*det_budget/min_sq^(k-1)); None if the region is empty.
+    region defined by det_budget; None if the region is empty.
+
+    The region is spanned by the vectors of squared length at most
+    B = gamma_k^k * det_budget / min_sq^(k-1) for k <= 8, and
+    B = 2^(k(k-1)/2) * det_budget / min_sq^(k-1) for k > 8, where gamma_k is
+    not tabulated (see the module docstring for why each is complete).
 
     When det_budget is the determinant of any known rank-k sublattice, the
     region covers every rank-k sublattice of determinant <= det_budget, so the
-    result is the global rank-k determinant minimum.
+    result is the global rank-k determinant minimum; among tied minima it is
+    the one with the least HNF basis.
     """
     det_budget = F(det_budget)
     r = lat.rank
@@ -290,7 +278,27 @@ def densest_sublattice(
     if k == r:
         return lat.full_sublattice()
     min_sq = minimum_sq(lat, node_cap)
-    b_sq = F(2) ** (k * (k - 1) // 2) * det_budget / min_sq ** (k - 1)
+    gamma_pow = _HERMITE_POW.get(k)
+    # Let M be an optimal saturated rank-k sublattice, so det M <= det_budget.
+    # Its successive minima are each >= min_sq, and by Minkowski's second
+    # theorem their product is <= gamma_k^k * det M, so every vector attaining
+    # one has squared length <= b_sq below: all of them are in the pool.  The
+    # same product bound, taken over the vectors chosen so far in increasing
+    # norm, is the level pruning of the DFS.  For k <= 4 some basis of M
+    # attains the successive minima (van der Waerden 1956; Nguyen-Stehle,
+    # "Low-dimensional lattice basis reduction revisited", 2009), so the DFS
+    # reaches that basis and its span determinant, det M, passes the leaf
+    # test; so it does for every tied optimum, and the least-HNF tie is found
+    # whatever the radius.  From k = 5 the minima need not span M
+    # (Z^5 + 1/2(1,...,1) has minima e_1..e_5 of index 2), but any k
+    # independent vectors of M saturate to M, so there the leaf is judged by
+    # its saturation.  For k > 8 the pool holds an LLL-reduced basis of M,
+    # whose squared norms have product <= 2^(k(k-1)/2) * det M.
+    if gamma_pow is None:
+        b_sq = F(2) ** (k * (k - 1) // 2) * det_budget / min_sq ** (k - 1)
+    else:
+        b_sq = gamma_pow * det_budget / min_sq ** (k - 1)
+    span_is_basis = k <= 4 or gamma_pow is None
     if b_sq < min_sq:
         return None
     pool_report = enumerate_short_vectors(lat, b_sq, node_cap)
@@ -305,13 +313,11 @@ def densest_sublattice(
         return None
     incumbent = Sublattice(lat, rows_indep).saturation()
     incumbent_det = incumbent.det()
+    # HNF bases of the saturated sublattices found with determinant incumbent_det
+    ties = {incumbent.basis}
 
     # integer-scaled inner products for speed
-    lcm = 1
-    for row in lat.gram:
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    gi = [[int(x * lcm) for x in row] for row in lat.gram]
+    gi, scale = lat.scaled_gram()
     dots: dict[tuple[int, int], int] = {}
 
     def sdot(i: int, j: int) -> int:
@@ -324,9 +330,7 @@ def densest_sublattice(
             dots[key] = sum(vi[a] * giv[a] for a in range(r))
         return dots[key]
 
-    gamma_pow = _HERMITE_POW.get(k)
     m_pool = len(pool)
-    ties: list[Sublattice] = []
     nodes = 0
 
     def norm_level_bound(prod_so_far: Fraction, chosen: int) -> Fraction:
@@ -338,7 +342,7 @@ def densest_sublattice(
         return min(bound, b_sq)
 
     def dfs(start: int, chosen: list[int], prod_so_far: Fraction):
-        nonlocal incumbent, incumbent_det, ties, nodes
+        nonlocal incumbent_det, ties, nodes
         level_bound = norm_level_bound(prod_so_far, len(chosen))
         for idx in range(start, m_pool):
             nodes += 1
@@ -347,48 +351,50 @@ def densest_sublattice(
             if norms[idx] > level_bound:
                 break  # pool sorted by norm
             cand = chosen + [idx]
-            d = _subset_gram_det(sdot, cand)
+            d = linalg.det_int([[sdot(i, j) for j in cand] for i in cand])
             if d == 0:
                 continue
-            if len(cand) == k:
-                det_frac = F(d, lcm**k)
-                if det_frac > incumbent_det:
-                    continue
-                sub = Sublattice(lat, [pool[i] for i in cand]).saturation()
-                sdet = sub.det()
-                if sdet < incumbent_det:
-                    incumbent, incumbent_det = sub, sdet
-                    ties = [sub]
-                    level_bound = norm_level_bound(prod_so_far, len(chosen))
-                elif sdet == incumbent_det and not any(
-                    sub.hnf_basis() == t.hnf_basis() for t in ties
-                ):
-                    ties.append(sub)
-            else:
+            if len(cand) < k:
                 dfs(idx + 1, cand, prod_so_far * norms[idx])
-        return
+                continue
+            if span_is_basis and F(d, scale**k) > incumbent_det:
+                continue
+            # saturate as linalg.saturation_basis does; the saturation's det is
+            # the span's over [saturation : span]^2, and that index is the
+            # product of the elementary divisors
+            diag, cinv = linalg.diagonalize_int([pool[i] for i in cand])
+            sdet = F(d, scale**k * math.prod(diag[i][i] for i in range(k)) ** 2)
+            if sdet > incumbent_det:
+                continue
+            sat = linalg.hnf(cinv[:k])
+            if sdet < incumbent_det:
+                incumbent_det, ties = sdet, {sat}
+                level_bound = norm_level_bound(prod_so_far, len(chosen))
+            else:
+                ties.add(sat)
 
-    ties = [incumbent]
     dfs(0, [], F(1))
-    best = min(ties, key=lambda s: s.hnf_basis())
-    return best
+    return Sublattice(lat, min(ties))
 
 
 # ---------------------------------------------------------------------------
 # mu_max / slope filtration.
 
 def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> tuple[Fraction, Sublattice]:
-    """Cheap incumbent: best k-subset of an LLL-reduced basis, saturated."""
+    """Cheap incumbent: best k-subset of an LLL-reduced basis.  A subset of a
+    basis is saturated, and its determinant is a principal minor of the
+    reduced Gram matrix, so only the winner becomes a Sublattice."""
     from itertools import combinations
 
-    _, u = lll_reduce(lat)
+    reduced, u = lll_reduce(lat)
+    gi, scale = reduced.scaled_gram()
     best = None
     for subset in combinations(range(lat.rank), k):
-        sub = Sublattice(lat, [u[i] for i in subset]).saturation()
-        d = sub.det()
+        d = linalg.det_int([[gi[i][j] for j in subset] for i in subset])
         if best is None or d < best[0]:
-            best = (d, sub)
-    return best
+            best = (d, subset)
+    d, subset = best
+    return F(d, scale**k), Sublattice(lat, [u[i] for i in subset]).saturation()
 
 
 def _min_det_rank_k(lat: EuclideanLattice, k: int, node_cap: int) -> tuple[Fraction, Sublattice]:
@@ -408,9 +414,9 @@ def _min_det_rank_k(lat: EuclideanLattice, k: int, node_cap: int) -> tuple[Fract
         return det_k, wit
     budget, seed = _greedy_rank_k_det(lat, k)
     sub = densest_sublattice(lat, k, budget, node_cap)
-    if sub is None or sub.det() > budget:
+    if sub is None or (det_k := sub.det()) > budget:
         return budget, seed
-    return sub.det(), sub
+    return det_k, sub
 
 
 def mu_max(
@@ -506,10 +512,3 @@ def minkowski_check(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> 
     r = lat.rank
     return lat.det() * F(r) ** r >= 1
 
-
-def minkowski_float_info(lat: EuclideanLattice) -> dict:
-    """Informational floating comparison against 2^-r * v_r (unit-ball volume)."""
-    r = lat.rank
-    vol = math.sqrt(float(lat.det()))
-    v_r = math.pi ** (r / 2) / math.gamma(r / 2 + 1)
-    return {"vol": vol, "minkowski_rhs": v_r / 2**r, "holds": vol >= v_r / 2**r}

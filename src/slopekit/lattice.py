@@ -19,7 +19,7 @@ Rat = int | Fraction
 class EuclideanLattice:
     """Free Z-module of finite rank with a positive definite rational Gram matrix."""
 
-    __slots__ = ("gram", "_det")
+    __slots__ = ("gram", "_det", "_scaled")
 
     def __init__(self, gram: Sequence[Sequence[Rat]]):
         g = linalg.mat(gram)
@@ -32,6 +32,7 @@ class EuclideanLattice:
             raise ValueError("Gram matrix must be positive definite")
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_det", minors[-1])
+        object.__setattr__(self, "_scaled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("EuclideanLattice is immutable")
@@ -42,6 +43,13 @@ class EuclideanLattice:
 
     def det(self) -> Fraction:
         return self._det
+
+    def scaled_gram(self) -> tuple[linalg.IntMatrix, int]:
+        """(L * gram, L) with L the least common denominator of the Gram entries."""
+        if self._scaled is None:
+            gi, scale = linalg.clear_denominators(self.gram)
+            object.__setattr__(self, "_scaled", (tuple(map(tuple, gi)), scale))
+        return self._scaled
 
     def degree(self) -> LogRational:
         return -half_log(self._det)
@@ -110,8 +118,13 @@ class EuclideanLattice:
 
     @staticmethod
     def from_json_dict(data: dict) -> "EuclideanLattice":
-        gram = [[Fraction(str(x)) for x in row] for row in data["gram"]]
-        if "rank" in data and int(data["rank"]) != len(gram):
+        if not isinstance(data, dict):
+            raise ValueError("lattice JSON must be an object")
+        rows = data.get("gram")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError('lattice JSON needs a "gram" field holding a list of rows')
+        gram = [[Fraction(str(x)) for x in row] for row in rows]
+        if "rank" in data and Fraction(str(data["rank"])) != len(gram):
             raise ValueError("rank field disagrees with Gram size")
         lat = EuclideanLattice(gram)
         if "scale" in data and data["scale"] is not None:
@@ -188,7 +201,10 @@ class Sublattice:
         return EuclideanLattice(self.induced_gram())
 
     def det(self) -> Fraction:
-        return linalg.det_bareiss(self.induced_gram())
+        gi, scale = self.ambient.scaled_gram()
+        b = self.basis
+        m = linalg.matmul(linalg.matmul(b, gi), linalg.transpose(b))
+        return Fraction(linalg.det_int(m), scale ** len(b))
 
     def degree(self) -> LogRational:
         return -half_log(self.det())
@@ -249,14 +265,6 @@ def _solve_coords(rows: linalg.Matrix, v: Sequence[Rat]):
     return sol
 
 
-def mu_of_sublattice(s: Sublattice) -> LogRational:
-    return s.slope()
-
-
-def saturation(s: Sublattice) -> Sublattice:
-    return s.saturation()
-
-
 class LatticeMorphism:
     """Linear map between lattices in coordinates: y = matrix @ x."""
 
@@ -304,14 +312,6 @@ class LatticeMorphism:
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
-
-
-def morphism_norm_le_one(f: LatticeMorphism) -> bool:
-    return f.norm_le_one()
-
-
-def hilbert_schmidt_sq(f: LatticeMorphism) -> Fraction:
-    return f.hilbert_schmidt_sq()
 
 
 def tensor_vector_to_hom(

@@ -54,21 +54,22 @@ def is_symmetric(a: Matrix) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def _clear_denominators(a: Matrix) -> tuple[list[list[int]], Fraction]:
-    """Return (integer matrix, multiplier L) with int = L * a entrywise."""
+def clear_denominators(a: Matrix) -> tuple[list[list[int]], int]:
+    """Return (integer matrix, multiplier L) with int = L * a entrywise, L the
+    lcm of the denominators."""
     lcm = 1
     for row in a:
         for x in row:
             lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return [[int(x * lcm) for x in row] for row in a], Fraction(lcm)
+    return [[x.numerator * (lcm // x.denominator) for x in row] for row in a], lcm
 
 
-def det_bareiss(a: Matrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination."""
+def det_int(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(a)
     if n == 0:
-        return Fraction(1)
-    m, L = _clear_denominators(a)
+        return 1
+    m = [list(row) for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -79,13 +80,19 @@ def det_bareiss(a: Matrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1], 1) / L**n
+    return sign * m[n - 1][n - 1]
+
+
+def det_bareiss(a: Matrix) -> Fraction:
+    """Exact determinant of a rational matrix: det_int of L * a, over L^n."""
+    m, scale = clear_denominators(a)
+    return Fraction(det_int(m), scale ** len(a))
 
 
 def leading_principal_minors(a: Matrix) -> list[Fraction]:

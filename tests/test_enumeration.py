@@ -393,3 +393,173 @@ def test_slope_filtration_two_plane_split():
     assert poly.filtration[0].hnf_basis() == ((1, 0, 0, 0), (0, 1, 0, 0))
     s1, s2 = poly.quotient_slopes()
     assert s1 == half_log(3) / 2 and s1.sign() > 0 and s2.sign() < 0
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the dense-sublattice search and LLL.
+
+
+def _reference_lll(lat, delta=F(3, 4)):
+    """LLL as first written: the full Gram-Schmidt data recomputed after every
+    size-reduction step.  Kept as the reference the incremental update in
+    lll_reduce must match exactly."""
+    from slopekit.enumeration import _gso
+
+    n = lat.rank
+    g = [list(row) for row in lat.gram]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        for t in range(n):
+            g[i][t] -= q * g[j][t]
+        for t in range(n):
+            g[t][i] -= q * g[t][j]
+
+    def swap(i, j):
+        u[i], u[j] = u[j], u[i]
+        g[i], g[j] = g[j], g[i]
+        for row in g:
+            row[i], row[j] = row[j], row[i]
+
+    k = 1
+    while k < n:
+        mu, b = _gso(g)
+        for j in reversed(range(k)):
+            q = round(mu[k][j])
+            if q != 0:
+                row_op(k, j, q)
+                mu, b = _gso(g)
+        if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
+            k += 1
+        else:
+            swap(k, k - 1)
+            k = max(k - 1, 1)
+    return tuple(tuple(row) for row in g), tuple(tuple(row) for row in u)
+
+
+def test_lll_matches_reference_exactly():
+    rng = random.Random(103)
+    for t in range(50):
+        lat = random_lattice(rng, 2 + t % 5, bound=5)
+        if t % 3 == 0:
+            lat = lat.dual()
+        red, u = lll_reduce(lat)
+        assert (red.gram, u) == _reference_lll(lat)
+
+
+def _change_basis(rng, lat):
+    """The same lattice in a random new basis: U G U^T with U unimodular."""
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-1, 1))
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+    um = linalg.mat(u)
+    return EuclideanLattice(linalg.matmul(linalg.matmul(um, lat.gram), linalg.transpose(um)))
+
+
+def _half_glued_z5(last_row):
+    """Z^5 + 1/2(1,...,1) in the first five coordinates of Q^6, plus one more
+    basis row; its successive minima e_1..e_5 span an index-2 sublattice."""
+    h = F(1, 2)
+    basis = [[int(i == j) for j in range(6)] for i in range(4)]
+    basis += [[h, h, h, h, h, 0], last_row]
+    return EuclideanLattice(
+        [[sum(F(x) * y for x, y in zip(r1, r2)) for r2 in basis] for r1 in basis]
+    )
+
+
+def test_densest_sublattice_rankin_duality_rank5_rank6():
+    """Rank r-1: d_{r-1}(L) = det(L) * min_sq(dual L), on direct searches at
+    k = 4 (Minkowski radius, span leaf test) and k = 5 (saturation leaf test)."""
+    from slopekit.enumeration import _greedy_rank_k_det
+
+    rng = random.Random(107)
+    lats = [random_lattice(rng, 5) for _ in range(4)]
+    lats += [
+        _change_basis(rng, _half_glued_z5([0, 0, 0, 0, 0, 3])),
+        _change_basis(rng, _half_glued_z5([1, 0, 0, 0, 0, 2])),
+        _change_basis(rng, _half_glued_z5([F(1, 2), 0, 0, 0, 0, F(3, 2)])),
+    ]
+    for lat in lats:
+        k = lat.rank - 1
+        budget, _ = _greedy_rank_k_det(lat, k)
+        sub = densest_sublattice(lat, k, budget)
+        assert sub.det() == lat.det() * minimum_sq(lat.dual())
+        assert sub.same_sublattice(sub.saturation())
+    # the glued Z^5 + 1/2(1,...,1) summand is the densest hyperplane
+    assert sub.det() == F(1, 4)
+
+
+def _brute_force_densest(lat, k, det_bound):
+    """Least determinant and least HNF among the saturations of all k-subsets
+    of the vectors within the LLL radius 2^(k(k-1)/2) * det_bound / min^(k-1),
+    which holds a basis of every rank-k sublattice of det <= det_bound."""
+    from itertools import combinations
+    from math import gcd
+
+    r = lat.rank
+    bound = F(2) ** (k * (k - 1) // 2) * det_bound / minimum_sq(lat) ** (k - 1)
+    pool = [v for v, _ in enumerate_short_vectors(lat, bound).vectors]
+    gv = {v: linalg.matvec(lat.gram, v) for v in pool}
+    best, ties = None, set()
+    for rows in combinations(pool, k):
+        span_det = linalg.det_bareiss(
+            [[sum(x * y for x, y in zip(v, gv[w])) for w in rows] for v in rows]
+        )
+        if span_det == 0:
+            continue
+        # [saturation : span] is the gcd of the maximal minors
+        index = gcd(*(
+            linalg.det_int([[v[c] for c in cols] for v in rows])
+            for cols in combinations(range(r), k)
+        ))
+        d = span_det / index**2
+        if best is None or d < best:
+            best, ties = d, set()
+        if d == best:
+            ties.add(linalg.saturation_basis(rows, r))
+    return best, min(ties)
+
+
+def test_densest_sublattice_brute_force_rank_le_4():
+    """Every k on rank <= 4.  Hyperplane pools of random rank-4 lattices run to
+    hundreds of vectors at the LLL radius (28 and 40 for A3 + <7> and
+    A3 + <5>), so rank-4 k = 3 uses those two; Rankin duality covers the
+    random ones."""
+    from slopekit.enumeration import _greedy_rank_k_det
+
+    a3 = EuclideanLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    rng = random.Random(109)
+    lats = [random_lattice(rng, r) for r in (2, 2, 3, 3, 3)]
+    lats += [a3.orthogonal_sum(unit_lattice(1).scale(c)) for c in (7, 5)]
+    for lat in lats:
+        lat = _change_basis(rng, lat)
+        for k in range(1, lat.rank):
+            budget, _ = _greedy_rank_k_det(lat, k)
+            sub = densest_sublattice(lat, k, budget)
+            assert (sub.det(), sub.hnf_basis()) == _brute_force_densest(lat, k, sub.det())
+    for _ in range(3):
+        lat = random_lattice(rng, 4)
+        for k in (1, 2):
+            budget, _ = _greedy_rank_k_det(lat, k)
+            sub = densest_sublattice(lat, k, budget)
+            assert (sub.det(), sub.hnf_basis()) == _brute_force_densest(lat, k, sub.det())
+
+
+def test_mu_max_invariant_under_signed_permutations():
+    rng = random.Random(113)
+    for r1, r2 in ((2, 2), (1, 5), (2, 3), (3, 2), (2, 2), (5, 1), (2, 3)):
+        t = random_lattice(rng, r1).tensor(random_lattice(rng, r2))
+        n = t.rank
+        perm = rng.sample(range(n), n)
+        signs = [rng.choice((-1, 1)) for _ in range(n)]
+        p = [[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)]
+        pm = linalg.mat(p)
+        moved = EuclideanLattice(linalg.matmul(linalg.matmul(pm, t.gram), linalg.transpose(pm)))
+        a, b = mu_max(t), mu_max(moved)
+        assert a.certified and b.certified
+        assert a.value == b.value
+        assert a.witness.rank == b.witness.rank

@@ -244,6 +244,34 @@ def test_cli_bad_file(tmp_path, capsys):
     assert main(["lattice", "info", missing]) == 2
 
 
+BAD_LATTICE_JSON = {
+    "invalid-json": '{"gram": [[1',
+    "no-gram": '{"rank": 2}',
+    "top-level-list": "[[1, 0], [0, 1]]",
+    "top-level-number": "3",
+    "gram-not-list": '{"gram": 5}',
+    "rows-not-lists": '{"gram": [1, 2]}',
+    "entry-not-rational": '{"gram": [["x"]]}',
+    "not-square": '{"gram": [[1, 0]]}',
+    "not-symmetric": '{"gram": [[1, 2], [3, 4]]}',
+    "not-definite": '{"gram": [[1, 2], [2, 1]]}',
+    "rank-not-number": '{"gram": [[1]], "rank": [1]}',
+    "rank-infinite": '{"gram": [[1]], "rank": Infinity}',
+    "scale-zero": '{"gram": [[1]], "scale": 0}',
+    "rank-mismatch": '{"gram": [[1]], "rank": 2}',
+}
+
+
+@pytest.mark.parametrize("action", ["info", "mu-max", "filtration"])
+@pytest.mark.parametrize("case", sorted(BAD_LATTICE_JSON))
+def test_cli_bad_lattice_json_exits_2(tmp_path, capsys, case, action):
+    p = tmp_path / "bad.json"
+    p.write_text(BAD_LATTICE_JSON[case])
+    assert main(["lattice", action, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_tensor_check_requires_two_files(tmp_path, capsys):
     f = _write(tmp_path, "z.json", {"rank": 1, "gram": [["1"]]})
     assert main(["lattice", "tensor-check", f]) == 2
