@@ -173,12 +173,6 @@ class LogRational:
     def __setattr__(self, name, value):
         raise AttributeError("LogRational is immutable")
 
-    # -- construction helpers
-
-    @staticmethod
-    def from_rational(q: Rat) -> "LogRational":
-        return LogRational(q)
-
     # -- algebra
 
     def _raw(self, constant: Fraction, terms: Iterable[tuple[int, Fraction]]) -> "LogRational":
@@ -291,9 +285,9 @@ class LogRational:
     def render(self) -> str:
         parts: list[str] = []
         if self.constant != 0 or not self.terms:
-            parts.append(_fmt_rat(self.constant))
+            parts.append(fmt_rat(self.constant))
         for p, c in self.terms:
-            piece = f"{_fmt_rat(abs(c))}*log({p})"
+            piece = f"{fmt_rat(abs(c))}*log({p})"
             if not parts:
                 parts.append(piece if c > 0 else "-" + piece)
             else:
@@ -315,7 +309,7 @@ class LogRational:
         for p, c in self.terms:
             e = c / q
             arg *= Fraction(p) ** int(e)
-        return f"{_fmt_rat(q)}*log({_fmt_rat(arg)})"
+        return f"{fmt_rat(q)}*log({fmt_rat(arg)})"
 
     def float_approx(self) -> float:
         lo, hi = self.to_float(64)
@@ -336,7 +330,8 @@ class LogRational:
             bits *= 2
 
 
-def _fmt_rat(q: Fraction) -> str:
+def fmt_rat(q: Fraction) -> str:
+    """Render q as "p" or "p/q", the rational format of reports and JSON files."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

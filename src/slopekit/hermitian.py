@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactval import LogRational, half_log, log_of_rational
+from . import linalg
+from .exactval import LogRational, fmt_rat, half_log, log_of_rational
 from .lattice import EuclideanLattice
 from .report import Report, SCOPE_NOTE
 
@@ -145,6 +146,9 @@ class QElt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def is_rational(self) -> bool:
         return self.b == 0
 
@@ -195,46 +199,6 @@ def euclid_gcd(elts: Sequence[QElt]) -> QElt:
 
 # ---------------------------------------------------------------------------
 
-def _field_det(rows: Sequence[Sequence[QElt]]) -> QElt:
-    n = len(rows)
-    field = rows[0][0].field
-    m = [list(r) for r in rows]
-    det = field.one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if piv is None:
-            return field.zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = m[c][c].inverse()
-        m[c] = [x * inv for x in m[c]]
-        for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
-def _field_inverse(rows: Sequence[Sequence[QElt]]) -> list[list[QElt]]:
-    n = len(rows)
-    field = rows[0][0].field
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)] for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not aug[i][c].is_zero()), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 class HermitianLattice:
     """Free o_K-module with conjugate-symmetric positive definite Gram matrix."""
 
@@ -253,12 +217,12 @@ class HermitianLattice:
                     raise ValueError("Gram matrix must be conjugate-symmetric")
         # positive definiteness via leading principal minors
         for k in range(1, r + 1):
-            mk = _field_det([row[:k] for row in g[:k]])
+            mk = linalg.det_field([row[:k] for row in g[:k]])
             if not mk.is_rational() or mk.as_fraction() <= 0:
                 raise ValueError("Gram matrix must be positive definite")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_det", _field_det(g).as_fraction())
+        object.__setattr__(self, "_det", linalg.det_field(g).as_fraction())
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianLattice is immutable")
@@ -289,7 +253,7 @@ class HermitianLattice:
         return self.inner(v, v).as_fraction()
 
     def dual(self) -> "HermitianLattice":
-        inv = _field_inverse(self.gram)
+        inv = linalg.inverse(self.gram)
         transposed = [[inv[j][i] for j in range(self.rank)] for i in range(self.rank)]
         return HermitianLattice(self.field, transposed)
 
@@ -327,7 +291,7 @@ class HermitianLattice:
             raise ValueError(f"exterior power degree {p} out of range")
         subsets = list(combinations(range(self.rank), p))
         rows = [
-            [_field_det([[self.gram[i][j] for j in t] for i in s]) for t in subsets]
+            [linalg.det_field([[self.gram[i][j] for j in t] for i in s]) for t in subsets]
             for s in subsets
         ]
         return HermitianLattice(self.field, rows)
@@ -377,13 +341,10 @@ class HermitianLattice:
     # -- JSON wire format: entries a + b*omega as {"a": "p/q", "b": "p/q"}
 
     def to_json_dict(self) -> dict:
-        def fmt(q: Fraction) -> str:
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
         return {
             "d": self.field.d,
             "rank": self.rank,
-            "gram": [[{"a": fmt(x.a), "b": fmt(x.b)} for x in row] for row in self.gram],
+            "gram": [[{"a": fmt_rat(x.a), "b": fmt_rat(x.b)} for x in row] for row in self.gram],
         }
 
     @staticmethod
@@ -755,7 +716,7 @@ def q7_checks(twist_log_arg: Rat = F(9, 5)) -> Report:
         ),
         "swapping the first two generators conjugates the Gram matrix",
     )
-    inv = _field_inverse(lat.gram)
+    inv = linalg.inverse(lat.gram)
     w_id = [inv[i][tau[j]] for i in range(3) for j in range(3)]
     square = lat.tensor(lat)
     w_norm = square.norm_sq(w_id)
@@ -1095,12 +1056,10 @@ def qp_checks(p: int, samples: int = 0) -> Report:
     # the ramified prime over 2 representing the nontrivial class
     from .enumeration import minimum_sq as _min_sq
 
-    from . import linalg as _lin
-
     for name, lham in (("ring", lat), ("dual", dual)):
         lam1 = _min_sq(lham.restrict_scalars())
         gens = [k.elt(2), k.elt(0, 2), k.elt(1, 1), k.omega * k.elt(1, 1)]
-        rows = _lin.hnf(tuple((int(g.a), int(g.b)) for g in gens))
+        rows = linalg.hnf(tuple((int(g.a), int(g.b)) for g in gens))
         ideal_norm = abs(rows[0][0] * rows[1][1])
         b1 = k.elt(rows[0][0], rows[0][1])
         b2 = k.elt(rows[1][0], rows[1][1])

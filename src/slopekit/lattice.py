@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactval import LogRational, half_log
+from .exactval import LogRational, fmt_rat, half_log
 
 Rat = int | Fraction
 
@@ -113,7 +113,7 @@ class EuclideanLattice:
     def to_json_dict(self) -> dict:
         return {
             "rank": self.rank,
-            "gram": [[_fmt(x) for x in row] for row in self.gram],
+            "gram": [[fmt_rat(x) for x in row] for row in self.gram],
         }
 
     @staticmethod
@@ -164,10 +164,6 @@ def a2_lattice() -> EuclideanLattice:
 
 def e8_lattice() -> EuclideanLattice:
     return EuclideanLattice(E8_GRAM)
-
-
-def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 class Sublattice:
@@ -227,42 +223,14 @@ class Sublattice:
     def contains(self, other: "Sublattice") -> bool:
         """Integer containment of other's row lattice in self's."""
         mine = linalg.mat(self.hnf_basis())
-        for row in other.basis:
-            coeffs = _solve_coords(mine, row)
+        for row in linalg.mat(other.basis):
+            coeffs = linalg.solve(mine, row)
             if coeffs is None or any(c.denominator != 1 for c in coeffs):
                 return False
         return True
 
     def __repr__(self):
         return f"Sublattice(rank={self.rank}, ambient_rank={self.ambient.rank})"
-
-
-def _solve_coords(rows: linalg.Matrix, v: Sequence[Rat]):
-    """Coefficients c with c @ rows = v, or None if v is outside the row span."""
-    n = len(rows)
-    # augmented system rows^T c = v^T
-    mm = [list(col) + [Fraction(v[i])] for i, col in enumerate(linalg.transpose(rows))]
-    piv_cols: list[int] = []
-    row_i = 0
-    for c in range(n):
-        piv = next((i for i in range(row_i, len(mm)) if mm[i][c] != 0), None)
-        if piv is None:
-            continue
-        mm[row_i], mm[piv] = mm[piv], mm[row_i]
-        d = mm[row_i][c]
-        mm[row_i] = [x / d for x in mm[row_i]]
-        for i in range(len(mm)):
-            if i != row_i and mm[i][c] != 0:
-                f = mm[i][c]
-                mm[i] = [x - f * y for x, y in zip(mm[i], mm[row_i])]
-        piv_cols.append(c)
-        row_i += 1
-    if any(mm[i][n] != 0 for i in range(row_i, len(mm))):
-        return None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        sol[c] = mm[i][n]
-    return sol
 
 
 class LatticeMorphism:

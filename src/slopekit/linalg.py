@@ -2,6 +2,13 @@
 
 Matrices are tuples of tuples of Fractions (or ints for integer routines);
 everything here is pure and allocation-happy, sized for ranks <= ~10.
+
+This is the only module that eliminates.  The field routines (`rref`,
+`inverse`, `solve`, `det_field`) take entries of any exact field whose zero
+is falsy (`Fraction`, `hermitian.QElt`), and `rref` is their one
+Gauss-Jordan loop.  The integer routines (`det_int`, `hnf`,
+`diagonalize_int`) take ints; `det_bareiss` is the rational determinant,
+computed on integers after clearing denominators.
 """
 
 from __future__ import annotations
@@ -99,11 +106,6 @@ def leading_principal_minors(a: Matrix) -> list[Fraction]:
     return [det_bareiss(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(len(a))]
 
 
-def is_positive_definite(a: Matrix) -> bool:
-    """Sylvester criterion for a symmetric matrix."""
-    return is_symmetric(a) and all(d > 0 for d in leading_principal_minors(a))
-
-
 def is_positive_semidefinite(a: Matrix) -> bool:
     """Exact PSD test for a symmetric rational matrix (pivoted elimination)."""
     if not is_symmetric(a):
@@ -133,39 +135,24 @@ def is_positive_semidefinite(a: Matrix) -> bool:
     return True
 
 
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns; zero rows dropped."""
+    """Reduced row echelon form and pivot columns; zero rows dropped.
+
+    Entries may come from any exact field whose zero is falsy."""
     m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         d = m[r][c]
         m[r] = [x / d for x in m[r]]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
+            if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
@@ -173,6 +160,53 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if r == rows:
             break
     return tuple(tuple(row) for row in m[:r]), pivots
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Inverse over an exact field: rref of [a | I]; ValueError if singular."""
+    n = len(a)
+    zero = a[0][0] * 0
+    one = zero + 1
+    aug = tuple(tuple(row) + tuple(one if i == j else zero for j in range(n)) for i, row in enumerate(a))
+    r, pivots = rref(aug)
+    if pivots[-1] >= n:
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in r)
+
+
+def solve(rows: Matrix, v: Sequence) -> Vector | None:
+    """Coefficients c with c @ rows = v (free coefficients 0), or None if v is
+    outside the row span: rref of [rows^T | v]."""
+    n = len(rows)
+    r, pivots = rref(tuple(col + (x,) for col, x in zip(transpose(rows), v)))
+    if pivots and pivots[-1] == n:
+        return None
+    sol = [v[0] * 0] * n
+    for row, c in zip(r, pivots):
+        sol[c] = row[n]
+    return tuple(sol)
+
+
+def det_field(a: Matrix):
+    """Determinant over an exact field other than Q (rational matrices use
+    det_bareiss): Gaussian elimination with row swaps."""
+    m = [list(row) for row in a]
+    n = len(m)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return m[c][c]  # the field's zero
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        d = m[c][c]
+        det = det * d
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / d
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
 
 
 def rank(a: Matrix) -> int:
@@ -435,14 +469,9 @@ def int_kernel_saturated(a: IntMatrix, ambient_dim: int) -> IntMatrix:
     ker = kernel(frac_rows)
     if not ker:
         return ()
-    # scale rational kernel basis to integers, then saturate
-    int_rows = []
-    for row in ker:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        int_rows.append(tuple(int(x * lcm) for x in row))
-    return saturation_basis(tuple(int_rows), ambient_dim)
+    # scale each rational kernel row to integers, then saturate
+    int_rows = tuple(tuple(clear_denominators((row,))[0][0]) for row in ker)
+    return saturation_basis(int_rows, ambient_dim)
 
 
 def sqrt_frac_upper(q: Fraction) -> Fraction:
@@ -454,15 +483,4 @@ def sqrt_frac_upper(q: Fraction) -> Fraction:
     scale = 1 << 30
     n = q.numerator * q.denominator
     root = math.isqrt(n * scale * scale) + 1
-    return Fraction(root, q.denominator * scale)
-
-
-def sqrt_frac_lower(q: Fraction) -> Fraction:
-    if q < 0:
-        raise ValueError("negative argument")
-    if q == 0:
-        return Fraction(0)
-    scale = 1 << 30
-    n = q.numerator * q.denominator
-    root = math.isqrt(n * scale * scale)
     return Fraction(root, q.denominator * scale)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .exactval import half_log
+from .exactval import fmt_rat, half_log
 from .report import Report
 
 F = Fraction
@@ -150,15 +150,12 @@ class MultifilteredSpace:
     # -- JSON wire format
 
     def to_json_dict(self) -> dict:
-        def fmt(q):
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
         return {
             "dim": self.dim,
             "filtrations": [
                 {
                     "steps": [
-                        {"lambda": fmt(lam), "basis": [[fmt(x) for x in row] for row in space]}
+                        {"lambda": fmt_rat(lam), "basis": [[fmt_rat(x) for x in row] for row in space]}
                         for lam, space in f.steps
                     ]
                 }
@@ -168,13 +165,28 @@ class MultifilteredSpace:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MultifilteredSpace":
-        dim = int(data["dim"])
+        if not isinstance(data, dict):
+            raise ValueError("multifiltered JSON must be an object")
+        dim = data.get("dim")
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError('multifiltered JSON needs an integer "dim" field')
+        fds = data.get("filtrations")
+        if not isinstance(fds, list) or not all(
+            isinstance(fd, dict) and isinstance(fd.get("steps"), list) for fd in fds
+        ):
+            raise ValueError('"filtrations" must be a list of objects with a "steps" list')
         filts = []
-        for fd in data["filtrations"]:
-            steps = [
-                (F(str(sd["lambda"])), [[F(str(x)) for x in row] for row in sd["basis"]])
-                for sd in fd["steps"]
-            ]
+        for fd in fds:
+            steps = []
+            for sd in fd["steps"]:
+                if not isinstance(sd, dict) or "lambda" not in sd:
+                    raise ValueError('each step needs a "lambda" field')
+                rows = sd.get("basis")
+                if not isinstance(rows, list) or not all(
+                    isinstance(row, list) and len(row) == dim for row in rows
+                ):
+                    raise ValueError(f'each step needs a "basis" list of rows of length {dim}')
+                steps.append((F(str(sd["lambda"])), [[F(str(x)) for x in row] for row in rows]))
             filts.append(Filtration(dim, steps))
         return MultifilteredSpace(dim, filts)
 
@@ -245,12 +257,10 @@ def _quotient_data(m_dim: int, sub_rows: Matrix):
 
 
 def _coords_in_rows(rows: Matrix, v) -> tuple[Fraction, ...]:
-    from .lattice import _solve_coords
-
-    sol = _solve_coords(rows, v)
+    sol = linalg.solve(rows, v)
     if sol is None:
         raise ValueError("vector outside the span")
-    return tuple(sol)
+    return sol
 
 
 def subobject(m: MultifilteredSpace, rows) -> MultifilteredSpace:

@@ -272,6 +272,47 @@ def test_cli_bad_lattice_json_exits_2(tmp_path, capsys, case, action):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_FULL_STEP = '{"lambda": 0, "basis": [[1, 0], [0, 1]]}'
+BAD_MF_JSON = {
+    "invalid-json": '{"dim": 2, "filtrations": [',
+    "top-level-list": "[1]",
+    "top-level-number": "3",
+    "no-dim": '{"filtrations": []}',
+    "dim-only": '{"dim": 2}',
+    "dim-string": '{"dim": "2", "filtrations": []}',
+    "dim-float": '{"dim": 2.5, "filtrations": []}',
+    "dim-bool": '{"dim": true, "filtrations": []}',
+    "dim-zero": '{"dim": 0, "filtrations": []}',
+    "filtrations-number": '{"dim": 2, "filtrations": 5}',
+    "filtration-not-object": '{"dim": 2, "filtrations": [[1]]}',
+    "no-steps": '{"dim": 2, "filtrations": [{}]}',
+    "steps-not-list": '{"dim": 2, "filtrations": [{"steps": 1}]}',
+    "step-not-object": '{"dim": 2, "filtrations": [{"steps": [1]}]}',
+    "no-lambda": '{"dim": 2, "filtrations": [{"steps": [{"basis": [[1, 0], [0, 1]]}]}]}',
+    "lambda-not-rational": '{"dim": 2, "filtrations": [{"steps": [{"lambda": [0], "basis": [[1, 0], [0, 1]]}]}]}',
+    "no-basis": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0}]}]}',
+    "basis-not-list": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": 1}]}]}',
+    "row-not-list": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": [1, 0]}]}]}',
+    "row-wrong-width": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": [[1, 0, 0], [0, 1, 0]]}]}]}',
+    "entry-not-rational": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": [["x", 0], [0, 1]]}]}]}',
+    "no-steps-listed": '{"dim": 2, "filtrations": [{"steps": []}]}',
+    "lowest-not-full": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": [[1, 0]]}]}]}',
+    "duplicate-break": '{"dim": 2, "filtrations": [{"steps": [%s, %s]}]}' % (_FULL_STEP, _FULL_STEP),
+    "not-decreasing": '{"dim": 2, "filtrations": [{"steps": [%s, '
+    '{"lambda": 1, "basis": [[1, 0]]}, {"lambda": 2, "basis": [[0, 1]]}]}]}' % _FULL_STEP,
+}
+
+
+@pytest.mark.parametrize("action", ["slope", "mu-max"])
+@pytest.mark.parametrize("case", sorted(BAD_MF_JSON))
+def test_cli_bad_mf_json_exits_2(tmp_path, capsys, case, action):
+    p = tmp_path / "bad.json"
+    p.write_text(BAD_MF_JSON[case])
+    assert main(["mf", action, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_tensor_check_requires_two_files(tmp_path, capsys):
     f = _write(tmp_path, "z.json", {"rank": 1, "gram": [["1"]]})
     assert main(["lattice", "tensor-check", f]) == 2
