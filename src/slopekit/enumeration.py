@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
-from .exactval import LogRational, half_log
+from .exactval import LogRational, half_log, sqrt_interval
 from .lattice import EuclideanLattice, Sublattice
 
 F = Fraction
@@ -76,7 +77,11 @@ class SlopePolygon:
 # ---------------------------------------------------------------------------
 # LLL reduction on exact Gram matrices.
 
-_lll_cache: dict = {}
+# Entries in the memos of lll_reduce and minimum_sq.  A search reduces the
+# same few lattices (a tensor's factors, duals, sublattices) many times; the
+# lattice-tensor benchmark meets about four new ones per op, so 1024 keeps
+# every repeat of a run and bounds what a long session retains.
+_MEMO_SIZE = 1024
 
 
 def _gso(g: list[list[Fraction]]):
@@ -94,11 +99,11 @@ def _gso(g: list[list[Fraction]]):
     return mu, b
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def lll_reduce(lat: EuclideanLattice, delta: Fraction = F(3, 4)):
-    """LLL-reduce; returns (reduced lattice, unimodular U) with G' = U G U^T."""
-    key = (lat.gram, delta)
-    if key in _lll_cache:
-        return _lll_cache[key]
+    """LLL-reduce; returns (reduced lattice, unimodular U) with G' = U G U^T.
+
+    Memoized: lattices hash and compare by their Gram matrix."""
     n = lat.rank
     g = [list(row) for row in lat.gram]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -132,12 +137,7 @@ def lll_reduce(lat: EuclideanLattice, delta: Fraction = F(3, 4)):
         else:
             swap(k, k - 1)
             k = max(k - 1, 1)
-    result = (
-        EuclideanLattice(g),
-        tuple(tuple(row) for row in u),
-    )
-    _lll_cache[key] = result
-    return result
+    return EuclideanLattice(g), tuple(tuple(row) for row in u)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def _int_range_bounds(c: Fraction, q: Fraction) -> tuple[int, int]:
     """Integers x with (x + c)^2 <= q (q >= 0): inclusive [lo, hi], empty if lo > hi."""
     if q < 0:
         return 0, -1
-    s = linalg.sqrt_frac_upper(q)
+    s = sqrt_interval(q, 30).hi
     lo = math.ceil(-c - s)
     hi = math.floor(-c + s)
     while lo <= hi and (lo + c) ** 2 > q:
@@ -204,19 +204,18 @@ def enumerate_short_vectors(
     return ShortVectorReport(bound=bound, vectors=tuple(vectors))
 
 
-_minsq_cache: dict = {}
-
-
 def minimum_sq(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> Fraction:
     """Squared length of a shortest nonzero vector."""
-    if lat.gram in _minsq_cache:
-        return _minsq_cache[lat.gram]
+    return _minimum_sq(lat, node_cap)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _minimum_sq(lat: EuclideanLattice, node_cap: int) -> Fraction:
+    # passing the cap positionally gives `minimum_sq(lat)` and
+    # `minimum_sq(lat, DEFAULT_NODE_CAP)` one memo entry
     reduced, _ = lll_reduce(lat)
     bound = min(reduced.gram[i][i] for i in range(lat.rank))
-    report = enumerate_short_vectors(lat, bound, node_cap)
-    out = report.vectors[0][1]
-    _minsq_cache[lat.gram] = out
-    return out
+    return enumerate_short_vectors(lat, bound, node_cap).vectors[0][1]
 
 
 _HERMITE_POW = {

@@ -5,12 +5,17 @@ decided symbolically on the canonical form (logs of distinct primes are
 linearly independent over the rationals, so canonical forms are faithful);
 strict order is decided by rational interval arithmetic at doubling precision,
 which terminates because a nonzero canonical form denotes a nonzero real.
+
+`RIv`, the closed rational interval, is the package's one rigorous-enclosure
+type: `LogRational.bounds` returns one, `sqrt_interval` encloses square
+roots, and the hermitian checks that involve sqrt(2) compute with them.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -96,12 +101,78 @@ def factor_positive_int(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Rigorous rational enclosures of log(n).
+# Rigorous rational enclosures.
 
-def _atanh_bounds(z: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+@dataclass(frozen=True)
+class RIv:
+    """The closed rational interval [lo, hi]."""
+
+    lo: Fraction
+    hi: Fraction
+
+    @staticmethod
+    def const(q: "Rat | RIv") -> "RIv":
+        """The point interval [q, q]; an interval is returned as it is."""
+        if isinstance(q, RIv):
+            return q
+        q = Fraction(q)
+        return RIv(q, q)
+
+    def __add__(self, other):
+        other = RIv.const(other)
+        return RIv(self.lo + other.lo, self.hi + other.hi)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RIv(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + (-RIv.const(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = RIv.const(other)
+        prods = [
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        ]
+        return RIv(min(prods), max(prods))
+
+    __rmul__ = __mul__
+
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def intersects(self, other: "RIv") -> bool:
+        return self.lo <= other.hi and other.lo <= self.hi
+
+    def contains(self, q: Rat) -> bool:
+        return self.lo <= Fraction(q) <= self.hi
+
+
+def sqrt_interval(q: Rat, bits: int = 160) -> RIv:
+    """Enclosure of sqrt(q), q >= 0, between consecutive multiples of
+    1/(denominator(q) * 2**bits)."""
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("negative argument")
+    if q == 0:
+        return RIv.const(0)
+    scale = 1 << bits
+    n = q.numerator * q.denominator
+    root = math.isqrt(n * scale * scale)
+    return RIv(Fraction(root, q.denominator * scale), Fraction(root + 1, q.denominator * scale))
+
+
+def _atanh_bounds(z: Fraction, bits: int) -> RIv:
     """Enclosure of 2*atanh(z) for 0 <= z <= 1/3, width <= 2**-bits."""
     if z == 0:
-        return Fraction(0), Fraction(0)
+        return RIv.const(0)
     # remainder after N terms is <= 2*z^(2N+1)/((2N+1)(1-z^2)) <= (9/4)*3^-(2N+1)
     n_terms = (bits + 4) // 3 + 2
     s = Fraction(0)
@@ -113,25 +184,25 @@ def _atanh_bounds(z: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     s *= 2
     # power is now z^(2*n_terms+1); tail <= power/((2N+1)(1-z^2)), doubled
     rem = 2 * power / ((2 * n_terms + 1) * (1 - zsq))
-    return s, s + rem
+    return RIv(s, s + rem)
 
 
-@lru_cache(maxsize=None)
-def _log2_bounds(bits: int) -> tuple[Fraction, Fraction]:
+@lru_cache(maxsize=64)
+def _log2_bounds(bits: int) -> RIv:
     return _atanh_bounds(Fraction(1, 3), bits)
 
 
-@lru_cache(maxsize=None)
-def _log_int_bounds(n: int, bits: int) -> tuple[Fraction, Fraction]:
+@lru_cache(maxsize=1024)
+def _log_int_bounds(n: int, bits: int) -> RIv:
     """Rigorous lo <= log n <= hi for integer n >= 1, width <= 2**(1-bits)."""
     if n == 1:
-        return Fraction(0), Fraction(0)
+        return RIv.const(0)
     k = n.bit_length() - 1
     inner = bits + k.bit_length() + 2
-    l2lo, l2hi = _log2_bounds(inner)
+    l2 = _log2_bounds(inner)
     m = Fraction(n, 1 << k)  # in [1, 2)
-    slo, shi = _atanh_bounds((m - 1) / (m + 1), inner)
-    return k * l2lo + slo, k * l2hi + shi
+    s = _atanh_bounds((m - 1) / (m + 1), inner)
+    return RIv(k * l2.lo + s.lo, k * l2.hi + s.hi)
 
 
 def _fraction_to_float_down(q: Fraction) -> float:
@@ -232,25 +303,25 @@ class LogRational:
         # nonzero canonical form with log terms denotes a nonzero real
         bits = 64
         while True:
-            lo, hi = self.bounds(bits)
-            if lo > 0:
+            iv = self.bounds(bits)
+            if iv.lo > 0:
                 return 1
-            if hi < 0:
+            if iv.hi < 0:
                 return -1
             bits *= 2
 
-    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
+    def bounds(self, bits: int) -> RIv:
         """Rigorous rational enclosure, width <= 2**(3-bits)*sum(1+|coeff|)."""
         lo = hi = self.constant
         for p, c in self.terms:
-            blo, bhi = _log_int_bounds(p, bits)
+            b = _log_int_bounds(p, bits)
             if c >= 0:
-                lo += c * blo
-                hi += c * bhi
+                lo += c * b.lo
+                hi += c * b.hi
             else:
-                lo += c * bhi
-                hi += c * blo
-        return lo, hi
+                lo += c * b.hi
+                hi += c * b.lo
+        return RIv(lo, hi)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -323,10 +394,10 @@ class LogRational:
         target = Fraction(1, 1 << (precision_bits - 1))
         bits = max(precision_bits + 8, 64)
         while True:
-            lo, hi = self.bounds(bits)
-            scale = max(Fraction(1), min(abs(lo), abs(hi)) if lo * hi > 0 else Fraction(1))
-            if hi - lo <= target * scale:
-                return _fraction_to_float_down(lo), _fraction_to_float_up(hi)
+            iv = self.bounds(bits)
+            scale = max(Fraction(1), min(abs(iv.lo), abs(iv.hi)) if iv.lo * iv.hi > 0 else Fraction(1))
+            if iv.width() <= target * scale:
+                return _fraction_to_float_down(iv.lo), _fraction_to_float_up(iv.hi)
             bits *= 2
 
 

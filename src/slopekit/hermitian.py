@@ -5,6 +5,11 @@ conjugate-symmetric positive definite Gram matrix (hermitian scalar product
 left antilinear).  Degrees land in LogRational via deg = -log(det Gram) for
 the single complex place.  The reproduction routines rebuild the explicit
 rank-2/3 computations the counterexample constructions rest on.
+
+Every quadratic extension here is a `QuadField` and its elements are `QElt`:
+Q(sqrt(-d)) (`ImagQuadField`), the real fields of the norm-product checks,
+the tower K(i) over K = Q(sqrt(-p)), and complex enclosures with `RIv`
+coordinates.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactval import LogRational, fmt_rat, half_log, log_of_rational
+from .exactval import LogRational, RIv, fmt_rat, half_log, log_of_rational, sqrt_interval
 from .lattice import EuclideanLattice
 from .report import Report, SCOPE_NOTE
 
@@ -32,36 +37,48 @@ def _is_squarefree(d: int) -> bool:
     return all(e == 1 for e in factor_positive_int(d).values())
 
 
-class ImagQuadField:
-    """Q(sqrt(-d)) with ring of integers Z[omega]."""
+def _omega_data(t: int) -> tuple[int, int]:
+    """(trace, norm) of the omega with Z[omega] the ring of integers of
+    Q(sqrt t), t squarefree: omega = (1 + sqrt t)/2 if t = 1 mod 4, else
+    omega = sqrt t."""
+    return (1, (1 - t) // 4) if t % 4 == 1 else (0, -t)
 
-    __slots__ = ("d", "omega_trace", "omega_norm")
 
-    def __init__(self, d: int):
-        if not _is_squarefree(d):
-            raise ValueError(f"d must be a squarefree positive integer, got {d}")
-        object.__setattr__(self, "d", d)
-        if (-d) % 4 == 1:  # omega = (1+sqrt(-d))/2
-            object.__setattr__(self, "omega_trace", 1)
-            object.__setattr__(self, "omega_norm", (1 + d) // 4)
-        else:  # omega = sqrt(-d)
-            object.__setattr__(self, "omega_trace", 0)
-            object.__setattr__(self, "omega_norm", d)
+class QuadField:
+    """The quadratic extension base(omega) with omega^2 = trace*omega - norm.
+
+    `base` maps a rational, or an element of the base ring, to a coefficient:
+    `Fraction` for Q, a `QuadField` for a tower, `RIv.const` for complex
+    enclosures (there omega = i)."""
+
+    __slots__ = ("omega_trace", "omega_norm", "base")
+
+    def __init__(self, omega_trace: Rat, omega_norm: Rat, base=Fraction):
+        object.__setattr__(self, "omega_trace", omega_trace)
+        object.__setattr__(self, "omega_norm", omega_norm)
+        object.__setattr__(self, "base", base)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ImagQuadField is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self):
+        return self.omega_trace, self.omega_norm, self.base
 
     def __eq__(self, other):
-        return isinstance(other, ImagQuadField) and self.d == other.d
+        return self is other or (isinstance(other, QuadField) and self._key() == other._key())
 
     def __hash__(self):
-        return hash(("ImagQuadField", self.d))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"ImagQuadField(d={self.d})"
+        return f"QuadField(trace={self.omega_trace}, norm={self.omega_norm}, base={self.base!r})"
 
-    def elt(self, a: Rat, b: Rat = 0) -> "QElt":
-        return QElt(self, F(a), F(b))
+    def __call__(self, x) -> "QElt":
+        """x as an element of this field."""
+        return x if isinstance(x, QElt) and x.field == self else self.elt(x)
+
+    def elt(self, a, b=0) -> "QElt":
+        return QElt(self, self.base(a), self.base(b))
 
     @property
     def zero(self) -> "QElt":
@@ -75,25 +92,50 @@ class ImagQuadField:
     def omega(self) -> "QElt":
         return self.elt(0, 1)
 
+
+class ImagQuadField(QuadField):
+    """Q(sqrt(-d)) with ring of integers Z[omega]."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        if not _is_squarefree(d):
+            raise ValueError(f"d must be a squarefree positive integer, got {d}")
+        super().__init__(*_omega_data(-d))
+        object.__setattr__(self, "d", d)
+
+    def __repr__(self):
+        return f"ImagQuadField(d={self.d})"
+
     def is_norm_euclidean(self) -> bool:
         return self.d in (1, 2, 3, 7, 11)
 
 
 @dataclass(frozen=True)
 class QElt:
-    """a + b*omega in Q(sqrt(-d))."""
+    """a + b*omega in a QuadField, with a and b in its base ring."""
 
-    field: ImagQuadField
-    a: Fraction
-    b: Fraction
+    field: QuadField
+    a: object
+    b: object
 
-    def _same(self, other: "QElt"):
-        if self.field != other.field:
-            raise ValueError("field mismatch")
+    def _is_elt(self, other) -> bool:
+        """Whether other lies in this field; False for a scalar of the base
+        ring, which acts on the coefficients."""
+        if isinstance(other, QElt):
+            f = self.field
+            if other.field is f or other.field == f:
+                return True
+            if other.field != f.base:
+                raise ValueError("field mismatch")
+        elif not isinstance(other, (int, Fraction, RIv)):
+            raise TypeError(f"cannot coerce {other!r}")
+        return False
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return QElt(self.field, self.a + other.a, self.b + other.b)
+        if self._is_elt(other):
+            return QElt(self.field, self.a + other.a, self.b + other.b)
+        return QElt(self.field, self.a + other, self.b)
 
     __radd__ = __add__
 
@@ -101,56 +143,58 @@ class QElt:
         return QElt(self.field, -self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _coerce(self, other) -> "QElt":
-        if isinstance(other, QElt):
-            self._same(other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QElt(self.field, F(other), F(0))
-        raise TypeError(f"cannot coerce {other!r}")
-
     def __mul__(self, other):
-        other = self._coerce(other)
-        t, n = self.field.omega_trace, self.field.omega_norm
+        f = self.field
+        if not self._is_elt(other):
+            return QElt(f, self.a * other, self.b * other)
+        t, n = f.omega_trace, f.omega_norm
         a, b, c, e = self.a, self.b, other.a, other.b
-        return QElt(self.field, a * c - b * e * n, a * e + b * c + b * e * t)
+        be = b * e
+        re = a * c - (be if n == 1 else be * n)
+        im = a * e + b * c
+        return QElt(f, re, im + be * t if t else im)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QElt":
         t = self.field.omega_trace
-        return QElt(self.field, self.a + self.b * t, -self.b)
+        return QElt(self.field, self.a + self.b * t if t else self.a, -self.b)
 
-    def norm(self) -> Fraction:
+    def norm(self):
+        """The relative norm x*conj(x), in the base ring."""
         t, n = self.field.omega_trace, self.field.omega_norm
-        return self.a**2 + self.a * self.b * t + self.b**2 * n
+        a, b = self.a, self.b
+        out = a * a + (b * b if n == 1 else b * b * n)
+        return out + a * b * t if t else out
 
-    def trace(self) -> Fraction:
+    def trace(self):
         return 2 * self.a + self.b * self.field.omega_trace
 
     def inverse(self) -> "QElt":
         nrm = self.norm()
-        if nrm == 0:
+        if not nrm:
             raise ZeroDivisionError("division by zero field element")
         cj = self.conj()
         return QElt(self.field, cj.a / nrm, cj.b / nrm)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        if self._is_elt(other):
+            return self * other.inverse()
+        return QElt(self.field, self.a / other, self.b / other)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not (self.a or self.b)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.b
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -215,14 +259,16 @@ class HermitianLattice:
             for j in range(r):
                 if g[j][i] != g[i][j].conj():
                     raise ValueError("Gram matrix must be conjugate-symmetric")
-        # positive definiteness via leading principal minors
-        for k in range(1, r + 1):
-            mk = linalg.det_field([row[:k] for row in g[:k]])
-            if not mk.is_rational() or mk.as_fraction() <= 0:
-                raise ValueError("Gram matrix must be positive definite")
+        # Sylvester: positive definite iff every leading principal minor is a
+        # positive rational, i.e. elimination swaps no row and every pivot
+        # (the ratio of consecutive minors) is a positive rational; the
+        # determinant is the product of the pivots
+        pivots, swaps = linalg.pivots_field(g)
+        if swaps or len(pivots) < r or not all(p.is_rational() and p.a > 0 for p in pivots):
+            raise ValueError("Gram matrix must be positive definite")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_det", linalg.det_field(g).as_fraction())
+        object.__setattr__(self, "_det", math.prod(p.a for p in pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianLattice is immutable")
@@ -404,173 +450,28 @@ def faltings_height_sq(lat: HermitianLattice) -> LogRational:
 
 
 # ---------------------------------------------------------------------------
-# Rational interval arithmetic (for the few checks involving sqrt(2)).
+# Complex enclosures (for the few checks involving sqrt(2)): re + im*i with
+# rational-interval coordinates.
 
-@dataclass(frozen=True)
-class RIv:
-    lo: Fraction
-    hi: Fraction
-
-    @staticmethod
-    def const(q: Rat) -> "RIv":
-        q = F(q)
-        return RIv(q, q)
-
-    def __add__(self, other):
-        other = _riv(other)
-        return RIv(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RIv(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_riv(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _riv(other)
-        prods = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return RIv(min(prods), max(prods))
-
-    __rmul__ = __mul__
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def intersects(self, other: "RIv") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def contains(self, q: Rat) -> bool:
-        return self.lo <= F(q) <= self.hi
+_CIV = QuadField(0, 1, RIv.const)
 
 
-def _riv(x) -> RIv:
-    return x if isinstance(x, RIv) else RIv.const(x)
-
-
-def sqrt_interval(q: Rat, bits: int = 160) -> RIv:
-    q = F(q)
-    if q < 0:
-        raise ValueError("negative argument")
-    if q == 0:
-        return RIv.const(0)
-    scale = 1 << bits
-    n = q.numerator * q.denominator
-    root = math.isqrt(n * scale * scale)
-    return RIv(F(root, q.denominator * scale), F(root + 1, q.denominator * scale))
-
-
-@dataclass(frozen=True)
-class CIv:
-    re: RIv
-    im: RIv
-
-    def __add__(self, other):
-        other = _civ(other)
-        return CIv(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CIv(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_civ(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _civ(other)
-        return CIv(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "CIv":
-        return CIv(self.re, -self.im)
-
-    def abs_sq(self) -> RIv:
-        return self.re * self.re + self.im * self.im
-
-    def max_width(self) -> Fraction:
-        return max(self.re.width(), self.im.width())
-
-
-def _civ(x) -> CIv:
-    if isinstance(x, CIv):
-        return x
-    if isinstance(x, RIv):
-        return CIv(x, RIv.const(0))
-    return CIv(RIv.const(x), RIv.const(0))
-
-
-def qelt_interval(x: QElt, bits: int = 160) -> CIv:
+def qelt_interval(x: QElt, bits: int = 160) -> QElt:
     """Complex enclosure of a + b*omega under the upper-half-plane embedding."""
     d = x.field.d
     im_scale = F(1, 2) if x.field.omega_trace == 1 else F(1)
     sq = sqrt_interval(d, bits)
     re = RIv.const(x.real_part())
     im = RIv.const(x.b * im_scale) * sq
-    return CIv(re, im)
+    return QElt(_CIV, re, im)
 
 
-def interval_eq(a: RIv, b: RIv, tol_bits: int = 128) -> bool:
-    tol = F(1, 1 << tol_bits)
+def interval_eq(a: RIv, b: RIv) -> bool:
+    tol = F(1, 1 << 128)
     return a.intersects(b) and a.width() <= tol and b.width() <= tol
 
 
-# ---------------------------------------------------------------------------
-# Quadratic-extension helper for the norm-product spot checks (real or
-# imaginary t; ring Z[w_t], w_t = (1+sqrt t)/2 if t = 1 mod 4 else sqrt t).
-
-@dataclass(frozen=True)
-class QuadInt:
-    t: int
-    p: Fraction
-    q: Fraction
-
-    def _w_data(self):
-        if self.t % 4 == 1:
-            return 1, F(1 - self.t, 4)  # w^2 = w - (1-t)/4
-        return 0, F(-self.t)  # w^2 = t = -(norm)
-
-    def __add__(self, other):
-        return QuadInt(self.t, self.p + other.p, self.q + other.q)
-
-    def __mul__(self, other):
-        tr, nm = self._w_data()
-        a, b, c, e = self.p, self.q, other.p, other.q
-        return QuadInt(self.t, a * c - b * e * nm, a * e + b * c + b * e * tr)
-
-    def conj(self) -> "QuadInt":
-        tr, _ = self._w_data()
-        return QuadInt(self.t, self.p + self.q * tr, -self.q)
-
-    def norm(self) -> Fraction:
-        tr, nm = self._w_data()
-        return self.p**2 + self.p * self.q * tr + self.q**2 * nm
-
-    def trace(self) -> Fraction:
-        tr, _ = self._w_data()
-        return 2 * self.p + self.q * tr
-
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-
-def _norm_product_holds(t: int, a: QuadInt, b: QuadInt) -> tuple[bool, str]:
+def _norm_product_holds(t: int, a: QElt, b: QElt) -> tuple[bool, str]:
     """Exact check of prod_sigma(|sigma(a)|^2+|sigma(b)|^2+Re(conj(sigma a) sigma b))
     >= |N(ab)| >= 1 over Q(sqrt t)."""
     nab = abs((a * b).norm())
@@ -646,10 +547,11 @@ def a2_twist_checks(gram_multiplier: Rat = F(2, 3)) -> Report:
         (F(-1), F(2)),
     ]
     for t in (-1, -2, -3, -7, 2, 3):
+        field = QuadField(*_omega_data(t))
         for pa, qa in samples:
             for pb, qb in samples:
-                a = QuadInt(t, pa, qa)
-                b = QuadInt(t, pb, qb)
+                a = field.elt(pa, qa)
+                b = field.elt(pb, qb)
                 if a.is_zero() or b.is_zero():
                     continue
                 ok, detail = _norm_product_holds(t, a, b)
@@ -789,10 +691,10 @@ def q7_checks(twist_log_arg: Rat = F(9, 5)) -> Report:
     g_iv = [[qelt_interval(lat.gram[i][j], bits) for j in range(2)] for i in range(2)]
     half = RIv.const(F(1, 2))
     for sign, label in ((1, "plus"), (-1, "minus")):
-        factor = CIv(half * sqrt2 * sign - RIv.const(1), RIv.const(0))
+        factor = _CIV.elt(half * sqrt2 * sign - RIv.const(1))
         theta = w_iv.conj() * factor
         target = RIv.const(3) - RIv.const(2 * sign) * sqrt2
-        got = theta.abs_sq()
+        got = theta.norm()
         rep.require(
             f"theta_{label}_abs_sq",
             interval_eq(got, target),
@@ -801,11 +703,11 @@ def q7_checks(twist_log_arg: Rat = F(9, 5)) -> Report:
             mode="interval-128",
         )
         # f1 = e1 + theta e2, f2 = conj(theta) e1 + e2
-        f1 = [_civ(1), theta]
-        f2 = [theta.conj(), _civ(1)]
+        f1 = [_CIV.one, theta]
+        f2 = [theta.conj(), _CIV.one]
 
         def h_norm(x, y):
-            acc = _civ(0)
+            acc = _CIV.zero
             for i in range(2):
                 for j in range(2):
                     acc = acc + x[i].conj() * g_iv[i][j] * y[j]
@@ -817,18 +719,18 @@ def q7_checks(twist_log_arg: Rat = F(9, 5)) -> Report:
         frame_target = RIv.const(4) - RIv.const(2 * sign) * sqrt2  # 2*sqrt2*(sqrt2 -+ 1)
         rep.require(
             f"frame_{label}_norms",
-            interval_eq(n1.re, frame_target)
-            and interval_eq(n2.re, frame_target)
-            and n1.im.contains(0)
-            and n2.im.contains(0),
+            interval_eq(n1.a, frame_target)
+            and interval_eq(n2.a, frame_target)
+            and n1.b.contains(0)
+            and n2.b.contains(0),
             f"|f1|^2 = |f2|^2 = 2*sqrt(2)*(sqrt(2) {'-' if sign > 0 else '+'} 1) at 128 bits",
             mode="interval-128",
         )
         rep.require(
             f"frame_{label}_orthogonal",
-            cross.re.contains(0)
-            and cross.im.contains(0)
-            and cross.max_width() <= F(1, 1 << 128),
+            cross.a.contains(0)
+            and cross.b.contains(0)
+            and max(cross.a.width(), cross.b.width()) <= F(1, 1 << 128),
             "<f1, f2> encloses 0 at 128 bits",
             mode="interval-128",
         )
@@ -842,86 +744,32 @@ def q7_checks(twist_log_arg: Rat = F(9, 5)) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Degree-4 arithmetic for the class-field construction: K' = K(i) over
-# K = Q(sqrt(-p)), elements stored as x0 + x1*i with x0, x1 in K.
+# The class-field construction: K' = K(i) over K = Q(sqrt(-p)), elements
+# x0 + x1*i with x0, x1 in K.  The automorphism fixing K (i -> -i) is `conj`,
+# the relative norm N_{K'/K} is `norm`, the absolute norm `norm().norm()`.
 
-@dataclass(frozen=True)
-class QuartElt:
-    x0: QElt
-    x1: QElt
-
-    def __add__(self, other):
-        return QuartElt(self.x0 + other.x0, self.x1 + other.x1)
-
-    def __neg__(self):
-        return QuartElt(-self.x0, -self.x1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QElt)):
-            return QuartElt(self.x0 * other, self.x1 * other)
-        return QuartElt(
-            self.x0 * other.x0 - self.x1 * other.x1,
-            self.x0 * other.x1 + self.x1 * other.x0,
-        )
-
-    __rmul__ = __mul__
-
-    def tau(self) -> "QuartElt":
-        """The automorphism fixing K (i -> -i)."""
-        return QuartElt(self.x0, -self.x1)
-
-    def cconj(self) -> "QuartElt":
-        """Complex conjugation (omega -> -omega... the ring conjugation of K
-        extended with i -> -i)."""
-        return QuartElt(self.x0.conj(), -self.x1.conj())
-
-    def relative_norm(self) -> QElt:
-        """N_{K'/K}(x) = x * tau(x)."""
-        prod = self * self.tau()
-        if not prod.x1.is_zero():
-            raise AssertionError("relative norm must lie in the base field")
-        return prod.x0
-
-    def absolute_norm(self) -> Fraction:
-        return self.relative_norm().norm()
-
-    def is_zero(self) -> bool:
-        return self.x0.is_zero() and self.x1.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, QuartElt) and self.x0 == other.x0 and self.x1 == other.x1
+def _cconj(x: QElt) -> QElt:
+    """Complex conjugation of K': conjugate both coordinates, then i -> -i."""
+    return QElt(x.field, x.a.conj(), x.b.conj()).conj()
 
 
-def _qp_structure(p: int):
-    """Explicit free-module data for the ring of integers of K(i) as a
-    hermitian lattice over K = Q(sqrt(-p)), p in {5, 13, 37}."""
-    k = ImagQuadField(p)  # omega = sqrt(-p)
-    w = k.omega
-    half = F(1, 2)
-    # u = (1 + sqrt(p))/2 = 1/2 - (omega/2) i;  basis (u, i)
-    u = QuartElt(k.elt(half), k.elt(0, -half))
-    i_elt = QuartElt(k.zero, k.one)
-    one = QuartElt(k.one, k.zero)
-
-    def pair(x: QuartElt, y: QuartElt) -> QElt:
-        """(1/2) tr_{K'/K}(cconj(x) * y) on coordinates over (1, i)."""
-        z = x.cconj() * y
-        return z.x0
-
-    return k, w, u, i_elt, one, pair
-
-
-def qp_checks(p: int, samples: int = 0) -> Report:
+def qp_checks(p: int) -> Report:
     """Class-field ring of integers over Q(sqrt(-p)), p in {5, 13, 37}:
     index-4 subring, degree 2*log 2, negative height term of its dual,
     base-change splitting, and the rank-one degree bounds."""
     if p not in (5, 13, 37):
         raise ValueError("p must be one of 5, 13, 37")
     rep = Report(name=f"qp-{p}")
-    k, w, u, i_elt, one, pair = _qp_structure(p)
+    # the ring of integers of K(i) as a hermitian lattice over K
+    k = ImagQuadField(p)  # omega = sqrt(-p)
+    kp = QuadField(0, 1, k)  # K(i)
+    w, i_elt, one = k.omega, kp.omega, kp.one
+    # u = (1 + sqrt(p))/2 = 1/2 - (omega/2) i;  basis (u, i)
+    u = kp.elt(k.elt(F(1, 2)), k.elt(0, F(-1, 2)))
+
+    def pair(x: QElt, y: QElt) -> QElt:
+        """(1/2) tr_{K'/K}(cconj(x) * y) on coordinates over (1, i)."""
+        return (_cconj(x) * y).a
 
     basis = [u, i_elt]
     gram = [[pair(x, y) for y in basis] for x in basis]
@@ -969,15 +817,15 @@ def qp_checks(p: int, samples: int = 0) -> Report:
 
     # base-change splitting: idempotent-derived orthogonal generators
     # e_pm = 1*(u⊗1) + b_pm*(i⊗1), coordinates (1, b_pm) over (u⊗1, i⊗1)
-    b_plus = (one - u) * QuartElt(k.zero, k.elt(-1))  # (1-u)/i
+    b_plus = (one - u) * -i_elt  # (1-u)/i
     b_minus = i_elt * u  # -u/i
-    e_plus = (QuartElt(k.one, k.zero), b_plus)
-    e_minus = (QuartElt(k.one, k.zero), b_minus)
+    e_plus = (one, b_plus)
+    e_minus = (one, b_minus)
 
-    def eval_split(b_coeff: QuartElt, sigma_minus: bool) -> QuartElt:
+    def eval_split(b_coeff: QElt, sigma_minus: bool) -> QElt:
         """Image of 1*(u⊗1) + b*(i⊗1) under x⊗s -> sigma(x)*s."""
-        uu = u.tau() if sigma_minus else u
-        ii = i_elt.tau() if sigma_minus else i_elt
+        uu = u.conj() if sigma_minus else u
+        ii = i_elt.conj() if sigma_minus else i_elt
         return uu + b_coeff * ii
 
     rep.require(
@@ -989,10 +837,10 @@ def qp_checks(p: int, samples: int = 0) -> Report:
         "the two generators project to (1,0) and (0,1) under the algebra splitting",
     )
 
-    def okprime_coords(x: QuartElt) -> tuple[QElt, QElt]:
+    def okprime_coords(x: QElt) -> tuple[QElt, QElt]:
         """Coordinates over the integral basis (u, i): x = c_u*u + c_i*i."""
-        c_u = x.x0 * 2
-        c_i = x.x1 + x.x0 * w
+        c_u = x.a * 2
+        c_i = x.b + x.a * w
         return c_u, c_i
 
     for name, b in (("plus", b_plus), ("minus", b_minus)):
@@ -1004,13 +852,13 @@ def qp_checks(p: int, samples: int = 0) -> Report:
         )
 
     # hermitian form on the base change, sesquilinear over K'
-    gq = [[QuartElt(gram[a][b2], k.zero) for b2 in range(2)] for a in range(2)]
+    gq = [[kp.elt(gram[a][b2]) for b2 in range(2)] for a in range(2)]
 
-    def h_form(x: tuple, y: tuple) -> QuartElt:
-        acc = QuartElt(k.zero, k.zero)
+    def h_form(x: tuple, y: tuple) -> QElt:
+        acc = kp.zero
         for a in range(2):
             for b2 in range(2):
-                acc = acc + x[a].cconj() * gq[a][b2] * y[b2]
+                acc = acc + _cconj(x[a]) * gq[a][b2] * y[b2]
         return acc
 
     cross = h_form(e_plus, e_minus)
@@ -1019,10 +867,10 @@ def qp_checks(p: int, samples: int = 0) -> Report:
     h_m = h_form(e_minus, e_minus)
     rep.require(
         "split_norms_equal_rational",
-        h_p == h_m and h_p.x1.is_zero() and h_p.x0.is_rational() and h_p.x0.as_fraction() > 0,
-        f"both generators have squared norm {h_p.x0}",
+        h_p == h_m and h_p.b.is_zero() and h_p.a.is_rational() and h_p.a.as_fraction() > 0,
+        f"both generators have squared norm {h_p.a}",
     )
-    h_val = h_p.x0.as_fraction()
+    h_val = h_p.a.as_fraction()
     piece_deg = -2 * log_of_rational(h_val)
     rep.require(
         "split_piece_degrees",
@@ -1038,7 +886,7 @@ def qp_checks(p: int, samples: int = 0) -> Report:
     det_basis = b_minus - b_plus
     rep.require(
         "split_basis_unimodular",
-        det_basis.absolute_norm() == 1,
+        det_basis.norm().norm() == 1,
         "the change of basis to the split generators is unimodular",
     )
     rep.require(
@@ -1080,8 +928,8 @@ def qp_checks(p: int, samples: int = 0) -> Report:
             f"{lham.slope()}: semistable (shortest vector {lam1}, class index {iota})",
         )
 
-    # rank-one sublattice through u
-    line_deg = rank_one_degree_qp(lat, p)
+    # the free line through the first basis vector u
+    line_deg = -log_of_rational(lat.gram[0][0].as_fraction())
     rep.require(
         "line_through_half_unit_degree",
         line_deg == -log_of_rational(F(p + 1, 4)) and line_deg < LogRational(0),
@@ -1103,9 +951,9 @@ def qp_checks(p: int, samples: int = 0) -> Report:
         for b in sample_elts:
             if a.is_zero() or b.is_zero():
                 continue
-            e_val = a * a.cconj() + b * b.cconj()
-            n_e = e_val.absolute_norm()
-            n_ab = (a * b).absolute_norm()
+            e_val = a * _cconj(a) + b * _cconj(b)
+            n_e = e_val.norm().norm()
+            n_ab = (a * b).norm().norm()
             if not (n_e >= 16 * n_ab >= 16):
                 rep.require(
                     "norm_product_sixteen_bound",
@@ -1134,9 +982,3 @@ def qp_checks(p: int, samples: int = 0) -> Report:
     rep.note(SCOPE_NOTE)
     return rep
 
-
-def rank_one_degree_qp(lat: HermitianLattice, p: int) -> LogRational:
-    """Degree of the free line through the first basis vector (generator
-    (1+sqrt p)/2 of the class-field ring)."""
-    nsq = lat.gram[0][0].as_fraction()
-    return -log_of_rational(nsq)

@@ -193,9 +193,6 @@ class Sublattice:
         b = linalg.mat(self.basis)
         return linalg.matmul(linalg.matmul(b, self.ambient.gram), linalg.transpose(b))
 
-    def as_lattice(self) -> EuclideanLattice:
-        return EuclideanLattice(self.induced_gram())
-
     def det(self) -> Fraction:
         gi, scale = self.ambient.scaled_gram()
         b = self.basis

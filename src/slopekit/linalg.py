@@ -4,11 +4,12 @@ Matrices are tuples of tuples of Fractions (or ints for integer routines);
 everything here is pure and allocation-happy, sized for ranks <= ~10.
 
 This is the only module that eliminates.  The field routines (`rref`,
-`inverse`, `solve`, `det_field`) take entries of any exact field whose zero
-is falsy (`Fraction`, `hermitian.QElt`), and `rref` is their one
-Gauss-Jordan loop.  The integer routines (`det_int`, `hnf`,
-`diagonalize_int`) take ints; `det_bareiss` is the rational determinant,
-computed on integers after clearing denominators.
+`inverse`, `solve`, `pivots_field`, `det_field`) take entries of any exact
+field whose zero is falsy (`Fraction`, `hermitian.QElt`); `rref` is their
+one Gauss-Jordan loop and `pivots_field` their one Gaussian loop, which
+`det_field` and the hermitian positivity test share.  The integer routines
+(`det_int`, `hnf`, `diagonalize_int`) take ints; `det_bareiss` is the
+rational determinant, computed on integers after clearing denominators.
 """
 
 from __future__ import annotations
@@ -187,34 +188,46 @@ def solve(rows: Matrix, v: Sequence) -> Vector | None:
     return tuple(sol)
 
 
-def det_field(a: Matrix):
-    """Determinant over an exact field other than Q (rational matrices use
-    det_bareiss): Gaussian elimination with row swaps."""
+def pivots_field(a: Matrix) -> tuple[list, int]:
+    """Pivots of Gaussian elimination over an exact field, and the number of
+    row swaps.  A row is swapped in only past a zero pivot, and elimination
+    stops at a column with no pivot (fewer pivots than rows: singular).  So
+    a run without swaps has the ratios of consecutive leading principal
+    minors for pivots."""
     m = [list(row) for row in a]
     n = len(m)
-    det = 1
+    pivots = []
+    swaps = 0
     for c in range(n):
         piv = next((i for i in range(c, n) if m[i][c]), None)
         if piv is None:
-            return m[c][c]  # the field's zero
+            break
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
-            det = -det
+            swaps += 1
         d = m[c][c]
-        det = det * d
+        pivots.append(d)
         for i in range(c + 1, n):
             if m[i][c]:
                 f = m[i][c] / d
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return pivots, swaps
+
+
+def det_field(a: Matrix):
+    """Determinant over an exact field other than Q (rational matrices use
+    det_bareiss): the signed product of the pivots of `pivots_field`."""
+    pivots, swaps = pivots_field(a)
+    if len(pivots) < len(a):
+        return a[0][0] * 0  # the field's zero
+    det = -1 if swaps % 2 else 1
+    for d in pivots:
+        det = det * d
     return det
 
 
 def rank(a: Matrix) -> int:
     return len(rref(a)[0])
-
-
-def row_space(a: Matrix) -> Matrix:
-    return rref(a)[0]
 
 
 def kernel(a: Matrix) -> Matrix:
@@ -473,14 +486,3 @@ def int_kernel_saturated(a: IntMatrix, ambient_dim: int) -> IntMatrix:
     int_rows = tuple(tuple(clear_denominators((row,))[0][0]) for row in ker)
     return saturation_basis(int_rows, ambient_dim)
 
-
-def sqrt_frac_upper(q: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(q), q >= 0; tight to ~1e-9 relative."""
-    if q < 0:
-        raise ValueError("negative argument")
-    if q == 0:
-        return Fraction(0)
-    scale = 1 << 30
-    n = q.numerator * q.denominator
-    root = math.isqrt(n * scale * scale) + 1
-    return Fraction(root, q.denominator * scale)

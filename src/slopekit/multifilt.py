@@ -368,6 +368,9 @@ def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Largest break-sum of a line (rank-one subobject slope), with a witness
     vector of exactly those weights.  Agrees with the maximal break-sum over
     nonzero multigraded pieces."""
+    if not m.filtrations:
+        # every line has break-sum 0, which is the slope
+        return F(0), tuple(F(int(i == 0)) for i in range(m.dim))
     break_lists = [f.breaks() for f in m.filtrations]
     tuples = sorted(
         itertools.product(*break_lists), key=lambda t: sum(t), reverse=True

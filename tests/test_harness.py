@@ -217,6 +217,15 @@ def test_cli_mf(tmp_path, capsys):
     assert main(["mf", "tensor-check", f, f]) == 0
 
 
+def test_cli_mf_without_filtrations(tmp_path, capsys):
+    # every line has value 0, the slope; the loader accepts the space
+    f = _write(tmp_path, "mf.json", {"dim": 2, "filtrations": []})
+    assert main(["mf", "slope", f]) == 0
+    assert "best line value: 0" in capsys.readouterr().out
+    assert main(["mf", "tensor-check", f, f]) == 0
+    assert "[PASS]" in capsys.readouterr().out
+
+
 def test_cli_repro_and_exit_codes(tmp_path, capsys):
     assert main(["repro", "qp", "--p", "37"]) == 0
     out = capsys.readouterr().out
