@@ -84,36 +84,24 @@ class SlopePolygon:
 _MEMO_SIZE = 1024
 
 
-def _gso(g: list[list[Fraction]]):
-    """Gram-Schmidt data from a Gram matrix: (mu lower-triangular, B norms)."""
-    n = len(g)
-    mu = [[F(0)] * n for _ in range(n)]
-    b = [F(0)] * n
-    c = [[F(0)] * n for _ in range(n)]  # c[i][j] = <b_i, b*_j>
-    for i in range(n):
-        for j in range(i + 1):
-            c[i][j] = g[i][j] - sum(mu[j][k] * c[i][k] for k in range(j))
-            if j < i:
-                mu[i][j] = c[i][j] / b[j]
-        b[i] = c[i][i]
-    return mu, b
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
-def lll_reduce(lat: EuclideanLattice, delta: Fraction = F(3, 4)):
-    """LLL-reduce; returns (reduced lattice, unimodular U) with G' = U G U^T.
+def lll_reduce(lat: EuclideanLattice):
+    """LLL-reduce (delta = 3/4); returns (reduced lattice, unimodular U) with
+    G' = U G U^T.  Runs on the integer Gram matrix L * G: once per outer
+    iteration a `linalg.bareiss` pass over its leading (k+1) x (k+1) block
+    gives the leading minors d_j and lambda_kj = d_(j+1) * mu_kj.
 
     Memoized: lattices hash and compare by their Gram matrix."""
     n = lat.rank
-    g = [list(row) for row in lat.gram]
+    gi, scale = lat.scaled_gram()
+    g = [list(row) for row in gi]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # b_i -= q b_j
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        for t in range(n):
-            g[i][t] -= q * g[j][t]
-        for t in range(n):
-            g[t][i] -= q * g[t][j]
+        g[i] = [x - q * y for x, y in zip(g[i], g[j])]
+        for row in g:
+            row[i] -= q * row[j]
 
     def swap(i, j):
         u[i], u[j] = u[j], u[i]
@@ -123,21 +111,25 @@ def lll_reduce(lat: EuclideanLattice, delta: Fraction = F(3, 4)):
 
     k = 1
     while k < n:
-        mu, b = _gso(g)
+        m, _ = linalg.bareiss([row[: k + 1] for row in g[: k + 1]])
+        d = [1] + [m[j][j] for j in range(k + 1)]  # d[j]: leading j x j minor
+        lam = m[k]
         for j in reversed(range(k)):
-            q = round(mu[k][j])
+            # round(mu_kj), ties to even
+            q = round(F(lam[j], d[j + 1]))
             if q != 0:
                 row_op(k, j, q)
-                # b_k -= q b_j keeps every b*_i, so only mu[k][0..j] moves
+                # b_k -= q b_j keeps every b*_i and d_i, so only lambda_k moves
                 for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
+                    lam[i] -= q * m[j][i]
+                lam[j] -= q * d[j + 1]
+        # Lovasz, B_k >= (3/4 - mu_k,k-1^2) B_(k-1), times 4 d_k d_(k-1) > 0
+        if 4 * (d[k + 1] * d[k - 1] + lam[k - 1] ** 2) >= 3 * d[k] ** 2:
             k += 1
         else:
             swap(k, k - 1)
             k = max(k - 1, 1)
-    return EuclideanLattice(g), tuple(tuple(row) for row in u)
+    return EuclideanLattice([[F(x, scale) for x in row] for row in g]), tuple(map(tuple, u))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +158,12 @@ def enumerate_short_vectors(
         raise ValueError("bound must be positive")
     reduced, u = lll_reduce(lat)
     n = lat.rank
-    g = [list(row) for row in reduced.gram]
-    mu, b = _gso(g)
+    gi, scale = reduced.scaled_gram()
+    m, _ = linalg.bareiss(gi)
+    d = [1] + [m[i][i] for i in range(n)]
+    # Gram-Schmidt data: mu_ij = lambda_ij / d_(j+1), B_i = d_(i+1) / (d_i L)
+    mu = [[F(m[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
+    b = [F(d[i + 1], d[i] * scale) for i in range(n)]
     found: dict[tuple[int, ...], Fraction] = {}
     x = [0] * n
     nodes = 0

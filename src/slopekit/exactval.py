@@ -406,6 +406,15 @@ def fmt_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def parse_rat(x) -> Fraction:
+    """Read a rational from its text ("p", "p/q", "1.5") or a JSON number;
+    every malformed input, a zero denominator included, is a ValueError."""
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Module-level operations.
 
@@ -490,12 +499,12 @@ def parse(text: str) -> LogRational:
             m = _TERM_RE.match(body)
             if not m:
                 raise ValueError(f"cannot parse LogRational term {chunk!r}")
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            coeff = parse_rat(m.group("coeff")) if m.group("coeff") else Fraction(1)
             if m.group("neg"):
                 coeff = -coeff
-            arg = Fraction(m.group("arg"))
+            arg = parse_rat(m.group("arg"))
             term = log_of_rational(arg) * coeff
         else:
-            term = LogRational(Fraction(body))
+            term = LogRational(parse_rat(body))
         result = result + (-term if neg else term)
     return result

@@ -39,15 +39,12 @@ class ExperimentConfig:
     seed: int = 0
     count: int = 50
     max_rank: int = 3
-    max_dim: int = 3
-    n_filtrations: int = 2
     entry_bound: int = 2
     node_cap: int = 2_000_000
-    rand_subspaces: int = 6
     max_tensor_rank: int = 6
 
     def __post_init__(self):
-        for name in ("count", "max_rank", "max_dim", "entry_bound", "node_cap"):
+        for name in ("count", "max_rank", "entry_bound", "node_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactval import LogRational, RIv, fmt_rat, half_log, log_of_rational, sqrt_interval
+from .exactval import LogRational, RIv, fmt_rat, half_log, log_of_rational, parse_rat, sqrt_interval
 from .lattice import EuclideanLattice
 from .report import Report, SCOPE_NOTE
 
@@ -397,7 +397,7 @@ class HermitianLattice:
     def from_json_dict(data: dict) -> "HermitianLattice":
         field = ImagQuadField(int(data["d"]))
         gram = [
-            [field.elt(F(str(e["a"])), F(str(e.get("b", 0)))) for e in row]
+            [field.elt(parse_rat(e["a"]), parse_rat(e.get("b", 0))) for e in row]
             for row in data["gram"]
         ]
         if "rank" in data and int(data["rank"]) != len(gram):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactval import LogRational, fmt_rat, half_log
+from .exactval import LogRational, fmt_rat, half_log, parse_rat
 
 Rat = int | Fraction
 
@@ -27,12 +27,15 @@ class EuclideanLattice:
             raise ValueError("Gram matrix must be square and nonempty")
         if not linalg.is_symmetric(g):
             raise ValueError("Gram matrix must be symmetric")
-        minors = linalg.leading_principal_minors(g)
-        if any(d <= 0 for d in minors):
+        gi, scale = linalg.clear_denominators(g)
+        m, swaps = linalg.bareiss(gi)
+        # Sylvester: every leading minor > 0.  A run without swaps has them on
+        # its diagonal; a swap follows a zero one.
+        if swaps or any(m[k][k] <= 0 for k in range(len(m))):
             raise ValueError("Gram matrix must be positive definite")
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_det", minors[-1])
-        object.__setattr__(self, "_scaled", None)
+        object.__setattr__(self, "_det", Fraction(m[-1][-1], scale ** len(g)))
+        object.__setattr__(self, "_scaled", (tuple(map(tuple, gi)), scale))
 
     def __setattr__(self, name, value):
         raise AttributeError("EuclideanLattice is immutable")
@@ -46,9 +49,6 @@ class EuclideanLattice:
 
     def scaled_gram(self) -> tuple[linalg.IntMatrix, int]:
         """(L * gram, L) with L the least common denominator of the Gram entries."""
-        if self._scaled is None:
-            gi, scale = linalg.clear_denominators(self.gram)
-            object.__setattr__(self, "_scaled", (tuple(map(tuple, gi)), scale))
         return self._scaled
 
     def degree(self) -> LogRational:
@@ -123,12 +123,12 @@ class EuclideanLattice:
         rows = data.get("gram")
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError('lattice JSON needs a "gram" field holding a list of rows')
-        gram = [[Fraction(str(x)) for x in row] for row in rows]
-        if "rank" in data and Fraction(str(data["rank"])) != len(gram):
+        gram = [[parse_rat(x) for x in row] for row in rows]
+        if "rank" in data and parse_rat(data["rank"]) != len(gram):
             raise ValueError("rank field disagrees with Gram size")
         lat = EuclideanLattice(gram)
         if "scale" in data and data["scale"] is not None:
-            lat = lat.scale(Fraction(str(data["scale"])))
+            lat = lat.scale(parse_rat(data["scale"]))
         return lat
 
     @staticmethod

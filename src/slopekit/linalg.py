@@ -8,15 +8,18 @@ This is the only module that eliminates.  The field routines (`rref`,
 field whose zero is falsy (`Fraction`, `hermitian.QElt`); `rref` is their
 one Gauss-Jordan loop and `pivots_field` their one Gaussian loop, which
 `det_field` and the hermitian positivity test share.  The integer routines
-(`det_int`, `hnf`, `diagonalize_int`) take ints; `det_bareiss` is the
-rational determinant, computed on integers after clearing denominators.
+(`bareiss`, `det_int`, `hnf`, `diagonalize_int`) take ints.  `bareiss` is the
+one fraction-free elimination: `det_int` and `det_bareiss` (rational, on
+integers after clearing denominators) read the determinant from it, and
+`lattice` and `enumeration` read leading minors and integral Gram-Schmidt
+data from it for positivity, LLL and Fincke-Pohst.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -72,39 +75,53 @@ def clear_denominators(a: Matrix) -> tuple[list[list[int]], int]:
     return [[x.numerator * (lcm // x.denominator) for x in row] for row in a], lcm
 
 
-def det_int(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
+def bareiss(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Fraction-free Gaussian elimination of a square integer matrix that keeps
+    its multipliers (Bareiss 1968): returns the eliminated matrix m and the
+    number of row swaps.  For j <= i, m[i][j] is the minor of the (swapped)
+    input on rows 0..j-1, i and columns 0..j.  A row is swapped in only past
+    a zero pivot; elimination stops at the first column without a pivot,
+    whose diagonal entry stays 0.  So a Gram matrix run without swaps has
+    the leading minors d_1, d_2, ... on the diagonal and the integral
+    Gram-Schmidt coefficients lambda_ij = d_(j+1) * mu_ij below it (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.6.7)."""
     m = [list(row) for row in a]
-    sign = 1
+    n = len(m)
+    swaps = 0
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                break
+            m[k], m[piv] = m[piv], m[k]
+            swaps += 1
+        rk = m[k]
+        p = rk[k]
         for i in range(k + 1, n):
+            ri = m[i]
+            f = ri[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                ri[j] = (ri[j] * p - f * rk[j]) // prev
+        prev = p
+    return m, swaps
+
+
+def det_int(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix: the signed last pivot of
+    `bareiss`, or 0 if it stopped early."""
+    if not a:
+        return 1
+    m, swaps = bareiss(a)
+    if not all(m[k][k] for k in range(len(m) - 1)):
+        return 0
+    return -m[-1][-1] if swaps % 2 else m[-1][-1]
 
 
 def det_bareiss(a: Matrix) -> Fraction:
     """Exact determinant of a rational matrix: det_int of L * a, over L^n."""
     m, scale = clear_denominators(a)
     return Fraction(det_int(m), scale ** len(a))
-
-
-def leading_principal_minors(a: Matrix) -> list[Fraction]:
-    return [det_bareiss(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(len(a))]
 
 
 def is_positive_semidefinite(a: Matrix) -> bool:
@@ -293,16 +310,14 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return tuple(row + za for row in a) + tuple(zb + row for row in b)
 
 
-def minor_det(a: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    return det_bareiss(tuple(tuple(a[i][j] for j in cols) for i in rows))
-
-
 def exterior_gram(g: Matrix, p: int) -> Matrix:
-    """Gram matrix of the p-th alternating power: entries det(g[S][T])."""
-    n = len(g)
-    subsets = list(combinations(range(n), p))
+    """Gram matrix of the p-th alternating power: entries det(g[S][T]),
+    taken on L * g and divided by L^p."""
+    gi, scale = clear_denominators(g)
+    subsets = list(combinations(range(len(g)), p))
     return tuple(
-        tuple(minor_det(g, s, t) for t in subsets) for s in subsets
+        tuple(Fraction(det_int([[gi[i][j] for j in t] for i in s]), scale**p) for t in subsets)
+        for s in subsets
     )
 
 
@@ -310,35 +325,14 @@ def alternating_map_matrix(n: int, p: int) -> Matrix:
     """Matrix of the natural map from the p-th tensor power to the p-th
     alternating power; rows indexed by p-subsets, columns by p-tuples in the
     Kronecker index order."""
-    from itertools import product
-
-    subsets = list(combinations(range(n), p))
-    row_of = {s: i for i, s in enumerate(subsets)}
-    cols = n**p
-    out = [[Fraction(0)] * cols for _ in subsets]
-    for tup in product(range(n), repeat=p):
-        if len(set(tup)) != p:
-            continue
-        col = 0
-        for t in tup:
-            col = col * n + t
-        key = tuple(sorted(tup))
-        # sign of the permutation sorting the tuple
-        perm = sorted(range(p), key=lambda i: tup[i])
-        sign = 1
-        seen = [False] * p
-        for i in range(p):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        out[row_of[key]][col] = Fraction(sign)
+    row_of = {s: i for i, s in enumerate(combinations(range(n), p))}
+    out = [[Fraction(0)] * n**p for _ in row_of]
+    for col, tup in enumerate(product(range(n), repeat=p)):
+        if len(set(tup)) == p:
+            # the sign of the permutation sorting the tuple: its matrix's det
+            order = sorted(range(p), key=lambda i: tup[i])
+            sign = det_int([[int(order[i] == j) for j in range(p)] for i in range(p)])
+            out[row_of[tuple(sorted(tup))]][col] = Fraction(sign)
     return tuple(tuple(row) for row in out)
 
 

@@ -26,6 +26,7 @@ from slopekit.lattice import (
     e8_lattice,
     unit_lattice,
 )
+from test_linalg import _gso
 
 F = Fraction
 
@@ -39,8 +40,6 @@ def random_lattice(rng, rank, bound=2):
 
 
 def is_lll_reduced(lat, delta=F(3, 4)):
-    from slopekit.enumeration import _gso
-
     g = [list(r) for r in lat.gram]
     mu, b = _gso(g)
     n = len(g)
@@ -401,10 +400,8 @@ def test_slope_filtration_two_plane_split():
 
 def _reference_lll(lat, delta=F(3, 4)):
     """LLL as first written: the full Gram-Schmidt data recomputed after every
-    size-reduction step.  Kept as the reference the incremental update in
-    lll_reduce must match exactly."""
-    from slopekit.enumeration import _gso
-
+    size-reduction step.  Kept as the reference the integral lll_reduce must
+    match exactly."""
     n = lat.rank
     g = [list(row) for row in lat.gram]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -436,6 +433,14 @@ def _reference_lll(lat, delta=F(3, 4)):
             swap(k, k - 1)
             k = max(k - 1, 1)
     return tuple(tuple(row) for row in g), tuple(tuple(row) for row in u)
+
+
+def test_lll_rounds_ties_to_even():
+    # mu_21 = 1/2 rounds to 0: A2 is left as it is
+    assert lll_reduce(a2_lattice()) == (a2_lattice(), ((1, 0), (0, 1)))
+    # mu_21 = 5/2 rounds to 2, so b_2 - 2 b_1, then mu_21 = 1/2 stays
+    red, u = lll_reduce(EuclideanLattice([[2, 5], [5, 20]]))
+    assert red.gram == linalg.mat([[2, 1], [1, 8]]) and u == ((1, 0), (-2, 1))
 
 
 def test_lll_matches_reference_exactly():

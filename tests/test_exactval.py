@@ -128,6 +128,12 @@ def test_parse_accepts_composite_and_rational_args():
     assert parse("0") == LogRational(0)
 
 
+@pytest.mark.parametrize("text", ["1/0", "1/0*log(2)", "log(1/0)", "1 + log(3/0)"])
+def test_parse_zero_denominator_is_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse(text)
+
+
 def test_total_order():
     vals = [
         LogRational(0),

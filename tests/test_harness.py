@@ -33,6 +33,10 @@ def test_config_validation(tmp_path):
     p.write_text('seed = 11\ncount = 3\n# comment\nmax_rank = 2\n')
     cfg = ExperimentConfig.from_toml(str(p))
     assert cfg.seed == 11 and cfg.count == 3 and cfg.max_rank == 2
+    for removed in ("max_dim", "n_filtrations", "rand_subspaces"):
+        p.write_text(f"seed = 11\n{removed} = 3\n")
+        with pytest.raises(ValueError, match=removed):
+            ExperimentConfig.from_toml(str(p))
 
 
 def test_flat_toml_rejects_sections(tmp_path):
@@ -226,6 +230,18 @@ def test_cli_mf_without_filtrations(tmp_path, capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+def test_cli_mf_best_line_below_slope(tmp_path, capsys):
+    # three weight-1 lines in Q^2: slope 3/2, every line has value 1
+    steps = [
+        {"steps": [{"lambda": "0", "basis": [["1", "0"], ["0", "1"]]}, {"lambda": "1", "basis": [line]}]}
+        for line in (["1", "0"], ["0", "1"], ["1", "1"])
+    ]
+    f = _write(tmp_path, "mf.json", {"dim": 2, "filtrations": steps})
+    assert main(["mf", "slope", f]) == 0
+    out = capsys.readouterr().out
+    assert "slope: 3/2" in out and "best line value: 1 " in out
+
+
 def test_cli_repro_and_exit_codes(tmp_path, capsys):
     assert main(["repro", "qp", "--p", "37"]) == 0
     out = capsys.readouterr().out
@@ -268,6 +284,11 @@ BAD_LATTICE_JSON = {
     "rank-infinite": '{"gram": [[1]], "rank": Infinity}',
     "scale-zero": '{"gram": [[1]], "scale": 0}',
     "rank-mismatch": '{"gram": [[1]], "rank": 2}',
+    "entry-zero-denominator": '{"gram": [["1/0"]]}',
+    "rank-zero-denominator": '{"gram": [[1]], "rank": "1/0"}',
+    "scale-zero-denominator": '{"gram": [[1]], "scale": "1/0"}',
+    "needs-row-swap": '{"gram": [[0, 1], [1, 0]]}',
+    "singular-psd": '{"gram": [[1, 1], [1, 1]]}',
 }
 
 
@@ -304,6 +325,8 @@ BAD_MF_JSON = {
     "row-not-list": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": [1, 0]}]}]}',
     "row-wrong-width": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": [[1, 0, 0], [0, 1, 0]]}]}]}',
     "entry-not-rational": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": [["x", 0], [0, 1]]}]}]}',
+    "lambda-zero-denominator": '{"dim": 2, "filtrations": [{"steps": [{"lambda": "1/0", "basis": [[1, 0], [0, 1]]}]}]}',
+    "entry-zero-denominator": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": [["1/0", 0], [0, 1]]}]}]}',
     "no-steps-listed": '{"dim": 2, "filtrations": [{"steps": []}]}',
     "lowest-not-full": '{"dim": 2, "filtrations": [{"steps": [{"lambda": 0, "basis": [[1, 0]]}]}]}',
     "duplicate-break": '{"dim": 2, "filtrations": [{"steps": [%s, %s]}]}' % (_FULL_STEP, _FULL_STEP),

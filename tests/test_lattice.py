@@ -35,6 +35,14 @@ def test_construction_rejects_bad_grams():
         EuclideanLattice([[1, 2], [2, 1]])  # indefinite
     with pytest.raises(ValueError):
         EuclideanLattice([[0]])
+    with pytest.raises(ValueError):
+        EuclideanLattice([[0, 1], [1, 0]])  # indefinite; elimination swaps rows
+    with pytest.raises(ValueError):
+        EuclideanLattice([[1, 1], [1, 1]])  # singular PSD
+    with pytest.raises(ValueError):
+        EuclideanLattice([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])  # singular PSD, rational
+    with pytest.raises(ValueError):
+        EuclideanLattice([[0, 0], [0, 1]])  # singular PSD, zero leading minor
 
 
 def test_degree_examples():

@@ -1,14 +1,20 @@
-"""The field routines of `linalg` against test-local copies of the loops they
-replaced: the old `linalg.inverse`, `lattice._solve_coords`, and
-`hermitian._field_inverse` / `_field_det`."""
+"""`linalg` against test-local copies of the loops it replaced: for the field
+routines the old `linalg.inverse`, `lattice._solve_coords`, and
+`hermitian._field_inverse` / `_field_det`; for the fraction-free kernel
+`bareiss` the old `det_int`, `enumeration._gso`,
+`linalg.leading_principal_minors`, the `linalg.minor_det` exterior Gram and
+the cycle-counting sign of `alternating_map_matrix`.
+`test_enumeration` imports `_gso` from here."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from slopekit import linalg
 from slopekit.hermitian import ImagQuadField
+from slopekit.lattice import EuclideanLattice
 
 F = Fraction
 
@@ -199,3 +205,198 @@ def test_solve_over_imaginary_quadratic_field():
         v = tuple(sum((c * r[j] for c, r in zip(cs, a)), field.zero) for j in range(3))
         got = linalg.solve(a, v)
         assert tuple(sum((c * r[j] for c, r in zip(got, a)), field.zero) for j in range(3)) == v
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free kernel.
+
+
+def _reference_det_int(a):
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def _gso(g):
+    """Gram-Schmidt data from a Gram matrix: (mu lower-triangular, B norms)."""
+    n = len(g)
+    mu = [[F(0)] * n for _ in range(n)]
+    b = [F(0)] * n
+    c = [[F(0)] * n for _ in range(n)]  # c[i][j] = <b_i, b*_j>
+    for i in range(n):
+        for j in range(i + 1):
+            c[i][j] = g[i][j] - sum(mu[j][k] * c[i][k] for k in range(j))
+            if j < i:
+                mu[i][j] = c[i][j] / b[j]
+        b[i] = c[i][i]
+    return mu, b
+
+
+def _leading_principal_minors(a):
+    return [linalg.det_bareiss(tuple(row[: k + 1] for row in a[: k + 1])) for k in range(len(a))]
+
+
+def _reference_exterior_gram(g, p):
+    def minor_det(a, rows, cols):
+        return linalg.det_bareiss(tuple(tuple(a[i][j] for j in cols) for i in rows))
+
+    subsets = list(combinations(range(len(g)), p))
+    return tuple(tuple(minor_det(g, s, t) for t in subsets) for s in subsets)
+
+
+def _gram(rows):
+    return linalg.mat([[sum(F(x) * y for x, y in zip(r1, r2)) for r2 in rows] for r1 in rows])
+
+
+def _pd_gram(rng, n):
+    """B B^T for a random invertible integer B, times a random positive rational."""
+    while True:
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if linalg.det_int(b):
+            return linalg.scalar_mul(F(rng.randint(1, 5), rng.choice((1, 1, 2, 3, 7))), _gram(b))
+
+
+def _grams(rng, count):
+    """Positive definite (integer and rational), singular PSD, indefinite and
+    zero-leading Grams, each kind in turn, ranks 1..6."""
+    out = [linalg.mat(g) for g in (((0, 1), (1, 0)), ((0, 0), (0, 1)), ((1, 1), (1, 1)))]
+    for t in range(count):
+        n = 1 + t % 6
+        kind = t % 4
+        if kind == 0:
+            g = _pd_gram(rng, n)
+        elif kind == 1:  # n vectors in a space of dimension < n: singular PSD
+            r = rng.randint(0, n - 1)
+            g = _gram([[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)])
+        elif kind == 2:  # random symmetric
+            a = [[_rand_frac(rng) for _ in range(n)] for _ in range(n)]
+            g = tuple(tuple(a[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+        else:  # a zero first diagonal entry: Sylvester fails, elimination swaps
+            g = [list(r) for r in _pd_gram(rng, n)]
+            g[0][0] = F(0)
+            g = linalg.mat(g)
+        out.append(linalg.mat(g))
+    return out
+
+
+def test_det_int_matches_reference():
+    rng = random.Random(311)
+    singular = swapped = 0
+    for t in range(80):
+        n = 1 + t % 6
+        a = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        if t % 5 == 0 and n > 1:
+            a[-1] = [x + y for x, y in zip(a[0], a[1 % n])]
+        d = _reference_det_int(a)
+        singular += d == 0
+        swapped += linalg.bareiss(a)[1] > 0
+        assert linalg.det_int(a) == d
+    assert singular >= 10 and swapped >= 10
+
+
+def test_bareiss_keeps_minors_below_the_diagonal():
+    rng = random.Random(312)
+    checked = 0
+    for t in range(80):
+        n = 1 + t % 6
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        m, swaps = linalg.bareiss(a)
+        if swaps:
+            continue
+        checked += 1
+        for i in range(n):
+            for j in range(i + 1):
+                rows = list(range(j)) + [i]
+                assert m[i][j] == _reference_det_int([[a[r][c] for c in range(j + 1)] for r in rows])
+    assert checked >= 50
+
+
+def test_construction_matches_leading_principal_minors():
+    rng = random.Random(313)
+    accepted = rejected = 0
+    for g in _grams(rng, 80):
+        minors = _leading_principal_minors(g)
+        got = _outcome(EuclideanLattice, g)
+        if all(d > 0 for d in minors):
+            accepted += 1
+            assert got.det() == minors[-1]
+            gi, scale = got.scaled_gram()
+            assert gi == tuple(tuple(x * scale for x in row) for row in g)
+        else:
+            rejected += 1
+            assert got is ValueError
+    assert accepted >= 20 and rejected >= 50
+
+
+def test_bareiss_gram_schmidt_matches_gso():
+    rng = random.Random(314)
+    for t in range(60):
+        g = _pd_gram(rng, 1 + t % 6)
+        n = len(g)
+        gi, scale = linalg.clear_denominators(g)
+        m, swaps = linalg.bareiss(gi)
+        assert swaps == 0
+        d = [1] + [m[i][i] for i in range(n)]
+        mu, b = _gso([list(r) for r in g])
+        assert [F(d[i + 1], d[i] * scale) for i in range(n)] == b
+        assert [[F(m[i][j], d[j + 1]) for j in range(i)] for i in range(n)] == [mu[i][:i] for i in range(n)]
+
+
+def test_exterior_gram_matches_minor_det():
+    rng = random.Random(315)
+    for t, g in enumerate(_grams(rng, 60)):
+        p = 1 + t % len(g)
+        assert linalg.exterior_gram(g, p) == _reference_exterior_gram(g, p)
+
+
+def _reference_alternating_map_matrix(n, p):
+    from itertools import product
+
+    subsets = list(combinations(range(n), p))
+    row_of = {s: i for i, s in enumerate(subsets)}
+    out = [[F(0)] * n**p for _ in subsets]
+    for tup in product(range(n), repeat=p):
+        if len(set(tup)) != p:
+            continue
+        col = 0
+        for t in tup:
+            col = col * n + t
+        perm = sorted(range(p), key=lambda i: tup[i])
+        sign = 1
+        seen = [False] * p
+        for i in range(p):
+            if seen[i]:
+                continue
+            j = i
+            length = 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        out[row_of[tuple(sorted(tup))]][col] = F(sign)
+    return tuple(tuple(row) for row in out)
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 6) for p in range(1, min(n, 4) + 1)])
+def test_alternating_map_matrix_matches_cycle_signs(n, p):
+    assert linalg.alternating_map_matrix(n, p) == _reference_alternating_map_matrix(n, p)

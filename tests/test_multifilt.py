@@ -126,6 +126,20 @@ def test_nu_witness_single():
     assert linalg.in_row_space(line, ((F(0), F(1)),))
 
 
+def test_nu_witness_three_lines_below_slope():
+    # three weight-1 lines in Q^2: the slope is 3/2 and a multigraded piece
+    # has break-sum 2, but no line lies on two of them, so the best value is 1
+    lines = ((1, 0), (0, 1), (1, 1))
+    m = MultifilteredSpace(
+        2, [Filtration(2, [(0, linalg.identity(2)), (1, [l])]) for l in lines]
+    )
+    val, line = nu_witness(m)
+    assert val == 1 and slope_faltings(m) == F(3, 2)
+    assert max(sum(k) for k in multigraded_dims(m)) == 2
+    assert any(linalg.in_row_space(line, linalg.mat([l])) for l in lines)
+    assert slope_of_subspace(m, (line,)) == 1
+
+
 def test_nu_between_mu_and_mu_max():
     rng = random.Random(7)
     for _ in range(12):
