@@ -9,11 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import harness
 from .enumeration import EnumerationCapExceeded, mu_max, slope_filtration
-from .exactval import LogRational
+from .exactval import LogRational, parse_rat
 from .lattice import EuclideanLattice
 from .multifilt import (
     MultifilteredSpace,
@@ -82,7 +81,7 @@ def _cmd_mf(args) -> int:
         print(f"best line value: {val}  witness: {[str(x) for x in line]}")
         return 0
     if args.action == "mu-max":
-        res = mu_max_mf(m, seed=args.seed)
+        res = mu_max_mf(m)
         print(f"mu_max: {res.value}")
         print(f"upper bound: {res.upper}")
         print(f"witness dim: {len(res.witness)}")
@@ -108,7 +107,7 @@ def _cmd_repro(args) -> int:
         kw["seed"] = args.seed
         kw["count"] = args.count
     if args.target == "a2" and args.twist is not None:
-        kw["gram_multiplier"] = Fraction(args.twist)
+        kw["gram_multiplier"] = parse_rat(args.twist)
     try:
         rep = harness.repro(args.target, **kw)
     except ReproFailure as exc:
@@ -151,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     mf.add_argument("action", choices=["slope", "mu-max", "tensor-check"])
     mf.add_argument("file")
     mf.add_argument("file2", nargs="?")
-    mf.add_argument("--seed", type=int, default=0)
     mf.add_argument("--format", choices=["text", "json"], default="text")
     mf.set_defaults(func=_cmd_mf)
 

@@ -244,6 +244,8 @@ def repro_mf_lemma(seed: int = 0, count: int = 50, max_dim: int = 5, max_filts: 
     for every permutation of the filtration order."""
     import itertools
 
+    if count < 1:
+        raise ValueError("count must be positive")
     rep = Report(name="mf-lemma")
     rng = random.Random(seed)
     for idx in range(count):
@@ -273,6 +275,8 @@ def repro_thm07(seed: int = 0, count: int = 50, max_dim: int = 3, max_filts: int
     with the line-value bounds checked on every instance."""
     from .multifilt import nu_witness
 
+    if count < 1:
+        raise ValueError("count must be positive")
     rep = Report(name="thm07")
     rng = random.Random(seed)
     done = 0
@@ -280,8 +284,8 @@ def repro_thm07(seed: int = 0, count: int = 50, max_dim: int = 3, max_filts: int
     while done < count:
         m1 = random_multifiltered(rng, rng.randint(1, max_dim), rng.randint(1, max_filts))
         m2 = random_multifiltered(rng, rng.randint(1, max_dim), m1.n_filtrations)
-        r1 = mu_max_mf(m1, seed=seed)
-        r2 = mu_max_mf(m2, seed=seed)
+        r1 = mu_max_mf(m1)
+        r2 = mu_max_mf(m2)
         if not (r1.certified and r2.certified):
             redraws += 1
             continue
@@ -289,7 +293,7 @@ def repro_thm07(seed: int = 0, count: int = 50, max_dim: int = 3, max_filts: int
         seed_cand = [
             tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness
         ]
-        rt = mu_max_mf(t, extra_candidates=[seed_cand], seed=seed)
+        rt = mu_max_mf(t, extra_candidates=[seed_cand])
         if not rt.certified:
             redraws += 1
             continue
@@ -311,14 +315,14 @@ def repro_thm07(seed: int = 0, count: int = 50, max_dim: int = 3, max_filts: int
     rep.require(
         "tensor_mu_max_additive",
         True,
-        f"{count}/{count} certified pairs: mu_max(tensor) = mu_max + mu_max exactly",
+        f"{count}/{count} certified pairs (uncertified draws redrawn: {redraws}): "
+        "mu_max(tensor) = mu_max + mu_max exactly",
     )
     rep.require(
         "line_value_between_slope_and_max",
         True,
         f"{count}/{count}: slope <= line value <= mu_max on the tensor",
     )
-    rep.note(f"uncertified draws redrawn: {redraws}")
     rep.note(SCOPE_NOTE)
     return rep
 

@@ -395,12 +395,20 @@ class HermitianLattice:
 
     @staticmethod
     def from_json_dict(data: dict) -> "HermitianLattice":
-        field = ImagQuadField(int(data["d"]))
+        if not isinstance(data, dict) or type(data.get("d")) is not int:
+            raise ValueError('hermitian lattice JSON must be an object with an integer "d"')
+        rows = data.get("gram")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(e, dict) and "a" in e for e in row)
+            for row in rows
+        ):
+            raise ValueError('"gram" must be a list of rows of {"a": ..., "b": ...} entries')
+        field = ImagQuadField(data["d"])
         gram = [
             [field.elt(parse_rat(e["a"]), parse_rat(e.get("b", 0))) for e in row]
-            for row in data["gram"]
+            for row in rows
         ]
-        if "rank" in data and int(data["rank"]) != len(gram):
+        if "rank" in data and parse_rat(data["rank"]) != len(gram):
             raise ValueError("rank field disagrees with Gram size")
         return HermitianLattice(field, gram)
 

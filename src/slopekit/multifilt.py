@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -432,47 +431,43 @@ class MfMuMax:
     certified: bool
 
 
-def _candidate_family(m: MultifilteredSpace, extra, seed: int, rand_count: int, cap: int):
+# The closure can be infinite (three or more flags), so it stops at this size.
+_FAMILY_CAP = 400
+
+
+def _candidate_family(m: MultifilteredSpace, extra):
+    """The whole space and the filtration steps, closed under pairwise
+    intersection and sum up to _FAMILY_CAP members, then the extra candidates.
+    mu_max_mf certifies only by its best slope meeting the profile bound, never
+    by this family being complete.  Random subspaces would add nothing: a
+    generic k-dimensional one meets each step in the least dimension, so it
+    takes the k smallest weights of each filtration and its slope is at most
+    slope(V), and V is a member."""
     seen: dict[Matrix, None] = {}
 
     def add(rows):
         rows = _rref_rows(rows)
         if rows and rows not in seen:
             seen[rows] = None
-            return rows
-        return None
 
     add(linalg.identity(m.dim))
     for f in m.filtrations:
         for _, space in f.steps:
             add(space)
-    frontier = list(seen)
-    while frontier and len(seen) < cap:
-        new = []
+    # each round pairs the members new in the last round, current[start:],
+    # with every member; a pair of two new members is closed once, (a, b) with
+    # b after a, in the order an ordered-pair sweep would first reach it
+    start = 0
+    while start < len(seen) < _FAMILY_CAP:
         current = list(seen)
-        for a in frontier:
-            for b in current:
-                if a == b:
-                    continue
-                i = linalg.intersect_row_spaces(a, b, m.dim)
-                s = linalg.sum_row_spaces(a, b)
-                for rows in (i, s):
-                    got = add(rows)
-                    if got is not None:
-                        new.append(got)
-                if len(seen) >= cap:
-                    break
-            if len(seen) >= cap:
+        new = enumerate(current[start:], start)
+        for a, b in ((a, b) for i, a in new for b in current[:start] + current[i + 1:]):
+            add(linalg.intersect_row_spaces(a, b, m.dim))
+            add(linalg.sum_row_spaces(a, b))
+            if len(seen) >= _FAMILY_CAP:
                 break
-        frontier = new
+        start = len(current)
     for rows in extra:
-        add(rows)
-    rng = random.Random(seed)
-    for _ in range(rand_count):
-        k = rng.randint(1, m.dim)
-        rows = [
-            tuple(F(rng.randint(-2, 2)) for _ in range(m.dim)) for _ in range(k)
-        ]
         add(rows)
     return list(seen)
 
@@ -576,20 +571,14 @@ def _profile_upper_bound(m: MultifilteredSpace) -> Fraction:
     return best_overall
 
 
-def mu_max_mf(
-    m: MultifilteredSpace,
-    extra_candidates: Sequence = (),
-    seed: int = 0,
-    rand_count: int = 8,
-    family_cap: int = 400,
-) -> MfMuMax:
+def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> MfMuMax:
     """Certified-when-bounds-meet supremum of subspace slopes.
 
-    Lower bound: exact slopes over the intersection/sum closure of the
-    filtration steps, user-supplied candidates, and seeded random subspaces.
+    Lower bound: exact slopes over the capped intersection/sum closure of the
+    filtration steps and the extra candidates (row lists in ambient coordinates).
     Upper bound: the dimension-profile relaxation.  certified = bounds meet.
     """
-    cands = _candidate_family(m, extra_candidates, seed, rand_count, family_cap)
+    cands = _candidate_family(m, extra_candidates)
     best: Optional[Fraction] = None
     maximizers: list[Matrix] = []
     for rows in cands:
@@ -616,8 +605,8 @@ def mu_max_mf(
     return MfMuMax(value=best, witness=witness, upper=upper, certified=upper == best)
 
 
-def is_semistable_mf(m: MultifilteredSpace, **kw) -> bool:
-    res = mu_max_mf(m, **kw)
+def is_semistable_mf(m: MultifilteredSpace) -> bool:
+    res = mu_max_mf(m)
     if not res.certified:
         raise ValueError("mu_max not certified; cannot decide semistability")
     return res.value == slope_faltings(m)
@@ -669,7 +658,7 @@ def dual_mf(m: MultifilteredSpace) -> MultifilteredSpace:
 # ---------------------------------------------------------------------------
 # Canonical filtration.
 
-def slope_filtration_mf(m: MultifilteredSpace, **kw) -> tuple[Matrix, ...]:
+def slope_filtration_mf(m: MultifilteredSpace) -> tuple[Matrix, ...]:
     """Chain of subspaces by iterated maximal destabilizer (max slope, then
     max dimension); quotient slopes strictly decrease.  Every stage must
     certify."""
@@ -679,7 +668,7 @@ def slope_filtration_mf(m: MultifilteredSpace, **kw) -> tuple[Matrix, ...]:
     current = m
     lift_rows = linalg.identity(m.dim)
     while True:
-        res = mu_max_mf(current, **kw)
+        res = mu_max_mf(current)
         if not res.certified:
             raise ValueError("uncertified mu_max stage; filtration aborted")
         # witness in ambient coordinates

@@ -132,6 +132,13 @@ def test_repro_dispatch():
         repro("nope")
 
 
+@pytest.mark.parametrize("target", ["mf-lemma", "thm07"])
+@pytest.mark.parametrize("count", [0, -5])
+def test_repro_rejects_nonpositive_count(target, count):
+    with pytest.raises(ValueError, match="count must be positive"):
+        repro(target, seed=1, count=count)
+
+
 def test_repro_manifest_mentions_scope_note():
     rep = repro("qp", p=5)
     assert any("nef" in n for n in rep.notes)
@@ -290,6 +297,23 @@ BAD_LATTICE_JSON = {
     "needs-row-swap": '{"gram": [[0, 1], [1, 0]]}',
     "singular-psd": '{"gram": [[1, 1], [1, 1]]}',
 }
+
+
+BAD_REPRO_ARGS = {
+    "twist-zero-denominator": ["a2", "--twist", "1/0"],
+    "twist-not-rational": ["a2", "--twist", "x"],
+    "thm07-negative-count": ["thm07", "--count", "-5"],
+    "thm07-zero-count": ["thm07", "--count", "0"],
+    "mf-lemma-zero-count": ["mf-lemma", "--count", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPRO_ARGS))
+def test_cli_bad_repro_args_exit_2(capsys, case):
+    assert main(["repro", *BAD_REPRO_ARGS[case]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("action", ["info", "mu-max", "filtration"])

@@ -216,6 +216,38 @@ def test_json_roundtrip():
     assert back == lat
 
 
+BAD_HERMITIAN_JSON = {
+    "top-level-list": [[1]],
+    "top-level-number": 3,
+    "no-d": {"gram": [[{"a": 1}]]},
+    "d-float": {"d": 7.9, "gram": [[{"a": 1}]]},
+    "d-string": {"d": "7", "gram": [[{"a": 1}]]},
+    "d-bool": {"d": True, "gram": [[{"a": 1}]]},
+    "d-not-squarefree": {"d": 4, "gram": [[{"a": 1}]]},
+    "d-negative": {"d": -7, "gram": [[{"a": 1}]]},
+    "no-gram": {"d": 7},
+    "gram-not-list": {"d": 7, "gram": 5},
+    "row-not-list": {"d": 7, "gram": [{"a": 1}]},
+    "entry-not-object": {"d": 7, "gram": [[1]]},
+    "entry-without-a": {"d": 7, "gram": [[{"b": 1}]]},
+    "entry-not-rational": {"d": 7, "gram": [[{"a": "x"}]]},
+    "entry-zero-denominator": {"d": 7, "gram": [[{"a": "1/0"}]]},
+    "rank-fractional": {"d": 7, "rank": 1.5, "gram": [[{"a": 1}]]},
+    "rank-not-number": {"d": 7, "rank": [1], "gram": [[{"a": 1}]]},
+    "rank-mismatch": {"d": 7, "rank": 2, "gram": [[{"a": 1}]]},
+    "empty-gram": {"d": 7, "gram": []},
+    "not-square": {"d": 7, "gram": [[{"a": 1}, {"a": 0}]]},
+    "not-hermitian": {"d": 7, "gram": [[{"a": 2}, {"a": 0, "b": 1}], [{"a": 0, "b": 1}, {"a": 2}]]},
+    "not-definite": {"d": 7, "gram": [[{"a": 1}, {"a": 2}], [{"a": 2}, {"a": 1}]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HERMITIAN_JSON))
+def test_from_json_dict_rejects_bad_input(case):
+    with pytest.raises(ValueError):
+        HermitianLattice.from_json_dict(BAD_HERMITIAN_JSON[case])
+
+
 def test_repro_a2_passes():
     rep = a2_twist_checks()
     assert rep.passed

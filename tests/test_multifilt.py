@@ -419,7 +419,14 @@ def test_slope_filtration_breaks_match_candidate_polygon():
             chain = slope_filtration_mf(m)
         except ValueError:
             continue
-        cands = _candidate_family(m, (), seed=0, rand_count=12, cap=400)
+        draw = random.Random(0)
+        subspaces = []
+        for _ in range(12):
+            k = draw.randint(1, m.dim)
+            subspaces.append(
+                [tuple(F(draw.randint(-2, 2)) for _ in range(m.dim)) for _ in range(k)]
+            )
+        cands = _candidate_family(m, subspaces)
         best_deg = {}
         for rows in cands:
             k = len(rows)
@@ -449,3 +456,92 @@ def test_slope_filtration_breaks_match_candidate_polygon():
         assert chain_slopes == hull_slopes
         checked += 1
     assert checked >= 10
+
+
+def _parent_candidate_family(m, extra, seed=0, rand_count=8, cap=400):
+    """Reference copy of the earlier candidate family: ordered pairs of the
+    closure (each pair inside a frontier visited twice), then the extra
+    candidates, then `rand_count` seeded random subspaces."""
+    seen = {}
+
+    def add(rows):
+        rows = linalg.rref(linalg.mat(rows))[0] if rows else ()
+        if rows and rows not in seen:
+            seen[rows] = None
+            return rows
+        return None
+
+    add(linalg.identity(m.dim))
+    for f in m.filtrations:
+        for _, space in f.steps:
+            add(space)
+    frontier = list(seen)
+    while frontier and len(seen) < cap:
+        new = []
+        current = list(seen)
+        for a in frontier:
+            for b in current:
+                if a == b:
+                    continue
+                i = linalg.intersect_row_spaces(a, b, m.dim)
+                s = linalg.sum_row_spaces(a, b)
+                for rows in (i, s):
+                    got = add(rows)
+                    if got is not None:
+                        new.append(got)
+                if len(seen) >= cap:
+                    break
+            if len(seen) >= cap:
+                break
+        frontier = new
+    for rows in extra:
+        add(rows)
+    rng = random.Random(seed)
+    for _ in range(rand_count):
+        k = rng.randint(1, m.dim)
+        add([tuple(F(rng.randint(-2, 2)) for _ in range(m.dim)) for _ in range(k)])
+    return list(seen)
+
+
+def _reference_corpus(low=1):
+    """64 random spaces (dim low..4, low..3 filtrations) and, for each, its
+    tensor with a random partner (tensor dim <= 6) and the witness-product
+    candidate."""
+    rng = random.Random(61)
+    spaces = [random_mf(rng, rng.randint(low, 4), rng.randint(low, 3)) for _ in range(64)]
+    tensors = []
+    for m1 in spaces:
+        m2 = random_mf(rng, rng.randint(1, 6 // m1.dim), m1.n_filtrations)
+        r1, r2 = mu_max_mf(m1), mu_max_mf(m2)
+        products = [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
+        tensors.append((tensor_mf(m1, m2), [products]))
+    return [(m, ()) for m in spaces] + tensors
+
+
+def test_mu_max_matches_parent_family_with_random_draws(monkeypatch):
+    """Dropping the seeded random subspaces changes no value, witness, upper
+    bound or certified flag."""
+    from slopekit import multifilt
+
+    corpus = _reference_corpus()
+    new = [mu_max_mf(m, extra) for m, extra in corpus]
+    monkeypatch.setattr(multifilt, "_candidate_family", _parent_candidate_family)
+    old = [mu_max_mf(m, extra) for m, extra in corpus]
+    assert new == old
+    assert sum(r.certified for r in new) >= 120
+
+
+@pytest.mark.parametrize("cap,low", [(400, 1), (12, 2)])
+def test_candidate_family_matches_parent_order(monkeypatch, cap, low):
+    """Visiting each pair once keeps the family's content and order, also
+    where the cap cuts the closure off (the richer corpus at cap 12)."""
+    from slopekit import multifilt
+
+    monkeypatch.setattr(multifilt, "_FAMILY_CAP", cap)
+    cut = 0
+    for m, extra in _reference_corpus(low):
+        fam = multifilt._candidate_family(m, extra)
+        assert fam == _parent_candidate_family(m, extra, rand_count=0, cap=cap)
+        cut += len(fam) >= cap
+    if cap == 12:
+        assert cut >= 20
