@@ -27,7 +27,14 @@ def _fmt(v: LogRational) -> str:
     return f"{v.render()} (~{v.float_approx():.9f})"
 
 
+def _require_text(args) -> None:
+    """Only tensor-check emits a report; the other actions print text."""
+    if args.format != "text" and args.action != "tensor-check":
+        raise ValueError(f"--format {args.format} is supported only by {args.command} tensor-check")
+
+
 def _cmd_lattice(args) -> int:
+    _require_text(args)
     lat = EuclideanLattice.load(args.file)
     cap = args.cap
     if args.action == "info":
@@ -73,6 +80,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_mf(args) -> int:
+    _require_text(args)
     m = MultifilteredSpace.load(args.file)
     if args.action == "slope":
         print(f"dim: {m.dim}")

@@ -44,7 +44,12 @@ class ExperimentConfig:
     max_tensor_rank: int = 6
 
     def __post_init__(self):
-        for name in ("count", "max_rank", "entry_bound", "node_cap"):
+        for name in ExperimentConfig.__dataclass_fields__:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        # max_tensor_rank >= 1 lets the rank draw (1, 1) end the redraw loop
+        for name in ("count", "max_rank", "entry_bound", "node_cap", "max_tensor_rank"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -62,8 +67,9 @@ class ExperimentConfig:
 
 
 def read_flat_toml(path: str) -> dict:
-    """Minimal flat TOML subset: `key = value` lines with integer, boolean or
-    quoted-string values, and # comments.  Enough to mirror ExperimentConfig."""
+    """Minimal flat TOML subset: `key = value` lines with integer values, and
+    # comments.  Enough to mirror ExperimentConfig, whose fields are all
+    integers."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -77,15 +83,10 @@ def read_flat_toml(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if value.startswith('"') and value.endswith('"'):
-                out[key] = value[1:-1]
-            elif value in ("true", "false"):
-                out[key] = value == "true"
-            else:
-                try:
-                    out[key] = int(value)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: unsupported value {value!r}") from exc
+            try:
+                out[key] = int(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: unsupported value {value!r}") from exc
     return out
 
 

@@ -11,8 +11,8 @@ one Gauss-Jordan loop and `pivots_field` their one Gaussian loop, which
 (`bareiss`, `det_int`, `hnf`, `diagonalize_int`) take ints.  `bareiss` is the
 one fraction-free elimination: `det_int` and `det_bareiss` (rational, on
 integers after clearing denominators) read the determinant from it, and
-`lattice` and `enumeration` read leading minors and integral Gram-Schmidt
-data from it for positivity, LLL and Fincke-Pohst.
+`lattice`, `enumeration` and `is_positive_semidefinite` read leading minors
+and integral Gram-Schmidt data from it for positivity, LLL and Fincke-Pohst.
 """
 
 from __future__ import annotations
@@ -125,32 +125,17 @@ def det_bareiss(a: Matrix) -> Fraction:
 
 
 def is_positive_semidefinite(a: Matrix) -> bool:
-    """Exact PSD test for a symmetric rational matrix (pivoted elimination)."""
+    """Exact PSD test for a rational matrix.  A symmetric a is PSD iff it is
+    positive definite on its row space (its kernel is the orthogonal of the
+    row space), that is, iff b a b^T has positive leading minors for b the
+    rref rows of a (Sylvester): the diagonal of a swap-free `bareiss` run,
+    which swaps only past a zero minor."""
     if not is_symmetric(a):
         return False
-    m = [list(row) for row in a]
-    n = len(m)
-    active = list(range(n))
-    while active:
-        piv = None
-        for i in active:
-            if m[i][i] > 0:
-                piv = i
-                break
-            if m[i][i] < 0:
-                return False
-        if piv is None:
-            # all active diagonal entries are zero: rows must vanish
-            return all(m[i][j] == 0 for i in active for j in active)
-        active.remove(piv)
-        d = m[piv][piv]
-        for i in active:
-            f = m[i][piv] / d
-            if f == 0:
-                continue
-            for j in active:
-                m[i][j] -= f * m[piv][j]
-    return True
+    b = rref(a)[0]
+    g, _ = clear_denominators(matmul(matmul(b, a), transpose(b)))
+    m, swaps = bareiss(g)
+    return not swaps and all(m[k][k] > 0 for k in range(len(m)))
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:

@@ -6,7 +6,14 @@ driver shared with euclidean lattices.
 A filtration is stored as its value at each break: pairs (lambda, subspace)
 with strictly increasing labels and strictly decreasing subspaces, the lowest
 space being the whole ambient space (left-continuity pins the value at a
-break to the space before the drop)."""
+break to the space before the drop).
+
+Subspaces are kept as RREF rows.  Where only a dimension is read it comes
+from one rank, dim(W ∩ S) = dim W + dim S - rank(W + S), and a vector of a
+stored span has its coordinates at the span's pivot columns; intersection
+bases are built only where a basis is used (the candidate closure,
+`subobject`, `nu_witness` and the profile bound's triple intersections).
+All elimination runs through `linalg.rref`."""
 
 from __future__ import annotations
 
@@ -55,7 +62,7 @@ class Filtration:
         if len(merged[0][1]) != ambient_dim:
             raise ValueError("the lowest step must span the ambient space")
         for (l0, s0), (l1, s1) in zip(merged, merged[1:]):
-            if not all(linalg.in_row_space(r, s0) for r in s1):
+            if linalg.rank(s0 + s1) != len(s0):
                 raise ValueError("filtration subspaces must be decreasing")
             if len(s1) >= len(s0):
                 raise ValueError("filtration subspaces must strictly decrease")
@@ -217,53 +224,36 @@ def slope_faltings(m: MultifilteredSpace) -> Fraction:
     return total / m.dim
 
 
+def _meet_dim(a: Matrix, b: Matrix) -> int:
+    """dim(rowspace(a) ∩ rowspace(b)) for independent rows a and b:
+    dim a + dim b - rank(a + b)."""
+    return len(a) + len(b) - linalg.rank(a + b)
+
+
 def slope_of_subspace(m: MultifilteredSpace, rows: Matrix) -> Fraction:
-    """Slope of a nonzero subspace with the induced filtrations."""
+    """Slope of a nonzero subspace with the induced filtrations; it reads only
+    the dimensions of the subspace's intersections with the steps."""
     rows = _rref_rows(rows)
     k = len(rows)
     if k == 0:
         raise ValueError("zero subspace has no slope")
     total = F(0)
     for f in m.filtrations:
-        dims = []
-        for lam, space in f.steps:
-            inter = linalg.intersect_row_spaces(rows, space, m.dim)
-            dims.append((lam, len(inter)))
-        for i, (lam, d) in enumerate(dims):
-            nxt = dims[i + 1][1] if i + 1 < len(dims) else 0
-            total += lam * (d - nxt)
+        dims = [_meet_dim(rows, space) for _, space in f.steps] + [0]
+        for i, (lam, _) in enumerate(f.steps):
+            total += lam * (dims[i] - dims[i + 1])
     return total / k
 
 
-def _quotient_data(m_dim: int, sub_rows: Matrix):
-    """Completion rows lifting a basis of ambient/sub, plus a projector."""
-    sub_rows = _rref_rows(sub_rows)
-    completion = []
-    current = sub_rows
-    for i in range(m_dim):
-        e = tuple(F(1 if j == i else 0) for j in range(m_dim))
-        if current and linalg.in_row_space(e, current):
-            continue
-        completion.append(e)
-        current = _rref_rows(current + (e,)) if current else _rref_rows((e,))
-    full = sub_rows + tuple(completion)
-
-    def project(v) -> tuple[Fraction, ...]:
-        coeffs = _coords_in_rows(full, v)
-        return tuple(coeffs[len(sub_rows):])
-
-    return tuple(completion), project
-
-
 def _coords_in_rows(rows: Matrix, v) -> tuple[Fraction, ...]:
-    sol = linalg.solve(rows, v)
-    if sol is None:
-        raise ValueError("vector outside the span")
-    return sol
+    """Coordinates of a vector of the span of RREF rows: its entries at their
+    pivot columns (the first 1 of an RREF row is its pivot)."""
+    return tuple(v[r.index(1)] for r in rows)
 
 
 def subobject(m: MultifilteredSpace, rows) -> MultifilteredSpace:
-    """The subspace with induced filtrations, in its own coordinates."""
+    """The subspace with induced filtrations, in the coordinates of its RREF
+    basis."""
     rows = _rref_rows(rows)
     k = len(rows)
     if k == 0:
@@ -281,12 +271,28 @@ def subobject(m: MultifilteredSpace, rows) -> MultifilteredSpace:
 
 def quotient_object(m: MultifilteredSpace, rows) -> tuple[MultifilteredSpace, Matrix]:
     """The quotient by a proper subspace, with image filtrations; also returns
-    the completion rows identifying quotient coordinates with ambient lifts."""
-    rows = _rref_rows(rows)
-    q_dim = m.dim - len(rows)
+    the completion rows identifying quotient coordinates with ambient lifts.
+
+    The completion is the unit vectors e_i, i increasing, that are not in the
+    span of the subspace and the e_j before them: exactly the i that are not
+    the last nonzero column of a vector of the subspace, that is, not a pivot
+    of the echelon form of the column-reversed rows.  With R those echelon
+    rows (columns restored), r_p the one whose last nonzero column is p, the
+    quotient coordinates of v are v_i - sum_p v_p * r_p[i] over the
+    completion's i."""
+    n = m.dim
+    rev, rev_pivots = linalg.rref(linalg.mat(r[::-1] for r in rows))
+    q_dim = n - len(rev)
     if q_dim == 0:
         raise ValueError("quotient by the whole space")
-    completion, project = _quotient_data(m.dim, rows)
+    last = [n - 1 - c for c in rev_pivots]
+    red = [r[::-1] for r in rev]
+    free = [i for i in range(n) if i not in last]
+    completion = tuple(tuple(F(int(j == i)) for j in range(n)) for i in free)
+
+    def project(v) -> tuple[Fraction, ...]:
+        return tuple(v[i] - sum(v[p] * r[i] for p, r in zip(last, red)) for i in free)
+
     filts = []
     for f in m.filtrations:
         steps = []
@@ -313,51 +319,22 @@ def multigraded_dims(m: MultifilteredSpace) -> dict[tuple, int]:
 
 
 def _multigraded(m: MultifilteredSpace) -> dict[tuple, int]:
+    """Each graded piece F^lam / F^(next) of the last filtration, with the
+    earlier filtrations induced, is the quotient of the subobject F^lam by
+    F^(next) in F^lam's coordinates."""
     if m.n_filtrations == 0:
         return {(): m.dim}
     f = m.filtrations[-1]
-    rest = m.filtrations[:-1]
+    rest = MultifilteredSpace(m.dim, m.filtrations[:-1])
     out: dict[tuple, int] = {}
     for i, (lam, space) in enumerate(f.steps):
         nxt = f.steps[i + 1][1] if i + 1 < len(f.steps) else ()
-        if len(space) == len(nxt):
-            continue
-        piece_dims = _graded_piece(m, rest, space, nxt)
-        for key, d in piece_dims.items():
-            if d:
-                out[key + (lam,)] = out.get(key + (lam,), 0) + d
+        piece, _ = quotient_object(
+            subobject(rest, space), [_coords_in_rows(space, r) for r in nxt]
+        )
+        for key, d in _multigraded(piece).items():
+            out[key + (lam,)] = out.get(key + (lam,), 0) + d
     return out
-
-
-def _graded_piece(m, rest, space, nxt) -> dict[tuple, int]:
-    """Dims of the iterated graded of (space/nxt) under the induced filtrations."""
-    piece_dim = len(space) - len(nxt)
-    if not rest:
-        return {(): piece_dim}
-    # coordinates on the quotient space/nxt
-    ambient = m.dim
-    completion, project = _quotient_data(ambient, nxt)
-    # basis of space/nxt: projections of space rows, rref
-    basis = _rref_rows([p for p in (project(r) for r in space) if any(p)])
-    filts = []
-    for f in rest:
-        steps = []
-        for lam, fspace in f.steps:
-            inter = linalg.intersect_row_spaces(fspace, space, ambient)
-            imgs = [project(r) for r in inter]
-            img_rows = _rref_rows([r for r in imgs if any(r)])
-            steps.append((lam, img_rows))
-        filts.append((f, steps))
-    # re-coordinate inside the piece (basis rows of the image of `space`)
-    piece_filts = []
-    for f, steps in filts:
-        new_steps = []
-        for lam, img_rows in steps:
-            coords = tuple(_coords_in_rows(basis, r) for r in img_rows)
-            new_steps.append((lam, coords))
-        piece_filts.append(Filtration(piece_dim, new_steps))
-    piece = MultifilteredSpace(piece_dim, piece_filts)
-    return _multigraded(piece)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +461,7 @@ def _profile_upper_bound(m: MultifilteredSpace) -> Fraction:
         for w in range(v + 1, n):
             for i, (_, si) in enumerate(steps[v]):
                 for j, (_, sj) in enumerate(steps[w]):
-                    pair_dim[(v, i, w, j)] = len(
-                        linalg.intersect_row_spaces(si, sj, m.dim)
-                    )
+                    pair_dim[(v, i, w, j)] = _meet_dim(si, sj)
     triple_dim: dict[tuple, int] = {}
     if n >= 3:
         for v, w, x in itertools.combinations(range(n), 3):
@@ -496,9 +471,7 @@ def _profile_upper_bound(m: MultifilteredSpace) -> Fraction:
                         steps[v][i][1], steps[w][j][1], m.dim
                     )
                     for l in range(len(steps[x])):
-                        triple_dim[(v, i, w, j, x, l)] = len(
-                            linalg.intersect_row_spaces(si, steps[x][l][1], m.dim)
-                        )
+                        triple_dim[(v, i, w, j, x, l)] = _meet_dim(si, steps[x][l][1])
 
     best_overall: Optional[Fraction] = None
     for k in range(1, m.dim + 1):

@@ -37,6 +37,19 @@ def test_config_validation(tmp_path):
         p.write_text(f"seed = 11\n{removed} = 3\n")
         with pytest.raises(ValueError, match=removed):
             ExperimentConfig.from_toml(str(p))
+    # max_tensor_rank = 0 made the rank redraw loop spin forever
+    for bad, match in (
+        ("max_tensor_rank = 0", "max_tensor_rank"),
+        ('count = "abc"', "unsupported value"),
+        ("count = true", "unsupported value"),
+        ("seed = 1.5", "unsupported value"),
+    ):
+        p.write_text(f"seed = 11\n{bad}\n")
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_toml(str(p))
+    for field, value in (("count", True), ("count", "abc"), ("seed", 1.0), ("max_tensor_rank", 0)):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
 
 
 def test_flat_toml_rejects_sections(tmp_path):
@@ -367,6 +380,29 @@ def test_cli_bad_mf_json_exits_2(tmp_path, capsys, case, action):
     assert main(["mf", action, str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+TEXT_ONLY_ACTIONS = [
+    ("lattice", "info"),
+    ("lattice", "mu-max"),
+    ("lattice", "filtration"),
+    ("mf", "slope"),
+    ("mf", "mu-max"),
+]
+
+
+@pytest.mark.parametrize("command,action", TEXT_ONLY_ACTIONS)
+def test_cli_json_format_only_for_reports(tmp_path, capsys, command, action):
+    if command == "lattice":
+        f = _write(tmp_path, "z.json", {"rank": 1, "gram": [["1"]]})
+    else:
+        f = _write(tmp_path, "mf.json", {"dim": 1, "filtrations": []})
+    assert main([command, action, f, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert main([command, "tensor-check", f, f, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
 
 
 def test_cli_tensor_check_requires_two_files(tmp_path, capsys):

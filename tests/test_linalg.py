@@ -3,7 +3,8 @@ routines the old `linalg.inverse`, `lattice._solve_coords`, and
 `hermitian._field_inverse` / `_field_det`; for the fraction-free kernel
 `bareiss` the old `det_int`, `enumeration._gso`,
 `linalg.leading_principal_minors`, the `linalg.minor_det` exterior Gram and
-the cycle-counting sign of `alternating_map_matrix`.
+the cycle-counting sign of `alternating_map_matrix`, and the pivoted loop
+of `is_positive_semidefinite`.
 `test_enumeration` imports `_gso` from here."""
 
 import random
@@ -310,6 +311,49 @@ def test_det_int_matches_reference():
         swapped += linalg.bareiss(a)[1] > 0
         assert linalg.det_int(a) == d
     assert singular >= 10 and swapped >= 10
+
+
+def _reference_is_psd(a):
+    """The earlier `is_positive_semidefinite`: symmetric, then pivoted
+    elimination on positive diagonal entries."""
+    if not linalg.is_symmetric(a):
+        return False
+    m = [list(row) for row in a]
+    active = list(range(len(m)))
+    while active:
+        piv = None
+        for i in active:
+            if m[i][i] > 0:
+                piv = i
+                break
+            if m[i][i] < 0:
+                return False
+        if piv is None:
+            return all(m[i][j] == 0 for i in active for j in active)
+        active.remove(piv)
+        d = m[piv][piv]
+        for i in active:
+            f = m[i][piv] / d
+            if f == 0:
+                continue
+            for j in active:
+                m[i][j] -= f * m[piv][j]
+    return True
+
+
+def test_is_positive_semidefinite_matches_reference():
+    rng = random.Random(29)
+    mats = _grams(rng, 240)
+    # non-symmetric: one off-diagonal entry moved
+    for g in _grams(rng, 80):
+        if len(g) > 1:
+            g = [list(r) for r in g]
+            g[0][-1] += rng.choice((-1, 1))
+            mats.append(linalg.mat(g))
+    got = [linalg.is_positive_semidefinite(a) for a in mats]
+    assert got == [_reference_is_psd(a) for a in mats]
+    assert sum(got) >= 100 and len(got) - sum(got) >= 100
+    assert linalg.is_positive_semidefinite(()) and _reference_is_psd(())
 
 
 def test_bareiss_keeps_minors_below_the_diagonal():

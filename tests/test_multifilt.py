@@ -59,6 +59,9 @@ def test_filtration_validation():
         Filtration(2, [(0, [[1, 0], [0, 1]]), (0, [[1, 0]])])  # duplicate break
     with pytest.raises(ValueError):
         Filtration(2, [(0, [[1, 0], [0, 1]]), (1, [[1, 0]]), (2, [[0, 1]])])  # not decreasing
+    with pytest.raises(ValueError, match="decreasing"):
+        # shrinking but not nested
+        Filtration(3, [(0, linalg.identity(3)), (1, [[1, 0, 0], [0, 1, 0]]), (2, [[0, 0, 1]])])
     f = Filtration(2, [(0, [[1, 0], [0, 1]]), (1, [[2, 0]])])
     assert f.steps[1][1] == ((F(1), F(0)),)  # rref-normalized
 
@@ -392,11 +395,12 @@ def test_slope_filtration_subquotient_rederivation():
                 piece_slope = slope_faltings(subobject(m, rows))
             else:
                 quot, completion = quotient_object(m, prev)
-                # image of rows in the quotient
-                from slopekit.multifilt import _quotient_data
-
-                _, project = _quotient_data(m.dim, prev)
-                imgs = [p for p in (project(r) for r in rows) if any(p)]
+                # image of rows in the quotient: their completion coordinates
+                # in the basis prev + completion
+                full = prev + completion
+                imgs = [
+                    p for p in (linalg.solve(full, r)[len(prev):] for r in rows) if any(p)
+                ]
                 piece_slope = slope_of_subspace(quot, tuple(imgs))
             if prev_slope is not None:
                 assert piece_slope < prev_slope
@@ -545,3 +549,148 @@ def test_candidate_family_matches_parent_order(monkeypatch, cap, low):
         cut += len(fam) >= cap
     if cap == 12:
         assert cut >= 20
+
+
+def _parent_coords_in_rows(rows, v):
+    """Reference copy of the earlier coordinates: one linear solve per vector."""
+    sol = linalg.solve(rows, v)
+    if sol is None:
+        raise ValueError("vector outside the span")
+    return sol
+
+
+def _parent_quotient_data(m_dim, sub_rows):
+    """Reference copy of the earlier quotient data: a greedy completion by unit
+    vectors, one elimination per vector, and a projector by linear solve."""
+    sub_rows = linalg.rref(linalg.mat(sub_rows))[0] if sub_rows else ()
+    completion = []
+    current = sub_rows
+    for i in range(m_dim):
+        e = tuple(F(1 if j == i else 0) for j in range(m_dim))
+        if current and linalg.in_row_space(e, current):
+            continue
+        completion.append(e)
+        current = linalg.rref(linalg.mat(current + (e,)))[0]
+    full = sub_rows + tuple(completion)
+
+    def project(v):
+        return tuple(_parent_coords_in_rows(full, v)[len(sub_rows):])
+
+    return tuple(completion), project
+
+
+def _parent_quotient_object(m, rows):
+    rows = linalg.rref(linalg.mat(rows))[0] if rows else ()
+    q_dim = m.dim - len(rows)
+    if q_dim == 0:
+        raise ValueError("quotient by the whole space")
+    completion, project = _parent_quotient_data(m.dim, rows)
+    filts = []
+    for f in m.filtrations:
+        steps = []
+        for lam, space in f.steps:
+            imgs = [r for r in (project(r) for r in space) if any(r)]
+            steps.append((lam, linalg.rref(linalg.mat(imgs))[0] if imgs else ()))
+        filts.append(Filtration(q_dim, steps))
+    return MultifilteredSpace(q_dim, filts), completion
+
+
+def _parent_multigraded(m):
+    if m.n_filtrations == 0:
+        return {(): m.dim}
+    f = m.filtrations[-1]
+    rest = m.filtrations[:-1]
+    out = {}
+    for i, (lam, space) in enumerate(f.steps):
+        nxt = f.steps[i + 1][1] if i + 1 < len(f.steps) else ()
+        if len(space) == len(nxt):
+            continue
+        for key, d in _parent_graded_piece(m, rest, space, nxt).items():
+            if d:
+                out[key + (lam,)] = out.get(key + (lam,), 0) + d
+    return out
+
+
+def _parent_graded_piece(m, rest, space, nxt):
+    """Reference copy of the earlier graded piece: its own projection to
+    ambient/nxt and re-coordination in the image of `space`."""
+    piece_dim = len(space) - len(nxt)
+    if not rest:
+        return {(): piece_dim}
+    _, project = _parent_quotient_data(m.dim, nxt)
+    basis = linalg.rref(linalg.mat([p for p in (project(r) for r in space) if any(p)]))[0]
+    piece_filts = []
+    for f in rest:
+        steps = []
+        for lam, fspace in f.steps:
+            inter = linalg.intersect_row_spaces(fspace, space, m.dim)
+            imgs = [r for r in (project(r) for r in inter) if any(r)]
+            img_rows = linalg.rref(linalg.mat(imgs))[0] if imgs else ()
+            steps.append((lam, tuple(_parent_coords_in_rows(basis, r) for r in img_rows)))
+        piece_filts.append(Filtration(piece_dim, steps))
+    return _parent_multigraded(MultifilteredSpace(piece_dim, piece_filts))
+
+
+def _parent_meet_dim(a, b):
+    """The earlier intersection dimension: the length of an intersection basis."""
+    return len(linalg.intersect_row_spaces(a, b, len((a or b)[0])))
+
+
+def _sub_quotient_corpus():
+    """100 random spaces (dim 1..4; 1..3 filtrations, at most 2 in dim 4,
+    where the closure blows up), each with a random
+    spanning set (possibly dependent, not in RREF) of a nonzero subspace,
+    proper where the dimension allows."""
+    rng = random.Random(71)
+    out = []
+    for _ in range(100):
+        dim = rng.randint(1, 4)
+        m = random_mf(rng, dim, rng.randint(1, 3 if dim < 4 else 2))
+        while True:
+            k = rng.randint(1, max(1, m.dim - 1))
+            rows = [[F(rng.randint(-2, 2)) for _ in range(m.dim)] for _ in range(k)]
+            if linalg.rank(linalg.mat(rows)):
+                break
+        out.append((m, rows))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_rank_dims_and_pivot_coords_match_parent(monkeypatch):
+    """Dimensions by rank, coordinates at pivot columns, the one-echelon
+    quotient and graded pieces as quotients of subobjects give the same
+    subobjects, quotients, multigraded dimensions, mu_max results and
+    slope filtrations as the earlier basis-building code."""
+    from slopekit import multifilt
+
+    corpus = _sub_quotient_corpus()
+
+    def run():
+        out = []
+        for m, rows in corpus:
+            sub = subobject(m, rows).to_json_dict()
+            quot = _outcome(multifilt.quotient_object, m, rows)
+            if isinstance(quot[0], MultifilteredSpace):
+                quot = (quot[0].to_json_dict(), quot[1])
+            graded = [
+                multigraded_dims(m.permuted(order))
+                for order in itertools.permutations(range(m.n_filtrations))
+            ]
+            out.append((sub, quot, graded, mu_max_mf(m), _outcome(slope_filtration_mf, m)))
+        return out
+
+    new = run()
+    monkeypatch.setattr(multifilt, "_coords_in_rows", _parent_coords_in_rows)
+    monkeypatch.setattr(multifilt, "_meet_dim", _parent_meet_dim)
+    monkeypatch.setattr(multifilt, "quotient_object", _parent_quotient_object)
+    monkeypatch.setattr(multifilt, "_multigraded", _parent_multigraded)
+    old = run()
+    assert new == old
+    assert sum(isinstance(q[0], dict) for _, q, _, _, _ in new) >= 75
+    assert sum(isinstance(c[0], tuple) and len(c) > 1 for *_, c in new) >= 50

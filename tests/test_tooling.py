@@ -4,6 +4,7 @@ a rename or deletion there must fail here before it breaks a benchmark run."""
 import ast
 import importlib
 import inspect
+import random
 import sys
 from pathlib import Path
 
@@ -40,3 +41,53 @@ def test_benchmark_mu_max_mf_calls_bind():
             sig.bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
             calls += 1
     assert calls >= 3
+
+
+def _sample_space(rng, dim, n_filts):
+    mf = slopekit.multifilt
+    filts = []
+    for _ in range(n_filts):
+        # a unitriangular basis with shuffled columns, cut into a flag
+        cols = rng.sample(range(dim), dim)
+        b = [[1 if j == i else rng.randint(-2, 2) * (j > i) for j in range(dim)] for i in range(dim)]
+        b = [[row[c] for c in cols] for row in b]
+        n_steps = rng.randint(1, dim)
+        sizes = [dim] + sorted(rng.sample(range(1, dim), n_steps - 1), reverse=True)
+        breaks = sorted(rng.sample(range(-3, 4), n_steps))
+        filts.append(mf.Filtration(dim, [(lam, b[:k]) for lam, k in zip(breaks, sizes)]))
+    return mf.MultifilteredSpace(dim, filts)
+
+
+def test_multifilt_eliminates_only_through_rref(monkeypatch):
+    """The benchmark's work budget meters only `linalg.rref`, so multifiltered
+    code must not eliminate by any other kernel."""
+    linalg, mf = slopekit.linalg, slopekit.multifilt
+    banned = (linalg.bareiss, linalg.det_int, linalg.pivots_field, linalg.hnf, linalg.diagonalize_int)
+
+    def forbid(fn):
+        def call(*args, **kwargs):
+            raise AssertionError(f"multifilt reached linalg.{fn.__name__}")
+
+        return call
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "slopekit" or name.startswith("slopekit."):
+            for attr, val in list(vars(module).items()):
+                if any(val is fn for fn in banned):
+                    monkeypatch.setattr(module, attr, forbid(val))
+                    patched += 1
+    assert patched >= len(banned)
+    rng = random.Random(3)
+    for _ in range(12):
+        n_filts = rng.randint(1, 3)
+        m1 = _sample_space(rng, rng.randint(1, 3), n_filts)
+        m2 = _sample_space(rng, rng.randint(1, 2), n_filts)
+        r1, r2 = mf.mu_max_mf(m1), mf.mu_max_mf(m2)
+        t = mf.tensor_mf(m1, m2)
+        products = [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
+        mf.mu_max_mf(t, extra_candidates=[products])
+        mf.nu_witness(t)
+        mf.multigraded_dims(t)
+        if r1.certified:
+            mf.slope_filtration_mf(m1)
