@@ -12,7 +12,7 @@ import sys
 
 from . import harness
 from .enumeration import EnumerationCapExceeded, mu_max, slope_filtration
-from .exactval import LogRational, parse_rat
+from .exactval import FactoringCapExceeded, LogRational, parse_rat
 from .lattice import EuclideanLattice
 from .multifilt import (
     MultifilteredSpace,
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"uncertified: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, FactoringCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

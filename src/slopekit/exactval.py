@@ -6,6 +6,16 @@ linearly independent over the rationals, so canonical forms are faithful);
 strict order is decided by rational interval arithmetic at doubling precision,
 which terminates because a nonzero canonical form denotes a nonzero real.
 
+The canonical form needs prime factorizations.  `factor_positive_int` trial
+divides by the primes below 1000, then takes each cofactor, with its
+multiplicity, through a perfect-power test (integer k-th roots), Miller-Rabin
+and Pollard-Brent rho, in that order; results are memoized in a bounded LRU
+cache.  Rho has a fixed step cap, past which `FactoringCapExceeded` is raised
+(a product of two primes above ~10**11 can hit it).  Miller-Rabin with
+the first 12 primes as witnesses is proven correct only below 3.3*10**24;
+above that a factor it calls prime is a strong probable prime to 12 bases, and
+the faithfulness of the canonical form rests on that.
+
 `RIv`, the closed rational interval, is the package's one rigorous-enclosure
 type: `LogRational.bounds` returns one, `sqrt_interval` encloses square
 roots, and the hermitian checks that involve sqrt(2) compute with them.
@@ -13,6 +23,7 @@ roots, and the hermitian checks that involve sqrt(2) compute with them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -22,16 +33,26 @@ from typing import Iterable, Mapping
 
 Rat = int | Fraction
 
-_TRIAL_LIMIT = 10**6
-
 # Witnesses making Miller-Rabin deterministic for n < 3.3*10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_SMALL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+# Pollard-Brent rho gives up after this many polynomial steps on one cofactor,
+# across all its polynomials: under a second of work, enough for a prime factor
+# up to ~10**11 (rho needs ~sqrt(p) steps); two 56-bit primes would need 2**28.
+_RHO_STEP_CAP = 1 << 20
+_RHO_BATCH = 128
+
+
+class FactoringCapExceeded(ArithmeticError):
+    """Pollard-Brent rho ran out of steps before splitting a composite."""
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -51,53 +72,99 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, deterministic (Brent, fixed seeds)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"factorization failed for {n}")
+def _iroot(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, k >= 2 (Newton from above)."""
+    if k == 2:
+        return math.isqrt(m)
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
-def factor_positive_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1; trial division then rho for the residue."""
-    if n < 1:
-        raise ValueError("argument must be a positive integer")
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with m = r**k for the least prime k that allows it, else (m, 1).
+    m is a prime or has no prime factor below 1000, so a power has r > 2**9
+    and m > 2**(9k), which bounds the exponents to try; a composite exponent
+    is found as a power of a power, through the factoring stack."""
+    for k in _SMALL_PRIMES:
+        if 9 * k >= m.bit_length():
+            break
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of the composite n, which is odd and not a perfect
+    power: Brent's cycle search with gcds batched over _RHO_BATCH products,
+    polynomials x^2 + c for c = 1, 2, ... from x = 2 (Brent, "An improved Monte
+    Carlo factorization algorithm", BIT 20, 1980).  Deterministic."""
+    steps = 0
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            steps += 2 * r  # a round takes at most 2r steps
+            if steps > _RHO_STEP_CAP:
+                raise FactoringCapExceeded(
+                    f"cannot factor {n} within {_RHO_STEP_CAP} Pollard-Brent steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k, q = 0, 1
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: redo it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+@lru_cache(maxsize=1024)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (prime, exponent) pairs of n >= 1.  Trial division by the primes
+    below 1000; each cofactor m, with its multiplicity, then goes through a
+    perfect-power test, Miller-Rabin, and Pollard-Brent rho, in that order."""
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 7
-    steps = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30
-    i = 0
-    while d <= _TRIAL_LIMIT and d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += steps[i]
-        i = (i + 1) % 8
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        f = _pollard_rho(m)
-        stack.append(f)
-        stack.append(m // f)
-    return out
+        m, mult = stack.pop()
+        r, k = _perfect_power(m)
+        if k > 1:
+            stack.append((r, mult * k))
+        elif _is_prime(m):
+            out[m] = out.get(m, 0) + mult
+        else:
+            f = _pollard_brent(m)
+            stack += [(f, mult), (m // f, mult)]
+    return tuple(sorted(out.items()))
+
+
+def factor_positive_int(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1, a fresh dict on every call; raises
+    FactoringCapExceeded on a composite that rho cannot split in its step cap."""
+    if n < 1:
+        raise ValueError("argument must be a positive integer")
+    return dict(_factor(n))
 
 
 # ---------------------------------------------------------------------------

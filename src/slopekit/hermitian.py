@@ -21,7 +21,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .exactval import LogRational, RIv, fmt_rat, half_log, log_of_rational, parse_rat, sqrt_interval
+from .exactval import (
+    LogRational,
+    RIv,
+    factor_positive_int,
+    fmt_rat,
+    half_log,
+    log_of_rational,
+    parse_rat,
+    sqrt_interval,
+)
 from .lattice import EuclideanLattice
 from .report import Report, SCOPE_NOTE
 
@@ -32,8 +41,6 @@ Rat = int | Fraction
 def _is_squarefree(d: int) -> bool:
     if d < 1:
         return False
-    from .exactval import factor_positive_int
-
     return all(e == 1 for e in factor_positive_int(d).values())
 
 

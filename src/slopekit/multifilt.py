@@ -61,11 +61,12 @@ class Filtration:
             raise ValueError("filtration must have at least one nonzero step")
         if len(merged[0][1]) != ambient_dim:
             raise ValueError("the lowest step must span the ambient space")
-        for (l0, s0), (l1, s1) in zip(merged, merged[1:]):
+        # Containment is all there is to check: consecutive merged steps have
+        # distinct RREFs, so a contained step of equal dimension would equal
+        # its predecessor; strict decrease follows.
+        for (_, s0), (_, s1) in zip(merged, merged[1:]):
             if linalg.rank(s0 + s1) != len(s0):
                 raise ValueError("filtration subspaces must be decreasing")
-            if len(s1) >= len(s0):
-                raise ValueError("filtration subspaces must strictly decrease")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "steps", tuple(merged))
 

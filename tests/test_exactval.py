@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slopekit import linalg
 from slopekit.exactval import (
     LogRational,
+    _is_prime,
     compare,
     factor_positive_int,
     half_log,
@@ -23,9 +26,87 @@ def test_factorization_basics():
     assert factor_positive_int(1) == {}
     assert factor_positive_int(81) == {3: 4}
     assert factor_positive_int(2 * 3 * 5 * 7 * 11) == {2: 1, 3: 1, 5: 1, 7: 1, 11: 1}
-    # residue beyond the trial-division limit: a prime > 10^6
+    # a prime cofactor beyond the small-prime trial division
     big = 1000003
     assert factor_positive_int(4 * big) == {2: 2, big: 1}
+
+
+def _reference_factor(n):
+    """The former factoring: a mod-30 wheel up to 10**6, then Floyd-cycle rho."""
+
+    def rho(m):
+        if m % 2 == 0:
+            return 2
+        for c in range(1, 100):
+            x = y = 2
+            d = 1
+            while d == 1:
+                x = (x * x + c) % m
+                y = (y * y + c) % m
+                y = (y * y + c) % m
+                d = math.gcd(abs(x - y), m)
+            if d != m:
+                return d
+        raise ArithmeticError(f"factorization failed for {m}")
+
+    out = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    d, i = 7, 0
+    steps = (4, 2, 4, 2, 4, 6, 2, 6)
+    while d <= 10**6 and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += steps[i]
+        i = (i + 1) % 8
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        f = rho(m)
+        stack += [f, m // f]
+    return out
+
+
+def _factor_corpus():
+    rng = random.Random(8)
+    dets = []
+    for _ in range(200):
+        r = rng.randint(1, 4)
+        b = [[rng.randint(-100, 100) for _ in range(r)] for _ in range(r)]
+        gram = [[sum(x * y for x, y in zip(u, v)) for v in b] for u in b]
+        dets.append((r, linalg.det_int(gram)))
+    corpus = [d for _, d in dets]
+    corpus += [d1**r2 * d2**r1 for (r1, d1), (r2, d2) in zip(dets[::2], dets[1::2])]
+    corpus += [1, 999983, 1000003, 1000003**2, 16 * 70102139**2, 7124413**2 * 4]
+    corpus += [1093**2, 3511**2, 2047, 3215031751, 561, 41041]
+    corpus += [2**64, 3**40, (10007 * 10009) ** 3]
+    primes20 = [p for p in range(2**19, 2**19 + 2000) if _is_prime(p)]
+    corpus += [math.prod(rng.sample(primes20, 3)) for _ in range(20)]
+    return [n for n in corpus if n > 0]
+
+
+def test_factor_matches_parent_reference():
+    corpus = _factor_corpus()
+    assert len(corpus) > 300
+    for n in corpus:
+        assert factor_positive_int(n) == _reference_factor(n), n
+
+
+def test_factor_rejects_nonpositive_and_returns_fresh_dicts():
+    for n in (0, -1, -12):
+        with pytest.raises(ValueError):
+            factor_positive_int(n)
+    factor_positive_int(12)[2] = 99
+    factor_positive_int(12).clear()
+    assert factor_positive_int(12) == {2: 2, 3: 1}
 
 
 def test_log_of_one_is_zero():

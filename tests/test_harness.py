@@ -1,11 +1,12 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from slopekit.cli import main
-from slopekit.exactval import LogRational
+from slopekit.exactval import LogRational, _is_prime
 from slopekit.harness import (
     ExperimentConfig,
     bost_experiment,
@@ -409,3 +410,22 @@ def test_cli_tensor_check_requires_two_files(tmp_path, capsys):
     f = _write(tmp_path, "z.json", {"rank": 1, "gram": [["1"]]})
     assert main(["lattice", "tensor-check", f]) == 2
     assert "two lattice files" in capsys.readouterr().err
+
+
+def test_cli_factoring_cap_exits_2(tmp_path, capsys):
+    """A det that is a product of two 56-bit primes is beyond Pollard-Brent
+    rho's step cap: one error line and exit 2, not minutes of work."""
+
+    def next_prime(n):
+        while not _is_prime(n):
+            n += 1
+        return n
+
+    p = next_prime(2**55)
+    q = next_prime(p + 2**20)
+    f = _write(tmp_path, "pq.json", {"rank": 1, "gram": [[str(p * q)]]})
+    start = time.perf_counter()
+    assert main(["lattice", "info", f]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(p * q) in err

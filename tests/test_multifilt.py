@@ -62,6 +62,9 @@ def test_filtration_validation():
     with pytest.raises(ValueError, match="decreasing"):
         # shrinking but not nested
         Filtration(3, [(0, linalg.identity(3)), (1, [[1, 0, 0], [0, 1, 0]]), (2, [[0, 0, 1]])])
+    with pytest.raises(ValueError, match="decreasing"):
+        # two distinct steps of equal dimension
+        Filtration(3, [(0, linalg.identity(3)), (1, [[1, 0, 0], [0, 1, 0]]), (2, [[1, 0, 0], [0, 0, 1]])])
     f = Filtration(2, [(0, [[1, 0], [0, 1]]), (1, [[2, 0]])])
     assert f.steps[1][1] == ((F(1), F(0)),)  # rref-normalized
 

@@ -91,3 +91,27 @@ def test_multifilt_eliminates_only_through_rref(monkeypatch):
         mf.multigraded_dims(t)
         if r1.certified:
             mf.slope_filtration_mf(m1)
+
+
+def test_factoring_goes_through_public_name(monkeypatch):
+    """The benchmark's factoring span wraps `exactval.factor_positive_int`, so
+    every route to a factorization must look that name up at call time."""
+    ev = slopekit.exactval
+    calls = []
+    real = ev.factor_positive_int
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(ev, "factor_positive_int", counted)
+    routes = {
+        "EuclideanLattice.degree": lambda: slopekit.lattice.EuclideanLattice([[2, 1], [1, 2]]).degree(),
+        "half_log": lambda: ev.half_log(6),
+        "parse": lambda: ev.parse("log(6)"),
+        "LogRational": lambda: ev.LogRational(0, {6: 1}),
+    }
+    for name, route in routes.items():
+        before = len(calls)
+        route()
+        assert len(calls) > before, name
