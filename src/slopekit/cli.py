@@ -35,14 +35,20 @@ def _require_text(args) -> None:
 
 def _cmd_lattice(args) -> int:
     _require_text(args)
-    lat = EuclideanLattice.load(args.file)
     cap = args.cap
+    if cap < 1:
+        raise ValueError(f"--cap must be a positive integer, got {cap}")
+    lat = EuclideanLattice.load(args.file)
     if args.action == "info":
-        print(f"rank: {lat.rank}")
-        print(f"det: {lat.det()}")
-        print(f"degree: {_fmt(lat.degree())}")
-        print(f"slope: {_fmt(lat.slope())}")
-        print(f"integral: {lat.is_integral()}  unimodular: {lat.is_unimodular()}")
+        # every value before any output, so an error leaves stdout empty
+        lines = [
+            f"rank: {lat.rank}",
+            f"det: {lat.det()}",
+            f"degree: {_fmt(lat.degree())}",
+            f"slope: {_fmt(lat.slope())}",
+            f"integral: {lat.is_integral()}  unimodular: {lat.is_unimodular()}",
+        ]
+        print("\n".join(lines))
         return 0
     if args.action == "mu-max":
         res = mu_max(lat, cap)

@@ -5,12 +5,18 @@ everything here is pure and allocation-happy, sized for ranks <= ~10.
 
 This is the only module that eliminates.  The field routines (`rref`,
 `inverse`, `solve`, `pivots_field`, `det_field`) take entries of any exact
-field whose zero is falsy (`Fraction`, `hermitian.QElt`); `rref` is their
-one Gauss-Jordan loop and `pivots_field` their one Gaussian loop, which
-`det_field` and the hermitian positivity test share.  The integer routines
-(`bareiss`, `det_int`, `hnf`, `diagonalize_int`) take ints.  `bareiss` is the
-one fraction-free elimination: `det_int` and `det_bareiss` (rational, on
-integers after clearing denominators) read the determinant from it, and
+field whose zero is falsy (`Fraction`, `hermitian.QElt`).  `rref` is their
+one Gauss-Jordan loop, fraction-free for every field: it divides by each
+pivot once, at the end, and on rational input (ints and Fractions) it runs
+on primitive integer rows and returns Fractions.  Every rational
+elimination (`rank`, `kernel`, `intersect_row_spaces`, `sum_row_spaces`,
+`in_row_space`, `solve`, `inverse`, `is_positive_semidefinite`) calls it by
+its module name, the name the benchmark's work budget meters.
+`pivots_field` is the one Gaussian loop, which `det_field` and the hermitian
+positivity test share.  The integer routines (`bareiss`, `det_int`, `hnf`,
+`diagonalize_int`) take ints.  `bareiss` is the one square elimination that
+keeps its multipliers: `det_int` and `det_bareiss` (rational, on integers
+after clearing denominators) read the determinant from it, and
 `lattice`, `enumeration` and `is_positive_semidefinite` read leading minors
 and integral Gram-Schmidt data from it for positivity, LLL and Fincke-Pohst.
 """
@@ -138,31 +144,75 @@ def is_positive_semidefinite(a: Matrix) -> bool:
     return not swaps and all(m[k][k] > 0 for k in range(len(m)))
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_rows(a: Matrix) -> list[list[int]] | None:
+    """Each row of a rational matrix times the lcm of its denominators, made
+    primitive; None if an entry is not an int or a Fraction."""
+    m = []
+    for row in a:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                return None
+        nd = [x.as_integer_ratio() for x in row]
+        den = math.lcm(*[d for _, d in nd])
+        m.append(_primitive([n * (den // d) for n, d in nd]))
+    return m
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns; zero rows dropped.
 
-    Entries may come from any exact field whose zero is falsy."""
-    m = [list(row) for row in a]
+    Entries may come from any exact field whose zero is falsy.  One
+    fraction-free Gauss-Jordan loop: row_i <- p*row_i - f*row_r clears
+    column c of row i against the pivot p = row_r[c], and each pivot row is
+    divided by its pivot only at the end.  On rational input (ints and
+    Fractions) each row is first scaled to integers and every new row is
+    divided by the gcd of its entries; neither scaling changes the row space,
+    and the RREF of a row space is unique, so the output is the RREF, with
+    Fraction entries (the shared Fraction(0) and Fraction(1) for 0 and 1)."""
+    m = _integer_rows(a)
+    rational = m is not None
+    if not rational:
+        m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
+        for piv in range(r, rows):
+            if m[piv][c]:
+                break
+        else:
             continue
         m[r], m[piv] = m[piv], m[r]
-        d = m[r][c]
-        m[r] = [x / d for x in m[r]]
+        pr = m[r]
+        p = pr[c]
         for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(m[i], pr)]
+                m[i] = _primitive(row) if rational else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return tuple(tuple(row) for row in m[:r]), pivots
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        if rational:
+            out.append(tuple([_ONE if x == p else Fraction(x, p) if x else _ZERO for x in row]))
+        else:
+            out.append(tuple([x / p for x in row]))
+    return tuple(out), pivots
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -340,6 +340,15 @@ def test_cli_bad_lattice_json_exits_2(tmp_path, capsys, case, action):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("action,cap", [("mu-max", "0"), ("mu-max", "-1"), ("filtration", "-3"), ("info", "0")])
+def test_cli_nonpositive_cap_exits_2(tmp_path, capsys, action, cap):
+    f = _write(tmp_path, "z.json", {"rank": 1, "gram": [["1"]]})
+    assert main(["lattice", action, f, "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cap") and captured.err.count("\n") == 1
+
+
 _FULL_STEP = '{"lambda": 0, "basis": [[1, 0], [0, 1]]}'
 BAD_MF_JSON = {
     "invalid-json": '{"dim": 2, "filtrations": [',
@@ -427,5 +436,7 @@ def test_cli_factoring_cap_exits_2(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["lattice", "info", f]) == 2
     assert time.perf_counter() - start < 5
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(p * q) in err

@@ -1,5 +1,6 @@
 """`linalg` against test-local copies of the loops it replaced: for the field
-routines the old `linalg.inverse`, `lattice._solve_coords`, and
+routines the old `Fraction` Gauss-Jordan loop of `linalg.rref`, the old
+`linalg.inverse`, `lattice._solve_coords`, and
 `hermitian._field_inverse` / `_field_det`; for the fraction-free kernel
 `bareiss` the old `det_int`, `enumeration._gso`,
 `linalg.leading_principal_minors`, the `linalg.minor_det` exterior Gram and
@@ -18,6 +19,30 @@ from slopekit.hermitian import ImagQuadField
 from slopekit.lattice import EuclideanLattice
 
 F = Fraction
+
+
+def _reference_rref(a):
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        d = m[r][c]
+        m[r] = [x / d for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return tuple(tuple(row) for row in m[:r]), pivots
 
 
 def _reference_inverse(a):
@@ -136,6 +161,58 @@ def _qelt_rows(rng, field, n, singular):
         rows.append([sum((c * r[j] for c, r in zip(cs, rows)), field.zero) for j in range(n)])
         rng.shuffle(rows)
     return tuple(tuple(row) for row in rows)
+
+
+def _rational_entry(rng):
+    """0 half the time, else a small int or Fraction."""
+    k = rng.random()
+    if k < 0.5:
+        return rng.choice((0, F(0)))
+    return rng.randint(-6, 6) if k < 0.7 else F(rng.randint(-9, 9), rng.randint(1, 8))
+
+
+def test_rref_matches_reference_over_q():
+    rng = random.Random(300)
+    cases = [(), ((),), ((0, 0),), ((F(0),), (F(0),))]
+    for _ in range(2400):
+        k, n = rng.randint(0, 10), rng.randint(1, 10)
+        rows = [[_rational_entry(rng) for _ in range(n)] for _ in range(k)]
+        for i in range(2, k, 3):  # a dependent row
+            rows[i] = [rng.randint(-2, 2) * x - y for x, y in zip(rows[i - 1], rows[i - 2])]
+        cases.append(tuple(tuple(row) for row in rows))
+    deficient = 0
+    for a in cases:
+        expect = _reference_rref(tuple(tuple(F(x) for x in row) for row in a))
+        got = linalg.rref(a)
+        assert got == expect, a
+        assert all(type(x) is F for row in got[0] for x in row)
+        deficient += len(got[0]) < len(a)
+    assert deficient >= 1000
+
+
+def test_rref_and_kernel_of_int_rows_are_fractions():
+    r, pivots = linalg.rref(((2, 1), (4, 4)))
+    assert (r, pivots) == (((1, 0), (0, 1)), [0, 1])
+    ker = linalg.kernel(((1, 2),))
+    assert ker == ((-2, 1),)
+    assert all(type(x) is F for m in (r, ker) for row in m for x in row)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_rref_matches_reference_over_imaginary_quadratic_field(d):
+    field = ImagQuadField(d)
+    rng = random.Random(310 + d)
+    deficient = 0
+    for t in range(60):
+        n = 1 + t % 4
+        a = _qelt_rows(rng, field, n, singular=n > 1 and t % 3 == 0)
+        if t % 2:  # a wide matrix: an extra column, a multiple of the first
+            c = field.elt(rng.randint(-3, 3), rng.randint(-3, 3))
+            a = tuple(row + (c * row[0],) for row in a)
+        expect = _reference_rref(a)
+        assert linalg.rref(a) == expect
+        deficient += len(expect[0]) < len(a)
+    assert deficient >= 10
 
 
 def test_inverse_matches_reference_over_q():

@@ -93,6 +93,37 @@ def test_multifilt_eliminates_only_through_rref(monkeypatch):
             mf.slope_filtration_mf(m1)
 
 
+def test_linalg_eliminates_through_rref(monkeypatch):
+    """The work budget wraps `linalg.rref` by name, so each rational route of
+    `linalg` must look that name up at call time."""
+    linalg = slopekit.linalg
+    calls = []
+    real = linalg.rref
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    a = linalg.mat([[1, 2, 3], [2, 4, 7]])
+    b = linalg.mat([[1, 2, 4]])
+    g = linalg.mat([[2, 1], [1, 1]])
+    routes = {
+        "rank": lambda: linalg.rank(a),
+        "kernel": lambda: linalg.kernel(a),
+        "intersect_row_spaces": lambda: linalg.intersect_row_spaces(a, b, 3),
+        "sum_row_spaces": lambda: linalg.sum_row_spaces(a, b),
+        "in_row_space": lambda: linalg.in_row_space(b[0], a),
+        "solve": lambda: linalg.solve(a, b[0]),
+        "inverse": lambda: linalg.inverse(g),
+        "is_positive_semidefinite": lambda: linalg.is_positive_semidefinite(g),
+    }
+    for name, route in routes.items():
+        before = len(calls)
+        route()
+        assert len(calls) > before, f"linalg.{name} eliminated around rref"
+
+
 def test_factoring_goes_through_public_name(monkeypatch):
     """The benchmark's factoring span wraps `exactval.factor_positive_int`, so
     every route to a factorization must look that name up at call time."""
