@@ -16,6 +16,7 @@ from .exactval import FactoringCapExceeded, LogRational, parse_rat
 from .lattice import EuclideanLattice
 from .multifilt import (
     MultifilteredSpace,
+    inequality_suite,
     mu_max_mf,
     nu_witness,
     slope_faltings,
@@ -56,7 +57,10 @@ def _cmd_lattice(args) -> int:
         print(f"witness rank: {res.witness.rank}")
         print(f"witness basis (HNF): {[list(r) for r in res.witness.hnf_basis()]}")
         print(f"certified: {res.certified}")
-        print(f"semistable: {res.value == lat.slope()}")
+        if res.certified:
+            print(f"semistable: {res.value == lat.slope()}")
+        else:
+            print("semistable: unknown (uncertified)")
         return 0 if res.certified else 1
     if args.action == "filtration":
         poly = slope_filtration(lat, cap)
@@ -77,9 +81,7 @@ def _cmd_lattice(args) -> int:
         if not args.file2:
             raise ValueError("tensor-check needs two lattice files")
         other = EuclideanLattice.load(args.file2)
-        from .multifilt import inequality_suite
-
-        rep = inequality_suite(("lattice", lat, other))
+        rep = inequality_suite(("lattice", lat, other), cap)
         print(harness.emit_report(rep, args.format))
         return 0 if rep.passed else 1
     raise AssertionError(args.action)
@@ -105,8 +107,6 @@ def _cmd_mf(args) -> int:
         if not args.file2:
             raise ValueError("tensor-check needs two input files")
         other = MultifilteredSpace.load(args.file2)
-        from .multifilt import inequality_suite
-
         rep = inequality_suite(("multifilt", m, other))
         print(harness.emit_report(rep, args.format))
         return 0 if rep.passed else 1
@@ -122,11 +122,7 @@ def _cmd_repro(args) -> int:
         kw["count"] = args.count
     if args.target == "a2" and args.twist is not None:
         kw["gram_multiplier"] = parse_rat(args.twist)
-    try:
-        rep = harness.repro(args.target, **kw)
-    except ReproFailure as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+    rep = harness.repro(args.target, **kw)
     print(harness.emit_report(rep, args.format))
     return 0 if rep.passed else 1
 
@@ -194,6 +190,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except EnumerationCapExceeded as exc:
         print(f"uncertified: {exc}", file=sys.stderr)
+        return 1
+    except ReproFailure as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError, FactoringCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,10 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
-from .exactval import LogRational, half_log, sqrt_interval
+from .exactval import LogRational, half_log
 from .lattice import EuclideanLattice, Sublattice
 
 F = Fraction
@@ -133,71 +134,87 @@ def lll_reduce(lat: EuclideanLattice):
 
 
 # ---------------------------------------------------------------------------
-# Fincke-Pohst traversal.
+# Fincke-Pohst traversal on scaled integers.
 
-def _int_range_bounds(c: Fraction, q: Fraction) -> tuple[int, int]:
-    """Integers x with (x + c)^2 <= q (q >= 0): inclusive [lo, hi], empty if lo > hi."""
-    if q < 0:
+def _isqrt_range(s: int, d: int, t: int) -> tuple[int, int]:
+    """Integers x with (d*x + s)^2 <= t, for d > 0: inclusive [lo, hi], empty
+    if lo > hi.  With T = isqrt(t) that is -T <= d*x + s <= T, so
+    lo = ceil((-T - s) / d) and hi = floor((T - s) / d)."""
+    if t < 0:
         return 0, -1
-    s = sqrt_interval(q, 30).hi
-    lo = math.ceil(-c - s)
-    hi = math.floor(-c + s)
-    while lo <= hi and (lo + c) ** 2 > q:
-        lo += 1
-    while hi >= lo and (hi + c) ** 2 > q:
-        hi -= 1
-    return lo, hi
+    root = math.isqrt(t)
+    return -((root + s) // d), (root - s) // d
 
 
 def enumerate_short_vectors(
     lat: EuclideanLattice, bound, node_cap: int = DEFAULT_NODE_CAP
 ) -> ShortVectorReport:
-    """All nonzero vectors of squared length <= bound, complete up to sign."""
+    """All nonzero vectors of squared length <= bound, complete up to sign.
+
+    Fincke-Pohst over the LLL-reduced basis, on integers only.  With L * G the
+    reduced integer Gram matrix, `linalg.bareiss` gives its leading minors d_l
+    and lambda_jl = d_(l+1) * mu_jl, and x has squared length
+    sum_l (d_(l+1) x_l + s_l)^2 / (L d_l d_(l+1)), s_l = sum_(j>l) lambda_jl x_j.
+    Times N = lcm_l L d_l d_(l+1) the term of level l is the integer
+    w_l (d_(l+1) x_l + s_l)^2, w_l = N / (L d_l d_(l+1)), so the length is at
+    most bound iff the sum is at most R = floor(bound * N).  At level l with
+    budget R_l left, x_l is admissible iff (d_(l+1) x_l + s_l)^2 <= R_l // w_l
+    (the square is an integer), which `_isqrt_range` solves exactly.  The
+    top nonzero x_l is kept positive, so each +-pair is visited once."""
     bound = F(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
     reduced, u = lll_reduce(lat)
     n = lat.rank
     gi, scale = reduced.scaled_gram()
-    m, _ = linalg.bareiss(gi)
-    d = [1] + [m[i][i] for i in range(n)]
-    # Gram-Schmidt data: mu_ij = lambda_ij / d_(j+1), B_i = d_(i+1) / (d_i L)
-    mu = [[F(m[i][j], d[j + 1]) for j in range(i)] for i in range(n)]
-    b = [F(d[i + 1], d[i] * scale) for i in range(n)]
-    found: dict[tuple[int, ...], Fraction] = {}
+    lam, _ = linalg.bareiss(gi)
+    d = [1] + [lam[i][i] for i in range(n)]
+    dens = [scale * d[l] * d[l + 1] for l in range(n)]
+    big_n = math.lcm(*dens)
+    w = [big_n // den for den in dens]
+    r0 = bound.numerator * big_n // bound.denominator
+    found: list[tuple[list[int], int]] = []  # (coords, N * squared length)
     x = [0] * n
     nodes = 0
 
-    def recurse(level: int, remaining: Fraction, top_zero: bool):
+    def recurse(level: int, rem: int, top_zero: bool, v: list[int]):
+        # v = sum_(j>level) x_j u_j, the coordinates chosen so far
         nonlocal nodes
-        if level < 0:
-            if any(x):
-                coords = tuple(
-                    sum(x[i] * u[i][j] for i in range(n)) for j in range(n)
-                )
-                for c in coords:
-                    if c != 0:
-                        if c < 0:
-                            coords = tuple(-t for t in coords)
-                        break
-                found[coords] = bound - remaining
-            return
-        c = sum(mu[j][level] * x[j] for j in range(level + 1, n))
-        lo, hi = _int_range_bounds(c, remaining / b[level])
+        s = sum(lam[j][level] * x[j] for j in range(level + 1, n))
+        dl, wl = d[level + 1], w[level]
+        lo, hi = _isqrt_range(s, dl, rem // wl)
         if top_zero:
             lo = max(lo, 0)
+        if lo > hi:
+            return
+        nodes += hi - lo + 1
+        if nodes > node_cap:
+            raise EnumerationCapExceeded(node_cap)
+        ul = u[level]
+        if level:
+            for xi in range(lo, hi + 1):
+                x[level] = xi
+                t = dl * xi + s
+                child = [a + xi * b for a, b in zip(v, ul)] if xi else v
+                recurse(level - 1, rem - wl * t * t, top_zero and not xi, child)
+            x[level] = 0
+            return
         for xi in range(lo, hi + 1):
-            nodes += 1
-            if nodes > node_cap:
-                raise EnumerationCapExceeded(node_cap)
-            x[level] = xi
-            used = b[level] * (xi + c) ** 2
-            recurse(level - 1, remaining - used, top_zero and xi == 0)
-        x[level] = 0
+            if top_zero and not xi:
+                continue  # the zero vector
+            t = dl * xi + s
+            coords = [a + xi * b for a, b in zip(v, ul)]
+            for c in coords:
+                if c:
+                    if c < 0:
+                        coords = [-a for a in coords]
+                    break
+            found.append((coords, r0 - rem + wl * t * t))
 
-    recurse(n - 1, bound, True)
-    vectors = sorted(found.items(), key=lambda t: (t[1], t[0]))
-    return ShortVectorReport(bound=bound, vectors=tuple(vectors))
+    recurse(n - 1, r0, True, [0] * n)
+    found.sort(key=lambda t: (t[1], t[0]))
+    vectors = tuple((tuple(c), F(sq, big_n)) for c, sq in found)
+    return ShortVectorReport(bound=bound, vectors=vectors)
 
 
 def minimum_sq(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> Fraction:
@@ -296,9 +313,7 @@ def densest_sublattice(
     span_is_basis = k <= 4 or gamma_pow is None
     if b_sq < min_sq:
         return None
-    pool_report = enumerate_short_vectors(lat, b_sq, node_cap)
-    pool = [v for v, _ in pool_report.vectors]
-    norms = [sq for _, sq in pool_report.vectors]
+    pool = [v for v, _ in enumerate_short_vectors(lat, b_sq, node_cap).vectors]
     if k == 1:
         best = Sublattice(lat, [pool[0]]).saturation()
         return best
@@ -307,68 +322,92 @@ def densest_sublattice(
     if rows_indep is None:
         return None
     incumbent = Sublattice(lat, rows_indep).saturation()
-    incumbent_det = incumbent.det()
-    # HNF bases of the saturated sublattices found with determinant incumbent_det
+    # Everything below is scaled by L, the Gram denominator: inner products
+    # L <v, w> are integers, and a rank-j Gram determinant is an integer over
+    # L^j.  inc is the incumbent determinant times L^k.
+    gi, scale = lat.scaled_gram()
+    inc = (incumbent.det() * scale**k).numerator
+    # HNF bases of the saturated sublattices found with determinant inc / L^k
     ties = {incumbent.basis}
 
-    # integer-scaled inner products for speed
-    gi, scale = lat.scaled_gram()
-    dots: dict[tuple[int, int], int] = {}
+    gv = [[sum(map(mul, row, v)) for row in gi] for v in pool]
+    lnorm = [sum(map(mul, v, g)) for v, g in zip(pool, gv)]
+    b_lim = math.floor(b_sq * scale)
+    # With m vectors chosen, of scaled norm product prod, the Minkowski bound on
+    # the next norm is gamma_k^k * det / (prod / L^m * min_sq^(k-m-1)); times L
+    # that is coef[m] * inc / prod.
+    coef = None if gamma_pow is None else [
+        gamma_pow * F(scale) ** (m + 1 - k) / min_sq ** (k - m - 1) for m in range(k)
+    ]
 
-    def sdot(i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        if key not in dots:
-            vi, vj = pool[i], pool[j]
-            giv = [sum(gi[a][b] * vj[b] for b in range(r)) for a in range(r)]
-            dots[key] = sum(vi[a] * giv[a] for a in range(r))
-        return dots[key]
+    def level_limit(m: int, prod: int) -> int:
+        # A pool vector (sorted by norm) is a candidate iff L * norm, an
+        # integer, is at most the floor of L * min(Minkowski bound, b_sq).
+        if coef is None:
+            return b_lim
+        c = coef[m]
+        return min(c.numerator * inc // (c.denominator * prod), b_lim)
 
+    # The path of chosen pool indices carries its integral Gram-Schmidt data
+    # (Cohen, A Course in Computational Algebraic Number Theory, 2.6.7):
+    # ds[j] is the scaled Gram determinant of the first j chosen vectors and
+    # lams[j][i] = ds[i + 1] * mu_ji.  A candidate's row against the path then
+    # gives its determinant with the path in O(m^2), all divisions exact.
+    path: list[int] = []
+    lams: list[list[int]] = []
+    ds = [1]
     m_pool = len(pool)
     nodes = 0
 
-    def norm_level_bound(prod_so_far: Fraction, chosen: int) -> Fraction:
-        # Minkowski: prod of all k successive minima squared <= gamma_k^k * det
-        if gamma_pow is None:
-            return b_sq
-        d = incumbent_det
-        bound = gamma_pow * d / (prod_so_far * min_sq ** (k - chosen - 1))
-        return min(bound, b_sq)
-
-    def dfs(start: int, chosen: list[int], prod_so_far: Fraction):
-        nonlocal incumbent_det, ties, nodes
-        level_bound = norm_level_bound(prod_so_far, len(chosen))
+    def dfs(start: int, prod: int):
+        nonlocal inc, ties, nodes
+        m = len(path)
+        limit = level_limit(m, prod)
         for idx in range(start, m_pool):
             nodes += 1
             if nodes > node_cap:
                 raise EnumerationCapExceeded(node_cap)
-            if norms[idx] > level_bound:
+            if lnorm[idx] > limit:
                 break  # pool sorted by norm
-            cand = chosen + [idx]
-            d = linalg.det_int([[sdot(i, j) for j in cand] for i in cand])
-            if d == 0:
+            g = gv[idx]
+            row: list[int] = []
+            for j in range(m + 1):
+                if j < m:
+                    t, lam_j = sum(map(mul, pool[path[j]], g)), lams[j]
+                else:  # the last entry is the Gram determinant with the path
+                    t, lam_j = lnorm[idx], row
+                for i in range(j):
+                    t = (ds[i + 1] * t - row[i] * lam_j[i]) // ds[i]
+                row.append(t)
+            dm = row.pop()
+            if dm == 0:
                 continue
-            if len(cand) < k:
-                dfs(idx + 1, cand, prod_so_far * norms[idx])
+            if m + 1 < k:
+                path.append(idx)
+                lams.append(row)
+                ds.append(dm)
+                dfs(idx + 1, prod * lnorm[idx])
+                path.pop()
+                lams.pop()
+                ds.pop()
                 continue
-            if span_is_basis and F(d, scale**k) > incumbent_det:
+            if span_is_basis and dm > inc:
                 continue
             # saturate as linalg.saturation_basis does; the saturation's det is
             # the span's over [saturation : span]^2, and that index is the
             # product of the elementary divisors
-            diag, cinv = linalg.diagonalize_int([pool[i] for i in cand])
-            sdet = F(d, scale**k * math.prod(diag[i][i] for i in range(k)) ** 2)
-            if sdet > incumbent_det:
+            diag, cinv = linalg.diagonalize_int([pool[i] for i in path] + [pool[idx]])
+            index_sq = math.prod(diag[i][i] for i in range(k)) ** 2
+            if dm > inc * index_sq:
                 continue
             sat = linalg.hnf(cinv[:k])
-            if sdet < incumbent_det:
-                incumbent_det, ties = sdet, {sat}
-                level_bound = norm_level_bound(prod_so_far, len(chosen))
+            if dm < inc * index_sq:
+                inc, ties = dm // index_sq, {sat}
+                limit = level_limit(m, prod)
             else:
                 ties.add(sat)
 
-    dfs(0, [], F(1))
+    dfs(0, 1)
     return Sublattice(lat, min(ties))
 
 

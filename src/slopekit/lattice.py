@@ -19,7 +19,7 @@ Rat = int | Fraction
 class EuclideanLattice:
     """Free Z-module of finite rank with a positive definite rational Gram matrix."""
 
-    __slots__ = ("gram", "_det", "_scaled")
+    __slots__ = ("gram", "_det", "_scaled", "_hash")
 
     def __init__(self, gram: Sequence[Sequence[Rat]]):
         g = linalg.mat(gram)
@@ -103,7 +103,13 @@ class EuclideanLattice:
         return isinstance(other, EuclideanLattice) and self.gram == other.gram
 
     def __hash__(self):
-        return hash(self.gram)
+        # The memos of enumeration look lattices up many times, and most other
+        # lattices are never hashed: hash the Gram matrix once, on first use.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.gram))
+            return self._hash
 
     def __repr__(self):
         return f"EuclideanLattice(rank={self.rank}, det={self._det})"

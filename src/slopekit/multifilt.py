@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
+from .enumeration import DEFAULT_NODE_CAP, minimum_sq, mu_max
 from .exactval import fmt_rat, half_log, parse_rat
 from .report import Report
 
@@ -665,21 +666,22 @@ def slope_filtration_mf(m: MultifilteredSpace) -> tuple[Matrix, ...]:
 # ---------------------------------------------------------------------------
 # Abstract inequality suite (lattices: correction 1/2*log rank; here: 0).
 
-def inequality_suite(instance) -> Report:
+def inequality_suite(instance, node_cap: int = DEFAULT_NODE_CAP) -> Report:
+    """The slope inequalities for instance = (kind, a, b), kind "lattice" or
+    "multifilt"; raises ReproFailure at the first that fails.  node_cap
+    bounds each lattice search."""
     kind = instance[0]
     rep = Report(name=f"slope-inequalities-{kind}")
     if kind == "lattice":
-        from .enumeration import minimum_sq, mu_max
-
         _, l1, l2 = instance
         t = l1.tensor(l2)
-        m1, m2, mt = mu_max(l1), mu_max(l2), mu_max(t)
+        m1, m2, mt = (mu_max(lat, node_cap) for lat in (l1, l2, t))
         rep.require(
             "inputs_certified",
             m1.certified and m2.certified and mt.certified,
             "all three mu_max searches certified",
         )
-        nu_t = -half_log(minimum_sq(t))
+        nu_t = -half_log(minimum_sq(t, node_cap))
         rho1, rho2 = half_log(l1.rank), half_log(l2.rank)
         rho_t = half_log(t.rank)
         mu_t = mt.value

@@ -568,3 +568,173 @@ def test_mu_max_invariant_under_signed_permutations():
         assert a.certified and b.certified
         assert a.value == b.value
         assert a.witness.rank == b.witness.rank
+
+
+# ---------------------------------------------------------------------------
+# The scaled-integer Fincke-Pohst traversal and dense-sublattice DFS against
+# the Fraction versions they replaced.
+
+
+def _reference_enumerate(lat, bound, node_cap):
+    """Fincke-Pohst as first written: a Fraction centre and radius at every
+    node.  Returns the sorted (coords, squared length) pairs."""
+    from test_quadratic import _reference_int_range_bounds
+
+    bound = F(bound)
+    reduced, u = lll_reduce(lat)
+    n = lat.rank
+    mu, b = _gso(reduced.gram)
+    found = {}
+    x = [0] * n
+    nodes = 0
+
+    def recurse(level, remaining, top_zero):
+        nonlocal nodes
+        if level < 0:
+            if any(x):
+                coords = tuple(sum(x[i] * u[i][j] for i in range(n)) for j in range(n))
+                if next(c for c in coords if c) < 0:
+                    coords = tuple(-c for c in coords)
+                found[coords] = bound - remaining
+            return
+        c = sum(mu[j][level] * x[j] for j in range(level + 1, n))
+        lo, hi = _reference_int_range_bounds(c, remaining / b[level])
+        if top_zero:
+            lo = max(lo, 0)
+        for xi in range(lo, hi + 1):
+            nodes += 1
+            if nodes > node_cap:
+                raise EnumerationCapExceeded(node_cap)
+            x[level] = xi
+            recurse(level - 1, remaining - b[level] * (xi + c) ** 2, top_zero and xi == 0)
+        x[level] = 0
+
+    recurse(n - 1, bound, True)
+    return tuple(sorted(found.items(), key=lambda t: (t[1], t[0])))
+
+
+def _reference_densest(lat, k, det_budget, node_cap):
+    """densest_sublattice as first written: Fraction norms and level bounds,
+    and det_int on the fresh Gram matrix of every candidate."""
+    from slopekit.enumeration import _first_independent_subset
+
+    det_budget = F(det_budget)
+    r = lat.rank
+    if k == r:
+        return lat.full_sublattice()
+    reduced, _ = lll_reduce(lat)
+    min_sq = _reference_enumerate(lat, min(reduced.gram[i][i] for i in range(r)), node_cap)[0][1]
+    gamma_pow = hermite_constant_pow(k) if k <= 8 else None
+    if gamma_pow is None:
+        b_sq = F(2) ** (k * (k - 1) // 2) * det_budget / min_sq ** (k - 1)
+    else:
+        b_sq = gamma_pow * det_budget / min_sq ** (k - 1)
+    span_is_basis = k <= 4 or gamma_pow is None
+    if b_sq < min_sq:
+        return None
+    vectors = _reference_enumerate(lat, b_sq, node_cap)
+    pool = [v for v, _ in vectors]
+    norms = [sq for _, sq in vectors]
+    if k == 1:
+        return Sublattice(lat, [pool[0]]).saturation()
+    rows_indep = _first_independent_subset(pool, k)
+    if rows_indep is None:
+        return None
+    incumbent = Sublattice(lat, rows_indep).saturation()
+    incumbent_det = incumbent.det()
+    ties = {incumbent.basis}
+    gi, scale = lat.scaled_gram()
+
+    def sdot(i, j):
+        return sum(pool[i][a] * gi[a][c] * pool[j][c] for a in range(r) for c in range(r))
+
+    nodes = 0
+
+    def norm_level_bound(prod_so_far, chosen):
+        if gamma_pow is None:
+            return b_sq
+        bound = gamma_pow * incumbent_det / (prod_so_far * min_sq ** (k - chosen - 1))
+        return min(bound, b_sq)
+
+    def dfs(start, chosen, prod_so_far):
+        nonlocal incumbent_det, ties, nodes
+        level_bound = norm_level_bound(prod_so_far, len(chosen))
+        for idx in range(start, len(pool)):
+            nodes += 1
+            if nodes > node_cap:
+                raise EnumerationCapExceeded(node_cap)
+            if norms[idx] > level_bound:
+                break
+            cand = chosen + [idx]
+            d = linalg.det_int([[sdot(i, j) for j in cand] for i in cand])
+            if d == 0:
+                continue
+            if len(cand) < k:
+                dfs(idx + 1, cand, prod_so_far * norms[idx])
+                continue
+            if span_is_basis and F(d, scale**k) > incumbent_det:
+                continue
+            diag, cinv = linalg.diagonalize_int([pool[i] for i in cand])
+            index = 1
+            for i in range(k):
+                index *= diag[i][i]
+            sdet = F(d, scale**k * index**2)
+            if sdet > incumbent_det:
+                continue
+            sat = linalg.hnf(cinv[:k])
+            if sdet < incumbent_det:
+                incumbent_det, ties = sdet, {sat}
+                level_bound = norm_level_bound(prod_so_far, len(chosen))
+            else:
+                ties.add(sat)
+
+    dfs(0, [], F(1))
+    return Sublattice(lat, min(ties))
+
+
+def _random_rational_lattice(rng, rank):
+    """B diag(q) B^T: B a random invertible integer matrix, q positive with
+    mixed denominators."""
+    while True:
+        b = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rank)]
+        if linalg.det_int(b):
+            break
+    q = [F(rng.randint(1, 9), rng.choice((1, 2, 3, 7, 12))) for _ in range(rank)]
+    return EuclideanLattice(
+        [[sum(x * c * y for x, c, y in zip(r1, q, r2)) for r2 in b] for r1 in b]
+    )
+
+
+def _capped(f, *args):
+    try:
+        return f(*args)
+    except EnumerationCapExceeded as exc:
+        return ("cap", exc.cap)
+
+
+def test_scaled_integer_search_matches_fraction_reference():
+    """Every pool, minimum, densest sublattice and cap hit is the same as the
+    Fraction traversal and DFS give, on rank 1..5 and k <= 3 or k = r."""
+    from slopekit.enumeration import DEFAULT_NODE_CAP, _greedy_rank_k_det
+
+    def sub_key(sub):
+        return sub if sub is None or isinstance(sub, tuple) else sub.hnf_basis()
+
+    rng = random.Random(131)
+    outcomes = []
+    for t in range(60):
+        r = 1 + t % 5
+        lat = _random_rational_lattice(rng, r)
+        cap = rng.choice((2, 5, 12, 40, DEFAULT_NODE_CAP))
+        reduced, _ = lll_reduce(lat)
+        bound = min(reduced.gram[i][i] for i in range(r)) * F(rng.randint(2, 8), 2)
+        got = _capped(lambda: enumerate_short_vectors(lat, bound, cap).vectors)
+        assert got == _capped(_reference_enumerate, lat, bound, cap)
+        outcomes.append(got == ("cap", cap))
+        for k in sorted({k for k in (1, 2, 3, r) if k <= r}):
+            budget = _greedy_rank_k_det(lat, k)[0] * rng.choice((1, 1, F(3, 2)))
+            got = sub_key(_capped(densest_sublattice, lat, k, budget, cap))
+            assert got == sub_key(_capped(_reference_densest, lat, k, budget, cap))
+            outcomes.append(got == ("cap", cap))
+    # both sides of every cap are exercised
+    assert 0 < sum(outcomes) < len(outcomes)

@@ -225,6 +225,26 @@ def test_cli_tensor_check(tmp_path, capsys):
     assert "tensor_mu_max_upper" in out
 
 
+def test_cli_tensor_check_passes_cap(tmp_path, capsys):
+    f = _write(tmp_path, "g3.json", {"gram": [[5, 2, 1], [2, 6, 2], [1, 2, 7]]})
+    assert main(["lattice", "tensor-check", f, f]) == 0
+    capsys.readouterr()
+    assert main(["lattice", "tensor-check", f, f, "--cap", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "inputs_certified" in err and "FAIL" in err
+
+
+def test_cli_mu_max_uncertified_verdict(tmp_path, capsys):
+    f = _write(tmp_path, "g3.json", {"gram": [[5, 2, 1], [2, 6, 2], [1, 2, 7]]})
+    assert main(["lattice", "mu-max", f, "--cap", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "certified: False" in out
+    assert "semistable: unknown (uncertified)" in out
+    assert "semistable: True" not in out and "semistable: False" not in out
+    assert main(["lattice", "mu-max", f]) == 0
+    assert "certified: True\nsemistable: False\n" in capsys.readouterr().out
+
+
 def test_cli_mf(tmp_path, capsys):
     full = [["1", "0"], ["0", "1"]]
     data = {

@@ -45,6 +45,15 @@ def test_construction_rejects_bad_grams():
         EuclideanLattice([[0, 0], [0, 1]])  # singular PSD, zero leading minor
 
 
+def test_hash_and_equality_follow_the_gram_matrix():
+    a = EuclideanLattice([[2, 1], [1, 2]])
+    b = EuclideanLattice([[F(4, 2), F(1)], [1, F(6, 3)]])
+    c = EuclideanLattice([[2, 1], [1, 3]])
+    assert a == b and hash(a) == hash(b) == hash(a.gram)
+    assert a != c and hash(c) == hash(c.gram)
+    assert {a: 1}[b] == 1
+
+
 def test_degree_examples():
     assert unit_lattice(4).degree() == LogRational(0)
     assert a2_lattice().degree() == -half_log(3)

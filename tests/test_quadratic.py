@@ -1,8 +1,9 @@
 """`hermitian.QElt` and `exactval.RIv` against test-local copies of what they
 replaced: the classes `hermitian.QuadInt` (norm products over Q(sqrt t)),
 `QuartElt` (K(i) over K = Q(sqrt(-p))) and `CIv` (complex enclosures),
-`linalg.sqrt_frac_upper`, the tuple-valued `LogRational.bounds`, and the
-leading-minor positivity test of `HermitianLattice`."""
+`linalg.sqrt_frac_upper`, the tuple-valued `LogRational.bounds`, the
+leading-minor positivity test of `HermitianLattice`, and the Fraction range
+`_int_range_bounds` that `enumeration._isqrt_range` replaced."""
 
 import math
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from slopekit import linalg
-from slopekit.enumeration import _int_range_bounds
+from slopekit.enumeration import _isqrt_range
 from slopekit.exactval import LogRational, RIv, sqrt_interval
 from slopekit.hermitian import (
     HermitianLattice,
@@ -272,7 +273,10 @@ def test_int_range_bounds_match_sqrt_frac_upper():
         q = F(rng.randint(0, 10**6), rng.randint(1, 10**3)) if rng.random() < 0.8 else F(rng.randint(0, 30)) ** 2
         cases.append((c, q))
     for c, q in cases:
-        assert _int_range_bounds(c, q) == _reference_int_range_bounds(c, q)
+        # with c = s / d, (x + c)^2 <= q iff the integer (d x + s)^2 is at
+        # most floor(q d^2): the range the Fincke-Pohst traversal solves
+        s, d = c.numerator, c.denominator
+        assert _isqrt_range(s, d, math.floor(q * d * d)) == _reference_int_range_bounds(c, q)
         if q >= 0:
             assert sqrt_interval(q, 30).hi == _sqrt_frac_upper(q)
 
