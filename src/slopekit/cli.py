@@ -76,6 +76,8 @@ def _cmd_lattice(args) -> int:
             with open(args.svg, "w") as fh:
                 fh.write(harness.polygon_svg(poly))
             print(f"svg written to {args.svg}")
+        if not poly.certified:
+            print(f"uncertified: {EnumerationCapExceeded(cap)}", file=sys.stderr)
         return 0 if poly.certified else 1
     if args.action == "tensor-check":
         if not args.file2:

@@ -16,6 +16,10 @@ length at most a radius B and branches over k-subsets of it:
 
 So the branch-and-bound is complete.  Exceeding a resource cap yields an
 uncertified result, never a silent wrong answer.
+
+`upper_hull` turns what a slope category knows at each rank into its slope
+polygon; mu_max, the slope filtration and their multifiltered twins are read
+off it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .exactval import LogRational, half_log
@@ -57,15 +61,17 @@ class ShortVectorReport:
 class CertifiedMuMax:
     value: LogRational
     witness: Sublattice
-    search_bound: Fraction
     certified: bool
 
 
 @dataclass(frozen=True)
 class SlopePolygon:
-    points: tuple[tuple[int, LogRational], ...]  # (rank, max degree at that rank)
-    hull: tuple[tuple[int, LogRational], ...]  # upper-hull vertices incl. (0, 0)
-    filtration: tuple[Sublattice, ...]
+    """A polygon read off a canopy (see `upper_hull`); degrees are LogRationals
+    for lattices and Fractions for multifiltered spaces."""
+
+    points: tuple[tuple[int, Any], ...]  # (rank, greatest degree found at that rank)
+    hull: tuple[tuple[int, Any], ...]  # upper-hull vertices incl. (0, 0)
+    filtration: tuple[Any, ...]  # the witnesses at the vertices after (0, 0)
     certified: bool
 
     def quotient_slopes(self) -> tuple[LogRational, ...]:
@@ -73,6 +79,70 @@ class SlopePolygon:
         for (k0, d0), (k1, d1) in zip(self.hull, self.hull[1:]):
             out.append((d1 - d0) / (k1 - k0))
         return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# The slope polygon of any category, from what it knows at each rank.
+
+class RankBound(NamedTuple):
+    """What a slope category knows at one rank k: the greatest degree it found
+    among rank-k subobjects, with that subobject as witness (both None if it
+    found none), and an upper bound on every rank-k degree (None if a resource
+    cap stopped the search).  A list of these for k = 1..r is a canopy; its
+    last entry, the whole object, has a lower degree."""
+
+    lower: Any
+    witness: Any
+    upper: Any
+
+
+def upper_hull(canopy: Sequence[RankBound], edges: Optional[int] = None) -> SlopePolygon:
+    """The upper convex hull of the origin and the points (k, lower_k), and
+    whether it is the Harder-Narasimhan polygon: the concave envelope of the
+    maximal degree at each rank (Stuhler 1976, Grayson 1984).
+
+    From each vertex the next is the point of greatest slope, the largest rank
+    among ties, so points on an edge are not vertices.  `edges` stops after
+    that many edges; the first edge is (rank, degree) of the largest object of
+    maximal slope.
+
+    Let h be the hull, continued past its last vertex along its last edge.
+    Every true maximal degree lies between lower_k and upper_k, and every
+    lower point lies on or below h.  So if every upper_k <= h(k), the maximal
+    degrees are the lower points at the vertices and lie on or below h
+    elsewhere: h is the polygon, and its vertex witnesses are its canonical
+    subobjects.  With one edge that reads upper_k <= k * mu for every k, so no
+    subobject has slope above mu.  An exact rank (upper_k == lower_k) passes
+    without a comparison."""
+    pts = [(k, b.lower, b.witness) for k, b in enumerate(canopy, 1) if b.lower is not None]
+    vertices, witnesses = [(0, pts[-1][1] * 0)], []
+    i = 0
+    while i < len(pts) and (edges is None or len(witnesses) < edges):
+        (v, yv), best = vertices[-1], i
+        for j in range(i + 1, len(pts)):
+            (kj, yj, _), (kb, yb, _) = pts[j], pts[best]
+            if (yj - yv) * (kb - v) >= (yb - yv) * (kj - v):
+                best = j
+        k, y, wit = pts[best]
+        vertices.append((k, y))
+        witnesses.append(wit)
+        i = best + 1
+
+    def above_hull(k, u) -> bool:
+        j = next((j for j, (kv, _) in enumerate(vertices) if kv >= k), len(vertices) - 1)
+        (ka, ya), (kb, yb) = vertices[j - 1], vertices[j]
+        return (u - ya) * (kb - ka) > (yb - ya) * (k - ka)
+
+    certified = True
+    for k, b in enumerate(canopy, 1):
+        if b.upper is None:
+            certified = False
+        elif b.upper != b.lower:
+            if b.lower is not None and b.upper < b.lower:
+                raise AssertionError(f"rank-{k} upper bound fell below an exact degree")
+            certified = certified and not above_hull(k, b.upper)
+    points = tuple((k, y) for k, y, _ in pts)
+    return SlopePolygon(points, tuple(vertices), tuple(witnesses), certified)
 
 
 # ---------------------------------------------------------------------------
@@ -453,38 +523,38 @@ def _min_det_rank_k(lat: EuclideanLattice, k: int, node_cap: int) -> tuple[Fract
     return det_k, sub
 
 
-def mu_max(
-    lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP, fast_path: bool = True
-) -> CertifiedMuMax:
-    """Certified supremum of slopes over nonzero sublattices."""
+def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
+    """The exact maximal degree -1/2 log d_k(L) of each rank k, which is its
+    own upper bound.  Ranks from the first whose search exceeds the node cap
+    are unknown; the full rank needs no search."""
     r = lat.rank
-    if fast_path and lat.is_unimodular():
-        return CertifiedMuMax(
-            value=LogRational(0),
-            witness=lat.full_sublattice(),
-            search_bound=F(0),
-            certified=True,
-        )
-    best_slope = lat.slope()
-    best_witness = lat.full_sublattice()
-    certified = True
-    max_bound = F(0)
-    integral = lat.is_integral()
+    canopy: list[RankBound] = []
     try:
         for k in range(1, r):
             det_k, wit = _min_det_rank_k(lat, k, node_cap)
-            slope_k = -half_log(det_k) / k
-            max_bound = max(max_bound, det_k)
-            cmp = (slope_k - best_slope).sign()
-            if cmp > 0 or (cmp == 0 and wit.rank > best_witness.rank):
-                best_slope, best_witness = slope_k, wit
+            deg = -half_log(det_k)
+            canopy.append(RankBound(deg, wit, deg))
     except EnumerationCapExceeded:
-        certified = False
-    if integral and certified and best_slope.sign() > 0:
+        canopy += [RankBound(None, None, None)] * (r - 1 - len(canopy))
+    deg = lat.degree()
+    canopy.append(RankBound(deg, lat.full_sublattice(), deg))
+    return canopy
+
+
+def mu_max(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> CertifiedMuMax:
+    """Certified supremum of slopes over nonzero sublattices: the first edge
+    of the slope polygon, whose witness is the largest sublattice of maximal
+    slope.  A unimodular lattice is semistable without a search: every
+    sublattice of an integral lattice has an integral Gram matrix, so
+    det >= 1 and slope <= 0, the slope of the whole lattice."""
+    if lat.is_unimodular():
+        return CertifiedMuMax(value=LogRational(0), witness=lat.full_sublattice(), certified=True)
+    poly = upper_hull(_lattice_canopy(lat, node_cap), edges=1)
+    (_, (k, deg)) = poly.hull
+    value = deg / k
+    if poly.certified and lat.is_integral() and value.sign() > 0:
         raise AssertionError("integral lattice reported positive mu_max")
-    return CertifiedMuMax(
-        value=best_slope, witness=best_witness, search_bound=max_bound, certified=certified
-    )
+    return CertifiedMuMax(value=value, witness=poly.filtration[0], certified=poly.certified)
 
 
 def mu_min(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> LogRational:
@@ -503,39 +573,14 @@ def is_semistable(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> bo
 
 
 def slope_filtration(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> SlopePolygon:
-    """Max-degree points per rank, their upper convex hull, and the canonical
-    chain of saturated witnesses realizing the hull vertices."""
-    r = lat.rank
-    points: list[tuple[int, LogRational]] = []
-    witnesses: dict[int, Sublattice] = {}
-    certified = True
-    try:
-        for k in range(1, r + 1):
-            det_k, wit = _min_det_rank_k(lat, k, node_cap)
-            points.append((k, -half_log(det_k)))
-            witnesses[k] = wit
-    except EnumerationCapExceeded:
-        certified = False
-    hull: list[tuple[int, LogRational]] = [(0, LogRational(0))]
-    for pt in points:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            x2, y2 = pt
-            # pop unless slope strictly decreases at the middle point
-            lhs = (y1 - y0) * (x2 - x1)
-            rhs = (y2 - y1) * (x1 - x0)
-            if (lhs - rhs).sign() <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    chain = [witnesses[k] for k, _ in hull[1:] if k in witnesses]
-    for a, b in zip(chain, chain[1:]):
-        if not b.contains(a):
-            raise AssertionError("hull witnesses failed to form a chain")
-    return SlopePolygon(
-        points=tuple(points), hull=tuple(hull), filtration=tuple(chain), certified=certified
-    )
+    """The maximal degree at each rank, their upper convex hull, and the
+    canonical chain of saturated witnesses at the hull vertices.  Uncertified
+    when a search exceeds the node cap; the rank-r point is always present."""
+    poly = upper_hull(_lattice_canopy(lat, node_cap))
+    chain = poly.filtration
+    if poly.certified and not all(b.contains(a) for a, b in zip(chain, chain[1:])):
+        raise AssertionError("hull witnesses failed to form a chain")
+    return poly
 
 
 def minkowski_check(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> bool:

@@ -52,6 +52,8 @@ class ExperimentConfig:
         for name in ("count", "max_rank", "entry_bound", "node_cap", "max_tensor_rank"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.max_tensor_rank > 8:  # the last rank hermite_constant_pow tabulates
+            raise ValueError(f"max_tensor_rank must be at most 8 (Hermite table), got {self.max_tensor_rank}")
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":

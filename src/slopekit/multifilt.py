@@ -1,7 +1,8 @@
 """Finite-dimensional rational vector spaces with several decreasing
 exhaustive separated filtrations: slopes, multigraded dimensions, witness
-lines, certified mu_max, tensor products, and the abstract slope-inequality
-driver shared with euclidean lattices.
+lines, certified mu_max and canonical filtration (read off
+`enumeration.upper_hull`), tensor products, and the slope-inequality suite
+shared with euclidean lattices.
 
 A filtration is stored as its value at each break: pairs (lambda, subspace)
 with strictly increasing labels and strictly decreasing subspaces, the lowest
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .enumeration import DEFAULT_NODE_CAP, minimum_sq, mu_max
+from .enumeration import DEFAULT_NODE_CAP, RankBound, minimum_sq, mu_max, upper_hull
 from .exactval import fmt_rat, half_log, parse_rat
 from .report import Report
 
@@ -451,10 +452,11 @@ def _candidate_family(m: MultifilteredSpace, extra):
     return list(seen)
 
 
-def _profile_upper_bound(m: MultifilteredSpace) -> Fraction:
-    """Max over dimension-profile relaxations of the induced slope: per
-    filtration the intersection dimensions are bounded monotone sequences,
-    coupled across filtrations by exact ambient intersection dimensions."""
+def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
+    """For each k = 1..dim, the max over dimension-profile relaxations of the
+    induced slope of a k-dimensional subspace: per filtration the
+    intersection dimensions are bounded monotone sequences, coupled across
+    filtrations by exact ambient intersection dimensions."""
     n = m.n_filtrations
     steps = [f.steps for f in m.filtrations]
     # pairwise (and for n >= 3, triple) ambient intersection dims
@@ -475,7 +477,7 @@ def _profile_upper_bound(m: MultifilteredSpace) -> Fraction:
                     for l in range(len(steps[x])):
                         triple_dim[(v, i, w, j, x, l)] = _meet_dim(si, steps[x][l][1])
 
-    best_overall: Optional[Fraction] = None
+    bounds: list[Fraction] = []
     for k in range(1, m.dim + 1):
         per_v: list[list[tuple[Fraction, tuple[int, ...]]]] = []
         for v in range(n):
@@ -540,44 +542,41 @@ def _profile_upper_bound(m: MultifilteredSpace) -> Fraction:
                     chosen.pop()
 
         dfs(0, [], F(0))
-        if best_k is not None and (best_overall is None or best_k > best_overall):
-            best_overall = best_k
-    assert best_overall is not None
-    return best_overall
+        # every k-dimensional subspace has a feasible profile
+        bounds.append(best_k)
+    return bounds
+
+
+def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
+    """For each dimension k, the best degree over the candidates of dimension
+    k (the first in family order among ties), and k times the relaxation's
+    slope bound."""
+    best: dict[int, tuple[Fraction, Matrix]] = {}
+    for rows in _candidate_family(m, extra):
+        k = len(rows)
+        deg = slope_of_subspace(m, rows) * k
+        if k not in best or deg > best[k][0]:
+            best[k] = (deg, rows)
+    bounds = _profile_upper_bound(m)
+    return [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
 
 
 def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> MfMuMax:
-    """Certified-when-bounds-meet supremum of subspace slopes.
+    """Certified-when-bounds-meet supremum of subspace slopes: the first edge
+    of the slope polygon (see `_mf_canopy`).
 
     Lower bound: exact slopes over the capped intersection/sum closure of the
     filtration steps and the extra candidates (row lists in ambient coordinates).
-    Upper bound: the dimension-profile relaxation.  certified = bounds meet.
+    Upper bound: the dimension-profile relaxation, the max of its per-k bounds.
+    certified = bounds meet.  The witness is the largest candidate of maximal
+    slope; when the closure is complete it is the sum of all of them, because
+    deg is supermodular (deg(A + B) + deg(A ∩ B) >= deg A + deg B).
     """
-    cands = _candidate_family(m, extra_candidates)
-    best: Optional[Fraction] = None
-    maximizers: list[Matrix] = []
-    for rows in cands:
-        s = slope_of_subspace(m, rows)
-        if best is None or s > best:
-            best = s
-            maximizers = [rows]
-        elif s == best:
-            maximizers.append(rows)
-    # the canonical destabilizer is the largest subspace of maximal slope;
-    # the span of all maximizers can only improve or tie the slope
-    span = maximizers[0]
-    for rows in maximizers[1:]:
-        span = linalg.sum_row_spaces(span, rows)
-    s_span = slope_of_subspace(m, span)
-    if s_span >= best:
-        best = s_span
-        witness = span
-    else:
-        witness = max(maximizers, key=len)
-    upper = _profile_upper_bound(m)
-    if upper < best:
-        raise AssertionError("relaxation bound fell below an exact subspace slope")
-    return MfMuMax(value=best, witness=witness, upper=upper, certified=upper == best)
+    canopy = _mf_canopy(m, extra_candidates)
+    poly = upper_hull(canopy, edges=1)
+    (_, (k, deg)) = poly.hull
+    upper = max(b.upper / j for j, b in enumerate(canopy, 1))
+    return MfMuMax(value=deg / k, witness=poly.filtration[0], upper=upper, certified=poly.certified)
 
 
 def is_semistable_mf(m: MultifilteredSpace) -> bool:
@@ -634,33 +633,38 @@ def dual_mf(m: MultifilteredSpace) -> MultifilteredSpace:
 # Canonical filtration.
 
 def slope_filtration_mf(m: MultifilteredSpace) -> tuple[Matrix, ...]:
-    """Chain of subspaces by iterated maximal destabilizer (max slope, then
-    max dimension); quotient slopes strictly decrease.  Every stage must
-    certify."""
-    chain: list[Matrix] = []
-    prev_rows: Matrix = ()
-    prev_slope: Optional[Fraction] = None
-    current = m
-    lift_rows = linalg.identity(m.dim)
-    while True:
-        res = mu_max_mf(current)
-        if not res.certified:
-            raise ValueError("uncertified mu_max stage; filtration aborted")
-        # witness in ambient coordinates
-        wit_ambient = _rref_rows(
-            [linalg.matvec(linalg.transpose(lift_rows), r) for r in res.witness]
-        )
-        step_rows = linalg.sum_row_spaces(prev_rows, wit_ambient) if prev_rows else wit_ambient
-        piece_slope = res.value
-        if prev_slope is not None and piece_slope >= prev_slope:
-            raise AssertionError("quotient slopes must strictly decrease")
-        chain.append(step_rows)
-        prev_slope = piece_slope
-        prev_rows = step_rows
-        if len(step_rows) == m.dim:
-            return tuple(chain)
-        current, completion = quotient_object(m, step_rows)
-        lift_rows = completion
+    """The canonical filtration: the candidates at the vertices of the slope
+    polygon, whose quotient slopes strictly decrease.  Raises ValueError
+    unless every dimension's bound lies on or below the polygon.
+
+    Past the first vertex the relaxation of m alone is often loose, so each
+    vertex witness S (dimension v) tightens the bounds above it.  For W of
+    dimension k, with j = dim(W ∩ S), supermodularity of deg gives
+    deg W <= deg(W ∩ S) + deg(W + S) - deg S, where the first term is at
+    most the rank-j bound and the last two are the degree of (W + S)/S, a
+    (k - j)-dimensional subspace of m/S, at most its relaxation bound.  Taken
+    in order, the vertices certify at least every polygon that the quotients
+    by its vertices certify stage by stage: for k up to the next vertex, such
+    a bound is at most hull(j) + (k - j) * (the next edge's slope) <= hull(k),
+    since the hull's slopes up to rank k are at least that edge's."""
+    canopy = _mf_canopy(m, ())
+    n = m.dim
+    for s in upper_hull(canopy).filtration[:-1]:
+        v = len(s)
+        quot = _profile_upper_bound(quotient_object(m, s)[0])
+        for k in range(v + 1, n + 1):
+            via_s = max(
+                (canopy[j - 1].upper if j else 0) + (k - j) * quot[k - j - 1]
+                for j in range(max(0, k + v - n), v + 1)
+            )
+            canopy[k - 1] = canopy[k - 1]._replace(upper=min(canopy[k - 1].upper, via_s))
+    poly = upper_hull(canopy)
+    if not poly.certified:
+        raise ValueError("uncertified slope polygon; filtration aborted")
+    chain = poly.filtration
+    if not all(_meet_dim(a, b) == len(a) for a, b in zip(chain, chain[1:])):
+        raise AssertionError("hull witnesses failed to form a chain")
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -669,79 +673,46 @@ def slope_filtration_mf(m: MultifilteredSpace) -> tuple[Matrix, ...]:
 def inequality_suite(instance, node_cap: int = DEFAULT_NODE_CAP) -> Report:
     """The slope inequalities for instance = (kind, a, b), kind "lattice" or
     "multifilt"; raises ReproFailure at the first that fails.  node_cap
-    bounds each lattice search."""
-    kind = instance[0]
-    rep = Report(name=f"slope-inequalities-{kind}")
+    bounds each lattice search.  Each kind supplies the three mu_max results,
+    the best line value nu of the tensor (computed once the inputs are
+    certified) and the corrections rho."""
+    kind, a, b = instance
     if kind == "lattice":
-        _, l1, l2 = instance
-        t = l1.tensor(l2)
-        m1, m2, mt = (mu_max(lat, node_cap) for lat in (l1, l2, t))
-        rep.require(
-            "inputs_certified",
-            m1.certified and m2.certified and mt.certified,
-            "all three mu_max searches certified",
-        )
-        nu_t = -half_log(minimum_sq(t, node_cap))
-        rho1, rho2 = half_log(l1.rank), half_log(l2.rank)
-        rho_t = half_log(t.rank)
-        mu_t = mt.value
-        rep.require(
-            "tensor_line_bound",
-            nu_t <= m1.value + m2.value,
-            f"nu(tensor) = {nu_t} <= {m1.value + m2.value}",
-        )
-        rep.require(
+        t = a.tensor(b)
+        r1, r2, rt = (mu_max(lat, node_cap) for lat in (a, b, t))
+        nu = lambda: -half_log(minimum_sq(t, node_cap))
+        rho1, rho2, rho_t = (half_log(lat.rank) for lat in (a, b, t))
+    elif kind == "multifilt":
+        t = tensor_mf(a, b)
+        r1, r2 = mu_max_mf(a), mu_max_mf(b)
+        w = [tuple(x * y for x in wa for y in wb) for wa in r1.witness for wb in r2.witness]
+        rt = mu_max_mf(t, extra_candidates=[w])
+        nu = lambda: nu_witness(t)[0]
+        rho1 = rho2 = rho_t = F(0)
+    else:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    rep = Report(name=f"slope-inequalities-{kind}")
+    rep.require(
+        "inputs_certified",
+        r1.certified and r2.certified and rt.certified,
+        "all three mu_max searches certified",
+    )
+    nu_t = nu()
+    mu1, mu2, mu_t = r1.value, r2.value, rt.value
+    upper = mu1 + rho1 + mu2 + rho2
+    for name, ok, detail in (
+        ("tensor_line_bound", nu_t <= mu1 + mu2, f"nu(tensor) = {nu_t} <= {mu1 + mu2}"),
+        (
             "line_plus_correction_bound",
             mu_t <= nu_t + rho_t,
             f"mu_max(tensor) = {mu_t} <= nu + rho = {nu_t + rho_t}",
-        )
-        rep.require(
+        ),
+        (
             "tensor_mu_max_upper",
-            mu_t <= m1.value + rho1 + m2.value + rho2,
-            f"mu_max(tensor) = {mu_t} <= sum of mu_max + corrections",
-        )
-        rep.require(
-            "tensor_mu_max_lower",
-            mu_t >= m1.value + m2.value,
-            f"mu_max(tensor) = {mu_t} >= {m1.value + m2.value}",
-        )
-    elif kind == "multifilt":
-        _, x1, x2 = instance
-        t = tensor_mf(x1, x2)
-        r1 = mu_max_mf(x1)
-        r2 = mu_max_mf(x2)
-        w = [
-            tuple(a * b for a in wa for b in wb)
-            for wa in r1.witness
-            for wb in r2.witness
-        ]
-        rt = mu_max_mf(t, extra_candidates=[w])
-        rep.require(
-            "inputs_certified",
-            r1.certified and r2.certified and rt.certified,
-            "all three mu_max computations certified",
-        )
-        nu_t, _ = nu_witness(t)
-        rep.require(
-            "tensor_line_bound",
-            nu_t <= r1.value + r2.value,
-            f"nu(tensor) = {nu_t} <= {r1.value + r2.value}",
-        )
-        rep.require(
-            "line_plus_correction_bound",
-            rt.value <= nu_t,
-            f"mu_max(tensor) = {rt.value} <= nu = {nu_t} (zero correction)",
-        )
-        rep.require(
-            "tensor_mu_max_upper",
-            rt.value <= r1.value + r2.value,
-            f"mu_max(tensor) = {rt.value} <= {r1.value + r2.value}",
-        )
-        rep.require(
-            "tensor_mu_max_lower",
-            rt.value >= r1.value + r2.value,
-            f"mu_max(tensor) = {rt.value} >= {r1.value + r2.value}",
-        )
-    else:
-        raise ValueError(f"unknown instance kind {kind!r}")
+            mu_t <= upper,
+            f"mu_max(tensor) = {mu_t} <= sum of mu_max + corrections = {upper}",
+        ),
+        ("tensor_mu_max_lower", mu_t >= mu1 + mu2, f"mu_max(tensor) = {mu_t} >= {mu1 + mu2}"),
+    ):
+        rep.require(name, ok, detail)
     return rep

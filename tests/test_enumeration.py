@@ -201,9 +201,11 @@ def test_fast_path_matches_search():
         lat = EuclideanLattice(gram)
         assert lat.is_unimodular()
         fast = mu_max(lat)
-        slow = mu_max(lat, fast_path=False)
-        assert fast.value == slow.value == LogRational(0)
-        assert fast.certified and slow.certified
+        poly = slope_filtration(lat)  # runs the search at every rank
+        assert fast.certified and poly.certified
+        assert fast.value == poly.quotient_slopes()[0] == LogRational(0)
+        assert len(poly.filtration) == 1
+        assert fast.witness.hnf_basis() == poly.filtration[0].hnf_basis() == linalg.int_mat(linalg.identity(3))
 
 
 def test_mu_max_a2_twisted_stable():
@@ -738,3 +740,166 @@ def test_scaled_integer_search_matches_fraction_reference():
             outcomes.append(got == ("cap", cap))
     # both sides of every cap are exercised
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+# ---------------------------------------------------------------------------
+# upper_hull, against a brute-force hull and the earlier readers.
+
+def _brute_force_hull(points, r):
+    """Vertex ranks of the upper hull of the origin and the points {k: y}, and
+    its height at each rank 1..r: a point is a vertex iff it lies strictly
+    above every chord between two points whose ranks straddle it."""
+    pts = {0: F(0), **points}
+
+    def chord(i, j, k):
+        return pts[i] + (pts[j] - pts[i]) * (k - i) / (j - i)
+
+    vertices = [
+        k for k in sorted(points)
+        if all(chord(i, j, k) < pts[k] for i in pts if i < k for j in pts if j > k)
+    ]
+    height = {
+        k: max([chord(i, j, k) for i in pts if i < k for j in pts if j >= k] + [pts.get(k, pts[0] - 99)])
+        for k in range(1, r + 1)
+    }
+    return vertices, height
+
+
+def test_upper_hull_matches_brute_force(monkeypatch):
+    """Vertices, witnesses and both certification rules of `upper_hull` on 400
+    random canopies with collinear ties, missing ranks and open bounds, over
+    Fractions and over LogRationals (y -> y*log 2); an exact LogRational
+    canopy costs one sign() per comparison of the first edge and no more."""
+    from slopekit.enumeration import RankBound, upper_hull
+
+    signs = []
+    real_sign = LogRational.sign
+    monkeypatch.setattr(LogRational, "sign", lambda self: signs.append(1) or real_sign(self))
+    rng = random.Random(151)
+    ties = exact = 0
+    for _ in range(400):
+        r = rng.randint(1, 7)
+        c = F(rng.randint(-3, 3), rng.randint(1, 2))
+        all_exact = rng.random() < 0.3
+        canopy, points = [], {}
+        for k in range(1, r + 1):
+            lower = None
+            if k == r or rng.random() < 0.8:
+                lower = k * c if rng.random() < 0.4 else F(rng.randint(-6, 6), rng.choice((1, 2)))
+                points[k] = lower
+            roll = rng.random()
+            if all_exact:
+                upper = lower
+            elif roll < 0.1:
+                upper = None
+            elif roll < 0.4 and lower is not None:
+                upper = lower
+            else:
+                upper = (lower if lower is not None else F(-6)) + F(rng.randint(0, 8), rng.choice((1, 2, 3)))
+            canopy.append(RankBound(lower, ("w", k), upper))
+        vertices, height = _brute_force_hull(points, r)
+        ties += any(k not in vertices and points[k] == height[k] for k in points)
+        certified = all(b.upper is not None and b.upper <= height[k] for k, b in enumerate(canopy, 1))
+        mu = max(y / k for k, y in points.items())
+        k1 = max(k for k, y in points.items() if y / k == mu)
+        first_certified = all(
+            b.upper is not None and b.upper <= k * mu for k, b in enumerate(canopy, 1)
+        )
+        log2 = [
+            RankBound(*(None if x is None else LogRational(0, {2: x}) for x in (b.lower, None, b.upper)))
+            ._replace(witness=b.witness)
+            for b in canopy
+        ]
+        for deg, can in ((lambda y: y, canopy), (lambda y: LogRational(0, {2: y}), log2)):
+            poly = upper_hull(can)
+            assert poly.points == tuple((k, deg(y)) for k, y in sorted(points.items()))
+            assert poly.hull == ((0, deg(F(0))),) + tuple((k, deg(points[k])) for k in vertices)
+            assert poly.filtration == tuple(("w", k) for k in vertices)
+            assert poly.certified == certified
+            del signs[:]
+            first = upper_hull(can, edges=1)
+            assert first.hull == ((0, deg(F(0))), (k1, deg(points[k1])))
+            assert first.filtration == (("w", k1),)
+            assert first.certified == first_certified
+            if can is log2 and all_exact:
+                assert len(signs) == len(points) - 1
+                exact += 1
+    assert ties >= 50 and exact >= 50
+    with pytest.raises(AssertionError, match="rank-1 upper bound"):
+        upper_hull([RankBound(F(1), None, F(0)), RankBound(F(0), None, F(0))])
+
+
+def _reference_mu_max(lat, node_cap):
+    """Reference copy of the earlier mu_max: its own per-rank loop."""
+    from slopekit.enumeration import _min_det_rank_k
+
+    if lat.is_unimodular():
+        return LogRational(0), lat.full_sublattice(), True
+    best_slope, best_witness, certified = lat.slope(), lat.full_sublattice(), True
+    try:
+        for k in range(1, lat.rank):
+            det_k, wit = _min_det_rank_k(lat, k, node_cap)
+            slope_k = -half_log(det_k) / k
+            cmp = (slope_k - best_slope).sign()
+            if cmp > 0 or (cmp == 0 and wit.rank > best_witness.rank):
+                best_slope, best_witness = slope_k, wit
+    except EnumerationCapExceeded:
+        certified = False
+    return best_slope, best_witness, certified
+
+
+def _reference_slope_filtration(lat, node_cap):
+    """Reference copy of the earlier slope_filtration: points up to the first
+    cap, then a monotone-chain hull that pops collinear points."""
+    from slopekit.enumeration import _min_det_rank_k
+
+    points, witnesses, certified = [], {}, True
+    try:
+        for k in range(1, lat.rank + 1):
+            det_k, wit = _min_det_rank_k(lat, k, node_cap)
+            points.append((k, -half_log(det_k)))
+            witnesses[k] = wit
+    except EnumerationCapExceeded:
+        certified = False
+    hull = [(0, LogRational(0))]
+    for pt in points:
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if ((y1 - y0) * (pt[0] - x1) - (pt[1] - y1) * (x1 - x0)).sign() <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    chain = [witnesses[k].hnf_basis() for k, _ in hull[1:]]
+    return tuple(points), tuple(hull), tuple(chain), certified
+
+
+def test_polygon_readers_match_parent_reference():
+    """mu_max is the earlier result on 300 seeded lattices and caps, certified
+    or not; slope_filtration is the earlier polygon wherever that certified,
+    and otherwise adds only the rank-r point."""
+    from slopekit.enumeration import DEFAULT_NODE_CAP
+
+    rng = random.Random(157)
+    certified_polygons = uncertified = 0
+    for t in range(300):
+        r = 1 + t % 4
+        lat = _random_rational_lattice(rng, r) if t % 3 else random_lattice(rng, r)
+        if rng.random() < 0.3:
+            lat = lat.dual()
+        cap = rng.choice((3, 12, 40, DEFAULT_NODE_CAP, DEFAULT_NODE_CAP))
+        value, witness, cert = _reference_mu_max(lat, cap)
+        res = mu_max(lat, cap)
+        assert (res.value, res.witness.hnf_basis(), res.certified) == (value, witness.hnf_basis(), cert)
+        points, hull, chain, cert = _reference_slope_filtration(lat, cap)
+        poly = slope_filtration(lat, cap)
+        got = (poly.points, poly.hull, tuple(s.hnf_basis() for s in poly.filtration), poly.certified)
+        if cert:
+            assert got == (points, hull, chain, cert)
+            certified_polygons += 1
+        else:
+            assert not poly.certified
+            assert poly.points == points + ((r, lat.degree()),)
+            assert poly.hull[-1] == (r, lat.degree())
+            uncertified += 1
+    assert certified_polygons >= 150 and uncertified >= 30

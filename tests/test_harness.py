@@ -51,6 +51,11 @@ def test_config_validation(tmp_path):
     for field, value in (("count", True), ("count", "abc"), ("seed", 1.0), ("max_tensor_rank", 0)):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
+    # rank 9 is past the Hermite table; such a run used to fail only at its first 3x3 draw
+    p.write_text("max_rank = 3\nmax_tensor_rank = 9\nseed = 1\ncount = 30\n")
+    with pytest.raises(ValueError, match="max_tensor_rank.*Hermite"):
+        ExperimentConfig.from_toml(str(p))
+    assert ExperimentConfig(max_tensor_rank=8).max_tensor_rank == 8
 
 
 def test_flat_toml_rejects_sections(tmp_path):
@@ -243,6 +248,28 @@ def test_cli_mu_max_uncertified_verdict(tmp_path, capsys):
     assert "semistable: True" not in out and "semistable: False" not in out
     assert main(["lattice", "mu-max", f]) == 0
     assert "certified: True\nsemistable: False\n" in capsys.readouterr().out
+
+
+def test_cli_filtration_uncertified_says_so(tmp_path, capsys):
+    f = _write(tmp_path, "g3.json", {"gram": [[5, 2, 1], [2, 6, 2], [1, 2, 7]]})
+    assert main(["lattice", "filtration", f]) == 0
+    certified = capsys.readouterr()
+    assert certified.err == ""
+    assert certified.out.splitlines()[-2:] == [
+        "hull: [(0, '0'), (1, '-1/2*log(5)'), (2, '-1/2*log(2) - 1/2*log(13)'), "
+        "(3, '-1*log(2) - 1/2*log(41)')]",
+        "quotient slopes: ['-1/2*log(5)', '-1/2*log(2) + 1/2*log(5) - 1/2*log(13)', "
+        "'-1/2*log(2) + 1/2*log(13) - 1/2*log(41)']",
+    ]
+    # the cap stops the rank-1 search; the known rank-3 point stays
+    assert main(["lattice", "filtration", f, "--cap", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "rank 3: max degree -1*log(2) - 1/2*log(41) (~-2.549933214)",
+        "hull: [(0, '0'), (3, '-1*log(2) - 1/2*log(41)')]",
+        "quotient slopes: ['-1/3*log(2) - 1/6*log(41)']",
+    ]
+    assert err == "uncertified: enumeration node cap 2 exceeded\n"
 
 
 def test_cli_mf(tmp_path, capsys):

@@ -313,11 +313,13 @@ def test_json_roundtrip():
 
 
 def naive_profile_bound(m):
-    """Independent unpruned re-implementation of the profile relaxation."""
+    """Independent unpruned re-implementation of the profile relaxation: the
+    bound for each k = 1..dim."""
     n = m.n_filtrations
     steps = [f.steps for f in m.filtrations]
-    best = None
+    bounds = []
     for k in range(1, m.dim + 1):
+        best = None
         per_v = []
         for v in range(n):
             brks = [lam for lam, _ in steps[v]]
@@ -366,7 +368,8 @@ def naive_profile_bound(m):
             val = total / k
             if best is None or val > best:
                 best = val
-    return best
+        bounds.append(best)
+    return bounds
 
 
 def test_profile_bound_matches_naive_enumeration():
@@ -376,7 +379,7 @@ def test_profile_bound_matches_naive_enumeration():
     for _ in range(8):
         m = random_mf(rng, rng.randint(1, 3), rng.randint(1, 2))
         assert _profile_upper_bound(m) == naive_profile_bound(m)
-    assert _profile_upper_bound(crossed_example()) == naive_profile_bound(crossed_example()) == 1
+    assert _profile_upper_bound(crossed_example()) == naive_profile_bound(crossed_example()) == [1, 1]
 
 
 def test_slope_filtration_subquotient_rederivation():
@@ -697,3 +700,119 @@ def test_rank_dims_and_pivot_coords_match_parent(monkeypatch):
     assert new == old
     assert sum(isinstance(q[0], dict) for _, q, _, _, _ in new) >= 75
     assert sum(isinstance(c[0], tuple) and len(c) > 1 for *_, c in new) >= 50
+
+
+def _reference_mu_max_mf(m, extra=()):
+    """Reference copy of the earlier mu_max_mf: the best slope over the
+    family, then the span of all its maximizers."""
+    from slopekit.multifilt import _candidate_family, _profile_upper_bound
+
+    best, maximizers = None, []
+    for rows in _candidate_family(m, extra):
+        s = slope_of_subspace(m, rows)
+        if best is None or s > best:
+            best, maximizers = s, [rows]
+        elif s == best:
+            maximizers.append(rows)
+    span = maximizers[0]
+    for rows in maximizers[1:]:
+        span = linalg.sum_row_spaces(span, rows)
+    s_span = slope_of_subspace(m, span)
+    if s_span >= best:
+        best, witness = s_span, span
+    else:
+        witness = max(maximizers, key=len)
+    upper = max(_profile_upper_bound(m))
+    return best, witness, upper, upper == best
+
+
+def _reference_slope_filtration_mf(m):
+    """Reference copy of the earlier slope_filtration_mf: the largest
+    destabilizer of each quotient in turn, every stage certified."""
+    chain, prev, current, lift = [], (), m, linalg.identity(m.dim)
+    while True:
+        _, witness, _, certified = _reference_mu_max_mf(current)
+        if not certified:
+            raise ValueError("uncertified mu_max stage; filtration aborted")
+        wit = linalg.rref(linalg.mat([linalg.matvec(linalg.transpose(lift), r) for r in witness]))[0]
+        prev = linalg.sum_row_spaces(prev, wit) if prev else wit
+        chain.append(prev)
+        if len(prev) == m.dim:
+            return tuple(chain)
+        current, lift = quotient_object(m, prev)
+
+
+def test_polygon_readers_match_parent_reference(monkeypatch):
+    """mu_max_mf and slope_filtration_mf, read off one polygon, give the
+    earlier per-stage results on 330 seeded spaces and tensors: every value,
+    witness, upper bound, flag and chain, and a ValueError exactly where the
+    earlier code raised one.  The closure is capped at 25 members on both
+    sides, which keeps the corpus quick and leaves some of it uncertified."""
+    from slopekit import multifilt
+
+    def kind(f, *args):
+        try:
+            return f(*args)
+        except ValueError:
+            return "ValueError"
+
+    monkeypatch.setattr(multifilt, "_FAMILY_CAP", 25)
+    rng = random.Random(173)
+    uncertified = raised = 0
+    for i in range(330):
+        extra = ()
+        if i % 3 == 0:
+            m = random_mf(rng, rng.randint(1, 4), rng.randint(1, 2))
+        elif i % 3 == 1:
+            m = random_mf(rng, rng.randint(2, 3), 3)
+        else:
+            n_filts = rng.randint(1, 3)
+            m1, m2 = random_mf(rng, 2, n_filts), random_mf(rng, rng.randint(1, 2), n_filts)
+            r1, r2 = mu_max_mf(m1), mu_max_mf(m2)
+            m = tensor_mf(m1, m2)
+            extra = [[tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]]
+        res = mu_max_mf(m, extra)
+        ref = _reference_mu_max_mf(m, extra)
+        assert (res.value, res.witness, res.upper, res.certified) == ref
+        chain = kind(slope_filtration_mf, m)
+        assert chain == kind(_reference_slope_filtration_mf, m)
+        uncertified += not res.certified
+        raised += chain == "ValueError"
+    assert uncertified >= 3 and raised >= 5
+
+
+def test_slope_filtration_bounds_ranks_past_a_vertex_through_its_quotient():
+    """Two tensor-shaped spaces whose relaxation is loose at rank 2 or 3: the
+    polygon of the canopy alone is uncertified, and the bounds through the
+    quotients by its vertex witnesses certify the chain the earlier per-stage
+    code found."""
+    from slopekit.enumeration import upper_hull
+    from slopekit.multifilt import _mf_canopy
+
+    h = F(1, 2)
+    full = linalg.identity(4)
+    cases = [
+        (
+            [
+                [(-2, full), (3, [[0, 1, 0, 0], [0, 0, 0, 1]])],
+                [(-2, full), (0, [[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]),
+                 (1, [[1, 0, -1, 0], [0, 1, 0, -1]]), (3, [[1, -1, -1, 1]])],
+                [(-3, full), (1, [[1, 0, 2, 0], [0, 1, 0, 2]])],
+            ],
+            [[[0, 1, 0, 2]], [[0, 1, 0, 0], [0, 0, 0, 1]], [[1, 0, 2, 0], [0, 1, 0, 0], [0, 0, 0, 1]]],
+        ),
+        (
+            [
+                [(-1, full), (2, [[0, 0, 1, 0], [0, 0, 0, 1]])],
+                [(0, full), (2, [[1, 0, 0, -h], [0, 1, 0, h], [0, 0, 1, 1]]),
+                 (3, [[1, 1, 0, 0], [0, 0, 1, 1]]), (5, [[1, 1, h, h]])],
+                [(-5, full), (-1, [[1, 0, h, 0], [0, 1, 0, 0], [0, 0, 0, 1]]), (3, [[0, 1, 0, h]])],
+            ],
+            [[[0, 1, 0, h]], [[1, 0, h, 0], [0, 1, 0, h]], [[1, 0, h, 0], [0, 1, 0, 0], [0, 0, 0, 1]]],
+        ),
+    ]
+    for steps, chain in cases:
+        m = MultifilteredSpace(4, [Filtration(4, s) for s in steps])
+        assert not upper_hull(_mf_canopy(m, ())).certified
+        expected = tuple(linalg.rref(linalg.mat(rows))[0] for rows in chain) + (full,)
+        assert slope_filtration_mf(m) == expected == _reference_slope_filtration_mf(m)

@@ -146,3 +146,40 @@ def test_factoring_goes_through_public_name(monkeypatch):
         before = len(calls)
         route()
         assert len(calls) > before, name
+
+
+def test_polygon_readers_reach_upper_hull(monkeypatch):
+    """mu_max, slope_filtration, their multifiltered twins and both kinds of
+    inequality_suite read their results off `enumeration.upper_hull`, so a
+    second polygon path cannot come back silently."""
+    en, mf = slopekit.enumeration, slopekit.multifilt
+    calls = []
+    real = en.upper_hull
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "slopekit" or name.startswith("slopekit."):
+            for attr, val in list(vars(module).items()):
+                if val is real:
+                    monkeypatch.setattr(module, attr, counted)
+                    patched += 1
+    assert patched >= 2
+    lat = slopekit.lattice.EuclideanLattice([[5, 2, 1], [2, 6, 2], [1, 2, 7]])
+    a2 = slopekit.lattice.a2_lattice()
+    m = _sample_space(random.Random(5), 3, 2)
+    routes = {
+        "mu_max": lambda: en.mu_max(lat),
+        "slope_filtration": lambda: en.slope_filtration(lat),
+        "mu_max_mf": lambda: mf.mu_max_mf(m),
+        "slope_filtration_mf": lambda: mf.slope_filtration_mf(m),
+        "inequality_suite lattice": lambda: mf.inequality_suite(("lattice", a2, a2)),
+        "inequality_suite multifilt": lambda: mf.inequality_suite(("multifilt", m, m)),
+    }
+    for name, route in routes.items():
+        before = len(calls)
+        route()
+        assert len(calls) > before, f"{name} computed a polygon around upper_hull"
