@@ -14,8 +14,8 @@ length at most a radius B and branches over k-subsets of it:
 - k > 8, where gamma_k is not tabulated: B = 2^(k(k-1)/2) * D / min_sq^(k-1),
   which bounds every vector of an LLL-reduced basis of M.
 
-So the branch-and-bound is complete.  Exceeding a resource cap yields an
-uncertified result, never a silent wrong answer.
+So the branch-and-bound is complete.  Past a resource cap a rank keeps only
+the integrality bound (see `_lattice_canopy`), never a silent wrong answer.
 
 `upper_hull` turns what a slope category knows at each rank into its slope
 polygon; mu_max, the slope filtration and their multifiltered twins are read
@@ -87,8 +87,8 @@ class SlopePolygon:
 class RankBound(NamedTuple):
     """What a slope category knows at one rank k: the greatest degree it found
     among rank-k subobjects, with that subobject as witness (both None if it
-    found none), and an upper bound on every rank-k degree (None if a resource
-    cap stopped the search).  A list of these for k = 1..r is a canopy; its
+    found none), and an upper bound on every rank-k degree (None if none is
+    known).  A list of these for k = 1..r is a canopy; its
     last entry, the whole object, has a lower degree."""
 
     lower: Any
@@ -327,7 +327,7 @@ def _first_independent_subset(pool: Sequence[tuple[int, ...]], k: int):
     rows: list[tuple[int, ...]] = []
     for v in pool:
         cand = rows + [v]
-        if linalg.rank(linalg.mat(cand)) == len(cand):
+        if len(linalg.hnf(cand)) == len(cand):
             rows.append(v)
             if len(rows) == k:
                 return rows
@@ -385,8 +385,7 @@ def densest_sublattice(
         return None
     pool = [v for v, _ in enumerate_short_vectors(lat, b_sq, node_cap).vectors]
     if k == 1:
-        best = Sublattice(lat, [pool[0]]).saturation()
-        return best
+        return Sublattice(lat, [pool[0]])  # a shortest vector is primitive
 
     rows_indep = _first_independent_subset(pool, k)
     if rows_indep is None:
@@ -463,9 +462,9 @@ def densest_sublattice(
                 continue
             if span_is_basis and dm > inc:
                 continue
-            # saturate as linalg.saturation_basis does; the saturation's det is
-            # the span's over [saturation : span]^2, and that index is the
-            # product of the elementary divisors
+            # the first k rows of cinv span the saturation (see
+            # linalg.diagonalize_int); its det is the span's over
+            # [saturation : span]^2, the product of the elementary divisors squared
             diag, cinv = linalg.diagonalize_int([pool[i] for i in path] + [pool[idx]])
             index_sq = math.prod(diag[i][i] for i in range(k)) ** 2
             if dm > inc * index_sq:
@@ -486,8 +485,9 @@ def densest_sublattice(
 
 def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> tuple[Fraction, Sublattice]:
     """Cheap incumbent: best k-subset of an LLL-reduced basis.  A subset of a
-    basis is saturated, and its determinant is a principal minor of the
-    reduced Gram matrix, so only the winner becomes a Sublattice."""
+    basis is saturated, so it needs no saturation, and its determinant is a
+    principal minor of the reduced Gram matrix, so only the winner becomes a
+    Sublattice."""
     from itertools import combinations
 
     reduced, u = lll_reduce(lat)
@@ -498,7 +498,7 @@ def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> tuple[Fraction, Sublatt
         if best is None or d < best[0]:
             best = (d, subset)
     d, subset = best
-    return F(d, scale**k), Sublattice(lat, [u[i] for i in subset]).saturation()
+    return F(d, scale**k), Sublattice(lat, [u[i] for i in subset])
 
 
 def _min_det_rank_k(lat: EuclideanLattice, k: int, node_cap: int) -> tuple[Fraction, Sublattice]:
@@ -525,8 +525,10 @@ def _min_det_rank_k(lat: EuclideanLattice, k: int, node_cap: int) -> tuple[Fract
 
 def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
     """The exact maximal degree -1/2 log d_k(L) of each rank k, which is its
-    own upper bound.  Ranks from the first whose search exceeds the node cap
-    are unknown; the full rank needs no search."""
+    own upper bound; the full rank needs no search.  Ranks from the first
+    whose search exceeds the node cap have no degree and the integrality
+    bound k/2 log L, L the Gram denominator: L * G is integral, so a rank-k
+    Gram has det >= L^-k (0 for an integral lattice)."""
     r = lat.rank
     canopy: list[RankBound] = []
     try:
@@ -535,7 +537,8 @@ def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
             deg = -half_log(det_k)
             canopy.append(RankBound(deg, wit, deg))
     except EnumerationCapExceeded:
-        canopy += [RankBound(None, None, None)] * (r - 1 - len(canopy))
+        half_log_scale = half_log(lat.scaled_gram()[1])
+        canopy += [RankBound(None, None, k * half_log_scale) for k in range(len(canopy) + 1, r)]
     deg = lat.degree()
     canopy.append(RankBound(deg, lat.full_sublattice(), deg))
     return canopy
@@ -575,7 +578,8 @@ def is_semistable(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> bo
 def slope_filtration(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> SlopePolygon:
     """The maximal degree at each rank, their upper convex hull, and the
     canonical chain of saturated witnesses at the hull vertices.  Uncertified
-    when a search exceeds the node cap; the rank-r point is always present."""
+    when a search exceeds the node cap, unless the integrality bound of the
+    capped ranks lies on or below the hull; the rank-r point is always there."""
     poly = upper_hull(_lattice_canopy(lat, node_cap))
     chain = poly.filtration
     if poly.certified and not all(b.contains(a) for a, b in zip(chain, chain[1:])):

@@ -173,7 +173,9 @@ def e8_lattice() -> EuclideanLattice:
 
 
 class Sublattice:
-    """Finite-rank sublattice of an ambient lattice, given by integer basis rows."""
+    """Finite-rank sublattice of an ambient lattice.  `basis` is stored in
+    Hermite normal form, whatever basis it was given, so two sublattices are
+    equal iff their bases are."""
 
     __slots__ = ("ambient", "basis")
 
@@ -183,10 +185,11 @@ class Sublattice:
             raise ValueError("sublattice must be nonzero")
         if any(len(r) != ambient.rank for r in rows):
             raise ValueError("basis width must equal ambient rank")
-        if linalg.rank(linalg.mat(rows)) != len(rows):
+        h = linalg.hnf(rows)
+        if len(h) != len(rows):  # the HNF has one row per rank
             raise ValueError("basis rows must be linearly independent")
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "basis", h)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sublattice is immutable")
@@ -212,25 +215,21 @@ class Sublattice:
         return self.degree() / self.rank
 
     def hnf_basis(self) -> linalg.IntMatrix:
-        return linalg.hnf(self.basis)
+        return self.basis
 
     def saturation(self) -> "Sublattice":
         return Sublattice(self.ambient, linalg.saturation_basis(self.basis, self.ambient.rank))
 
     def is_saturated(self) -> bool:
-        return self.hnf_basis() == self.saturation().hnf_basis()
+        return self.basis == self.saturation().basis
 
     def same_sublattice(self, other: "Sublattice") -> bool:
-        return self.ambient == other.ambient and self.hnf_basis() == other.hnf_basis()
+        return self.ambient == other.ambient and self.basis == other.basis
 
     def contains(self, other: "Sublattice") -> bool:
-        """Integer containment of other's row lattice in self's."""
-        mine = linalg.mat(self.hnf_basis())
-        for row in linalg.mat(other.basis):
-            coeffs = linalg.solve(mine, row)
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                return False
-        return True
+        """Integer containment of other's row lattice in self's: adding other's
+        rows leaves the HNF unchanged."""
+        return linalg.hnf(self.basis + other.basis) == self.basis
 
     def __repr__(self):
         return f"Sublattice(rank={self.rank}, ambient_rank={self.ambient.rank})"

@@ -9,9 +9,11 @@ field whose zero is falsy (`Fraction`, `hermitian.QElt`).  `rref` is their
 one Gauss-Jordan loop, fraction-free for every field: it divides by each
 pivot once, at the end, and on rational input (ints and Fractions) it runs
 on primitive integer rows and returns Fractions.  Every rational
-elimination (`rank`, `kernel`, `intersect_row_spaces`, `sum_row_spaces`,
-`in_row_space`, `solve`, `inverse`, `is_positive_semidefinite`) calls it by
-its module name, the name the benchmark's work budget meters.
+elimination (`rank`, `kernel`, `intersect_and_sum`, `intersect_row_spaces`,
+`sum_row_spaces`, `in_row_space`, `solve`, `inverse`,
+`is_positive_semidefinite`) calls it by its module name, the name the
+benchmark's work budget meters.  `intersect_and_sum` gives a meet and a sum
+of two row spaces from one rref.
 `pivots_field` is the one Gaussian loop, which `det_field` and the hermitian
 positivity test share.  The integer routines (`bareiss`, `det_int`, `hnf`,
 `diagonalize_int`) take ints.  `bareiss` is the one square elimination that
@@ -297,20 +299,22 @@ def kernel(a: Matrix) -> Matrix:
     return tuple(basis)
 
 
-def annihilator(rows: Matrix, ambient_dim: int) -> Matrix:
-    """Basis of {y : row . y = 0 for all rows}; full space if rows empty."""
-    if not rows:
-        return identity(ambient_dim)
-    return kernel(rows)
+def intersect_and_sum(a: Matrix, b: Matrix, ambient_dim: int) -> tuple[Matrix, Matrix]:
+    """(meet, sum) of two row spaces, each as RREF rows, from one rref of
+    [[a, a], [b, 0]] (Zassenhaus), whose rows span the (x + y, x) with x in
+    rowspace(a) and y in rowspace(b).  The RREF rows with a pivot in the left
+    half have left halves forming the RREF of the sum; the others have left
+    half 0, so y = -x, and right halves forming the RREF of the meet."""
+    n = ambient_dim
+    zero = (0,) * n
+    r, pivots = rref(tuple(tuple(row) * 2 for row in a) + tuple(tuple(row) + zero for row in b))
+    k = sum(1 for c in pivots if c < n)
+    return tuple(row[n:] for row in r[k:]), tuple(row[:n] for row in r[:k])
 
 
 def intersect_row_spaces(a: Matrix, b: Matrix, ambient_dim: int) -> Matrix:
     """Basis (rref rows) of rowspace(a) ∩ rowspace(b)."""
-    anns = annihilator(a, ambient_dim) + annihilator(b, ambient_dim)
-    if not anns:
-        return identity(ambient_dim)
-    ker = kernel(anns)
-    return rref(ker)[0] if ker else ()
+    return intersect_and_sum(a, b, ambient_dim)[0]
 
 
 def sum_row_spaces(a: Matrix, b: Matrix) -> Matrix:
@@ -495,23 +499,19 @@ def diagonalize_int(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 
 def saturation_basis(a: IntMatrix, ambient_dim: int) -> IntMatrix:
-    """HNF basis of the saturation of the row lattice of `a` in Z^ambient_dim."""
-    if not a:
-        return ()
-    d, cinv = diagonalize_int(a)
-    k = sum(1 for i in range(min(len(d), ambient_dim)) if d[i][i] != 0)
-    return hnf(tuple(tuple(cinv[i]) for i in range(k)))
+    """HNF basis of the saturation of the row lattice of `a` in Z^ambient_dim,
+    V ∩ Z^n for V its rational span: the integer kernel of its integer kernel,
+    (V^perp)^perp ∩ Z^n."""
+    return int_kernel_saturated(int_kernel_saturated(a, ambient_dim), ambient_dim)
 
 
 def int_kernel_saturated(a: IntMatrix, ambient_dim: int) -> IntMatrix:
-    """HNF basis of the saturated integer kernel {x in Z^n : a @ x^T = 0}."""
-    frac_rows = mat(a) if a else ()
-    if not frac_rows:
-        return hnf(tuple(tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)))
-    ker = kernel(frac_rows)
-    if not ker:
-        return ()
-    # scale each rational kernel row to integers, then saturate
-    int_rows = tuple(tuple(clear_denominators((row,))[0][0]) for row in ker)
-    return saturation_basis(int_rows, ambient_dim)
-
+    """HNF basis of the integer kernel {x in Z^n : a @ x^T = 0}, which is
+    saturated: the right halves of the rows of hnf([a^T | I]) that vanish on
+    a^T (Cohen, A Course in Computational Algebraic Number Theory, 2.4)."""
+    k = len(a)
+    aug = tuple(
+        tuple(row[i] for row in a) + tuple(int(i == j) for j in range(ambient_dim))
+        for i in range(ambient_dim)
+    )
+    return tuple(row[k:] for row in hnf(aug) if not any(row[:k]))

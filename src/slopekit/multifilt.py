@@ -9,12 +9,13 @@ with strictly increasing labels and strictly decreasing subspaces, the lowest
 space being the whole ambient space (left-continuity pins the value at a
 break to the space before the drop).
 
-Subspaces are kept as RREF rows.  Where only a dimension is read it comes
-from one rank, dim(W ∩ S) = dim W + dim S - rank(W + S), and a vector of a
-stored span has its coordinates at the span's pivot columns; intersection
-bases are built only where a basis is used (the candidate closure,
-`subobject`, `nu_witness` and the profile bound's triple intersections).
-All elimination runs through `linalg.rref`."""
+Subspaces are stored as RREF rows, reduced once when made, never again.
+Where only a dimension is read it comes from one rank,
+dim(W ∩ S) = dim W + dim S - rank(W + S), and a vector of a stored span has
+its coordinates at the span's pivot columns; intersection bases are built
+only where a basis is used (the candidate closure, `subobject`, `nu_witness`
+and the profile bound's triple intersections).  All elimination runs through
+`linalg.rref`."""
 
 from __future__ import annotations
 
@@ -300,8 +301,7 @@ def quotient_object(m: MultifilteredSpace, rows) -> tuple[MultifilteredSpace, Ma
     for f in m.filtrations:
         steps = []
         for lam, space in f.steps:
-            imgs = [project(r) for r in space]
-            steps.append((lam, _rref_rows([r for r in imgs if any(r)])))
+            steps.append((lam, [img for img in map(project, space) if any(img)]))
         # image of the lowest step is the whole quotient
         filts.append(Filtration(q_dim, steps))
     return MultifilteredSpace(q_dim, filts), completion
@@ -348,59 +348,28 @@ def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[Fraction, ...]]:
     vector of exactly those weights.  It can lie below both the slope and the
     maximal break-sum over nonzero multigraded pieces: three weight-1 lines
     in Q^2 have slope 3/2 and a piece of break-sum 2, but every line has
-    value at most 1."""
+    value at most 1.
+
+    The witness is a vector of I, the meet of the steps F_f^{>=t_f} for the
+    first break tuple t, in order of decreasing sum, with I nonzero.  A
+    nonzero v of I in some F_f^{>t_f} would make nonzero the meet of the
+    tuple that raises t_f to the next break, whose sum is larger, against the
+    choice of t; so every nonzero vector of I has weights exactly t."""
     if not m.filtrations:
         # every line has break-sum 0, which is the slope
         return F(0), tuple(F(int(i == 0)) for i in range(m.dim))
-    break_lists = [f.breaks() for f in m.filtrations]
     tuples = sorted(
-        itertools.product(*break_lists), key=lambda t: sum(t), reverse=True
+        itertools.product(*(f.breaks() for f in m.filtrations)), key=lambda t: sum(t), reverse=True
     )
     for tup in tuples:
-        inter = None
-        for f, lam in zip(m.filtrations, tup):
-            space = f.space_at(lam)
-            if inter is None:
-                inter = space
-            else:
-                inter = linalg.intersect_row_spaces(inter, space, m.dim)
+        inter = m.filtrations[0].space_at(tup[0])
+        for f, lam in zip(m.filtrations[1:], tup[1:]):
+            inter = linalg.intersect_row_spaces(inter, f.space_at(lam), m.dim)
             if not inter:
                 break
-        if not inter:
-            continue
-        bads = []
-        degenerate = False
-        for f, lam in zip(m.filtrations, tup):
-            above = f.space_above(lam)
-            bad = linalg.intersect_row_spaces(inter, above, m.dim) if above else ()
-            if len(bad) == len(inter):
-                degenerate = True
-                break
-            bads.append(bad)
-        if degenerate:
-            continue  # every vector here has a higher weight; a larger tuple covers it
-        return sum(tup, F(0)), _avoid_subspaces(inter, bads)
+        else:
+            return sum(tup, F(0)), inter[0]
     raise AssertionError("no witness line found")
-
-
-def _avoid_subspaces(span_rows: Matrix, bads: Sequence[Matrix]) -> tuple[Fraction, ...]:
-    """A vector in the span avoiding finitely many proper subspaces."""
-    v = span_rows[0]
-    handled: list[Matrix] = []
-    for bad in bads:
-        if bad and linalg.in_row_space(v, bad):
-            b = next(r for r in span_rows if not linalg.in_row_space(r, bad))
-            t = 1
-            while True:
-                cand = tuple(x + t * y for x, y in zip(v, b))
-                if not any(
-                    w and linalg.in_row_space(cand, w) for w in handled + [bad]
-                ):
-                    v = cand
-                    break
-                t += 1
-        handled.append(bad)
-    return v
 
 
 @dataclass(frozen=True)
@@ -422,11 +391,14 @@ def _candidate_family(m: MultifilteredSpace, extra):
     by this family being complete.  Random subspaces would add nothing: a
     generic k-dimensional one meets each step in the least dimension, so it
     takes the k smallest weights of each filtration and its slope is at most
-    slope(V), and V is a member."""
+    slope(V), and V is a member.
+
+    Members are RREF rows, deduplicated by value.  Stored steps are RREF and
+    never reduced again, nor are the meets and sums, which come as RREF from
+    `linalg.intersect_and_sum`; only the extra candidates are reduced."""
     seen: dict[Matrix, None] = {}
 
     def add(rows):
-        rows = _rref_rows(rows)
         if rows and rows not in seen:
             seen[rows] = None
 
@@ -442,13 +414,14 @@ def _candidate_family(m: MultifilteredSpace, extra):
         current = list(seen)
         new = enumerate(current[start:], start)
         for a, b in ((a, b) for i, a in new for b in current[:start] + current[i + 1:]):
-            add(linalg.intersect_row_spaces(a, b, m.dim))
-            add(linalg.sum_row_spaces(a, b))
+            meet, total = linalg.intersect_and_sum(a, b, m.dim)
+            add(meet)
+            add(total)
             if len(seen) >= _FAMILY_CAP:
                 break
         start = len(current)
     for rows in extra:
-        add(rows)
+        add(_rref_rows(rows))
     return list(seen)
 
 
@@ -609,7 +582,7 @@ def tensor_mf(m1: MultifilteredSpace, m2: MultifilteredSpace) -> MultifilteredSp
                         for r1 in s1:
                             for r2 in s2:
                                 rows.append(tuple(x * y for x in r1 for y in r2))
-            steps.append((s, _rref_rows(rows)))
+            steps.append((s, rows))
         filts.append(Filtration(dim, steps))
     return MultifilteredSpace(dim, filts)
 
@@ -618,13 +591,11 @@ def dual_mf(m: MultifilteredSpace) -> MultifilteredSpace:
     """Breaks negate: F^{>=lam}(dual) = annihilator of F^{>-lam}."""
     filts = []
     for f in m.filtrations:
-        steps = []
-        s = len(f.steps)
-        for i in range(s - 1, -1, -1):
-            lam = f.steps[i][0]
-            above = f.steps[i + 1][1] if i + 1 < s else ()
-            ann = linalg.annihilator(above, m.dim) if above else linalg.identity(m.dim)
-            steps.append((-lam, ann))
+        aboves = [space for _, space in f.steps[1:]] + [()]
+        steps = [
+            (-lam, linalg.kernel(above) if above else linalg.identity(m.dim))
+            for (lam, _), above in zip(f.steps, aboves)
+        ]
         filts.append(Filtration(m.dim, steps))
     return MultifilteredSpace(m.dim, filts)
 

@@ -237,3 +237,59 @@ def test_short_tensor_vectors_give_contracting_morphisms():
         assert t.norm_sq(scaled) <= 1
         f = tensor_vector_to_hom(l1, l2, scaled)
         assert f.norm_le_one()
+
+
+def _reference_contains(s, o):
+    """The earlier `Sublattice.contains`: every row of o solved over Q in the
+    HNF rows of s, with integer coefficients."""
+    mine = linalg.mat(linalg.hnf(s.basis))
+    for row in linalg.mat(o.basis):
+        coeffs = linalg.solve(mine, row)
+        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+            return False
+    return True
+
+
+def _independent_rows(rng, k, n):
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if linalg.rank(linalg.mat(rows)) == k:
+            return rows
+
+
+def test_sublattice_stores_hnf_and_contains_matches_solve():
+    """The stored basis is the HNF of the given rows, and `contains` (the HNF
+    of both bases is the first HNF) agrees with solving over Q, on saturated
+    and unsaturated sublattices, for contained, saturation and random
+    partners."""
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    unsaturated = 0
+    for t in range(400):
+        n = rng.randint(1, 4)
+        lat = random_lattice(rng, n)
+        k = rng.randint(1, n)
+        rows = _independent_rows(rng, k, n)
+        if t % 2:
+            i, c = rng.randrange(k), rng.choice((2, 3))
+            rows[i] = [c * x for x in rows[i]]
+        s = Sublattice(lat, rows)
+        assert s.basis == linalg.hnf(rows) == s.hnf_basis()
+        assert s.same_sublattice(Sublattice(lat, list(reversed(rows))))
+        kind = t % 3
+        if kind == 0:
+            j = rng.randint(1, k)
+            cs = _independent_rows(rng, j, k)
+            other = Sublattice(lat, [[sum(c * r[m] for c, r in zip(row, rows)) for m in range(n)] for row in cs])
+        elif kind == 1:
+            other = s.saturation()
+        else:
+            other = Sublattice(lat, _independent_rows(rng, rng.randint(1, n), n))
+        for a, b in ((s, other), (other, s)):
+            got = a.contains(b)
+            assert got == _reference_contains(a, b)
+            verdicts[got] += 1
+        unsaturated += not s.is_saturated()
+    assert verdicts[True] >= 250 and verdicts[False] >= 150 and unsaturated >= 100
+    with pytest.raises(ValueError, match="independent"):
+        Sublattice(unit_lattice(2), [[1, 2], [2, 4]])

@@ -521,3 +521,105 @@ def _reference_alternating_map_matrix(n, p):
 @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 6) for p in range(1, min(n, 4) + 1)])
 def test_alternating_map_matrix_matches_cycle_signs(n, p):
     assert linalg.alternating_map_matrix(n, p) == _reference_alternating_map_matrix(n, p)
+
+
+def _reference_kernel(a, cols):
+    r, pivots = _reference_rref(a)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _reference_meet(a, b, n):
+    """The earlier `intersect_row_spaces`: the kernel of the stacked
+    annihilators, each annihilator itself a kernel."""
+    ident = linalg.identity(n)
+    anns = (_reference_kernel(a, n) if a else ident) + (_reference_kernel(b, n) if b else ident)
+    if not anns:
+        return ident
+    ker = _reference_kernel(anns, n)
+    return _reference_rref(ker)[0] if ker else ()
+
+
+def test_intersect_and_sum_matches_annihilator_meet_and_stacked_rref():
+    """One Zassenhaus rref gives the meet of the annihilator route and the
+    rref of the stacked rows, on random, empty, zero-meet, full and nested
+    pairs."""
+    rng = random.Random(520)
+    kinds = {"random": 0, "empty": 0, "zero-meet": 0, "full": 0, "nested": 0}
+    for t in range(600):
+        n = rng.randint(1, 6)
+        kind = list(kinds)[t % len(kinds)]
+        ka = rng.randint(0, n + 1)
+        a = _frac_rows(rng, ka, n, rng.randint(0, min(ka, n)))
+        if kind == "random":
+            kb = rng.randint(1, n + 1)
+            b = _frac_rows(rng, kb, n, rng.randint(1, min(kb, n)))
+        elif kind == "empty":
+            a, b = rng.choice([(a, ()), ((), a), ((), ())])
+        elif kind == "zero-meet":
+            basis = _frac_rows(rng, n, n, n)
+            while len(_reference_rref(basis)[0]) < n:
+                basis = _frac_rows(rng, n, n, n)
+            cut = rng.randint(0, n)
+            a, b = basis[:cut], basis[cut:]
+        elif kind == "full":
+            b = _frac_rows(rng, n + 1, n, n)
+        else:
+            b = tuple(
+                tuple(sum((rng.randint(-2, 2) * r[j] for r in a), F(0)) for j in range(n))
+                for _ in range(rng.randint(1, 3))
+            ) if a else ()
+            a, b = rng.choice([(a, b), (b, a)])
+        meet, total = linalg.intersect_and_sum(a, b, n)
+        assert meet == _reference_meet(a, b, n), (a, b)
+        assert total == _reference_rref(a + b)[0], (a, b)
+        assert linalg.intersect_row_spaces(a, b, n) == meet
+        assert len(meet) + len(total) == len(_reference_rref(a)[0]) + len(_reference_rref(b)[0])
+        if kind == "zero-meet":
+            assert meet == () and len(total) == len(_reference_rref(a + b)[0])
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 100
+
+
+def _reference_int_kernel_saturated(a, n):
+    """The earlier `int_kernel_saturated`: the Fraction kernel, each row
+    scaled to integers, then saturated."""
+    if not a:
+        return linalg.hnf(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    ker = _reference_kernel(linalg.mat(a), n)
+    if not ker:
+        return ()
+    int_rows = tuple(tuple(linalg.clear_denominators((row,))[0][0]) for row in ker)
+    return linalg.saturation_basis(int_rows, n)
+
+
+def test_int_kernel_saturated_matches_fraction_kernel():
+    """The HNF of [a^T | I] gives the earlier saturated kernel, also for no
+    rows, dependent rows and full rank; every result is saturated and killed
+    by a."""
+    rng = random.Random(301)
+    empty = full = 0
+    for t in range(360):
+        n = rng.randint(1, 6)
+        k = 0 if t % 12 == 0 else rng.randint(1, n + 1)
+        rank = min(k, n) if t % 4 == 1 else rng.randint(0, min(k, n))
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rank)]
+        for _ in range(k - rank):
+            cs = [rng.randint(-2, 2) for _ in range(rank)]
+            rows.append([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)])
+        rng.shuffle(rows)
+        a = tuple(map(tuple, rows))
+        got = linalg.int_kernel_saturated(a, n)
+        assert got == _reference_int_kernel_saturated(a, n), a
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a for v in got)
+        if got:
+            assert linalg.saturation_basis(got, n) == got
+        empty += k == 0
+        full += not got
+    assert empty >= 25 and full >= 50

@@ -816,3 +816,83 @@ def test_slope_filtration_bounds_ranks_past_a_vertex_through_its_quotient():
         assert not upper_hull(_mf_canopy(m, ())).certified
         expected = tuple(linalg.rref(linalg.mat(rows))[0] for rows in chain) + (full,)
         assert slope_filtration_mf(m) == expected == _reference_slope_filtration_mf(m)
+
+
+def _parent_meet(a, b, n):
+    """The earlier `linalg.intersect_row_spaces`: the kernel of the stacked
+    annihilators."""
+    ident = linalg.identity(n)
+    anns = (linalg.kernel(a) if a else ident) + (linalg.kernel(b) if b else ident)
+    if not anns:
+        return ident
+    ker = linalg.kernel(anns)
+    return linalg.rref(ker)[0] if ker else ()
+
+
+def _parent_avoid_subspaces(span_rows, bads):
+    v = span_rows[0]
+    handled = []
+    for bad in bads:
+        if bad and linalg.in_row_space(v, bad):
+            b = next(r for r in span_rows if not linalg.in_row_space(r, bad))
+            t = 1
+            while True:
+                cand = tuple(x + t * y for x, y in zip(v, b))
+                if not any(w and linalg.in_row_space(cand, w) for w in handled + [bad]):
+                    v = cand
+                    break
+                t += 1
+        handled.append(bad)
+    return v
+
+
+def _parent_nu_witness(m):
+    """Reference copy of the earlier `nu_witness`, with its avoidance of the
+    steps above the chosen breaks."""
+    if not m.filtrations:
+        return F(0), tuple(F(int(i == 0)) for i in range(m.dim))
+    tuples = sorted(
+        itertools.product(*[f.breaks() for f in m.filtrations]), key=lambda t: sum(t), reverse=True
+    )
+    for tup in tuples:
+        inter = None
+        for f, lam in zip(m.filtrations, tup):
+            space = f.space_at(lam)
+            inter = space if inter is None else _parent_meet(inter, space, m.dim)
+            if not inter:
+                break
+        if not inter:
+            continue
+        bads = []
+        degenerate = False
+        for f, lam in zip(m.filtrations, tup):
+            above = f.space_above(lam)
+            bad = _parent_meet(inter, above, m.dim) if above else ()
+            if len(bad) == len(inter):
+                degenerate = True
+                break
+            bads.append(bad)
+        if degenerate:
+            continue
+        return sum(tup, F(0)), _parent_avoid_subspaces(inter, bads)
+    raise AssertionError("no witness line found")
+
+
+def test_nu_witness_matches_parent_avoidance():
+    """Without the avoidance of the steps above the chosen breaks, nu_witness
+    returns the earlier value and line on 360 spaces, tensors and duals: the
+    first break tuple with a nonzero meet meets none of those steps."""
+    rng = random.Random(181)
+    spaces = [MultifilteredSpace(3, [])]
+    for i in range(360):
+        if i % 4 == 3:
+            n_filts = rng.randint(1, 3)
+            m1, m2 = random_mf(rng, 2, n_filts), random_mf(rng, rng.randint(1, 3), n_filts)
+            spaces.append(tensor_mf(m1, m2))
+        else:
+            m = random_mf(rng, rng.randint(1, 4), rng.randint(1, 4), break_bound=rng.choice((1, 3)))
+            spaces.append(dual_mf(m) if i % 4 == 2 else m)
+    for m in spaces:
+        val, line = nu_witness(m)
+        assert (val, line) == _parent_nu_witness(m)
+        assert slope_of_subspace(m, (line,)) == val

@@ -111,6 +111,7 @@ def test_linalg_eliminates_through_rref(monkeypatch):
     routes = {
         "rank": lambda: linalg.rank(a),
         "kernel": lambda: linalg.kernel(a),
+        "intersect_and_sum": lambda: linalg.intersect_and_sum(a, b, 3),
         "intersect_row_spaces": lambda: linalg.intersect_row_spaces(a, b, 3),
         "sum_row_spaces": lambda: linalg.sum_row_spaces(a, b),
         "in_row_space": lambda: linalg.in_row_space(b[0], a),
@@ -122,6 +123,33 @@ def test_linalg_eliminates_through_rref(monkeypatch):
         before = len(calls)
         route()
         assert len(calls) > before, f"linalg.{name} eliminated around rref"
+
+
+def test_candidate_family_reduces_only_pairs_and_extras(monkeypatch):
+    """Stored subspaces are RREF and never reduced again: the closure makes
+    one `rref` per pair, inside `intersect_and_sum`, and one per non-empty
+    extra candidate."""
+    linalg, mf = slopekit.linalg, slopekit.multifilt
+    counts = {"rref": 0, "intersect_and_sum": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    m1 = _sample_space(random.Random(6), 3, 3)
+    m2 = _sample_space(random.Random(106), 2, 3)
+    t = mf.tensor_mf(m1, m2)
+    r1, r2 = mf.mu_max_mf(m1), mf.mu_max_mf(m2)
+    products = [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
+    extras = [products, [], [[1] + [0] * (t.dim - 1)]]
+    for name in counts:
+        monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
+    family = mf._candidate_family(t, extras)
+    assert counts["intersect_and_sum"] >= 100 and len(family) >= 40
+    assert counts["rref"] == counts["intersect_and_sum"] + 2
 
 
 def test_factoring_goes_through_public_name(monkeypatch):
