@@ -87,9 +87,9 @@ class SlopePolygon:
 class RankBound(NamedTuple):
     """What a slope category knows at one rank k: the greatest degree it found
     among rank-k subobjects, with that subobject as witness (both None if it
-    found none), and an upper bound on every rank-k degree (None if none is
-    known).  A list of these for k = 1..r is a canopy; its
-    last entry, the whole object, has a lower degree."""
+    found none), and an upper bound on every rank-k degree.  A list of these
+    for k = 1..r is a canopy; its last entry, the whole object, has a lower
+    degree."""
 
     lower: Any
     witness: Any
@@ -135,9 +135,7 @@ def upper_hull(canopy: Sequence[RankBound], edges: Optional[int] = None) -> Slop
 
     certified = True
     for k, b in enumerate(canopy, 1):
-        if b.upper is None:
-            certified = False
-        elif b.upper != b.lower:
+        if b.upper != b.lower:
             if b.lower is not None and b.upper < b.lower:
                 raise AssertionError(f"rank-{k} upper bound fell below an exact degree")
             certified = certified and not above_hull(k, b.upper)
@@ -462,14 +460,12 @@ def densest_sublattice(
                 continue
             if span_is_basis and dm > inc:
                 continue
-            # the first k rows of cinv span the saturation (see
-            # linalg.diagonalize_int); its det is the span's over
-            # [saturation : span]^2, the product of the elementary divisors squared
-            diag, cinv = linalg.diagonalize_int([pool[i] for i in path] + [pool[idx]])
-            index_sq = math.prod(diag[i][i] for i in range(k)) ** 2
+            # the saturation's det is the span's over [saturation : span]^2
+            index, rows = linalg.saturate([pool[i] for i in path] + [pool[idx]])
+            index_sq = index**2
             if dm > inc * index_sq:
                 continue
-            sat = linalg.hnf(cinv[:k])
+            sat = linalg.hnf(rows)
             if dm < inc * index_sq:
                 inc, ties = dm // index_sq, {sat}
                 limit = level_limit(m, prod)
@@ -528,16 +524,23 @@ def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
     own upper bound; the full rank needs no search.  Ranks from the first
     whose search exceeds the node cap have no degree and the integrality
     bound k/2 log L, L the Gram denominator: L * G is integral, so a rank-k
-    Gram has det >= L^-k (0 for an integral lattice)."""
+    Gram has det >= L^-k (0 for an integral lattice).  If det(L * G) = 1 no
+    rank is searched: det G = L^-r puts every rank's bound on the line from
+    the origin to the rank-r point, so the lattice is semistable.  That covers
+    the unimodular lattices (L = 1) and their rational rescalings."""
     r = lat.rank
+    scale = lat.scaled_gram()[1]
+    searched = r if lat.det() * scale**r != 1 else 1
     canopy: list[RankBound] = []
     try:
-        for k in range(1, r):
+        for k in range(1, searched):
             det_k, wit = _min_det_rank_k(lat, k, node_cap)
             deg = -half_log(det_k)
             canopy.append(RankBound(deg, wit, deg))
     except EnumerationCapExceeded:
-        half_log_scale = half_log(lat.scaled_gram()[1])
+        pass
+    if len(canopy) < r - 1:
+        half_log_scale = half_log(scale)
         canopy += [RankBound(None, None, k * half_log_scale) for k in range(len(canopy) + 1, r)]
     deg = lat.degree()
     canopy.append(RankBound(deg, lat.full_sublattice(), deg))
@@ -547,11 +550,7 @@ def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
 def mu_max(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> CertifiedMuMax:
     """Certified supremum of slopes over nonzero sublattices: the first edge
     of the slope polygon, whose witness is the largest sublattice of maximal
-    slope.  A unimodular lattice is semistable without a search: every
-    sublattice of an integral lattice has an integral Gram matrix, so
-    det >= 1 and slope <= 0, the slope of the whole lattice."""
-    if lat.is_unimodular():
-        return CertifiedMuMax(value=LogRational(0), witness=lat.full_sublattice(), certified=True)
+    slope."""
     poly = upper_hull(_lattice_canopy(lat, node_cap), edges=1)
     (_, (k, deg)) = poly.hull
     value = deg / k

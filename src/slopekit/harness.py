@@ -95,9 +95,9 @@ def read_flat_toml(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # Random instance generators (deterministic in the rng state).
 
-def random_lattice(rng: random.Random, rank: int, entry_bound: int = 2, retries: int = 1000) -> EuclideanLattice:
-    """Gram = B*B^T for a random invertible integer matrix B."""
-    for _ in range(retries):
+def random_lattice(rng: random.Random, rank: int, entry_bound: int = 2) -> EuclideanLattice:
+    """Gram = B*B^T for a random invertible integer matrix B (1000 draws)."""
+    for _ in range(1000):
         b = [[rng.randint(-entry_bound, entry_bound) for _ in range(rank)] for _ in range(rank)]
         if linalg.det_bareiss(linalg.mat(b)) != 0:
             gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in b] for r1 in b]
@@ -105,10 +105,10 @@ def random_lattice(rng: random.Random, rank: int, entry_bound: int = 2, retries:
     raise RuntimeError("failed to draw an invertible matrix")
 
 
-def random_unimodular_lattice(rng: random.Random, rank: int, ops: int = 8) -> EuclideanLattice:
-    """Gram = U*U^T for a random unimodular U built from elementary row ops."""
+def random_unimodular_lattice(rng: random.Random, rank: int) -> EuclideanLattice:
+    """Gram = U*U^T for a random unimodular U built from 8 elementary row ops."""
     u = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for _ in range(ops):
+    for _ in range(8):
         i, j = rng.sample(range(rank), 2) if rank > 1 else (0, 0)
         if i == j:
             continue
@@ -118,17 +118,15 @@ def random_unimodular_lattice(rng: random.Random, rank: int, ops: int = 8) -> Eu
     return EuclideanLattice(gram)
 
 
-def random_multifiltered(
-    rng: random.Random, dim: int, n_filts: int, max_breaks: int = 3, break_bound: int = 3
-) -> MultifilteredSpace:
+def random_multifiltered(rng: random.Random, dim: int, n_filts: int) -> MultifilteredSpace:
     filts = []
     for _ in range(n_filts):
         while True:
             b = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
             if linalg.rank(linalg.mat(b)) == dim:
                 break
-        n_steps = rng.randint(1, min(max_breaks, dim))
-        breaks = sorted(rng.sample(range(-break_bound, break_bound + 1), n_steps))
+        n_steps = rng.randint(1, min(3, dim))
+        breaks = sorted(rng.sample(range(-3, 4), n_steps))
         sizes = [dim]
         if n_steps > 1:
             sizes += sorted(rng.sample(range(1, dim), n_steps - 1), reverse=True)
@@ -397,8 +395,9 @@ def polygon_csv(poly: SlopePolygon) -> str:
     return "\n".join(lines)
 
 
-def polygon_svg(poly: SlopePolygon, width: int = 480, height: int = 360) -> str:
+def polygon_svg(poly: SlopePolygon) -> str:
     """Rank vs degree plot of the polygon points with the hull highlighted."""
+    width, height = 480, 360
     pts = [(0, 0.0)] + [(k, d.float_approx()) for k, d in poly.points]
     hull = [(k, d.float_approx()) for k, d in poly.hull]
     xs = [p[0] for p in pts]

@@ -598,12 +598,12 @@ def q7_gram() -> HermitianLattice:
     )
 
 
-def q7_checks(twist_log_arg: Rat = F(9, 5)) -> Report:
+def q7_checks() -> Report:
     """Rank-3 unimodular lattice over Q(sqrt(-7)): unimodularity, the identity
     tensor vector, the negative-degree quotient line of the twisted square,
     and the orthogonal frames whose norms involve sqrt(2)."""
     rep = Report(name="q7")
-    c_exp = F(twist_log_arg)  # lambda = log(c_exp); twisted Gram multiplier e^lambda
+    c_exp = F(9, 5)  # lambda = log(c_exp); twisted Gram multiplier e^lambda
     lat = q7_gram()
     k = lat.field
     w = k.omega

@@ -218,10 +218,10 @@ class Sublattice:
         return self.basis
 
     def saturation(self) -> "Sublattice":
-        return Sublattice(self.ambient, linalg.saturation_basis(self.basis, self.ambient.rank))
+        return Sublattice(self.ambient, linalg.saturate(self.basis)[1])
 
     def is_saturated(self) -> bool:
-        return self.basis == self.saturation().basis
+        return linalg.saturate(self.basis)[0] == 1
 
     def same_sublattice(self, other: "Sublattice") -> bool:
         return self.ambient == other.ambient and self.basis == other.basis

@@ -16,11 +16,14 @@ benchmark's work budget meters.  `intersect_and_sum` gives a meet and a sum
 of two row spaces from one rref.
 `pivots_field` is the one Gaussian loop, which `det_field` and the hermitian
 positivity test share.  The integer routines (`bareiss`, `det_int`, `hnf`,
-`diagonalize_int`) take ints.  `bareiss` is the one square elimination that
-keeps its multipliers: `det_int` and `det_bareiss` (rational, on integers
-after clearing denominators) read the determinant from it, and
-`lattice`, `enumeration` and `is_positive_semidefinite` read leading minors
-and integral Gram-Schmidt data from it for positivity, LLL and Fincke-Pohst.
+`saturate`, `int_kernel_saturated`) take ints.  `bareiss` is the one square
+elimination that keeps its multipliers: `det_int` and `det_bareiss`
+(rational, on integers after clearing denominators) read the determinant
+from it, and `lattice`, `enumeration` and `is_positive_semidefinite` read
+leading minors and integral Gram-Schmidt data from it for positivity, LLL
+and Fincke-Pohst.  `hnf` is the one row echelon over the integers (bases,
+containment, independence, integer kernels); `saturate` is the one column
+echelon, which gives a saturation and the index in it.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def matvec(a: Matrix, v: Sequence) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
@@ -432,77 +431,34 @@ def hnf(a: IntMatrix) -> IntMatrix:
     return tuple(out)
 
 
-def diagonalize_int(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Return (D, Cinv) with D = R @ a @ C diagonal and R, C unimodular.
-
-    No divisibility chain is enforced (plain diagonal form suffices here).
-    The rational row space of `a` is the span of the first rank(D) rows of
-    Cinv, whose integer span is the saturation of the row lattice.
-    """
+def saturate(a: IntMatrix) -> tuple[int, IntMatrix]:
+    """(index, basis) for independent integer rows a (k x n): a basis of the
+    saturation V ∩ Z^n of their row lattice, V the rational span, and the
+    index of a's lattice in it.  Column operations only: for t = 0..k-1 gcd
+    steps swap the least nonzero entry of row t into column t and subtract
+    multiples of column t until the row is zero right of column t.  They
+    leave the rows above alone, so a @ C = [T | 0], T lower triangular and C
+    unimodular.  Each step's inverse goes to C^-1, from the identity (a column
+    swap swaps rows; col_j -= q * col_t is row_t += q * row_j), so
+    a = T @ C^-1[:k].  The rows of C^-1 are a basis of Z^n, so its first k
+    span a saturated lattice with the rational span of a, since T is
+    invertible: the saturation, in which a's lattice has index |det T|."""
     m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    cinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def col_op_sub(j: int, i: int, q: int):
-        # col_j -= q*col_i on m  <=>  row_i += q*row_j on cinv
-        for row in m:
-            row[j] -= q * row[i]
-        cinv[i] = [x + q * y for x, y in zip(cinv[i], cinv[j])]
-
-    def col_swap(i: int, j: int):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        cinv[i], cinv[j] = cinv[j], cinv[i]
-
-    def col_neg(i: int):
-        for row in m:
-            row[i] = -row[i]
-        cinv[i] = [-x for x in cinv[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        piv = next(
-            ((i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j] != 0),
-            None,
-        )
-        if piv is None:
-            break
-        m[t], m[piv[0]] = m[piv[0]], m[t]
-        if piv[1] != t:
-            col_swap(t, piv[1])
-        while True:
-            col_done = True
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        col_done = False
-            if not col_done:
-                continue
-            row_done = True
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = m[t][j] // m[t][t]
-                    col_op_sub(j, t, q)
-                    if m[t][j] != 0:
-                        col_swap(t, j)
-                        row_done = False
-            if row_done and all(m[i][t] == 0 for i in range(t + 1, rows)):
-                break
-        if m[t][t] < 0:
-            col_neg(t)
-        t += 1
-    return tuple(tuple(row) for row in m), tuple(tuple(row) for row in cinv)
-
-
-def saturation_basis(a: IntMatrix, ambient_dim: int) -> IntMatrix:
-    """HNF basis of the saturation of the row lattice of `a` in Z^ambient_dim,
-    V ∩ Z^n for V its rational span: the integer kernel of its integer kernel,
-    (V^perp)^perp ∩ Z^n."""
-    return int_kernel_saturated(int_kernel_saturated(a, ambient_dim), ambient_dim)
+    k, n = len(m), len(m[0])
+    cinv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(k):
+        row, below = m[t], m[t:]
+        while any(row[t + 1:]):
+            p = min((j for j in range(t, n) if row[j]), key=lambda j: abs(row[j]))
+            for r in below:
+                r[t], r[p] = r[p], r[t]
+            cinv[t], cinv[p] = cinv[p], cinv[t]
+            for j in range(t + 1, n):
+                if q := row[j] // row[t]:
+                    for r in below:
+                        r[j] -= q * r[t]
+                    cinv[t] = [x + q * y for x, y in zip(cinv[t], cinv[j])]
+    return abs(math.prod(m[t][t] for t in range(k))), tuple(map(tuple, cinv[:k]))
 
 
 def int_kernel_saturated(a: IntMatrix, ambient_dim: int) -> IntMatrix:

@@ -429,7 +429,13 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
     """For each k = 1..dim, the max over dimension-profile relaxations of the
     induced slope of a k-dimensional subspace: per filtration the
     intersection dimensions are bounded monotone sequences, coupled across
-    filtrations by exact ambient intersection dimensions."""
+    filtrations by exact ambient intersection dimensions.
+
+    A k-dimensional W meets the steps F_0 = V > F_1 > ... of a filtration in
+    the profile d_i = dim(W ∩ F_i), and that filtration adds
+    sum_i lam_i (d_i - d_(i+1)) to deg W (d = 0 past the last step), as in
+    `slope_of_subspace`.  Every constraint below holds for the true profiles,
+    so the best feasible choice bounds deg W and best_k its slope."""
     n = m.n_filtrations
     steps = [f.steps for f in m.filtrations]
     # pairwise (and for n >= 3, triple) ambient intersection dims
@@ -466,6 +472,8 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
                         contrib += brks[t] * (acc[t] - nxt)
                     profs.append((contrib, tuple(acc)))
                     return
+                # d_0 = k (F_0 = V); W ∩ F_i lies in W ∩ F_(i-1) and in F_i,
+                # and (W ∩ F_(i-1)) / (W ∩ F_i) embeds in F_(i-1) / F_i
                 lo = max(0, prev - (adims[i - 1] - adims[i])) if i > 0 else k
                 hi = min(prev, adims[i], k) if i > 0 else k
                 for d in range(hi, lo - 1, -1):
@@ -483,6 +491,9 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
             suffix_max[v] = suffix_max[v + 1] + per_v[v][0][0]
 
         def feasible(chosen, v, prof):
+            # subspaces of W of dims d, e meet in dim >= d + e - k, so
+            # d + e - k <= dim(F ∩ G) for W ∩ F and W ∩ G; meeting that with
+            # W ∩ H gives d + e + g - 2k <= dim(F ∩ G ∩ H)
             for w in range(v):
                 other = chosen[w]
                 for i, d in enumerate(prof):
@@ -507,6 +518,8 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
                     best_k = total / k
                 return
             for contrib, prof in per_v[v]:
+                # profiles come by decreasing contrib and suffix_max bounds
+                # the later filtrations' share: no later profile beats best_k
                 if best_k is not None and total + contrib + suffix_max[v + 1] <= best_k * k:
                     break
                 if feasible(chosen, v, prof):

@@ -26,7 +26,7 @@ from slopekit.lattice import (
     e8_lattice,
     unit_lattice,
 )
-from test_linalg import _gso
+from test_linalg import _gso, _reference_diagonalize_int
 
 F = Fraction
 
@@ -183,11 +183,22 @@ def test_mu_max_unimodular_fast_path():
     assert res.certified and res.value == LogRational(0)
     assert res.witness.rank == 8
     assert is_semistable(e8_lattice())
+    assert mu_min(e8_lattice()) == LogRational(0)
+    poly = slope_filtration(e8_lattice())
+    assert poly.certified and poly.points == ((8, LogRational(0)),)
+    assert poly.hull == ((0, LogRational(0)), (8, LogRational(0)))
+    assert [s.hnf_basis() for s in poly.filtration] == [linalg.int_mat(linalg.identity(8))]
 
 
 def test_fast_path_matches_search():
+    """Lattices with det(L * G) = 1, L the Gram denominator, are certified
+    without a search; their hull and chain are those of a searching
+    reference, and their polygon has the rank-r point alone."""
+    from slopekit.enumeration import DEFAULT_NODE_CAP
+
     rng = random.Random(47)
-    # random unimodular lattices: U U^T for unimodular U
+    checked = 0
+    # random unimodular lattices: U U^T for unimodular U, and rescalings
     for _ in range(5):
         u = linalg.identity(3)
         for _ in range(6):
@@ -198,14 +209,21 @@ def test_fast_path_matches_search():
                 for a in range(3)
             )
         gram = linalg.matmul(u, linalg.transpose(u))
-        lat = EuclideanLattice(gram)
-        assert lat.is_unimodular()
-        fast = mu_max(lat)
-        poly = slope_filtration(lat)  # runs the search at every rank
-        assert fast.certified and poly.certified
-        assert fast.value == poly.quotient_slopes()[0] == LogRational(0)
-        assert len(poly.filtration) == 1
-        assert fast.witness.hnf_basis() == poly.filtration[0].hnf_basis() == linalg.int_mat(linalg.identity(3))
+        unimodular = EuclideanLattice(gram)
+        assert unimodular.is_unimodular()
+        for lat in (unimodular, unimodular.scale(F(1, 2)), unimodular.scale(F(1, 3))):
+            assert linalg.det_int(lat.scaled_gram()[0]) == 1
+            fast = mu_max(lat)
+            poly = slope_filtration(lat)
+            _, hull, chain, cert = _reference_slope_filtration(lat, DEFAULT_NODE_CAP)
+            assert cert and fast.certified and poly.certified
+            assert poly.hull == hull and tuple(s.hnf_basis() for s in poly.filtration) == chain
+            assert poly.points == ((3, lat.degree()),)
+            assert fast.value == poly.quotient_slopes()[0] == lat.slope()
+            assert len(poly.filtration) == 1
+            assert fast.witness.hnf_basis() == chain[0] == linalg.int_mat(linalg.identity(3))
+            checked += 1
+    assert checked == 15
 
 
 def test_mu_max_a2_twisted_stable():
@@ -527,7 +545,8 @@ def _brute_force_densest(lat, k, det_bound):
         if best is None or d < best:
             best, ties = d, set()
         if d == best:
-            ties.add(linalg.saturation_basis(rows, r))
+            # the saturation: the integer kernel of the integer kernel
+            ties.add(linalg.int_kernel_saturated(linalg.int_kernel_saturated(rows, r), r))
     return best, min(ties)
 
 
@@ -676,7 +695,7 @@ def _reference_densest(lat, k, det_budget, node_cap):
                 continue
             if span_is_basis and F(d, scale**k) > incumbent_det:
                 continue
-            diag, cinv = linalg.diagonalize_int([pool[i] for i in cand])
+            diag, cinv = _reference_diagonalize_int([pool[i] for i in cand])
             index = 1
             for i in range(k):
                 index *= diag[i][i]
@@ -767,7 +786,7 @@ def _brute_force_hull(points, r):
 
 def test_upper_hull_matches_brute_force(monkeypatch):
     """Vertices, witnesses and both certification rules of `upper_hull` on 400
-    random canopies with collinear ties, missing ranks and open bounds, over
+    random canopies with collinear ties and missing ranks, over
     Fractions and over LogRationals (y -> y*log 2); an exact LogRational
     canopy costs one sign() per comparison of the first edge and no more."""
     from slopekit.enumeration import RankBound, upper_hull
@@ -784,27 +803,21 @@ def test_upper_hull_matches_brute_force(monkeypatch):
         canopy, points = [], {}
         for k in range(1, r + 1):
             lower = None
-            if k == r or rng.random() < 0.8:
+            if k == r or all_exact or rng.random() < 0.8:
                 lower = k * c if rng.random() < 0.4 else F(rng.randint(-6, 6), rng.choice((1, 2)))
                 points[k] = lower
             roll = rng.random()
-            if all_exact:
-                upper = lower
-            elif roll < 0.1:
-                upper = None
-            elif roll < 0.4 and lower is not None:
+            if all_exact or (roll < 0.4 and lower is not None):
                 upper = lower
             else:
                 upper = (lower if lower is not None else F(-6)) + F(rng.randint(0, 8), rng.choice((1, 2, 3)))
             canopy.append(RankBound(lower, ("w", k), upper))
         vertices, height = _brute_force_hull(points, r)
         ties += any(k not in vertices and points[k] == height[k] for k in points)
-        certified = all(b.upper is not None and b.upper <= height[k] for k, b in enumerate(canopy, 1))
+        certified = all(b.upper <= height[k] for k, b in enumerate(canopy, 1))
         mu = max(y / k for k, y in points.items())
         k1 = max(k for k, y in points.items() if y / k == mu)
-        first_certified = all(
-            b.upper is not None and b.upper <= k * mu for k, b in enumerate(canopy, 1)
-        )
+        first_certified = all(b.upper <= k * mu for k, b in enumerate(canopy, 1))
         log2 = [
             RankBound(*(None if x is None else LogRational(0, {2: x}) for x in (b.lower, None, b.upper)))
             ._replace(witness=b.witness)
@@ -881,11 +894,13 @@ def test_polygon_readers_match_parent_reference():
     result was uncertified, the integrality bound on the capped ranks may
     certify a result, which must then be the earlier one at the default cap
     (for the polygon: its hull and chain, with the points found a subset of
-    its points)."""
+    its points).  A lattice with det(L * G) = 1, L the Gram denominator, is
+    searched at no rank: its polygon has the rank-r point alone, and the hull
+    and chain of the earlier result at the default cap."""
     from slopekit.enumeration import DEFAULT_NODE_CAP
 
     rng = random.Random(157)
-    certified_polygons = uncertified = 0
+    certified_polygons = uncertified = unsearched = 0
     for t in range(300):
         r = 1 + t % 4
         lat = _random_rational_lattice(rng, r) if t % 3 else random_lattice(rng, r)
@@ -903,7 +918,12 @@ def test_polygon_readers_match_parent_reference():
         points, hull, chain, cert = _reference_slope_filtration(lat, cap)
         poly = slope_filtration(lat, cap)
         got = (poly.points, poly.hull, tuple(s.hnf_basis() for s in poly.filtration), poly.certified)
-        if cert:
+        if linalg.det_int(lat.scaled_gram()[0]) == 1:
+            # searched at no rank: the rank-r point alone, and the reference hull
+            points, hull, chain, cert = _reference_slope_filtration(lat, DEFAULT_NODE_CAP)
+            assert got == (((r, lat.degree()),), hull, chain, True) and cert
+            unsearched += 1
+        elif cert:
             assert got == (points, hull, chain, cert)
             certified_polygons += 1
         elif poly.certified:
@@ -914,4 +934,4 @@ def test_polygon_readers_match_parent_reference():
             assert poly.points == points + ((r, lat.degree()),)
             assert poly.hull[-1] == (r, lat.degree())
             uncertified += 1
-    assert certified_polygons >= 150 and uncertified >= 30
+    assert certified_polygons >= 150 and uncertified >= 30 and unsearched >= 5

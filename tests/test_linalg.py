@@ -5,9 +5,13 @@ routines the old `Fraction` Gauss-Jordan loop of `linalg.rref`, the old
 `bareiss` the old `det_int`, `enumeration._gso`,
 `linalg.leading_principal_minors`, the `linalg.minor_det` exterior Gram and
 the cycle-counting sign of `alternating_map_matrix`, and the pivoted loop
-of `is_positive_semidefinite`.
-`test_enumeration` imports `_gso` from here."""
+of `is_positive_semidefinite`; for `saturate` the old Smith-style
+`diagonalize_int`, the gcd of the maximal minors and the double integer
+kernel.
+`test_enumeration` imports `_gso` and `_reference_diagonalize_int` from
+here."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -587,6 +591,78 @@ def test_intersect_and_sum_matches_annihilator_meet_and_stacked_rref():
     assert min(kinds.values()) >= 100
 
 
+def _reference_diagonalize_int(a):
+    """The earlier `linalg.diagonalize_int`: (D, Cinv) with D = R @ a @ C
+    diagonal and R, C unimodular, by row and column gcd sweeps.  The first
+    rank(D) rows of Cinv span the saturation of the row lattice of a, in
+    which a's lattice has index the product of the nonzero diagonal of D."""
+    m = [list(row) for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    cinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def col_op_sub(j, i, q):
+        # col_j -= q*col_i on m  <=>  row_i += q*row_j on cinv
+        for row in m:
+            row[j] -= q * row[i]
+        cinv[i] = [x + q * y for x, y in zip(cinv[i], cinv[j])]
+
+    def col_swap(i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        cinv[i], cinv[j] = cinv[j], cinv[i]
+
+    def col_neg(i):
+        for row in m:
+            row[i] = -row[i]
+        cinv[i] = [-x for x in cinv[i]]
+
+    t = 0
+    while t < min(rows, cols):
+        piv = next(
+            ((i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j] != 0),
+            None,
+        )
+        if piv is None:
+            break
+        m[t], m[piv[0]] = m[piv[0]], m[t]
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        while True:
+            col_done = True
+            for i in range(t + 1, rows):
+                if m[i][t] != 0:
+                    q = m[i][t] // m[t][t]
+                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                    if m[i][t] != 0:
+                        m[t], m[i] = m[i], m[t]
+                        col_done = False
+            if not col_done:
+                continue
+            row_done = True
+            for j in range(t + 1, cols):
+                if m[t][j] != 0:
+                    q = m[t][j] // m[t][t]
+                    col_op_sub(j, t, q)
+                    if m[t][j] != 0:
+                        col_swap(t, j)
+                        row_done = False
+            if row_done and all(m[i][t] == 0 for i in range(t + 1, rows)):
+                break
+        if m[t][t] < 0:
+            col_neg(t)
+        t += 1
+    return tuple(tuple(row) for row in m), tuple(tuple(row) for row in cinv)
+
+
+def _reference_saturation(a):
+    """HNF of the saturation of the row lattice of a, by the earlier
+    `diagonalize_int`."""
+    diag, cinv = _reference_diagonalize_int(a)
+    rank = sum(1 for i in range(min(len(diag), len(cinv))) if diag[i][i])
+    return linalg.hnf(cinv[:rank])
+
+
 def _reference_int_kernel_saturated(a, n):
     """The earlier `int_kernel_saturated`: the Fraction kernel, each row
     scaled to integers, then saturated."""
@@ -596,7 +672,7 @@ def _reference_int_kernel_saturated(a, n):
     if not ker:
         return ()
     int_rows = tuple(tuple(linalg.clear_denominators((row,))[0][0]) for row in ker)
-    return linalg.saturation_basis(int_rows, n)
+    return _reference_saturation(int_rows)
 
 
 def test_int_kernel_saturated_matches_fraction_kernel():
@@ -619,7 +695,44 @@ def test_int_kernel_saturated_matches_fraction_kernel():
         assert got == _reference_int_kernel_saturated(a, n), a
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a for v in got)
         if got:
-            assert linalg.saturation_basis(got, n) == got
+            assert linalg.saturate(got)[0] == 1
         empty += k == 0
         full += not got
     assert empty >= 25 and full >= 50
+
+
+def _independent_int_rows(rng, k, n):
+    while True:
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+        if len(linalg.hnf(a)) == k:
+            return a
+
+
+def test_saturate_matches_minors_and_double_kernel():
+    """On 600 seeded independent k x n integer matrices (n <= 8), half of them
+    T @ b for independent rows b and det T > 1: the index is the gcd of the
+    maximal minors, and the saturation's HNF is the double integer kernel's
+    and the earlier `diagonalize_int`'s, and holds the rows of a."""
+    rng = random.Random(613)
+    unsaturated = 0
+    for t in range(600):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, n)
+        a = _independent_int_rows(rng, k, n)
+        if t % 2:
+            # lower triangular T with a diagonal entry >= 2: det T > 1
+            diag = [rng.randint(1, 3) for _ in range(k)]
+            diag[rng.randrange(k)] = rng.randint(2, 4)
+            tri = [[diag[i] if i == j else rng.randint(-3, 3) * (j < i) for j in range(k)] for i in range(k)]
+            a = [[sum(tri[i][j] * a[j][c] for j in range(k)) for c in range(n)] for i in range(k)]
+        a = tuple(map(tuple, a))
+        index, rows = linalg.saturate(a)
+        minors = [linalg.det_int([[row[c] for c in cols] for row in a]) for cols in combinations(range(n), k)]
+        assert index == math.gcd(*minors), a
+        sat = linalg.hnf(rows)
+        assert len(rows) == len(sat) == k
+        assert sat == linalg.int_kernel_saturated(linalg.int_kernel_saturated(a, n), n), a
+        assert sat == _reference_saturation(a), a
+        assert linalg.hnf(sat + a) == sat
+        unsaturated += index > 1
+    assert unsaturated >= 300

@@ -62,7 +62,7 @@ def test_multifilt_eliminates_only_through_rref(monkeypatch):
     """The benchmark's work budget meters only `linalg.rref`, so multifiltered
     code must not eliminate by any other kernel."""
     linalg, mf = slopekit.linalg, slopekit.multifilt
-    banned = (linalg.bareiss, linalg.det_int, linalg.pivots_field, linalg.hnf, linalg.diagonalize_int)
+    banned = (linalg.bareiss, linalg.det_int, linalg.pivots_field, linalg.hnf, linalg.saturate)
 
     def forbid(fn):
         def call(*args, **kwargs):
@@ -211,3 +211,41 @@ def test_polygon_readers_reach_upper_hull(monkeypatch):
         before = len(calls)
         route()
         assert len(calls) > before, f"{name} computed a polygon around upper_hull"
+
+
+def _linalg_references(tree: ast.AST, own_module: bool) -> set[str]:
+    """Names a module takes from `linalg`: attributes of anything named
+    `linalg` (`linalg.f`, `sk.linalg.f`), names imported from a module
+    ending in `linalg`, and, inside `linalg` itself, bare names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            base_name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+            if base_name == "linalg":
+                names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+            names.update(alias.name for alias in node.names)
+        elif own_module and isinstance(node, ast.Name):
+            names.add(node.id)
+    return names
+
+
+def test_linalg_helpers_have_callers():
+    """Every public top-level function of `linalg` is used somewhere in the
+    sources, the tests or the benchmark, outside its own definition."""
+    root = PERFBENCH.parent
+    linalg_path = root / "src" / "slopekit" / "linalg.py"
+    tree = ast.parse(linalg_path.read_text())
+    public = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    used = set()
+    for node in tree.body:  # uses inside linalg, each outside its own definition
+        used |= _linalg_references(node, own_module=True) - {getattr(node, "name", None)}
+    for path in [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]:
+        if path != linalg_path:
+            used |= _linalg_references(ast.parse(path.read_text()), own_module=False)
+    unused = [node.name for node in public if node.name not in used]
+    assert len(public) >= 20 and not unused, unused
