@@ -17,8 +17,7 @@ above that a factor it calls prime is a strong probable prime to 12 bases, and
 the faithfulness of the canonical form rests on that.
 
 `RIv`, the closed rational interval, is the package's one rigorous-enclosure
-type: `LogRational.bounds` returns one, `sqrt_interval` encloses square
-roots, and the hermitian checks that involve sqrt(2) compute with them.
+type: the enclosure `LogRational.bounds` returns.
 """
 
 from __future__ import annotations
@@ -177,69 +176,14 @@ class RIv:
     lo: Fraction
     hi: Fraction
 
-    @staticmethod
-    def const(q: "Rat | RIv") -> "RIv":
-        """The point interval [q, q]; an interval is returned as it is."""
-        if isinstance(q, RIv):
-            return q
-        q = Fraction(q)
-        return RIv(q, q)
-
-    def __add__(self, other):
-        other = RIv.const(other)
-        return RIv(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RIv(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-RIv.const(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = RIv.const(other)
-        prods = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return RIv(min(prods), max(prods))
-
-    __rmul__ = __mul__
-
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def intersects(self, other: "RIv") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def contains(self, q: Rat) -> bool:
-        return self.lo <= Fraction(q) <= self.hi
-
-
-def sqrt_interval(q: Rat, bits: int = 160) -> RIv:
-    """Enclosure of sqrt(q), q >= 0, between consecutive multiples of
-    1/(denominator(q) * 2**bits)."""
-    q = Fraction(q)
-    if q < 0:
-        raise ValueError("negative argument")
-    if q == 0:
-        return RIv.const(0)
-    scale = 1 << bits
-    n = q.numerator * q.denominator
-    root = math.isqrt(n * scale * scale)
-    return RIv(Fraction(root, q.denominator * scale), Fraction(root + 1, q.denominator * scale))
 
 
 def _atanh_bounds(z: Fraction, bits: int) -> RIv:
     """Enclosure of 2*atanh(z) for 0 <= z <= 1/3, width <= 2**-bits."""
     if z == 0:
-        return RIv.const(0)
+        return RIv(z, z)
     # remainder after N terms is <= 2*z^(2N+1)/((2N+1)(1-z^2)) <= (9/4)*3^-(2N+1)
     n_terms = (bits + 4) // 3 + 2
     s = Fraction(0)
@@ -263,7 +207,7 @@ def _log2_bounds(bits: int) -> RIv:
 def _log_int_bounds(n: int, bits: int) -> RIv:
     """Rigorous lo <= log n <= hi for integer n >= 1, width <= 2**(1-bits)."""
     if n == 1:
-        return RIv.const(0)
+        return RIv(Fraction(0), Fraction(0))
     k = n.bit_length() - 1
     inner = bits + k.bit_length() + 2
     l2 = _log2_bounds(inner)
@@ -503,9 +447,6 @@ def log_of_rational(q: Rat) -> LogRational:
 
 def half_log(q: Rat) -> LogRational:
     return log_of_rational(q) * Fraction(1, 2)
-
-
-ZERO = LogRational(0)
 
 
 def compare(a: LogRational, b: LogRational) -> int:

@@ -240,7 +240,15 @@ def bost_experiment(cfg: ExperimentConfig, unimodular: bool = False) -> tuple[li
 # ---------------------------------------------------------------------------
 # Reproduction dispatch.
 
-def repro_mf_lemma(seed: int = 0, count: int = 50, max_dim: int = 5, max_filts: int = 3) -> Report:
+# Bounds on the dimension and the number of filtrations of the random
+# multifiltered spaces each reproduction draws.
+MF_LEMMA_MAX_DIM = 5
+MF_LEMMA_MAX_FILTS = 3
+THM07_MAX_DIM = 3
+THM07_MAX_FILTS = 3
+
+
+def repro_mf_lemma(seed: int = 0, count: int = 50) -> Report:
     """Random multifiltered spaces: the multigraded aggregate equals the slope
     for every permutation of the filtration order."""
     import itertools
@@ -250,7 +258,9 @@ def repro_mf_lemma(seed: int = 0, count: int = 50, max_dim: int = 5, max_filts: 
     rep = Report(name="mf-lemma")
     rng = random.Random(seed)
     for idx in range(count):
-        m = random_multifiltered(rng, rng.randint(1, max_dim), rng.randint(1, max_filts))
+        m = random_multifiltered(
+            rng, rng.randint(1, MF_LEMMA_MAX_DIM), rng.randint(1, MF_LEMMA_MAX_FILTS)
+        )
         mu = slope_faltings(m)
         for order in itertools.permutations(range(m.n_filtrations)):
             dims = multigraded_dims(m.permuted(order))
@@ -265,13 +275,13 @@ def repro_mf_lemma(seed: int = 0, count: int = 50, max_dim: int = 5, max_filts: 
         "multigraded_aggregate",
         True,
         f"{count}/{count} instances: aggregate equals slope*dim for every "
-        f"filtration order (dim <= {max_dim}, filtrations <= {max_filts})",
+        f"filtration order (dim <= {MF_LEMMA_MAX_DIM}, filtrations <= {MF_LEMMA_MAX_FILTS})",
     )
     rep.note(SCOPE_NOTE)
     return rep
 
 
-def repro_thm07(seed: int = 0, count: int = 50, max_dim: int = 3, max_filts: int = 3) -> Report:
+def repro_thm07(seed: int = 0, count: int = 50) -> Report:
     """Certified random pairs: slope-maximum additivity under tensor product,
     with the line-value bounds checked on every instance."""
     from .multifilt import nu_witness
@@ -283,8 +293,10 @@ def repro_thm07(seed: int = 0, count: int = 50, max_dim: int = 3, max_filts: int
     done = 0
     redraws = 0
     while done < count:
-        m1 = random_multifiltered(rng, rng.randint(1, max_dim), rng.randint(1, max_filts))
-        m2 = random_multifiltered(rng, rng.randint(1, max_dim), m1.n_filtrations)
+        m1 = random_multifiltered(
+            rng, rng.randint(1, THM07_MAX_DIM), rng.randint(1, THM07_MAX_FILTS)
+        )
+        m2 = random_multifiltered(rng, rng.randint(1, THM07_MAX_DIM), m1.n_filtrations)
         r1 = mu_max_mf(m1)
         r2 = mu_max_mf(m2)
         if not (r1.certified and r2.certified):

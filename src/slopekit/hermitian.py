@@ -8,8 +8,8 @@ rank-2/3 computations the counterexample constructions rest on.
 
 Every quadratic extension here is a `QuadField` and its elements are `QElt`:
 Q(sqrt(-d)) (`ImagQuadField`), the real fields of the norm-product checks,
-the tower K(i) over K = Q(sqrt(-p)), and complex enclosures with `RIv`
-coordinates.
+and the towers K(i) over K = Q(sqrt(-p)) and Q(sqrt(-7))(sqrt(2)).  Every
+check is exact, the sqrt(2) frame of the rank-3 lattice included.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from typing import Sequence
 from . import linalg
 from .exactval import (
     LogRational,
-    RIv,
     factor_positive_int,
     fmt_rat,
     half_log,
     log_of_rational,
     parse_rat,
-    sqrt_interval,
 )
 from .lattice import EuclideanLattice
 from .report import Report, SCOPE_NOTE
@@ -55,8 +53,7 @@ class QuadField:
     """The quadratic extension base(omega) with omega^2 = trace*omega - norm.
 
     `base` maps a rational, or an element of the base ring, to a coefficient:
-    `Fraction` for Q, a `QuadField` for a tower, `RIv.const` for complex
-    enclosures (there omega = i)."""
+    `Fraction` for Q, a `QuadField` for a tower."""
 
     __slots__ = ("omega_trace", "omega_norm", "base")
 
@@ -135,7 +132,7 @@ class QElt:
                 return True
             if other.field != f.base:
                 raise ValueError("field mismatch")
-        elif not isinstance(other, (int, Fraction, RIv)):
+        elif not isinstance(other, (int, Fraction)):
             raise TypeError(f"cannot coerce {other!r}")
         return False
 
@@ -218,6 +215,29 @@ class QElt:
         return f"({self.a}+{self.b}w)"
 
 
+def sesquilinear(gram, x: Sequence[QElt], y: Sequence[QElt], conj=QElt.conj) -> QElt:
+    """sum_ij conj(x_i) * gram[i][j] * y_j: antilinear in x through the
+    conjugation `conj`, linear in y."""
+    return sum(conj(xi) * sum(g * yj for g, yj in zip(row, y)) for xi, row in zip(x, gram))
+
+
+# Towers K(omega) over an imaginary quadratic K, elements x0 + x1*omega with
+# x0, x1 in K: K(i) for the class-field rings, K(sqrt 2) for the q7 frame.
+# There `conj` is the automorphism fixing K (omega -> its conjugate) and
+# `norm` the relative norm to K.  Complex conjugation conjugates both
+# coordinates, and omega too where omega is not real.
+
+def _cconj(x: QElt) -> QElt:
+    """Complex conjugation of K(i): conjugate both coordinates, then i -> -i."""
+    return QElt(x.field, x.a.conj(), x.b.conj()).conj()
+
+
+def _cconj_real(x: QElt) -> QElt:
+    """Complex conjugation of K(omega) with omega real, such as sqrt(2):
+    conjugate both coordinates."""
+    return QElt(x.field, x.a.conj(), x.b.conj())
+
+
 def _round_half(q: Fraction) -> int:
     return math.floor(q + F(1, 2))
 
@@ -295,47 +315,30 @@ class HermitianLattice:
         return self.degree() / self.rank
 
     def inner(self, v: Sequence[QElt], w: Sequence[QElt]) -> QElt:
-        r = self.rank
-        acc = self.field.zero
-        for i in range(r):
-            for j in range(r):
-                acc = acc + v[i].conj() * self.gram[i][j] * w[j]
-        return acc
+        return sesquilinear(self.gram, v, w)
 
     def norm_sq(self, v: Sequence[QElt]) -> Fraction:
         return self.inner(v, v).as_fraction()
 
     def dual(self) -> "HermitianLattice":
-        inv = linalg.inverse(self.gram)
-        transposed = [[inv[j][i] for j in range(self.rank)] for i in range(self.rank)]
-        return HermitianLattice(self.field, transposed)
+        return HermitianLattice(self.field, linalg.transpose(linalg.inverse(self.gram)))
 
     def twist(self, c: Rat) -> "HermitianLattice":
         """Multiply the Gram matrix by c > 0; shifts degree by -rank*log(c)."""
         c = F(c)
         if c <= 0:
             raise ValueError("twist multiplier must be positive")
-        return HermitianLattice(
-            self.field, [[x * c for x in row] for row in self.gram]
-        )
+        return HermitianLattice(self.field, linalg.scalar_mul(c, self.gram))
 
     def tensor(self, other: "HermitianLattice") -> "HermitianLattice":
         if self.field != other.field:
             raise ValueError("field mismatch")
-        out = []
-        for ra in self.gram:
-            for rb in other.gram:
-                out.append([x * y for x in ra for y in rb])
-        return HermitianLattice(self.field, out)
+        return HermitianLattice(self.field, linalg.kron(self.gram, other.gram))
 
     def orthogonal_sum(self, other: "HermitianLattice") -> "HermitianLattice":
         if self.field != other.field:
             raise ValueError("field mismatch")
-        z = self.field.zero
-        r1, r2 = self.rank, other.rank
-        rows = [list(row) + [z] * r2 for row in self.gram]
-        rows += [[z] * r1 + list(row) for row in other.gram]
-        return HermitianLattice(self.field, rows)
+        return HermitianLattice(self.field, linalg.block_diag(self.gram, other.gram))
 
     def exterior_power(self, p: int) -> "HermitianLattice":
         from itertools import combinations
@@ -462,28 +465,6 @@ def faltings_height_sq(lat: HermitianLattice) -> LogRational:
     r = lat.rank
     harmonic = sum((F(1, m) for m in range(2, r + 1)), F(0))
     return lat.degree() + LogRational(r * harmonic)
-
-
-# ---------------------------------------------------------------------------
-# Complex enclosures (for the few checks involving sqrt(2)): re + im*i with
-# rational-interval coordinates.
-
-_CIV = QuadField(0, 1, RIv.const)
-
-
-def qelt_interval(x: QElt, bits: int = 160) -> QElt:
-    """Complex enclosure of a + b*omega under the upper-half-plane embedding."""
-    d = x.field.d
-    im_scale = F(1, 2) if x.field.omega_trace == 1 else F(1)
-    sq = sqrt_interval(d, bits)
-    re = RIv.const(x.real_part())
-    im = RIv.const(x.b * im_scale) * sq
-    return QElt(_CIV, re, im)
-
-
-def interval_eq(a: RIv, b: RIv) -> bool:
-    tol = F(1, 1 << 128)
-    return a.intersects(b) and a.width() <= tol and b.width() <= tol
 
 
 def _norm_product_holds(t: int, a: QElt, b: QElt) -> tuple[bool, str]:
@@ -652,8 +633,8 @@ def q7_checks() -> Report:
         for i in range(3)
         for kk in range(3)
     ]
-    tw = lat.twist(c_exp)  # Gram multiplied by e^lambda = the <-lambda> twist
-    dual_sq = tw.dual().tensor(tw.dual())
+    tw_dual = lat.twist(c_exp).dual()  # Gram multiplied by e^lambda = the <-lambda> twist
+    dual_sq = tw_dual.tensor(tw_dual)
     nsq = dual_sq.norm_sq(vec_f)
     rep.require(
         "quotient_line_norm",
@@ -699,55 +680,31 @@ def q7_checks() -> Report:
     rep.require("complement_vector_pairing", pairing == k.one, f"<e3, v3> = {pairing}")
     rep.require("complement_vector_norm", lat.norm_sq(v3) == 2, f"|v3|^2 = {lat.norm_sq(v3)}")
 
-    # interval checks at 128 bits for the sqrt(2)-frame
-    bits = 192
-    sqrt2 = sqrt_interval(2, bits)
-    w_iv = qelt_interval(w, bits)
-    g_iv = [[qelt_interval(lat.gram[i][j], bits) for j in range(2)] for i in range(2)]
-    half = RIv.const(F(1, 2))
+    # the sqrt(2) frame, exactly in K(sqrt 2): omega^2 = 2
+    k2 = QuadField(0, -2, k)
+    g2 = [[k2(lat.gram[i][j]) for j in range(2)] for i in range(2)]
     for sign, label in ((1, "plus"), (-1, "minus")):
-        factor = _CIV.elt(half * sqrt2 * sign - RIv.const(1))
-        theta = w_iv.conj() * factor
-        target = RIv.const(3) - RIv.const(2 * sign) * sqrt2
-        got = theta.norm()
+        op = "-" if sign > 0 else "+"
+        theta = k2(w.conj()) * k2.elt(-1, F(sign, 2))  # conj(w)*(sign*sqrt(2)/2 - 1)
         rep.require(
             f"theta_{label}_abs_sq",
-            interval_eq(got, target),
-            f"|theta_{label}|^2 in [{float(got.lo):.12f}, {float(got.hi):.12f}] "
-            f"matches 3 {'-' if sign > 0 else '+'} 2*sqrt(2) at 128 bits",
-            mode="interval-128",
+            theta * _cconj_real(theta) == k2.elt(3, -2 * sign),
+            f"|theta_{label}|^2 = 3 {op} 2*sqrt(2)",
         )
         # f1 = e1 + theta e2, f2 = conj(theta) e1 + e2
-        f1 = [_CIV.one, theta]
-        f2 = [theta.conj(), _CIV.one]
-
-        def h_norm(x, y):
-            acc = _CIV.zero
-            for i in range(2):
-                for j in range(2):
-                    acc = acc + x[i].conj() * g_iv[i][j] * y[j]
-            return acc
-
-        n1 = h_norm(f1, f1)
-        n2 = h_norm(f2, f2)
-        cross = h_norm(f1, f2)
-        frame_target = RIv.const(4) - RIv.const(2 * sign) * sqrt2  # 2*sqrt2*(sqrt2 -+ 1)
+        f1 = [k2.one, theta]
+        f2 = [_cconj_real(theta), k2.one]
+        frame_target = k2.elt(4, -2 * sign)  # 2*sqrt2*(sqrt2 -+ 1)
         rep.require(
             f"frame_{label}_norms",
-            interval_eq(n1.a, frame_target)
-            and interval_eq(n2.a, frame_target)
-            and n1.b.contains(0)
-            and n2.b.contains(0),
-            f"|f1|^2 = |f2|^2 = 2*sqrt(2)*(sqrt(2) {'-' if sign > 0 else '+'} 1) at 128 bits",
-            mode="interval-128",
+            sesquilinear(g2, f1, f1, _cconj_real) == frame_target
+            and sesquilinear(g2, f2, f2, _cconj_real) == frame_target,
+            f"|f1|^2 = |f2|^2 = 2*sqrt(2)*(sqrt(2) {op} 1)",
         )
         rep.require(
             f"frame_{label}_orthogonal",
-            cross.a.contains(0)
-            and cross.b.contains(0)
-            and max(cross.a.width(), cross.b.width()) <= F(1, 1 << 128),
-            "<f1, f2> encloses 0 at 128 bits",
-            mode="interval-128",
+            sesquilinear(g2, f1, f2, _cconj_real).is_zero(),
+            "<f1, f2> = 0",
         )
     rep.note(
         "The source construction labels two distinct frame vectors with the same "
@@ -759,14 +716,8 @@ def q7_checks() -> Report:
 
 
 # ---------------------------------------------------------------------------
-# The class-field construction: K' = K(i) over K = Q(sqrt(-p)), elements
-# x0 + x1*i with x0, x1 in K.  The automorphism fixing K (i -> -i) is `conj`,
-# the relative norm N_{K'/K} is `norm`, the absolute norm `norm().norm()`.
-
-def _cconj(x: QElt) -> QElt:
-    """Complex conjugation of K': conjugate both coordinates, then i -> -i."""
-    return QElt(x.field, x.a.conj(), x.b.conj()).conj()
-
+# The class-field construction: K' = K(i) over K = Q(sqrt(-p)); the absolute
+# norm of K' is `norm().norm()`.
 
 def qp_checks(p: int) -> Report:
     """Class-field ring of integers over Q(sqrt(-p)), p in {5, 13, 37}:
@@ -868,18 +819,10 @@ def qp_checks(p: int) -> Report:
 
     # hermitian form on the base change, sesquilinear over K'
     gq = [[kp.elt(gram[a][b2]) for b2 in range(2)] for a in range(2)]
-
-    def h_form(x: tuple, y: tuple) -> QElt:
-        acc = kp.zero
-        for a in range(2):
-            for b2 in range(2):
-                acc = acc + _cconj(x[a]) * gq[a][b2] * y[b2]
-        return acc
-
-    cross = h_form(e_plus, e_minus)
+    cross = sesquilinear(gq, e_plus, e_minus, _cconj)
     rep.require("split_orthogonal", cross.is_zero(), "the two split generators are orthogonal")
-    h_p = h_form(e_plus, e_plus)
-    h_m = h_form(e_minus, e_minus)
+    h_p = sesquilinear(gq, e_plus, e_plus, _cconj)
+    h_m = sesquilinear(gq, e_minus, e_minus, _cconj)
     rep.require(
         "split_norms_equal_rational",
         h_p == h_m and h_p.b.is_zero() and h_p.a.is_rational() and h_p.a.as_fraction() > 0,

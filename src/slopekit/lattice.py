@@ -198,10 +198,6 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def induced_gram(self) -> linalg.Matrix:
-        b = linalg.mat(self.basis)
-        return linalg.matmul(linalg.matmul(b, self.ambient.gram), linalg.transpose(b))
-
     def det(self) -> Fraction:
         gi, scale = self.ambient.scaled_gram()
         b = self.basis
@@ -256,9 +252,7 @@ class LatticeMorphism:
 
     def norm_le_one(self) -> bool:
         """Operator norm <= 1, decided exactly."""
-        mt = linalg.transpose(self.matrix)
-        pulled = linalg.matmul(linalg.matmul(mt, self.target.gram), self.matrix)
-        return linalg.is_positive_semidefinite(linalg.sub(self.source.gram, pulled))
+        return self.norm_sq_le(1)
 
     def norm_sq_le(self, bound: Rat) -> bool:
         """Operator norm squared <= bound, decided exactly."""

@@ -19,7 +19,7 @@ class Check:
     name: str
     passed: bool
     detail: str
-    mode: str = "exact"  # "exact" | "interval-128" | "consequence" | "note"
+    mode: str = "exact"  # "exact" | "consequence"
 
 
 @dataclass

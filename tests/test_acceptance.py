@@ -65,10 +65,11 @@ def test_criterion_2_rank3_unimodular_hermitian():
     assert by_name["quotient_line_degree_negative"].passed
     assert by_name["complement_vector_pairing"].passed  # <e3, v3> = 1
     assert by_name["complement_vector_norm"].passed  # |v3|^2 = 2
-    assert by_name["theta_plus_abs_sq"].mode == "interval-128"
+    assert by_name["theta_plus_abs_sq"].mode == "exact"
     assert by_name["theta_plus_abs_sq"].passed and by_name["theta_minus_abs_sq"].passed
-    _ok(2, "rank-3 unimodular hermitian lattice: all identities exact, "
-           "sqrt(2)-frame interval-checked at 128 bits")
+    assert all(c.mode == "exact" for c in rep.checks)
+    _ok(2, "rank-3 unimodular hermitian lattice: every identity exact, "
+           "the sqrt(2) frame included")
 
 
 def test_criterion_3_class_field_rings():
@@ -120,14 +121,14 @@ def test_criterion_5_degree_laws_500_lattices():
 
 
 def test_criterion_6_multigraded_lemma_200():
-    rep = repro_mf_lemma(seed=6, count=200, max_dim=5, max_filts=3)
+    rep = repro_mf_lemma(seed=6, count=200)
     assert rep.passed
     _ok(6, "multigraded aggregate equals the slope on 200 random instances, "
            "every filtration order")
 
 
 def test_criterion_7_tensor_mu_max_additive_50():
-    rep = repro_thm07(seed=7, count=50, max_dim=3, max_filts=3)
+    rep = repro_thm07(seed=7, count=50)
     assert rep.passed
     by_name = {c.name: c for c in rep.checks}
     assert "50/50" in by_name["tensor_mu_max_additive"].detail

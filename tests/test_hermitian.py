@@ -8,18 +8,14 @@ from slopekit.exactval import LogRational, half_log, log_of_rational
 from slopekit.hermitian import (
     HermitianLattice,
     ImagQuadField,
-    RIv,
     a2_twist_checks,
     euclid_gcd,
     faltings_height_sq,
     identity_tensor_sq,
-    interval_eq,
     q7_checks,
     q7_gram,
-    qelt_interval,
     qp_checks,
     rank_one_degree,
-    sqrt_interval,
     unit_hermitian,
 )
 from slopekit.lattice import Sublattice, a2_lattice
@@ -198,18 +194,6 @@ def test_alternating_map_norm_bound():
         assert num <= 2 * tsq.norm_sq(w)
 
 
-def test_intervals():
-    s = sqrt_interval(2, 160)
-    assert s.lo**2 <= 2 <= s.hi**2
-    assert s.width() <= F(1, 1 << 158)
-    a = RIv.const(3) - RIv.const(2) * s
-    b = RIv.const(3) - RIv.const(2) * s
-    assert interval_eq(a, b)
-    k = field7()
-    w_iv = qelt_interval(k.omega, 160)
-    assert w_iv.norm().contains(2) or w_iv.norm().intersects(RIv.const(2))
-
-
 def test_json_roundtrip():
     lat = q7_gram()
     back = HermitianLattice.from_json_dict(lat.to_json_dict())
@@ -267,7 +251,12 @@ def test_repro_q7_passes():
     rep = q7_checks()
     assert rep.passed
     modes = {c.name: c.mode for c in rep.checks}
-    assert modes["theta_plus_abs_sq"] == "interval-128"
+    frame = [
+        f"{check}_{label}_{what}"
+        for label in ("plus", "minus")
+        for check, what in (("theta", "abs_sq"), ("frame", "norms"), ("frame", "orthogonal"))
+    ]
+    assert all(modes[name] == "exact" for name in frame)
     assert modes["unimodular_determinant"] == "exact"
 
 

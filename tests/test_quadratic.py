@@ -1,9 +1,11 @@
-"""`hermitian.QElt` and `exactval.RIv` against test-local copies of what they
-replaced: the classes `hermitian.QuadInt` (norm products over Q(sqrt t)),
-`QuartElt` (K(i) over K = Q(sqrt(-p))) and `CIv` (complex enclosures),
-`linalg.sqrt_frac_upper`, the tuple-valued `LogRational.bounds`, the
-leading-minor positivity test of `HermitianLattice`, and the Fraction range
-`_int_range_bounds` that `enumeration._isqrt_range` replaced."""
+"""`hermitian.QElt`, `exactval.RIv` and the Gram operations of
+`HermitianLattice` against test-local copies of what they replaced: the
+classes `hermitian.QuadInt` (norm products over Q(sqrt t)) and `QuartElt`
+(K(i) over K = Q(sqrt(-p))), `linalg.sqrt_frac_upper`, the tuple-valued
+`LogRational.bounds`, the leading-minor positivity test and the entrywise
+loops of `HermitianLattice`, and the Fraction range `_int_range_bounds` that
+`enumeration._isqrt_range` replaced; and the tower Q(sqrt(-d))(sqrt 2) of
+the q7 frame against a pair-of-coordinates model."""
 
 import math
 import random
@@ -14,15 +16,15 @@ import pytest
 
 from slopekit import linalg
 from slopekit.enumeration import _isqrt_range
-from slopekit.exactval import LogRational, RIv, sqrt_interval
+from slopekit.exactval import LogRational, RIv
 from slopekit.hermitian import (
     HermitianLattice,
     ImagQuadField,
     QElt,
     QuadField,
     _cconj,
+    _cconj_real,
     _omega_data,
-    qelt_interval,
 )
 
 F = Fraction
@@ -94,27 +96,54 @@ class QuartElt:
 
 
 @dataclass(frozen=True)
-class CIv:
-    re: RIv
-    im: RIv
+class Sqrt2Elt:
+    """x0 + x1*sqrt(2) with x0, x1 in K = Q(sqrt(-d)); complex conjugation
+    acts on K only, since sqrt(2) is real."""
+
+    x0: QElt
+    x1: QElt
+
+    def __add__(self, other):
+        return Sqrt2Elt(self.x0 + other.x0, self.x1 + other.x1)
 
     def __mul__(self, other):
-        return CIv(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        return Sqrt2Elt(
+            self.x0 * other.x0 + self.x1 * other.x1 * 2,
+            self.x0 * other.x1 + self.x1 * other.x0,
         )
 
-    def conj(self):
-        return CIv(self.re, -self.im)
+    def cconj(self):
+        return Sqrt2Elt(self.x0.conj(), self.x1.conj())
 
-    def abs_sq(self):
-        return self.re * self.re + self.im * self.im
+    def to_complex(self):
+        d = self.x0.field.d
+
+        def embed(x):  # omega = sqrt(-d), or (1 + sqrt(-d))/2 when -d = 1 mod 4
+            w = (1 + 1j * math.sqrt(d)) / 2 if x.field.omega_trace else 1j * math.sqrt(d)
+            return float(x.a) + float(x.b) * w
+
+        return embed(self.x0) + embed(self.x1) * math.sqrt(2)
 
 
-def _reference_qelt_interval(x, bits):
-    im_scale = F(1, 2) if x.field.omega_trace == 1 else F(1)
-    sq = sqrt_interval(x.field.d, bits)
-    return CIv(RIv.const(x.real_part()), RIv.const(x.b * im_scale) * sq)
+def _loop_tensor(g, h):
+    return [[x * y for x in ra for y in rb] for ra in g for rb in h]
+
+
+def _loop_orthogonal_sum(g, h, zero):
+    return [list(row) + [zero] * len(h) for row in g] + [[zero] * len(g) + list(row) for row in h]
+
+
+def _loop_dual(g):
+    inv = linalg.inverse(g)
+    return [[inv[j][i] for j in range(len(g))] for i in range(len(g))]
+
+
+def _loop_inner(g, v, w, zero):
+    acc = zero
+    for i in range(len(g)):
+        for j in range(len(g)):
+            acc = acc + v[i].conj() * g[i][j] * w[j]
+    return acc
 
 
 def _sqrt_frac_upper(q):
@@ -190,11 +219,6 @@ def _pair(x):
     return x.a, x.b
 
 
-def _riv(rng):
-    lo = F(rng.randint(-40, 40), rng.randint(1, 9))
-    return RIv(lo, lo + F(rng.randint(0, 20), rng.randint(1, 9)))
-
-
 # -- tests --------------------------------------------------------------------
 
 @pytest.mark.parametrize("t", [-1, -2, -3, -7, 2, 3])
@@ -242,27 +266,70 @@ def test_tower_matches_quartelt(p):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
-def test_complex_enclosures_match_civ(d):
+def test_sqrt2_tower_matches_pair_model(d):
+    """Over L = Q(sqrt(-d))(sqrt 2), complex conjugation is a ring
+    automorphism fixing sqrt(2), and x * cconj(x) = |x|^2 is a rational
+    combination of 1 and sqrt(2)."""
+    k = ImagQuadField(d)
+    el = QuadField(0, -2, k)  # omega^2 = 2
+    rng = random.Random(650 + d)
+    assert el.omega * el.omega == el.elt(2)
+    assert _cconj_real(el.omega) == el.omega
+
+    def draw():
+        x0, x1 = k.elt(_rat(rng), _rat(rng)), k.elt(_rat(rng), _rat(rng))
+        return el.elt(x0, x1), Sqrt2Elt(x0, x1)
+
+    for _ in range(50):
+        (x, rx), (y, ry) = draw(), draw()
+        cx, cy = _cconj_real(x), _cconj_real(y)
+        assert _pair(cx) == (rx.cconj().x0, rx.cconj().x1)
+        assert _pair(x * y) == ((rx * ry).x0, (rx * ry).x1)
+        assert _cconj_real(x * y) == cx * cy
+        assert _cconj_real(x + y) == cx + cy
+        assert _cconj_real(cx) == x
+        z = (rx.to_complex() * ry.to_complex()).conjugate()
+        assert abs((rx.cconj() * ry.cconj()).to_complex() - z) <= 1e-9 * (1 + abs(z))
+        abs_sq = x * cx
+        assert _pair(abs_sq) == ((rx * rx.cconj()).x0, (rx * rx.cconj()).x1)
+        assert abs_sq.a.is_rational() and abs_sq.b.is_rational()
+        want = abs(rx.to_complex()) ** 2
+        got = float(abs_sq.a.as_fraction()) + float(abs_sq.b.as_fraction()) * math.sqrt(2)
+        assert abs(got - want) <= 1e-9 * (1 + want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
+def test_gram_operations_match_loops(d):
+    """tensor, orthogonal_sum, twist, dual and inner through `linalg` give
+    the entrywise loops they replaced."""
     field = ImagQuadField(d)
-    rng = random.Random(600 + d)
-    bits = 192
-    sqrt2 = sqrt_interval(2, bits)
-    for n in range(50):
-        x = field.elt(_rat(rng, 9), _rat(rng, 9))
-        y = field.elt(_rat(rng, 9), _rat(rng, 9))
-        xi, yi = qelt_interval(x, bits), qelt_interval(y, bits)
-        rxi, ryi = _reference_qelt_interval(x, bits), _reference_qelt_interval(y, bits)
-        assert _pair(xi) == (rxi.re, rxi.im)
-        if n % 2:  # a coordinate that straddles 0, as in the q7 frames
-            xi = QElt(xi.field, _riv(rng), xi.b)
-            rxi = CIv(xi.a, rxi.im)
-        factor = RIv.const(_rat(rng)) * sqrt2 - RIv.const(_rat(rng))
-        zi = QElt(xi.field, factor, _riv(rng))
-        rzi = CIv(zi.a, zi.b)
-        assert _pair(xi * yi) == ((rxi * ryi).re, (rxi * ryi).im)
-        assert _pair(xi.conj() * zi) == ((rxi.conj() * rzi).re, (rxi.conj() * rzi).im)
-        assert xi.norm() == rxi.abs_sq()
-        assert (xi * zi).norm() == (rxi * rzi).abs_sq()
+    rng = random.Random(660 + d)
+    zero = field.zero
+
+    def draw():
+        while True:
+            r = rng.randint(1, 3)
+            g = [[None] * r for _ in range(r)]
+            for i in range(r):
+                g[i][i] = field.elt(F(rng.randint(1, 12), rng.randint(1, 3)))
+                for j in range(i + 1, r):
+                    g[i][j] = field.elt(F(rng.randint(-2, 2), rng.randint(1, 2)), rng.randint(-2, 2))
+                    g[j][i] = g[i][j].conj()
+            try:
+                return HermitianLattice(field, g)
+            except ValueError:
+                continue
+
+    lats = [draw() for _ in range(12)]
+    for a, b in zip(lats, lats[1:]):
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+        assert a.tensor(b) == HermitianLattice(field, _loop_tensor(a.gram, b.gram))
+        assert a.orthogonal_sum(b) == HermitianLattice(field, _loop_orthogonal_sum(a.gram, b.gram, zero))
+        assert a.twist(c) == HermitianLattice(field, [[x * c for x in row] for row in a.gram])
+        assert a.dual() == HermitianLattice(field, _loop_dual(a.gram))
+        v = [field.elt(_rat(rng), _rat(rng)) for _ in range(a.rank)]
+        w = [field.elt(_rat(rng), _rat(rng)) for _ in range(a.rank)]
+        assert a.inner(v, w) == _loop_inner(a.gram, v, w, zero)
 
 
 def test_int_range_bounds_match_sqrt_frac_upper():
@@ -277,8 +344,6 @@ def test_int_range_bounds_match_sqrt_frac_upper():
         # most floor(q d^2): the range the Fincke-Pohst traversal solves
         s, d = c.numerator, c.denominator
         assert _isqrt_range(s, d, math.floor(q * d * d)) == _reference_int_range_bounds(c, q)
-        if q >= 0:
-            assert sqrt_interval(q, 30).hi == _sqrt_frac_upper(q)
 
 
 def test_bounds_match_tuple_version():

@@ -213,39 +213,65 @@ def test_polygon_readers_reach_upper_hull(monkeypatch):
         assert len(calls) > before, f"{name} computed a polygon around upper_hull"
 
 
-def _linalg_references(tree: ast.AST, own_module: bool) -> set[str]:
-    """Names a module takes from `linalg`: attributes of anything named
-    `linalg` (`linalg.f`, `sk.linalg.f`), names imported from a module
-    ending in `linalg`, and, inside `linalg` itself, bare names."""
+def _module_references(nodes: list[ast.AST], module: str, own_module: bool) -> set[str]:
+    """Names the nodes of a file take from the slopekit module `module`:
+    attributes of any name bound to it (`linalg.f`, `sk.linalg.f`, `ev.f`
+    after `ev = sk.exactval`, or an `import ... as` alias), names imported
+    from a module ending in `module`, and, inside the module itself, bare
+    names."""
+    aliases = {module}
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases.update(a.asname for a in node.names if a.asname and a.name.split(".")[-1] == module)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr == module:
+            aliases.update(t.id for t in node.targets if isinstance(t, ast.Name))
     names = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Attribute):
             base = node.value
             base_name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
-            if base_name == "linalg":
+            if base_name in aliases:
                 names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
             names.update(alias.name for alias in node.names)
-        elif own_module and isinstance(node, ast.Name):
+        elif own_module and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
     return names
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The public function or the upper-case constants a top-level statement
+    defines."""
+    if isinstance(node, ast.FunctionDef):
+        return [] if node.name.startswith("_") else [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+
+
 def test_linalg_helpers_have_callers():
-    """Every public top-level function of `linalg` is used somewhere in the
-    sources, the tests or the benchmark, outside its own definition."""
+    """Every public top-level function and every upper-case constant of each
+    slopekit module, `linalg` included, is used somewhere in the sources, the
+    tests or the benchmark, outside its own definition.  Methods are left
+    out: a name alone cannot tell them from a benchmark function of the same
+    name."""
     root = PERFBENCH.parent
-    linalg_path = root / "src" / "slopekit" / "linalg.py"
-    tree = ast.parse(linalg_path.read_text())
-    public = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    ]
-    used = set()
-    for node in tree.body:  # uses inside linalg, each outside its own definition
-        used |= _linalg_references(node, own_module=True) - {getattr(node, "name", None)}
-    for path in [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]:
-        if path != linalg_path:
-            used |= _linalg_references(ast.parse(path.read_text()), own_module=False)
-    unused = [node.name for node in public if node.name not in used]
-    assert len(public) >= 20 and not unused, unused
+    files = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    nodes = {path: list(ast.walk(tree)) for path, tree in trees.items()}
+    unused = []
+    checked = 0
+    for module_path in sorted((root / "src" / "slopekit").glob("*.py")):
+        module = module_path.stem
+        tree = trees[module_path]
+        used = set()
+        for node in tree.body:  # uses inside the module, each outside its own definition
+            used |= _module_references(list(ast.walk(node)), module, own_module=True) - set(_defined_names(node))
+        for path, other in nodes.items():
+            if path != module_path:
+                used |= _module_references(other, module, own_module=False)
+        for node in tree.body:
+            for name in _defined_names(node):
+                checked += 1
+                if name not in used:
+                    unused.append(f"{module}.{name}")
+    assert checked >= 100 and not unused, unused
