@@ -115,15 +115,28 @@ def _cmd_mf(args) -> int:
     raise AssertionError(args.action)
 
 
+# The options each repro target takes: argparse name -> manifest keyword.
+_REPRO_OPTIONS = {
+    "a2": {"twist": "gram_multiplier"},
+    "q7": {},
+    "qp": {"p": "p"},
+    "mf-lemma": {"seed": "seed", "count": "count"},
+    "thm07": {"seed": "seed", "count": "count"},
+}
+
+
 def _cmd_repro(args) -> int:
+    """An option the target does not take is an error; an omitted one keeps
+    the manifest's default."""
+    takes = _REPRO_OPTIONS[args.target]
     kw = {}
-    if args.target == "qp":
-        kw["p"] = args.p
-    if args.target in ("mf-lemma", "thm07"):
-        kw["seed"] = args.seed
-        kw["count"] = args.count
-    if args.target == "a2" and args.twist is not None:
-        kw["gram_multiplier"] = parse_rat(args.twist)
+    for opt in ("p", "seed", "count", "twist"):
+        value = getattr(args, opt)
+        if value is None:
+            continue
+        if opt not in takes:
+            raise ValueError(f"--{opt} does not apply to repro {args.target}")
+        kw[takes[opt]] = parse_rat(value) if opt == "twist" else value
     rep = harness.repro(args.target, **kw)
     print(harness.emit_report(rep, args.format))
     return 0 if rep.passed else 1
@@ -167,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("repro", help="run a reproduction manifest")
     rep.add_argument("target", choices=["a2", "q7", "qp", "mf-lemma", "thm07"])
-    rep.add_argument("--p", type=int, default=5, choices=[5, 13, 37])
-    rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--count", type=int, default=50)
-    rep.add_argument("--twist", help="rational Gram multiplier for the a2 target")
+    rep.add_argument("--p", type=int, choices=[5, 13, 37], help="qp only (default 5)")
+    rep.add_argument("--seed", type=int, help="mf-lemma and thm07 only (default 0)")
+    rep.add_argument("--count", type=int, help="mf-lemma and thm07 only (default 50)")
+    rep.add_argument("--twist", help="rational Gram multiplier, a2 only (default 2/3)")
     rep.add_argument("--format", choices=["text", "json"], default="text")
     rep.set_defaults(func=_cmd_repro)
 

@@ -385,27 +385,28 @@ _FAMILY_CAP = 400
 
 
 def _candidate_family(m: MultifilteredSpace, extra):
-    """The whole space and the filtration steps, closed under pairwise
-    intersection and sum up to _FAMILY_CAP members, then the extra candidates.
-    mu_max_mf certifies only by its best slope meeting the profile bound, never
-    by this family being complete.  Random subspaces would add nothing: a
-    generic k-dimensional one meets each step in the least dimension, so it
-    takes the k smallest weights of each filtration and its slope is at most
-    slope(V), and V is a member.
+    """Yields the whole space and the filtration steps, closed under pairwise
+    intersection and sum up to _FAMILY_CAP members, then the extra
+    candidates, each member once, as it is made.  mu_max_mf certifies only by
+    a candidate meeting the profile bound, never by this family being
+    complete.  Random subspaces would add nothing: a generic k-dimensional one
+    meets each step in the least dimension, so it takes the k smallest weights
+    of each filtration and its slope is at most slope(V), and V is a member.
 
     Members are RREF rows, deduplicated by value.  Stored steps are RREF and
     never reduced again, nor are the meets and sums, which come as RREF from
-    `linalg.intersect_and_sum`; only the extra candidates are reduced."""
+    `linalg.intersect_and_sum`; only the extra candidates are reduced.  A
+    consumer that stops early skips the closure's remaining eliminations."""
     seen: dict[Matrix, None] = {}
 
-    def add(rows):
+    def fresh(rows) -> bool:
         if rows and rows not in seen:
             seen[rows] = None
+            return True
+        return False
 
-    add(linalg.identity(m.dim))
-    for f in m.filtrations:
-        for _, space in f.steps:
-            add(space)
+    steps = (space for f in m.filtrations for _, space in f.steps)
+    yield from filter(fresh, itertools.chain((linalg.identity(m.dim),), steps))
     # each round pairs the members new in the last round, current[start:],
     # with every member; a pair of two new members is closed once, (a, b) with
     # b after a, in the order an ordered-pair sweep would first reach it
@@ -414,15 +415,11 @@ def _candidate_family(m: MultifilteredSpace, extra):
         current = list(seen)
         new = enumerate(current[start:], start)
         for a, b in ((a, b) for i, a in new for b in current[:start] + current[i + 1:]):
-            meet, total = linalg.intersect_and_sum(a, b, m.dim)
-            add(meet)
-            add(total)
+            yield from filter(fresh, linalg.intersect_and_sum(a, b, m.dim))
             if len(seen) >= _FAMILY_CAP:
                 break
         start = len(current)
-    for rows in extra:
-        add(_rref_rows(rows))
-    return list(seen)
+    yield from filter(fresh, map(_rref_rows, extra))
 
 
 def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
@@ -533,32 +530,82 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
     return bounds
 
 
-def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
+def _mf_canopy(m: MultifilteredSpace, extra, edges: Optional[int] = None) -> list[RankBound]:
     """For each dimension k, the best degree over the candidates of dimension
     k (the first in family order among ties), and k times the relaxation's
-    slope bound."""
-    best: dict[int, tuple[Fraction, Matrix]] = {}
-    for rows in _candidate_family(m, extra):
+    slope bound.
+
+    `edges` is how much of the polygon the caller reads, as in `upper_hull`.
+    With edges=1 the extra candidates are probed before the closure, and
+    the search stops at the first candidate that passes `certifies`.  The canopy then holds that candidate and the
+    closure members scored before it, and its first edge is the one the
+    whole closure gives.  Otherwise, or when no candidate passes, the whole
+    closure is read."""
+    bounds = _profile_upper_bound(m)
+    mu_b = max(bounds)
+    degrees: dict[Matrix, Fraction] = {}
+
+    def degree(rows) -> Fraction:
+        if rows not in degrees:
+            degrees[rows] = slope_of_subspace(m, rows) * len(rows)
+        return degrees[rows]
+
+    def certifies(rows) -> bool:
+        # W passes when its slope is mu_b and every rank-j bound, j > dim W,
+        # is strictly below mu_b.  Such a W is the largest subspace of
+        # maximal slope.  mu_b bounds every slope, so W is a maximizer.  For
+        # any maximizer W', supermodularity of the degree gives
+        #   deg(W + W') >= deg W + deg W' - deg(W ∩ W')
+        #              >= mu_b (dim W + dim W' - dim(W ∩ W')) = mu_b dim(W + W'),
+        # since deg(W ∩ W') <= mu_b dim(W ∩ W') (also when W ∩ W' = 0).  So
+        # W + W' is a maximizer, and the strict bounds force W + W' = W: W
+        # holds every maximizer and is the only one of its dimension.  The
+        # whole closure holds W, so its canopy reaches dim W * mu_b at dim W
+        # with W alone, and stays below the line of slope mu_b at every
+        # larger rank: its first edge ends at W, its upper is mu_b and it is
+        # certified, as this canopy's.  At most one candidate passes, so the
+        # probe order cannot pick another; and a probed extra that does not
+        # pass enters `best` only at its place in the family, so without a
+        # stop every tie-break is the whole closure's.
         k = len(rows)
-        deg = slope_of_subspace(m, rows) * k
+        return degree(rows) == k * mu_b and all(b < mu_b for b in bounds[k:])
+
+    best: dict[int, tuple[Fraction, Matrix]] = {}
+
+    def canopy() -> list[RankBound]:
+        return [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
+
+    if edges == 1:
+        for rows in filter(None, map(_rref_rows, extra)):
+            if certifies(rows):
+                best[len(rows)] = (degree(rows), rows)
+                return canopy()
+    for rows in _candidate_family(m, extra):
+        k, deg = len(rows), degree(rows)
         if k not in best or deg > best[k][0]:
             best[k] = (deg, rows)
-    bounds = _profile_upper_bound(m)
-    return [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
+        if edges == 1 and certifies(rows):
+            break
+    return canopy()
 
 
 def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> MfMuMax:
     """Certified-when-bounds-meet supremum of subspace slopes: the first edge
     of the slope polygon (see `_mf_canopy`).
 
-    Lower bound: exact slopes over the capped intersection/sum closure of the
-    filtration steps and the extra candidates (row lists in ambient coordinates).
-    Upper bound: the dimension-profile relaxation, the max of its per-k bounds.
-    certified = bounds meet.  The witness is the largest candidate of maximal
-    slope; when the closure is complete it is the sum of all of them, because
-    deg is supermodular (deg(A + B) + deg(A ∩ B) >= deg A + deg B).
+    Upper bound: the dimension-profile relaxation, the max mu_b of its per-k
+    bounds, computed first.  Lower bound: exact slopes of the extra candidates
+    (row lists in ambient coordinates), then of the capped intersection/sum
+    closure of the filtration steps, scored as they are made.  The search
+    stops at the first candidate of slope mu_b whose dimension has every
+    larger dimension's bound strictly below mu_b: that candidate is the
+    largest subspace of maximal slope, and the result is the one the whole
+    closure gives.  certified = bounds meet.  The witness is the largest
+    candidate of maximal slope; when the closure is complete it is the sum of
+    all of them, because deg is supermodular
+    (deg(A + B) + deg(A ∩ B) >= deg A + deg B).
     """
-    canopy = _mf_canopy(m, extra_candidates)
+    canopy = _mf_canopy(m, extra_candidates, edges=1)
     poly = upper_hull(canopy, edges=1)
     (_, (k, deg)) = poly.hull
     upper = max(b.upper / j for j, b in enumerate(canopy, 1))

@@ -377,6 +377,42 @@ def test_cli_bad_repro_args_exit_2(capsys, case):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+STRAY_REPRO_ARGS = {
+    "q7-twist": ["q7", "--twist", "2"],
+    "thm07-twist": ["thm07", "--twist", "2/3"],
+    "a2-p": ["a2", "--p", "13"],
+    "q7-p": ["q7", "--p", "5"],
+    "mf-lemma-p": ["mf-lemma", "--p", "37"],
+    "thm07-p": ["thm07", "--p", "5"],
+    "a2-seed": ["a2", "--seed", "1"],
+    "q7-count": ["q7", "--count", "3"],
+    "qp-seed": ["qp", "--seed", "0"],
+    "qp-count": ["qp", "--p", "13", "--count", "50"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_REPRO_ARGS))
+def test_cli_repro_option_for_another_target_exits_2(capsys, case):
+    """An option the target does not take is refused, even at its default
+    value, with one error line naming it."""
+    args = STRAY_REPRO_ARGS[case]
+    assert main(["repro", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {args[-2]} does not apply to repro {args[0]}\n"
+
+
+def test_cli_repro_omitted_options_keep_defaults(capsys):
+    for args, rep in (
+        (["a2"], repro("a2")),
+        (["qp"], repro("qp", p=5)),
+        (["mf-lemma", "--count", "3"], repro("mf-lemma", seed=0, count=3)),
+        (["thm07", "--seed", "2", "--count", "2"], repro("thm07", seed=2, count=2)),
+    ):
+        assert main(["repro", *args, "--format", "json"]) == 0
+        assert capsys.readouterr().out == emit_report(rep, "json") + "\n"
+
+
 @pytest.mark.parametrize("action", ["info", "mu-max", "filtration"])
 @pytest.mark.parametrize("case", sorted(BAD_LATTICE_JSON))
 def test_cli_bad_lattice_json_exits_2(tmp_path, capsys, case, action):

@@ -550,7 +550,7 @@ def test_candidate_family_matches_parent_order(monkeypatch, cap, low):
     monkeypatch.setattr(multifilt, "_FAMILY_CAP", cap)
     cut = 0
     for m, extra in _reference_corpus(low):
-        fam = multifilt._candidate_family(m, extra)
+        fam = list(multifilt._candidate_family(m, extra))
         assert fam == _parent_candidate_family(m, extra, rand_count=0, cap=cap)
         cut += len(fam) >= cap
     if cap == 12:
@@ -896,3 +896,176 @@ def test_nu_witness_matches_parent_avoidance():
         val, line = nu_witness(m)
         assert (val, line) == _parent_nu_witness(m)
         assert slope_of_subspace(m, (line,)) == val
+
+
+def _full_closure_mu_max_mf(m, extra=()):
+    """Reference copy of the earlier mu_max_mf: the canopy over the whole
+    closure, the profile bound after it, then the polygon's first edge."""
+    from slopekit.enumeration import RankBound, upper_hull
+    from slopekit.multifilt import _candidate_family, _profile_upper_bound
+
+    best = {}
+    for rows in list(_candidate_family(m, extra)):
+        k = len(rows)
+        deg = slope_of_subspace(m, rows) * k
+        if k not in best or deg > best[k][0]:
+            best[k] = (deg, rows)
+    bounds = _profile_upper_bound(m)
+    canopy = [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
+    poly = upper_hull(canopy, edges=1)
+    (_, (k, deg)) = poly.hull
+    return deg / k, poly.filtration[0], max(bounds), poly.certified
+
+
+def _witness_products(m1, m2):
+    r1, r2 = mu_max_mf(m1), mu_max_mf(m2)
+    return [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
+
+
+def _stop_corpus(rng, count, heavy):
+    """`count` seeded inputs in turn: a space alone, a space with a random
+    subspace as extra, a tensor alone and a tensor with its witness product.
+    Heavy inputs all have three filtrations, and their spaces dimension 3 or
+    4 and tensors dimension 4 or 6, where a closure cut at 25 often leaves
+    the bound unmet."""
+    out = []
+    for i in range(count):
+        if i % 4 < 2:
+            dim = rng.randint(3 if heavy else 1, 4)
+            m = random_mf(rng, dim, 3 if heavy else rng.randint(1, 3))
+            extra = ()
+            if i % 4 == 1:
+                k = rng.randint(1, m.dim)
+                extra = [[[F(rng.randint(-2, 2)) for _ in range(m.dim)] for _ in range(k)]]
+        else:
+            n_filts = 3 if heavy else rng.randint(1, 3)
+            m1 = random_mf(rng, 2 if heavy else rng.randint(1, 3), n_filts)
+            dim2 = rng.randint(2, 3) if heavy else rng.randint(1, 6 // m1.dim if n_filts < 3 else 2)
+            m2 = random_mf(rng, dim2, n_filts)
+            m = tensor_mf(m1, m2)
+            extra = [_witness_products(m1, m2)] if i % 4 == 3 else ()
+        out.append((m, extra))
+    return out
+
+
+def _track_family(monkeypatch):
+    """Counts how often mu_max_mf starts the closure and reads it to the end."""
+    from slopekit import multifilt
+
+    real = multifilt._candidate_family
+    counts = {"started": 0, "exhausted": 0}
+
+    def tracked(m, extra):
+        counts["started"] += 1
+        yield from real(m, extra)
+        counts["exhausted"] += 1
+
+    monkeypatch.setattr(multifilt, "_candidate_family", tracked)
+    return counts
+
+
+@pytest.mark.parametrize("cap,seed,count,heavy", [(400, 181, 320, False), (25, 191, 160, True)])
+def test_bound_first_stop_matches_full_closure(monkeypatch, cap, seed, count, heavy):
+    """Stopping at the first candidate that certifies, after the profile bound
+    and a probe of the extra candidates, gives the full closure's value,
+    witness, upper bound and flag on 480 seeded spaces and tensors, with and
+    without extras, at the default cap and with the closure cut at 25.  Each
+    corpus has inputs that stop at the probe, inside the closure, and that
+    read the whole closure, some of them uncertified."""
+    from slopekit import multifilt
+
+    monkeypatch.setattr(multifilt, "_FAMILY_CAP", cap)
+    corpus = _stop_corpus(random.Random(seed), count, heavy)
+    ref = [_full_closure_mu_max_mf(m, extra) for m, extra in corpus]
+    counts = _track_family(monkeypatch)
+    new = [mu_max_mf(m, extra) for m, extra in corpus]
+    assert [(r.value, r.witness, r.upper, r.certified) for r in new] == ref
+    assert sum(not r.certified for r in new) >= 4
+    assert count - counts["started"] >= 30  # an extra certified at the probe
+    assert counts["started"] - counts["exhausted"] >= 100  # stopped in the closure
+    assert counts["exhausted"] >= 4
+
+
+def test_certifying_extra_stops_before_the_closure(monkeypatch):
+    """A witness product with the bound's slope and every larger rank's bound
+    below it is the answer on its own: mu_max_mf returns the full closure's
+    result without starting the closure."""
+    full = [[1, 0], [0, 1]]
+    m1 = MultifilteredSpace(2, [
+        Filtration(2, [(0, full), (2, [[1, 0]])]),
+        Filtration(2, [(0, full), (1, [[0, 1]])]),
+    ])
+    m2 = MultifilteredSpace(2, [
+        Filtration(2, [(0, full), (1, [[1, 1]])]),
+        Filtration(2, [(-1, full), (1, [[1, -1]])]),
+    ])
+    t, extra = tensor_mf(m1, m2), [_witness_products(m1, m2)]
+    ref = _full_closure_mu_max_mf(t, extra)
+    counts = _track_family(monkeypatch)
+    res = mu_max_mf(t, extra)
+    assert counts["started"] == 0
+    assert (res.value, res.witness, res.upper, res.certified) == ref
+    assert res.certified and res.value == 3 and len(res.witness) == 1
+
+
+# mf-tensor (seed 1) op 26: both factors certify with line witnesses, and the
+# tensor's profile bound is -1 at dimensions 1 and 2, so the witness product,
+# a line of slope -1, cannot rule out a larger maximizer.
+_OP26_FACTORS = (
+    [
+        [(-3, [[-2, 0, -2], [-1, 2, -1], [-1, 1, -2]]), (0, [[-2, 0, -2], [-1, 2, -1]]), (3, [[-2, 0, -2]])],
+        [(0, [[-1, 1, 0], [2, 1, 2], [-2, -2, 2]]), (2, [[-1, 1, 0]])],
+        [(-3, [[0, 1, 0], [2, 1, 1], [0, 0, 1]]), (2, [[0, 1, 0]])],
+    ],
+    [
+        [(-1, [[1, -1, 1], [0, 0, 2], [0, 1, -1]])],
+        [(-3, [[0, -2, -2], [-2, -2, 0], [-1, 0, 2]]), (-1, [[0, -2, -2]])],
+        [(-3, [[1, -1, 1], [0, 0, -2], [-2, 1, 1]]), (-1, [[1, -1, 1], [0, 0, -2]]), (1, [[1, -1, 1]])],
+    ],
+)
+
+
+def test_bound_tied_at_a_larger_rank_does_not_stop(monkeypatch):
+    """A candidate of the bound's slope does not stop the search while a
+    larger dimension's bound ties it: in the crossed example the line e1 has
+    slope 1 and so has the plane, the largest maximizer; the op-26 tensor (closure
+    cut at 25) has a witness product of slope -1 = mu_b with the rank-2
+    bound also -1.  Both read the closure and match its result."""
+    from slopekit import multifilt
+    from slopekit.multifilt import _profile_upper_bound
+
+    monkeypatch.setattr(multifilt, "_FAMILY_CAP", 25)
+    m1, m2 = (MultifilteredSpace(3, [Filtration(3, s) for s in f]) for f in _OP26_FACTORS)
+    t, products = tensor_mf(m1, m2), _witness_products(m1, m2)
+    bounds = _profile_upper_bound(t)
+    assert bounds[0] == bounds[1] == max(bounds) == -1
+    assert slope_of_subspace(t, products) == -1 and len(linalg.rref(linalg.mat(products))[0]) == 1
+    cases = [(crossed_example(), [[[1, 0]]]), (t, [products])]
+    refs = [_full_closure_mu_max_mf(m, extra) for m, extra in cases]
+    counts = _track_family(monkeypatch)
+    for (m, extra), ref in zip(cases, refs):
+        res = mu_max_mf(m, extra)
+        assert (res.value, res.witness, res.upper, res.certified) == ref
+    assert counts["started"] == 2
+    assert refs[0] == (1, linalg.identity(2), 1, True)
+
+
+def test_probe_leaves_ties_to_family_order(monkeypatch):
+    """An extra candidate probed first but not certifying takes its family
+    place: e1 and e2 of the crossed space in Q^3 both have the maximal slope
+    1, their plane is cut off with the closure at 3 members, and its rank-2
+    bound ties 1, so the witness is e1, the first in family order, though
+    the extra e2 was scored first."""
+    from slopekit import multifilt
+
+    monkeypatch.setattr(multifilt, "_FAMILY_CAP", 3)
+    full = linalg.identity(3)
+    m = MultifilteredSpace(3, [
+        Filtration(3, [(0, full), (1, [[1, 0, 0]])]),
+        Filtration(3, [(0, full), (1, [[0, 1, 0]])]),
+    ])
+    extra = [[[0, 2, 0]]]
+    ref = _full_closure_mu_max_mf(m, extra)
+    res = mu_max_mf(m, extra)
+    assert (res.value, res.witness, res.upper, res.certified) == ref
+    assert res.witness == ((1, 0, 0),) and res.certified

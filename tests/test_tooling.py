@@ -147,9 +147,43 @@ def test_candidate_family_reduces_only_pairs_and_extras(monkeypatch):
     extras = [products, [], [[1] + [0] * (t.dim - 1)]]
     for name in counts:
         monkeypatch.setattr(linalg, name, counted(name, getattr(linalg, name)))
-    family = mf._candidate_family(t, extras)
+    family = list(mf._candidate_family(t, extras))
     assert counts["intersect_and_sum"] >= 100 and len(family) >= 40
     assert counts["rref"] == counts["intersect_and_sum"] + 2
+
+
+def test_certifying_product_makes_no_closure_eliminations(monkeypatch):
+    """mu_max_mf computes the profile bound first and probes the extra
+    candidates before the closure.  On a tensor whose factors certify and
+    whose witness product meets the bound, with every larger dimension's bound
+    below it, it eliminates no pair of the closure; with two filtrations the
+    bound needs no intersection basis either."""
+    linalg, mf = slopekit.linalg, slopekit.multifilt
+    full = [[1, 0], [0, 1]]
+    m1 = mf.MultifilteredSpace(2, [
+        mf.Filtration(2, [(0, full), (2, [[1, 0]])]),
+        mf.Filtration(2, [(0, full), (1, [[0, 1]])]),
+    ])
+    m2 = mf.MultifilteredSpace(2, [
+        mf.Filtration(2, [(0, full), (1, [[1, 1]])]),
+        mf.Filtration(2, [(-1, full), (1, [[1, -1]])]),
+    ])
+    r1, r2 = mf.mu_max_mf(m1), mf.mu_max_mf(m2)
+    assert r1.certified and r2.certified
+    t = mf.tensor_mf(m1, m2)
+    products = [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
+    calls = []
+    real = linalg.intersect_and_sum
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "intersect_and_sum", counted)
+    rt = mf.mu_max_mf(t, extra_candidates=[products])
+    assert rt.certified and rt.value == r1.value + r2.value
+    assert rt.witness == linalg.rref(linalg.mat(products))[0]
+    assert calls == []
 
 
 def test_factoring_goes_through_public_name(monkeypatch):
