@@ -6,8 +6,17 @@ shared with euclidean lattices.
 
 A filtration is stored as its value at each break: pairs (lambda, subspace)
 with strictly increasing labels and strictly decreasing subspaces, the lowest
-space being the whole ambient space (left-continuity pins the value at a
+space being the whole ambient space V (left-continuity pins the value at a
 break to the space before the drop).
+
+By Abel summation a filtration with breaks lam_0 < lam_1 < ... adds
+lam_0 dim W + sum_(i>=1) (lam_i - lam_(i-1)) dim(W ∩ F_i) to deg W, so
+slopes and the profile relaxation never meet V = F_0.  No constraint is
+lost: with d_0 = k the pair constraint d_0 + e - k <= dim(V ∩ G_j) reads
+e <= dim G_j, which the profile's own bound imposes; a triple constraint
+with one index at V is the pair constraint of the other two, with two it
+reads d <= dim F_i, with three k <= n.  So the feasible profiles, and every
+bound, are the same as with V.
 
 Subspaces are stored as RREF rows, reduced once when made, never again.
 Where only a dimension is read it comes from one rank,
@@ -21,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,7 +45,10 @@ F = Fraction
 Matrix = linalg.Matrix
 
 
-def _rref_rows(rows) -> Matrix:
+def _rref_rows(rows, n: int) -> Matrix:
+    """RREF of rows of n entries each; ValueError for any other width."""
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"rows must have {n} entries, the ambient dimension")
     if not rows:
         return ()
     return linalg.rref(linalg.mat(rows))[0]
@@ -49,7 +62,7 @@ class Filtration:
     def __init__(self, ambient_dim: int, steps: Sequence[tuple]):
         cleaned: list[tuple[Fraction, Matrix]] = []
         for lam, rows in steps:
-            cleaned.append((F(lam), _rref_rows(rows)))
+            cleaned.append((F(lam), _rref_rows(rows, ambient_dim)))
         cleaned.sort(key=lambda t: t[0])
         merged: list[tuple[Fraction, Matrix]] = []
         for lam, space in cleaned:
@@ -66,8 +79,8 @@ class Filtration:
             raise ValueError("the lowest step must span the ambient space")
         # Containment is all there is to check: consecutive merged steps have
         # distinct RREFs, so a contained step of equal dimension would equal
-        # its predecessor; strict decrease follows.
-        for (_, s0), (_, s1) in zip(merged, merged[1:]):
+        # its predecessor; strict decrease follows.  The lowest, V, holds every step.
+        for (_, s0), (_, s1) in zip(merged[1:], merged[2:]):
             if linalg.rank(s0 + s1) != len(s0):
                 raise ValueError("filtration subspaces must be decreasing")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -235,17 +248,17 @@ def _meet_dim(a: Matrix, b: Matrix) -> int:
 
 
 def slope_of_subspace(m: MultifilteredSpace, rows: Matrix) -> Fraction:
-    """Slope of a nonzero subspace with the induced filtrations; it reads only
-    the dimensions of the subspace's intersections with the steps."""
-    rows = _rref_rows(rows)
+    """Slope of a nonzero subspace with the induced filtrations, in the Abel
+    form (module docstring): it meets only the proper steps."""
+    rows = _rref_rows(rows, m.dim)
     k = len(rows)
     if k == 0:
         raise ValueError("zero subspace has no slope")
     total = F(0)
     for f in m.filtrations:
-        dims = [_meet_dim(rows, space) for _, space in f.steps] + [0]
-        for i, (lam, _) in enumerate(f.steps):
-            total += lam * (dims[i] - dims[i + 1])
+        total += f.steps[0][0] * k
+        for (low, _), (lam, space) in itertools.pairwise(f.steps):
+            total += (lam - low) * _meet_dim(rows, space)
     return total / k
 
 
@@ -258,7 +271,7 @@ def _coords_in_rows(rows: Matrix, v) -> tuple[Fraction, ...]:
 def subobject(m: MultifilteredSpace, rows) -> MultifilteredSpace:
     """The subspace with induced filtrations, in the coordinates of its RREF
     basis."""
-    rows = _rref_rows(rows)
+    rows = _rref_rows(rows, m.dim)
     k = len(rows)
     if k == 0:
         raise ValueError("zero subspace")
@@ -285,11 +298,11 @@ def quotient_object(m: MultifilteredSpace, rows) -> tuple[MultifilteredSpace, Ma
     quotient coordinates of v are v_i - sum_p v_p * r_p[i] over the
     completion's i."""
     n = m.dim
-    rev, rev_pivots = linalg.rref(linalg.mat(r[::-1] for r in rows))
+    rev = _rref_rows([r[::-1] for r in rows], n)
     q_dim = n - len(rev)
     if q_dim == 0:
         raise ValueError("quotient by the whole space")
-    last = [n - 1 - c for c in rev_pivots]
+    last = [n - 1 - r.index(1) for r in rev]
     red = [r[::-1] for r in rev]
     free = [i for i in range(n) if i not in last]
     completion = tuple(tuple(F(int(j == i)) for j in range(n)) for i in free)
@@ -354,17 +367,17 @@ def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[Fraction, ...]]:
     first break tuple t, in order of decreasing sum, with I nonzero.  A
     nonzero v of I in some F_f^{>t_f} would make nonzero the meet of the
     tuple that raises t_f to the next break, whose sum is larger, against the
-    choice of t; so every nonzero vector of I has weights exactly t."""
-    if not m.filtrations:
-        # every line has break-sum 0, which is the slope
-        return F(0), tuple(F(int(i == 0)) for i in range(m.dim))
+    choice of t; so every nonzero vector of I has weights exactly t.  An
+    entry at its filtration's lowest break selects V, so only the other
+    entries' steps are met; with none, I = V and the witness is e_1."""
     tuples = sorted(
         itertools.product(*(f.breaks() for f in m.filtrations)), key=lambda t: sum(t), reverse=True
     )
     for tup in tuples:
-        inter = m.filtrations[0].space_at(tup[0])
-        for f, lam in zip(m.filtrations[1:], tup[1:]):
-            inter = linalg.intersect_row_spaces(inter, f.space_at(lam), m.dim)
+        proper = [f.space_at(lam) for f, lam in zip(m.filtrations, tup) if lam != f.steps[0][0]]
+        inter = proper[0] if proper else linalg.identity(m.dim)
+        for space in proper[1:]:
+            inter = linalg.intersect_row_spaces(inter, space, m.dim)
             if not inter:
                 break
         else:
@@ -419,114 +432,98 @@ def _candidate_family(m: MultifilteredSpace, extra):
             if len(seen) >= _FAMILY_CAP:
                 break
         start = len(current)
-    yield from filter(fresh, map(_rref_rows, extra))
+    yield from filter(fresh, (_rref_rows(e, m.dim) for e in extra))
 
 
 def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
     """For each k = 1..dim, the max over dimension-profile relaxations of the
-    induced slope of a k-dimensional subspace: per filtration the
-    intersection dimensions are bounded monotone sequences, coupled across
-    filtrations by exact ambient intersection dimensions.
-
-    A k-dimensional W meets the steps F_0 = V > F_1 > ... of a filtration in
-    the profile d_i = dim(W ∩ F_i), and that filtration adds
-    sum_i lam_i (d_i - d_(i+1)) to deg W (d = 0 past the last step), as in
-    `slope_of_subspace`.  Every constraint below holds for the true profiles,
-    so the best feasible choice bounds deg W and best_k its slope."""
+    induced slope of a k-dimensional subspace W: per filtration the profile
+    d_i = dim(W ∩ F_i) over the proper steps F_1 > F_2 > ... is a bounded
+    monotone sequence, coupled across filtrations by the exact meet
+    dimensions of the proper steps (V drops out: module docstring).  Every
+    constraint below holds for the true profiles, so the best feasible score
+    bounds deg W.  A profile scores sum_i g_i d_i, with integers
+    g_i = (lam_i - lam_(i-1)) D for D the lcm of the break denominators, and
+    bound_k = sum_f lam_(f,0) + best / (D k): the scaling, and the lam_0 k
+    every profile of a filtration shares, keep the profile order and the
+    pruning."""
     n = m.n_filtrations
-    steps = [f.steps for f in m.filtrations]
-    # pairwise (and for n >= 3, triple) ambient intersection dims
+    steps = [f.steps[1:] for f in m.filtrations]
+    den = math.lcm(*(lam.denominator for f in m.filtrations for lam in f.breaks()))
+    gaps = [[int((hi - lo) * den) for lo, hi in itertools.pairwise(f.breaks())] for f in m.filtrations]
+    dims = [[m.dim] + [len(s) for _, s in st] for st in steps]
     pair_dim: dict[tuple, int] = {}
-    for v in range(n):
-        for w in range(v + 1, n):
-            for i, (_, si) in enumerate(steps[v]):
-                for j, (_, sj) in enumerate(steps[w]):
-                    pair_dim[(v, i, w, j)] = _meet_dim(si, sj)
+    for v, w in itertools.combinations(range(n), 2):
+        for i, (_, si) in enumerate(steps[v]):
+            for j, (_, sj) in enumerate(steps[w]):
+                pair_dim[(v, i, w, j)] = _meet_dim(si, sj)
     triple_dim: dict[tuple, int] = {}
-    if n >= 3:
-        for v, w, x in itertools.combinations(range(n), 3):
-            for i in range(len(steps[v])):
-                for j in range(len(steps[w])):
-                    si = linalg.intersect_row_spaces(
-                        steps[v][i][1], steps[w][j][1], m.dim
-                    )
-                    for l in range(len(steps[x])):
-                        triple_dim[(v, i, w, j, x, l)] = _meet_dim(si, steps[x][l][1])
+    for v, w, x in itertools.combinations(range(n), 3):
+        for i, (_, si) in enumerate(steps[v]):
+            for j, (_, sj) in enumerate(steps[w]):
+                sij = linalg.intersect_row_spaces(si, sj, m.dim)
+                for l, (_, sl) in enumerate(steps[x]):
+                    triple_dim[(v, i, w, j, x, l)] = _meet_dim(sij, sl)
+    lam_0 = sum((f.steps[0][0] for f in m.filtrations), F(0))
 
     bounds: list[Fraction] = []
     for k in range(1, m.dim + 1):
-        per_v: list[list[tuple[Fraction, tuple[int, ...]]]] = []
-        for v in range(n):
-            brks = [lam for lam, _ in steps[v]]
-            adims = [len(s) for _, s in steps[v]]
-            profs: list[tuple[Fraction, tuple[int, ...]]] = []
+        per_v: list[list[tuple[int, tuple[int, ...]]]] = []
+        for g, a in zip(gaps, dims):
+            profs: list[tuple[int, tuple[int, ...]]] = []
 
-            def rec(i, prev, acc):
-                if i == len(brks):
-                    contrib = F(0)
-                    for t in range(len(acc)):
-                        nxt = acc[t + 1] if t + 1 < len(acc) else 0
-                        contrib += brks[t] * (acc[t] - nxt)
-                    profs.append((contrib, tuple(acc)))
+            def rec(i, prev, acc, score):
+                if i == len(g):
+                    profs.append((score, acc))
                     return
-                # d_0 = k (F_0 = V); W ∩ F_i lies in W ∩ F_(i-1) and in F_i,
-                # and (W ∩ F_(i-1)) / (W ∩ F_i) embeds in F_(i-1) / F_i
-                lo = max(0, prev - (adims[i - 1] - adims[i])) if i > 0 else k
-                hi = min(prev, adims[i], k) if i > 0 else k
-                for d in range(hi, lo - 1, -1):
-                    acc.append(d)
-                    rec(i + 1, d, acc)
-                    acc.pop()
+                # a[i] = dim F_i: W ∩ F_(i+1) lies in W ∩ F_i (W for i = 0) and
+                # in F_(i+1), and (W ∩ F_i) / (W ∩ F_(i+1)) embeds in F_i / F_(i+1)
+                for d in range(min(prev, a[i + 1]), max(0, prev - (a[i] - a[i + 1])) - 1, -1):
+                    rec(i + 1, d, acc + (d,), score + g[i] * d)
 
-            rec(0, k, [])
+            rec(0, k, (), 0)
             profs.sort(key=lambda t: t[0], reverse=True)
             per_v.append(profs)
 
-        best_k: Optional[Fraction] = None
-        suffix_max = [F(0)] * (n + 1)
+        best: Optional[int] = None
+        suffix_max = [0] * (n + 1)
         for v in range(n - 1, -1, -1):
             suffix_max[v] = suffix_max[v + 1] + per_v[v][0][0]
 
         def feasible(chosen, v, prof):
             # subspaces of W of dims d, e meet in dim >= d + e - k, so
             # d + e - k <= dim(F ∩ G) for W ∩ F and W ∩ G; meeting that with
-            # W ∩ H gives d + e + g - 2k <= dim(F ∩ G ∩ H)
+            # W ∩ H gives d + e + h - 2k <= dim(F ∩ G ∩ H)
             for w in range(v):
-                other = chosen[w]
                 for i, d in enumerate(prof):
-                    for j, e in enumerate(other):
+                    for j, e in enumerate(chosen[w]):
                         if d + e - k > pair_dim[(w, j, v, i)]:
                             return False
-            if n >= 3:
-                for w, x in itertools.combinations(range(v), 2):
-                    pw, px = chosen[w], chosen[x]
-                    for i, d in enumerate(prof):
-                        for j, e in enumerate(pw):
-                            for l, g in enumerate(px):
-                                key = (w, j, x, l, v, i)
-                                if d + e + g - 2 * k > triple_dim[key]:
-                                    return False
+            for w, x in itertools.combinations(range(v), 2):
+                for i, d in enumerate(prof):
+                    for j, e in enumerate(chosen[w]):
+                        for l, h in enumerate(chosen[x]):
+                            if d + e + h - 2 * k > triple_dim[(w, j, x, l, v, i)]:
+                                return False
             return True
 
         def dfs(v, chosen, total):
-            nonlocal best_k
+            nonlocal best
             if v == n:
-                if best_k is None or total > best_k * k:
-                    best_k = total / k
+                if best is None or total > best:
+                    best = total
                 return
-            for contrib, prof in per_v[v]:
-                # profiles come by decreasing contrib and suffix_max bounds
-                # the later filtrations' share: no later profile beats best_k
-                if best_k is not None and total + contrib + suffix_max[v + 1] <= best_k * k:
+            for score, prof in per_v[v]:
+                # profiles come by decreasing score and suffix_max bounds
+                # the later filtrations' share: no later profile beats best
+                if best is not None and total + score + suffix_max[v + 1] <= best:
                     break
                 if feasible(chosen, v, prof):
-                    chosen.append(prof)
-                    dfs(v + 1, chosen, total + contrib)
-                    chosen.pop()
+                    dfs(v + 1, chosen + [prof], total + score)
 
-        dfs(0, [], F(0))
+        dfs(0, [], 0)
         # every k-dimensional subspace has a feasible profile
-        bounds.append(best_k)
+        bounds.append(lam_0 + F(best, den * k))
     return bounds
 
 
@@ -536,8 +533,8 @@ def _mf_canopy(m: MultifilteredSpace, extra, edges: Optional[int] = None) -> lis
     slope bound.
 
     `edges` is how much of the polygon the caller reads, as in `upper_hull`.
-    With edges=1 the extra candidates are probed before the closure, and
-    the search stops at the first candidate that passes `certifies`.  The canopy then holds that candidate and the
+    With edges=1 the extra candidates are all reduced, then probed before
+    the closure, and the search stops at the first candidate that passes `certifies`.  The canopy then holds that candidate and the
     closure members scored before it, and its first edge is the one the
     whole closure gives.  Otherwise, or when no candidate passes, the whole
     closure is read."""
@@ -576,7 +573,7 @@ def _mf_canopy(m: MultifilteredSpace, extra, edges: Optional[int] = None) -> lis
         return [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
 
     if edges == 1:
-        for rows in filter(None, map(_rref_rows, extra)):
+        for rows in filter(None, [_rref_rows(e, m.dim) for e in extra]):
             if certifies(rows):
                 best[len(rows)] = (degree(rows), rows)
                 return canopy()
@@ -636,12 +633,13 @@ def tensor_mf(m1: MultifilteredSpace, m2: MultifilteredSpace) -> MultifilteredSp
         steps = []
         for s in sums:
             rows: list[tuple[Fraction, ...]] = []
+            # F2^{>=s-l1} holds every F2^{l2} with l1 + l2 >= s; once it is
+            # V2, the later, smaller F1^{l1} add nothing
             for l1, s1 in f1.steps:
-                for l2, s2 in f2.steps:
-                    if l1 + l2 >= s:
-                        for r1 in s1:
-                            for r2 in s2:
-                                rows.append(tuple(x * y for x in r1 for y in r2))
+                s2 = f2.space_at(s - l1)
+                rows += (tuple(x * y for x in r1 for y in r2) for r1 in s1 for r2 in s2)
+                if len(s2) == m2.dim:
+                    break
             steps.append((s, rows))
         filts.append(Filtration(dim, steps))
     return MultifilteredSpace(dim, filts)

@@ -34,7 +34,8 @@ def crossed_example():
     return MultifilteredSpace(2, [f1, f2])
 
 
-def random_mf(rng, dim, n_filts, max_breaks=3, break_bound=3):
+def random_mf(rng, dim, n_filts, max_breaks=3, break_bound=3, denominator=1):
+    """Random flags cut at breaks in (1/denominator)Z ∩ [-break_bound, break_bound]."""
     filts = []
     for _ in range(n_filts):
         # random flag pieces at random distinct breaks
@@ -43,7 +44,8 @@ def random_mf(rng, dim, n_filts, max_breaks=3, break_bound=3):
             if linalg.rank(linalg.mat(b)) == dim:
                 break
         n_steps = rng.randint(1, min(max_breaks, dim))
-        breaks = sorted(rng.sample(range(-break_bound, break_bound + 1), n_steps))
+        grid = [F(j, denominator) for j in range(-break_bound * denominator, break_bound * denominator + 1)]
+        breaks = sorted(rng.sample(grid, n_steps))
         sizes = [dim]
         if n_steps > 1:
             sizes += sorted(rng.sample(range(1, dim), n_steps - 1), reverse=True)
@@ -380,6 +382,230 @@ def test_profile_bound_matches_naive_enumeration():
         m = random_mf(rng, rng.randint(1, 3), rng.randint(1, 2))
         assert _profile_upper_bound(m) == naive_profile_bound(m)
     assert _profile_upper_bound(crossed_example()) == naive_profile_bound(crossed_example()) == [1, 1]
+
+
+def _parent_profile_upper_bound(m):
+    """Reference copy of the earlier `_profile_upper_bound`: profiles over
+    every step, the whole space included, scored in Fractions."""
+    n = m.n_filtrations
+    steps = [f.steps for f in m.filtrations]
+
+    def meet_dim(a, b):
+        return len(a) + len(b) - linalg.rank(a + b)
+
+    pair_dim = {}
+    for v in range(n):
+        for w in range(v + 1, n):
+            for i, (_, si) in enumerate(steps[v]):
+                for j, (_, sj) in enumerate(steps[w]):
+                    pair_dim[(v, i, w, j)] = meet_dim(si, sj)
+    triple_dim = {}
+    if n >= 3:
+        for v, w, x in itertools.combinations(range(n), 3):
+            for i in range(len(steps[v])):
+                for j in range(len(steps[w])):
+                    si = linalg.intersect_row_spaces(steps[v][i][1], steps[w][j][1], m.dim)
+                    for l in range(len(steps[x])):
+                        triple_dim[(v, i, w, j, x, l)] = meet_dim(si, steps[x][l][1])
+
+    bounds = []
+    for k in range(1, m.dim + 1):
+        per_v = []
+        for v in range(n):
+            brks = [lam for lam, _ in steps[v]]
+            adims = [len(s) for _, s in steps[v]]
+            profs = []
+
+            def rec(i, prev, acc):
+                if i == len(brks):
+                    contrib = F(0)
+                    for t in range(len(acc)):
+                        nxt = acc[t + 1] if t + 1 < len(acc) else 0
+                        contrib += brks[t] * (acc[t] - nxt)
+                    profs.append((contrib, tuple(acc)))
+                    return
+                lo = max(0, prev - (adims[i - 1] - adims[i])) if i > 0 else k
+                hi = min(prev, adims[i], k) if i > 0 else k
+                for d in range(hi, lo - 1, -1):
+                    acc.append(d)
+                    rec(i + 1, d, acc)
+                    acc.pop()
+
+            rec(0, k, [])
+            profs.sort(key=lambda t: t[0], reverse=True)
+            per_v.append(profs)
+
+        best_k = None
+        suffix_max = [F(0)] * (n + 1)
+        for v in range(n - 1, -1, -1):
+            suffix_max[v] = suffix_max[v + 1] + per_v[v][0][0]
+
+        def feasible(chosen, v, prof):
+            for w in range(v):
+                for i, d in enumerate(prof):
+                    for j, e in enumerate(chosen[w]):
+                        if d + e - k > pair_dim[(w, j, v, i)]:
+                            return False
+            if n >= 3:
+                for w, x in itertools.combinations(range(v), 2):
+                    for i, d in enumerate(prof):
+                        for j, e in enumerate(chosen[w]):
+                            for l, g in enumerate(chosen[x]):
+                                if d + e + g - 2 * k > triple_dim[(w, j, x, l, v, i)]:
+                                    return False
+            return True
+
+        def dfs(v, chosen, total):
+            nonlocal best_k
+            if v == n:
+                if best_k is None or total > best_k * k:
+                    best_k = total / k
+                return
+            for contrib, prof in per_v[v]:
+                if best_k is not None and total + contrib + suffix_max[v + 1] <= best_k * k:
+                    break
+                if feasible(chosen, v, prof):
+                    chosen.append(prof)
+                    dfs(v + 1, chosen, total + contrib)
+                    chosen.pop()
+
+        dfs(0, [], F(0))
+        bounds.append(best_k)
+    return bounds
+
+
+def _profile_corpus(rng, count):
+    """`count` seeded spaces of dimension 1..6 and tensors of dimension up to
+    9, each with 0..3 filtrations of at most 3 steps, with breaks in
+    (1/6)Z so that denominators 2, 3 and 6 occur."""
+
+    def space(dim, n_filts):
+        return random_mf(rng, dim, n_filts, denominator=6)
+
+    out = []
+    for i in range(count):
+        n_filts = rng.randint(0, 3)
+        if i % 4 == 3:
+            out.append(tensor_mf(space(rng.randint(1, 3), n_filts), space(rng.randint(1, 3), n_filts)))
+        else:
+            out.append(space(rng.choice((1, 2, 2, 3, 3, 4, 4, 5, 6)), n_filts))
+    return out
+
+
+def test_integer_profile_bound_matches_parent_on_seeded_spaces():
+    """Profiles over the proper steps, scored in integers, give the earlier
+    per-k bound lists on 2,000 seeded spaces and tensors whose breaks have
+    denominators up to 6."""
+    from slopekit.multifilt import _profile_upper_bound
+
+    corpus = _profile_corpus(random.Random(1601), 2000)
+    for m in corpus:
+        assert _profile_upper_bound(m) == _parent_profile_upper_bound(m)
+    assert max(m.dim for m in corpus) == 9
+    assert {m.n_filtrations for m in corpus} == {0, 1, 2, 3}
+    breaks = [lam for m in corpus for f in m.filtrations for lam in f.breaks()]
+    assert {lam.denominator for lam in breaks} >= {1, 2, 3, 6}
+    assert sum(len(f.steps) == 1 for m in corpus for f in m.filtrations) >= 300
+
+
+def _mf_tensor_spaces(monkeypatch):
+    """The factors and tensor of every op of the benchmark's mf-tensor list at
+    seed 1 (135 ops, all its run reaches)."""
+    from pathlib import Path
+
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.setattr("sys.dont_write_bytecode", True)  # leave perfbench/ untouched
+    monkeypatch.syspath_prepend(str(perfbench))
+    import workloads
+
+    out = []
+    for i in range(135):
+        m1, m2 = (
+            MultifilteredSpace(d, [Filtration(d, steps) for steps in filts])
+            for d, filts in workloads.mf_tensor_input(1, i)
+        )
+        out += [m1, m2, tensor_mf(m1, m2)]
+    return out
+
+
+def test_integer_profile_bound_matches_parent_on_mf_tensor_spaces(monkeypatch):
+    """The same on every factor and tensor of the mf-tensor benchmark at
+    seed 1."""
+    from slopekit.multifilt import _profile_upper_bound
+
+    spaces = _mf_tensor_spaces(monkeypatch)
+    assert len(spaces) == 405 and max(m.dim for m in spaces) == 9
+    for m in spaces:
+        assert _profile_upper_bound(m) == _parent_profile_upper_bound(m)
+
+
+def _holds_whole_space(a, n):
+    """Whether rows of `a`, cut to their first n entries, hold the n x n
+    identity (the stored whole space) as a block, next to other rows."""
+    heads = tuple(tuple(row[:n]) for row in a)
+    ident = linalg.identity(n)
+    return len(a) > n and any(heads[r:r + n] == ident for r in range(len(a) - n + 1))
+
+
+def test_proper_steps_only_reach_rref(monkeypatch):
+    """The relaxation, slopes, witness lines, filtrations and tensor products
+    never hand `linalg.rref` the whole space next to another operand: its
+    meets are known, so they are not computed."""
+    from slopekit.multifilt import _profile_upper_bound
+
+    seen = {"calls": 0, "whole": [], "n": None}
+    real = linalg.rref
+
+    def watched(a):
+        seen["calls"] += 1
+        if seen["n"] is not None and _holds_whole_space(a, seen["n"]):
+            seen["whole"].append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "rref", watched)
+    rng = random.Random(1607)
+    for _ in range(60):
+        n_filts = rng.randint(1, 3)
+        d1, d2 = rng.randint(2, 3), rng.randint(1, 3)
+        seen["n"] = d1
+        m1 = random_mf(rng, d1, n_filts)
+        seen["n"] = d2
+        m2 = random_mf(rng, d2, n_filts)
+        seen["n"] = d1 * d2
+        t = tensor_mf(m1, m2)
+        for m in (m1, t):
+            seen["n"] = m.dim
+            _profile_upper_bound(m)
+            nu_witness(m)
+            rows = [[rng.randint(-2, 2) for _ in range(m.dim)] for _ in range(rng.randint(1, m.dim - 1))]
+            if linalg.rank(linalg.mat(rows)):
+                slope_of_subspace(m, rows)
+    assert seen["calls"] >= 2000
+    assert seen["whole"] == []
+    # the check itself sees the whole space next to a step
+    seen["n"] = 2
+    linalg.rank(linalg.identity(2) + ((F(1), F(1)),))
+    assert len(seen["whole"]) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda m: Filtration(2, [(0, [[1, 0], [0, 1]]), (1, [[1, 0, 5]])]), id="step"),
+        pytest.param(lambda m: Filtration(2, [(0, [[1, 0, 0], [0, 1, 0]])]), id="lowest-step"),
+        pytest.param(lambda m: slope_of_subspace(m, [[1]]), id="slope-short"),
+        pytest.param(lambda m: slope_of_subspace(m, [[0, 1, 1]]), id="slope-long"),
+        pytest.param(lambda m: mu_max_mf(m, extra_candidates=[[[0, 1, 1]]]), id="extra"),
+        # the whole space certifies at the probe, which still checks every extra
+        pytest.param(lambda m: mu_max_mf(m, extra_candidates=[[[1, 0], [0, 1]], [[1]]]), id="second-extra"),
+        pytest.param(lambda m: subobject(m, [[1, 0, 7]]), id="subobject"),
+        pytest.param(lambda m: quotient_object(m, [[1, 0, 7]]), id="quotient"),
+    ],
+)
+def test_rows_of_the_wrong_width_raise(call):
+    """Rows outside the ambient Q^2 raise a ValueError naming the width."""
+    with pytest.raises(ValueError, match="rows must have 2 entries"):
+        call(crossed_example())
 
 
 def test_slope_filtration_subquotient_rederivation():

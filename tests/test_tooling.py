@@ -152,13 +152,10 @@ def test_candidate_family_reduces_only_pairs_and_extras(monkeypatch):
     assert counts["rref"] == counts["intersect_and_sum"] + 2
 
 
-def test_certifying_product_makes_no_closure_eliminations(monkeypatch):
-    """mu_max_mf computes the profile bound first and probes the extra
-    candidates before the closure.  On a tensor whose factors certify and
-    whose witness product meets the bound, with every larger dimension's bound
-    below it, it eliminates no pair of the closure; with two filtrations the
-    bound needs no intersection basis either."""
-    linalg, mf = slopekit.linalg, slopekit.multifilt
+def _certifying_factors():
+    """Two planes whose mu_max certify, with a witness product that meets the
+    bound of their tensor."""
+    mf = slopekit.multifilt
     full = [[1, 0], [0, 1]]
     m1 = mf.MultifilteredSpace(2, [
         mf.Filtration(2, [(0, full), (2, [[1, 0]])]),
@@ -168,6 +165,17 @@ def test_certifying_product_makes_no_closure_eliminations(monkeypatch):
         mf.Filtration(2, [(0, full), (1, [[1, 1]])]),
         mf.Filtration(2, [(-1, full), (1, [[1, -1]])]),
     ])
+    return m1, m2
+
+
+def test_certifying_product_makes_no_closure_eliminations(monkeypatch):
+    """mu_max_mf computes the profile bound first and probes the extra
+    candidates before the closure.  On a tensor whose factors certify and
+    whose witness product meets the bound, with every larger dimension's bound
+    below it, it eliminates no pair of the closure; with two filtrations the
+    bound needs no intersection basis either."""
+    linalg, mf = slopekit.linalg, slopekit.multifilt
+    m1, m2 = _certifying_factors()
     r1, r2 = mf.mu_max_mf(m1), mf.mu_max_mf(m2)
     assert r1.certified and r2.certified
     t = mf.tensor_mf(m1, m2)
@@ -184,6 +192,44 @@ def test_certifying_product_makes_no_closure_eliminations(monkeypatch):
     assert rt.certified and rt.value == r1.value + r2.value
     assert rt.witness == linalg.rref(linalg.mat(products))[0]
     assert calls == []
+
+
+def test_mu_max_mf_scores_candidates_through_public_name(monkeypatch):
+    """The tracer counts calls of `multifilt.slope_of_subspace` as the
+    candidates mu_max_mf scores (`multifilt.mu_max_mf.candidates`), so every
+    scored candidate, closure member or probed extra, must be scored through
+    that name: a private scoring path would zero the counter."""
+    linalg, mf = slopekit.linalg, slopekit.multifilt
+    scored, members = [], []
+    real_slope, real_family = mf.slope_of_subspace, mf._candidate_family
+
+    def counted(m, rows):
+        scored.append(rows)
+        return real_slope(m, rows)
+
+    def family(m, extra):
+        for rows in real_family(m, extra):
+            members.append(rows)
+            yield rows
+
+    monkeypatch.setattr(mf, "slope_of_subspace", counted)
+    monkeypatch.setattr(mf, "_candidate_family", family)
+    m1, m2 = _certifying_factors()
+    r1, r2 = mf.mu_max_mf(m1), mf.mu_max_mf(m2)
+    products = [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
+    cases = [
+        (_sample_space(random.Random(9), 3, 3), ()),  # reads the closure
+        (m1, [[[0, 1]]]),  # probes an extra that does not certify, then the closure
+        (mf.tensor_mf(m1, m2), [products]),  # stops at the probe
+    ]
+    for m, extra in cases:
+        scored.clear()
+        members.clear()
+        mf.mu_max_mf(m, extra)
+        probed = [linalg.rref(linalg.mat(rows))[0] for rows in extra]
+        assert set(members + probed) <= set(scored)
+        assert len(scored) >= len(set(members + probed)) >= 1
+    assert members == []
 
 
 def test_factoring_goes_through_public_name(monkeypatch):
