@@ -143,10 +143,15 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_bost(args) -> int:
+    """The config file sets seed and count, so --seed and --count are errors
+    with --config; an omitted one keeps the ExperimentConfig default."""
+    opts = {opt: getattr(args, opt) for opt in ("seed", "count") if getattr(args, opt) is not None}
     if args.config:
+        if opts:
+            raise ValueError(f"--{next(iter(opts))} does not apply with --config")
         cfg = harness.ExperimentConfig.from_toml(args.config)
     else:
-        cfg = harness.ExperimentConfig(seed=args.seed, count=args.count)
+        cfg = harness.ExperimentConfig(**opts)
     records, summary = harness.bost_experiment(cfg, unimodular=args.unimodular)
     print(harness.emit_records(records, summary, args.format))
     ok = not summary["violations"] and summary["certified"] == summary["count"]
@@ -190,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     bost = sub.add_parser(
         "bost-experiment", help="randomized tensor slope-maximum bound experiment"
     )
-    bost.add_argument("--seed", type=int, default=0)
-    bost.add_argument("--count", type=int, default=50)
+    bost.add_argument("--seed", type=int, help="default 0; not with --config")
+    bost.add_argument("--count", type=int, help="default 50; not with --config")
     bost.add_argument("--config", help="flat TOML config mirroring ExperimentConfig")
     bost.add_argument("--unimodular", action="store_true")
     bost.add_argument("--format", choices=["text", "json", "csv"], default="text")

@@ -188,8 +188,13 @@ class QElt:
 
     def __truediv__(self, other):
         if self._is_elt(other):
-            return self * other.inverse()
+            if other.b:
+                return self * other.inverse()
+            other = other.a  # a rational divisor divides the coordinates
         return QElt(self.field, self.a / other, self.b / other)
+
+    # exact in a field: the operator `linalg.bareiss` divides by
+    __floordiv__ = __truediv__
 
     def is_zero(self) -> bool:
         return not (self.a or self.b)
@@ -287,15 +292,15 @@ class HermitianLattice:
                 if g[j][i] != g[i][j].conj():
                     raise ValueError("Gram matrix must be conjugate-symmetric")
         # Sylvester: positive definite iff every leading principal minor is a
-        # positive rational, i.e. elimination swaps no row and every pivot
-        # (the ratio of consecutive minors) is a positive rational; the
-        # determinant is the product of the pivots
-        pivots, swaps = linalg.pivots_field(g)
-        if swaps or len(pivots) < r or not all(p.is_rational() and p.a > 0 for p in pivots):
+        # positive rational.  `bareiss` swaps only past a zero minor and
+        # leaves the leading minors on the diagonal of a run without swaps;
+        # the last one is the determinant
+        m, swaps = linalg.bareiss(g)
+        if swaps or not all(m[k][k].is_rational() and m[k][k].a > 0 for k in range(r)):
             raise ValueError("Gram matrix must be positive definite")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_det", math.prod(p.a for p in pivots))
+        object.__setattr__(self, "_det", m[-1][-1].a)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianLattice is immutable")
@@ -347,7 +352,7 @@ class HermitianLattice:
             raise ValueError(f"exterior power degree {p} out of range")
         subsets = list(combinations(range(self.rank), p))
         rows = [
-            [linalg.det_field([[self.gram[i][j] for j in t] for i in s]) for t in subsets]
+            [linalg.det_int([[self.gram[i][j] for j in t] for i in s]) for t in subsets]
             for s in subsets
         ]
         return HermitianLattice(self.field, rows)

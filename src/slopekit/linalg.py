@@ -4,26 +4,25 @@ Matrices are tuples of tuples of Fractions (or ints for integer routines);
 everything here is pure and allocation-happy, sized for ranks <= ~10.
 
 This is the only module that eliminates.  The field routines (`rref`,
-`inverse`, `solve`, `pivots_field`, `det_field`) take entries of any exact
-field whose zero is falsy (`Fraction`, `hermitian.QElt`).  `rref` is their
-one Gauss-Jordan loop, fraction-free for every field: it divides by each
-pivot once, at the end, and on rational input (ints and Fractions) it runs
-on primitive integer rows and returns Fractions.  Every rational
-elimination (`rank`, `kernel`, `intersect_and_sum`, `intersect_row_spaces`,
-`sum_row_spaces`, `in_row_space`, `solve`, `inverse`,
-`is_positive_semidefinite`) calls it by its module name, the name the
-benchmark's work budget meters.  `intersect_and_sum` gives a meet and a sum
-of two row spaces from one rref.
-`pivots_field` is the one Gaussian loop, which `det_field` and the hermitian
-positivity test share.  The integer routines (`bareiss`, `det_int`, `hnf`,
-`saturate`, `int_kernel_saturated`) take ints.  `bareiss` is the one square
-elimination that keeps its multipliers: `det_int` and `det_bareiss`
-(rational, on integers after clearing denominators) read the determinant
-from it, and `lattice`, `enumeration` and `is_positive_semidefinite` read
-leading minors and integral Gram-Schmidt data from it for positivity, LLL
-and Fincke-Pohst.  `hnf` is the one row echelon over the integers (bases,
-containment, independence, integer kernels); `saturate` is the one column
-echelon, which gives a saturation and the index in it.
+`inverse`, `solve`) take entries of any exact field whose zero is falsy
+(`Fraction`, `hermitian.QElt`).  `rref` is their one Gauss-Jordan loop,
+fraction-free for every field: it divides by each pivot once, at the end,
+and on rational input (ints and Fractions) it runs on primitive integer
+rows and returns Fractions.  Every rational elimination (`rank`, `kernel`,
+`intersect_and_sum`, `intersect_row_spaces`, `sum_row_spaces`,
+`in_row_space`, `solve`, `inverse`, `is_positive_semidefinite`) calls it by
+its module name, the name the benchmark's work budget meters.
+`intersect_and_sum` gives a meet and a sum of two row spaces from one rref.
+`bareiss` is the one square elimination, the one that keeps its
+multipliers; it runs on ints and on `QElt`, whose `//` is exact division.
+`det_int` (ints and `QElt`) and `det_bareiss` (rational, on integers after
+clearing denominators) read the determinant from it, and `lattice`,
+`enumeration`, `hermitian` and `is_positive_semidefinite` read leading
+minors and integral Gram-Schmidt data from it for positivity, LLL and
+Fincke-Pohst.  The other integer routines (`hnf`, `saturate`,
+`int_kernel_saturated`) take ints: `hnf` is the one row echelon over the
+integers (bases, containment, independence, integer kernels); `saturate`
+is the one column echelon, which gives a saturation and the index in it.
 """
 
 from __future__ import annotations
@@ -83,13 +82,15 @@ def clear_denominators(a: Matrix) -> tuple[list[list[int]], int]:
 
 
 def bareiss(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Fraction-free Gaussian elimination of a square integer matrix that keeps
-    its multipliers (Bareiss 1968): returns the eliminated matrix m and the
-    number of row swaps.  For j <= i, m[i][j] is the minor of the (swapped)
-    input on rows 0..j-1, i and columns 0..j.  A row is swapped in only past
-    a zero pivot; elimination stops at the first column without a pivot,
-    whose diagonal entry stays 0.  So a Gram matrix run without swaps has
-    the leading minors d_1, d_2, ... on the diagonal and the integral
+    """Fraction-free Gaussian elimination of a square matrix that keeps its
+    multipliers (Bareiss 1968): returns the eliminated matrix m and the
+    number of row swaps.  Entries are ints, or `QElt`s of one field, whose
+    `//` is exact division; every division here is exact (Sylvester's
+    identity).  For j <= i, m[i][j] is the minor of the (swapped) input on
+    rows 0..j-1, i and columns 0..j.  A row is swapped in only past a zero
+    pivot; elimination stops at the first column without a pivot, whose
+    diagonal entry stays 0.  So a Gram matrix run without swaps has the
+    leading minors d_1, d_2, ... on the diagonal and the integral
     Gram-Schmidt coefficients lambda_ij = d_(j+1) * mu_ij below it (Cohen,
     A Course in Computational Algebraic Number Theory, 2.6.7)."""
     m = [list(row) for row in a]
@@ -115,13 +116,15 @@ def bareiss(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
 
 def det_int(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix: the signed last pivot of
-    `bareiss`, or 0 if it stopped early."""
+    """Exact determinant of a square matrix of ints or of `QElt`s of one
+    field: the signed last pivot of `bareiss`, or, if it stopped early, the
+    zero pivot it stopped at."""
     if not a:
         return 1
     m, swaps = bareiss(a)
-    if not all(m[k][k] for k in range(len(m) - 1)):
-        return 0
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            return m[k][k]
     return -m[-1][-1] if swaps % 2 else m[-1][-1]
 
 
@@ -239,44 +242,6 @@ def solve(rows: Matrix, v: Sequence) -> Vector | None:
     for row, c in zip(r, pivots):
         sol[c] = row[n]
     return tuple(sol)
-
-
-def pivots_field(a: Matrix) -> tuple[list, int]:
-    """Pivots of Gaussian elimination over an exact field, and the number of
-    row swaps.  A row is swapped in only past a zero pivot, and elimination
-    stops at a column with no pivot (fewer pivots than rows: singular).  So
-    a run without swaps has the ratios of consecutive leading principal
-    minors for pivots."""
-    m = [list(row) for row in a]
-    n = len(m)
-    pivots = []
-    swaps = 0
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            break
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            swaps += 1
-        d = m[c][c]
-        pivots.append(d)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / d
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return pivots, swaps
-
-
-def det_field(a: Matrix):
-    """Determinant over an exact field other than Q (rational matrices use
-    det_bareiss): the signed product of the pivots of `pivots_field`."""
-    pivots, swaps = pivots_field(a)
-    if len(pivots) < len(a):
-        return a[0][0] * 0  # the field's zero
-    det = -1 if swaps % 2 else 1
-    for d in pivots:
-        det = det * d
-    return det
 
 
 def rank(a: Matrix) -> int:

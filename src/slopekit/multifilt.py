@@ -38,17 +38,22 @@ from typing import Optional, Sequence
 from . import linalg
 from .enumeration import DEFAULT_NODE_CAP, RankBound, minimum_sq, mu_max, upper_hull
 from .exactval import fmt_rat, half_log, parse_rat
-from .report import Report
+from .report import Report, ReproFailure
 
 F = Fraction
 
 Matrix = linalg.Matrix
 
 
-def _rref_rows(rows, n: int) -> Matrix:
-    """RREF of rows of n entries each; ValueError for any other width."""
+def _check_width(rows, n: int) -> None:
+    """ValueError unless every row has n entries."""
     if any(len(row) != n for row in rows):
         raise ValueError(f"rows must have {n} entries, the ambient dimension")
+
+
+def _rref_rows(rows, n: int) -> Matrix:
+    """RREF of rows of n entries each; ValueError for any other width."""
+    _check_width(rows, n)
     if not rows:
         return ()
     return linalg.rref(linalg.mat(rows))[0]
@@ -107,14 +112,16 @@ class Filtration:
         return ()
 
     def weight(self, v) -> Fraction:
-        w = None
-        for lam, space in self.steps:
-            if linalg.in_row_space(v, space):
-                w = lam
-            else:
-                break
-        if w is None:
+        """The largest break whose step holds the nonzero vector v; every
+        vector of V lies in the lowest step."""
+        _check_width([v], self.ambient_dim)
+        if not any(v):
             raise ValueError("zero vector has no weight")
+        w = self.steps[0][0]
+        for lam, space in self.steps[1:]:
+            if not linalg.in_row_space(v, space):
+                break
+            w = lam
         return w
 
     def graded_dims(self) -> tuple[tuple[Fraction, int], ...]:
@@ -269,16 +276,20 @@ def _coords_in_rows(rows: Matrix, v) -> tuple[Fraction, ...]:
 
 
 def subobject(m: MultifilteredSpace, rows) -> MultifilteredSpace:
-    """The subspace with induced filtrations, in the coordinates of its RREF
-    basis."""
+    """The subspace W with induced filtrations, in the coordinates of its RREF
+    basis.  Meets with V are known, so none is computed: W ∩ V = W has the
+    identity for coordinates, and for W = V, whose RREF basis is the
+    identity, the subobject is m itself."""
     rows = _rref_rows(rows, m.dim)
     k = len(rows)
     if k == 0:
         raise ValueError("zero subspace")
+    if k == m.dim:
+        return m
     filts = []
     for f in m.filtrations:
-        steps = []
-        for lam, space in f.steps:
+        steps = [(f.steps[0][0], linalg.identity(k))]
+        for lam, space in f.steps[1:]:
             inter = linalg.intersect_row_spaces(rows, space, m.dim)
             coords = tuple(_coords_in_rows(rows, r) for r in inter)
             steps.append((lam, coords))
@@ -326,11 +337,11 @@ def multigraded_dims(m: MultifilteredSpace) -> dict[tuple, int]:
     out = _multigraded(m)
     total = sum(out.values())
     if total != m.dim:
-        raise AssertionError("graded dimensions do not sum to the dimension")
-    mu = slope_faltings(m)
+        raise ReproFailure("multigraded_dimension", f"graded dimensions sum to {total}, not {m.dim}")
+    target = slope_faltings(m) * m.dim
     agg = sum((sum(key) * d for key, d in out.items()), F(0))
-    if agg != mu * m.dim:
-        raise AssertionError("multigraded aggregate disagrees with the slope")
+    if agg != target:
+        raise ReproFailure("multigraded_aggregate", f"aggregate {agg} != slope*dim {target}")
     return out
 
 
@@ -422,12 +433,15 @@ def _candidate_family(m: MultifilteredSpace, extra):
     yield from filter(fresh, itertools.chain((linalg.identity(m.dim),), steps))
     # each round pairs the members new in the last round, current[start:],
     # with every member; a pair of two new members is closed once, (a, b) with
-    # b after a, in the order an ordered-pair sweep would first reach it
-    start = 0
+    # b after a, in the order an ordered-pair sweep would first reach it.
+    # Member 0 is V, whose pairs give S and V, both members: it is never
+    # paired, and since such a pair adds no member, the cap cuts the family
+    # at the same place
+    start = 1
     while start < len(seen) < _FAMILY_CAP:
         current = list(seen)
         new = enumerate(current[start:], start)
-        for a, b in ((a, b) for i, a in new for b in current[:start] + current[i + 1:]):
+        for a, b in ((a, b) for i, a in new for b in current[1:start] + current[i + 1:]):
             yield from filter(fresh, linalg.intersect_and_sum(a, b, m.dim))
             if len(seen) >= _FAMILY_CAP:
                 break

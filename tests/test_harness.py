@@ -332,6 +332,35 @@ def test_cli_bost_config(tmp_path, capsys):
     assert data["summary"]["count"] == 2
 
 
+@pytest.mark.parametrize("opt", ["--seed", "--count"])
+def test_cli_bost_config_refuses_seed_and_count(tmp_path, capsys, opt):
+    """The config file sets seed and count: either option with --config is
+    an error, not silently ignored."""
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text("seed = 5\ncount = 2\n")
+    assert main(["bost-experiment", "--config", str(cfg), opt, "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {opt} does not apply with --config\n"
+
+
+def test_cli_bost_omitted_options_keep_defaults(capsys):
+    assert main(["bost-experiment", "--format", "json"]) == 0
+    expect = emit_records(*bost_experiment(ExperimentConfig(seed=0, count=50)), "json")
+    assert capsys.readouterr().out == expect + "\n"
+
+
+def test_cli_mf_lemma_failure_is_a_fail_line(monkeypatch, capsys):
+    """A multigraded aggregate that disagrees with the slope ends
+    `repro mf-lemma` with a FAIL line and exit 1, not a traceback."""
+    from slopekit import multifilt
+
+    monkeypatch.setattr(multifilt, "_multigraded", lambda m: {(F(99),) * m.n_filtrations: m.dim})
+    assert main(["repro", "mf-lemma", "--count", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("FAIL: check failed: multigraded_aggregate (")
+
+
 def test_cli_bad_file(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["lattice", "info", missing]) == 2

@@ -81,6 +81,21 @@ def test_weight_and_spaces():
     assert f.space_above(F(0)) == ((F(1), F(0)),)
 
 
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ((0, 0), "zero vector has no weight"),
+        ((F(0), F(0)), "zero vector has no weight"),
+        ((1, 0, 0), "rows must have 2 entries"),
+        ((1,), "rows must have 2 entries"),
+    ],
+)
+def test_weight_refuses_zero_and_wrong_width(v, message):
+    f = Filtration(2, [(0, [[1, 0], [0, 1]]), (1, [[1, 0]])])
+    with pytest.raises(ValueError, match=message):
+        f.weight(v)
+
+
 def test_slope_examples():
     line = unit_object(1, [F(2)])
     assert slope_faltings(line) == 2
@@ -110,7 +125,7 @@ def test_multigraded_lemma_random():
     rng = random.Random(3)
     for _ in range(15):
         m = random_mf(rng, rng.randint(1, 5), rng.randint(1, 3))
-        dims = multigraded_dims(m)  # internal asserts check the aggregate
+        dims = multigraded_dims(m)  # raises ReproFailure unless aggregate = slope*dim
         assert sum(dims.values()) == m.dim
         # aggregate equality for every permutation of the filtration order
         for order in itertools.permutations(range(m.n_filtrations)):
@@ -548,10 +563,12 @@ def _holds_whole_space(a, n):
 
 
 def test_proper_steps_only_reach_rref(monkeypatch):
-    """The relaxation, slopes, witness lines, filtrations and tensor products
-    never hand `linalg.rref` the whole space next to another operand: its
-    meets are known, so they are not computed."""
-    from slopekit.multifilt import _profile_upper_bound
+    """The relaxation, slopes, witness lines, filtrations, tensor products,
+    subobjects, multigraded dimensions and the candidate closure never hand
+    `linalg.rref` the whole space next to another operand: its meets are
+    known, so they are not computed.  (Only the whole space of the input is
+    watched, not those of the graded pieces.)"""
+    from slopekit.multifilt import _candidate_family, _profile_upper_bound
 
     seen = {"calls": 0, "whole": [], "n": None}
     real = linalg.rref
@@ -577,9 +594,13 @@ def test_proper_steps_only_reach_rref(monkeypatch):
             seen["n"] = m.dim
             _profile_upper_bound(m)
             nu_witness(m)
+            multigraded_dims(m)
+            if m.dim <= 4:
+                list(_candidate_family(m, ()))
             rows = [[rng.randint(-2, 2) for _ in range(m.dim)] for _ in range(rng.randint(1, m.dim - 1))]
             if linalg.rank(linalg.mat(rows)):
                 slope_of_subspace(m, rows)
+                subobject(m, rows)
     assert seen["calls"] >= 2000
     assert seen["whole"] == []
     # the check itself sees the whole space next to a step

@@ -7,6 +7,7 @@ loops of `HermitianLattice`, and the Fraction range `_int_range_bounds` that
 `enumeration._isqrt_range` replaced; and the tower Q(sqrt(-d))(sqrt 2) of
 the q7 frame against a pair-of-coordinates model."""
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -357,6 +358,19 @@ def test_bounds_match_tuple_version():
         assert (iv.lo, iv.hi) == _reference_bounds(x, bits)
 
 
+def _leibniz_det(g, field):
+    """Determinant as the signed sum over permutations, sign by inversions."""
+    n = len(g)
+    total = field.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = field.one
+        for i, j in enumerate(perm):
+            term = term * g[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
 @pytest.mark.parametrize("d", [1, 3, 7])
 def test_positivity_matches_leading_minors(d):
     field = ImagQuadField(d)
@@ -377,11 +391,11 @@ def test_positivity_matches_leading_minors(d):
     swapped = [[field.elt(x) for x in row] for row in ((1, 1, 0), (1, 1, 1), (0, 1, 1))]
     accepted = rejected = 0
     for g in [swapped] + [draw(n) for n in range(60)]:
-        minors = [linalg.det_field([row[:k] for row in g[:k]]) for k in range(1, len(g) + 1)]
+        minors = [_leibniz_det([row[:k] for row in g[:k]], field) for k in range(1, len(g) + 1)]
         definite = all(m.is_rational() and m.as_fraction() > 0 for m in minors)
         if definite:
             accepted += 1
-            assert HermitianLattice(field, g).det() == linalg.det_field(g).as_fraction()
+            assert HermitianLattice(field, g).det() == minors[-1].as_fraction()
         else:
             rejected += 1
             with pytest.raises(ValueError):

