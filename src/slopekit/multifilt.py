@@ -52,11 +52,32 @@ def _check_width(rows, n: int) -> None:
 
 
 def _rref_rows(rows, n: int) -> Matrix:
-    """RREF of rows of n entries each; ValueError for any other width."""
+    """RREF of rows of n entries each; ValueError for any other width.  Rows
+    already in the form `linalg.rref` returns come back unchanged, with no
+    elimination (the RREF of a row space is unique)."""
     _check_width(rows, n)
     if not rows:
         return ()
+    if _is_rref(rows):
+        return rows
     return linalg.rref(linalg.mat(rows))[0]
+
+
+def _is_rref(rows) -> bool:
+    """Whether rows are a tuple of Fraction tuples in RREF: each row's first
+    nonzero entry is a 1 right of the row above's, and the rows above are 0
+    in its column (the rows below are, since their pivots lie further right)."""
+    if type(rows) is not tuple:
+        return False
+    pivots: list[int] = []
+    for row in rows:
+        if type(row) is not tuple or not all(type(x) is Fraction for x in row):
+            return False
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None or row[c] != 1 or (pivots and c <= pivots[-1]) or any(r[c] for r in rows[: len(pivots)]):
+            return False
+        pivots.append(c)
+    return True
 
 
 class Filtration:
@@ -256,11 +277,14 @@ def _meet_dim(a: Matrix, b: Matrix) -> int:
 
 def slope_of_subspace(m: MultifilteredSpace, rows: Matrix) -> Fraction:
     """Slope of a nonzero subspace with the induced filtrations, in the Abel
-    form (module docstring): it meets only the proper steps."""
+    form (module docstring): it meets only the proper steps.  The whole space
+    has the Faltings slope, read off the graded dimensions."""
     rows = _rref_rows(rows, m.dim)
     k = len(rows)
     if k == 0:
         raise ValueError("zero subspace has no slope")
+    if k == m.dim:
+        return slope_faltings(m)
     total = F(0)
     for f in m.filtrations:
         total += f.steps[0][0] * k
@@ -541,6 +565,13 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
     return bounds
 
 
+def _quotient_bounds(m: MultifilteredSpace, rows) -> list[Fraction]:
+    """The relaxation's per-k slope bounds of the quotient m/W by a proper
+    subspace W: entry i bounds the slope of every (i + 1)-dimensional
+    subspace of m/W, such as (W + U)/W for U with dim(W + U) = dim W + i + 1."""
+    return _profile_upper_bound(quotient_object(m, rows)[0])
+
+
 def _mf_canopy(m: MultifilteredSpace, extra, edges: Optional[int] = None) -> list[RankBound]:
     """For each dimension k, the best degree over the candidates of dimension
     k (the first in family order among ties), and k times the relaxation's
@@ -548,13 +579,17 @@ def _mf_canopy(m: MultifilteredSpace, extra, edges: Optional[int] = None) -> lis
 
     `edges` is how much of the polygon the caller reads, as in `upper_hull`.
     With edges=1 the extra candidates are all reduced, then probed before
-    the closure, and the search stops at the first candidate that passes `certifies`.  The canopy then holds that candidate and the
-    closure members scored before it, and its first edge is the one the
-    whole closure gives.  Otherwise, or when no candidate passes, the whole
-    closure is read."""
+    the closure, and the search stops at the first candidate that passes
+    `certifies`: a candidate W of slope mu_b such that every larger rank j
+    has its bound strictly below mu_b or, where that bound ties mu_b, m/W
+    has its rank-(j - dim W) bound strictly below mu_b.  The canopy then
+    holds that candidate and the closure members scored before it, and its
+    first edge is the one the whole closure gives.  Otherwise, or when no
+    candidate passes, the whole closure is read."""
     bounds = _profile_upper_bound(m)
     mu_b = max(bounds)
     degrees: dict[Matrix, Fraction] = {}
+    verdicts: dict[Matrix, bool] = {}
 
     def degree(rows) -> Fraction:
         if rows not in degrees:
@@ -562,24 +597,41 @@ def _mf_canopy(m: MultifilteredSpace, extra, edges: Optional[int] = None) -> lis
         return degrees[rows]
 
     def certifies(rows) -> bool:
-        # W passes when its slope is mu_b and every rank-j bound, j > dim W,
-        # is strictly below mu_b.  Such a W is the largest subspace of
-        # maximal slope.  mu_b bounds every slope, so W is a maximizer.  For
-        # any maximizer W', supermodularity of the degree gives
+        # W passes when its slope is mu_b and, for every rank j > dim W = k,
+        # the rank-j bound is strictly below mu_b or the rank-(j - k) bound
+        # of m/W is.  Such a W is the largest subspace of maximal slope.
+        # mu_b bounds every slope, so W is a maximizer.  For any maximizer
+        # W', supermodularity of the degree gives
         #   deg(W + W') >= deg W + deg W' - deg(W ∩ W')
         #              >= mu_b (dim W + dim W' - dim(W ∩ W')) = mu_b dim(W + W'),
         # since deg(W ∩ W') <= mu_b dim(W ∩ W') (also when W ∩ W' = 0).  So
-        # W + W' is a maximizer, and the strict bounds force W + W' = W: W
-        # holds every maximizer and is the only one of its dimension.  The
-        # whole closure holds W, so its canopy reaches dim W * mu_b at dim W
-        # with W alone, and stays below the line of slope mu_b at every
-        # larger rank: its first edge ends at W, its upper is mu_b and it is
-        # certified, as this canopy's.  At most one candidate passes, so the
+        # W + W' is a maximizer, of dimension j say.  If j > k, the rank-j
+        # bound is at least its slope mu_b, so it ties mu_b, and U = (W + W')/W
+        # is a (j - k)-dimensional subspace of m/W.  The image of a step F
+        # meets U in ((F + W) ∩ (W + W'))/W = ((F ∩ (W + W')) + W)/W
+        # (modular law, W ⊂ W + W'), of dimension
+        # dim(F ∩ (W + W')) - dim(F ∩ W); in the Abel form that makes
+        # deg U = deg(W + W') - deg W = (j - k) mu_b, so the quotient's
+        # rank-(j - k) bound is at least mu_b, against the test.  Hence
+        # W + W' = W: W holds every maximizer and is the only one of its
+        # dimension.  The whole closure holds W, so its canopy reaches
+        # dim W * mu_b at dim W with W alone, and stays below the line of
+        # slope mu_b at every larger rank: its first edge ends at W, its upper
+        # is mu_b and it is certified (bounds on that line do not lie above
+        # the hull), as this canopy's.  At most one candidate passes, so the
         # probe order cannot pick another; and a probed extra that does not
         # pass enters `best` only at its place in the family, so without a
-        # stop every tie-break is the whole closure's.
-        k = len(rows)
-        return degree(rows) == k * mu_b and all(b < mu_b for b in bounds[k:])
+        # stop every tie-break is the whole closure's.  The quotient is made
+        # only when the strict test fails, once per candidate.
+        if rows not in verdicts:
+            k = len(rows)
+            tied = [j for j, b in enumerate(bounds[k:], k + 1) if not b < mu_b]
+            passes = degree(rows) == k * mu_b
+            if passes and tied:
+                quot = _quotient_bounds(m, rows)
+                passes = all(quot[j - k - 1] < mu_b for j in tied)
+            verdicts[rows] = passes
+        return verdicts[rows]
 
     best: dict[int, tuple[Fraction, Matrix]] = {}
 
@@ -608,12 +660,15 @@ def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> MfMuMax
     bounds, computed first.  Lower bound: exact slopes of the extra candidates
     (row lists in ambient coordinates), then of the capped intersection/sum
     closure of the filtration steps, scored as they are made.  The search
-    stops at the first candidate of slope mu_b whose dimension has every
-    larger dimension's bound strictly below mu_b: that candidate is the
-    largest subspace of maximal slope, and the result is the one the whole
-    closure gives.  certified = bounds meet.  The witness is the largest
-    candidate of maximal slope; when the closure is complete it is the sum of
-    all of them, because deg is supermodular
+    stops at the first candidate W of slope mu_b such that every larger
+    dimension j has its bound strictly below mu_b or, where it ties mu_b,
+    the quotient m/W has its dimension-(j - dim W) bound strictly below
+    mu_b: a larger maximizer W' would make (W + W')/W a subspace of m/W of
+    slope mu_b (supermodularity and the modular law, see `_mf_canopy`), so
+    W is the largest subspace of maximal slope, and the result is the one
+    the whole closure gives.  certified = bounds meet.  The witness is the
+    largest candidate of maximal slope; when the closure is complete it is
+    the sum of all of them, because deg is supermodular
     (deg(A + B) + deg(A ∩ B) >= deg A + deg B).
     """
     canopy = _mf_canopy(m, extra_candidates, edges=1)
@@ -694,7 +749,7 @@ def slope_filtration_mf(m: MultifilteredSpace) -> tuple[Matrix, ...]:
     n = m.dim
     for s in upper_hull(canopy).filtration[:-1]:
         v = len(s)
-        quot = _profile_upper_bound(quotient_object(m, s)[0])
+        quot = _quotient_bounds(m, s)
         for k in range(v + 1, n + 1):
             via_s = max(
                 (canopy[j - 1].upper if j else 0) + (k - j) * quot[k - j - 1]

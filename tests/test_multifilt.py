@@ -629,6 +629,54 @@ def test_rows_of_the_wrong_width_raise(call):
         call(crossed_example())
 
 
+def test_rref_input_is_not_reduced_again(monkeypatch):
+    """`_rref_rows` hands back, with no elimination, exactly the rows that
+    are already what `linalg.rref` returns (a tuple of Fraction tuples in
+    RREF), and reduces every other input to the same RREF as `linalg.rref`:
+    seeded rows, their RREFs, and RREFs spoilt by a pivot of 2, rows out of
+    order, a nonzero entry above a pivot, a zero row, int entries or lists.
+    `slope_of_subspace` of the whole space is the Faltings slope, with no
+    elimination."""
+    from slopekit.multifilt import _rref_rows
+
+    rng = random.Random(12)
+    inputs = []
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = linalg.mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))])
+        red = linalg.rref(rows)[0]
+        inputs += [rows, red]
+        if red:
+            i = rng.randrange(len(red))
+            inputs += [
+                red[:i] + (tuple(2 * x for x in red[i]),) + red[i + 1:],
+                red[::-1],
+                (tuple(x + y for x, y in zip(red[0], red[-1])),) + red[1:],
+                red + ((F(0),) * n,),
+                tuple(tuple(int(x) for x in row) for row in red if all(x.denominator == 1 for x in row)),
+                [list(row) for row in red],
+            ]
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or real(a))
+    kept = 0
+    for rows in filter(None, inputs):
+        want = real(linalg.mat(rows))[0]
+        calls.clear()
+        got = _rref_rows(rows, len(rows[0]))
+        assert got == want and all(type(x) is F for row in got for x in row)
+        form = type(rows) is tuple and all(type(x) is F for row in rows for x in row)
+        assert (calls == []) == (form and rows == want)
+        kept += calls == []
+    assert kept >= 300
+    for m in (random_mf(rng, n, rng.randint(1, 3)) for n in (1, 2, 4, 5)):
+        calls.clear()
+        assert slope_of_subspace(m, linalg.identity(m.dim)) == slope_faltings(m) and calls == []
+        rows = [[rng.randint(-2, 2) for _ in range(m.dim)] for _ in range(m.dim)]
+        if linalg.rank(linalg.mat(rows)) == m.dim:
+            assert slope_of_subspace(m, rows) == slope_faltings(m)
+
+
 def test_slope_filtration_subquotient_rederivation():
     """Chain piece slopes re-derived through explicit sub/quotient objects."""
     from slopekit.multifilt import quotient_object, subobject
@@ -1272,29 +1320,130 @@ _OP26_FACTORS = (
 )
 
 
-def test_bound_tied_at_a_larger_rank_does_not_stop(monkeypatch):
-    """A candidate of the bound's slope does not stop the search while a
-    larger dimension's bound ties it: in the crossed example the line e1 has
-    slope 1 and so has the plane, the largest maximizer; the op-26 tensor (closure
-    cut at 25) has a witness product of slope -1 = mu_b with the rank-2
-    bound also -1.  Both read the closure and match its result."""
+def _track_quotients(monkeypatch):
+    """Records the subspaces that mu_max_mf's stop test quotients by."""
     from slopekit import multifilt
-    from slopekit.multifilt import _profile_upper_bound
+
+    real = multifilt._quotient_bounds
+    quotients = []
+
+    def tracked(m, rows):
+        quotients.append(rows)
+        return real(m, rows)
+
+    monkeypatch.setattr(multifilt, "_quotient_bounds", tracked)
+    return quotients
+
+
+def test_bound_tied_by_a_larger_maximizer_does_not_stop(monkeypatch):
+    """A candidate of the bound's slope does not stop the search while a
+    larger maximizer may hold it.  In the crossed example the line e1 has
+    slope 1 and so has the plane, the largest maximizer: the rank-2 bound
+    ties 1, and so does the rank-1 bound of the quotient by e1, a line of
+    slope 1.  In Q^3 = e1 + P, where P carries three weight-1 lines and e1
+    weight 1/2 in each filtration, e1, P and the whole space all have slope
+    3/2: the quotient by e1 is P, whose lines have slope at most 1, so only
+    its rank-2 bound, 3/2, shows the larger maximizer.  The probed e1 fails
+    the quotient test in both, and the search reads the closure, which
+    starts with the whole space."""
+    full = linalg.identity(3)
+    lines = ([0, 1, 0], [0, 0, 1], [0, 1, 1])
+    halves = MultifilteredSpace(3, [
+        Filtration(3, [(0, full), (F(1, 2), [[1, 0, 0], line]), (1, [line])]) for line in lines
+    ])
+    cases = [(crossed_example(), [[[1, 0]]]), (halves, [[[1, 0, 0]]])]
+    refs = [_full_closure_mu_max_mf(m, extra) for m, extra in cases]
+    counts = _track_family(monkeypatch)
+    quotients = _track_quotients(monkeypatch)
+    for (m, extra), ref in zip(cases, refs):
+        res = mu_max_mf(m, extra)
+        assert (res.value, res.witness, res.upper, res.certified) == ref
+        assert quotients.pop() == linalg.identity(m.dim)[:1] and quotients == []
+    assert counts["started"] == 2
+    assert refs == [(1, linalg.identity(2), 1, True), (F(3, 2), full, F(3, 2), True)]
+
+
+def test_quotient_bound_below_the_tie_stops_at_the_probe(monkeypatch):
+    """The op-26 tensor (closure cut at 25 for the reference) has a witness
+    product of slope -1 = mu_b with the rank-2 bound also -1, but the
+    quotient by that line has rank-1 bound -3: no plane holding the line has
+    slope -1, so the line is the largest maximizer.  The search stops at
+    the probe, before the closure starts, and returns the closure's
+    result."""
+    from slopekit import multifilt
+    from slopekit.multifilt import _profile_upper_bound, _quotient_bounds
 
     monkeypatch.setattr(multifilt, "_FAMILY_CAP", 25)
     m1, m2 = (MultifilteredSpace(3, [Filtration(3, s) for s in f]) for f in _OP26_FACTORS)
     t, products = tensor_mf(m1, m2), _witness_products(m1, m2)
+    line = linalg.rref(linalg.mat(products))[0]
     bounds = _profile_upper_bound(t)
-    assert bounds[0] == bounds[1] == max(bounds) == -1
-    assert slope_of_subspace(t, products) == -1 and len(linalg.rref(linalg.mat(products))[0]) == 1
-    cases = [(crossed_example(), [[[1, 0]]]), (t, [products])]
-    refs = [_full_closure_mu_max_mf(m, extra) for m, extra in cases]
+    assert bounds[0] == bounds[1] == max(bounds) == -1 and max(bounds[2:]) < -1
+    assert slope_of_subspace(t, products) == -1 and len(line) == 1
+    assert _quotient_bounds(t, line)[0] == -3
+    ref = _full_closure_mu_max_mf(t, [products])
     counts = _track_family(monkeypatch)
-    for (m, extra), ref in zip(cases, refs):
+    quotients = _track_quotients(monkeypatch)
+    res = mu_max_mf(t, [products])
+    assert (res.value, res.witness, res.upper, res.certified) == ref
+    assert counts["started"] == 0 and quotients == [line]
+    assert res.witness == line and res.certified
+
+
+def _tie_corpus(rng, count):
+    """The inputs of `count` seeded draws whose profile bound ties its
+    maximum at two or more ranks.  Draws come in turn: a space of dimension
+    3 or 4 with 3 or 4 filtrations, alone or with a random subspace of
+    smaller dimension as extra, and a tensor of two planes with 3
+    filtrations, alone or with its witness product."""
+    from slopekit.multifilt import _profile_upper_bound
+
+    out = []
+    for i in range(count):
+        if i % 4 < 2:
+            m = random_mf(rng, rng.randint(3, 4), rng.randint(3, 4))
+            extra = ()
+            if i % 4 == 1:
+                k = rng.randint(1, m.dim - 1)
+                extra = [[[F(rng.randint(-2, 2)) for _ in range(m.dim)] for _ in range(k)]]
+        else:
+            m1, m2 = random_mf(rng, 2, 3), random_mf(rng, 2, 3)
+            m = tensor_mf(m1, m2)
+            extra = [_witness_products(m1, m2)] if i % 4 == 3 else ()
+        bounds = _profile_upper_bound(m)
+        if bounds.count(max(bounds)) >= 2:
+            out.append((m, extra))
+    return out
+
+
+@pytest.mark.parametrize("cap,seed,count", [(400, 4, 300), (25, 6, 200)])
+def test_quotient_stop_matches_full_closure_on_tied_bounds(monkeypatch, cap, seed, count):
+    """Where the bound ties its maximum at a larger rank, a candidate whose
+    quotient bounds lie below the tie stops the search, and the result is
+    the whole closure's value, witness, upper bound and flag, at the default
+    cap and with the closure cut at 25.  Each corpus has at least 5 inputs
+    stopped by the quotient test and 5 where it runs and fails; no
+    candidate is quotiented twice."""
+    from slopekit import multifilt
+
+    monkeypatch.setattr(multifilt, "_FAMILY_CAP", cap)
+    corpus = _tie_corpus(random.Random(seed), count)
+    ref = [_full_closure_mu_max_mf(m, extra) for m, extra in corpus]
+    counts = _track_family(monkeypatch)
+    quotients = _track_quotients(monkeypatch)
+    stopped = failed = 0
+    for (m, extra), want in zip(corpus, ref):
+        quotients.clear()
+        exhausted = counts["exhausted"]
         res = mu_max_mf(m, extra)
-        assert (res.value, res.witness, res.upper, res.certified) == ref
-    assert counts["started"] == 2
-    assert refs[0] == (1, linalg.identity(2), 1, True)
+        assert (res.value, res.witness, res.upper, res.certified) == want
+        assert len(set(quotients)) == len(quotients)
+        # a passing quotient test stops the search at its candidate, the
+        # last one quotiented, which is then the witness
+        stop = bool(quotients) and quotients[-1] == res.witness and counts["exhausted"] == exhausted
+        stopped += stop
+        failed += len(quotients) > stop
+    assert stopped >= 5 and failed >= 5
 
 
 def test_probe_leaves_ties_to_family_order(monkeypatch):

@@ -91,6 +91,32 @@ def test_multifilt_eliminates_only_through_rref(monkeypatch):
         mf.multigraded_dims(t)
         if r1.certified:
             mf.slope_filtration_mf(m1)
+    # the op-26 tensor stops at its witness product through the quotient
+    # test: the quotient and its relaxation eliminate, and the budget is
+    # charged for it, in the units `WorkBudget` counts
+    from test_multifilt import _OP26_FACTORS
+
+    units, quotient_units = [], []
+    real_rref, real_quotient = linalg.rref, mf._quotient_bounds
+
+    def charged(a):
+        units.append(len(a) * len(a[0]) * min(len(a), len(a[0])) if a else 0)
+        return real_rref(a)
+
+    def quotient(m, rows):
+        before = sum(units)
+        out = real_quotient(m, rows)
+        quotient_units.append(sum(units) - before)
+        return out
+
+    monkeypatch.setattr(linalg, "rref", charged)
+    monkeypatch.setattr(mf, "_quotient_bounds", quotient)
+    m1, m2 = (mf.MultifilteredSpace(3, [mf.Filtration(3, s) for s in f]) for f in _OP26_FACTORS)
+    r1, r2 = mf.mu_max_mf(m1), mf.mu_max_mf(m2)
+    products = [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
+    rt = mf.mu_max_mf(mf.tensor_mf(m1, m2), extra_candidates=[products])
+    assert rt.certified and rt.value == r1.value + r2.value == -1
+    assert len(quotient_units) == 1 and quotient_units[0] > 0
 
 
 def test_linalg_eliminates_through_rref(monkeypatch):
