@@ -17,6 +17,19 @@ length at most a radius B and branches over k-subsets of it:
 So the branch-and-bound is complete.  Past a resource cap a rank keeps only
 the integrality bound (see `_lattice_canopy`), never a silent wrong answer.
 
+`mu_max` reads only the first edge of the slope polygon, so it searches
+bound-first.  Minkowski floors every rank-k determinant twice, by
+min_sq(L)^k / gamma_k^k and, through the dual, by
+det L * min_sq(L*)^(r-k) / gamma_(r-k)^(r-k).  Let (k0, d0) be the exact rank
+of greatest slope found so far, starting from (r, det L).  A rank whose floor
+exceeds d0^(k/k0) is not searched (skip), and any other rank is searched
+only up to a rational C_k >= d0^(k/k0) (cap).  Both are complete: a skipped
+or capped rank has every determinant above d0^(k/k0), so every rank-k degree
+lies strictly below k times the best slope so far, hence below the final
+first edge; a rank-k sublattice of equal slope has determinant
+d0^(k/k0) <= C_k, so a capped search still finds every tie and the largest
+rank of maximal slope is kept.
+
 `upper_hull` turns what a slope category knows at each rank into its slope
 polygon; mu_max, the slope filtration and their multifiltered twins are read
 off it.
@@ -32,7 +45,7 @@ from operator import mul
 from typing import Any, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .exactval import LogRational, half_log
+from .exactval import LogRational, _iroot, half_log
 from .lattice import EuclideanLattice, Sublattice
 
 F = Fraction
@@ -497,14 +510,21 @@ def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> tuple[Fraction, Sublatt
     return F(d, scale**k), Sublattice(lat, [u[i] for i in subset])
 
 
-def _min_det_rank_k(lat: EuclideanLattice, k: int, node_cap: int) -> tuple[Fraction, Sublattice]:
-    """Global minimal determinant over rank-k sublattices, with witness."""
+def _min_det_rank_k(
+    lat: EuclideanLattice, k: int, node_cap: int, cap: Optional[Fraction] = None
+) -> tuple[Fraction, Sublattice]:
+    """Global minimal determinant over rank-k sublattices, with witness.
+
+    With a cap the search covers only determinants <= cap: if none is that
+    small, the greedy incumbent comes back with its determinant, above cap,
+    and every rank-k determinant exceeds cap."""
     r = lat.rank
     if k == r:
         return lat.det(), lat.full_sublattice()
     if k > r - k:
         # Rankin duality: d_k(L) = det(L) * d_{r-k}(dual L)
-        ddet, dwit = _min_det_rank_k(lat.dual(), r - k, node_cap)
+        dual_cap = None if cap is None else cap / lat.det()
+        ddet, dwit = _min_det_rank_k(lat.dual(), r - k, node_cap, dual_cap)
         ann = linalg.int_kernel_saturated(dwit.basis, r)
         wit = Sublattice(lat, ann)
         det_k = wit.det()
@@ -512,14 +532,61 @@ def _min_det_rank_k(lat: EuclideanLattice, k: int, node_cap: int) -> tuple[Fract
         if det_k != expected:
             raise AssertionError("Rankin duality mismatch: annihilator witness is not optimal")
         return det_k, wit
-    budget, seed = _greedy_rank_k_det(lat, k)
+    greedy = _greedy_rank_k_det(lat, k)
+    budget = greedy[0] if cap is None else min(greedy[0], cap)
     sub = densest_sublattice(lat, k, budget, node_cap)
     if sub is None or (det_k := sub.det()) > budget:
-        return budget, seed
+        return greedy
     return det_k, sub
 
 
-def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
+def _root_ceil(q: Fraction, n: int) -> Fraction:
+    """c / b >= q^(1/n) for q = a / b in lowest terms, with c the least
+    integer such that c^n >= a * b^(n-1): then (c / b)^n >= a / b."""
+    if n == 1:
+        return q
+    a, b = q.numerator, q.denominator
+    t = a * b ** (n - 1)
+    c = _iroot(t, n)
+    return F(c + (c**n < t), b)
+
+
+def _minkowski_floors(lat: EuclideanLattice, node_cap: int) -> list[Optional[Fraction]]:
+    """floors[k] <= d_k(L), the least rank-k determinant, for 0 < k < r; None
+    where no floor is known.  A saturated rank-k M has minimum >= min_sq(L)
+    and min(M)^k <= gamma_k^k * det M (Hermite), so
+    d_k >= min_sq(L)^k / gamma_k^k.  Its annihilator in the dual L* has rank
+    r - k, minimum >= min_sq(L*) and determinant det M / det L, so likewise
+    d_k >= det L * min_sq(L*)^(r-k) / gamma_(r-k)^(r-k).  The larger floor is
+    kept; each is exact where its gamma is gamma_1 = 1, at k = 1 and k = r - 1.
+    The dual floor is taken from r = 3 on: at r = 2 the first is already exact
+    at the one proper rank.  A node cap hit in either minimum drops only the
+    floors that need it."""
+    r = lat.rank
+    floors: list[Optional[Fraction]] = [None] * r
+    try:
+        m = minimum_sq(lat, node_cap)
+        for k in range(1, min(r, 9)):
+            floors[k] = m**k / _HERMITE_POW[k]
+    except EnumerationCapExceeded:
+        pass
+    if r < 3:
+        return floors
+    det = lat.det()
+    try:
+        m = minimum_sq(lat.dual(), node_cap)
+    except EnumerationCapExceeded:
+        return floors
+    for k in range(max(1, r - 8), r):
+        f = det * m ** (r - k) / _HERMITE_POW[r - k]
+        if floors[k] is None or f > floors[k]:
+            floors[k] = f
+    return floors
+
+
+def _lattice_canopy(
+    lat: EuclideanLattice, node_cap: int, edges: Optional[int] = None
+) -> list[RankBound]:
     """The exact maximal degree -1/2 log d_k(L) of each rank k, which is its
     own upper bound; the full rank needs no search.  Ranks from the first
     whose search exceeds the node cap have no degree and the integrality
@@ -527,31 +594,70 @@ def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
     Gram has det >= L^-k (0 for an integral lattice).  If det(L * G) = 1 no
     rank is searched: det G = L^-r puts every rank's bound on the line from
     the origin to the rank-r point, so the lattice is semistable.  That covers
-    the unimodular lattices (L = 1) and their rational rescalings."""
+    the unimodular lattices (L = 1) and their rational rescalings.
+
+    With edges=1 (`mu_max`, which reads only the first edge) the search is
+    bound-first.  (k0, d0) is the exact rank of greatest slope so far, mu0 its
+    slope, starting from (r, det L); it moves to an exact rank k whenever
+    d_k^k0 < d0^k.  F_k is the larger Minkowski floor of `_minkowski_floors`.
+    Every comparison is between Fractions.
+
+    - Skip: if F_k^k0 > d0^k, rank k is not searched.  Every rank-k
+      determinant is >= F_k > d0^(k/k0), so every rank-k degree is below
+      k * mu0, its recorded upper bound, and mu0 never exceeds the final
+      first edge's slope.
+    - Cap: otherwise rank k is searched only for determinants
+      <= C_k = `_root_ceil`(d0^k, k0) >= d0^(k/k0).  If the search finds
+      none, every rank-k determinant exceeds C_k, so every rank-k degree is
+      again below k * mu0; the greedy incumbent is kept as a lower point,
+      strictly below that line.  A rank-k sublattice of slope mu0 has
+      determinant d0^(k/k0) <= C_k, so ties with the best slope are still
+      found, and the first edge still ends at the largest rank of maximal
+      slope.
+
+    So a skipped or capped rank never holds a point on or above the first
+    edge, and its upper bound never lies above it: wherever the full search
+    certifies, the first edge, its witness and the flag are unchanged.
+    Ranks skipped after a node cap take the same upper bound."""
     r = lat.rank
     scale = lat.scaled_gram()[1]
-    searched = r if lat.det() * scale**r != 1 else 1
+    # no rank is searched once one hits the node cap, nor any if det(L * G) = 1
+    capped = lat.det() * scale**r == 1
+    bound_first = edges == 1 and not capped
+    floors = _minkowski_floors(lat, node_cap) if bound_first else [None] * r
+    deg_r, half_log_scale = lat.degree(), half_log(scale)
+    k0, d0, mu0 = r, lat.det(), deg_r / r
     canopy: list[RankBound] = []
-    try:
-        for k in range(1, searched):
-            det_k, wit = _min_det_rank_k(lat, k, node_cap)
-            deg = -half_log(det_k)
-            canopy.append(RankBound(deg, wit, deg))
-    except EnumerationCapExceeded:
-        pass
-    if len(canopy) < r - 1:
-        half_log_scale = half_log(scale)
-        canopy += [RankBound(None, None, k * half_log_scale) for k in range(len(canopy) + 1, r)]
-    deg = lat.degree()
-    canopy.append(RankBound(deg, lat.full_sublattice(), deg))
+    for k in range(1, r):
+        d0k = d0**k
+        if floors[k] is not None and floors[k] ** k0 > d0k:
+            canopy.append(RankBound(None, None, k * mu0))
+            continue
+        if not capped:
+            cap = _root_ceil(d0k, k0) if bound_first else None
+            try:
+                det_k, wit = _min_det_rank_k(lat, k, node_cap, cap)
+            except EnumerationCapExceeded:
+                capped = True
+        if capped:
+            canopy.append(RankBound(None, None, k * half_log_scale))
+            continue
+        deg = -half_log(det_k)
+        if cap is not None and det_k > cap:
+            canopy.append(RankBound(deg, wit, k * mu0))
+            continue
+        canopy.append(RankBound(deg, wit, deg))
+        if det_k**k0 < d0k:
+            k0, d0, mu0 = k, det_k, deg / k
+    canopy.append(RankBound(deg_r, lat.full_sublattice(), deg_r))
     return canopy
 
 
 def mu_max(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> CertifiedMuMax:
     """Certified supremum of slopes over nonzero sublattices: the first edge
     of the slope polygon, whose witness is the largest sublattice of maximal
-    slope."""
-    poly = upper_hull(_lattice_canopy(lat, node_cap), edges=1)
+    slope.  Searched bound-first (see `_lattice_canopy`)."""
+    poly = upper_hull(_lattice_canopy(lat, node_cap, edges=1), edges=1)
     (_, (k, deg)) = poly.hull
     value = deg / k
     if poly.certified and lat.is_integral() and value.sign() > 0:

@@ -935,3 +935,186 @@ def test_polygon_readers_match_parent_reference():
             assert poly.hull[-1] == (r, lat.degree())
             uncertified += 1
     assert certified_polygons >= 150 and uncertified >= 30 and unsearched >= 5
+
+
+# ---------------------------------------------------------------------------
+# Bound-first mu_max, against the full canopy.
+
+def _full_canopy_mu_max(lat, node_cap):
+    """Reference copy of mu_max before it searched bound-first: every rank
+    up to the first node cap, the integrality bound past it, and the first
+    edge of `upper_hull`."""
+    from slopekit.enumeration import RankBound, _min_det_rank_k, upper_hull
+
+    r = lat.rank
+    scale = lat.scaled_gram()[1]
+    searched = r if lat.det() * scale**r != 1 else 1
+    canopy = []
+    try:
+        for k in range(1, searched):
+            det_k, wit = _min_det_rank_k(lat, k, node_cap)
+            deg = -half_log(det_k)
+            canopy.append(RankBound(deg, wit, deg))
+    except EnumerationCapExceeded:
+        pass
+    canopy += [RankBound(None, None, k * half_log(scale)) for k in range(len(canopy) + 1, r)]
+    canopy.append(RankBound(lat.degree(), lat.full_sublattice(), lat.degree()))
+    poly = upper_hull(canopy, edges=1)
+    (_, (k, deg)) = poly.hull
+    return deg / k, poly.filtration[0].hnf_basis(), poly.certified
+
+
+def test_bound_first_mu_max_matches_full_canopy(monkeypatch):
+    """mu_max equals the full-canopy reference on 480 seeded lattices (random
+    and rational of rank 2-4, duals, the 2x2, 2x3 and 3x2 tensors of the
+    lattice-tensor benchmark, det(L * G) = 1 rescalings) at caps 3, 12, 40
+    and the default, wherever the reference certified; a result only the
+    bound-first search certifies is the reference's at the default cap.  Both
+    rules fire: a rank skipped by its Minkowski floor, and a rank whose search
+    up to C_k finds nothing."""
+    from slopekit import enumeration as en
+
+    real = en._min_det_rank_k
+    calls = []
+
+    def counted(lat, k, node_cap, cap=None):
+        try:
+            out = real(lat, k, node_cap, cap)
+        except EnumerationCapExceeded:
+            calls.append((lat, k, cap, None))
+            raise
+        calls.append((lat, k, cap, out[0]))
+        return out
+
+    rng = random.Random(163)
+    skips = caps = checked = newly = 0
+    for t in range(480):
+        kind = t % 6
+        r = 2 + t % 3
+        if kind == 0:
+            lat = random_lattice(rng, r)
+        elif kind in (1, 2):
+            lat = _random_rational_lattice(rng, r)
+        elif kind == 3:
+            lat = _random_rational_lattice(rng, r).dual()
+        elif kind == 4:
+            r1, r2 = ((2, 2), (2, 3), (3, 2))[t // 6 % 3]  # the lattice-tensor shapes
+            lat = random_lattice(rng, r1).tensor(random_lattice(rng, r2))
+        else:  # det(L * G) = 1 with L = q
+            lat = _change_basis(rng, unit_lattice(r)).scale(F(1, rng.randint(1, 6)))
+        cap = rng.choice((3, 12, 40, en.DEFAULT_NODE_CAP))
+        want = _full_canopy_mu_max(lat, cap)
+        monkeypatch.setattr(en, "_min_det_rank_k", counted)
+        del calls[:]
+        try:
+            res = mu_max(lat, cap)
+        finally:
+            monkeypatch.setattr(en, "_min_det_rank_k", real)
+        got = (res.value, res.witness.hnf_basis(), res.certified)
+        if want[2]:
+            assert got == want
+            checked += 1
+        elif res.certified:
+            want = _full_canopy_mu_max(lat, en.DEFAULT_NODE_CAP)
+            assert want[2] and got == want
+            newly += 1
+        top = [(k, cap_k, det_k) for m, k, cap_k, det_k in calls if m is lat]
+        caps += sum(det_k is not None and cap_k is not None and det_k > cap_k for _, cap_k, det_k in top)
+        if linalg.det_int(lat.scaled_gram()[0]) != 1:
+            # every rank up to the first node cap is searched unless skipped
+            last = next((k for k, _, det_k in top if det_k is None), lat.rank - 1)
+            skips += last - len({k for k, _, _ in top if k <= last})
+    assert skips >= 50 and caps >= 50 and checked >= 300 and newly > 0
+
+
+def test_minkowski_floors_are_sound():
+    """F_k <= d_k at every proper rank of seeded lattices of rank 2-6, with
+    equality at k = 1 and, from rank 3 on, at k = r - 1."""
+    from slopekit.enumeration import DEFAULT_NODE_CAP, _min_det_rank_k, _minkowski_floors
+
+    rng = random.Random(167)
+    strict = 0
+    for t in range(60):
+        r = 2 + t % 5
+        if r == 6:
+            r1, r2 = rng.choice(((2, 3), (3, 2)))
+            lat = random_lattice(rng, r1).tensor(random_lattice(rng, r2))
+        elif t % 2:
+            lat = _random_rational_lattice(rng, r)
+        else:
+            lat = random_lattice(rng, r)
+        floors = _minkowski_floors(lat, DEFAULT_NODE_CAP)
+        assert floors[0] is None and len(floors) == r
+        for k in range(1, r):
+            d_k = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP)[0]
+            assert floors[k] <= d_k
+            if k == 1 or k == r - 1:
+                assert floors[k] == d_k
+            strict += floors[k] < d_k
+    assert strict >= 20
+
+
+def test_root_ceil_is_the_least_rational_over_b():
+    """For q = a/b and n >= 1, _root_ceil(q, n) = c/b with c the least
+    integer such that c^n >= a * b^(n-1); an exact n-th power comes back as
+    its root."""
+    from slopekit.enumeration import _root_ceil
+
+    rng = random.Random(173)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        if rng.random() < 0.3:
+            x, y = rng.randint(1, 10**4), rng.randint(1, 10**3)
+            assert _root_ceil(F(x, y) ** n, n) == F(x, y)
+            continue
+        q = F(rng.randint(1, 10 ** rng.randint(1, 30)), rng.randint(1, 10 ** rng.randint(0, 12)))
+        a, b = q.numerator, q.denominator
+        t = a * b ** (n - 1)
+        c = _root_ceil(q, n) * b
+        assert c.denominator == 1
+        c = c.numerator
+        assert c**n >= t and (c - 1) ** n < t
+        assert _root_ceil(q, n) ** n >= q
+
+
+# An integral rank-5 lattice whose least rank-2 determinant is not that of two
+# vectors of its LLL-reduced basis, so the rank-2 search, and the rank-3
+# search of its dual (Rankin), must find it.
+_NON_GREEDY_RANK5 = EuclideanLattice([
+    [44, 7, -10, 24, 0],
+    [7, 21, -8, -6, -13],
+    [-10, -8, 67, -36, -9],
+    [24, -6, -36, 47, 27],
+    [0, -13, -9, 27, 45],
+])
+
+
+def test_capped_min_det_is_exact_up_to_its_cap():
+    """_min_det_rank_k with a cap: at cap = d_k it returns d_k, with a witness
+    of that determinant, and below d_k it returns a determinant above the
+    cap; at Rankin ranks (k > r - k) the cap reaches the dual as cap / det L.
+    Seeded lattices of rank 2-5, their duals and rescalings by 1/3, and a
+    lattice, its dual and a rescaling where the greedy incumbent of the rank
+    actually searched is not the minimum."""
+    from slopekit.enumeration import DEFAULT_NODE_CAP, _greedy_rank_k_det, _min_det_rank_k
+
+    rng = random.Random(179)
+    lats = []
+    for t in range(90):
+        r = 2 + t % 4
+        lat = _random_rational_lattice(rng, r) if t % 2 else random_lattice(rng, r)
+        lats.append((lat, lat.dual(), lat.scale(F(1, 3)))[t % 3])
+    lats += [_NON_GREEDY_RANK5, _NON_GREEDY_RANK5.dual(), _NON_GREEDY_RANK5.dual().scale(F(1, 3))]
+    rankin = not_greedy = 0
+    for lat in lats:
+        r = lat.rank
+        for k in range(1, r):
+            d_k = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP)[0]
+            det_k, wit = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP, d_k)
+            assert det_k == d_k == wit.det() and wit.rank == k
+            below = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP, d_k * F(99, 100))[0]
+            assert below > d_k * F(99, 100)
+            rankin += k > r - k
+            searched = (lat.dual(), r - k, lat.det()) if k > r - k else (lat, k, 1)
+            not_greedy += _greedy_rank_k_det(*searched[:2])[0] * searched[2] > d_k
+    assert rankin >= 50 and not_greedy >= 3

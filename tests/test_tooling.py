@@ -341,6 +341,49 @@ def test_polygon_readers_reach_upper_hull(monkeypatch):
         assert len(calls) > before, f"{name} computed a polygon around upper_hull"
 
 
+def test_mu_max_skips_ranks_that_slope_filtration_searches(monkeypatch):
+    """On a 2x3 tensor whose ranks 4 and 5 lie below their Minkowski floors,
+    mu_max runs the dense-sublattice search at fewer ranks than
+    slope_filtration, which still reaches `_min_det_rank_k` at every rank
+    1..r-1 (both look the names up at call time).  mu_max of a rank-2
+    lattice builds no dual."""
+    en, lattice = slopekit.enumeration, slopekit.lattice
+
+    def gram(b):
+        return [[sum(x * y for x, y in zip(u, v)) for v in b] for u in b]
+
+    t = lattice.EuclideanLattice(gram([[-1, -2], [0, -2]])).tensor(
+        lattice.EuclideanLattice(gram([[-1, -1, 2], [-1, 2, 2], [-1, 1, 1]]))
+    )
+    searches, ranks = [], []
+    real_search, real_min_det = en.densest_sublattice, en._min_det_rank_k
+
+    def search(lat, k, *args):
+        searches.append(k)
+        return real_search(lat, k, *args)
+
+    def min_det(lat, k, *args):
+        if lat is t:
+            ranks.append(k)
+        return real_min_det(lat, k, *args)
+
+    monkeypatch.setattr(en, "densest_sublattice", search)
+    monkeypatch.setattr(en, "_min_det_rank_k", min_det)
+    en.mu_max(t)
+    bound_first, mu_ranks = len(searches), set(ranks)
+    del searches[:], ranks[:]
+    en.slope_filtration(t)
+    assert bound_first < len(searches)
+    assert mu_ranks == {1, 2, 3} and set(ranks) == set(range(1, t.rank))
+    # at rank 2 the primal floor is exact, so no dual is built
+    duals = []
+    real_dual = lattice.EuclideanLattice.dual
+    monkeypatch.setattr(lattice.EuclideanLattice, "dual", lambda lat: duals.append(lat) or real_dual(lat))
+    for lat in (lattice.a2_lattice(), lattice.EuclideanLattice(gram([[-1, -2], [0, -2]]))):
+        en.mu_max(lat)
+    assert not duals
+
+
 def _module_references(nodes: list[ast.AST], module: str, own_module: bool) -> set[str]:
     """Names the nodes of a file take from the slopekit module `module`:
     attributes of any name bound to it (`linalg.f`, `sk.linalg.f`, `ev.f`
