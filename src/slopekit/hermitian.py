@@ -10,6 +10,17 @@ Every quadratic extension here is a `QuadField` and its elements are `QElt`:
 Q(sqrt(-d)) (`ImagQuadField`), the real fields of the norm-product checks,
 and the towers K(i) over K = Q(sqrt(-p)) and Q(sqrt(-7))(sqrt(2)).  Every
 check is exact, the sqrt(2) frame of the rank-3 lattice included.
+
+Coordinates over Q are Python ints where they are integral and Fractions
+otherwise, never floats: the fields coerce their input so, sums and
+products of ints stay ints, and every division goes through `_div`, which
+divides exactly (`int / int` would be a float).  A quotient in the ring of
+integers, such as each division `linalg.bareiss` makes, so stays on ints.
+`HermitianLattice` stores its Gram matrix G with integral coordinates as
+ints and runs its positivity check on the integral matrix D*G, D the lcm of
+the coordinate denominators: the k-th leading minor of D*G is D^k times
+that of G, so the verdict, the row swaps and the determinant (the last
+minor over D^r) are those of G.
 """
 
 from __future__ import annotations
@@ -36,6 +47,25 @@ F = Fraction
 
 Rat = int | Fraction
 
+def _rat(x) -> Rat:
+    """x as a coordinate over Q: an int if it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = F(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(x, n):
+    """The coordinate x over the nonzero scalar n of its base ring, exactly:
+    x // n for ints when n divides x, else Fraction(x, n); a coordinate in a
+    tower is a `QElt` and divides itself."""
+    if type(x) is int and type(n) is int:
+        q, rem = divmod(x, n)
+        return F(x, n) if rem else q
+    return x / n
+
+
 def _is_squarefree(d: int) -> bool:
     if d < 1:
         return False
@@ -53,11 +83,11 @@ class QuadField:
     """The quadratic extension base(omega) with omega^2 = trace*omega - norm.
 
     `base` maps a rational, or an element of the base ring, to a coefficient:
-    `Fraction` for Q, a `QuadField` for a tower."""
+    `_rat` for Q (an int where integral), a `QuadField` for a tower."""
 
     __slots__ = ("omega_trace", "omega_norm", "base")
 
-    def __init__(self, omega_trace: Rat, omega_norm: Rat, base=Fraction):
+    def __init__(self, omega_trace: Rat, omega_norm: Rat, base=_rat):
         object.__setattr__(self, "omega_trace", omega_trace)
         object.__setattr__(self, "omega_norm", omega_norm)
         object.__setattr__(self, "base", base)
@@ -117,7 +147,12 @@ class ImagQuadField(QuadField):
 
 @dataclass(frozen=True)
 class QElt:
-    """a + b*omega in a QuadField, with a and b in its base ring."""
+    """a + b*omega in a QuadField, with a and b in its base ring.
+
+    Over Q, a and b are ints where integral and Fractions otherwise, never
+    floats; `==` and `hash` treat an int as the equal Fraction.  Every
+    division is exact (`_div`), so a quotient that lies in the ring of
+    integers keeps int coordinates."""
 
     field: QuadField
     a: object
@@ -184,16 +219,19 @@ class QElt:
         if not nrm:
             raise ZeroDivisionError("division by zero field element")
         cj = self.conj()
-        return QElt(self.field, cj.a / nrm, cj.b / nrm)
+        return QElt(self.field, _div(cj.a, nrm), _div(cj.b, nrm))
 
     def __truediv__(self, other):
+        x = self
         if self._is_elt(other):
-            if other.b:
-                return self * other.inverse()
-            other = other.a  # a rational divisor divides the coordinates
-        return QElt(self.field, self.a / other, self.b / other)
+            if other.b:  # x / y = x*conj(y) / N(y), N(y) in the base ring
+                x, other = self * other.conj(), other.norm()
+            else:
+                other = other.a  # a divisor of the base ring divides the coordinates
+        return QElt(self.field, _div(x.a, other), _div(x.b, other))
 
-    # exact in a field: the operator `linalg.bareiss` divides by
+    # exact in a field, and on ints whenever the quotient is integral: the
+    # operator `linalg.bareiss` divides by
     __floordiv__ = __truediv__
 
     def is_zero(self) -> bool:
@@ -208,7 +246,7 @@ class QElt:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.a
+        return F(self.a)
 
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
@@ -263,7 +301,7 @@ def euclid_gcd(elts: Sequence[QElt]) -> QElt:
     def gcd2(x: QElt, y: QElt) -> QElt:
         while not y.is_zero():
             q = x / y
-            qr = QElt(field, F(_round_half(q.a)), F(_round_half(q.b)))
+            qr = QElt(field, _round_half(q.a), _round_half(q.b))
             x, y = y, x - qr * y
         return x
 
@@ -275,18 +313,27 @@ def euclid_gcd(elts: Sequence[QElt]) -> QElt:
 
 # ---------------------------------------------------------------------------
 
+def _normalised(field: ImagQuadField, x) -> QElt:
+    """x as an element of field with int coordinates where integral."""
+    if not isinstance(x, QElt):
+        return field.elt(x)
+    if type(x.a) is int and type(x.b) is int:
+        return x
+    return QElt(x.field, _rat(x.a), _rat(x.b))
+
+
 class HermitianLattice:
     """Free o_K-module with conjugate-symmetric positive definite Gram matrix."""
 
     __slots__ = ("field", "gram", "_det")
 
     def __init__(self, field: ImagQuadField, gram: Sequence[Sequence[QElt]]):
-        g = tuple(tuple(x if isinstance(x, QElt) else field.elt(x) for x in row) for row in gram)
+        g = tuple(tuple(_normalised(field, x) for x in row) for row in gram)
         r = len(g)
         if r == 0 or any(len(row) != r for row in g):
             raise ValueError("Gram matrix must be square and nonempty")
         for i in range(r):
-            if not g[i][i].is_rational() or g[i][i].as_fraction() <= 0:
+            if not g[i][i].is_rational() or g[i][i].a <= 0:
                 raise ValueError("diagonal Gram entries must be positive rationals")
             for j in range(r):
                 if g[j][i] != g[i][j].conj():
@@ -294,13 +341,21 @@ class HermitianLattice:
         # Sylvester: positive definite iff every leading principal minor is a
         # positive rational.  `bareiss` swaps only past a zero minor and
         # leaves the leading minors on the diagonal of a run without swaps;
-        # the last one is the determinant
-        m, swaps = linalg.bareiss(g)
+        # the last one is the determinant.  It runs on D*G, with D the lcm of
+        # the coordinate denominators, so on ints.  Each entry of its k-th
+        # step is a k x k minor, D^k times that of G: the same entries are
+        # zero (the same swaps), the same signs and rationality (the same
+        # verdict), and det G is the last minor over D^r
+        den = math.lcm(*(c.denominator for row in g for x in row for c in (x.a, x.b)))
+        dg = g if den == 1 else [
+            [QElt(x.field, int(x.a * den), int(x.b * den)) for x in row] for row in g
+        ]
+        m, swaps = linalg.bareiss(dg)
         if swaps or not all(m[k][k].is_rational() and m[k][k].a > 0 for k in range(r)):
             raise ValueError("Gram matrix must be positive definite")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_det", m[-1][-1].a)
+        object.__setattr__(self, "_det", F(m[-1][-1].a, den**r))
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianLattice is immutable")
@@ -539,14 +594,7 @@ def a2_twist_checks(gram_multiplier: Rat = F(2, 3)) -> Report:
         quot_min_degree >= LogRational(0),
         f"min rank-one quotient degree = {quot_min_degree} >= 0",
     )
-    samples = [
-        (F(1), F(0)),
-        (F(1), F(1)),
-        (F(2), F(-1)),
-        (F(0), F(1)),
-        (F(3), F(2)),
-        (F(-1), F(2)),
-    ]
+    samples = [(1, 0), (1, 1), (2, -1), (0, 1), (3, 2), (-1, 2)]
     for t in (-1, -2, -3, -7, 2, 3):
         field = QuadField(*_omega_data(t))
         for pa, qa in samples:

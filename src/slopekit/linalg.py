@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -51,10 +51,6 @@ def transpose(m: Matrix) -> Matrix:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a)
-
-
-def matvec(a: Matrix, v: Sequence) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
@@ -322,21 +318,6 @@ def exterior_gram(g: Matrix, p: int) -> Matrix:
         tuple(Fraction(det_int([[gi[i][j] for j in t] for i in s]), scale**p) for t in subsets)
         for s in subsets
     )
-
-
-def alternating_map_matrix(n: int, p: int) -> Matrix:
-    """Matrix of the natural map from the p-th tensor power to the p-th
-    alternating power; rows indexed by p-subsets, columns by p-tuples in the
-    Kronecker index order."""
-    row_of = {s: i for i, s in enumerate(combinations(range(n), p))}
-    out = [[Fraction(0)] * n**p for _ in row_of]
-    for col, tup in enumerate(product(range(n), repeat=p)):
-        if len(set(tup)) == p:
-            # the sign of the permutation sorting the tuple: its matrix's det
-            order = sorted(range(p), key=lambda i: tup[i])
-            sign = det_int([[int(order[i] == j) for j in range(p)] for i in range(p)])
-            out[row_of[tuple(sorted(tup))]][col] = Fraction(sign)
-    return tuple(tuple(row) for row in out)
 
 
 # ---------------------------------------------------------------------------

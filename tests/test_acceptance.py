@@ -132,9 +132,10 @@ def test_criterion_7_tensor_mu_max_additive_50():
     assert rep.passed
     by_name = {c.name: c for c in rep.checks}
     assert "50/50" in by_name["tensor_mu_max_additive"].detail
-    assert "50/50" in by_name["line_value_between_slope_and_max"].detail
-    _ok(7, "mu_max additive under tensor on 50 certified pairs; slope <= "
-           "line value <= mu_max everywhere")
+    assert "50/50" in by_name["line_value_at_most_mu_max"].detail
+    assert "50/50" in by_name["slope_at_most_mu_max"].detail
+    _ok(7, "mu_max additive under tensor on 50 certified pairs; line value "
+           "<= mu_max and slope <= mu_max everywhere")
 
 
 def test_criterion_8_structural_norms():

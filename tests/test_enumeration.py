@@ -528,7 +528,7 @@ def _brute_force_densest(lat, k, det_bound):
     r = lat.rank
     bound = F(2) ** (k * (k - 1) // 2) * det_bound / minimum_sq(lat) ** (k - 1)
     pool = [v for v, _ in enumerate_short_vectors(lat, bound).vectors]
-    gv = {v: linalg.matvec(lat.gram, v) for v in pool}
+    gv = {v: [sum(x * y for x, y in zip(row, v)) for row in lat.gram] for v in pool}
     best, ties = None, set()
     for rows in combinations(pool, k):
         span_det = linalg.det_bareiss(

@@ -289,6 +289,38 @@ def test_cli_mf(tmp_path, capsys):
     assert main(["mf", "tensor-check", f, f]) == 0
 
 
+def test_cli_mf_tensor_check_three_lines(tmp_path, capsys):
+    """Three weight-1 lines in Q^2 (slope 3/2, best line value 1, mu_max 3/2)
+    tensored with a line of three zero filtrations: every check is a
+    theorem, and none asks nu + rho to bound mu_max."""
+    full = [["1", "0"], ["0", "1"]]
+    lines = {
+        "dim": 2,
+        "filtrations": [
+            {"steps": [{"lambda": "0", "basis": full}, {"lambda": "1", "basis": [row]}]}
+            for row in (["1", "0"], ["0", "1"], ["1", "1"])
+        ],
+    }
+    unit = {"dim": 1, "filtrations": [{"steps": [{"lambda": "0", "basis": [["1"]]}]}] * 3}
+    f, g = _write(tmp_path, "lines.json", lines), _write(tmp_path, "unit.json", unit)
+    assert main(["mf", "tensor-check", f, g]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS]" in out and "line_plus_correction_bound" not in out
+    assert "tensor_line_bound: nu(tensor) = 1 <= 3/2" in out
+    assert "tensor_mu_max_lower: mu_max(tensor) = 3/2 >= 3/2" in out
+
+
+def test_repro_thm07_seed_6():
+    """At seed 6, instance 30 has slope 4/3 above its line value 1, below
+    mu_max = 3/2: both bounds by mu_max hold on every instance."""
+    rep = repro("thm07", seed=6, count=50)
+    assert rep.passed
+    by_name = {c.name: c for c in rep.checks}
+    assert "50/50" in by_name["tensor_mu_max_additive"].detail
+    assert by_name["line_value_at_most_mu_max"].detail == "50/50: line value <= mu_max on the tensor"
+    assert by_name["slope_at_most_mu_max"].detail == "50/50: slope <= mu_max on the tensor"
+
+
 def test_cli_mf_without_filtrations(tmp_path, capsys):
     # every line has value 0, the slope; the loader accepts the space
     f = _write(tmp_path, "mf.json", {"dim": 2, "filtrations": []})

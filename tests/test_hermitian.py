@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from slopekit import linalg
 from slopekit.exactval import LogRational, half_log, log_of_rational
 from slopekit.hermitian import (
+    QElt,
     HermitianLattice,
     ImagQuadField,
     a2_twist_checks,
@@ -170,17 +170,22 @@ def test_restriction_of_scalars_determinant_law():
             assert eucl.degree() == lat.degree() - F(lat.rank, 2) * log_of_rational(d0)
 
 
+def _alternating_square_map(w):
+    """Image of w in the tensor square of a rank-2 space under the natural map
+    to the alternating square: e1⊗e2 -> e1∧e2, e2⊗e1 -> -e1∧e2."""
+    return (w[1] - w[2],)
+
+
 def test_alternating_map_norm_bound():
     # the natural map from the tensor square to the alternating square has
     # norm sqrt(2), attained on orthogonal frames
-    from slopekit.lattice import EuclideanLattice, unit_lattice
+    from slopekit.lattice import unit_lattice
 
-    amap = linalg.alternating_map_matrix(2, 2)
     lat = unit_lattice(1).scale(3).orthogonal_sum(unit_lattice(1).scale(5))
     tsq = lat.tensor(lat)
     alt = lat.exterior_power(2)
     w = [F(0), F(1), F(-1), F(0)]  # e1⊗e2 - e2⊗e1
-    img = linalg.matvec(amap, w)
+    img = _alternating_square_map(w)
     num = sum(img[i] * alt.gram[i][j] * img[j] for i in range(1) for j in range(1))
     den = tsq.norm_sq(w)
     assert num / den == 2  # squared norm ratio = p!
@@ -189,7 +194,7 @@ def test_alternating_map_norm_bound():
         w = [F(rng.randint(-2, 2)) for _ in range(4)]
         if all(x == 0 for x in w):
             continue
-        img = linalg.matvec(amap, w)
+        img = _alternating_square_map(w)
         num = sum(img[i] * alt.gram[0][0] * img[j] for i in range(1) for j in range(1))
         assert num <= 2 * tsq.norm_sq(w)
 
@@ -272,3 +277,111 @@ def test_repro_qp_passes():
         assert "rank_one_degree_bound_ring" in names
     with pytest.raises(ValueError):
         qp_checks(11)
+
+
+# -- the positivity check on D*G against the Fraction-coordinate check ----------
+
+def _fraction_quotient(x, y):
+    """x / y with Fraction coordinates, y an int or a nonzero QElt."""
+    if isinstance(y, int):
+        return QElt(x.field, F(x.a) / y, F(x.b) / y)
+    num, n = x * y.conj(), F(y.norm())
+    return QElt(x.field, F(num.a) / n, F(num.b) / n)
+
+
+def _reference_gram_check(field, gram):
+    """The Gram check as it ran on Fraction coordinates before the integral
+    D*G: the determinant, or the ValueError message."""
+    g = [[QElt(field, F(x.a), F(x.b)) for x in row] for row in gram]
+    r = len(g)
+    for i in range(r):
+        if g[i][i].b or g[i][i].a <= 0:
+            return "diagonal Gram entries must be positive rationals"
+        for j in range(r):
+            if g[j][i] != g[i][j].conj():
+                return "Gram matrix must be conjugate-symmetric"
+    m = [list(row) for row in g]
+    swaps, prev = 0, 1
+    for k in range(r - 1):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, r) if m[i][k]), None)
+            if piv is None:
+                break
+            m[k], m[piv] = m[piv], m[k]
+            swaps += 1
+        p = m[k][k]
+        for i in range(k + 1, r):
+            f = m[i][k]
+            for j in range(k + 1, r):
+                m[i][j] = _fraction_quotient(m[i][j] * p - f * m[k][j], prev)
+        prev = p
+    if swaps or not all(not m[k][k].b and m[k][k].a > 0 for k in range(r)):
+        return "Gram matrix must be positive definite"
+    return m[-1][-1].a
+
+
+def _rational_hermitian(rng, field, r, kind):
+    """A conjugate-symmetric rational Gram of rank r: "random" entries (often
+    indefinite), "zero_minor" random with a zero second leading minor (the
+    elimination swaps or stops there), "definite" B^*·D·B, "singular"
+    B^*·D·B with dependent rows of B, or "asymmetric" with one broken mirror
+    entry."""
+    def q(bound, den):
+        return F(rng.randint(-bound, bound), rng.randint(1, den))
+
+    if kind in ("random", "zero_minor", "asymmetric"):
+        g = [[None] * r for _ in range(r)]
+        for i in range(r):
+            g[i][i] = field.elt(F(rng.randint(-2, 12), rng.randint(1, 4)))
+            for j in range(i + 1, r):
+                g[i][j] = field.elt(q(3, 3), q(3, 3))
+                g[j][i] = g[i][j].conj()
+        if kind == "zero_minor" and r > 1:
+            g[0][0] = field.elt(F(rng.randint(1, 6), rng.randint(1, 3)))
+            g[1][1] = field.elt(g[0][1].norm() / g[0][0].a)
+        if kind == "asymmetric" and r > 1:
+            g[1][0] = g[1][0] + field.omega
+        return g
+    b = [[field.elt(q(2, 2), q(2, 2)) for _ in range(r)] for _ in range(r)]
+    if kind == "singular":
+        c = field.elt(q(2, 2), q(2, 2))
+        b[-1] = [c * x for x in b[0]]
+    diag = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(r)]
+    return [
+        [sum((b[k][i].conj() * b[k][j] * diag[k] for k in range(r)), field.zero) for j in range(r)]
+        for i in range(r)
+    ]
+
+
+def test_integral_gram_check_matches_fraction_check():
+    """On seeded rational Grams of rank 1-4 over seven fields, the check on
+    D*G accepts exactly what the Fraction-coordinate check accepted, with
+    the same determinant (a Fraction) and the same rejection message; the
+    stored Gram equals the input with int coordinates where integral."""
+    rng = random.Random(2100)
+    kinds = ("random", "zero_minor", "definite", "singular", "asymmetric")
+    seen = {}
+    for n in range(400):
+        field = ImagQuadField((1, 2, 3, 5, 7, 11, 13)[n % 7])
+        r = 1 + n % 4
+        gram = _rational_hermitian(rng, field, r, kinds[(n // 4) % 5])
+        want = _reference_gram_check(field, gram)
+        try:
+            lat = HermitianLattice(field, gram)
+        except ValueError as exc:
+            got = str(exc)
+        else:
+            got = lat.det()
+            assert type(got) is F
+            assert [list(row) for row in lat.gram] == gram
+            assert all(
+                type(c) is (int if c.denominator == 1 else F)
+                for row in lat.gram for x in row for c in (x.a, x.b)
+            )
+        assert got == want
+        key = "accepted" if isinstance(want, F) else want
+        seen[key] = seen.get(key, 0) + 1
+    assert seen["accepted"] >= 80
+    assert seen["Gram matrix must be positive definite"] >= 80
+    assert seen["Gram matrix must be conjugate-symmetric"] >= 30
+    assert seen["diagonal Gram entries must be positive rationals"] >= 10

@@ -4,7 +4,8 @@ routines the old `Fraction` Gauss-Jordan loop of `linalg.rref`, the old
 `hermitian._field_inverse` / `_field_det`; for the fraction-free kernel
 `bareiss` the old `det_int`, `enumeration._gso`,
 `linalg.leading_principal_minors`, the `linalg.minor_det` exterior Gram and
-the cycle-counting sign of `alternating_map_matrix`, and the pivoted loop
+the cycle-counting sign of a permutation (against `det_int` of its matrix,
+as the deleted `alternating_map_matrix` read it), and the pivoted loop
 of `is_positive_semidefinite`; for `saturate` the old Smith-style
 `diagonalize_int`, the gcd of the maximal minors and the double integer
 kernel.
@@ -522,9 +523,25 @@ def _reference_alternating_map_matrix(n, p):
     return tuple(tuple(row) for row in out)
 
 
+def _alternating_map_matrix(n, p):
+    """The matrix of the natural map from the p-th tensor power to the p-th
+    alternating power, each sign read as `det_int` of a permutation matrix
+    (the construction of the deleted `linalg.alternating_map_matrix`)."""
+    from itertools import product
+
+    row_of = {s: i for i, s in enumerate(combinations(range(n), p))}
+    out = [[F(0)] * n**p for _ in row_of]
+    for col, tup in enumerate(product(range(n), repeat=p)):
+        if len(set(tup)) == p:
+            order = sorted(range(p), key=lambda i: tup[i])
+            sign = linalg.det_int([[int(order[i] == j) for j in range(p)] for i in range(p)])
+            out[row_of[tuple(sorted(tup))]][col] = F(sign)
+    return tuple(tuple(row) for row in out)
+
+
 @pytest.mark.parametrize("n,p", [(n, p) for n in range(1, 6) for p in range(1, min(n, 4) + 1)])
 def test_alternating_map_matrix_matches_cycle_signs(n, p):
-    assert linalg.alternating_map_matrix(n, p) == _reference_alternating_map_matrix(n, p)
+    assert _alternating_map_matrix(n, p) == _reference_alternating_map_matrix(n, p)
 
 
 def _reference_kernel(a, cols):

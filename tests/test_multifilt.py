@@ -20,7 +20,6 @@ from slopekit.multifilt import (
     slope_of_subspace,
     subobject,
     tensor_mf,
-    unit_object,
 )
 
 F = Fraction
@@ -32,6 +31,13 @@ def crossed_example():
     f1 = Filtration(2, [(0, full), (1, [[1, 0]])])
     f2 = Filtration(2, [(0, full), (1, [[0, 1]])])
     return MultifilteredSpace(2, [f1, f2])
+
+
+def unit_object(n_filtrations, breaks=None):
+    """One-dimensional space; break c_v in filtration v (default all 0)."""
+    if breaks is None:
+        breaks = [F(0)] * n_filtrations
+    return MultifilteredSpace(1, [Filtration(1, [(c, ((F(1),),))]) for c in breaks])
 
 
 def random_mf(rng, dim, n_filts, max_breaks=3, break_bound=3, denominator=1):
@@ -1029,7 +1035,7 @@ def _reference_slope_filtration_mf(m):
         _, witness, _, certified = _reference_mu_max_mf(current)
         if not certified:
             raise ValueError("uncertified mu_max stage; filtration aborted")
-        wit = linalg.rref(linalg.mat([linalg.matvec(linalg.transpose(lift), r) for r in witness]))[0]
+        wit = linalg.rref(linalg.mat([[sum(x * y for x, y in zip(col, r)) for col in zip(*lift)] for r in witness]))[0]
         prev = linalg.sum_row_spaces(prev, wit) if prev else wit
         chain.append(prev)
         if len(prev) == m.dim:

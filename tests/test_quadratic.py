@@ -5,7 +5,9 @@ classes `hermitian.QuadInt` (norm products over Q(sqrt t)) and `QuartElt`
 `LogRational.bounds`, the leading-minor positivity test and the entrywise
 loops of `HermitianLattice`, and the Fraction range `_int_range_bounds` that
 `enumeration._isqrt_range` replaced; and the tower Q(sqrt(-d))(sqrt 2) of
-the q7 frame against a pair-of-coordinates model."""
+the q7 frame against a pair-of-coordinates model.  The same Fraction
+models check that int coordinates stay ints through + - * and through
+exact quotients, and that no result has a float coordinate."""
 
 import itertools
 import math
@@ -401,3 +403,158 @@ def test_positivity_matches_leading_minors(d):
             with pytest.raises(ValueError):
                 HermitianLattice(field, g)
     assert accepted >= 10 and rejected >= 10
+
+
+# -- int coordinates against the Fraction models --------------------------------
+
+def _coords(x):
+    """The rational coordinates of x, through every level of a tower."""
+    if isinstance(x, QElt):
+        return _coords(x.a) + _coords(x.b)
+    return (x,)
+
+
+def _exact(*xs):
+    """Every rational coordinate is an int or a Fraction, never a float."""
+    return all(type(c) in (int, F) for x in xs for c in _coords(x))
+
+
+def _all_int(x):
+    return all(type(c) is int for c in _coords(x))
+
+
+def _coord(rng, integral):
+    n = rng.randint(-6, 6)
+    return n if integral else F(n, rng.randint(1, 4))
+
+
+def _qi(r):
+    return r.p, r.q
+
+
+def _quadint_quotient(rx, ry):
+    num, n = rx * ry.conj(), ry.norm()
+    return QuadInt(rx.t, num.p / n, num.q / n)
+
+
+@pytest.mark.parametrize("t", [-1, -2, -3, -5, -7, -11, -13, -37, 2, 3])
+def test_int_coordinates_match_quadint_over_quadratic_fields(t):
+    """Over Q(sqrt t), integral operands keep int coordinates through + - *
+    and through every exact quotient; all results equal the Fraction model,
+    and none has a float coordinate."""
+    field = QuadField(*_omega_data(t))
+    rng = random.Random(1100 + t)
+    divisible = 0
+    for n in range(150):
+        integral = n % 3 != 0
+        x = field.elt(_coord(rng, integral), _coord(rng, integral))
+        y = field.elt(_coord(rng, integral), _coord(rng, integral))
+        z = field.elt(rng.randint(-5, 5), rng.randint(-5, 5))
+        if n % 4 == 0:
+            x = y * z  # y divides x in the ring when y is integral
+        rx, ry = QuadInt(t, F(x.a), F(x.b)), QuadInt(t, F(y.a), F(y.b))
+        minus_one, one = QuadInt(t, F(-1), F(0)), QuadInt(t, F(1), F(0))
+        assert integral <= _all_int(x)
+        assert _exact(x + y, x - y, x * y, -x, x.conj(), x.norm(), x.trace(), x * 3, x / 3, 3 - x)
+        assert _pair(x + y) == _qi(rx + ry)
+        assert _pair(x - y) == _qi(rx + ry * minus_one)
+        assert _pair(x * y) == _qi(rx * ry)
+        assert _pair(x.conj()) == _qi(rx.conj())
+        assert x.norm() == rx.norm() and x.trace() == rx.trace()
+        assert _pair(x / 3) == (rx.p / 3, rx.q / 3)
+        if y.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            continue
+        q, inv = x / y, y.inverse()
+        assert _exact(q, inv)
+        assert _pair(q) == _qi(_quadint_quotient(rx, ry))
+        assert _pair(inv) == _qi(_quadint_quotient(one, ry))
+        if _all_int(x) and _all_int(y) and q.is_integral():
+            assert _all_int(q)
+            divisible += 1
+        if n % 4 == 0 and _all_int(y):
+            assert q == z and _all_int(q)
+    assert divisible >= 20
+
+
+@pytest.mark.parametrize("p", [5, 13, 37])
+def test_int_coordinates_match_quartelt_over_k_i(p):
+    """K(i) over K = Q(sqrt(-p)): quotients checked through the model's
+    product, integral quotients on ints at both levels."""
+    k = ImagQuadField(p)
+    kp = QuadField(0, 1, k)
+    rng = random.Random(1200 + p)
+
+    def draw(integral):
+        return kp.elt(*(k.elt(_coord(rng, integral), _coord(rng, integral)) for _ in range(2)))
+
+    def model(x):
+        return QuartElt(x.a, x.b)
+
+    one = QuartElt(k.one, k.zero)
+    divisible = 0
+    for n in range(120):
+        integral = n % 3 != 0
+        x, y, z = draw(integral), draw(integral), draw(True)
+        if n % 4 == 0:
+            x = y * z
+        rx, ry = model(x), model(y)
+        assert integral <= _all_int(x)
+        assert _exact(x + y, x - y, x * y, x.conj(), x.norm(), x.trace(), x / 3, x / k.elt(2, 1))
+        assert model(x + y) == rx + ry
+        assert model(x - y) == rx + ry * -1
+        assert model(x * y) == rx * ry
+        assert model(x.conj()) == rx.tau()
+        assert x.norm() == rx.relative_norm() and x.trace() == rx.x0 * 2
+        assert model(x / k.elt(2, 1)) * k.elt(2, 1) == rx
+        if y.is_zero():
+            continue
+        q, inv = x / y, y.inverse()
+        assert _exact(q, inv)
+        assert model(q) * ry == rx and model(inv) * ry == one
+        if n % 4 == 0 and _all_int(y):
+            assert q == z and _all_int(q)
+            divisible += 1
+    assert divisible >= 15
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_int_coordinates_match_sqrt2_model(d):
+    """K(sqrt 2) over K = Q(sqrt(-d)), as for K(i)."""
+    k = ImagQuadField(d)
+    el = QuadField(0, -2, k)
+    rng = random.Random(1300 + d)
+
+    def draw(integral):
+        return el.elt(*(k.elt(_coord(rng, integral), _coord(rng, integral)) for _ in range(2)))
+
+    def model(x):
+        return Sqrt2Elt(x.a, x.b)
+
+    one = Sqrt2Elt(k.one, k.zero)
+    divisible = 0
+    for n in range(60):
+        integral = n % 3 != 0
+        x, y, z = draw(integral), draw(integral), draw(True)
+        if n % 4 == 0:
+            x = y * z
+        rx, ry = model(x), model(y)
+        tau = Sqrt2Elt(rx.x0, -rx.x1)
+        assert integral <= _all_int(x)
+        assert _exact(x + y, x - y, x * y, x.conj(), x.norm(), x.trace())
+        assert model(x + y) == rx + ry
+        assert model(x - y) == rx + ry * Sqrt2Elt(-k.one, k.zero)
+        assert model(x * y) == rx * ry
+        assert model(x.conj()) == tau
+        assert (rx * tau).x1.is_zero() and x.norm() == (rx * tau).x0
+        assert x.trace() == rx.x0 * 2
+        if y.is_zero():
+            continue
+        q, inv = x / y, y.inverse()
+        assert _exact(q, inv)
+        assert model(q) * ry == rx and model(inv) * ry == one
+        if n % 4 == 0 and _all_int(y):
+            assert q == z and _all_int(q)
+            divisible += 1
+    assert divisible >= 8
