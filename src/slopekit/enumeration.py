@@ -211,7 +211,7 @@ def lll_reduce(lat: EuclideanLattice):
         else:
             swap(k, k - 1)
             k = max(k - 1, 1)
-    return EuclideanLattice([[F(x, scale) for x in row] for row in g]), tuple(map(tuple, u))
+    return EuclideanLattice._from_scaled(g, scale), tuple(map(tuple, u))
 
 
 # ---------------------------------------------------------------------------

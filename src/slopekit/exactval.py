@@ -1,10 +1,14 @@
 """Exact numbers of the form q0 + sum_i q_i*log(p_i) with rational q's and prime p's.
 
-Every degree and slope computed by this package is such a value.  Equality is
-decided symbolically on the canonical form (logs of distinct primes are
-linearly independent over the rationals, so canonical forms are faithful);
-strict order is decided by rational interval arithmetic at doubling precision,
-which terminates because a nonzero canonical form denotes a nonzero real.
+Every degree and slope computed by this package is such a value.  Its
+canonical form is (q0, den, exps): q0 a Fraction and the log part
+(1/den)*sum e_p*log(p) with integer exponents e_p != 0 over one denominator
+den >= 1, gcd(den, e_p, ...) = 1.  Equality is decided symbolically on that
+form (logs of distinct primes are linearly independent over the rationals, so
+canonical forms are faithful).  The sign of a pure log (q0 = 0) is an integer
+comparison of two products of prime powers; any other strict order is decided
+by rational interval arithmetic at doubling precision, which terminates
+because a nonzero canonical form denotes a nonzero real.
 
 The canonical form needs prime factorizations.  `factor_positive_int` trial
 divides by the primes below 1000, then takes each cofactor, with its
@@ -232,85 +236,171 @@ def _fraction_to_float_up(q: Fraction) -> float:
 
 # ---------------------------------------------------------------------------
 
-class LogRational:
-    """Immutable canonical value q0 + sum q_p*log(p) over primes p."""
+# Pure-log signs are decided on integers when the two products have at most
+# this many bits together; larger ones go through the interval loop.
+_INT_SIGN_BITS = 1 << 14
 
-    __slots__ = ("constant", "terms")
+_set = object.__setattr__
+_ZERO = Fraction(0)
+
+_Key = tuple[Fraction, int, tuple[tuple[int, int], ...]]
+
+
+def _lr(key: _Key) -> "LogRational":
+    out = object.__new__(LogRational)
+    _set(out, "_key", key)
+    return out
+
+
+def _canonical(constant: Fraction, den: int, exps: Iterable[tuple[int, int]]) -> _Key:
+    """The key of constant + (1/den)*sum e*log(p) over sorted (p, e) pairs:
+    zero exponents dropped, den and the exponents divided by their gcd (den = 1
+    when no exponent is left)."""
+    exps = tuple((p, e) for p, e in exps if e)
+    if not exps:
+        return constant, 1, ()
+    if den > 1:
+        g = math.gcd(den, *(e for _, e in exps))
+        if g > 1:
+            den //= g
+            exps = tuple((p, e // g) for p, e in exps)
+    return constant, den, exps
+
+
+class LogRational:
+    """Immutable value q0 + (1/den)*sum_p e_p*log(p) over primes p.
+
+    The canonical form is the key (q0, den, exps): q0 a Fraction, den >= 1 an
+    int, exps the sorted (p, e_p) pairs with every e_p a nonzero int, and
+    gcd(den, e_p, ...) = 1 (den = 1 when exps is empty).  So equal values have
+    equal keys, and the arithmetic on the log part runs on ints.  `terms`
+    gives the same part as (p, e_p/den) pairs."""
+
+    __slots__ = ("_key",)
 
     def __init__(self, constant: Rat = 0, terms: Mapping[int, Rat] | None = None):
-        object.__setattr__(self, "constant", Fraction(constant))
-        merged: dict[int, Fraction] = {}
-        if terms:
-            for base, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff == 0:
-                    continue
-                if base < 1:
-                    raise ValueError(f"log base must be a positive integer, got {base}")
-                for p, e in factor_positive_int(base).items():
-                    merged[p] = merged.get(p, Fraction(0)) + e * coeff
-        cleaned = {p: c for p, c in sorted(merged.items()) if c != 0}
-        object.__setattr__(self, "terms", tuple(cleaned.items()))
+        coeffs: list[tuple[int, Fraction]] = []
+        for base, coeff in (terms or {}).items():
+            coeff = Fraction(coeff)
+            if coeff == 0:
+                continue
+            if base < 1:
+                raise ValueError(f"log base must be a positive integer, got {base}")
+            coeffs.append((base, coeff))
+        den = math.lcm(*(c.denominator for _, c in coeffs))
+        exps: dict[int, int] = {}
+        for base, c in coeffs:
+            m = c.numerator * (den // c.denominator)
+            for p, e in factor_positive_int(base).items():
+                exps[p] = exps.get(p, 0) + e * m
+        _set(self, "_key", _canonical(Fraction(constant), den, sorted(exps.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("LogRational is immutable")
 
+    @property
+    def constant(self) -> Fraction:
+        return self._key[0]
+
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """The (p, coefficient of log p) pairs, by increasing p."""
+        _, den, exps = self._key
+        return tuple((p, Fraction(e, den)) for p, e in exps)
+
     # -- algebra
 
-    def _raw(self, constant: Fraction, terms: Iterable[tuple[int, Fraction]]) -> "LogRational":
-        out = object.__new__(LogRational)
-        object.__setattr__(out, "constant", constant)
-        object.__setattr__(out, "terms", tuple((p, c) for p, c in terms if c != 0))
-        return out
-
     def __add__(self, other) -> "LogRational":
-        if isinstance(other, (int, Fraction)):
-            other = LogRational(other)
-        if not isinstance(other, LogRational):
+        if isinstance(other, LogRational):
+            c2, d2, x2 = other._key
+        elif isinstance(other, (int, Fraction)):
+            c2, d2, x2 = Fraction(other), 1, ()
+        else:
             return NotImplemented
-        acc = dict(self.terms)
-        for p, c in other.terms:
-            acc[p] = acc.get(p, Fraction(0)) + c
-        return self._raw(self.constant + other.constant, sorted(acc.items()))
+        c1, d1, x1 = self._key
+        c = c1 + c2 if c1 and c2 else c1 or c2
+        if not x2:
+            return _lr((c, d1, x1))
+        if not x1:
+            return _lr((c, d2, x2))
+        # over lcm(d1, d2), then back to canonical form
+        den = d1 * d2 // math.gcd(d1, d2)
+        m1, m2 = den // d1, den // d2
+        acc = dict(x1) if m1 == 1 else {p: e * m1 for p, e in x1}
+        for p, e in x2:
+            acc[p] = acc.get(p, 0) + e * m2
+        return _lr(_canonical(c, den, sorted(acc.items())))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LogRational":
-        return self._raw(-self.constant, ((p, -c) for p, c in self.terms))
+        c, den, exps = self._key
+        return _lr((-c, den, tuple((p, -e) for p, e in exps)))
 
     def __sub__(self, other) -> "LogRational":
-        if isinstance(other, (int, Fraction)):
-            other = LogRational(other)
-        if not isinstance(other, LogRational):
+        if not isinstance(other, (int, Fraction, LogRational)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "LogRational":
         return (-self) + other
 
+    def _times(self, a: int, b: int) -> "LogRational":
+        """self * (a/b) for b > 0."""
+        c, den, exps = self._key
+        if not a:
+            return _lr((_ZERO, 1, ()))
+        if c:
+            c = Fraction(c.numerator * a, c.denominator * b)
+        return _lr(_canonical(c, den * b, ((p, e * a) for p, e in exps)))
+
     def __mul__(self, scalar) -> "LogRational":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        scalar = Fraction(scalar)
-        return self._raw(self.constant * scalar, ((p, c * scalar) for p, c in self.terms))
+        if isinstance(scalar, int):
+            return self._times(scalar, 1)
+        if isinstance(scalar, Fraction):
+            return self._times(scalar.numerator, scalar.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "LogRational":
-        if not isinstance(scalar, (int, Fraction)):
+        if isinstance(scalar, int):
+            a, b = scalar, 1
+        elif isinstance(scalar, Fraction):
+            a, b = scalar.numerator, scalar.denominator
+        else:
             return NotImplemented
-        return self * (Fraction(1) / Fraction(scalar))
+        if not a:
+            raise ZeroDivisionError("LogRational division by zero")
+        return self._times(b, a) if a > 0 else self._times(-b, -a)
 
     # -- comparisons
 
     def is_zero(self) -> bool:
-        return self.constant == 0 and not self.terms
+        return not self._key[0] and not self._key[2]
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}."""
-        if not self.terms:
-            c = self.constant
+        c, _, exps = self._key
+        if not exps:
             return (c > 0) - (c < 0)
+        if not c:
+            # A pure log (1/den)*log(P/N), P = prod p^e over e > 0 and
+            # N = prod p^(-e) over e < 0: exp is increasing and den > 0, so its
+            # sign is that of P - N, an exact integer comparison (P != N by
+            # unique factorization, the primes being distinct).  One term is
+            # the sign of its exponent.  p^|e| < 2^(|e|*bitlen(p)), which
+            # bounds the size of P and N before they are built.
+            if len(exps) == 1:
+                return 1 if exps[0][1] > 0 else -1
+            if sum(abs(e) * p.bit_length() for p, e in exps) <= _INT_SIGN_BITS:
+                pos = neg = 1
+                for p, e in exps:
+                    if e > 0:
+                        pos *= p**e
+                    else:
+                        neg *= p**-e
+                return 1 if pos > neg else -1
         # nonzero canonical form with log terms denotes a nonzero real
         bits = 64
         while True:
@@ -323,26 +413,29 @@ class LogRational:
 
     def bounds(self, bits: int) -> RIv:
         """Rigorous rational enclosure, width <= 2**(3-bits)*sum(1+|coeff|)."""
-        lo = hi = self.constant
-        for p, c in self.terms:
+        c, den, exps = self._key
+        if not exps:
+            return RIv(c, c)
+        lo = hi = 0
+        for p, e in exps:
             b = _log_int_bounds(p, bits)
-            if c >= 0:
-                lo += c * b.lo
-                hi += c * b.hi
+            if e > 0:
+                lo += e * b.lo
+                hi += e * b.hi
             else:
-                lo += c * b.hi
-                hi += c * b.lo
-        return RIv(lo, hi)
+                lo += e * b.hi
+                hi += e * b.lo
+        return RIv(c + lo / den, c + hi / den)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, LogRational):
+            return self._key == other._key
         if isinstance(other, (int, Fraction)):
-            other = LogRational(other)
-        if not isinstance(other, LogRational):
-            return NotImplemented
-        return self.constant == other.constant and self.terms == other.terms
+            return not self._key[2] and self._key[0] == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.constant, self.terms))
+        return hash(self._key)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -378,20 +471,19 @@ class LogRational:
 
     def render_compact(self) -> str:
         """Single-log form q*log(a/b) when the value is a pure log; canonical
-        rendering otherwise."""
-        if self.constant != 0 or not self.terms:
+        rendering otherwise.  q = g/den for g the gcd of the exponents (coprime
+        to den), and a/b = prod p^(e/g)."""
+        c, den, exps = self._key
+        if c or not exps:
             return self.render()
-        num_gcd = 0
-        den_lcm = 1
-        for _, c in self.terms:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        q = Fraction(num_gcd, den_lcm)
-        arg = Fraction(1)
-        for p, c in self.terms:
-            e = c / q
-            arg *= Fraction(p) ** int(e)
-        return f"{fmt_rat(q)}*log({fmt_rat(arg)})"
+        g = math.gcd(*(e for _, e in exps))
+        a = b = 1
+        for p, e in exps:
+            if e > 0:
+                a *= p ** (e // g)
+            else:
+                b *= p ** (-e // g)
+        return f"{fmt_rat(Fraction(g, den))}*log({fmt_rat(Fraction(a, b))})"
 
     def float_approx(self) -> float:
         lo, hi = self.to_float(64)
@@ -431,22 +523,22 @@ def parse_rat(x) -> Fraction:
 
 def log_of_rational(q: Rat) -> LogRational:
     """Exact log q for a positive rational q; log 1 = 0."""
-    q = Fraction(q)
-    if q <= 0:
+    if isinstance(q, int):
+        num, den = q, 1
+    else:
+        q = Fraction(q)
+        num, den = q.numerator, q.denominator
+    if num <= 0:
         raise ValueError(f"log argument must be positive, got {q}")
-    terms: dict[int, Fraction] = {}
-    for p, e in factor_positive_int(q.numerator).items():
-        terms[p] = terms.get(p, Fraction(0)) + e
-    for p, e in factor_positive_int(q.denominator).items():
-        terms[p] = terms.get(p, Fraction(0)) - e
-    out = object.__new__(LogRational)
-    object.__setattr__(out, "constant", Fraction(0))
-    object.__setattr__(out, "terms", tuple(sorted((p, c) for p, c in terms.items() if c != 0)))
-    return out
+    exps = list(factor_positive_int(num).items())
+    if den > 1:  # coprime to num: no prime is in both
+        exps += [(p, -e) for p, e in factor_positive_int(den).items()]
+        exps.sort()
+    return _lr((_ZERO, 1, tuple(exps)))
 
 
 def half_log(q: Rat) -> LogRational:
-    return log_of_rational(q) * Fraction(1, 2)
+    return log_of_rational(q)._times(1, 2)
 
 
 def compare(a: LogRational, b: LogRational) -> int:

@@ -1,13 +1,19 @@
 """Euclidean lattices as exact rational Gram matrices.
 
-A lattice is its Gram matrix; degrees and slopes land in LogRational.  The
-degree is minus the log of the covolume, i.e. -1/2*log(det Gram).
+A lattice is its integer pair (L*G, L): G its rational Gram matrix and L the
+least common denominator of G's entries, so that two lattices are equal iff
+their pairs are.  Tensor products, scalings, exterior powers and duals are
+computed on the pair; the Fraction matrix G is a view, built on first use.
+Degrees and slopes land in LogRational.  The degree is minus the log of the
+covolume, i.e. -1/2*log(det Gram).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import linalg
@@ -15,51 +21,85 @@ from .exactval import LogRational, fmt_rat, half_log, parse_rat
 
 Rat = int | Fraction
 
+_set = object.__setattr__
+
 
 class EuclideanLattice:
     """Free Z-module of finite rank with a positive definite rational Gram matrix."""
 
-    __slots__ = ("gram", "_det", "_scaled", "_hash")
+    __slots__ = ("_gi", "_L", "_det", "_gram", "_hash", "_dual", "_degree")
 
     def __init__(self, gram: Sequence[Sequence[Rat]]):
         g = linalg.mat(gram)
         if not g or any(len(row) != len(g) for row in g):
             raise ValueError("Gram matrix must be square and nonempty")
-        if not linalg.is_symmetric(g):
+        self._init_pair(*linalg.clear_denominators(g))
+        _set(self, "_gram", g)
+
+    @staticmethod
+    def _from_scaled(gi: Sequence[Sequence[int]], scale: int) -> "EuclideanLattice":
+        """The lattice of Gram matrix gi / scale, for a square integer gi and
+        an integer scale >= 1."""
+        out = object.__new__(EuclideanLattice)
+        out._init_pair(gi, scale)
+        return out
+
+    def _init_pair(self, gi: Sequence[Sequence[int]], scale: int) -> None:
+        """Check gi / scale and store it as its pair, scale made least by
+        dividing both by gcd(scale, content(gi))."""
+        if not linalg.is_symmetric(gi):
             raise ValueError("Gram matrix must be symmetric")
-        gi, scale = linalg.clear_denominators(g)
+        if scale > 1:
+            g = math.gcd(scale, *(x for row in gi for x in row))
+            if g > 1:
+                scale //= g
+                gi = [[x // g for x in row] for row in gi]
+        gi = tuple(map(tuple, gi))
         m, swaps = linalg.bareiss(gi)
         # Sylvester: every leading minor > 0.  A run without swaps has them on
         # its diagonal; a swap follows a zero one.
         if swaps or any(m[k][k] <= 0 for k in range(len(m))):
             raise ValueError("Gram matrix must be positive definite")
-        object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_det", Fraction(m[-1][-1], scale ** len(g)))
-        object.__setattr__(self, "_scaled", (tuple(map(tuple, gi)), scale))
+        _set(self, "_gi", gi)
+        _set(self, "_L", scale)
+        _set(self, "_det", Fraction(m[-1][-1], scale ** len(gi)))
+        for name in ("_gram", "_hash", "_dual", "_degree"):
+            _set(self, name, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("EuclideanLattice is immutable")
 
     @property
+    def gram(self) -> linalg.Matrix:
+        """The Gram matrix, as Fractions."""
+        if self._gram is None:
+            scale = self._L
+            _set(self, "_gram", tuple(tuple(Fraction(x, scale) for x in row) for row in self._gi))
+        return self._gram
+
+    @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self._gi)
 
     def det(self) -> Fraction:
         return self._det
 
     def scaled_gram(self) -> tuple[linalg.IntMatrix, int]:
         """(L * gram, L) with L the least common denominator of the Gram entries."""
-        return self._scaled
+        return self._gi, self._L
 
     def degree(self) -> LogRational:
-        return -half_log(self._det)
+        if self._degree is None:
+            _set(self, "_degree", -half_log(self._det))
+        return self._degree
 
     def slope(self) -> LogRational:
         return self.degree() / self.rank
 
     def inner(self, v: Sequence[Rat], w: Sequence[Rat]) -> Fraction:
+        gram = self.gram
         return sum(
-            Fraction(v[i]) * self.gram[i][j] * Fraction(w[j])
+            Fraction(v[i]) * gram[i][j] * Fraction(w[j])
             for i in range(self.rank)
             for j in range(self.rank)
         )
@@ -68,31 +108,51 @@ class EuclideanLattice:
         return self.inner(v, v)
 
     def dual(self) -> "EuclideanLattice":
-        return EuclideanLattice(linalg.inverse(self.gram))
+        """The dual lattice, Gram matrix G^-1 = L * (L*G)^-1; built once, and
+        its own dual is self."""
+        if self._dual is None:
+            inv, den = linalg.clear_denominators(linalg.inverse(self._gi))
+            dual = EuclideanLattice._from_scaled([[self._L * x for x in row] for row in inv], den)
+            _set(self, "_dual", dual)
+            _set(dual, "_dual", self)
+        return self._dual
 
     def tensor(self, other: "EuclideanLattice") -> "EuclideanLattice":
-        return EuclideanLattice(linalg.kron(self.gram, other.gram))
+        return EuclideanLattice._from_scaled(linalg.kron(self._gi, other._gi), self._L * other._L)
 
     def orthogonal_sum(self, other: "EuclideanLattice") -> "EuclideanLattice":
-        return EuclideanLattice(linalg.block_diag(self.gram, other.gram))
+        scale = math.lcm(self._L, other._L)
+        ma, mb = scale // self._L, scale // other._L
+        za, zb = (0,) * other.rank, (0,) * self.rank
+        return EuclideanLattice._from_scaled(
+            [tuple(ma * x for x in row) + za for row in self._gi]
+            + [zb + tuple(mb * x for x in row) for row in other._gi],
+            scale,
+        )
 
     def scale(self, c: Rat) -> "EuclideanLattice":
         """Multiply the Gram matrix by c > 0 (the twist by lambda = -1/2*log c)."""
         c = Fraction(c)
         if c <= 0:
             raise ValueError("scale factor must be positive")
-        return EuclideanLattice(linalg.scalar_mul(c, self.gram))
+        a = c.numerator
+        return EuclideanLattice._from_scaled([[a * x for x in row] for row in self._gi], c.denominator * self._L)
 
     def exterior_power(self, p: int) -> "EuclideanLattice":
+        """Gram matrix of the p-th alternating power: entries det(G[S][T]),
+        the minors of L*G over L^p."""
         if not 1 <= p <= self.rank:
             raise ValueError(f"exterior power degree {p} out of range 1..{self.rank}")
-        return EuclideanLattice(linalg.exterior_gram(self.gram, p))
+        gi = self._gi
+        subsets = list(combinations(range(self.rank), p))
+        minors = [[linalg.det_int([[gi[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
+        return EuclideanLattice._from_scaled(minors, self._L**p)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.gram for x in row)
+        return self._L == 1
 
     def is_unimodular(self) -> bool:
-        return self.is_integral() and self._det == 1
+        return self._L == 1 and self._det == 1
 
     def full_sublattice(self) -> "Sublattice":
         return Sublattice(self, linalg.identity(self.rank))
@@ -100,16 +160,16 @@ class EuclideanLattice:
     # -- identifications
 
     def __eq__(self, other):
-        return isinstance(other, EuclideanLattice) and self.gram == other.gram
+        return isinstance(other, EuclideanLattice) and self._L == other._L and self._gi == other._gi
 
     def __hash__(self):
         # The memos of enumeration look lattices up many times, and most other
         # lattices are never hashed: hash the Gram matrix once, on first use.
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self.gram))
-            return self._hash
+        # A tuple's hash depends only on its items' hashes, and
+        # hash(Fraction(n)) == hash(n), so an integral Gram hashes as L*G.
+        if self._hash is None:
+            _set(self, "_hash", hash(self._gi if self._L == 1 else self.gram))
+        return self._hash
 
     def __repr__(self):
         return f"EuclideanLattice(rank={self.rank}, det={self._det})"

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -307,17 +306,6 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     na, nb = len(a), len(b)
     za, zb = (Fraction(0),) * nb, (Fraction(0),) * na
     return tuple(row + za for row in a) + tuple(zb + row for row in b)
-
-
-def exterior_gram(g: Matrix, p: int) -> Matrix:
-    """Gram matrix of the p-th alternating power: entries det(g[S][T]),
-    taken on L * g and divided by L^p."""
-    gi, scale = clear_denominators(g)
-    subsets = list(combinations(range(len(g)), p))
-    return tuple(
-        tuple(Fraction(det_int([[gi[i][j] for j in t] for i in s]), scale**p) for t in subsets)
-        for s in subsets
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from slopekit import linalg
 from slopekit.exactval import (
     LogRational,
+    RIv,
     _is_prime,
+    _log_int_bounds,
     compare,
     factor_positive_int,
+    fmt_rat,
     half_log,
     log_of_rational,
     parse,
@@ -247,3 +250,224 @@ def test_render_compact():
     assert LogRational(F(5, 7)).render_compact() == "5/7"
     w = LogRational(1) - 2 * log_of_rational(2)
     assert w.render_compact() == w.render()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the earlier LogRational, one Fraction coefficient per prime.
+
+
+class _FractionLog:
+    """The earlier LogRational: a Fraction constant and sorted (p, Fraction)
+    terms, arithmetic and order on Fractions."""
+
+    def __init__(self, constant, terms=()):
+        self.constant = Fraction(constant)
+        self.terms = tuple((p, c) for p, c in terms if c != 0)
+
+    @staticmethod
+    def log(q):
+        q = Fraction(q)
+        terms = {}
+        for p, e in factor_positive_int(q.numerator).items():
+            terms[p] = terms.get(p, Fraction(0)) + e
+        for p, e in factor_positive_int(q.denominator).items():
+            terms[p] = terms.get(p, Fraction(0)) - e
+        return _FractionLog(0, sorted(terms.items()))
+
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for p, c in other.terms:
+            acc[p] = acc.get(p, Fraction(0)) + c
+        return _FractionLog(self.constant + other.constant, sorted(acc.items()))
+
+    def __neg__(self):
+        return _FractionLog(-self.constant, [(p, -c) for p, c in self.terms])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        s = Fraction(scalar)
+        return _FractionLog(self.constant * s, [(p, c * s) for p, c in self.terms])
+
+    def __truediv__(self, scalar):
+        return self * (Fraction(1) / Fraction(scalar))
+
+    def __eq__(self, other):
+        return self.constant == other.constant and self.terms == other.terms
+
+    def bounds(self, bits):
+        lo = hi = self.constant
+        for p, c in self.terms:
+            b = _log_int_bounds(p, bits)
+            if c >= 0:
+                lo, hi = lo + c * b.lo, hi + c * b.hi
+            else:
+                lo, hi = lo + c * b.hi, hi + c * b.lo
+        return lo, hi
+
+    def sign(self):
+        if not self.terms:
+            return (self.constant > 0) - (self.constant < 0)
+        bits = 64
+        while True:
+            lo, hi = self.bounds(bits)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            bits *= 2
+
+    def render(self):
+        parts = []
+        if self.constant != 0 or not self.terms:
+            parts.append(fmt_rat(self.constant))
+        for p, c in self.terms:
+            piece = f"{fmt_rat(abs(c))}*log({p})"
+            if not parts:
+                parts.append(piece if c > 0 else "-" + piece)
+            else:
+                parts.append(("+ " if c > 0 else "- ") + piece)
+        return " ".join(parts)
+
+    def render_compact(self):
+        if self.constant != 0 or not self.terms:
+            return self.render()
+        num_gcd, den_lcm = 0, 1
+        for _, c in self.terms:
+            num_gcd = math.gcd(num_gcd, abs(c.numerator))
+            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+        q = Fraction(num_gcd, den_lcm)
+        arg = Fraction(1)
+        for p, c in self.terms:
+            arg *= Fraction(p) ** int(c / q)
+        return f"{fmt_rat(q)}*log({fmt_rat(arg)})"
+
+
+_BASES = (2, 3, 5, 6, 7, 12, 13, 30, 97, 1000003, F(3, 4), F(10, 9))
+
+
+def _rand_q(rng, zero_share=0.0):
+    if rng.random() < zero_share:
+        return F(0)
+    return F(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 4, 6, 9, 10, 12)))
+
+
+def _random_pair(rng):
+    """The same value as a LogRational and as a _FractionLog, built by the
+    constructor, by logs times scalars, or as a sum of both."""
+    c = _rand_q(rng, 0.5)
+    logs = [(rng.choice(_BASES), _rand_q(rng)) for _ in range(rng.randint(0, 4))]
+    ref = _FractionLog(c)
+    for base, q in logs:
+        ref = ref + _FractionLog.log(base) * q
+    how = rng.randrange(3)
+    if how == 0 and all(F(b).denominator == 1 for b, _ in logs):
+        merged = {}
+        for base, q in logs:
+            merged[base] = merged.get(base, 0) + q
+        new = LogRational(c, merged)
+    else:
+        new = LogRational(c)
+        for base, q in logs:
+            new = new + (log_of_rational(base) * q if how != 2 else q * log_of_rational(base))
+    return new, ref
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError as exc:
+        return type(exc)
+
+
+def _same(new, ref):
+    return new.constant == ref.constant and new.terms == ref.terms
+
+
+def test_logrational_matches_fraction_reference():
+    """On 5,000 seeded forms the integer canonical form gives the earlier
+    Fraction-coefficient results: sums, differences, negation, products and
+    quotients by ints and Fractions (negative and 0 included), `==` with a
+    consistent hash, `terms`, `render`, `render_compact` and a `parse` round
+    trip."""
+    rng = random.Random(2210)
+    scalars = (0, 1, -1, 2, -3, 7, F(1, 2), F(-2, 3), F(9, 4), F(-5, 12), F(0))
+    equal_pairs = 0
+    for _ in range(5000):
+        a, ra = _random_pair(rng)
+        b, rb = _random_pair(rng)
+        assert _same(a, ra) and _same(b, rb)
+        assert all(type(c) is Fraction for _, c in a.terms) and type(a.constant) is Fraction
+        assert _same(a + b, ra + rb) and _same(a - b, ra - rb) and _same(-a, -ra)
+        assert _same(a + b.constant, ra + _FractionLog(rb.constant))
+        assert _same(b.constant - a, _FractionLog(rb.constant) - ra)
+        s = rng.choice(scalars)
+        assert _same(a * s, ra * s) and _same(s * a, ra * s)
+        if s:
+            assert _same(a / s, ra / s)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / s
+        assert (a == b) == (ra == rb)
+        back = a + b - b
+        assert back == a and hash(back) == hash(a)
+        equal_pairs += a == b
+        assert a.render() == ra.render() and repr(a) == f"LogRational({ra.render()!r})"
+        assert parse(a.render()) == a
+        compact = _outcome(a.render_compact)
+        assert compact == _outcome(ra.render_compact)
+        if isinstance(compact, str):  # not an argument past str()'s digit limit
+            assert parse(compact) == a
+        assert a.is_zero() == (ra.constant == 0 and not ra.terms)
+        assert a.bounds(64) == RIv(*ra.bounds(64))
+    assert equal_pairs >= 10
+
+
+def _near_ties():
+    """Pure logs a*log p - b*log q with p^a close to q^b (continued-fraction
+    convergents of log q / log p), some times a third prime."""
+    out = []
+    for p, q in ((2, 3), (2, 5), (3, 5), (2, 7), (5, 7)):
+        x = math.log(q) / math.log(p)
+        h0, h1, k0, k1 = 0, 1, 1, 0
+        for _ in range(10):
+            t = int(x)
+            h0, h1 = h1, t * h1 + h0
+            k0, k1 = k1, t * k1 + k0
+            out.append({p: h1, q: -k1})
+            if x == t:
+                break
+            x = 1 / (x - t)
+    return out
+
+
+def test_pure_log_sign_matches_interval_sign():
+    """The integer comparison of prime-power products gives the interval
+    sign on 10,000 seeded pure logs (one to four primes, den up to 12), on
+    near-ties such as 84*log 2 - 53*log 3 and their multiples, and past the
+    bit cap, where the interval loop decides."""
+    rng = random.Random(2211)
+    forms = []
+    for exps in _near_ties():
+        for den in (1, 2, 7):
+            forms.append((exps, den))
+            forms.append(({p: -e for p, e in exps.items()}, den))
+    forms.append(({3: 5000, 2: -7925}, 1))  # 16,000 bits: still integers
+    forms.append(({3: 5000, 2: -7925, 5: 1}, 3))
+    forms.append(({3: 24727 * 2, 2: -15601 * 3}, 1))  # past the cap
+    forms.append(({2: 24727, 3: -15601}, 5))
+    primes = (2, 3, 5, 7, 11, 13, 97, 1000003)
+    while len(forms) < 10_000:
+        ps = rng.sample(primes, rng.randint(1, 4))
+        exps = {p: rng.choice((-1, 1)) * rng.randint(1, 60) for p in ps}
+        forms.append((exps, rng.randint(1, 12)))
+    signs = {1: 0, -1: 0}
+    for exps, den in forms:
+        v = LogRational(0, {p: F(e, den) for p, e in exps.items()})
+        ref = _FractionLog(0, sorted((p, F(e, den)) for p, e in exps.items()))
+        got = v.sign()
+        assert got == ref.sign(), (exps, den)
+        assert (-v).sign() == -got
+        signs[got] += 1
+    assert min(signs.values()) >= 4000

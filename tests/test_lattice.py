@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from slopekit.lattice import (
     tensor_vector_to_hom,
     unit_lattice,
 )
+from test_linalg import _reference_exterior_gram
 
 F = Fraction
 
@@ -293,3 +295,105 @@ def test_sublattice_stores_hnf_and_contains_matches_solve():
     assert verdicts[True] >= 250 and verdicts[False] >= 150 and unsaturated >= 100
     with pytest.raises(ValueError, match="independent"):
         Sublattice(unit_lattice(2), [[1, 2], [2, 4]])
+
+
+# ---------------------------------------------------------------------------
+# Oracle: every lattice operation on the pair (L*G, L) against the public
+# constructor on the Fraction Gram matrix.
+
+
+def _rational_lattice(rng, rank):
+    """B B^T for a random invertible B, divided by a random positive integer
+    and sometimes multiplied by one, so that L runs over 1, 2, 3, 4, 6, ...
+    and the content of L*G is often not 1."""
+    lat = random_lattice(rng, rank, 3)
+    c = F(rng.choice((1, 1, 2, 3, 4, 6)), rng.choice((1, 2, 3, 4, 6, 9)))
+    return EuclideanLattice(linalg.scalar_mul(c, lat.gram))
+
+
+def _same_lattice(got, gram):
+    want = EuclideanLattice(gram)
+    assert got.gram == want.gram == linalg.mat(gram)
+    assert got.scaled_gram() == want.scaled_gram()
+    gi, scale = got.scaled_gram()
+    assert all(type(x) is int for row in gi for x in row) and type(scale) is int
+    assert math.gcd(scale, *(x for row in gi for x in row)) == 1
+    assert got.det() == want.det() == linalg.det_bareiss(linalg.mat(gram))
+    assert got == want and hash(got) == hash(want) == hash(want.gram)
+    assert got.degree() == want.degree()
+
+
+def test_integer_pair_matches_fraction_gram():
+    """tensor, dual, scale, exterior_power, orthogonal_sum and lll_reduce
+    on seeded integral and rational lattices give the lattice of the Fraction
+    Gram matrix computed directly: same gram, scaled_gram, det, == and hash."""
+    from slopekit.enumeration import lll_reduce
+
+    rng = random.Random(2212)
+    half, two = EuclideanLattice([[F(1, 2)]]), EuclideanLattice([[2]])
+    assert half.tensor(two).scaled_gram() == (((1,),), 1)  # L_A * L_B = 2 is not least
+    _same_lattice(half.tensor(two), [[1]])
+    for t in range(300):
+        a = _rational_lattice(rng, rng.randint(1, 3))
+        b = _rational_lattice(rng, rng.randint(1, 3))
+        ga, gb = a.gram, b.gram
+        _same_lattice(a.tensor(b), linalg.kron(ga, gb))
+        _same_lattice(a.dual(), linalg.inverse(ga))
+        _same_lattice(a.orthogonal_sum(b), linalg.block_diag(ga, gb))
+        c = F(rng.randint(1, 12), rng.randint(1, 12))
+        _same_lattice(a.scale(c), linalg.scalar_mul(c, ga))
+        p = rng.randint(1, a.rank)
+        _same_lattice(a.exterior_power(p), _reference_exterior_gram(ga, p))
+        reduced, u = lll_reduce(a.tensor(b) if t % 2 else a)
+        g = (a.tensor(b) if t % 2 else a).gram
+        _same_lattice(reduced, linalg.matmul(linalg.matmul(u, g), linalg.transpose(u)))
+        assert a.is_integral() == all(x.denominator == 1 for row in ga for x in row)
+
+
+def test_invalid_grams_raise_the_same_errors():
+    """The public constructor and the pair constructor reject what the
+    Fraction checks reject, with the same messages."""
+    rng = random.Random(2213)
+    kinds = {"square": 0, "symmetric": 0, "positive definite": 0, None: 0}
+    for t in range(400):
+        n = rng.randint(1, 4)
+        g = [[_rand_entry(rng) for _ in range(n)] for _ in range(n)]
+        if t % 3:
+            g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        if t % 7 == 0:
+            g = g[:-1]
+        m = linalg.mat(g)
+        if not m or any(len(row) != len(m) for row in m):
+            want = "square"
+        elif not linalg.is_symmetric(m):
+            want = "symmetric"
+        elif any(linalg.det_bareiss(tuple(r[: k + 1] for r in m[: k + 1])) <= 0 for k in range(n)):
+            want = "positive definite"
+        else:
+            want = None
+        kinds[want] += 1
+        if want is None:
+            lat = EuclideanLattice(g)
+            assert EuclideanLattice._from_scaled(*linalg.clear_denominators(m)) == lat
+            continue
+        with pytest.raises(ValueError, match=want):
+            EuclideanLattice(g)
+        if want != "square":
+            with pytest.raises(ValueError, match=want):
+                EuclideanLattice._from_scaled(*linalg.clear_denominators(m))
+    assert min(kinds.values()) >= 30
+
+
+def _rand_entry(rng):
+    return F(rng.randint(-4, 6), rng.choice((1, 1, 2, 3)))
+
+
+def test_dual_and_degree_are_built_once():
+    rng = random.Random(2214)
+    for _ in range(40):
+        lat = _rational_lattice(rng, rng.randint(1, 4))
+        assert lat.dual() is lat.dual()
+        assert lat.dual().dual() is lat
+        assert EuclideanLattice(lat.dual().gram).dual() == lat  # a fresh inverse
+        assert lat.degree() is lat.degree()
+        assert lat.dual().degree() == -lat.degree()
