@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import harness
+from . import harness, linalg
 from .enumeration import EnumerationCapExceeded, mu_max, slope_filtration
 from .exactval import FactoringCapExceeded, LogRational, parse_rat
 from .lattice import EuclideanLattice
@@ -96,6 +96,7 @@ def _cmd_mf(args) -> int:
         print(f"dim: {m.dim}")
         print(f"slope: {slope_faltings(m)}")
         val, line = nu_witness(m)
+        (line,) = linalg.unit_rref((line,))
         print(f"best line value: {val}  witness: {[str(x) for x in line]}")
         return 0
     if args.action == "mu-max":

@@ -308,7 +308,8 @@ def _minimum_sq(lat: EuclideanLattice, node_cap: int) -> Fraction:
     # passing the cap positionally gives `minimum_sq(lat)` and
     # `minimum_sq(lat, DEFAULT_NODE_CAP)` one memo entry
     reduced, _ = lll_reduce(lat)
-    bound = min(reduced.gram[i][i] for i in range(lat.rank))
+    gi, scale = reduced.scaled_gram()
+    bound = Fraction(min(gi[i][i] for i in range(lat.rank)), scale)
     return enumerate_short_vectors(lat, bound, node_cap).vectors[0][1]
 
 

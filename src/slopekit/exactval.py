@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -472,7 +473,9 @@ class LogRational:
     def render_compact(self) -> str:
         """Single-log form q*log(a/b) when the value is a pure log; canonical
         rendering otherwise.  q = g/den for g the gcd of the exponents (coprime
-        to den), and a/b = prod p^(e/g)."""
+        to den), and a/b = prod p^(e/g).  An a or b with more digits than
+        Python converts to text (`sys.get_int_max_str_digits`) gets the
+        canonical rendering too."""
         c, den, exps = self._key
         if c or not exps:
             return self.render()
@@ -483,6 +486,9 @@ class LogRational:
                 a *= p ** (e // g)
             else:
                 b *= p ** (-e // g)
+        limit = sys.get_int_max_str_digits()
+        if limit and max(a, b) >= 10**limit:
+            return self.render()
         return f"{fmt_rat(Fraction(g, den))}*log({fmt_rat(Fraction(a, b))})"
 
     def float_approx(self) -> float:

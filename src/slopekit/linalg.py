@@ -1,17 +1,22 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices are tuples of tuples of Fractions (or ints for integer routines);
-everything here is pure and allocation-happy, sized for ranks <= ~10.
+Matrices are tuples of tuples of Fractions or ints; everything here is pure
+and allocation-happy, sized for ranks <= ~10.
 
 This is the only module that eliminates.  The field routines (`rref`,
 `inverse`, `solve`) take entries of any exact field whose zero is falsy
 (`Fraction`, `hermitian.QElt`).  `rref` is their one Gauss-Jordan loop,
-fraction-free for every field: it divides by each pivot once, at the end,
-and on rational input (ints and Fractions) it runs on primitive integer
-rows and returns Fractions.  Every rational elimination (`rank`, `kernel`,
-`intersect_and_sum`, `intersect_row_spaces`, `sum_row_spaces`,
-`in_row_space`, `solve`, `inverse`, `is_positive_semidefinite`) calls it by
-its module name, the name the benchmark's work budget meters.
+fraction-free for every field.  On rational input (ints and Fractions) it
+never divides: it returns the integer RREF, each RREF row scaled to
+primitive integers with a positive pivot, which is unique for each row
+space and so serves as its key.  On any other field it divides by each
+pivot once, at the end.  `unit_rref` divides the integer RREF by its
+pivots, for `inverse`, `solve` and `kernel`, whose results are Fractions
+as before; `in_row_space` reduces fraction-free and never divides.  Every
+rational elimination (`rank`, `kernel`, `intersect_and_sum`,
+`intersect_row_spaces`, `sum_row_spaces`, `in_row_space`, `solve`,
+`inverse`, `is_positive_semidefinite`) calls it by its module name, the
+name the benchmark's work budget meters.
 `intersect_and_sum` gives a meet and a sum of two row spaces from one rref.
 `bareiss` is the one square elimination, the one that keeps its
 multipliers; it runs on ints and on `QElt`, whose `//` is exact division.
@@ -27,6 +32,7 @@ is the one column echelon, which gives a saturation and the index in it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -40,7 +46,7 @@ def mat(rows: Sequence[Sequence]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -134,7 +140,9 @@ def is_positive_semidefinite(a: Matrix) -> bool:
     positive definite on its row space (its kernel is the orthogonal of the
     row space), that is, iff b a b^T has positive leading minors for b the
     rref rows of a (Sylvester): the diagonal of a swap-free `bareiss` run,
-    which swaps only past a zero minor."""
+    which swaps only past a zero minor.  Scaling the rows of b by positive
+    numbers d_i multiplies the k-th leading minor by (d_1 ... d_k)^2, so the
+    integer RREF rows serve as well as the RREF."""
     if not is_symmetric(a):
         return False
     b = rref(a)[0]
@@ -143,27 +151,25 @@ def is_positive_semidefinite(a: Matrix) -> bool:
     return not swaps and all(m[k][k] > 0 for k in range(len(m)))
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# The entry types of a rational matrix, which `rref` keeps on integers.
+_RATIONAL = frozenset((int, bool, Fraction))
 
 
-def _primitive(row: list[int]) -> list[int]:
-    """The integer row divided by the gcd of its entries."""
+def primitive(row: Sequence[int]) -> Sequence[int]:
+    """The integer row divided by the gcd of its entries (a list), or the row
+    itself if that gcd is 1 or 0."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_rows(a: Matrix) -> list[list[int]] | None:
+def _integer_rows(a: Matrix) -> list[list[int]]:
     """Each row of a rational matrix times the lcm of its denominators, made
-    primitive; None if an entry is not an int or a Fraction."""
+    primitive."""
     m = []
     for row in a:
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                return None
         nd = [x.as_integer_ratio() for x in row]
         den = math.lcm(*[d for _, d in nd])
-        m.append(_primitive([n * (den // d) for n, d in nd]))
+        m.append(primitive([n * (den // d) for n, d in nd]))
     return m
 
 
@@ -172,16 +178,27 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
     Entries may come from any exact field whose zero is falsy.  One
     fraction-free Gauss-Jordan loop: row_i <- p*row_i - f*row_r clears
-    column c of row i against the pivot p = row_r[c], and each pivot row is
-    divided by its pivot only at the end.  On rational input (ints and
-    Fractions) each row is first scaled to integers and every new row is
-    divided by the gcd of its entries; neither scaling changes the row space,
-    and the RREF of a row space is unique, so the output is the RREF, with
-    Fraction entries (the shared Fraction(0) and Fraction(1) for 0 and 1)."""
-    m = _integer_rows(a)
-    rational = m is not None
+    column c of row i against the pivot p = row_r[c].
+
+    On rational input (ints and Fractions) it never divides: rows of ints
+    enter as they are, a row holding a Fraction is first scaled by the lcm
+    of its denominators, each row is made primitive (divided by the gcd of
+    its entries) on entry and after each update, and the output is the
+    integer RREF, int tuples with positive pivots.  Row scalings keep the
+    row space, the loop clears every pivot column outside its pivot row,
+    and the RREF of a row space is unique, so each output row is the
+    primitive integer multiple with positive pivot of an RREF row: unique
+    for each row space.  On any other field each pivot row is divided by
+    its pivot at the end, and the output is the RREF.  `unit_rref` turns
+    the integer RREF into the RREF."""
+    kinds = set(map(type, itertools.chain.from_iterable(a)))
+    rational = kinds <= _RATIONAL
     if not rational:
-        m = [list(row) for row in a]
+        m = list(a)
+    elif Fraction in kinds:
+        m = _integer_rows(a)
+    else:
+        m = [primitive(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
@@ -199,7 +216,7 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
             f = m[i][c]
             if i != r and f:
                 row = [p * x - f * y for x, y in zip(m[i], pr)]
-                m[i] = _primitive(row) if rational else row
+                m[i] = primitive(row) if rational else row
         pivots.append(c)
         r += 1
         if r == rows:
@@ -207,11 +224,24 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     out = []
     for row, c in zip(m, pivots):
         p = row[c]
-        if rational:
-            out.append(tuple([_ONE if x == p else Fraction(x, p) if x else _ZERO for x in row]))
-        else:
+        if not rational:
             out.append(tuple([x / p for x in row]))
+        elif p > 0:
+            out.append(tuple(row))
+        else:
+            out.append(tuple([-x for x in row]))
     return tuple(out), pivots
+
+
+def unit_rref(rows: Matrix) -> Matrix:
+    """The RREF from rows that `rref` returns: integer rows divided by their
+    pivots (first nonzero entries), as Fractions.  Rows over any other field
+    already have unit pivots and come back as they are."""
+    out = []
+    for row in rows:
+        p = next(x for x in row if x)
+        out.append(tuple([Fraction(x, p) for x in row]) if isinstance(p, int) else row)
+    return tuple(out)
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -223,7 +253,7 @@ def inverse(a: Matrix) -> Matrix:
     r, pivots = rref(aug)
     if pivots[-1] >= n:
         raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in r)
+    return tuple(row[n:] for row in unit_rref(r))
 
 
 def solve(rows: Matrix, v: Sequence) -> Vector | None:
@@ -234,7 +264,7 @@ def solve(rows: Matrix, v: Sequence) -> Vector | None:
     if pivots and pivots[-1] == n:
         return None
     sol = [v[0] * 0] * n
-    for row, c in zip(r, pivots):
+    for row, c in zip(unit_rref(r), pivots):
         sol[c] = row[n]
     return tuple(sol)
 
@@ -247,6 +277,7 @@ def kernel(a: Matrix) -> Matrix:
     """Basis (as rows) of {x : a @ x = 0}."""
     cols = len(a[0]) if a else 0
     r, pivots = rref(a)
+    r = unit_rref(r)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -259,16 +290,19 @@ def kernel(a: Matrix) -> Matrix:
 
 
 def intersect_and_sum(a: Matrix, b: Matrix, ambient_dim: int) -> tuple[Matrix, Matrix]:
-    """(meet, sum) of two row spaces, each as RREF rows, from one rref of
-    [[a, a], [b, 0]] (Zassenhaus), whose rows span the (x + y, x) with x in
-    rowspace(a) and y in rowspace(b).  The RREF rows with a pivot in the left
-    half have left halves forming the RREF of the sum; the others have left
-    half 0, so y = -x, and right halves forming the RREF of the meet."""
+    """(meet, sum) of two rational row spaces, each as integer RREF rows,
+    from one rref of [[a, a], [b, 0]] (Zassenhaus), whose rows span the
+    (x + y, x) with x in rowspace(a) and y in rowspace(b).  The RREF rows
+    with a pivot in the left half have left halves forming the RREF of the
+    sum; the others have left half 0, so y = -x, and right halves forming
+    the RREF of the meet.  A primitive row with left half 0 has a primitive
+    right half, but a left half may have a common factor, which is divided
+    out."""
     n = ambient_dim
     zero = (0,) * n
     r, pivots = rref(tuple(tuple(row) * 2 for row in a) + tuple(tuple(row) + zero for row in b))
     k = sum(1 for c in pivots if c < n)
-    return tuple(row[n:] for row in r[k:]), tuple(row[:n] for row in r[:k])
+    return tuple(row[n:] for row in r[k:]), tuple(tuple(primitive(row[:n])) for row in r[:k])
 
 
 def intersect_row_spaces(a: Matrix, b: Matrix, ambient_dim: int) -> Matrix:
@@ -286,12 +320,15 @@ def in_row_space(v: Sequence, a: Matrix) -> bool:
     if not a:
         return False
     r, pivots = rref(a)
-    w = [Fraction(x) for x in v]
-    for i, p in enumerate(pivots):
-        if w[p] != 0:
-            f = w[p]
-            w = [x - f * y for x, y in zip(w, r[i])]
-    return all(x == 0 for x in w)
+    w = list(v)
+    # fraction-free: w <- q*w - w[c]*row clears column c against the pivot q
+    # and only scales w by q != 0 otherwise, so w lands in the row space iff
+    # it reduces to 0
+    for row, c in zip(r, pivots):
+        if f := w[c]:
+            q = row[c]
+            w = [q * x - f * y for x, y in zip(w, row)]
+    return not any(w)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -18,13 +18,18 @@ with one index at V is the pair constraint of the other two, with two it
 reads d <= dim F_i, with three k <= n.  So the feasible profiles, and every
 bound, are the same as with V.
 
-Subspaces are stored as RREF rows, reduced once when made, never again.
-Where only a dimension is read it comes from one rank,
-dim(W ∩ S) = dim W + dim S - rank(W + S), and a vector of a stored span has
-its coordinates at the span's pivot columns; intersection bases are built
-only where a basis is used (the candidate closure, `subobject`, `nu_witness`
-and the profile bound's triple intersections).  All elimination runs through
-`linalg.rref`."""
+Subspaces are stored as integer RREF rows (`linalg.rref`): each RREF row
+scaled to primitive integers with a positive pivot, one form for each
+subspace, so the closure deduplicates and the canopy caches on int tuples,
+and no step of it builds a Fraction.  They are reduced once when made,
+never again; rows already in RREF up to row scaling are only scaled.  Code
+that shows a subspace (`to_json_dict`, the CLI) divides by the pivots, so
+what it prints is the RREF.  Where only a dimension is read it comes from
+one rank, dim(W ∩ S) = dim W + dim S - rank(W + S), and a vector of a
+stored span has its coordinates at the span's pivot columns; intersection
+bases are built only where a basis is used (the candidate closure,
+`subobject`, `nu_witness` and the profile bound's triple intersections).
+All elimination runs through `linalg.rref`."""
 
 from __future__ import annotations
 
@@ -52,32 +57,50 @@ def _check_width(rows, n: int) -> None:
 
 
 def _rref_rows(rows, n: int) -> Matrix:
-    """RREF of rows of n entries each; ValueError for any other width.  Rows
-    already in the form `linalg.rref` returns come back unchanged, with no
-    elimination (the RREF of a row space is unique)."""
+    """The integer RREF (`linalg.rref`) of rows of n entries each; ValueError
+    for any other width.  Rows already in RREF up to row scaling (see
+    `_scaled_rref`) are only scaled, with no elimination."""
     _check_width(rows, n)
     if not rows:
         return ()
-    if _is_rref(rows):
-        return rows
-    return linalg.rref(linalg.mat(rows))[0]
+    red = _scaled_rref(rows)
+    if red is not None:
+        return red
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, Fraction}:
+        rows = linalg.mat(rows)
+    return linalg.rref(rows)[0]
 
 
-def _is_rref(rows) -> bool:
-    """Whether rows are a tuple of Fraction tuples in RREF: each row's first
-    nonzero entry is a 1 right of the row above's, and the rows above are 0
-    in its column (the rows below are, since their pivots lie further right)."""
+def _scaled_rref(rows) -> Optional[Matrix]:
+    """The integer RREF of rows that are a tuple of tuples in RREF up to
+    positive row scaling, or None: each row's first nonzero entry lies right
+    of the row above's, and the rows above are 0 in its column (the rows
+    below are, since their pivots lie further right).  A row of ints with a
+    positive pivot is divided by the gcd of its entries; a row of Fractions
+    with pivot 1 is multiplied by the lcm of its denominators, which leaves
+    it primitive (a prime power dividing that lcm divides some denominator
+    exactly, and so not the entry over it).  Rows of any other kind are
+    None."""
     if type(rows) is not tuple:
-        return False
+        return None
+    out = []
     pivots: list[int] = []
     for row in rows:
-        if type(row) is not tuple or not all(type(x) is Fraction for x in row):
-            return False
+        if type(row) is not tuple:
+            return None
         c = next((c for c, x in enumerate(row) if x), None)
-        if c is None or row[c] != 1 or (pivots and c <= pivots[-1]) or any(r[c] for r in rows[: len(pivots)]):
-            return False
+        if c is None or (pivots and c <= pivots[-1]) or any(r[c] for r in rows[: len(pivots)]):
+            return None
+        kinds = set(map(type, row))
+        if kinds == {int} and row[c] > 0:
+            out.append(tuple(linalg.primitive(row)))
+        elif kinds == {Fraction} and row[c] == 1:
+            den = math.lcm(*(x.denominator for x in row))
+            out.append(tuple([x.numerator * (den // x.denominator) for x in row]))
+        else:
+            return None
         pivots.append(c)
-    return True
+    return tuple(out)
 
 
 class Filtration:
@@ -206,7 +229,10 @@ class MultifilteredSpace:
             "filtrations": [
                 {
                     "steps": [
-                        {"lambda": fmt_rat(lam), "basis": [[fmt_rat(x) for x in row] for row in space]}
+                        {
+                            "lambda": fmt_rat(lam),
+                            "basis": [[fmt_rat(x) for x in row] for row in linalg.unit_rref(space)],
+                        }
                         for lam, space in f.steps
                     ]
                 }
@@ -283,10 +309,16 @@ def slope_of_subspace(m: MultifilteredSpace, rows: Matrix) -> Fraction:
     return total / k
 
 
-def _coords_in_rows(rows: Matrix, v) -> tuple[Fraction, ...]:
-    """Coordinates of a vector of the span of RREF rows: its entries at their
-    pivot columns (the first 1 of an RREF row is its pivot)."""
-    return tuple(v[r.index(1)] for r in rows)
+def _pivot(row) -> int:
+    """The column of the first nonzero entry."""
+    return next(c for c, x in enumerate(row) if x)
+
+
+def _coords_in_rows(rows: Matrix, v) -> tuple[int, ...]:
+    """Coordinates of a vector of the span of integer RREF rows, in the basis
+    of those rows divided by their pivots: its entries at their pivot
+    columns."""
+    return tuple(v[_pivot(r)] for r in rows)
 
 
 def subobject(m: MultifilteredSpace, rows) -> MultifilteredSpace:
@@ -319,21 +351,25 @@ def quotient_object(m: MultifilteredSpace, rows) -> tuple[MultifilteredSpace, Ma
     span of the subspace and the e_j before them: exactly the i that are not
     the last nonzero column of a vector of the subspace, that is, not a pivot
     of the echelon form of the column-reversed rows.  With R those echelon
-    rows (columns restored), r_p the one whose last nonzero column is p, the
-    quotient coordinates of v are v_i - sum_p v_p * r_p[i] over the
-    completion's i."""
+    rows (columns restored), r_p the one whose last nonzero column is p and
+    q_p = r_p[p] > 0, the quotient coordinates of v are
+    v_i - sum_p v_p * r_p[i] / q_p over the completion's i.  The projector
+    returns them times Q, the lcm of the q_p: an integer row for an integer
+    v, spanning the same line, and the image steps are reduced anyway."""
     n = m.dim
     rev = _rref_rows([r[::-1] for r in rows], n)
     q_dim = n - len(rev)
     if q_dim == 0:
         raise ValueError("quotient by the whole space")
-    last = [n - 1 - r.index(1) for r in rev]
+    last = [n - 1 - _pivot(r) for r in rev]
     red = [r[::-1] for r in rev]
     free = [i for i in range(n) if i not in last]
-    completion = tuple(tuple(F(int(j == i)) for j in range(n)) for i in free)
+    completion = tuple(tuple(int(j == i) for j in range(n)) for i in free)
+    big_q = math.lcm(*(r[p] for p, r in zip(last, red)))
+    lifts = [(p, big_q // r[p], r) for p, r in zip(last, red)]
 
-    def project(v) -> tuple[Fraction, ...]:
-        return tuple(v[i] - sum(v[p] * r[i] for p, r in zip(last, red)) for i in free)
+    def project(v) -> tuple[int, ...]:
+        return tuple(big_q * v[i] - sum(v[p] * s * r[i] for p, s, r in lifts) for i in free)
 
     filts = []
     for f in m.filtrations:
@@ -381,7 +417,7 @@ def _multigraded(m: MultifilteredSpace) -> dict[tuple, int]:
 # ---------------------------------------------------------------------------
 # nu and mu_max.
 
-def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[Fraction, ...]]:
+def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[int, ...]]:
     """Largest break-sum of a line (rank-one subobject slope), with a witness
     vector of exactly those weights.  It can lie below both the slope and the
     maximal break-sum over nonzero multigraded pieces: three weight-1 lines
@@ -394,7 +430,8 @@ def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[Fraction, ...]]:
     tuple that raises t_f to the next break, whose sum is larger, against the
     choice of t; so every nonzero vector of I has weights exactly t.  An
     entry at its filtration's lowest break selects V, so only the other
-    entries' steps are met; with none, I = V and the witness is e_1."""
+    entries' steps are met; with none, I = V and the witness is e_1.  The
+    witness is the first integer RREF row of I: primitive, pivot positive."""
     tuples = sorted(
         itertools.product(*(f.breaks() for f in m.filtrations)), key=lambda t: sum(t), reverse=True
     )
@@ -431,10 +468,11 @@ def _candidate_family(m: MultifilteredSpace, extra):
     meets each step in the least dimension, so it takes the k smallest weights
     of each filtration and its slope is at most slope(V), and V is a member.
 
-    Members are RREF rows, deduplicated by value.  Stored steps are RREF and
-    never reduced again, nor are the meets and sums, which come as RREF from
-    `linalg.intersect_and_sum`; only the extra candidates are reduced.  A
-    consumer that stops early skips the closure's remaining eliminations."""
+    Members are integer RREF rows, deduplicated by value.  Stored steps are
+    integer RREF and never reduced again, nor are the meets and sums, which
+    come as integer RREF from `linalg.intersect_and_sum`; only the extra
+    candidates are reduced.  A consumer that stops early skips the closure's
+    remaining eliminations."""
     seen: dict[Matrix, None] = {}
 
     def fresh(rows) -> bool:
@@ -691,7 +729,7 @@ def tensor_mf(m1: MultifilteredSpace, m2: MultifilteredSpace) -> MultifilteredSp
         )
         steps = []
         for s in sums:
-            rows: list[tuple[Fraction, ...]] = []
+            rows: list[tuple[int, ...]] = []
             # F2^{>=s-l1} holds every F2^{l2} with l1 + l2 >= s; once it is
             # V2, the later, smaller F1^{l1} add nothing
             for l1, s1 in f1.steps:

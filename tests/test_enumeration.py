@@ -147,6 +147,37 @@ def test_minimum_sq():
     assert minimum_sq(e8_lattice()) == 2
 
 
+def test_minimum_sq_bound_is_the_least_reduced_diagonal(monkeypatch):
+    """`_minimum_sq` bounds its search by the least diagonal entry of the
+    LLL-reduced Gram matrix, read from the integer pair (L*G, L) as
+    min(gi[i][i]) / L: on seeded lattices, integral and scaled by rationals,
+    it is the least diagonal entry of the reduced lattice's Fraction view."""
+    from slopekit import enumeration
+
+    bounds = []
+    real = enumeration.enumerate_short_vectors
+
+    def recorded(lat, bound, node_cap):
+        bounds.append(bound)
+        return real(lat, bound, node_cap)
+
+    monkeypatch.setattr(enumeration, "enumerate_short_vectors", recorded)
+    rng = random.Random(404)
+    scaled = 0
+    for t in range(60):
+        lat = random_lattice(rng, 1 + t % 5)
+        if t % 2:
+            lat = lat.scale(F(rng.randint(1, 5), rng.randint(2, 7)))
+        scaled += lat.scaled_gram()[1] > 1
+        bounds.clear()
+        # the memo is bypassed, so each lattice reaches the search
+        value = enumeration._minimum_sq.__wrapped__(lat, enumeration.DEFAULT_NODE_CAP)
+        reduced, _ = lll_reduce(lat)
+        assert bounds == [min(reduced.gram[i][i] for i in range(lat.rank))]
+        assert value == minimum_sq(lat) <= bounds[0]
+    assert scaled >= 20
+
+
 def test_hermite_attainment():
     # gamma_2^2 = 4/3 attained by A2; gamma_8^8 = 256 attained by E8
     a2 = a2_lattice()

@@ -252,6 +252,26 @@ def test_render_compact():
     assert w.render_compact() == w.render()
 
 
+def test_render_compact_past_the_digit_limit():
+    """A pure log whose single-log argument has more digits than Python
+    converts to text gets the canonical rendering, which parses back; just
+    under the limit it keeps the single-log form."""
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    v = log_of_rational(1000003) * 40 + log_of_rational(2) * F(1, 18)  # argument 2 * 1000003^720
+    assert limit and 2 * 1000003**720 >= 10**limit
+    assert v.render_compact() == v.render() == "1/18*log(2) + 40*log(1000003)"
+    assert parse(v.render_compact()) == v
+    w = log_of_rational(1000003) * 700  # argument 1000003^700, 4201 digits
+    assert w.render_compact() == "700*log(1000003)"
+    # arguments 2 * 10^limit, one digit past the limit, and 2 * 10^(limit - 1)
+    x = log_of_rational(2) * (limit + 1) + log_of_rational(5) * limit
+    assert x.render_compact() == x.render()
+    y = x - log_of_rational(10)
+    assert y.render_compact() == f"1*log({2 * 10 ** (limit - 1)})"
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the earlier LogRational, one Fraction coefficient per prime.
 
@@ -393,7 +413,7 @@ def test_logrational_matches_fraction_reference():
     trip."""
     rng = random.Random(2210)
     scalars = (0, 1, -1, 2, -3, 7, F(1, 2), F(-2, 3), F(9, 4), F(-5, 12), F(0))
-    equal_pairs = 0
+    equal_pairs = past_limit = 0
     for _ in range(5000):
         a, ra = _random_pair(rng)
         b, rb = _random_pair(rng)
@@ -415,13 +435,16 @@ def test_logrational_matches_fraction_reference():
         equal_pairs += a == b
         assert a.render() == ra.render() and repr(a) == f"LogRational({ra.render()!r})"
         assert parse(a.render()) == a
-        compact = _outcome(a.render_compact)
-        assert compact == _outcome(ra.render_compact)
-        if isinstance(compact, str):  # not an argument past str()'s digit limit
-            assert parse(compact) == a
+        compact = a.render_compact()
+        want = _outcome(ra.render_compact)
+        # the earlier code raised on an argument past str()'s digit limit;
+        # that value now gets the canonical rendering
+        assert compact == (a.render() if want is ValueError else want)
+        assert parse(compact) == a
+        past_limit += want is ValueError
         assert a.is_zero() == (ra.constant == 0 and not ra.terms)
         assert a.bounds(64) == RIv(*ra.bounds(64))
-    assert equal_pairs >= 10
+    assert equal_pairs >= 10 and past_limit >= 1
 
 
 def _near_ties():

@@ -188,19 +188,69 @@ def test_rref_matches_reference_over_q():
     deficient = 0
     for a in cases:
         expect = _reference_rref(tuple(tuple(F(x) for x in row) for row in a))
-        got = linalg.rref(a)
-        assert got == expect, a
-        assert all(type(x) is F for row in got[0] for x in row)
-        deficient += len(got[0]) < len(a)
+        got, pivots = linalg.rref(a)
+        assert (linalg.unit_rref(got), pivots) == expect, a
+        assert all(type(x) is int for row in got for x in row)
+        deficient += len(got) < len(a)
     assert deficient >= 1000
 
 
-def test_rref_and_kernel_of_int_rows_are_fractions():
+def _another_basis(rng, rows):
+    """A spanning set of rowspace(rows), independent rows of Fractions: an
+    invertible integer combination of them, each row then scaled by a
+    nonzero rational, with a dependent row added and all shuffled."""
+    k = len(rows)
+    while True:
+        u = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        if len(_reference_rref(linalg.mat(u))[0]) == k:
+            break
+    out = []
+    for cs in u:
+        scale = F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+        out.append([scale * sum(c * r[j] for c, r in zip(cs, rows)) for j in range(len(rows[0]))])
+    out.append([x - 2 * y for x, y in zip(out[0], out[-1])])
+    rng.shuffle(out)
+    return tuple(map(tuple, out))
+
+
+def test_rref_is_the_integer_rref_of_the_row_space():
+    """On rational input `rref` gives each RREF row scaled to primitive
+    integers with a positive pivot: its rows divided by their pivots are the
+    reference RREF, and two bases of one row space give the same tuples."""
+    rng = random.Random(330)
+    spaces = 0
+    for _ in range(500):
+        k, n = rng.randint(1, 6), rng.randint(1, 7)
+        a = tuple(tuple(_rational_entry(rng) for _ in range(n)) for _ in range(k))
+        got, pivots = linalg.rref(a)
+        ref, ref_pivots = _reference_rref(linalg.mat(a))
+        assert pivots == ref_pivots
+        for row, c, unit in zip(got, pivots, ref):
+            assert type(row) is tuple and all(type(x) is int for x in row)
+            assert math.gcd(*row) == 1 and row[c] > 0
+            assert tuple(F(x, row[c]) for x in row) == unit
+        if got:
+            assert linalg.rref(_another_basis(rng, a if len(got) == k else ref)) == (got, pivots)
+            spaces += 1
+    assert spaces >= 400
+
+
+def test_rref_of_int_rows_is_ints_and_kernel_is_fractions():
+    """rref keeps integer rows on ints (made primitive, pivots positive,
+    Fraction rows scaled to integers); kernel, inverse and solve divide by
+    the pivots and return Fractions."""
     r, pivots = linalg.rref(((2, 1), (4, 4)))
     assert (r, pivots) == (((1, 0), (0, 1)), [0, 1])
+    assert linalg.rref(((-2, -4, 6), (3, 6, 1))) == (((1, 2, 0), (0, 0, 1)), [0, 2])
+    assert linalg.rref(((F(1, 2), F(-1, 3)), (F(1), F(-2, 3)))) == (((3, -2),), [0])
     ker = linalg.kernel(((1, 2),))
     assert ker == ((-2, 1),)
-    assert all(type(x) is F for m in (r, ker) for row in m for x in row)
+    inv = linalg.inverse(((2, 1), (1, 1)))
+    assert inv == ((1, -1), (-1, 2))
+    sol = linalg.solve(((2, 0), (0, 4)), (1, 1))
+    assert sol == (F(1, 2), F(1, 4))
+    assert all(type(x) is int for row in r for x in row)
+    assert all(type(x) is F for m in (ker, inv, (sol,)) for row in m for x in row)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
@@ -599,8 +649,9 @@ def test_intersect_and_sum_matches_annihilator_meet_and_stacked_rref():
             ) if a else ()
             a, b = rng.choice([(a, b), (b, a)])
         meet, total = linalg.intersect_and_sum(a, b, n)
-        assert meet == _reference_meet(a, b, n), (a, b)
-        assert total == _reference_rref(a + b)[0], (a, b)
+        assert linalg.unit_rref(meet) == _reference_meet(a, b, n), (a, b)
+        assert linalg.unit_rref(total) == _reference_rref(a + b)[0], (a, b)
+        assert all(math.gcd(*row) == 1 for row in meet + total), (a, b)
         assert linalg.intersect_row_spaces(a, b, n) == meet
         assert len(meet) + len(total) == len(_reference_rref(a)[0]) + len(_reference_rref(b)[0])
         if kind == "zero-meet":

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -635,14 +636,32 @@ def test_rows_of_the_wrong_width_raise(call):
         call(crossed_example())
 
 
+def _in_scaled_rref(rows, want) -> bool:
+    """Whether rows are a tuple of tuples matching the integer RREF want row
+    by row: each row a positive multiple of want's row, in ints, or want's
+    row divided by its pivot, in Fractions."""
+    if type(rows) is not tuple or len(rows) != len(want):
+        return False
+    for row, w, unit in zip(rows, want, linalg.unit_rref(want)):
+        kinds = set(map(type, row)) if type(row) is tuple else None
+        if not (
+            kinds == {int} and tuple(x // math.gcd(*row) for x in row) == w
+            or kinds == {F} and row == unit
+        ):
+            return False
+    return True
+
+
 def test_rref_input_is_not_reduced_again(monkeypatch):
-    """`_rref_rows` hands back, with no elimination, exactly the rows that
-    are already what `linalg.rref` returns (a tuple of Fraction tuples in
-    RREF), and reduces every other input to the same RREF as `linalg.rref`:
-    seeded rows, their RREFs, and RREFs spoilt by a pivot of 2, rows out of
-    order, a nonzero entry above a pivot, a zero row, int entries or lists.
-    `slope_of_subspace` of the whole space is the Faltings slope, with no
-    elimination."""
+    """`_rref_rows` hands back, with no elimination, the integer RREF of rows
+    that are already in RREF up to row scaling (a tuple of tuples, each row
+    a positive multiple in ints or the unit-pivot row in Fractions), and
+    reduces every other input to the integer RREF of `linalg.rref`: seeded
+    rows, their integer RREFs, their RREFs, and integer RREFs spoilt by a
+    row doubled or negated, rows out of order, a nonzero entry above a
+    pivot, a zero row, a row of the RREF among integer rows, a pivot of 2
+    in the RREF, or lists.  `slope_of_subspace` of the whole space is the
+    Faltings slope, with no elimination."""
     from slopekit.multifilt import _rref_rows
 
     rng = random.Random(12)
@@ -651,15 +670,18 @@ def test_rref_input_is_not_reduced_again(monkeypatch):
         n = rng.randint(1, 5)
         rows = linalg.mat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))])
         red = linalg.rref(rows)[0]
-        inputs += [rows, red]
+        unit = linalg.unit_rref(red)
+        inputs += [rows, red, unit]
         if red:
             i = rng.randrange(len(red))
             inputs += [
                 red[:i] + (tuple(2 * x for x in red[i]),) + red[i + 1:],
+                red[:i] + (tuple(-x for x in red[i]),) + red[i + 1:],
                 red[::-1],
                 (tuple(x + y for x, y in zip(red[0], red[-1])),) + red[1:],
-                red + ((F(0),) * n,),
-                tuple(tuple(int(x) for x in row) for row in red if all(x.denominator == 1 for x in row)),
+                red + ((0,) * n,),
+                red[:i] + unit[i:i + 1] + red[i + 1:],
+                unit[:i] + (tuple(2 * x for x in unit[i]),) + unit[i + 1:],
                 [list(row) for row in red],
             ]
     calls = []
@@ -667,14 +689,14 @@ def test_rref_input_is_not_reduced_again(monkeypatch):
     monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or real(a))
     kept = 0
     for rows in filter(None, inputs):
-        want = real(linalg.mat(rows))[0]
+        want = real(rows)[0]
         calls.clear()
         got = _rref_rows(rows, len(rows[0]))
-        assert got == want and all(type(x) is F for row in got for x in row)
-        form = type(rows) is tuple and all(type(x) is F for row in rows for x in row)
-        assert (calls == []) == (form and rows == want)
+        assert got == want and all(type(x) is int for row in got for x in row)
+        assert all(row[next(c for c, x in enumerate(row) if x)] > 0 and math.gcd(*row) == 1 for row in got)
+        assert (calls == []) == _in_scaled_rref(rows, want)
         kept += calls == []
-    assert kept >= 300
+    assert kept >= 1200
     for m in (random_mf(rng, n, rng.randint(1, 3)) for n in (1, 2, 4, 5)):
         calls.clear()
         assert slope_of_subspace(m, linalg.identity(m.dim)) == slope_faltings(m) and calls == []
@@ -859,8 +881,9 @@ def test_candidate_family_matches_parent_order(monkeypatch, cap, low):
 
 
 def _parent_coords_in_rows(rows, v):
-    """Reference copy of the earlier coordinates: one linear solve per vector."""
-    sol = linalg.solve(rows, v)
+    """Reference copy of the earlier coordinates: one linear solve per vector,
+    in the RREF basis (stored integer RREF rows divided by their pivots)."""
+    sol = linalg.solve(linalg.unit_rref(rows), v)
     if sol is None:
         raise ValueError("vector outside the span")
     return sol

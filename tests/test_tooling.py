@@ -4,6 +4,7 @@ a rename or deletion there must fail here before it breaks a benchmark run."""
 import ast
 import importlib
 import inspect
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -117,6 +118,92 @@ def test_multifilt_eliminates_only_through_rref(monkeypatch):
     rt = mf.mu_max_mf(mf.tensor_mf(m1, m2), extra_candidates=[products])
     assert rt.certified and rt.value == r1.value + r2.value == -1
     assert len(quotient_units) == 1 and quotient_units[0] > 0
+
+
+def _budget_corpus():
+    """The seeded mf corpus whose elimination work is pinned: 24 pairs of
+    `_sample_space` factors (dimensions 2..3 and 1..3, 1..3 filtrations),
+    one with its bases scaled by Fractions, and the op-26 factors.  Each case
+    is one op of the benchmark's mf-tensor workload (both factors' mu_max,
+    the tensor's mu_max with the witness products, nu of the tensor) plus
+    the first factor's multigraded dimensions, dual and slope filtration."""
+    from fractions import Fraction
+
+    from test_multifilt import _OP26_FACTORS
+
+    mf = slopekit.multifilt
+    rng = random.Random(23)
+    cases = []
+    for _ in range(24):
+        n_filts = rng.randint(1, 3)
+        cases.append((_sample_space(rng, rng.randint(2, 3), n_filts), _sample_space(rng, rng.randint(1, 3), n_filts)))
+    m1, m2 = cases[0]
+    scaled = [
+        mf.Filtration(f.ambient_dim, [(lam, [[Fraction(x, k + 2) for x in row] for row in space]) for lam, space in f.steps])
+        for k, f in enumerate(m1.filtrations)
+    ]
+    cases.append((mf.MultifilteredSpace(m1.dim, scaled), m2))
+    cases.append(tuple(mf.MultifilteredSpace(3, [mf.Filtration(3, s) for s in f]) for f in _OP26_FACTORS))
+    return cases
+
+
+def _run_budget_case(m1, m2):
+    mf = slopekit.multifilt
+    r1, r2 = mf.mu_max_mf(m1), mf.mu_max_mf(m2)
+    t = mf.tensor_mf(m1, m2)
+    products = [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
+    mf.mu_max_mf(t, extra_candidates=[products])
+    mf.nu_witness(t)
+    mf.multigraded_dims(m1)
+    mf.dual_mf(m1)
+    if r1.certified:
+        mf.slope_filtration_mf(m1)
+
+
+# (units, rref calls) of each `_budget_corpus` case, as computed before
+# subspaces were kept as integer RREF rows: every elimination still goes
+# through `linalg.rref` with the same shapes, so the work budget charges the
+# same.  Change these only with a benchmark change that says why.
+_BUDGET_PINNED = [
+    (12289, 112), (240, 7), (1126, 36), (3943, 53), (189, 7), (1326, 30),
+    (578, 12), (14671, 84), (4563, 66), (4694, 59), (16, 2), (56, 7),
+    (851, 11), (8710, 40), (9215, 28), (54, 2), (10778, 48), (168, 5),
+    (5898, 32), (16, 2), (1948, 45), (4599, 63), (4146, 25), (372, 5),
+    (12289, 112), (62000, 275),
+]
+
+
+def test_work_budget_units_are_pinned(monkeypatch):
+    """The mf-tensor work budget charges each `linalg.rref` call rows x
+    columns x min(rows, columns), as `WorkBudget` does.  On a fixed seeded
+    corpus the units and calls are the pinned ones, and `_rref_rows` makes
+    no `rref` call on integer RREF rows or on unit-pivot Fraction RREF rows,
+    the forms stored subspaces and their printed bases take."""
+    linalg, mf = slopekit.linalg, slopekit.multifilt
+    cases = _budget_corpus()
+    calls = []
+    real = linalg.rref
+
+    def charged(a):
+        rows = len(a)
+        cols = len(a[0]) if rows else 0
+        calls.append(rows * cols * min(rows, cols))
+        return real(a)
+
+    monkeypatch.setattr(linalg, "rref", charged)
+    got = []
+    for m1, m2 in cases:
+        calls.clear()
+        _run_budget_case(m1, m2)
+        got.append((sum(calls), len(calls)))
+    assert got == _BUDGET_PINNED
+    stored = [space for m in itertools.chain.from_iterable(cases) for f in m.filtrations for _, space in f.steps]
+    assert len(stored) >= 50
+    calls.clear()
+    for space in stored:
+        assert mf._rref_rows(space, len(space[0])) == space
+        assert mf._rref_rows(linalg.unit_rref(space), len(space[0])) == space
+    assert calls == []
 
 
 def test_linalg_eliminates_through_rref(monkeypatch):
