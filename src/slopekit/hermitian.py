@@ -16,18 +16,26 @@ otherwise, never floats: the fields coerce their input so, sums and
 products of ints stay ints, and every division goes through `_div`, which
 divides exactly (`int / int` would be a float).  A quotient in the ring of
 integers, such as each division `linalg.bareiss` makes, so stays on ints.
-`HermitianLattice` stores its Gram matrix G with integral coordinates as
-ints and runs its positivity check on the integral matrix D*G, D the lcm of
-the coordinate denominators: the k-th leading minor of D*G is D^k times
-that of G, so the verdict, the row swaps and the determinant (the last
-minor over D^r) are those of G.
+
+`HermitianLattice` is its integral pair (D*G, D), as `EuclideanLattice` is
+(L*G, L): D is the least common denominator of the coordinates of G's
+entries, so D*G has int coordinates.  Its positivity check runs on D*G: the
+k-th leading minor of D*G is D^k times that of G, so the verdict, the row
+swaps and the determinant (the last minor over D^r) are those of G.
+Tensor products, twists, duals, sums and exterior powers are computed on
+the pair, `inner` divides by D once, and G is a view built on first use.
+
+Where a construction has half-integral elements, the checks run on their
+doubles, which are integral: the norm products of `qp_checks` on 2a for
+a in K(i), and the sqrt(2) frame of `q7_checks` on 2*theta.  Doubling is
+exact: the absolute norm of K(i) has degree 4, so N(2x) = 16*N(x), and an
+identity between sesquilinear values holds iff it holds times 4.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,6 +54,9 @@ from .report import Report, SCOPE_NOTE
 F = Fraction
 
 Rat = int | Fraction
+
+_set = object.__setattr__
+
 
 def _rat(x) -> Rat:
     """x as a coordinate over Q: an int if it is integral, else a Fraction."""
@@ -95,6 +106,9 @@ class QuadField:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return QuadField, self._key()
+
     def _key(self):
         return self.omega_trace, self.omega_norm, self.base
 
@@ -138,6 +152,9 @@ class ImagQuadField(QuadField):
         super().__init__(*_omega_data(-d))
         object.__setattr__(self, "d", d)
 
+    def __reduce__(self):
+        return ImagQuadField, (self.d,)
+
     def __repr__(self):
         return f"ImagQuadField(d={self.d})"
 
@@ -145,18 +162,41 @@ class ImagQuadField(QuadField):
         return self.d in (1, 2, 3, 7, 11)
 
 
-@dataclass(frozen=True)
 class QElt:
     """a + b*omega in a QuadField, with a and b in its base ring.
 
     Over Q, a and b are ints where integral and Fractions otherwise, never
-    floats; `==` and `hash` treat an int as the equal Fraction.  Every
-    division is exact (`_div`), so a quotient that lies in the ring of
-    integers keeps int coordinates."""
+    floats; `==` and `hash` are on (field, a, b), so an int and the equal
+    Fraction give equal elements with equal hashes.  Every division is exact
+    (`_div`), so a quotient that lies in the ring of integers keeps int
+    coordinates.  An element is immutable: `__setattr__` refuses, and
+    `__init__` fills the three slots once through their slot descriptors,
+    the cheapest way past that refusal (elements are made by the
+    thousand in every manifest)."""
 
-    field: QuadField
-    a: object
-    b: object
+    __slots__ = ("field", "a", "b")
+
+    def __init__(self, field: QuadField, a, b):
+        _set_field(self, field)
+        _set_a(self, a)
+        _set_b(self, b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QElt, (self.field, self.a, self.b)
+
+    def __eq__(self, other):
+        if other.__class__ is not QElt:
+            return NotImplemented
+        return (self.field, self.a, self.b) == (other.field, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.field, self.a, self.b))
 
     def _is_elt(self, other) -> bool:
         """Whether other lies in this field; False for a scalar of the base
@@ -171,10 +211,14 @@ class QElt:
             raise TypeError(f"cannot coerce {other!r}")
         return False
 
+    # Each operator first tries the common case, an element of the same
+    # field object, before `_is_elt`.
+
     def __add__(self, other):
-        if self._is_elt(other):
-            return QElt(self.field, self.a + other.a, self.b + other.b)
-        return QElt(self.field, self.a + other, self.b)
+        f = self.field
+        if (other.__class__ is QElt and other.field is f) or self._is_elt(other):
+            return QElt(f, self.a + other.a, self.b + other.b)
+        return QElt(f, self.a + other, self.b)
 
     __radd__ = __add__
 
@@ -182,14 +226,17 @@ class QElt:
         return QElt(self.field, -self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-other)
+        f = self.field
+        if (other.__class__ is QElt and other.field is f) or self._is_elt(other):
+            return QElt(f, self.a - other.a, self.b - other.b)
+        return QElt(f, self.a - other, self.b)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         f = self.field
-        if not self._is_elt(other):
+        if not ((other.__class__ is QElt and other.field is f) or self._is_elt(other)):
             return QElt(f, self.a * other, self.b * other)
         t, n = f.omega_trace, f.omega_norm
         a, b, c, e = self.a, self.b, other.a, other.b
@@ -258,6 +305,9 @@ class QElt:
         return f"({self.a}+{self.b}w)"
 
 
+_set_field, _set_a, _set_b = QElt.field.__set__, QElt.a.__set__, QElt.b.__set__
+
+
 def sesquilinear(gram, x: Sequence[QElt], y: Sequence[QElt], conj=QElt.conj) -> QElt:
     """sum_ij conj(x_i) * gram[i][j] * y_j: antilinear in x through the
     conjugation `conj`, linear in y."""
@@ -322,47 +372,90 @@ def _normalised(field: ImagQuadField, x) -> QElt:
     return QElt(x.field, _rat(x.a), _rat(x.b))
 
 
-class HermitianLattice:
-    """Free o_K-module with conjugate-symmetric positive definite Gram matrix."""
+def _scaled(x: QElt, n: int) -> QElt:
+    """n*x with int coordinates, for an integer n that clears the
+    denominators of x's coordinates."""
+    return QElt(x.field, x.a.numerator * (n // x.a.denominator), x.b.numerator * (n // x.b.denominator))
 
-    __slots__ = ("field", "gram", "_det")
+
+class HermitianLattice:
+    """Free o_K-module with conjugate-symmetric positive definite Gram matrix.
+
+    A lattice is its integral pair (D*G, D): G its Gram matrix and D the
+    least common denominator of the coordinates of G's entries, so that D*G
+    has int coordinates and two lattices are equal iff their pairs are.
+    Tensor products, twists, duals, sums and exterior powers are computed on
+    the pair; G is a view, built on first use."""
+
+    __slots__ = ("field", "_dg", "_D", "_det", "_gram")
 
     def __init__(self, field: ImagQuadField, gram: Sequence[Sequence[QElt]]):
         g = tuple(tuple(_normalised(field, x) for x in row) for row in gram)
         r = len(g)
         if r == 0 or any(len(row) != r for row in g):
             raise ValueError("Gram matrix must be square and nonempty")
+        den = math.lcm(*(c.denominator for row in g for x in row for c in (x.a, x.b)))
+        self._init_pair(field, g if den == 1 else [[_scaled(x, den) for x in row] for row in g], den)
+        _set(self, "_gram", g)
+
+    @staticmethod
+    def _from_scaled(field: ImagQuadField, dg, scale: int) -> "HermitianLattice":
+        """The lattice of Gram matrix dg / scale, for a square matrix dg of
+        elements with int coordinates and an integer scale >= 1."""
+        out = object.__new__(HermitianLattice)
+        out._init_pair(field, dg, scale)
+        _set(out, "_gram", None)
+        return out
+
+    def _init_pair(self, field: ImagQuadField, dg, scale: int) -> None:
+        """Check dg / scale and store it as its pair, scale made least by
+        dividing both by gcd(scale, content(dg)).  Scaling by scale > 0 keeps
+        each verdict: the diagonal stays positive rational and the matrix
+        conjugate-symmetric."""
+        r = len(dg)
         for i in range(r):
-            if not g[i][i].is_rational() or g[i][i].a <= 0:
+            if not dg[i][i].is_rational() or dg[i][i].a <= 0:
                 raise ValueError("diagonal Gram entries must be positive rationals")
             for j in range(r):
-                if g[j][i] != g[i][j].conj():
+                if dg[j][i] != dg[i][j].conj():
                     raise ValueError("Gram matrix must be conjugate-symmetric")
+        if scale > 1:
+            g = math.gcd(scale, *(c for row in dg for x in row for c in (x.a, x.b)))
+            if g > 1:
+                scale //= g
+                dg = [[QElt(x.field, x.a // g, x.b // g) for x in row] for row in dg]
+        dg = tuple(map(tuple, dg))
         # Sylvester: positive definite iff every leading principal minor is a
         # positive rational.  `bareiss` swaps only past a zero minor and
         # leaves the leading minors on the diagonal of a run without swaps;
-        # the last one is the determinant.  It runs on D*G, with D the lcm of
-        # the coordinate denominators, so on ints.  Each entry of its k-th
-        # step is a k x k minor, D^k times that of G: the same entries are
-        # zero (the same swaps), the same signs and rationality (the same
-        # verdict), and det G is the last minor over D^r
-        den = math.lcm(*(c.denominator for row in g for x in row for c in (x.a, x.b)))
-        dg = g if den == 1 else [
-            [QElt(x.field, int(x.a * den), int(x.b * den)) for x in row] for row in g
-        ]
+        # the last one is the determinant.  It runs on D*G, on ints.  Each
+        # entry of its k-th step is a k x k minor, D^k times that of G: the
+        # same entries are zero (the same swaps), the same signs and
+        # rationality (the same verdict), and det G is the last minor over D^r
         m, swaps = linalg.bareiss(dg)
         if swaps or not all(m[k][k].is_rational() and m[k][k].a > 0 for k in range(r)):
             raise ValueError("Gram matrix must be positive definite")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_det", F(m[-1][-1].a, den**r))
+        _set(self, "field", field)
+        _set(self, "_dg", dg)
+        _set(self, "_D", scale)
+        _set(self, "_det", F(m[-1][-1].a, scale**r))
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianLattice is immutable")
 
     @property
+    def gram(self) -> tuple[tuple[QElt, ...], ...]:
+        """The Gram matrix D*G / D, coordinates ints where integral."""
+        if self._gram is None:
+            d = self._D
+            _set(self, "_gram", self._dg if d == 1 else tuple(
+                tuple(QElt(x.field, _div(x.a, d), _div(x.b, d)) for x in row) for row in self._dg
+            ))
+        return self._gram
+
+    @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self._dg)
 
     def det(self) -> Fraction:
         return self._det
@@ -375,48 +468,69 @@ class HermitianLattice:
         return self.degree() / self.rank
 
     def inner(self, v: Sequence[QElt], w: Sequence[QElt]) -> QElt:
-        return sesquilinear(self.gram, v, w)
+        x = sesquilinear(self._dg, v, w)
+        return x if self._D == 1 else x / self._D
 
     def norm_sq(self, v: Sequence[QElt]) -> Fraction:
         return self.inner(v, v).as_fraction()
 
     def dual(self) -> "HermitianLattice":
-        return HermitianLattice(self.field, linalg.transpose(linalg.inverse(self.gram)))
+        """Gram matrix (G^-1)^T = D * ((D*G)^-1)^T, over the common
+        denominator of the inverse's coordinates."""
+        inv = linalg.inverse(self._dg)
+        den = math.lcm(*(c.denominator for row in inv for x in row for c in (x.a, x.b)))
+        d = self._D * den
+        return HermitianLattice._from_scaled(
+            self.field, [[_scaled(x, d) for x in col] for col in zip(*inv)], den
+        )
 
     def twist(self, c: Rat) -> "HermitianLattice":
         """Multiply the Gram matrix by c > 0; shifts degree by -rank*log(c)."""
         c = F(c)
         if c <= 0:
             raise ValueError("twist multiplier must be positive")
-        return HermitianLattice(self.field, linalg.scalar_mul(c, self.gram))
+        n = c.numerator
+        return HermitianLattice._from_scaled(
+            self.field, [[x * n for x in row] for row in self._dg], c.denominator * self._D
+        )
 
     def tensor(self, other: "HermitianLattice") -> "HermitianLattice":
         if self.field != other.field:
             raise ValueError("field mismatch")
-        return HermitianLattice(self.field, linalg.kron(self.gram, other.gram))
+        return HermitianLattice._from_scaled(
+            self.field, linalg.kron(self._dg, other._dg), self._D * other._D
+        )
 
     def orthogonal_sum(self, other: "HermitianLattice") -> "HermitianLattice":
         if self.field != other.field:
             raise ValueError("field mismatch")
-        return HermitianLattice(self.field, linalg.block_diag(self.gram, other.gram))
+        scale = math.lcm(self._D, other._D)
+        ma, mb = scale // self._D, scale // other._D
+        za, zb = (self.field.zero,) * other.rank, (self.field.zero,) * self.rank
+        return HermitianLattice._from_scaled(
+            self.field,
+            [tuple(x * ma for x in row) + za for row in self._dg]
+            + [zb + tuple(x * mb for x in row) for row in other._dg],
+            scale,
+        )
 
     def exterior_power(self, p: int) -> "HermitianLattice":
+        """Gram matrix of the p-th alternating power: entries det(G[S][T]),
+        the minors of D*G over D^p."""
         from itertools import combinations
 
         if not 1 <= p <= self.rank:
             raise ValueError(f"exterior power degree {p} out of range")
+        dg = self._dg
         subsets = list(combinations(range(self.rank), p))
-        rows = [
-            [linalg.det_int([[self.gram[i][j] for j in t] for i in s]) for t in subsets]
-            for s in subsets
-        ]
-        return HermitianLattice(self.field, rows)
+        rows = [[linalg.det_int([[dg[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
+        return HermitianLattice._from_scaled(self.field, rows, self._D**p)
 
     def is_integral(self) -> bool:
-        return all(x.is_integral() for row in self.gram for x in row)
+        return self._D == 1
 
     def is_unimodular(self) -> bool:
-        return self.is_integral() and self._det == 1
+        return self._D == 1 and self._det == 1
 
     def unimodular_semistable_slope(self):
         """Integral unimodular lattices are semistable of slope 0."""
@@ -424,7 +538,8 @@ class HermitianLattice:
 
     def restrict_scalars(self) -> EuclideanLattice:
         """Rank-2r euclidean lattice on the Z-basis (e_j, omega*e_j), with the
-        real part of the hermitian form."""
+        real part of the hermitian form: tr(x)/2 for each entry x, so the
+        traces of the entries of D*G over 2D."""
         r = self.rank
         gens = [(j, pow_w) for j in range(r) for pow_w in (0, 1)]
         one, w = self.field.one, self.field.omega
@@ -433,23 +548,21 @@ class HermitianLattice:
             return one if pw == 0 else w
 
         gram = [
-            [
-                (coeff(pa).conj() * self.gram[i][j] * coeff(pb)).real_part()
-                for (j, pb) in gens
-            ]
+            [(coeff(pa).conj() * self._dg[i][j] * coeff(pb)).trace() for (j, pb) in gens]
             for (i, pa) in gens
         ]
-        return EuclideanLattice(gram)
+        return EuclideanLattice._from_scaled(gram, 2 * self._D)
 
     def __eq__(self, other):
         return (
             isinstance(other, HermitianLattice)
             and self.field == other.field
-            and self.gram == other.gram
+            and self._D == other._D
+            and self._dg == other._dg
         )
 
     def __hash__(self):
-        return hash((self.field, self.gram))
+        return hash((self.field, self._D, self._dg))
 
     def __repr__(self):
         return f"HermitianLattice(d={self.field.d}, rank={self.rank}, det={self._det})"
@@ -733,21 +846,24 @@ def q7_checks() -> Report:
     rep.require("complement_vector_pairing", pairing == k.one, f"<e3, v3> = {pairing}")
     rep.require("complement_vector_norm", lat.norm_sq(v3) == 2, f"|v3|^2 = {lat.norm_sq(v3)}")
 
-    # the sqrt(2) frame, exactly in K(sqrt 2): omega^2 = 2
+    # the sqrt(2) frame, exactly in K(sqrt 2): omega^2 = 2.  It runs on
+    # 2*theta = conj(w)*(sign*sqrt(2) - 2), which is integral, and on the
+    # doubled frame 2*f1, 2*f2, so each identity is checked times 4
     k2 = QuadField(0, -2, k)
     g2 = [[k2(lat.gram[i][j]) for j in range(2)] for i in range(2)]
+    two = k2.elt(2)
     for sign, label in ((1, "plus"), (-1, "minus")):
         op = "-" if sign > 0 else "+"
-        theta = k2(w.conj()) * k2.elt(-1, F(sign, 2))  # conj(w)*(sign*sqrt(2)/2 - 1)
+        theta2 = k2(w.conj()) * k2.elt(-2, sign)  # 2*theta, theta = conj(w)*(sign*sqrt(2)/2 - 1)
         rep.require(
             f"theta_{label}_abs_sq",
-            theta * _cconj_real(theta) == k2.elt(3, -2 * sign),
+            theta2 * _cconj_real(theta2) == k2.elt(12, -8 * sign),
             f"|theta_{label}|^2 = 3 {op} 2*sqrt(2)",
         )
-        # f1 = e1 + theta e2, f2 = conj(theta) e1 + e2
-        f1 = [k2.one, theta]
-        f2 = [_cconj_real(theta), k2.one]
-        frame_target = k2.elt(4, -2 * sign)  # 2*sqrt2*(sqrt2 -+ 1)
+        # 2*f1 and 2*f2, for f1 = e1 + theta e2 and f2 = conj(theta) e1 + e2
+        f1 = [two, theta2]
+        f2 = [_cconj_real(theta2), two]
+        frame_target = k2.elt(16, -8 * sign)  # 4 * 2*sqrt2*(sqrt2 -+ 1)
         rep.require(
             f"frame_{label}_norms",
             sesquilinear(g2, f1, f1, _cconj_real) == frame_target
@@ -771,6 +887,26 @@ def q7_checks() -> Report:
 # ---------------------------------------------------------------------------
 # The class-field construction: K' = K(i) over K = Q(sqrt(-p)); the absolute
 # norm of K' is `norm().norm()`.
+
+def _sixteen_bound_norms(kp: QuadField) -> list[tuple[int, int]]:
+    """(N(E), N(ab)) for each ordered pair of the samples a, b in
+    (1, i, u, 1 + i, u + i, 2u - 1, u + 1) of K' = K(i), u = (1 + sqrt p)/2,
+    with E = a*cconj(a) + b*cconj(b) and N the absolute norm of K'.
+
+    They run on the doubled samples 2a, which stay on ints: 2u = 1 - w*i is
+    integral over (1, i).  N has degree 4 over Q, so N(2x) = 16*N(x), and
+    N(4E) = 256*N(E), N(4ab) = 256*N(ab): exact quotients by 256."""
+    two, i2 = kp.elt(2), kp.omega * 2
+    u2 = kp.elt(1, -kp.base.omega)
+    samples2 = [two, i2, u2, two + i2, u2 + i2, u2 * 2 - two, u2 + two]
+    abs_sq = [x * _cconj(x) for x in samples2]  # 4*a*cconj(a), once per sample
+    return [
+        (_div((xx + yy).norm().norm(), 256), _div((x * y).norm().norm(), 256))
+        for x, xx in zip(samples2, abs_sq)
+        for y, yy in zip(samples2, abs_sq)
+        if x and y
+    ]
+
 
 def qp_checks(p: int) -> Report:
     """Class-field ring of integers over Q(sqrt(-p)), p in {5, 13, 37}:
@@ -948,30 +1084,15 @@ def qp_checks(p: int) -> Report:
     )
 
     # norm-product lower bound on the orthogonal subring
-    sample_elts = [
-        one,
-        i_elt,
-        u,
-        one + i_elt,
-        u + i_elt,
-        u * 2 - one,  # = sqrt(p) = -i*w
-        u + one,
-    ]
     checked = 0
-    for a in sample_elts:
-        for b in sample_elts:
-            if a.is_zero() or b.is_zero():
-                continue
-            e_val = a * _cconj(a) + b * _cconj(b)
-            n_e = e_val.norm().norm()
-            n_ab = (a * b).norm().norm()
-            if not (n_e >= 16 * n_ab >= 16):
-                rep.require(
-                    "norm_product_sixteen_bound",
-                    False,
-                    f"N(E) = {n_e}, 16*|N(ab)| = {16 * n_ab}",
-                )
-            checked += 1
+    for n_e, n_ab in _sixteen_bound_norms(kp):
+        if not (n_e >= 16 * n_ab >= 16):
+            rep.require(
+                "norm_product_sixteen_bound",
+                False,
+                f"N(E) = {n_e}, 16*|N(ab)| = {16 * n_ab}",
+            )
+        checked += 1
     rep.require(
         "norm_product_sixteen_bound",
         True,

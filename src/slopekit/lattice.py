@@ -108,11 +108,17 @@ class EuclideanLattice:
         return self.inner(v, v)
 
     def dual(self) -> "EuclideanLattice":
-        """The dual lattice, Gram matrix G^-1 = L * (L*G)^-1; built once, and
-        its own dual is self."""
+        """The dual lattice, Gram matrix G^-1 = L * M^-1 for M = L*G; built
+        once, and its own dual is self.  The integer RREF of [M | I] (see
+        `linalg.rref`) has rows (p_i e_i | p_i * row i of M^-1), p_i > 0 its
+        pivots, so over P = lcm(p_i) the pair of G^-1 is
+        (L * (P / p_i) * right half of row i, P), all on ints."""
         if self._dual is None:
-            inv, den = linalg.clear_denominators(linalg.inverse(self._gi))
-            dual = EuclideanLattice._from_scaled([[self._L * x for x in row] for row in inv], den)
+            n = self.rank
+            rows, _ = linalg.rref(tuple(row + e for row, e in zip(self._gi, linalg.identity(n))))
+            den = math.lcm(*(row[i] for i, row in enumerate(rows)))
+            inv = [[self._L * (den // row[i]) * x for x in row[n:]] for i, row in enumerate(rows)]
+            dual = EuclideanLattice._from_scaled(inv, den)
             _set(self, "_dual", dual)
             _set(dual, "_dual", self)
         return self._dual

@@ -339,12 +339,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    za, zb = (Fraction(0),) * nb, (Fraction(0),) * na
-    return tuple(row + za for row in a) + tuple(zb + row for row in b)
-
-
 # ---------------------------------------------------------------------------
 # Integer lattice routines.
 

@@ -190,7 +190,7 @@ class Filtration:
 
 
 class MultifilteredSpace:
-    __slots__ = ("dim", "filtrations")
+    __slots__ = ("dim", "filtrations", "_gaps")
 
     def __init__(self, dim: int, filtrations: Sequence[Filtration]):
         if dim < 1:
@@ -200,6 +200,7 @@ class MultifilteredSpace:
             raise ValueError("all filtrations must live on the ambient space")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "filtrations", filts)
+        object.__setattr__(self, "_gaps", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultifilteredSpace is immutable")
@@ -207,6 +208,18 @@ class MultifilteredSpace:
     @property
     def n_filtrations(self) -> int:
         return len(self.filtrations)
+
+    def integer_gaps(self) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+        """(D, D * sum_f lam_(f,0), gaps), made once: D the lcm of the break
+        denominators and, per filtration, the integer gaps
+        (lam_i - lam_(i-1)) * D of its proper steps (the Abel form, module
+        docstring)."""
+        if self._gaps is None:
+            den = math.lcm(*(lam.denominator for f in self.filtrations for lam in f.breaks()))
+            scaled = [[lam.numerator * (den // lam.denominator) for lam in f.breaks()] for f in self.filtrations]
+            gaps = tuple(tuple(hi - lo for lo, hi in itertools.pairwise(b)) for b in scaled)
+            object.__setattr__(self, "_gaps", (den, sum(b[0] for b in scaled), gaps))
+        return self._gaps
 
     def permuted(self, order: Sequence[int]) -> "MultifilteredSpace":
         return MultifilteredSpace(self.dim, [self.filtrations[i] for i in order])
@@ -293,20 +306,21 @@ def _meet_dim(a: Matrix, b: Matrix) -> int:
 
 def slope_of_subspace(m: MultifilteredSpace, rows: Matrix) -> Fraction:
     """Slope of a nonzero subspace with the induced filtrations, in the Abel
-    form (module docstring): it meets only the proper steps.  The whole space
-    has the Faltings slope, read off the graded dimensions."""
+    form (module docstring): it meets only the proper steps, scored in
+    integers over D (`integer_gaps`) and divided once.  The whole space has
+    the Faltings slope, read off the graded dimensions."""
     rows = _rref_rows(rows, m.dim)
     k = len(rows)
     if k == 0:
         raise ValueError("zero subspace has no slope")
     if k == m.dim:
         return slope_faltings(m)
-    total = F(0)
-    for f in m.filtrations:
-        total += f.steps[0][0] * k
-        for (low, _), (lam, space) in itertools.pairwise(f.steps):
-            total += (lam - low) * _meet_dim(rows, space)
-    return total / k
+    den, lam_0, gaps = m.integer_gaps()
+    total = lam_0 * k
+    for f, g in zip(m.filtrations, gaps):
+        for gap, (_, space) in zip(g, f.steps[1:]):
+            total += gap * _meet_dim(rows, space)
+    return F(total, den * k)
 
 
 def _pivot(row) -> int:
@@ -509,14 +523,13 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
     dimensions of the proper steps (V drops out: module docstring).  Every
     constraint below holds for the true profiles, so the best feasible score
     bounds deg W.  A profile scores sum_i g_i d_i, with integers
-    g_i = (lam_i - lam_(i-1)) D for D the lcm of the break denominators, and
+    g_i = (lam_i - lam_(i-1)) D (`integer_gaps`), and
     bound_k = sum_f lam_(f,0) + best / (D k): the scaling, and the lam_0 k
     every profile of a filtration shares, keep the profile order and the
     pruning."""
     n = m.n_filtrations
     steps = [f.steps[1:] for f in m.filtrations]
-    den = math.lcm(*(lam.denominator for f in m.filtrations for lam in f.breaks()))
-    gaps = [[int((hi - lo) * den) for lo, hi in itertools.pairwise(f.breaks())] for f in m.filtrations]
+    den, lam_0, gaps = m.integer_gaps()
     dims = [[m.dim] + [len(s) for _, s in st] for st in steps]
     pair_dim: dict[tuple, int] = {}
     for v, w in itertools.combinations(range(n), 2):
@@ -530,8 +543,6 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
                 sij = linalg.intersect_row_spaces(si, sj, m.dim)
                 for l, (_, sl) in enumerate(steps[x]):
                     triple_dim[(v, i, w, j, x, l)] = _meet_dim(sij, sl)
-    lam_0 = sum((f.steps[0][0] for f in m.filtrations), F(0))
-
     bounds: list[Fraction] = []
     for k in range(1, m.dim + 1):
         per_v: list[list[tuple[int, tuple[int, ...]]]] = []
@@ -589,7 +600,7 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
 
         dfs(0, [], 0)
         # every k-dimensional subspace has a feasible profile
-        bounds.append(lam_0 + F(best, den * k))
+        bounds.append(F(lam_0 * k + best, den * k))
     return bounds
 
 

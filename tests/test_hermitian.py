@@ -1,13 +1,22 @@
+import copy
+import json
+import math
+import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from slopekit import linalg
 from slopekit.exactval import LogRational, half_log, log_of_rational
 from slopekit.hermitian import (
     QElt,
     HermitianLattice,
     ImagQuadField,
+    QuadField,
+    _cconj,
+    _sixteen_bound_norms,
     a2_twist_checks,
     euclid_gcd,
     faltings_height_sq,
@@ -21,6 +30,8 @@ from slopekit.hermitian import (
 from slopekit.lattice import Sublattice, a2_lattice
 
 F = Fraction
+
+MANIFESTS = Path(__file__).parent / "data" / "manifests.json"
 
 
 def field7():
@@ -357,7 +368,8 @@ def test_integral_gram_check_matches_fraction_check():
     """On seeded rational Grams of rank 1-4 over seven fields, the check on
     D*G accepts exactly what the Fraction-coordinate check accepted, with
     the same determinant (a Fraction) and the same rejection message; the
-    stored Gram equals the input with int coordinates where integral."""
+    stored Gram, and the Gram view of a lattice built from its pair (D*G, D)
+    alone, equal the input with int coordinates where integral."""
     rng = random.Random(2100)
     kinds = ("random", "zero_minor", "definite", "singular", "asymmetric")
     seen = {}
@@ -373,11 +385,14 @@ def test_integral_gram_check_matches_fraction_check():
         else:
             got = lat.det()
             assert type(got) is F
-            assert [list(row) for row in lat.gram] == gram
-            assert all(
-                type(c) is (int if c.denominator == 1 else F)
-                for row in lat.gram for x in row for c in (x.a, x.b)
-            )
+            view = lat.twist(1)  # built from the pair, its gram made on first use
+            for g in (lat.gram, view.gram):
+                assert [list(row) for row in g] == gram
+                assert all(
+                    type(c) is (int if c.denominator == 1 else F)
+                    for row in g for x in row for c in (x.a, x.b)
+                )
+            assert view == lat and hash(view) == hash(lat) and view.det() == got
         assert got == want
         key = "accepted" if isinstance(want, F) else want
         seen[key] = seen.get(key, 0) + 1
@@ -385,3 +400,109 @@ def test_integral_gram_check_matches_fraction_check():
     assert seen["Gram matrix must be positive definite"] >= 80
     assert seen["Gram matrix must be conjugate-symmetric"] >= 30
     assert seen["diagonal Gram entries must be positive rationals"] >= 10
+
+
+# -- the manifests against their stored reports ---------------------------------
+
+def test_manifest_reports_match_stored_reports():
+    """The `to_dict()` reports of a2, q7 and qp at p = 5, 13, 37 equal the
+    reports stored in tests/data/manifests.json, which were made by the
+    Fraction-coordinate implementation."""
+    want = json.loads(MANIFESTS.read_text(encoding="utf-8"))
+    got = {"a2": a2_twist_checks().to_dict(), "q7": q7_checks().to_dict()}
+    for p in (5, 13, 37):
+        got[f"qp-{p}"] = qp_checks(p).to_dict()
+    assert got == want
+
+
+def _fraction_sixteen_norms(p):
+    """The norm-product loop of `qp_checks` on the samples themselves, with
+    the half-integral Fraction coordinates of u = (1 + sqrt p)/2."""
+    k = ImagQuadField(p)
+    kp = QuadField(0, 1, k)
+    i_elt, one = kp.omega, kp.one
+    u = kp.elt(k.elt(F(1, 2)), k.elt(0, F(-1, 2)))
+    samples = [one, i_elt, u, one + i_elt, u + i_elt, u * 2 - one, u + one]
+    out = []
+    for a in samples:
+        for b in samples:
+            if a.is_zero() or b.is_zero():
+                continue
+            e_val = a * _cconj(a) + b * _cconj(b)
+            out.append((e_val.norm().norm(), (a * b).norm().norm()))
+    return out
+
+
+def test_doubled_norm_products_match_fraction_loop():
+    """N(E) and N(ab) from the doubled samples, over 256, are the values of
+    the Fraction loop for all 49 pairs, as ints."""
+    for p in (5, 13, 37):
+        got = _sixteen_bound_norms(QuadField(0, 1, ImagQuadField(p)))
+        want = _fraction_sixteen_norms(p)
+        assert len(got) == len(want) == 49
+        assert got == want
+        assert [tuple(map(str, x)) for x in got] == [tuple(map(str, x)) for x in want]
+        assert all(type(x) is int for pair in got for x in pair)
+
+
+# -- QElt as a value, and the hermitian pair (D*G, D) --------------------------
+
+def test_qelt_is_an_immutable_value():
+    k = field7()
+    k2 = QuadField(0, -2, k)
+    x = k.elt(3, F(-1, 2))
+    for name in ("a", "b", "field", "c"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x.b
+    assert x == k.elt(3, F(-1, 2))
+    y, z = k.elt(2, 5), QElt(k, F(2), F(5))
+    assert type(y.a) is int and type(z.a) is F
+    assert y == z and hash(y) == hash(z) and len({y, z}) == 1
+    for v in (x, y, k.zero, k2.elt(x, y)):
+        for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert back == v and hash(back) == hash(v) and repr(back) == repr(v)
+    for other in (2, F(2), "2", None, (k, 2, 0)):
+        assert (k.elt(2) == other) is False and (k.elt(2) != other) is True
+    assert k.elt(1) != ImagQuadField(5).elt(1)
+
+
+def _definite(rng, field, rank):
+    while True:
+        try:
+            return HermitianLattice(field, _rational_hermitian(rng, field, rank, "definite"))
+        except ValueError:  # B was singular
+            continue
+
+
+def _fraction_gram(lat):
+    return [[QElt(lat.field, F(x.a), F(x.b)) for x in row] for row in lat.gram]
+
+
+def test_hermitian_pair_operations_match_fraction_grams():
+    """twist, tensor, orthogonal_sum and exterior_power on the pair give the
+    lattice of the Fraction Gram matrix computed directly, and D is least."""
+    rng = random.Random(2401)
+    for n in range(80):
+        field = ImagQuadField((1, 2, 3, 5, 7, 11, 13)[n % 7])
+        a = _definite(rng, field, rng.randint(1, 3))
+        b = _definite(rng, field, rng.randint(1, 2))
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+        back = a.twist(c).twist(1 / c)
+        assert back == a and hash(back) == hash(a) and back.gram == a.gram
+        assert a.twist(c) == HermitianLattice(field, [[x * c for x in row] for row in _fraction_gram(a)])
+        t = a.tensor(b)
+        want = HermitianLattice(field, linalg.kron(_fraction_gram(a), _fraction_gram(b)))
+        assert t == want and hash(t) == hash(want) and t.gram == want.gram and t.det() == want.det()
+        zero = QElt(field, F(0), F(0))
+        block = [row + [zero] * b.rank for row in _fraction_gram(a)] + [
+            [zero] * a.rank + row for row in _fraction_gram(b)
+        ]
+        assert a.orthogonal_sum(b) == HermitianLattice(field, block)
+        assert a.exterior_power(a.rank).det() == a.det()
+        for lat in (a, t, a.dual(), a.twist(c), a.orthogonal_sum(b)):
+            dg, d = lat._dg, lat._D
+            coords = [c for row in dg for x in row for c in (x.a, x.b)]
+            assert all(type(x) is int for x in coords) and math.gcd(d, *coords) == 1
+            assert lat.is_integral() == (d == 1)

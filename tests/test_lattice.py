@@ -311,6 +311,11 @@ def _rational_lattice(rng, rank):
     return EuclideanLattice(linalg.scalar_mul(c, lat.gram))
 
 
+def _block_diag(a, b):
+    za, zb = (F(0),) * len(b), (F(0),) * len(a)
+    return tuple(row + za for row in a) + tuple(zb + row for row in b)
+
+
 def _same_lattice(got, gram):
     want = EuclideanLattice(gram)
     assert got.gram == want.gram == linalg.mat(gram)
@@ -339,7 +344,7 @@ def test_integer_pair_matches_fraction_gram():
         ga, gb = a.gram, b.gram
         _same_lattice(a.tensor(b), linalg.kron(ga, gb))
         _same_lattice(a.dual(), linalg.inverse(ga))
-        _same_lattice(a.orthogonal_sum(b), linalg.block_diag(ga, gb))
+        _same_lattice(a.orthogonal_sum(b), _block_diag(ga, gb))
         c = F(rng.randint(1, 12), rng.randint(1, 12))
         _same_lattice(a.scale(c), linalg.scalar_mul(c, ga))
         p = rng.randint(1, a.rank)
@@ -386,6 +391,44 @@ def test_invalid_grams_raise_the_same_errors():
 
 def _rand_entry(rng):
     return F(rng.randint(-4, 6), rng.choice((1, 1, 2, 3)))
+
+
+def _reference_dual_pair(lat):
+    """The pair of the dual as it was built through `linalg.inverse` and
+    `clear_denominators`: L * inverse(L*G) over the least common
+    denominator, both divided by their gcd."""
+    gi, scale = lat.scaled_gram()
+    inv, den = linalg.clear_denominators(linalg.inverse(gi))
+    m = [[scale * x for x in row] for row in inv]
+    g = math.gcd(den, *(x for row in m for x in row))
+    return tuple(tuple(x // g for x in row) for row in m), den // g
+
+
+def test_dual_from_integer_rref_matches_inverse():
+    """The dual read off the integer RREF of [L*G | I] equals the dual
+    built through the Fraction inverse, on 330 seeded integral, scaled and
+    tensor lattices of rank 1-6: the same pair, det, gram, and its own dual
+    is the lattice it came from."""
+    rng = random.Random(2215)
+    ranks = set()
+    for t in range(330):
+        kind = t % 3
+        if kind == 0:
+            lat = random_lattice(rng, 1 + t % 6, 2)
+        elif kind == 1:
+            lat = _rational_lattice(rng, 1 + t % 6)
+        else:
+            r1 = rng.randint(1, 3)
+            lat = _rational_lattice(rng, r1).tensor(_rational_lattice(rng, rng.randint(1, 6 // r1)))
+        ranks.add(lat.rank)
+        gi, scale = _reference_dual_pair(lat)
+        d = lat.dual()
+        assert d.scaled_gram() == (gi, scale)
+        assert all(type(x) is int for row in gi for x in row)
+        assert d.det() == 1 / lat.det() == F(linalg.det_int(gi), scale**lat.rank)
+        assert d.gram == tuple(tuple(F(x, scale) for x in row) for row in gi) == linalg.inverse(lat.gram)
+        assert d.dual() is lat
+    assert ranks == {1, 2, 3, 4, 5, 6}
 
 
 def test_dual_and_degree_are_built_once():

@@ -7,6 +7,7 @@ import inspect
 import itertools
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import slopekit
@@ -241,7 +242,8 @@ def test_linalg_eliminates_through_rref(monkeypatch):
 def test_hermitian_grams_go_through_bareiss(monkeypatch):
     """`bareiss` is the one square elimination: a hermitian Gram's positivity
     and determinant, and the minors of its exterior powers, come from it,
-    looked up by its module name."""
+    looked up by its module name.  `tensor`, `twist` and `dual` work on the
+    integral pair (D*G, D), so each runs exactly one, on int coordinates."""
     linalg, herm = slopekit.linalg, slopekit.hermitian
     calls = []
     real = linalg.bareiss
@@ -258,6 +260,19 @@ def test_hermitian_grams_go_through_bareiss(monkeypatch):
     calls.clear()
     ext = lat.exterior_power(2)
     assert len(calls) >= 2 and ext.det() == lat.det()
+    half = herm.HermitianLattice(field, [[Fraction(3, 2), w / 2], [w.conj() / 2, 1]])
+    ops = {
+        "tensor": lambda: lat.tensor(half),
+        "twist": lambda: half.twist(Fraction(5, 3)),
+        "dual": lambda: half.dual(),
+    }
+    for name, op in ops.items():
+        calls.clear()
+        out = op()
+        assert len(calls) == 1, f"{name} ran {len(calls)} bareiss"
+        (m,) = calls
+        assert all(type(c) is int for row in m for x in row for c in (x.a, x.b)), name
+        assert len(m) == out.rank
 
 
 def test_candidate_family_reduces_only_pairs_and_extras(monkeypatch):
