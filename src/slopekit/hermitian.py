@@ -17,13 +17,13 @@ products of ints stay ints, and every division goes through `_div`, which
 divides exactly (`int / int` would be a float).  A quotient in the ring of
 integers, such as each division `linalg.bareiss` makes, so stays on ints.
 
-`HermitianLattice` is its integral pair (D*G, D), as `EuclideanLattice` is
-(L*G, L): D is the least common denominator of the coordinates of G's
-entries, so D*G has int coordinates.  Its positivity check runs on D*G: the
-k-th leading minor of D*G is D^k times that of G, so the verdict, the row
-swaps and the determinant (the last minor over D^r) are those of G.
-Tensor products, twists, duals, sums and exterior powers are computed on
-the pair, `inner` divides by D once, and G is a view built on first use.
+`HermitianLattice` is the integral pair (D*G, D) of `lattice._GramPair`,
+which `EuclideanLattice` shares: D is the least common denominator of the
+coordinates of G's entries, so D*G has int coordinates.  The pair's checks,
+tensor products, twists, duals, sums and exterior powers are the euclidean
+ones, run on `QElt` entries through the few hooks this class sets
+(conjugation, the rational value of a real entry, 1/p = conj(p)/N(p));
+`inner` divides by D once, and G is a view built on first use.
 
 Where a construction has half-integral elements, the checks run on their
 doubles, which are integral: the norm products of `qp_checks` on 2a for
@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import attrgetter, truediv
 from typing import Sequence
 
 from . import linalg
@@ -48,7 +49,7 @@ from .exactval import (
     log_of_rational,
     parse_rat,
 )
-from .lattice import EuclideanLattice
+from .lattice import EuclideanLattice, _GramPair
 from .report import Report, SCOPE_NOTE
 
 F = Fraction
@@ -364,173 +365,60 @@ def euclid_gcd(elts: Sequence[QElt]) -> QElt:
 # ---------------------------------------------------------------------------
 
 def _normalised(field: ImagQuadField, x) -> QElt:
-    """x as an element of field with int coordinates where integral."""
+    """x as an element of field with int coordinates where integral;
+    ValueError for an element of another field."""
     if not isinstance(x, QElt):
         return field.elt(x)
+    if x.field != field:
+        raise ValueError("field mismatch")
     if type(x.a) is int and type(x.b) is int:
         return x
     return QElt(x.field, _rat(x.a), _rat(x.b))
 
 
-def _scaled(x: QElt, n: int) -> QElt:
-    """n*x with int coordinates, for an integer n that clears the
-    denominators of x's coordinates."""
-    return QElt(x.field, x.a.numerator * (n // x.a.denominator), x.b.numerator * (n // x.b.denominator))
-
-
-class HermitianLattice:
+class HermitianLattice(_GramPair):
     """Free o_K-module with conjugate-symmetric positive definite Gram matrix.
 
-    A lattice is its integral pair (D*G, D): G its Gram matrix and D the
-    least common denominator of the coordinates of G's entries, so that D*G
-    has int coordinates and two lattices are equal iff their pairs are.
-    Tensor products, twists, duals, sums and exterior powers are computed on
-    the pair; G is a view, built on first use."""
+    A lattice is its integral pair (D*G, D) (see `lattice._GramPair`): G its
+    Gram matrix and D the least common denominator of the coordinates of
+    G's entries, so that D*G has int coordinates and two lattices are equal
+    iff their fields and pairs are."""
 
-    __slots__ = ("field", "_dg", "_D", "_det", "_gram")
+    __slots__ = ()
+
+    _content = staticmethod(lambda s: (c for row in s for x in row for c in (x.a, x.b)))
+    _adjoint = staticmethod(lambda s: tuple(tuple(x.conj() for x in col) for col in zip(*s)))
+    _real = attrgetter("a")
+    _entry = truediv  # coordinates ints where integral (`_div`)
+    _clear = staticmethod(lambda p: (p.conj(), p.norm()))  # 1/p = conj(p)/N(p)
+    _SYMMETRIC = "Gram matrix must be conjugate-symmetric"
+    _DIAGONAL = "diagonal Gram entries must be positive rationals"
+    _RESCALE = "twist multiplier must be positive"
 
     def __init__(self, field: ImagQuadField, gram: Sequence[Sequence[QElt]]):
         g = tuple(tuple(_normalised(field, x) for x in row) for row in gram)
-        r = len(g)
-        if r == 0 or any(len(row) != r for row in g):
-            raise ValueError("Gram matrix must be square and nonempty")
-        den = math.lcm(*(c.denominator for row in g for x in row for c in (x.a, x.b)))
-        self._init_pair(field, g if den == 1 else [[_scaled(x, den) for x in row] for row in g], den)
+        den = math.lcm(*(c.denominator for c in self._content(g)))
+        self._init_pair(field, g if den == 1 else [[_normalised(field, x * den) for x in row] for row in g], den)
         _set(self, "_gram", g)
 
-    @staticmethod
-    def _from_scaled(field: ImagQuadField, dg, scale: int) -> "HermitianLattice":
-        """The lattice of Gram matrix dg / scale, for a square matrix dg of
-        elements with int coordinates and an integer scale >= 1."""
-        out = object.__new__(HermitianLattice)
-        out._init_pair(field, dg, scale)
-        _set(out, "_gram", None)
-        return out
-
-    def _init_pair(self, field: ImagQuadField, dg, scale: int) -> None:
-        """Check dg / scale and store it as its pair, scale made least by
-        dividing both by gcd(scale, content(dg)).  Scaling by scale > 0 keeps
-        each verdict: the diagonal stays positive rational and the matrix
-        conjugate-symmetric."""
-        r = len(dg)
-        for i in range(r):
-            if not dg[i][i].is_rational() or dg[i][i].a <= 0:
-                raise ValueError("diagonal Gram entries must be positive rationals")
-            for j in range(r):
-                if dg[j][i] != dg[i][j].conj():
-                    raise ValueError("Gram matrix must be conjugate-symmetric")
-        if scale > 1:
-            g = math.gcd(scale, *(c for row in dg for x in row for c in (x.a, x.b)))
-            if g > 1:
-                scale //= g
-                dg = [[QElt(x.field, x.a // g, x.b // g) for x in row] for row in dg]
-        dg = tuple(map(tuple, dg))
-        # Sylvester: positive definite iff every leading principal minor is a
-        # positive rational.  `bareiss` swaps only past a zero minor and
-        # leaves the leading minors on the diagonal of a run without swaps;
-        # the last one is the determinant.  It runs on D*G, on ints.  Each
-        # entry of its k-th step is a k x k minor, D^k times that of G: the
-        # same entries are zero (the same swaps), the same signs and
-        # rationality (the same verdict), and det G is the last minor over D^r
-        m, swaps = linalg.bareiss(dg)
-        if swaps or not all(m[k][k].is_rational() and m[k][k].a > 0 for k in range(r)):
-            raise ValueError("Gram matrix must be positive definite")
-        _set(self, "field", field)
-        _set(self, "_dg", dg)
-        _set(self, "_D", scale)
-        _set(self, "_det", F(m[-1][-1].a, scale**r))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianLattice is immutable")
-
     @property
-    def gram(self) -> tuple[tuple[QElt, ...], ...]:
-        """The Gram matrix D*G / D, coordinates ints where integral."""
-        if self._gram is None:
-            d = self._D
-            _set(self, "_gram", self._dg if d == 1 else tuple(
-                tuple(QElt(x.field, _div(x.a, d), _div(x.b, d)) for x in row) for row in self._dg
-            ))
-        return self._gram
+    def field(self) -> ImagQuadField:
+        return self._field
 
-    @property
-    def rank(self) -> int:
-        return len(self._dg)
-
-    def det(self) -> Fraction:
-        return self._det
+    twist = _GramPair._rescale
 
     def degree(self) -> LogRational:
         """-log(det Gram): the single complex place carries weight 2."""
-        return -log_of_rational(self._det)
-
-    def slope(self) -> LogRational:
-        return self.degree() / self.rank
+        if self._degree is None:
+            _set(self, "_degree", -log_of_rational(self._det))
+        return self._degree
 
     def inner(self, v: Sequence[QElt], w: Sequence[QElt]) -> QElt:
-        x = sesquilinear(self._dg, v, w)
-        return x if self._D == 1 else x / self._D
+        x = sesquilinear(self._s, v, w)
+        return x if self._den == 1 else x / self._den
 
     def norm_sq(self, v: Sequence[QElt]) -> Fraction:
         return self.inner(v, v).as_fraction()
-
-    def dual(self) -> "HermitianLattice":
-        """Gram matrix (G^-1)^T = D * ((D*G)^-1)^T, over the common
-        denominator of the inverse's coordinates."""
-        inv = linalg.inverse(self._dg)
-        den = math.lcm(*(c.denominator for row in inv for x in row for c in (x.a, x.b)))
-        d = self._D * den
-        return HermitianLattice._from_scaled(
-            self.field, [[_scaled(x, d) for x in col] for col in zip(*inv)], den
-        )
-
-    def twist(self, c: Rat) -> "HermitianLattice":
-        """Multiply the Gram matrix by c > 0; shifts degree by -rank*log(c)."""
-        c = F(c)
-        if c <= 0:
-            raise ValueError("twist multiplier must be positive")
-        n = c.numerator
-        return HermitianLattice._from_scaled(
-            self.field, [[x * n for x in row] for row in self._dg], c.denominator * self._D
-        )
-
-    def tensor(self, other: "HermitianLattice") -> "HermitianLattice":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        return HermitianLattice._from_scaled(
-            self.field, linalg.kron(self._dg, other._dg), self._D * other._D
-        )
-
-    def orthogonal_sum(self, other: "HermitianLattice") -> "HermitianLattice":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        scale = math.lcm(self._D, other._D)
-        ma, mb = scale // self._D, scale // other._D
-        za, zb = (self.field.zero,) * other.rank, (self.field.zero,) * self.rank
-        return HermitianLattice._from_scaled(
-            self.field,
-            [tuple(x * ma for x in row) + za for row in self._dg]
-            + [zb + tuple(x * mb for x in row) for row in other._dg],
-            scale,
-        )
-
-    def exterior_power(self, p: int) -> "HermitianLattice":
-        """Gram matrix of the p-th alternating power: entries det(G[S][T]),
-        the minors of D*G over D^p."""
-        from itertools import combinations
-
-        if not 1 <= p <= self.rank:
-            raise ValueError(f"exterior power degree {p} out of range")
-        dg = self._dg
-        subsets = list(combinations(range(self.rank), p))
-        rows = [[linalg.det_int([[dg[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
-        return HermitianLattice._from_scaled(self.field, rows, self._D**p)
-
-    def is_integral(self) -> bool:
-        return self._D == 1
-
-    def is_unimodular(self) -> bool:
-        return self._D == 1 and self._det == 1
 
     def unimodular_semistable_slope(self):
         """Integral unimodular lattices are semistable of slope 0."""
@@ -548,21 +436,15 @@ class HermitianLattice:
             return one if pw == 0 else w
 
         gram = [
-            [(coeff(pa).conj() * self._dg[i][j] * coeff(pb)).trace() for (j, pb) in gens]
+            [(coeff(pa).conj() * self._s[i][j] * coeff(pb)).trace() for (j, pb) in gens]
             for (i, pa) in gens
         ]
-        return EuclideanLattice._from_scaled(gram, 2 * self._D)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HermitianLattice)
-            and self.field == other.field
-            and self._D == other._D
-            and self._dg == other._dg
-        )
+        return EuclideanLattice._from_scaled(gram, 2 * self._den)
 
     def __hash__(self):
-        return hash((self.field, self._D, self._dg))
+        if self._hash is None:
+            _set(self, "_hash", hash((self._field, self._den, self._s)))
+        return self._hash
 
     def __repr__(self):
         return f"HermitianLattice(d={self.field.d}, rank={self.rank}, det={self._det})"
@@ -780,7 +662,7 @@ def q7_checks() -> Report:
         ),
         "swapping the first two generators conjugates the Gram matrix",
     )
-    inv = linalg.inverse(lat.gram)
+    inv = linalg.transpose(lat.dual().gram)  # G^-1: the dual's Gram is its transpose
     w_id = [inv[i][tau[j]] for i in range(3) for j in range(3)]
     square = lat.tensor(lat)
     w_norm = square.norm_sq(w_id)

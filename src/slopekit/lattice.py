@@ -1,11 +1,16 @@
-"""Euclidean lattices as exact rational Gram matrices.
+"""Euclidean lattices as exact rational Gram matrices, and the integral pair
+that euclidean and hermitian lattices share.
 
-A lattice is its integer pair (L*G, L): G its rational Gram matrix and L the
-least common denominator of G's entries, so that two lattices are equal iff
-their pairs are.  Tensor products, scalings, exterior powers and duals are
-computed on the pair; the Fraction matrix G is a view, built on first use.
-Degrees and slopes land in LogRational.  The degree is minus the log of the
-covolume, i.e. -1/2*log(det Gram).
+A lattice is its integral pair (D*G, D): G its Gram matrix and D the least
+common denominator of G's entries (of their coordinates over Q, for a
+hermitian lattice), so that two lattices are equal iff their pairs are.
+`_GramPair` holds the pair and each operation on it, once for both kinds:
+the checks, tensor products, rescalings, exterior powers, orthogonal sums
+and duals all work on D*G, and G is a view, built on first use.
+`EuclideanLattice` is the pair over Z (D*G of ints, D written L) and
+`hermitian.HermitianLattice` the pair over the ring of integers of
+Q(sqrt(-d)).  Degrees and slopes land in LogRational.  The degree of a
+euclidean lattice is minus the log of the covolume, i.e. -1/2*log(det Gram).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 from . import linalg
@@ -24,77 +29,196 @@ Rat = int | Fraction
 _set = object.__setattr__
 
 
-class EuclideanLattice:
+class _GramPair:
+    """A lattice as its integral pair (S, D) = (D*G, D), D >= 1 least, with
+    the field of its entries (None for Z).
+
+    A kind states what the pair needs to know of its entries in a few hooks,
+    each called per matrix or per row, never per entry of an int matrix:
+    `_content(S)` the ints whose gcd with D is divided out; `_adjoint(S)` the
+    conjugate transpose; `_real(x)` the rational value of an entry fixed by
+    conjugation; `_entry(x, D)` an entry x/D of the view G; `_clear(p)` a
+    pair (c, n) with n a positive int and c/n = 1/p; and the wording of its
+    errors, `_SYMMETRIC` and `_RESCALE`.  A kind that sets `_DIAGONAL` has
+    each diagonal entry checked to be a positive rational before the rest
+    of its row; without it (euclidean lattices) the whole symmetry check
+    comes first, and a diagonal entry <= 0 fails Sylvester's test."""
+
+    __slots__ = ("_field", "_s", "_den", "_det", "_gram", "_dual", "_hash", "_degree")
+
+    _DIAGONAL = None
+
+    @classmethod
+    def _new(cls, field, s, den: int):
+        """The lattice of Gram matrix s / den, for a square s of the ring's
+        integers and an integer den >= 1."""
+        out = object.__new__(cls)
+        out._init_pair(field, s, den)
+        return out
+
+    def _init_pair(self, field, s, den: int) -> None:
+        """Check s / den and store it as its pair, den made least by dividing
+        both by gcd(den, content(s)).  Scaling by den > 0 keeps each verdict
+        and the row swaps of `bareiss`, whose k-th step holds k x k minors,
+        den^k times those of G; det G is the last minor over den^r."""
+        r = len(s)
+        if not r or any(len(row) != r for row in s):
+            raise ValueError("Gram matrix must be square and nonempty")
+        if den > 1:
+            g = math.gcd(den, *self._content(s))
+            if g > 1:
+                den //= g
+                s = [[x // g for x in row] for row in s]
+        s = tuple(map(tuple, s))
+        adj, real, diagonal = self._adjoint(s), self._real, self._DIAGONAL
+        for i, row in enumerate(s):
+            if diagonal and (row[i] != adj[i][i] or real(row[i]) <= 0):
+                raise ValueError(diagonal)
+            if row != adj[i]:
+                raise ValueError(self._SYMMETRIC)
+        # Sylvester: positive definite iff every leading principal minor is
+        # positive.  Each is real, as the determinant of a matrix equal to its
+        # adjoint.  `bareiss` swaps only past a zero minor and leaves the
+        # leading minors on the diagonal of a run without swaps.
+        m, swaps = linalg.bareiss(s)
+        if swaps or any(real(m[k][k]) <= 0 for k in range(r)):
+            raise ValueError("Gram matrix must be positive definite")
+        _set(self, "_field", field)
+        _set(self, "_s", s)
+        _set(self, "_den", den)
+        _set(self, "_det", Fraction(real(m[-1][-1]), den**r))
+        for name in ("_gram", "_dual", "_hash", "_degree"):
+            _set(self, name, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def gram(self):
+        """The Gram matrix D*G / D."""
+        if self._gram is None:
+            den, entry = self._den, self._entry
+            _set(self, "_gram", tuple(tuple(entry(x, den) for x in row) for row in self._s))
+        return self._gram
+
+    @property
+    def rank(self) -> int:
+        return len(self._s)
+
+    def det(self) -> Fraction:
+        return self._det
+
+    def scaled_gram(self) -> tuple:
+        """(D * gram, D) with D the least common denominator of the Gram
+        entries (of their coordinates, over an imaginary quadratic field)."""
+        return self._s, self._den
+
+    def slope(self) -> LogRational:
+        return self.degree() / self.rank
+
+    def dual(self):
+        """The dual lattice, built once; its own dual is self.  Its Gram
+        matrix is the transpose of G^-1 = D * S^-1.  The fraction-free RREF of
+        [S | I] (`linalg.rref`) has rows (p_i e_i | p_i * row i of S^-1), so
+        with (c_i, n_i) = clear(p_i) and P = lcm(n_i) the rows
+        D * (P / n_i) * c_i * (right half of row i) make P * G^-1 on the
+        ring's integers: transposed, over P, the pair of the dual."""
+        if self._dual is None:
+            s, n = self._s, len(self._s)
+            rows, _ = linalg.rref(tuple(row + e for row, e in zip(s, linalg.identity(n))))
+            clears = [self._clear(row[i]) for i, row in enumerate(rows)]
+            den = math.lcm(*(m for _, m in clears))
+            factors = [self._den * (den // m) * c for c, m in clears]
+            inv = [[x * f for x in row[n:]] for row, f in zip(rows, factors)]
+            dual = self._new(self._field, tuple(zip(*inv)), den)
+            _set(self, "_dual", dual)
+            _set(dual, "_dual", self)
+        return self._dual
+
+    def tensor(self, other):
+        if self._field != other._field:
+            raise ValueError("field mismatch")
+        return self._new(self._field, linalg.kron(self._s, other._s), self._den * other._den)
+
+    def orthogonal_sum(self, other):
+        if self._field != other._field:
+            raise ValueError("field mismatch")
+        scale = math.lcm(self._den, other._den)
+        ma, mb = scale // self._den, scale // other._den
+        zero = self._s[0][0] * 0  # of the entries' ring
+        za, zb = (zero,) * other.rank, (zero,) * self.rank
+        return self._new(
+            self._field,
+            [tuple(x * ma for x in row) + za for row in self._s]
+            + [zb + tuple(x * mb for x in row) for row in other._s],
+            scale,
+        )
+
+    def _rescale(self, c: Rat):
+        """Multiply the Gram matrix by c > 0: the degree shifts by
+        -rank/2*log(c) for a euclidean lattice (the twist by
+        lambda = -1/2*log c) and by -rank*log(c) for a hermitian one."""
+        c = Fraction(c)
+        if c <= 0:
+            raise ValueError(self._RESCALE)
+        n = c.numerator
+        return self._new(self._field, [[x * n for x in row] for row in self._s], c.denominator * self._den)
+
+    def exterior_power(self, p: int):
+        """Gram matrix of the p-th alternating power: entries det(G[S][T]),
+        the minors of D*G over D^p."""
+        if not 1 <= p <= self.rank:
+            raise ValueError(f"exterior power degree {p} out of range 1..{self.rank}")
+        s = self._s
+        subsets = list(combinations(range(self.rank), p))
+        minors = [[linalg.det_int([[s[i][j] for j in t] for i in u]) for t in subsets] for u in subsets]
+        return self._new(self._field, minors, self._den**p)
+
+    def is_integral(self) -> bool:
+        return self._den == 1
+
+    def is_unimodular(self) -> bool:
+        return self._den == 1 and self._det == 1
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, _GramPair)
+            and self._field == other._field
+            and self._den == other._den
+            and self._s == other._s
+        )
+
+
+class EuclideanLattice(_GramPair):
     """Free Z-module of finite rank with a positive definite rational Gram matrix."""
 
-    __slots__ = ("_gi", "_L", "_det", "_gram", "_hash", "_dual", "_degree")
+    __slots__ = ()
+
+    _content = chain.from_iterable
+    _adjoint = staticmethod(linalg.transpose)
+    _real = int
+    _entry = Fraction
+    _clear = staticmethod(lambda p: (1, p))
+    _SYMMETRIC = "Gram matrix must be symmetric"
+    _RESCALE = "scale factor must be positive"
 
     def __init__(self, gram: Sequence[Sequence[Rat]]):
         g = linalg.mat(gram)
-        if not g or any(len(row) != len(g) for row in g):
-            raise ValueError("Gram matrix must be square and nonempty")
-        self._init_pair(*linalg.clear_denominators(g))
+        self._init_pair(None, *linalg.clear_denominators(g))
         _set(self, "_gram", g)
 
     @staticmethod
     def _from_scaled(gi: Sequence[Sequence[int]], scale: int) -> "EuclideanLattice":
         """The lattice of Gram matrix gi / scale, for a square integer gi and
         an integer scale >= 1."""
-        out = object.__new__(EuclideanLattice)
-        out._init_pair(gi, scale)
-        return out
+        return EuclideanLattice._new(None, gi, scale)
 
-    def _init_pair(self, gi: Sequence[Sequence[int]], scale: int) -> None:
-        """Check gi / scale and store it as its pair, scale made least by
-        dividing both by gcd(scale, content(gi))."""
-        if not linalg.is_symmetric(gi):
-            raise ValueError("Gram matrix must be symmetric")
-        if scale > 1:
-            g = math.gcd(scale, *(x for row in gi for x in row))
-            if g > 1:
-                scale //= g
-                gi = [[x // g for x in row] for row in gi]
-        gi = tuple(map(tuple, gi))
-        m, swaps = linalg.bareiss(gi)
-        # Sylvester: every leading minor > 0.  A run without swaps has them on
-        # its diagonal; a swap follows a zero one.
-        if swaps or any(m[k][k] <= 0 for k in range(len(m))):
-            raise ValueError("Gram matrix must be positive definite")
-        _set(self, "_gi", gi)
-        _set(self, "_L", scale)
-        _set(self, "_det", Fraction(m[-1][-1], scale ** len(gi)))
-        for name in ("_gram", "_hash", "_dual", "_degree"):
-            _set(self, name, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EuclideanLattice is immutable")
-
-    @property
-    def gram(self) -> linalg.Matrix:
-        """The Gram matrix, as Fractions."""
-        if self._gram is None:
-            scale = self._L
-            _set(self, "_gram", tuple(tuple(Fraction(x, scale) for x in row) for row in self._gi))
-        return self._gram
-
-    @property
-    def rank(self) -> int:
-        return len(self._gi)
-
-    def det(self) -> Fraction:
-        return self._det
-
-    def scaled_gram(self) -> tuple[linalg.IntMatrix, int]:
-        """(L * gram, L) with L the least common denominator of the Gram entries."""
-        return self._gi, self._L
+    scale = _GramPair._rescale
 
     def degree(self) -> LogRational:
         if self._degree is None:
             _set(self, "_degree", -half_log(self._det))
         return self._degree
-
-    def slope(self) -> LogRational:
-        return self.degree() / self.rank
 
     def inner(self, v: Sequence[Rat], w: Sequence[Rat]) -> Fraction:
         gram = self.gram
@@ -107,66 +231,10 @@ class EuclideanLattice:
     def norm_sq(self, v: Sequence[Rat]) -> Fraction:
         return self.inner(v, v)
 
-    def dual(self) -> "EuclideanLattice":
-        """The dual lattice, Gram matrix G^-1 = L * M^-1 for M = L*G; built
-        once, and its own dual is self.  The integer RREF of [M | I] (see
-        `linalg.rref`) has rows (p_i e_i | p_i * row i of M^-1), p_i > 0 its
-        pivots, so over P = lcm(p_i) the pair of G^-1 is
-        (L * (P / p_i) * right half of row i, P), all on ints."""
-        if self._dual is None:
-            n = self.rank
-            rows, _ = linalg.rref(tuple(row + e for row, e in zip(self._gi, linalg.identity(n))))
-            den = math.lcm(*(row[i] for i, row in enumerate(rows)))
-            inv = [[self._L * (den // row[i]) * x for x in row[n:]] for i, row in enumerate(rows)]
-            dual = EuclideanLattice._from_scaled(inv, den)
-            _set(self, "_dual", dual)
-            _set(dual, "_dual", self)
-        return self._dual
-
-    def tensor(self, other: "EuclideanLattice") -> "EuclideanLattice":
-        return EuclideanLattice._from_scaled(linalg.kron(self._gi, other._gi), self._L * other._L)
-
-    def orthogonal_sum(self, other: "EuclideanLattice") -> "EuclideanLattice":
-        scale = math.lcm(self._L, other._L)
-        ma, mb = scale // self._L, scale // other._L
-        za, zb = (0,) * other.rank, (0,) * self.rank
-        return EuclideanLattice._from_scaled(
-            [tuple(ma * x for x in row) + za for row in self._gi]
-            + [zb + tuple(mb * x for x in row) for row in other._gi],
-            scale,
-        )
-
-    def scale(self, c: Rat) -> "EuclideanLattice":
-        """Multiply the Gram matrix by c > 0 (the twist by lambda = -1/2*log c)."""
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        a = c.numerator
-        return EuclideanLattice._from_scaled([[a * x for x in row] for row in self._gi], c.denominator * self._L)
-
-    def exterior_power(self, p: int) -> "EuclideanLattice":
-        """Gram matrix of the p-th alternating power: entries det(G[S][T]),
-        the minors of L*G over L^p."""
-        if not 1 <= p <= self.rank:
-            raise ValueError(f"exterior power degree {p} out of range 1..{self.rank}")
-        gi = self._gi
-        subsets = list(combinations(range(self.rank), p))
-        minors = [[linalg.det_int([[gi[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
-        return EuclideanLattice._from_scaled(minors, self._L**p)
-
-    def is_integral(self) -> bool:
-        return self._L == 1
-
-    def is_unimodular(self) -> bool:
-        return self._L == 1 and self._det == 1
-
     def full_sublattice(self) -> "Sublattice":
         return Sublattice(self, linalg.identity(self.rank))
 
     # -- identifications
-
-    def __eq__(self, other):
-        return isinstance(other, EuclideanLattice) and self._L == other._L and self._gi == other._gi
 
     def __hash__(self):
         # The memos of enumeration look lattices up many times, and most other
@@ -174,7 +242,7 @@ class EuclideanLattice:
         # A tuple's hash depends only on its items' hashes, and
         # hash(Fraction(n)) == hash(n), so an integral Gram hashes as L*G.
         if self._hash is None:
-            _set(self, "_hash", hash(self._gi if self._L == 1 else self.gram))
+            _set(self, "_hash", hash(self._s if self._den == 1 else self.gram))
         return self._hash
 
     def __repr__(self):
@@ -329,7 +397,7 @@ class LatticeMorphism:
 
     def hilbert_schmidt_sq(self) -> Fraction:
         prod = linalg.matmul(
-            linalg.matmul(linalg.inverse(self.source.gram), linalg.transpose(self.matrix)),
+            linalg.matmul(self.source.dual().gram, linalg.transpose(self.matrix)),
             linalg.matmul(self.target.gram, self.matrix),
         )
         return sum(prod[i][i] for i in range(len(prod)))

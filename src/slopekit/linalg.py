@@ -3,37 +3,37 @@
 Matrices are tuples of tuples of Fractions or ints; everything here is pure
 and allocation-happy, sized for ranks <= ~10.
 
-This is the only module that eliminates.  The field routines (`rref`,
-`inverse`, `solve`) take entries of any exact field whose zero is falsy
-(`Fraction`, `hermitian.QElt`).  `rref` is their one Gauss-Jordan loop,
-fraction-free for every field.  On rational input (ints and Fractions) it
-never divides: it returns the integer RREF, each RREF row scaled to
-primitive integers with a positive pivot, which is unique for each row
-space and so serves as its key.  On any other field it divides by each
-pivot once, at the end.  `unit_rref` divides the integer RREF by its
-pivots, for `inverse`, `solve` and `kernel`, whose results are Fractions
-as before; `in_row_space` reduces fraction-free and never divides.  Every
+This is the only module that eliminates.  `rref` is the one Gauss-Jordan
+loop, fraction-free on every field: it takes entries of any exact field
+whose zero is falsy (`Fraction`, `hermitian.QElt`) and never divides, so
+each row it returns is an RREF row times its pivot.  On rational input (ints
+and Fractions) that row is scaled to primitive integers with a positive
+pivot, which is unique for each row space and so serves as its key.
+`unit_rref` divides the rows by their pivots, for `kernel`, whose results
+are Fractions; `in_row_space` reduces fraction-free and never divides;
+`lattice` reads a dual's Gram matrix off the rows of [S | I].  Every
 rational elimination (`rank`, `kernel`, `intersect_and_sum`,
-`intersect_row_spaces`, `sum_row_spaces`, `in_row_space`, `solve`,
-`inverse`, `is_positive_semidefinite`) calls it by its module name, the
-name the benchmark's work budget meters.
+`intersect_row_spaces`, `sum_row_spaces`, `in_row_space`,
+`is_positive_semidefinite`) calls it by its module name, the name the
+benchmark's work budget meters.
 `intersect_and_sum` gives a meet and a sum of two row spaces from one rref.
 `bareiss` is the one square elimination, the one that keeps its
 multipliers; it runs on ints and on `QElt`, whose `//` is exact division.
 `det_int` (ints and `QElt`) and `det_bareiss` (rational, on integers after
 clearing denominators) read the determinant from it, and `lattice`,
-`enumeration`, `hermitian` and `is_positive_semidefinite` read leading
-minors and integral Gram-Schmidt data from it for positivity, LLL and
-Fincke-Pohst.  The other integer routines (`hnf`, `saturate`,
-`int_kernel_saturated`) take ints: `hnf` is the one row echelon over the
-integers (bases, containment, independence, integer kernels); `saturate`
-is the one column echelon, which gives a saturation and the index in it.
+`enumeration` and `is_positive_semidefinite` read leading minors and
+integral Gram-Schmidt data from it for positivity, LLL and Fincke-Pohst.
+The other integer routines (`hnf`, `saturate`, `int_kernel_saturated`) take
+ints: `hnf` is the one row echelon over the integers (bases, containment,
+independence, integer kernels); `saturate` is the one column echelon, which
+gives a saturation and the index in it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -174,23 +174,23 @@ def _integer_rows(a: Matrix) -> list[list[int]]:
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns; zero rows dropped.
+    """Reduced row echelon form, each row times a nonzero factor, and the
+    pivot columns; zero rows dropped.
 
     Entries may come from any exact field whose zero is falsy.  One
-    fraction-free Gauss-Jordan loop: row_i <- p*row_i - f*row_r clears
-    column c of row i against the pivot p = row_r[c].
+    fraction-free Gauss-Jordan loop, which never divides:
+    row_i <- p*row_i - f*row_r clears column c of row i against the pivot
+    p = row_r[c].  Each output row is so its RREF row times its pivot, and
+    `unit_rref` divides the pivots out.
 
-    On rational input (ints and Fractions) it never divides: rows of ints
-    enter as they are, a row holding a Fraction is first scaled by the lcm
-    of its denominators, each row is made primitive (divided by the gcd of
-    its entries) on entry and after each update, and the output is the
-    integer RREF, int tuples with positive pivots.  Row scalings keep the
-    row space, the loop clears every pivot column outside its pivot row,
-    and the RREF of a row space is unique, so each output row is the
-    primitive integer multiple with positive pivot of an RREF row: unique
-    for each row space.  On any other field each pivot row is divided by
-    its pivot at the end, and the output is the RREF.  `unit_rref` turns
-    the integer RREF into the RREF."""
+    On rational input (ints and Fractions) rows of ints enter as they are, a
+    row holding a Fraction is first scaled by the lcm of its denominators,
+    each row is made primitive (divided by the gcd of its entries) on entry
+    and after each update, and the output is the integer RREF, int tuples
+    with positive pivots.  Row scalings keep the row space, the loop clears
+    every pivot column outside its pivot row, and the RREF of a row space is
+    unique, so each output row is the primitive integer multiple with
+    positive pivot of an RREF row: unique for each row space."""
     kinds = set(map(type, itertools.chain.from_iterable(a)))
     rational = kinds <= _RATIONAL
     if not rational:
@@ -223,50 +223,19 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
             break
     out = []
     for row, c in zip(m, pivots):
-        p = row[c]
-        if not rational:
-            out.append(tuple([x / p for x in row]))
-        elif p > 0:
-            out.append(tuple(row))
-        else:
-            out.append(tuple([-x for x in row]))
+        out.append(tuple(row) if not rational or row[c] > 0 else tuple([-x for x in row]))
     return tuple(out), pivots
 
 
 def unit_rref(rows: Matrix) -> Matrix:
-    """The RREF from rows that `rref` returns: integer rows divided by their
-    pivots (first nonzero entries), as Fractions.  Rows over any other field
-    already have unit pivots and come back as they are."""
+    """The RREF from rows that `rref` returns: each row divided by its pivot
+    (its first nonzero entry); integer rows give Fractions."""
     out = []
     for row in rows:
         p = next(x for x in row if x)
-        out.append(tuple([Fraction(x, p) for x in row]) if isinstance(p, int) else row)
+        div = Fraction if type(p) is int else operator.truediv
+        out.append(tuple([div(x, p) for x in row]))
     return tuple(out)
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Inverse over an exact field: rref of [a | I]; ValueError if singular."""
-    n = len(a)
-    zero = a[0][0] * 0
-    one = zero + 1
-    aug = tuple(tuple(row) + tuple(one if i == j else zero for j in range(n)) for i, row in enumerate(a))
-    r, pivots = rref(aug)
-    if pivots[-1] >= n:
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in unit_rref(r))
-
-
-def solve(rows: Matrix, v: Sequence) -> Vector | None:
-    """Coefficients c with c @ rows = v (free coefficients 0), or None if v is
-    outside the row span: rref of [rows^T | v]."""
-    n = len(rows)
-    r, pivots = rref(tuple(col + (x,) for col, x in zip(transpose(rows), v)))
-    if pivots and pivots[-1] == n:
-        return None
-    sol = [v[0] * 0] * n
-    for row, c in zip(unit_rref(r), pivots):
-        sol[c] = row[n]
-    return tuple(sol)
 
 
 def rank(a: Matrix) -> int:

@@ -27,7 +27,8 @@ from slopekit.hermitian import (
     rank_one_degree,
     unit_hermitian,
 )
-from slopekit.lattice import Sublattice, a2_lattice
+from slopekit.lattice import EuclideanLattice, Sublattice, a2_lattice
+from test_linalg import _reference_field_inverse
 
 F = Fraction
 
@@ -78,6 +79,78 @@ def test_construction_validation():
         HermitianLattice(k, [[k.one, k.omega], [k.omega, k.one]])  # not conj-symmetric
     with pytest.raises(ValueError):
         HermitianLattice(k, [[k.elt(1), k.elt(2)], [k.elt(2), k.elt(1)]])  # indefinite
+
+
+def test_construction_rejects_entries_of_another_field():
+    """A Gram entry of another field is refused at construction, not read as
+    an element of the given one: the rank-1 and rank-2 Grams over
+    Q(sqrt(-3)) were accepted as d = 7 lattices (det 2 and 5), and the
+    second one's `restrict_scalars` then failed."""
+    k7, k3 = ImagQuadField(7), ImagQuadField(3)
+    over_k3 = [[k3.elt(2), k3.omega], [k3.omega.conj(), k3.elt(3)]]
+    for gram in ([[k3.elt(2)]], over_k3, [[k7.elt(2), k3.zero], [k3.zero, k7.elt(2)]]):
+        with pytest.raises(ValueError, match="^field mismatch$"):
+            HermitianLattice(k7, gram)
+    assert HermitianLattice(k3, over_k3).det() == 5
+    assert HermitianLattice(k7, [[ImagQuadField(7).elt(2)]]) == HermitianLattice(k7, [[2]])
+
+
+def test_rejection_messages_match_parent_wording():
+    """Every ValueError of the two constructors, `scale`/`twist`,
+    `exterior_power`, `tensor`/`orthogonal_sum` and both `from_json_dict`s
+    keeps its wording, and, where a Gram has several faults, which of them
+    it names: a euclidean Gram is checked for symmetry before positivity, a
+    hermitian one row by row, each diagonal entry before the rest of its
+    row.  Only the hermitian `exterior_power` gained the range "1..r" that
+    the euclidean one printed."""
+    k7, k3 = ImagQuadField(7), ImagQuadField(3)
+    w = k7.omega
+    e1, h1 = EuclideanLattice([[1]]), HermitianLattice(k7, [[1]])
+    square = "Gram matrix must be square and nonempty"
+    definite = "Gram matrix must be positive definite"
+    conj_sym = "Gram matrix must be conjugate-symmetric"
+    diagonal = "diagonal Gram entries must be positive rationals"
+    cases = [
+        (lambda: EuclideanLattice([]), square),
+        (lambda: EuclideanLattice([[1, 2]]), square),
+        (lambda: EuclideanLattice([[1, 2], [3, 4]]), "Gram matrix must be symmetric"),
+        (lambda: EuclideanLattice([[0, 2], [3, 4]]), "Gram matrix must be symmetric"),
+        (lambda: EuclideanLattice._from_scaled([[1, 2], [3, 4]], 2), "Gram matrix must be symmetric"),
+        (lambda: EuclideanLattice([[1, 2], [2, 1]]), definite),
+        (lambda: EuclideanLattice([[-1]]), definite),
+        (lambda: e1.scale(0), "scale factor must be positive"),
+        (lambda: e1.scale(F(-2, 3)), "scale factor must be positive"),
+        (lambda: e1.exterior_power(2), "exterior power degree 2 out of range 1..1"),
+        (lambda: e1.exterior_power(0), "exterior power degree 0 out of range 1..1"),
+        (lambda: EuclideanLattice.from_json_dict([]), "lattice JSON must be an object"),
+        (lambda: EuclideanLattice.from_json_dict({}), 'lattice JSON needs a "gram" field holding a list of rows'),
+        (lambda: EuclideanLattice.from_json_dict({"gram": [[1]], "rank": 2}), "rank field disagrees with Gram size"),
+        (lambda: EuclideanLattice.from_json_dict({"gram": [[1]], "scale": "-1"}), "scale factor must be positive"),
+        (lambda: HermitianLattice(k7, []), square),
+        (lambda: HermitianLattice(k7, [[1, 2]]), square),
+        (lambda: HermitianLattice(k7, [[2, w], [w, 2]]), conj_sym),
+        (lambda: HermitianLattice(k7, [[w, 0], [0, 1]]), diagonal),
+        (lambda: HermitianLattice(k7, [[-1, 0], [0, 1]]), diagonal),
+        (lambda: HermitianLattice(k7, [[1, 0], [0, F(-1, 2)]]), diagonal),
+        (lambda: HermitianLattice(k7, [[1, w], [1, -1]]), conj_sym),
+        (lambda: HermitianLattice(k7, [[-1, w], [1, 1]]), diagonal),
+        (lambda: HermitianLattice(k7, [[1, 2], [2, 1]]), definite),
+        (lambda: HermitianLattice(k7, [[k3.one]]), "field mismatch"),
+        (lambda: h1.twist(0), "twist multiplier must be positive"),
+        (lambda: h1.exterior_power(2), "exterior power degree 2 out of range 1..1"),
+        (lambda: h1.tensor(HermitianLattice(k3, [[1]])), "field mismatch"),
+        (lambda: h1.orthogonal_sum(HermitianLattice(k3, [[1]])), "field mismatch"),
+        (lambda: HermitianLattice.from_json_dict([]), 'hermitian lattice JSON must be an object with an integer "d"'),
+        (lambda: HermitianLattice.from_json_dict({"d": 7}), '"gram" must be a list of rows of {"a": ..., "b": ...} entries'),
+        (lambda: HermitianLattice.from_json_dict({"d": 7, "rank": 2, "gram": [[{"a": 1}]]}), "rank field disagrees with Gram size"),
+        (lambda: HermitianLattice.from_json_dict({"d": 4, "gram": [[{"a": 1}]]}), "d must be a squarefree positive integer, got 4"),
+        (lambda: HermitianLattice.from_json_dict(BAD_HERMITIAN_JSON["not-hermitian"]), conj_sym),
+        (lambda: HermitianLattice.from_json_dict(BAD_HERMITIAN_JSON["not-definite"]), definite),
+    ]
+    for build, want in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == want
 
 
 def test_degree_examples():
@@ -476,6 +549,51 @@ def _definite(rng, field, rank):
             continue
 
 
+def _reference_dual_pair(lat):
+    """The dual's pair as `HermitianLattice.dual` built it through the
+    deleted `linalg.inverse` (here the test-local field inverse) and the lcm
+    of the coordinates' denominators: the transpose of D * (D*G)^-1 over
+    that lcm, both divided by their gcd."""
+    dg, d = lat.scaled_gram()
+    inv = _reference_field_inverse(dg)
+    den = math.lcm(*(c.denominator for row in inv for x in row for c in (x.a, x.b)))
+    m = [[x * (d * den) for x in col] for col in zip(*inv)]
+    assert all(c.denominator == 1 for row in m for x in row for c in (x.a, x.b))
+    g = math.gcd(den, *(int(c) for row in m for x in row for c in (x.a, x.b)))
+    return tuple(tuple(QElt(lat.field, int(x.a) // g, int(x.b) // g) for x in row) for row in m), den // g
+
+
+def test_dual_matches_field_inverse_route():
+    """The dual read off the fraction-free RREF of [D*G | I] equals the dual
+    built through the field inverse, on 240 seeded lattices of rank 1-4
+    over six fields, three rank-9 tensors, q7 and its twist: the same pair
+    (int coordinates, D least), det and Gram, the transpose of G^-1; it is
+    built once, and its own dual is the lattice it came from."""
+    rng = random.Random(2501)
+    lats = [
+        _definite(rng, ImagQuadField((1, 2, 3, 5, 7, 13)[n % 6]), 1 + (n // 6) % 4)
+        for n in range(240)
+    ]
+    for d in (1, 3, 13):
+        field = ImagQuadField(d)
+        lats.append(_definite(rng, field, 3).tensor(_definite(rng, field, 3)))
+    lats += [q7_gram(), q7_gram().twist(F(9, 5))]
+    integral = 0
+    for lat in lats:
+        dual = lat.dual()
+        assert dual.scaled_gram() == _reference_dual_pair(lat)
+        s, den = dual.scaled_gram()
+        assert all(type(c) is int for row in s for x in row for c in (x.a, x.b))
+        assert dual.det() == 1 / lat.det()
+        g, r = lat.gram, lat.rank
+        assert dual.gram == tuple(zip(*_reference_field_inverse(g)))
+        one = [[sum((g[i][k] * dual.gram[j][k] for k in range(r)), lat.field.zero) for j in range(r)] for i in range(r)]
+        assert one == [[lat.field.elt(int(i == j)) for j in range(r)] for i in range(r)]
+        assert lat.dual() is dual and dual.dual() is lat
+        integral += dual.is_integral()
+    assert {lat.rank for lat in lats} == {1, 2, 3, 4, 9} and 0 < integral < len(lats)
+
+
 def _fraction_gram(lat):
     return [[QElt(lat.field, F(x.a), F(x.b)) for x in row] for row in lat.gram]
 
@@ -502,7 +620,7 @@ def test_hermitian_pair_operations_match_fraction_grams():
         assert a.orthogonal_sum(b) == HermitianLattice(field, block)
         assert a.exterior_power(a.rank).det() == a.det()
         for lat in (a, t, a.dual(), a.twist(c), a.orthogonal_sum(b)):
-            dg, d = lat._dg, lat._D
+            dg, d = lat.scaled_gram()
             coords = [c for row in dg for x in row for c in (x.a, x.b)]
             assert all(type(x) is int for x in coords) and math.gcd(d, *coords) == 1
             assert lat.is_integral() == (d == 1)

@@ -16,7 +16,7 @@ from slopekit.lattice import (
     tensor_vector_to_hom,
     unit_lattice,
 )
-from test_linalg import _reference_exterior_gram
+from test_linalg import _reference_exterior_gram, _reference_inverse, _reference_solve_coords
 
 F = Fraction
 
@@ -246,7 +246,7 @@ def _reference_contains(s, o):
     HNF rows of s, with integer coefficients."""
     mine = linalg.mat(linalg.hnf(s.basis))
     for row in linalg.mat(o.basis):
-        coeffs = linalg.solve(mine, row)
+        coeffs = _reference_solve_coords(mine, row)
         if coeffs is None or any(c.denominator != 1 for c in coeffs):
             return False
     return True
@@ -343,7 +343,7 @@ def test_integer_pair_matches_fraction_gram():
         b = _rational_lattice(rng, rng.randint(1, 3))
         ga, gb = a.gram, b.gram
         _same_lattice(a.tensor(b), linalg.kron(ga, gb))
-        _same_lattice(a.dual(), linalg.inverse(ga))
+        _same_lattice(a.dual(), _reference_inverse(ga))
         _same_lattice(a.orthogonal_sum(b), _block_diag(ga, gb))
         c = F(rng.randint(1, 12), rng.randint(1, 12))
         _same_lattice(a.scale(c), linalg.scalar_mul(c, ga))
@@ -394,11 +394,12 @@ def _rand_entry(rng):
 
 
 def _reference_dual_pair(lat):
-    """The pair of the dual as it was built through `linalg.inverse` and
-    `clear_denominators`: L * inverse(L*G) over the least common
-    denominator, both divided by their gcd."""
+    """The pair of the dual as it was built through the deleted
+    `linalg.inverse` (a test-local copy) and `clear_denominators`:
+    L * inverse(L*G) over the least common denominator, both divided by
+    their gcd."""
     gi, scale = lat.scaled_gram()
-    inv, den = linalg.clear_denominators(linalg.inverse(gi))
+    inv, den = linalg.clear_denominators(_reference_inverse(linalg.mat(gi)))
     m = [[scale * x for x in row] for row in inv]
     g = math.gcd(den, *(x for row in m for x in row))
     return tuple(tuple(x // g for x in row) for row in m), den // g
@@ -426,8 +427,8 @@ def test_dual_from_integer_rref_matches_inverse():
         assert d.scaled_gram() == (gi, scale)
         assert all(type(x) is int for row in gi for x in row)
         assert d.det() == 1 / lat.det() == F(linalg.det_int(gi), scale**lat.rank)
-        assert d.gram == tuple(tuple(F(x, scale) for x in row) for row in gi) == linalg.inverse(lat.gram)
-        assert d.dual() is lat
+        assert d.gram == tuple(tuple(F(x, scale) for x in row) for row in gi) == _reference_inverse(lat.gram)
+        assert d.dual() is lat and lat.dual() is d
     assert ranks == {1, 2, 3, 4, 5, 6}
 
 

@@ -22,6 +22,7 @@ from slopekit.multifilt import (
     subobject,
     tensor_mf,
 )
+from test_linalg import _reference_solve_coords
 
 F = Fraction
 
@@ -727,9 +728,8 @@ def test_slope_filtration_subquotient_rederivation():
                 # image of rows in the quotient: their completion coordinates
                 # in the basis prev + completion
                 full = prev + completion
-                imgs = [
-                    p for p in (linalg.solve(full, r)[len(prev):] for r in rows) if any(p)
-                ]
+                coords = (tuple(_reference_solve_coords(linalg.mat(full), r)) for r in rows)
+                imgs = [p for p in (c[len(prev):] for c in coords) if any(p)]
                 piece_slope = slope_of_subspace(quot, tuple(imgs))
             if prev_slope is not None:
                 assert piece_slope < prev_slope
@@ -883,10 +883,10 @@ def test_candidate_family_matches_parent_order(monkeypatch, cap, low):
 def _parent_coords_in_rows(rows, v):
     """Reference copy of the earlier coordinates: one linear solve per vector,
     in the RREF basis (stored integer RREF rows divided by their pivots)."""
-    sol = linalg.solve(linalg.unit_rref(rows), v)
+    sol = _reference_solve_coords(linalg.unit_rref(rows), v)
     if sol is None:
         raise ValueError("vector outside the span")
-    return sol
+    return tuple(sol)
 
 
 def _parent_quotient_data(m_dim, sub_rows):

@@ -29,6 +29,7 @@ from slopekit.hermitian import (
     _cconj_real,
     _omega_data,
 )
+from test_linalg import _reference_field_inverse
 
 F = Fraction
 
@@ -137,7 +138,7 @@ def _loop_orthogonal_sum(g, h, zero):
 
 
 def _loop_dual(g):
-    inv = linalg.inverse(g)
+    inv = _reference_field_inverse(g)
     return [[inv[j][i] for j in range(len(g))] for i in range(len(g))]
 
 

@@ -209,8 +209,9 @@ def test_work_budget_units_are_pinned(monkeypatch):
 
 def test_linalg_eliminates_through_rref(monkeypatch):
     """The work budget wraps `linalg.rref` by name, so each rational route of
-    `linalg` must look that name up at call time."""
-    linalg = slopekit.linalg
+    `linalg`, and the dual of each lattice kind, must look that name up at
+    call time."""
+    linalg, herm = slopekit.linalg, slopekit.hermitian
     calls = []
     real = linalg.rref
 
@@ -222,21 +223,38 @@ def test_linalg_eliminates_through_rref(monkeypatch):
     a = linalg.mat([[1, 2, 3], [2, 4, 7]])
     b = linalg.mat([[1, 2, 4]])
     g = linalg.mat([[2, 1], [1, 1]])
+    k = herm.ImagQuadField(7)
     routes = {
-        "rank": lambda: linalg.rank(a),
-        "kernel": lambda: linalg.kernel(a),
-        "intersect_and_sum": lambda: linalg.intersect_and_sum(a, b, 3),
-        "intersect_row_spaces": lambda: linalg.intersect_row_spaces(a, b, 3),
-        "sum_row_spaces": lambda: linalg.sum_row_spaces(a, b),
-        "in_row_space": lambda: linalg.in_row_space(b[0], a),
-        "solve": lambda: linalg.solve(a, b[0]),
-        "inverse": lambda: linalg.inverse(g),
-        "is_positive_semidefinite": lambda: linalg.is_positive_semidefinite(g),
+        "linalg.rank": lambda: linalg.rank(a),
+        "linalg.kernel": lambda: linalg.kernel(a),
+        "linalg.intersect_and_sum": lambda: linalg.intersect_and_sum(a, b, 3),
+        "linalg.intersect_row_spaces": lambda: linalg.intersect_row_spaces(a, b, 3),
+        "linalg.sum_row_spaces": lambda: linalg.sum_row_spaces(a, b),
+        "linalg.in_row_space": lambda: linalg.in_row_space(b[0], a),
+        "linalg.is_positive_semidefinite": lambda: linalg.is_positive_semidefinite(g),
+        "EuclideanLattice.dual": lambda: slopekit.lattice.EuclideanLattice(g).dual(),
+        "HermitianLattice.dual": lambda: herm.HermitianLattice(k, [[2, k.omega], [k.omega.conj(), 3]]).dual(),
     }
     for name, route in routes.items():
         before = len(calls)
         route()
-        assert len(calls) > before, f"linalg.{name} eliminated around rref"
+        assert len(calls) > before, f"{name} eliminated around rref"
+
+
+def test_lattice_kinds_share_one_pair_implementation():
+    """Euclidean and hermitian lattices are one integral pair: each operation
+    on it is one function object, defined once in `lattice._GramPair`."""
+    lat, herm = slopekit.lattice, slopekit.hermitian
+    e, h = lat.EuclideanLattice, herm.HermitianLattice
+    shared = (
+        "_init_pair", "__setattr__", "gram", "rank", "det", "scaled_gram", "slope", "dual",
+        "tensor", "orthogonal_sum", "exterior_power", "is_integral", "is_unimodular", "__eq__",
+    )
+    for name in shared:
+        assert name not in vars(e) and name not in vars(h), name
+        assert getattr(e, name) is getattr(h, name) is vars(lat._GramPair)[name], name
+    assert e._new.__func__ is h._new.__func__
+    assert e.scale is h.twist is lat._GramPair._rescale
 
 
 def test_hermitian_grams_go_through_bareiss(monkeypatch):
