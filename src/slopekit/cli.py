@@ -28,14 +28,31 @@ def _fmt(v: LogRational) -> str:
     return f"{v.render()} (~{v.float_approx():.9f})"
 
 
-def _require_text(args) -> None:
-    """Only tensor-check emits a report; the other actions print text."""
-    if args.format != "text" and args.action != "tensor-check":
-        raise ValueError(f"--format {args.format} is supported only by {args.command} tensor-check")
+def _refuse_unread(args) -> None:
+    """An option or file the action does not read is an error, not ignored:
+    only tensor-check emits a report and reads a second file, and only
+    lattice filtration writes --csv and --svg."""
+    if args.action != "tensor-check":
+        if args.format != "text":
+            raise ValueError(f"--format {args.format} is supported only by {args.command} tensor-check")
+        if args.file2 is not None:
+            raise ValueError(f"a second file is supported only by {args.command} tensor-check")
+    for opt in ("csv", "svg"):
+        if getattr(args, opt, None) is not None and args.action != "filtration":
+            raise ValueError(f"--{opt} is supported only by lattice filtration")
+
+
+def _tensor_check(args, kind: str, a, load, files: str, *cap) -> int:
+    """The slope-inequality report of a and the object in args.file2."""
+    if not args.file2:
+        raise ValueError(f"tensor-check needs two {files}")
+    rep = inequality_suite((kind, a, load(args.file2)), *cap)
+    print(harness.emit_report(rep, args.format))
+    return 0 if rep.passed else 1
 
 
 def _cmd_lattice(args) -> int:
-    _require_text(args)
+    _refuse_unread(args)
     cap = args.cap
     if cap < 1:
         raise ValueError(f"--cap must be a positive integer, got {cap}")
@@ -80,17 +97,12 @@ def _cmd_lattice(args) -> int:
             print(f"uncertified: {EnumerationCapExceeded(cap)}", file=sys.stderr)
         return 0 if poly.certified else 1
     if args.action == "tensor-check":
-        if not args.file2:
-            raise ValueError("tensor-check needs two lattice files")
-        other = EuclideanLattice.load(args.file2)
-        rep = inequality_suite(("lattice", lat, other), cap)
-        print(harness.emit_report(rep, args.format))
-        return 0 if rep.passed else 1
+        return _tensor_check(args, "lattice", lat, EuclideanLattice.load, "lattice files", cap)
     raise AssertionError(args.action)
 
 
 def _cmd_mf(args) -> int:
-    _require_text(args)
+    _refuse_unread(args)
     m = MultifilteredSpace.load(args.file)
     if args.action == "slope":
         print(f"dim: {m.dim}")
@@ -107,12 +119,7 @@ def _cmd_mf(args) -> int:
         print(f"certified: {res.certified}")
         return 0 if res.certified else 1
     if args.action == "tensor-check":
-        if not args.file2:
-            raise ValueError("tensor-check needs two input files")
-        other = MultifilteredSpace.load(args.file2)
-        rep = inequality_suite(("multifilt", m, other))
-        print(harness.emit_report(rep, args.format))
-        return 0 if rep.passed else 1
+        return _tensor_check(args, "multifilt", m, MultifilteredSpace.load, "input files")
     raise AssertionError(args.action)
 
 

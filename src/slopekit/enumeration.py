@@ -31,8 +31,8 @@ d0^(k/k0) <= C_k, so a capped search still finds every tie and the largest
 rank of maximal slope is kept.
 
 `upper_hull` turns what a slope category knows at each rank into its slope
-polygon; mu_max, the slope filtration and their multifiltered twins are read
-off it.
+polygon; the slope filtrations of both categories are read off it, and their
+mu_max through `first_edge`, as one `CertifiedMuMax`.
 """
 
 from __future__ import annotations
@@ -72,8 +72,14 @@ class ShortVectorReport:
 
 @dataclass(frozen=True)
 class CertifiedMuMax:
-    value: LogRational
-    witness: Sublattice
+    """The first edge of a slope polygon (see `first_edge`), for lattices
+    (LogRational slopes, a Sublattice witness) and multifiltered spaces
+    (Fraction slopes, RREF rows): every slope is at most `upper`, which is
+    `value` when certified."""
+
+    value: Any
+    witness: Any
+    upper: Any
     certified: bool
 
 
@@ -154,6 +160,20 @@ def upper_hull(canopy: Sequence[RankBound], edges: Optional[int] = None) -> Slop
             certified = certified and not above_hull(k, b.upper)
     points = tuple((k, y) for k, y, _ in pts)
     return SlopePolygon(points, tuple(vertices), tuple(witnesses), certified)
+
+
+def first_edge(canopy: Sequence[RankBound]) -> CertifiedMuMax:
+    """mu_max of any slope category, read off its canopy: the slope of the
+    first edge of `upper_hull`, its witness the largest subobject of maximal
+    slope.  Every rank-k degree is at most upper_k, so every slope is at most
+    the largest upper_k / k; when the polygon is certified that largest
+    value is the edge's own slope (no upper_k lies above k * value, and the
+    witness's rank attains it)."""
+    poly = upper_hull(canopy, edges=1)
+    (_, (k, deg)) = poly.hull
+    value = deg / k
+    upper = value if poly.certified else max(b.upper / j for j, b in enumerate(canopy, 1))
+    return CertifiedMuMax(value, poly.filtration[0], upper, poly.certified)
 
 
 # ---------------------------------------------------------------------------
@@ -658,12 +678,10 @@ def mu_max(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> Certified
     """Certified supremum of slopes over nonzero sublattices: the first edge
     of the slope polygon, whose witness is the largest sublattice of maximal
     slope.  Searched bound-first (see `_lattice_canopy`)."""
-    poly = upper_hull(_lattice_canopy(lat, node_cap, edges=1), edges=1)
-    (_, (k, deg)) = poly.hull
-    value = deg / k
-    if poly.certified and lat.is_integral() and value.sign() > 0:
+    res = first_edge(_lattice_canopy(lat, node_cap, edges=1))
+    if res.certified and lat.is_integral() and res.value.sign() > 0:
         raise AssertionError("integral lattice reported positive mu_max")
-    return CertifiedMuMax(value=value, witness=poly.filtration[0], certified=poly.certified)
+    return res
 
 
 def mu_min(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> LogRational:

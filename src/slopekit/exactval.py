@@ -166,7 +166,7 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
 def factor_positive_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1, a fresh dict on every call; raises
     FactoringCapExceeded on a composite that rho cannot split in its step cap."""
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise ValueError("argument must be a positive integer")
     return dict(_factor(n))
 
@@ -282,12 +282,11 @@ class LogRational:
     def __init__(self, constant: Rat = 0, terms: Mapping[int, Rat] | None = None):
         coeffs: list[tuple[int, Fraction]] = []
         for base, coeff in (terms or {}).items():
+            if not isinstance(base, int) or base < 1:
+                raise ValueError(f"log base must be a positive integer, got {base!r}")
             coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if base < 1:
-                raise ValueError(f"log base must be a positive integer, got {base}")
-            coeffs.append((base, coeff))
+            if coeff:
+                coeffs.append((base, coeff))
         den = math.lcm(*(c.denominator for _, c in coeffs))
         exps: dict[int, int] = {}
         for base, c in coeffs:

@@ -34,7 +34,6 @@ identity between sesquilinear values holds iff it holds times 4.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from operator import attrgetter, truediv
@@ -394,6 +393,7 @@ class HermitianLattice(_GramPair):
     _SYMMETRIC = "Gram matrix must be conjugate-symmetric"
     _DIAGONAL = "diagonal Gram entries must be positive rationals"
     _RESCALE = "twist multiplier must be positive"
+    _WEIGHT = 1
 
     def __init__(self, field: ImagQuadField, gram: Sequence[Sequence[QElt]]):
         g = tuple(tuple(_normalised(field, x) for x in row) for row in gram)
@@ -407,22 +407,12 @@ class HermitianLattice(_GramPair):
 
     twist = _GramPair._rescale
 
-    def degree(self) -> LogRational:
-        """-log(det Gram): the single complex place carries weight 2."""
-        if self._degree is None:
-            _set(self, "_degree", -log_of_rational(self._det))
-        return self._degree
-
     def inner(self, v: Sequence[QElt], w: Sequence[QElt]) -> QElt:
         x = sesquilinear(self._s, v, w)
         return x if self._den == 1 else x / self._den
 
     def norm_sq(self, v: Sequence[QElt]) -> Fraction:
         return self.inner(v, v).as_fraction()
-
-    def unimodular_semistable_slope(self):
-        """Integral unimodular lattices are semistable of slope 0."""
-        return LogRational(0) if self.is_unimodular() else None
 
     def restrict_scalars(self) -> EuclideanLattice:
         """Rank-2r euclidean lattice on the Z-basis (e_j, omega*e_j), with the
@@ -476,11 +466,6 @@ class HermitianLattice(_GramPair):
         if "rank" in data and parse_rat(data["rank"]) != len(gram):
             raise ValueError("rank field disagrees with Gram size")
         return HermitianLattice(field, gram)
-
-    @staticmethod
-    def load(path: str) -> "HermitianLattice":
-        with open(path) as fh:
-            return HermitianLattice.from_json_dict(json.load(fh))
 
 
 def unit_hermitian(field: ImagQuadField, rank: int) -> HermitianLattice:

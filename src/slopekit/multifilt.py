@@ -1,8 +1,8 @@
 """Finite-dimensional rational vector spaces with several decreasing
 exhaustive separated filtrations: slopes, multigraded dimensions, witness
 lines, certified mu_max and canonical filtration (read off
-`enumeration.upper_hull`), tensor products, and the slope-inequality suite
-shared with euclidean lattices.
+`enumeration.first_edge` and `upper_hull`), tensor products, and the
+slope-inequality suite shared with euclidean lattices.
 
 A filtration is stored as its value at each break: pairs (lambda, subspace)
 with strictly increasing labels and strictly decreasing subspaces, the lowest
@@ -36,12 +36,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .enumeration import DEFAULT_NODE_CAP, RankBound, minimum_sq, mu_max, upper_hull
+from .enumeration import DEFAULT_NODE_CAP, CertifiedMuMax, RankBound, first_edge, minimum_sq, mu_max, upper_hull
 from .exactval import fmt_rat, half_log, parse_rat
 from .report import Report, ReproFailure
 
@@ -148,13 +147,6 @@ class Filtration:
                 return space
         return ()
 
-    def space_above(self, lam: Fraction) -> Matrix:
-        """F^{>lam}."""
-        for mu, space in self.steps:
-            if mu > lam:
-                return space
-        return ()
-
     def weight(self, v) -> Fraction:
         """The largest break whose step holds the nonzero vector v; every
         vector of V lies in the lowest step."""
@@ -174,9 +166,6 @@ class Filtration:
             nxt = self.steps[i + 1][1] if i + 1 < len(self.steps) else ()
             out.append((lam, len(space) - len(nxt)))
         return tuple(out)
-
-    def shift(self, c: Fraction) -> "Filtration":
-        return Filtration(self.ambient_dim, [(lam + c, space) for lam, space in self.steps])
 
     def __eq__(self, other):
         return (
@@ -461,14 +450,6 @@ def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[int, ...]]:
     raise AssertionError("no witness line found")
 
 
-@dataclass(frozen=True)
-class MfMuMax:
-    value: Fraction
-    witness: Matrix
-    upper: Fraction
-    certified: bool
-
-
 # The closure can be infinite (three or more flags), so it stops at this size.
 _FAMILY_CAP = 400
 
@@ -691,7 +672,7 @@ def _mf_canopy(m: MultifilteredSpace, extra, edges: Optional[int] = None) -> lis
     return canopy()
 
 
-def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> MfMuMax:
+def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> CertifiedMuMax:
     """Certified-when-bounds-meet supremum of subspace slopes: the first edge
     of the slope polygon (see `_mf_canopy`).
 
@@ -705,16 +686,12 @@ def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> MfMuMax
     mu_b: a larger maximizer W' would make (W + W')/W a subspace of m/W of
     slope mu_b (supermodularity and the modular law, see `_mf_canopy`), so
     W is the largest subspace of maximal slope, and the result is the one
-    the whole closure gives.  certified = bounds meet.  The witness is the
-    largest candidate of maximal slope; when the closure is complete it is
-    the sum of all of them, because deg is supermodular
-    (deg(A + B) + deg(A ∩ B) >= deg A + deg B).
+    the whole closure gives.  certified = bounds meet, and `upper` is read
+    as in `enumeration.first_edge`.  The witness is the largest candidate of
+    maximal slope; when the closure is complete it is the sum of all of
+    them, because deg is supermodular (deg(A + B) + deg(A ∩ B) >= deg A + deg B).
     """
-    canopy = _mf_canopy(m, extra_candidates, edges=1)
-    poly = upper_hull(canopy, edges=1)
-    (_, (k, deg)) = poly.hull
-    upper = max(b.upper / j for j, b in enumerate(canopy, 1))
-    return MfMuMax(value=deg / k, witness=poly.filtration[0], upper=upper, certified=poly.certified)
+    return first_edge(_mf_canopy(m, extra_candidates, edges=1))
 
 
 def is_semistable_mf(m: MultifilteredSpace) -> bool:

@@ -544,7 +544,7 @@ def test_densest_sublattice_rankin_duality_rank5_rank6():
         budget, _ = _greedy_rank_k_det(lat, k)
         sub = densest_sublattice(lat, k, budget)
         assert sub.det() == lat.det() * minimum_sq(lat.dual())
-        assert sub.same_sublattice(sub.saturation())
+        assert sub.basis == sub.saturation().basis
     # the glued Z^5 + 1/2(1,...,1) summand is the densest hyperplane
     assert sub.det() == F(1, 4)
 
@@ -1149,3 +1149,36 @@ def test_capped_min_det_is_exact_up_to_its_cap():
             searched = (lat.dual(), r - k, lat.det()) if k > r - k else (lat, k, 1)
             not_greedy += _greedy_rank_k_det(*searched[:2])[0] * searched[2] > d_k
     assert rankin >= 50 and not_greedy >= 3
+
+
+_G3 = EuclideanLattice([[5, 2, 1], [2, 6, 2], [1, 2, 7]])  # uncertified at node cap 3
+
+
+def test_uncertified_mu_max_carries_an_upper_bound():
+    """`first_edge` gives a lattice result an upper bound: the value when
+    certified, and otherwise the largest upper_k / k of the canopy, which
+    is at least the certified mu_max and above the capped value."""
+    capped, full = mu_max(_G3, 3), mu_max(_G3)
+    assert full.certified and full.upper == full.value
+    assert not capped.certified and capped.value <= full.value <= capped.upper
+    assert capped.upper > capped.value
+    for lat in (a2_lattice(), e8_lattice(), _G3.dual()):
+        res = mu_max(lat)
+        assert res.certified and res.upper == res.value
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: enumerate_short_vectors(_G3, 0), ValueError, "bound must be positive"),
+        (lambda: densest_sublattice(_G3, 0, 1), ValueError, r"rank 0 out of range 1\.\.3"),
+        (lambda: densest_sublattice(_G3, 4, 1), ValueError, r"rank 4 out of range 1\.\.3"),
+        (lambda: mu_min(_G3, 3), EnumerationCapExceeded, "enumeration node cap 3 exceeded"),
+        (lambda: is_semistable(_G3, 3), EnumerationCapExceeded, "enumeration node cap 3 exceeded"),
+    ],
+    ids=["short-vectors-bound-0", "densest-k-0", "densest-k-past-rank", "mu-min-uncertified",
+         "is-semistable-uncertified"],
+)
+def test_search_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

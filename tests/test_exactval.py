@@ -112,6 +112,23 @@ def test_factor_rejects_nonpositive_and_returns_fresh_dicts():
     assert factor_positive_int(12) == {2: 2, 3: 1}
 
 
+@pytest.mark.parametrize("n", [2.5, 4.0, F(4), "3"])
+def test_factor_rejects_non_integers(n):
+    with pytest.raises(ValueError, match="argument must be a positive integer"):
+        factor_positive_int(n)
+
+
+@pytest.mark.parametrize("base", [2.5, F(5, 2), F(4), "3", 0, -2])
+def test_log_base_must_be_a_positive_integer(base):
+    """An int base of any size is accepted; anything else is refused before
+    its coefficient is read, a zero coefficient included."""
+    for coeff in (1, 0):
+        with pytest.raises(ValueError, match="log base must be a positive integer"):
+            LogRational(0, {base: coeff})
+    big = 2**127 - 1  # a Mersenne prime
+    assert LogRational(0, {big: F(1, 3)}).terms == ((big, F(1, 3)),)
+
+
 def test_log_of_one_is_zero():
     assert log_of_rational(1).is_zero()
     assert log_of_rational(1) == LogRational(0)
@@ -215,6 +232,17 @@ def test_parse_accepts_composite_and_rational_args():
 @pytest.mark.parametrize("text", ["1/0", "1/0*log(2)", "log(1/0)", "1 + log(3/0)"])
 def test_parse_zero_denominator_is_value_error(text):
     with pytest.raises(ValueError, match="zero denominator"):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty LogRational text"), ("  ", "empty LogRational text"),
+     ("2*log[3]", r"cannot parse LogRational term '2\*log\[3\]'"),
+     ("1 + log(x)", r"cannot parse LogRational term 'log\(x\)'")],
+)
+def test_parse_rejects_empty_and_malformed_text(text, message):
+    with pytest.raises(ValueError, match=message):
         parse(text)
 
 

@@ -65,6 +65,21 @@ def test_flat_toml_rejects_sections(tmp_path):
         read_flat_toml(str(p))
 
 
+def test_flat_toml_rejects_a_line_without_equals(tmp_path):
+    p = tmp_path / "bad.toml"
+    p.write_text("seed = 1\ncount\n")
+    with pytest.raises(ValueError, match=r"bad\.toml:2: expected key = value"):
+        read_flat_toml(str(p))
+
+
+def test_emitters_reject_unknown_formats():
+    rep = repro("a2")
+    with pytest.raises(ValueError, match="unsupported report format 'csv'"):
+        emit_report(rep, "csv")
+    with pytest.raises(ValueError, match="unsupported records format 'xml'"):
+        emit_records(*bost_experiment(ExperimentConfig(count=1)), "xml")
+
+
 def test_random_lattice_deterministic():
     a = random_lattice(random.Random(5), 3)
     b = random_lattice(random.Random(5), 3)
@@ -563,6 +578,40 @@ def test_cli_tensor_check_requires_two_files(tmp_path, capsys):
     f = _write(tmp_path, "z.json", {"rank": 1, "gram": [["1"]]})
     assert main(["lattice", "tensor-check", f]) == 2
     assert "two lattice files" in capsys.readouterr().err
+
+
+def test_cli_mf_tensor_check_requires_two_files(tmp_path, capsys):
+    f = _write(tmp_path, "mf.json", {"dim": 1, "filtrations": []})
+    assert main(["mf", "tensor-check", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: tensor-check needs two input files\n"
+
+
+@pytest.mark.parametrize("command,action", TEXT_ONLY_ACTIONS)
+def test_cli_second_file_only_for_tensor_check(tmp_path, capsys, command, action):
+    """An action that reads one file refuses a second rather than ignore it."""
+    if command == "lattice":
+        f = _write(tmp_path, "z.json", {"rank": 1, "gram": [["1"]]})
+    else:
+        f = _write(tmp_path, "mf.json", {"dim": 1, "filtrations": []})
+    assert main([command, action, f, f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a second file is supported only by {command} tensor-check\n"
+
+
+@pytest.mark.parametrize("action", ["info", "mu-max", "tensor-check"])
+@pytest.mark.parametrize("opt", ["--csv", "--svg"])
+def test_cli_plot_files_only_for_filtration(tmp_path, capsys, action, opt):
+    """Only lattice filtration writes --csv and --svg; the other actions
+    refuse them and write nothing."""
+    f = _write(tmp_path, "z.json", {"rank": 1, "gram": [["1"]]})
+    out = tmp_path / "out"
+    files = [f, f] if action == "tensor-check" else [f]
+    assert main(["lattice", action, *files, opt, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {opt} is supported only by lattice filtration\n"
 
 
 def test_cli_factoring_cap_exits_2(tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_degree_examples():
     assert lat.det() == 1
     assert lat.degree() == LogRational(0)
     assert lat.is_unimodular() and lat.is_integral()
-    assert lat.unimodular_semistable_slope() == LogRational(0)
+    assert lat.slope() == LogRational(0)
 
 
 def test_degree_additive_and_tensor_laws():
@@ -624,3 +624,38 @@ def test_hermitian_pair_operations_match_fraction_grams():
             coords = [c for row in dg for x in row for c in (x.a, x.b)]
             assert all(type(x) is int for x in coords) and math.gcd(d, *coords) == 1
             assert lat.is_integral() == (d == 1)
+
+
+_K7, _K3 = ImagQuadField(7), ImagQuadField(3)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _K7.omega + _K3.omega, ValueError, "field mismatch"),
+        (lambda: _K7.omega * _K3.omega, ValueError, "field mismatch"),
+        (lambda: _K7.omega + 1.5, TypeError, "cannot coerce 1.5"),
+        (lambda: _K7.omega * "x", TypeError, "cannot coerce 'x'"),
+        (lambda: _K7.zero.inverse(), ZeroDivisionError, "division by zero field element"),
+        (lambda: euclid_gcd([_K7.zero, _K7.zero]), ValueError, "gcd of zero elements"),
+        (lambda: euclid_gcd([_K7.elt(F(1, 2)), _K7.one]), ValueError, "gcd requires integral elements"),
+        (lambda: rank_one_degree(unit_hermitian(_K7, 2), [F(1, 2), 1]), ValueError,
+         "vector must have integral coordinates"),
+    ],
+    ids=["add-across-fields", "mul-across-fields", "add-float", "mul-string", "inverse-of-zero",
+         "gcd-of-zeros", "gcd-of-non-integral", "rank-one-degree-non-integral"],
+)
+def test_field_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_hermitian_load(tmp_path):
+    """`load` is the pair's one reader of a JSON file, for both kinds."""
+    lat = q7_gram().twist(F(2, 3))
+    path = tmp_path / "q7.json"
+    path.write_text(json.dumps(lat.to_json_dict()))
+    assert HermitianLattice.load(str(path)) == lat
+    path.write_text(json.dumps({"gram": [[{"a": "1"}]]}))
+    with pytest.raises(ValueError, match='hermitian lattice JSON must be an object with an integer "d"'):
+        HermitianLattice.load(str(path))

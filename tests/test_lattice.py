@@ -128,16 +128,43 @@ def test_morphism_norms():
     assert not half.is_integral
 
 
+def _contraction(rng, source, target):
+    """A random nonzero map source -> target, halved until its norm is <= 1."""
+    m = [[F(rng.randint(-2, 2)) for _ in range(source.rank)] for _ in range(target.rank)]
+    m[0][0] = m[0][0] or F(1)
+    f = LatticeMorphism(source, target, m)
+    while not f.norm_le_one():
+        f = LatticeMorphism(source, target, [[x / 2 for x in row] for row in f.matrix])
+    return f
+
+
 def test_morphism_composition_norm():
+    """Operator norms are submultiplicative, so maps of norm <= 1 compose to
+    one: on random maps scaled into the unit ball, and on signed
+    permutations between rescaled unit lattices (norm^2 = c_target / c_source)."""
     rng = random.Random(3)
-    for _ in range(10):
-        l1 = random_lattice(rng, 2)
-        l2 = random_lattice(rng, 2)
-        l3 = random_lattice(rng, 2)
-        f = LatticeMorphism(l1, l2, [[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)])
-        g = LatticeMorphism(l2, l3, [[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)])
-        if f.norm_le_one() and g.norm_le_one():
-            assert g.compose(f).norm_le_one()
+    checked = 0
+    for t in range(12):
+        n = rng.randint(1, 3)
+        if t % 2:
+            l1, l2, l3 = (random_lattice(rng, n) for _ in range(3))
+            f, g = _contraction(rng, l1, l2), _contraction(rng, l2, l3)
+        else:
+            c = sorted((F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3)), reverse=True)
+            l1, l2, l3 = (unit_lattice(n).scale(x) for x in c)
+            perms = [rng.sample(range(n), n) for _ in range(2)]
+            f, g = (
+                LatticeMorphism(a, b, [[rng.choice((-1, 1)) * (j == p[i]) for j in range(n)] for i in range(n)])
+                for (a, b), p in zip(((l1, l2), (l2, l3)), perms)
+            )
+        if not (f.norm_le_one() and g.norm_le_one()):
+            continue
+        h = g.compose(f)
+        assert (h.source, h.target) == (l1, l3)
+        assert h.matrix == linalg.mat(linalg.matmul(g.matrix, f.matrix))
+        assert h.norm_le_one() and not h.is_zero()
+        checked += 1
+    assert checked >= 5
 
 
 def test_evaluation_vector_sq_length():
@@ -200,7 +227,7 @@ def test_saturation_never_decreases_slope():
             continue
         s = Sublattice(lat, rows)
         assert s.saturation().slope() >= s.slope()
-        assert s.saturation().is_saturated()
+        assert linalg.saturate(s.saturation().basis)[0] == 1
 
 
 def test_integral_lattice_sublattices_nonpositive_degree():
@@ -277,7 +304,7 @@ def test_sublattice_stores_hnf_and_contains_matches_solve():
             rows[i] = [c * x for x in rows[i]]
         s = Sublattice(lat, rows)
         assert s.basis == linalg.hnf(rows) == s.hnf_basis()
-        assert s.same_sublattice(Sublattice(lat, list(reversed(rows))))
+        assert s.basis == Sublattice(lat, list(reversed(rows))).basis
         kind = t % 3
         if kind == 0:
             j = rng.randint(1, k)
@@ -291,7 +318,7 @@ def test_sublattice_stores_hnf_and_contains_matches_solve():
             got = a.contains(b)
             assert got == _reference_contains(a, b)
             verdicts[got] += 1
-        unsaturated += not s.is_saturated()
+        unsaturated += linalg.saturate(s.basis)[0] != 1
     assert verdicts[True] >= 250 and verdicts[False] >= 150 and unsaturated >= 100
     with pytest.raises(ValueError, match="independent"):
         Sublattice(unit_lattice(2), [[1, 2], [2, 4]])
@@ -441,3 +468,20 @@ def test_dual_and_degree_are_built_once():
         assert EuclideanLattice(lat.dual().gram).dual() == lat  # a fresh inverse
         assert lat.degree() is lat.degree()
         assert lat.dual().degree() == -lat.degree()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Sublattice(unit_lattice(2), []), "sublattice must be nonzero"),
+        (lambda: Sublattice(unit_lattice(2), [[1, 0, 0]]), "basis width must equal ambient rank"),
+        (lambda: LatticeMorphism(unit_lattice(2), unit_lattice(3), [[1, 0, 0]] * 3),
+         "morphism matrix shape must be target_rank x source_rank"),
+        (lambda: tensor_vector_to_hom(unit_lattice(2), unit_lattice(2), [1, 0, 0]),
+         "tensor vector has wrong length"),
+    ],
+    ids=["sublattice-no-rows", "sublattice-wrong-width", "morphism-wrong-shape", "tensor-vector-wrong-length"],
+)
+def test_shape_rejections(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -86,7 +86,7 @@ def test_weight_and_spaces():
     assert f.weight((1, 1)) == 0
     assert f.space_at(F(1)) == ((F(1), F(0)),)
     assert f.space_at(F(2)) == ()
-    assert f.space_above(F(0)) == ((F(1), F(0)),)
+    assert f.space_at(F(1, 2)) == ((F(1), F(0)),)  # F^{>0}
 
 
 @pytest.mark.parametrize(
@@ -110,7 +110,7 @@ def test_slope_examples():
     m = crossed_example()
     assert slope_faltings(m) == 1
     shifted = MultifilteredSpace(
-        2, [m.filtrations[0].shift(F(3)), m.filtrations[1]]
+        2, [Filtration(2, [(lam + 3, space) for lam, space in m.filtrations[0].steps]), m.filtrations[1]]
     )
     assert slope_faltings(shifted) == 1 + F(3, 1) * F(2, 2) / 1 - F(1, 1) * 0  # +3*dim/dim... see below
     assert slope_faltings(shifted) == slope_faltings(m) + 3
@@ -1190,7 +1190,7 @@ def _parent_nu_witness(m):
         bads = []
         degenerate = False
         for f, lam in zip(m.filtrations, tup):
-            above = f.space_above(lam)
+            above = next((space for mu, space in f.steps if mu > lam), ())
             bad = _parent_meet(inter, above, m.dim) if above else ()
             if len(bad) == len(inter):
                 degenerate = True
@@ -1494,3 +1494,22 @@ def test_probe_leaves_ties_to_family_order(monkeypatch):
     res = mu_max_mf(m, extra)
     assert (res.value, res.witness, res.upper, res.certified) == ref
     assert res.witness == ((1, 0, 0),) and res.certified
+
+
+_LINE = MultifilteredSpace(1, [Filtration(1, [(0, [[1]])])])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tensor_mf(_LINE, MultifilteredSpace(1, _LINE.filtrations * 2)),
+         "factors must have the same number of filtrations"),
+        (lambda: MultifilteredSpace(2, _LINE.filtrations), "all filtrations must live on the ambient space"),
+        (lambda: slope_of_subspace(_LINE, [[0]]), "zero subspace has no slope"),
+        (lambda: subobject(_LINE, []), "zero subspace"),
+    ],
+    ids=["tensor-filtration-counts", "filtration-of-another-dimension", "slope-of-zero", "subobject-of-zero"],
+)
+def test_space_rejections(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -23,7 +23,8 @@ def test_traced_names_resolve(monkeypatch):
     for mod, path in names:
         obj = getattr(slopekit, mod)
         for part in path.split("."):
-            obj = getattr(obj, part)
+            # the tracer wraps a method from its own class's dict, not an inherited one
+            obj = vars(obj)[part] if isinstance(obj, type) else getattr(obj, part)
         assert callable(obj), f"{mod}.{path}"
 
 
@@ -255,6 +256,18 @@ def test_lattice_kinds_share_one_pair_implementation():
         assert getattr(e, name) is getattr(h, name) is vars(lat._GramPair)[name], name
     assert e._new.__func__ is h._new.__func__
     assert e.scale is h.twist is lat._GramPair._rescale
+    # EuclideanLattice names `degree` too, for the tracer (test_traced_names_resolve)
+    assert e.degree is h.degree is vars(lat._GramPair)["degree"] and "degree" not in vars(h)
+    # a bound classmethod is a fresh object on every access, so `is` cannot test `load`
+    assert "load" in vars(lat._GramPair) and "load" not in vars(e) and "load" not in vars(h)
+
+
+def test_multifilt_defines_no_result_type():
+    """Both categories return `enumeration.CertifiedMuMax`: multifilt defines
+    no result type of its own."""
+    mf = slopekit.multifilt
+    own = {name for name, obj in vars(mf).items() if isinstance(obj, type) and obj.__module__ == mf.__name__}
+    assert own == {"Filtration", "MultifilteredSpace"}
 
 
 def test_hermitian_grams_go_through_bareiss(monkeypatch):
@@ -424,6 +437,19 @@ def test_factoring_goes_through_public_name(monkeypatch):
         assert len(calls) > before, name
 
 
+def _patch_everywhere(monkeypatch, real, fake) -> int:
+    """Replace `real` by `fake` under every name a slopekit module binds it
+    to; the number of names replaced."""
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "slopekit" or name.startswith("slopekit."):
+            for attr, val in list(vars(module).items()):
+                if val is real:
+                    monkeypatch.setattr(module, attr, fake)
+                    patched += 1
+    return patched
+
+
 def test_polygon_readers_reach_upper_hull(monkeypatch):
     """mu_max, slope_filtration, their multifiltered twins and both kinds of
     inequality_suite read their results off `enumeration.upper_hull`, so a
@@ -436,14 +462,7 @@ def test_polygon_readers_reach_upper_hull(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    patched = 0
-    for name, module in list(sys.modules.items()):
-        if name == "slopekit" or name.startswith("slopekit."):
-            for attr, val in list(vars(module).items()):
-                if val is real:
-                    monkeypatch.setattr(module, attr, counted)
-                    patched += 1
-    assert patched >= 2
+    assert _patch_everywhere(monkeypatch, real, counted) >= 2
     lat = slopekit.lattice.EuclideanLattice([[5, 2, 1], [2, 6, 2], [1, 2, 7]])
     a2 = slopekit.lattice.a2_lattice()
     m = _sample_space(random.Random(5), 3, 2)
@@ -459,6 +478,27 @@ def test_polygon_readers_reach_upper_hull(monkeypatch):
         before = len(calls)
         route()
         assert len(calls) > before, f"{name} computed a polygon around upper_hull"
+
+
+def test_mu_max_readers_reach_first_edge(monkeypatch):
+    """mu_max and mu_max_mf build their result in `enumeration.first_edge`,
+    looked up by name, so the two categories keep one mu_max contract."""
+    en, mf = slopekit.enumeration, slopekit.multifilt
+    calls = []
+    real = en.first_edge
+
+    def counted(canopy):
+        res = real(canopy)
+        calls.append(res)
+        return res
+
+    assert _patch_everywhere(monkeypatch, real, counted) >= 2
+    lat = slopekit.lattice.EuclideanLattice([[5, 2, 1], [2, 6, 2], [1, 2, 7]])
+    m = _sample_space(random.Random(5), 3, 2)
+    for route in (lambda: en.mu_max(lat), lambda: en.mu_max(lat, 3), lambda: mf.mu_max_mf(m)):
+        res = route()
+        assert calls and calls[-1] is res
+        del calls[:]
 
 
 def test_mu_max_skips_ranks_that_slope_filtration_searches(monkeypatch):
