@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import harness, linalg
-from .enumeration import EnumerationCapExceeded, mu_max, slope_filtration
+from .enumeration import DEFAULT_NODE_CAP, EnumerationCapExceeded, mu_max, slope_filtration
 from .exactval import FactoringCapExceeded, LogRational, parse_rat
 from .lattice import EuclideanLattice
 from .multifilt import (
@@ -30,8 +30,9 @@ def _fmt(v: LogRational) -> str:
 
 def _refuse_unread(args) -> None:
     """An option or file the action does not read is an error, not ignored:
-    only tensor-check emits a report and reads a second file, and only
-    lattice filtration writes --csv and --svg."""
+    only tensor-check emits a report and reads a second file, only lattice
+    filtration writes --csv and --svg, and lattice info searches nothing, so
+    takes no --cap."""
     if args.action != "tensor-check":
         if args.format != "text":
             raise ValueError(f"--format {args.format} is supported only by {args.command} tensor-check")
@@ -40,6 +41,8 @@ def _refuse_unread(args) -> None:
     for opt in ("csv", "svg"):
         if getattr(args, opt, None) is not None and args.action != "filtration":
             raise ValueError(f"--{opt} is supported only by lattice filtration")
+    if getattr(args, "cap", None) is not None and args.action == "info":
+        raise ValueError("--cap is supported only by lattice mu-max, filtration and tensor-check")
 
 
 def _tensor_check(args, kind: str, a, load, files: str, *cap) -> int:
@@ -53,7 +56,7 @@ def _tensor_check(args, kind: str, a, load, files: str, *cap) -> int:
 
 def _cmd_lattice(args) -> int:
     _refuse_unread(args)
-    cap = args.cap
+    cap = DEFAULT_NODE_CAP if args.cap is None else args.cap
     if cap < 1:
         raise ValueError(f"--cap must be a positive integer, got {cap}")
     lat = EuclideanLattice.load(args.file)
@@ -178,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     lat.add_argument("action", choices=["info", "mu-max", "filtration", "tensor-check"])
     lat.add_argument("file")
     lat.add_argument("file2", nargs="?", help="second lattice (tensor-check)")
-    lat.add_argument("--cap", type=int, default=2_000_000, help="enumeration node cap")
+    lat.add_argument("--cap", type=int, help="enumeration node cap")
     lat.add_argument("--svg", help="write the polygon plot to this SVG file")
     lat.add_argument("--csv", help="write the polygon table to this CSV file")
     lat.add_argument("--format", choices=["text", "json"], default="text")

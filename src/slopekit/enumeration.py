@@ -28,7 +28,9 @@ or capped rank has every determinant above d0^(k/k0), so every rank-k degree
 lies strictly below k times the best slope so far, hence below the final
 first edge; a rank-k sublattice of equal slope has determinant
 d0^(k/k0) <= C_k, so a capped search still finds every tie and the largest
-rank of maximal slope is kept.
+rank of maximal slope is kept.  Ranks 1 and r - 1, where a floor is exact
+(gamma_1 = 1), are read off the shortest vectors of L and L* with no search,
+in `mu_max` and `slope_filtration` alike (see `_min_det_rank_k`).
 
 `upper_hull` turns what a slope category knows at each rank into its slope
 polygon; the slope filtrations of both categories are read off it, and their
@@ -189,15 +191,24 @@ _MEMO_SIZE = 1024
 @lru_cache(maxsize=_MEMO_SIZE)
 def lll_reduce(lat: EuclideanLattice):
     """LLL-reduce (delta = 3/4); returns (reduced lattice, unimodular U) with
-    G' = U G U^T.  Runs on the integer Gram matrix L * G: once per outer
-    iteration a `linalg.bareiss` pass over its leading (k+1) x (k+1) block
-    gives the leading minors d_j and lambda_kj = d_(j+1) * mu_kj.
+    G' = U G U^T.  Integral LLL (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7) on the integer Gram matrix L * G: the leading
+    minors d_j and lambda_kj = d_(j+1) * mu_kj are kept across iterations.
+    Row k of lambda is computed from the current Gram the first time k
+    exceeds kmax; size reduction updates it in place, and a swap updates d_k
+    and the columns k-1 and k of the rows below by exact divisions.  Each
+    mu_kj, j = k-1 .. 0, is rounded with ties to even before the Lovasz test.
 
     Memoized: lattices hash and compare by their Gram matrix."""
     n = lat.rank
     gi, scale = lat.scaled_gram()
     g = [list(row) for row in gi]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # d[j]: the leading j x j minor; lam[i][j] = d[j+1] * mu_ij for j < i.
+    # Both are current for the rows up to kmax.
+    d = [1, g[0][0]] + [0] * (n - 1)
+    lam: list[list[int]] = [[] for _ in range(n)]
+    kmax = 0
 
     def row_op(i, j, q):  # b_i -= q b_j
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
@@ -213,24 +224,47 @@ def lll_reduce(lat: EuclideanLattice):
 
     k = 1
     while k < n:
-        m, _ = linalg.bareiss([row[: k + 1] for row in g[: k + 1]])
-        d = [1] + [m[j][j] for j in range(k + 1)]  # d[j]: leading j x j minor
-        lam = m[k]
+        lk = lam[k]
+        if k > kmax:
+            kmax = k
+            gk = g[k]
+            for j in range(k + 1):
+                t, lj = gk[j], lam[j]
+                for i in range(j):
+                    t = (d[i + 1] * t - lk[i] * lj[i]) // d[i]
+                if j < k:
+                    lk.append(t)
+                else:
+                    d[k + 1] = t
         for j in reversed(range(k)):
-            # round(mu_kj), ties to even
-            q = round(F(lam[j], d[j + 1]))
-            if q != 0:
+            # round(mu_kj) = round(lk[j] / d[j+1]), ties to even
+            dj = d[j + 1]
+            q, rem = divmod(lk[j], dj)
+            if 2 * rem > dj or (2 * rem == dj and q & 1):
+                q += 1
+            if q:
                 row_op(k, j, q)
                 # b_k -= q b_j keeps every b*_i and d_i, so only lambda_k moves
+                lj = lam[j]
                 for i in range(j):
-                    lam[i] -= q * m[j][i]
-                lam[j] -= q * d[j + 1]
+                    lk[i] -= q * lj[i]
+                lk[j] -= q * dj
         # Lovasz, B_k >= (3/4 - mu_k,k-1^2) B_(k-1), times 4 d_k d_(k-1) > 0
-        if 4 * (d[k + 1] * d[k - 1] + lam[k - 1] ** 2) >= 3 * d[k] ** 2:
+        lkk = lk[k - 1]
+        if 4 * (d[k + 1] * d[k - 1] + lkk * lkk) >= 3 * d[k] ** 2:
             k += 1
-        else:
-            swap(k, k - 1)
-            k = max(k - 1, 1)
+            continue
+        swap(k, k - 1)
+        # lambda_k,k-1 is unchanged; the columns below k-1 trade rows
+        lam[k - 1], lam[k] = lk[: k - 1], lam[k - 1] + [lkk]
+        b = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
+            li[k - 1] = (b * t + lkk * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
     return EuclideanLattice._from_scaled(g, scale), tuple(map(tuple, u))
 
 
@@ -320,17 +354,22 @@ def enumerate_short_vectors(
 
 def minimum_sq(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> Fraction:
     """Squared length of a shortest nonzero vector."""
-    return _minimum_sq(lat, node_cap)
+    return _minimum_sq(lat, node_cap)[1]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _minimum_sq(lat: EuclideanLattice, node_cap: int) -> Fraction:
-    # passing the cap positionally gives `minimum_sq(lat)` and
-    # `minimum_sq(lat, DEFAULT_NODE_CAP)` one memo entry
+def _minimum_sq(lat: EuclideanLattice, node_cap: int) -> tuple[tuple[int, ...], Fraction]:
+    """(coords, squared length) of the first vector of the enumeration up to
+    the least diagonal entry of the LLL-reduced Gram: a shortest vector, the
+    least coordinate tuple among them (with its first nonzero positive).  Any
+    enumeration with a bound >= min_sq starts with this same vector.
+
+    Passing the cap positionally gives `minimum_sq(lat)` and
+    `minimum_sq(lat, DEFAULT_NODE_CAP)` one memo entry."""
     reduced, _ = lll_reduce(lat)
     gi, scale = reduced.scaled_gram()
     bound = Fraction(min(gi[i][i] for i in range(lat.rank)), scale)
-    return enumerate_short_vectors(lat, bound, node_cap).vectors[0][1]
+    return enumerate_short_vectors(lat, bound, node_cap).vectors[0]
 
 
 _HERMITE_POW = {
@@ -538,10 +577,25 @@ def _min_det_rank_k(
 
     With a cap the search covers only determinants <= cap: if none is that
     small, the greedy incumbent comes back with its determinant, above cap,
-    and every rank-k determinant exceeds cap."""
+    and every rank-k determinant exceeds cap.  At k = 1 nothing is searched
+    and the cap is not read: d_1 = min_sq comes back with a shortest vector
+    as witness, above the cap if min_sq is.  At k = r - 1 the Rankin branch
+    below reaches k = 1 on the dual, so there too d_(r-1) is exact whatever
+    the cap."""
     r = lat.rank
     if k == r:
         return lat.det(), lat.full_sublattice()
+    if k == 1:
+        # The search returned pool[0], the first vector of the enumeration
+        # sorted by (length, coords) up to the budget; every such enumeration
+        # with a bound >= min_sq starts with the memo's vector.  So the result
+        # differs only when a cap below min_sq empties the pool: the search
+        # then returned the greedy vector, here the exact minimum comes back,
+        # above the cap all the same.  `_lattice_canopy` never meets that
+        # case: the exact floor at k = 1 skips the rank first.  A node cap
+        # raises from this same minimum as it did from the search.
+        coords, min_sq = _minimum_sq(lat, node_cap)
+        return min_sq, Sublattice(lat, [coords])  # a shortest vector is primitive
     if k > r - k:
         # Rankin duality: d_k(L) = det(L) * d_{r-k}(dual L)
         dual_cap = None if cap is None else cap / lat.det()
@@ -580,9 +634,11 @@ def _minkowski_floors(lat: EuclideanLattice, node_cap: int) -> list[Optional[Fra
     r - k, minimum >= min_sq(L*) and determinant det M / det L, so likewise
     d_k >= det L * min_sq(L*)^(r-k) / gamma_(r-k)^(r-k).  The larger floor is
     kept; each is exact where its gamma is gamma_1 = 1, at k = 1 and k = r - 1.
-    The dual floor is taken from r = 3 on: at r = 2 the first is already exact
-    at the one proper rank.  A node cap hit in either minimum drops only the
-    floors that need it."""
+    There `_min_det_rank_k` reads d_k off the same memoized minima and their
+    shortest vectors, so those ranks are never searched.  The dual floor is
+    taken from r = 3 on: at r = 2 the first is already exact at the one
+    proper rank.  A node cap hit in either minimum drops only the floors that
+    need it."""
     r = lat.rank
     floors: list[Optional[Fraction]] = [None] * r
     try:

@@ -171,7 +171,7 @@ def test_minimum_sq_bound_is_the_least_reduced_diagonal(monkeypatch):
         scaled += lat.scaled_gram()[1] > 1
         bounds.clear()
         # the memo is bypassed, so each lattice reaches the search
-        value = enumeration._minimum_sq.__wrapped__(lat, enumeration.DEFAULT_NODE_CAP)
+        _, value = enumeration._minimum_sq.__wrapped__(lat, enumeration.DEFAULT_NODE_CAP)
         reduced, _ = lll_reduce(lat)
         assert bounds == [min(reduced.gram[i][i] for i in range(lat.rank))]
         assert value == minimum_sq(lat) <= bounds[0]
@@ -495,13 +495,48 @@ def test_lll_rounds_ties_to_even():
 
 
 def test_lll_matches_reference_exactly():
+    """The reduced Gram and U are the reference's on 320 seeded lattices:
+    ranks 1-8, integral and rescaled by rationals, rational and their duals,
+    tensors of rank 4 and 6, and E8 in random bases."""
     rng = random.Random(103)
-    for t in range(50):
-        lat = random_lattice(rng, 2 + t % 5, bound=5)
-        if t % 3 == 0:
-            lat = lat.dual()
-        red, u = lll_reduce(lat)
+    ranks = set()
+    for t in range(320):
+        kind, r = t % 8, 1 + t // 8 % 8
+        if kind < 2:
+            lat = random_lattice(rng, r, bound=5 if r <= 5 else 3)
+        elif kind == 2:
+            lat = random_lattice(rng, r, bound=4).scale(F(rng.randint(1, 9), rng.randint(2, 7)))
+        elif kind in (3, 4):
+            lat = _random_rational_lattice(rng, r)
+            lat = lat.dual() if kind == 4 else lat
+        elif kind == 5:
+            lat = random_lattice(rng, r, bound=4).dual()
+        elif kind == 6:
+            lat = random_lattice(rng, 2, bound=3).tensor(random_lattice(rng, 2 + t // 8 % 2, bound=3))
+        else:
+            lat = _change_basis(rng, e8_lattice()) if t // 8 % 4 == 0 else random_lattice(rng, r)
+        ranks.add(lat.rank)
+        red, u = lll_reduce.__wrapped__(lat)
         assert (red.gram, u) == _reference_lll(lat)
+    assert ranks == set(range(1, 9))
+
+
+def test_lll_makes_no_elimination(monkeypatch):
+    """The integral LLL keeps its Gram-Schmidt data across iterations: the
+    reduction runs no `linalg.bareiss` pass, and the one call left is the
+    positivity check of the reduced lattice's own construction."""
+    from slopekit import enumeration
+
+    calls = []
+    real = linalg.bareiss
+    rng = random.Random(109)
+    lats = [_random_rational_lattice(rng, 2 + t % 6) for t in range(20)]
+    lats.append(_change_basis(rng, e8_lattice()))
+    monkeypatch.setattr(linalg, "bareiss", lambda a: calls.append(a) or real(a))
+    for lat in lats:
+        del calls[:]
+        red, _ = enumeration.lll_reduce.__wrapped__(lat)
+        assert calls == [red.scaled_gram()[0]] and is_lll_reduced(red)
 
 
 def _change_basis(rng, lat):
@@ -1149,6 +1184,96 @@ def test_capped_min_det_is_exact_up_to_its_cap():
             searched = (lat.dual(), r - k, lat.det()) if k > r - k else (lat, k, 1)
             not_greedy += _greedy_rank_k_det(*searched[:2])[0] * searched[2] > d_k
     assert rankin >= 50 and not_greedy >= 3
+
+
+def _searched_min_det_rank_k(lat, k, node_cap, cap=None):
+    """Reference copy of `_min_det_rank_k` as it was before ranks 1 and
+    r - 1 were read off the shortest vectors: the greedy incumbent, the
+    budget min(incumbent, cap), and `densest_sublattice`."""
+    from slopekit.enumeration import _greedy_rank_k_det
+
+    r = lat.rank
+    if k == r:
+        return lat.det(), lat.full_sublattice()
+    if k > r - k:
+        dual_cap = None if cap is None else cap / lat.det()
+        _, dwit = _searched_min_det_rank_k(lat.dual(), r - k, node_cap, dual_cap)
+        wit = Sublattice(lat, linalg.int_kernel_saturated(dwit.basis, r))
+        return wit.det(), wit
+    greedy = _greedy_rank_k_det(lat, k)
+    budget = greedy[0] if cap is None else min(greedy[0], cap)
+    sub = densest_sublattice(lat, k, budget, node_cap)
+    if sub is None or sub.det() > budget:
+        return greedy
+    return sub.det(), sub
+
+
+def test_exact_ranks_match_the_search():
+    """At k = 1 and k = r - 1, `_min_det_rank_k` gives the value and HNF
+    witness of the search it replaced, on 320 seeded lattices of rank 2-6
+    (integral, rational, duals, tensors) at node caps 3, 12, 40 and the
+    default, and at caps d_k and above.  Below d_k the search returned its
+    greedy incumbent; now d_k itself comes back, still above the cap, with a
+    witness of that determinant."""
+    from slopekit.enumeration import DEFAULT_NODE_CAP, _min_det_rank_k
+
+    def key(out):
+        return out if out[0] == "cap" else (out[0], out[1].hnf_basis())
+
+    rng = random.Random(181)
+    node_capped = below = differs = 0
+    for t in range(320):
+        r, kind = 2 + t % 5, t // 5 % 4
+        if kind == 0:
+            lat = random_lattice(rng, r)
+        elif kind == 1:
+            lat = _random_rational_lattice(rng, r)
+        elif kind == 2:
+            lat = _random_rational_lattice(rng, r).dual()
+        elif r in (4, 6):
+            lat = random_lattice(rng, 2).tensor(random_lattice(rng, r // 2))
+        else:
+            lat = random_lattice(rng, r).scale(F(1, 3))
+        node_cap = rng.choice((3, 12, 40, DEFAULT_NODE_CAP))
+        for k in sorted({1, r - 1}):
+            want = _capped(_searched_min_det_rank_k, lat, k, node_cap)
+            assert key(_capped(_min_det_rank_k, lat, k, node_cap)) == key(want)
+            node_capped += want[0] == "cap"
+            d_k = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP)[0]
+            for cap in (d_k, d_k * 2, d_k * F(99, 100), d_k / 3):
+                want = _searched_min_det_rank_k(lat, k, DEFAULT_NODE_CAP, cap)
+                det_k, wit = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP, cap)
+                if cap >= d_k:
+                    assert (det_k, wit.hnf_basis()) == key(want)
+                    continue
+                assert det_k == d_k == wit.det() > cap and wit.rank == k
+                assert want[0] > cap
+                below += 1
+                differs += key(want) != (det_k, wit.hnf_basis())
+    assert node_capped >= 60 and below >= 600 and differs >= 60
+
+
+def test_exact_ranks_run_no_search(monkeypatch):
+    """Ranks 1 and r - 1 call neither the greedy incumbent nor the search,
+    directly or from `mu_max` and `slope_filtration`; so a lattice of rank 2
+    or 3 is searched at no rank."""
+    from slopekit import enumeration as en
+
+    def refuse(*args):
+        raise AssertionError("an exact rank was searched")
+
+    monkeypatch.setattr(en, "densest_sublattice", refuse)
+    monkeypatch.setattr(en, "_greedy_rank_k_det", refuse)
+    rng = random.Random(191)
+    for t in range(60):
+        r = 2 + t % 5
+        lat = _random_rational_lattice(rng, r) if t % 2 else random_lattice(rng, r)
+        for k in {1, r - 1}:
+            det_k, wit = en._min_det_rank_k(lat, k, en.DEFAULT_NODE_CAP, F(1, 10**9))
+            assert det_k == wit.det()
+        if r <= 3:
+            assert mu_max(lat).certified
+            assert slope_filtration(lat).certified
 
 
 _G3 = EuclideanLattice([[5, 2, 1], [2, 6, 2], [1, 2, 7]])  # uncertified at node cap 3

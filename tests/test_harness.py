@@ -614,6 +614,19 @@ def test_cli_plot_files_only_for_filtration(tmp_path, capsys, action, opt):
     assert captured.err == f"error: {opt} is supported only by lattice filtration\n"
 
 
+@pytest.mark.parametrize("cap", ["5", "2000000", "0"])
+def test_cli_info_refuses_cap(tmp_path, capsys, cap):
+    """lattice info searches nothing, so a --cap given to it is refused, even
+    at the default value; without one it prints as before."""
+    f = _write(tmp_path, "z.json", {"rank": 1, "gram": [["1"]]})
+    assert main(["lattice", "info", f, "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cap is supported only by lattice mu-max, filtration and tensor-check\n"
+    assert main(["lattice", "info", f]) == 0
+    assert capsys.readouterr().out.startswith("rank: 1\ndet: 1\n")
+
+
 def test_cli_factoring_cap_exits_2(tmp_path, capsys):
     """A det that is a product of two 56-bit primes is beyond Pollard-Brent
     rho's step cap: one error line and exit 2, not minutes of work."""
