@@ -394,46 +394,32 @@ def hermite_constant_pow(r: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Dense sublattice search.
 
-def _first_independent_subset(pool: Sequence[tuple[int, ...]], k: int):
-    rows: list[tuple[int, ...]] = []
-    for v in pool:
-        cand = rows + [v]
-        if len(linalg.hnf(cand)) == len(cand):
-            rows.append(v)
-            if len(rows) == k:
-                return rows
-    return None
-
-
 def densest_sublattice(
     lat: EuclideanLattice,
     k: int,
     det_budget,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> Optional[Sublattice]:
-    """A saturated rank-k sublattice of minimal determinant within the search
-    region defined by det_budget; None if the region is empty.
+    """Among the saturated rank-k sublattices of determinant <= det_budget,
+    the one of least determinant, and among tied minima the one with the
+    least HNF basis; None if no rank-k determinant is <= det_budget.
 
-    The region is spanned by the vectors of squared length at most
+    The DFS branches over the vectors of squared length at most
     B = gamma_k^k * det_budget / min_sq^(k-1) for k <= 8, and
     B = 2^(k(k-1)/2) * det_budget / min_sq^(k-1) for k > 8, where gamma_k is
-    not tabulated (see the module docstring for why each is complete).
-
-    When det_budget is the determinant of any known rank-k sublattice, the
-    region covers every rank-k sublattice of determinant <= det_budget, so the
-    result is the global rank-k determinant minimum; among tied minima it is
-    the one with the least HNF basis.
+    not tabulated (see the module docstring for why each is complete), and
+    prunes by det_budget until it finds a determinant below it.
     """
     det_budget = F(det_budget)
     r = lat.rank
     if not 1 <= k <= r:
         raise ValueError(f"rank {k} out of range 1..{r}")
     if k == r:
-        return lat.full_sublattice()
+        return lat.full_sublattice() if lat.det() <= det_budget else None
     min_sq = minimum_sq(lat, node_cap)
     gamma_pow = _HERMITE_POW.get(k)
-    # Let M be an optimal saturated rank-k sublattice, so det M <= det_budget.
-    # Its successive minima are each >= min_sq, and by Minkowski's second
+    # Let M be a saturated rank-k sublattice with det M <= det_budget.  Its
+    # successive minima are each >= min_sq, and by Minkowski's second
     # theorem their product is <= gamma_k^k * det M, so every vector attaining
     # one has squared length <= b_sq below: all of them are in the pool.  The
     # same product bound, taken over the vectors chosen so far in increasing
@@ -458,17 +444,16 @@ def densest_sublattice(
     if k == 1:
         return Sublattice(lat, [pool[0]])  # a shortest vector is primitive
 
-    rows_indep = _first_independent_subset(pool, k)
-    if rows_indep is None:
-        return None
-    incumbent = Sublattice(lat, rows_indep).saturation()
     # Everything below is scaled by L, the Gram denominator: inner products
     # L <v, w> are integers, and a rank-j Gram determinant is an integer over
-    # L^j.  inc is the incumbent determinant times L^k.
+    # L^j.  inc bounds the determinant times L^k: first the budget's floor,
+    # then the least found.  A saturated M with det M <= det_budget has
+    # det M * L^k <= inc, since that product is an integer, so the level
+    # pruning and the leaf tests keep M and every tie with it.
     gi, scale = lat.scaled_gram()
-    inc = (incumbent.det() * scale**k).numerator
+    inc = math.floor(det_budget * scale**k)
     # HNF bases of the saturated sublattices found with determinant inc / L^k
-    ties = {incumbent.basis}
+    ties = set()
 
     gv = [[sum(map(mul, row, v)) for row in gi] for v in pool]
     lnorm = [sum(map(mul, v, g)) for v, g in zip(pool, gv)]
@@ -546,7 +531,7 @@ def densest_sublattice(
                 ties.add(sat)
 
     dfs(0, 1)
-    return Sublattice(lat, min(ties))
+    return Sublattice(lat, min(ties)) if ties else None
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +595,9 @@ def _min_det_rank_k(
     greedy = _greedy_rank_k_det(lat, k)
     budget = greedy[0] if cap is None else min(greedy[0], cap)
     sub = densest_sublattice(lat, k, budget, node_cap)
-    if sub is None or (det_k := sub.det()) > budget:
+    if sub is None:
         return greedy
-    return det_k, sub
+    return sub.det(), sub
 
 
 def _root_ceil(q: Fraction, n: int) -> Fraction:

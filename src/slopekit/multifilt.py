@@ -440,7 +440,9 @@ def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[int, ...]]:
     )
     for tup in tuples:
         proper = [f.space_at(lam) for f, lam in zip(m.filtrations, tup) if lam != f.steps[0][0]]
-        inter = proper[0] if proper else linalg.identity(m.dim)
+        if not proper:  # I = V, whose first RREF row is e_1
+            return sum(tup, F(0)), tuple(int(j == 0) for j in range(m.dim))
+        inter = proper[0]
         for space in proper[1:]:
             inter = linalg.intersect_row_spaces(inter, space, m.dim)
             if not inter:

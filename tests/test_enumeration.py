@@ -192,6 +192,10 @@ def test_densest_sublattice_full_rank():
     lat = a2_lattice()
     sub = densest_sublattice(lat, 2, lat.det())
     assert sub.rank == 2 and sub.det() == 3
+    # below det L no rank-r sublattice is within the budget
+    assert densest_sublattice(lat, 2, F(299, 100)) is None
+    lat = EuclideanLattice([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
+    assert lat.det() == 18 and densest_sublattice(lat, 3, F(1, 100)) is None
 
 
 def test_densest_sublattice_axis():
@@ -620,8 +624,19 @@ def test_densest_sublattice_brute_force_rank_le_4():
     """Every k on rank <= 4.  Hyperplane pools of random rank-4 lattices run to
     hundreds of vectors at the LLL radius (28 and 40 for A3 + <7> and
     A3 + <5>), so rank-4 k = 3 uses those two; Rankin duality covers the
-    random ones."""
+    random ones.  Each case is searched at the greedy budget, at d_k, the
+    least rank-k determinant, which gives the same minimizer, and 1 % below
+    d_k, which gives None."""
     from slopekit.enumeration import _greedy_rank_k_det
+
+    def check(lat, k):
+        budget, _ = _greedy_rank_k_det(lat, k)
+        sub = densest_sublattice(lat, k, budget)
+        want = _brute_force_densest(lat, k, sub.det())
+        assert (sub.det(), sub.hnf_basis()) == want
+        at_d_k = densest_sublattice(lat, k, want[0])
+        assert (at_d_k.det(), at_d_k.hnf_basis()) == want
+        assert densest_sublattice(lat, k, want[0] * F(99, 100)) is None
 
     a3 = EuclideanLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     rng = random.Random(109)
@@ -630,15 +645,11 @@ def test_densest_sublattice_brute_force_rank_le_4():
     for lat in lats:
         lat = _change_basis(rng, lat)
         for k in range(1, lat.rank):
-            budget, _ = _greedy_rank_k_det(lat, k)
-            sub = densest_sublattice(lat, k, budget)
-            assert (sub.det(), sub.hnf_basis()) == _brute_force_densest(lat, k, sub.det())
+            check(lat, k)
     for _ in range(3):
         lat = random_lattice(rng, 4)
         for k in (1, 2):
-            budget, _ = _greedy_rank_k_det(lat, k)
-            sub = densest_sublattice(lat, k, budget)
-            assert (sub.det(), sub.hnf_basis()) == _brute_force_densest(lat, k, sub.det())
+            check(lat, k)
 
 
 def test_mu_max_invariant_under_signed_permutations():
@@ -703,7 +714,16 @@ def _reference_enumerate(lat, bound, node_cap):
 def _reference_densest(lat, k, det_budget, node_cap):
     """densest_sublattice as first written: Fraction norms and level bounds,
     and det_int on the fresh Gram matrix of every candidate."""
-    from slopekit.enumeration import _first_independent_subset
+
+    def _first_independent_subset(pool, k):
+        rows = []
+        for v in pool:
+            cand = rows + [v]
+            if len(linalg.hnf(cand)) == len(cand):
+                rows.append(v)
+                if len(rows) == k:
+                    return rows
+        return None
 
     det_budget = F(det_budget)
     r = lat.rank

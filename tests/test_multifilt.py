@@ -171,6 +171,26 @@ def test_nu_witness_three_lines_below_slope():
     assert slope_of_subspace(m, (line,)) == 1
 
 
+def test_nu_witness_of_the_whole_space_builds_no_identity(monkeypatch):
+    """Where no break tuple has a proper step (no filtrations, or one step
+    each), the witness is e_1, the first RREF row of V, as an int tuple; it
+    is made without `linalg.identity`, which is quadratic in the dimension."""
+    spaces = [
+        (MultifilteredSpace.from_json_dict({"dim": 100_000, "filtrations": []}), 0),
+        (MultifilteredSpace(1, []), 0),
+        (MultifilteredSpace(3, [Filtration(3, [(F(5, 2), linalg.identity(3))])] * 2), 5),
+    ]
+
+    def refuse(n):
+        raise AssertionError("nu_witness built an identity")
+
+    monkeypatch.setattr(linalg, "identity", refuse)
+    for m, val in spaces:
+        got_val, line = nu_witness(m)
+        assert got_val == val and type(got_val) is F
+        assert line == (1,) + (0,) * (m.dim - 1) and all(type(x) is int for x in line)
+
+
 def test_nu_between_mu_and_mu_max():
     rng = random.Random(7)
     for _ in range(12):

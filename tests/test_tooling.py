@@ -571,38 +571,46 @@ def _module_references(nodes: list[ast.AST], module: str, own_module: bool) -> s
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
-    """The public function or the upper-case constants a top-level statement
+    """The function or the upper-case constants a top-level statement
     defines."""
     if isinstance(node, ast.FunctionDef):
-        return [] if node.name.startswith("_") else [node.name]
+        return [node.name]
     targets = node.targets if isinstance(node, ast.Assign) else []
     return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
 
 
 def test_linalg_helpers_have_callers():
-    """Every public top-level function and every upper-case constant of each
-    slopekit module, `linalg` included, is used somewhere in the sources, the
-    tests or the benchmark, outside its own definition.  Methods are left
-    out: a name alone cannot tell them from a benchmark function of the same
-    name."""
+    """Every top-level function and every upper-case constant of each
+    slopekit module, `linalg` included, is used outside its own definition:
+    a private function somewhere in the sources, since a helper that only
+    tests reach is dead code, and anything else in the sources, the tests or
+    the benchmark.  Methods are left out: a name alone cannot tell them from
+    a benchmark function of the same name."""
     root = PERFBENCH.parent
     files = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
     trees = {path: ast.parse(path.read_text()) for path in files}
     nodes = {path: list(ast.walk(tree)) for path, tree in trees.items()}
+    src = root / "src"
     unused = []
-    checked = 0
-    for module_path in sorted((root / "src" / "slopekit").glob("*.py")):
+    checked = private = 0
+    for module_path in sorted((src / "slopekit").glob("*.py")):
         module = module_path.stem
         tree = trees[module_path]
-        used = set()
+        in_src = set()
         for node in tree.body:  # uses inside the module, each outside its own definition
-            used |= _module_references(list(ast.walk(node)), module, own_module=True) - set(_defined_names(node))
+            in_src |= _module_references(list(ast.walk(node)), module, own_module=True) - set(_defined_names(node))
+        used = set(in_src)
         for path, other in nodes.items():
             if path != module_path:
-                used |= _module_references(other, module, own_module=False)
+                refs = _module_references(other, module, own_module=False)
+                used |= refs
+                if path.is_relative_to(src):
+                    in_src |= refs
         for node in tree.body:
             for name in _defined_names(node):
                 checked += 1
-                if name not in used:
+                helper = isinstance(node, ast.FunctionDef) and name.startswith("_")
+                private += helper
+                if name not in (in_src if helper else used):
                     unused.append(f"{module}.{name}")
-    assert checked >= 100 and not unused, unused
+    assert checked >= 100 and private >= 40 and not unused, unused
