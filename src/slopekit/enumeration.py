@@ -265,7 +265,8 @@ def lll_reduce(lat: EuclideanLattice):
             li[k - 1] = (b * t + lkk * li[k]) // d[k + 1]
         d[k] = b
         k = max(k - 1, 1)
-    return EuclideanLattice._from_scaled(g, scale), tuple(map(tuple, u))
+    # G' = U G U^T with det U = +-1, so det G' = det G and the degrees agree
+    return EuclideanLattice._from_scaled(g, scale)._by_law((1, lat)), tuple(map(tuple, u))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +532,8 @@ def densest_sublattice(
                 ties.add(sat)
 
     dfs(0, 1)
-    return Sublattice(lat, min(ties)) if ties else None
+    # every tie's saturation has the least determinant, inc / L^k
+    return Sublattice(lat, min(ties))._proved_det(F(inc, scale**k)) if ties else None
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Free modules over the ring of integers of Q(sqrt(-d)) carrying a
 conjugate-symmetric positive definite Gram matrix (hermitian scalar product
 left antilinear).  Degrees land in LogRational via deg = -log(det Gram) for
-the single complex place.  The reproduction routines rebuild the explicit
-rank-2/3 computations the counterexample constructions rest on.
+the single complex place; a derived lattice takes its degree from the law
+of its operation (see `lattice`).  The reproduction routines rebuild the
+explicit rank-2/3 computations the counterexample constructions rest on.
 
 Every quadratic extension here is a `QuadField` and its elements are `QElt`:
 Q(sqrt(-d)) (`ImagQuadField`), the real fields of the norm-product checks,
@@ -417,10 +418,19 @@ class HermitianLattice(_GramPair):
     def restrict_scalars(self) -> EuclideanLattice:
         """Rank-2r euclidean lattice on the Z-basis (e_j, omega*e_j), with the
         real part of the hermitian form: tr(x)/2 for each entry x, so the
-        traces of the entries of D*G over 2D."""
+        traces of the entries of D*G over 2D.
+
+        Degree law: deg Res E = deg E - (r/2)*log(|Delta_K|/4).  Proof: on the
+        R-basis (e_j, i*e_j) the real part of h has the Gram matrix
+        [[Re H, -Im H], [Im H, Re H]], of determinant |det H|^2 = (det H)^2.
+        With omega = t/2 + i*s, s^2 = N(omega) - t^2/4 = |Delta_K|/4, the
+        change to (e_j, omega*e_j) is triangular with diagonal (1, s) in each
+        coordinate, so det Res E = (det E)^2 * (|Delta_K|/4)^r."""
         r = self.rank
+        field = self.field
+        disc_quarter = field.omega_norm - F(field.omega_trace) ** 2 / 4
         gens = [(j, pow_w) for j in range(r) for pow_w in (0, 1)]
-        one, w = self.field.one, self.field.omega
+        one, w = field.one, field.omega
 
         def coeff(pw):
             return one if pw == 0 else w
@@ -429,7 +439,8 @@ class HermitianLattice(_GramPair):
             [(coeff(pa).conj() * self._s[i][j] * coeff(pb)).trace() for (j, pb) in gens]
             for (i, pa) in gens
         ]
-        return EuclideanLattice._from_scaled(gram, 2 * self._den)
+        out = EuclideanLattice._from_scaled(gram, 2 * self._den)
+        return out._by_law((1, self), base=disc_quarter, power=r)
 
     def __hash__(self):
         if self._hash is None:

@@ -11,6 +11,15 @@ and duals all work on D*G, and G is a view, built on first use.
 `hermitian.HermitianLattice` the pair over the ring of integers of
 Q(sqrt(-d)).  Degrees and slopes land in LogRational.  The degree of a
 euclidean lattice is minus the log of the covolume, i.e. -1/2*log(det Gram).
+
+A lattice built from a Gram matrix factors its determinant for its degree.
+A lattice derived from others (tensor product, dual, rescaling, exterior
+power, orthogonal sum, LLL reduction, restriction of scalars) records the
+degree law that its operation proves, a constant log plus a combination of
+its parents' degrees, and `degree` resolves that record on first call, so
+nothing is factored beyond the parents' own determinants.  Every lattice,
+derived or not, is still checked by Sylvester's criterion when it is built,
+and `det` is the determinant that check computes.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ class _GramPair:
     lattices) the whole symmetry check comes first, and a diagonal entry
     <= 0 fails Sylvester's test."""
 
-    __slots__ = ("_field", "_s", "_den", "_det", "_gram", "_dual", "_hash", "_degree")
+    __slots__ = ("_field", "_s", "_den", "_det", "_gram", "_dual", "_hash", "_degree", "__weakref__")
 
     _DIAGONAL = None
 
@@ -117,10 +126,48 @@ class _GramPair:
 
     def degree(self) -> LogRational:
         """-w*log(det G), built once, with w = `_WEIGHT`: 1/2 over Z, and 1
-        over Q(sqrt(-d)), whose single complex place carries weight 2."""
-        if self._degree is None:
+        over Q(sqrt(-d)), whose single complex place carries weight 2.  A
+        derived lattice resolves the law it recorded (`_by_law`); any other
+        factors det G."""
+        law = self._degree
+        if law is None:
             _set(self, "_degree", log_of_rational(self._det) * -self._WEIGHT)
+        elif type(law) is tuple:
+            self._resolve()
         return self._degree
+
+    def _by_law(self, *terms, base=1, power=0):
+        """Record the degree that the law of the operation which built self
+        proves: -w*power*log(base) + the sum of a*deg(P) over the pairs
+        (a, P) of terms, P a parent lattice.  `degree` resolves it on first
+        call.  Returns self."""
+        _set(self, "_degree", (base, power, terms))
+        return self
+
+    def _resolve(self) -> None:
+        """Resolve the recorded laws of self and of its unresolved ancestors,
+        parents before children, each into its LogRational, and drop the
+        parents.  A parent's degree is read through `degree`.  The pending
+        lattices wait on a stack, not in nested calls, so a long chain of
+        derivations cannot reach the recursion limit; one met twice (a
+        tensor square) is resolved once."""
+        stack = [self]
+        while stack:
+            lat = stack[-1]
+            law = lat._degree
+            if type(law) is not tuple:
+                stack.pop()
+                continue
+            base, power, terms = law
+            pending = [p for _, p in terms if type(p._degree) is tuple]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            parts = [p.degree() if a == 1 else p.degree() * a for a, p in terms]
+            if power:
+                parts.append(log_of_rational(base) * (-lat._WEIGHT * power))
+            _set(lat, "_degree", sum(parts[1:], parts[0]))
 
     def slope(self) -> LogRational:
         return self.degree() / self.rank
@@ -136,7 +183,9 @@ class _GramPair:
         [S | I] (`linalg.rref`) has rows (p_i e_i | p_i * row i of S^-1), so
         with (c_i, n_i) = clear(p_i) and P = lcm(n_i) the rows
         D * (P / n_i) * c_i * (right half of row i) make P * G^-1 on the
-        ring's integers: transposed, over P, the pair of the dual."""
+        ring's integers: transposed, over P, the pair of the dual.
+
+        Degree law: deg L* = -deg L, since det(G^-1)^T = 1/det G."""
         if self._dual is None:
             s, n = self._s, len(self._s)
             rows, _ = linalg.rref(tuple(row + e for row, e in zip(s, linalg.identity(n))))
@@ -144,17 +193,27 @@ class _GramPair:
             den = math.lcm(*(m for _, m in clears))
             factors = [self._den * (den // m) * c for c, m in clears]
             inv = [[x * f for x in row[n:]] for row, f in zip(rows, factors)]
-            dual = self._new(self._field, tuple(zip(*inv)), den)
+            dual = self._new(self._field, tuple(zip(*inv)), den)._by_law((-1, self))
             _set(self, "_dual", dual)
             _set(dual, "_dual", self)
         return self._dual
 
     def tensor(self, other):
+        """Gram matrix kron(A, B), the pair (kron(S_A, S_B), D_A * D_B).
+
+        Degree law: deg(A (x) B) = rk B * deg A + rk A * deg B.  Proof:
+        kron(A, B) = kron(A, I_m) * kron(I_n, B) for ranks n, m; kron(I_n, B)
+        is block diagonal with n blocks B, and kron(A, I_m) is that for A
+        after the same permutation of rows and columns, so
+        det kron(A, B) = det(A)^m * det(B)^n."""
         if self._field != other._field:
             raise ValueError("field mismatch")
-        return self._new(self._field, linalg.kron(self._s, other._s), self._den * other._den)
+        out = self._new(self._field, linalg.kron(self._s, other._s), self._den * other._den)
+        return out._by_law((other.rank, self), (self.rank, other))
 
     def orthogonal_sum(self, other):
+        """Block diagonal Gram matrix; det is the product of the blocks' dets,
+        so deg(A + B) = deg A + deg B."""
         if self._field != other._field:
             raise ValueError("field mismatch")
         scale = math.lcm(self._den, other._den)
@@ -166,27 +225,34 @@ class _GramPair:
             [tuple(x * ma for x in row) + za for row in self._s]
             + [zb + tuple(x * mb for x in row) for row in other._s],
             scale,
-        )
+        )._by_law((1, self), (1, other))
 
     def _rescale(self, c: Rat):
-        """Multiply the Gram matrix by c > 0: the degree shifts by
-        -rank/2*log(c) for a euclidean lattice (the twist by
-        lambda = -1/2*log c) and by -rank*log(c) for a hermitian one."""
+        """Multiply the Gram matrix by c > 0.  Degree law: det(c*G) =
+        c^r * det G, so the degree shifts by -w*r*log(c): by -r/2*log(c) for
+        a euclidean lattice (the twist by lambda = -1/2*log c) and by
+        -r*log(c) for a hermitian one."""
         c = Fraction(c)
         if c <= 0:
             raise ValueError(self._RESCALE)
         n = c.numerator
-        return self._new(self._field, [[x * n for x in row] for row in self._s], c.denominator * self._den)
+        out = self._new(self._field, [[x * n for x in row] for row in self._s], c.denominator * self._den)
+        return out._by_law((1, self), base=c, power=self.rank)
 
     def exterior_power(self, p: int):
         """Gram matrix of the p-th alternating power: entries det(G[S][T]),
-        the minors of D*G over D^p."""
-        if not 1 <= p <= self.rank:
-            raise ValueError(f"exterior power degree {p} out of range 1..{self.rank}")
+        the minors of D*G over D^p.
+
+        Degree law: deg(Lambda^p L) = C(r - 1, p - 1) * deg L.  The Gram
+        matrix is the p-th compound of G, and by the Sylvester-Franke theorem
+        det C_p(G) = det(G)^C(r - 1, p - 1)."""
+        r = self.rank
+        if not 1 <= p <= r:
+            raise ValueError(f"exterior power degree {p} out of range 1..{r}")
         s = self._s
-        subsets = list(combinations(range(self.rank), p))
+        subsets = list(combinations(range(r), p))
         minors = [[linalg.det_int([[s[i][j] for j in t] for i in u]) for t in subsets] for u in subsets]
-        return self._new(self._field, minors, self._den**p)
+        return self._new(self._field, minors, self._den**p)._by_law((math.comb(r - 1, p - 1), self))
 
     def is_integral(self) -> bool:
         return self._den == 1
@@ -218,6 +284,10 @@ class EuclideanLattice(_GramPair):
     _WEIGHT = Fraction(1, 2)
 
     def __init__(self, gram: Sequence[Sequence[Rat]]):
+        if all(type(x) is int for row in gram for x in row):
+            # an int Gram is its own pair (G, 1); its Fraction view waits for use
+            self._init_pair(None, gram, 1)
+            return
         g = linalg.mat(gram)
         self._init_pair(None, *linalg.clear_denominators(g))
         _set(self, "_gram", g)
@@ -317,7 +387,7 @@ class Sublattice:
     Hermite normal form, whatever basis it was given, so two sublattices are
     equal iff their bases are."""
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_det")
 
     def __init__(self, ambient: EuclideanLattice, basis: Sequence[Sequence[int]]):
         rows = linalg.int_mat(basis)
@@ -330,6 +400,7 @@ class Sublattice:
             raise ValueError("basis rows must be linearly independent")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", h)
+        object.__setattr__(self, "_det", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sublattice is immutable")
@@ -339,10 +410,20 @@ class Sublattice:
         return len(self.basis)
 
     def det(self) -> Fraction:
-        gi, scale = self.ambient.scaled_gram()
-        b = self.basis
-        m = linalg.matmul(linalg.matmul(b, gi), linalg.transpose(b))
-        return Fraction(linalg.det_int(m), scale ** len(b))
+        """det(B G B^T) for the basis B, built once from the induced Gram
+        matrix unless `_proved_det` handed it over."""
+        if self._det is None:
+            gi, scale = self.ambient.scaled_gram()
+            b = self.basis
+            m = linalg.matmul(linalg.matmul(b, gi), linalg.transpose(b))
+            object.__setattr__(self, "_det", Fraction(linalg.det_int(m), scale ** len(b)))
+        return self._det
+
+    def _proved_det(self, det: Fraction) -> "Sublattice":
+        """Self, with `det` as the memo of `det()`: for a caller that has
+        proved this determinant.  Returns self."""
+        object.__setattr__(self, "_det", det)
+        return self
 
     def degree(self) -> LogRational:
         return -half_log(self.det())

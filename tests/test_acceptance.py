@@ -117,6 +117,10 @@ def test_criterion_5_degree_laws_500_lattices():
         lam = -half_log(c)
         assert lat.scale(c).degree() == lat.degree() + lat.rank * lam
         assert lat.exterior_power(lat.rank).degree() == lat.degree()
+        # the library computes these degrees by the laws above: each must
+        # also be -1/2*log of a determinant eliminated from its Gram matrix
+        for derived in (t, lat.dual(), lat.scale(c), lat.exterior_power(lat.rank)):
+            assert derived.degree() == -half_log(linalg.det_bareiss(derived.gram))
     _ok(5, "slope additivity and degree laws exact on 500 random lattices")
 
 

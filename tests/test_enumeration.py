@@ -638,18 +638,39 @@ def test_densest_sublattice_brute_force_rank_le_4():
         assert (at_d_k.det(), at_d_k.hnf_basis()) == want
         assert densest_sublattice(lat, k, want[0] * F(99, 100)) is None
 
+    for lat, ks in _brute_force_corpus():
+        for k in ks:
+            check(lat, k)
+
+
+def _brute_force_corpus():
+    """The (lattice, ranks k) pairs of the brute-force densest-sublattice
+    test, drawn in order from one seeded generator."""
     a3 = EuclideanLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     rng = random.Random(109)
     lats = [random_lattice(rng, r) for r in (2, 2, 3, 3, 3)]
     lats += [a3.orthogonal_sum(unit_lattice(1).scale(c)) for c in (7, 5)]
     for lat in lats:
         lat = _change_basis(rng, lat)
-        for k in range(1, lat.rank):
-            check(lat, k)
+        yield lat, range(1, lat.rank)
     for _ in range(3):
-        lat = random_lattice(rng, 4)
-        for k in (1, 2):
-            check(lat, k)
+        yield random_lattice(rng, 4), (1, 2)
+
+
+def test_densest_sublattice_hands_over_its_proved_det():
+    """The sublattice that the DFS of `densest_sublattice` (1 < k < r)
+    returns carries the determinant the search proved, inc / L^k, as the
+    memo of `det()`; on the brute-force corpus, at the greedy budget, that
+    memo equals the determinant of the induced Gram matrix B G B^T."""
+    from slopekit.enumeration import _greedy_rank_k_det
+
+    cases = [(lat, k) for lat, ks in _brute_force_corpus() for k in ks if k > 1]
+    assert len(cases) == 10
+    for lat, k in cases:
+        sub = densest_sublattice(lat, k, _greedy_rank_k_det(lat, k)[0])
+        b = linalg.mat(sub.basis)
+        induced = linalg.matmul(linalg.matmul(b, lat.gram), linalg.transpose(b))
+        assert sub._det is not None and sub._det == linalg.det_bareiss(induced)
 
 
 def test_mu_max_invariant_under_signed_permutations():

@@ -1,11 +1,15 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from slopekit import linalg
+from slopekit import exactval, linalg
+from slopekit.enumeration import lll_reduce
 from slopekit.exactval import LogRational, half_log, log_of_rational
+from slopekit.hermitian import ImagQuadField
 from slopekit.lattice import (
     EuclideanLattice,
     LatticeMorphism,
@@ -416,6 +420,33 @@ def test_invalid_grams_raise_the_same_errors():
     assert min(kinds.values()) >= 30
 
 
+def test_int_gram_builds_the_lattice_of_its_fractions():
+    """A Gram of ints goes to the pair (G, 1) without a Fraction copy; it
+    gives the lattice (pair, Fraction view, det, == and hash), or the error,
+    that the same entries as Fractions give."""
+    rng = random.Random(2906)
+    seen = set()
+    for t in range(300):
+        n = rng.randint(1, 4)
+        g = [[rng.randint(-4, 6) for _ in range(n)] for _ in range(n)]
+        if t % 3:
+            g = [[g[min(i, j)][max(i, j)] + 6 * (i == j) for j in range(n)] for i in range(n)]
+        if t % 7 == 0:
+            g = g[:-1]
+        got = []
+        for gram in (g, linalg.mat(g)):
+            try:
+                lat = EuclideanLattice(gram)
+            except ValueError as exc:
+                got.append(str(exc))
+            else:
+                assert all(type(x) is F for row in lat.gram for x in row)
+                got.append((lat, lat.scaled_gram(), lat.gram, lat.det(), hash(lat)))
+        assert got[0] == got[1]
+        seen.add(got[0] if isinstance(got[0], str) else "accepted")
+    assert len(seen) == 4
+
+
 def _rand_entry(rng):
     return F(rng.randint(-4, 6), rng.choice((1, 1, 2, 3)))
 
@@ -468,6 +499,111 @@ def test_dual_and_degree_are_built_once():
         assert EuclideanLattice(lat.dual().gram).dual() == lat  # a fresh inverse
         assert lat.degree() is lat.degree()
         assert lat.dual().degree() == -lat.degree()
+
+
+def _derived_euclidean(rng, n):
+    """A seeded lattice a of rank 1-6, integral or not, another lattice b,
+    and the lattices derived from them: first those whose law adds no
+    constant (a tensor product, of rank 9 every tenth time, the dual, an
+    exterior power, an orthogonal sum and the LLL reduction), then a dual
+    of a rescaled dual and the LLL reduction of a rescaling."""
+    a = (random_lattice if n % 2 else _rational_lattice)(rng, 1 + n % 6)
+    b = _rational_lattice(rng, rng.randint(1, 2))
+    if n % 10 == 0:
+        a, b = random_lattice(rng, 3), _rational_lattice(rng, 3)
+    c = F(rng.randint(1, 9), rng.randint(1, 9))
+    pure = [
+        a.tensor(b),
+        a.dual(),
+        a.exterior_power(rng.randint(1, a.rank)),
+        a.orthogonal_sum(b),
+        lll_reduce.__wrapped__(a)[0],
+    ]
+    return (a, b), pure, [a.dual().scale(c).dual(), lll_reduce.__wrapped__(a.scale(c))[0]]
+
+
+def _derived_hermitian(rng, n):
+    """A seeded hermitian lattice a of rank 1-3 over Q(sqrt(-d)),
+    d in {1, 2, 3, 5, 7, 13}, another lattice b, and the lattices derived
+    from them: first a tensor product, an exterior power, the dual and an
+    orthogonal sum, then a twist and the restrictions of scalars of a, of
+    its twist and of its dual."""
+    from test_hermitian import _definite
+
+    field = ImagQuadField((1, 2, 3, 5, 7, 13)[n % 6])
+    a = _definite(rng, field, 1 + (n // 6) % 3)
+    b = _definite(rng, field, rng.randint(1, 2))
+    c = F(rng.randint(1, 9), rng.randint(1, 9))
+    pure = [a.tensor(b), a.exterior_power(rng.randint(1, a.rank)), a.dual(), a.orthogonal_sum(b)]
+    shifted = [a.twist(c), a.restrict_scalars(), a.twist(c).restrict_scalars(), a.dual().restrict_scalars()]
+    return (a, b), pure, shifted
+
+
+def test_derived_degrees_match_factored_determinants(monkeypatch):
+    """Every derived lattice takes its degree from the law of its operation;
+    on 300 seeded euclidean lattices and 210 hermitian ones, each equals
+    -w*log(det G), factored from the determinant that Sylvester's check
+    computed.  Once the parents' degrees are known, the laws that add no
+    constant (tensor, dual, exterior power, orthogonal sum, LLL) call no
+    `factor_positive_int`."""
+    calls = []
+    real = exactval.factor_positive_int
+    monkeypatch.setattr(exactval, "factor_positive_int", lambda n: calls.append(n) or real(n))
+    rng = random.Random(2902)
+    cases = [_derived_euclidean(rng, n) for n in range(300)]
+    cases += [_derived_hermitian(rng, n) for n in range(210)]
+    ranks, fields = set(), set()
+    for parents, pure, shifted in cases:
+        for p in parents:
+            p.degree()
+        del calls[:]
+        for lat in pure:
+            lat.degree()
+        assert calls == []
+        for lat in pure + shifted:
+            assert lat.degree() == log_of_rational(lat.det()) * -lat._WEIGHT
+            ranks.add(lat.rank)
+        fields.add(getattr(parents[0], "field", None))
+    assert ranks >= {1, 2, 3, 4, 5, 6, 9} and len(fields) == 7
+
+
+def test_resolved_degree_keeps_no_parent():
+    """A derived lattice holds its parents only until its degree is
+    resolved: then nothing it keeps refers to them."""
+    from test_hermitian import _definite
+
+    rng = random.Random(2904)
+    a, b = _rational_lattice(rng, 3), random_lattice(rng, 2)
+    h = _definite(rng, ImagQuadField(7), 2)
+    derived = [
+        a.tensor(b),
+        a.scale(F(3, 2)),
+        a.exterior_power(2),
+        a.orthogonal_sum(b),
+        lll_reduce.__wrapped__(b)[0],
+        h.twist(5).restrict_scalars(),
+        h.exterior_power(2),
+    ]
+    refs = [weakref.ref(x) for x in (a, b, h)]
+    del a, b, h
+    gc.collect()
+    assert all(r() is not None for r in refs)  # the unresolved laws hold them
+    for lat in derived:
+        lat.degree()
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_long_chain_of_derivations_resolves():
+    """The laws of a chain of derived lattices longer than the recursion
+    limit resolve, each once; the ends agree with the factored value."""
+    lat = _rational_lattice(random.Random(2905), 2)
+    chain = [lat]
+    for n in range(3000):
+        chain.append(chain[-1].scale(F(3, 2)) if n % 2 else chain[-1].dual())
+    top = chain[-1]
+    assert top.degree() == log_of_rational(top.det()) * -top._WEIGHT
+    assert all(type(x._degree) is LogRational for x in chain)
 
 
 @pytest.mark.parametrize(
