@@ -193,22 +193,19 @@ def lll_reduce(lat: EuclideanLattice):
     """LLL-reduce (delta = 3/4); returns (reduced lattice, unimodular U) with
     G' = U G U^T.  Integral LLL (Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7) on the integer Gram matrix L * G: the leading
-    minors d_j and lambda_kj = d_(j+1) * mu_kj are kept across iterations.
-    Row k of lambda is computed from the current Gram the first time k
-    exceeds kmax; size reduction updates it in place, and a swap updates d_k
-    and the columns k-1 and k of the rows below by exact divisions.  Each
-    mu_kj, j = k-1 .. 0, is rounded with ties to even before the Lovasz test.
+    minors d_j and lambda_kj = d_(j+1) * mu_kj start as the lattice's own
+    record of them (`_GramPair._init_pair`) and are kept current for every
+    row by size reduction and by exact divisions on a swap.  Each mu_kj,
+    j = k-1 .. 0, is rounded with ties to even before the Lovasz test.
 
     Memoized: lattices hash and compare by their Gram matrix."""
     n = lat.rank
     gi, scale = lat.scaled_gram()
     g = [list(row) for row in gi]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # d[j]: the leading j x j minor; lam[i][j] = d[j+1] * mu_ij for j < i.
-    # Both are current for the rows up to kmax.
-    d = [1, g[0][0]] + [0] * (n - 1)
-    lam: list[list[int]] = [[] for _ in range(n)]
-    kmax = 0
+    # d[j]: the leading j x j minor; lam[i][j] = d[j+1] * mu_ij for j < i
+    d = [1] + [row[-1] for row in lat._gso]
+    lam = [list(row[:-1]) for row in lat._gso]
 
     def row_op(i, j, q):  # b_i -= q b_j
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
@@ -222,20 +219,15 @@ def lll_reduce(lat: EuclideanLattice):
         for row in g:
             row[i], row[j] = row[j], row[i]
 
+    # Every row of d and lam is that of the current basis.  Size reduction of
+    # b_k keeps every b*_i and d_i, so it moves row k of lambda alone; a swap
+    # at k moves d_k, rows k-1 and k, and columns k-1 and k of every row
+    # below, by the exact formulas below.  So each row equals the one computed
+    # afresh from the current Gram when k first reaches it, and every mu,
+    # swap, U and reduced Gram is that of the reduction computing it then.
     k = 1
     while k < n:
         lk = lam[k]
-        if k > kmax:
-            kmax = k
-            gk = g[k]
-            for j in range(k + 1):
-                t, lj = gk[j], lam[j]
-                for i in range(j):
-                    t = (d[i + 1] * t - lk[i] * lj[i]) // d[i]
-                if j < k:
-                    lk.append(t)
-                else:
-                    d[k + 1] = t
         for j in reversed(range(k)):
             # round(mu_kj) = round(lk[j] / d[j+1]), ties to even
             dj = d[j + 1]
@@ -244,7 +236,6 @@ def lll_reduce(lat: EuclideanLattice):
                 q += 1
             if q:
                 row_op(k, j, q)
-                # b_k -= q b_j keeps every b*_i and d_i, so only lambda_k moves
                 lj = lam[j]
                 for i in range(j):
                     lk[i] -= q * lj[i]
@@ -258,7 +249,7 @@ def lll_reduce(lat: EuclideanLattice):
         # lambda_k,k-1 is unchanged; the columns below k-1 trade rows
         lam[k - 1], lam[k] = lk[: k - 1], lam[k - 1] + [lkk]
         b = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
-        for i in range(k + 1, kmax + 1):
+        for i in range(k + 1, n):
             li = lam[i]
             t = li[k]
             li[k] = (d[k + 1] * li[k - 1] - lkk * t) // d[k]
@@ -288,8 +279,8 @@ def enumerate_short_vectors(
     """All nonzero vectors of squared length <= bound, complete up to sign.
 
     Fincke-Pohst over the LLL-reduced basis, on integers only.  With L * G the
-    reduced integer Gram matrix, `linalg.bareiss` gives its leading minors d_l
-    and lambda_jl = d_(l+1) * mu_jl, and x has squared length
+    reduced integer Gram matrix, the reduced lattice's `_gso` gives its leading
+    minors d_l and lambda_jl = d_(l+1) * mu_jl, and x has squared length
     sum_l (d_(l+1) x_l + s_l)^2 / (L d_l d_(l+1)), s_l = sum_(j>l) lambda_jl x_j.
     Times N = lcm_l L d_l d_(l+1) the term of level l is the integer
     w_l (d_(l+1) x_l + s_l)^2, w_l = N / (L d_l d_(l+1)), so the length is at
@@ -302,8 +293,8 @@ def enumerate_short_vectors(
         raise ValueError("bound must be positive")
     reduced, u = lll_reduce(lat)
     n = lat.rank
-    gi, scale = reduced.scaled_gram()
-    lam, _ = linalg.bareiss(gi)
+    _, scale = reduced.scaled_gram()
+    lam = reduced._gso
     d = [1] + [lam[i][i] for i in range(n)]
     dens = [scale * d[l] * d[l + 1] for l in range(n)]
     big_n = math.lcm(*dens)

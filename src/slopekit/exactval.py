@@ -298,6 +298,9 @@ class LogRational:
     def __setattr__(self, name, value):
         raise AttributeError("LogRational is immutable")
 
+    def __reduce__(self):
+        return _lr, (self._key,)
+
     @property
     def constant(self) -> Fraction:
         return self._key[0]

@@ -18,8 +18,9 @@ power, orthogonal sum, LLL reduction, restriction of scalars) records the
 degree law that its operation proves, a constant log plus a combination of
 its parents' degrees, and `degree` resolves that record on first call, so
 nothing is factored beyond the parents' own determinants.  Every lattice,
-derived or not, is still checked by Sylvester's criterion when it is built,
-and `det` is the determinant that check computes.
+derived or not, is still checked by Sylvester's criterion when it is built;
+the pair keeps that elimination's determinant (`det`) and lower triangle,
+the integral Gram-Schmidt data that LLL starts from and Fincke-Pohst reads.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class _GramPair:
     lattices) the whole symmetry check comes first, and a diagonal entry
     <= 0 fails Sylvester's test."""
 
-    __slots__ = ("_field", "_s", "_den", "_det", "_gram", "_dual", "_hash", "_degree", "__weakref__")
+    __slots__ = ("_field", "_s", "_den", "_det", "_gso", "_gram", "_dual", "_hash", "_degree", "__weakref__")
 
     _DIAGONAL = None
 
@@ -98,11 +99,16 @@ class _GramPair:
         _set(self, "_s", s)
         _set(self, "_den", den)
         _set(self, "_det", Fraction(real(m[-1][-1]), den**r))
+        # row i: lambda_i0 .. lambda_i,i-1, then d_(i+1) (see `linalg.bareiss`)
+        _set(self, "_gso", tuple(tuple(row[: i + 1]) for i, row in enumerate(m)))
         for name in ("_gram", "_dual", "_hash", "_degree"):
             _set(self, name, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return self._new, (self._field, self._s, self._den)
 
     @property
     def gram(self):
@@ -405,6 +411,9 @@ class Sublattice:
     def __setattr__(self, name, value):
         raise AttributeError("Sublattice is immutable")
 
+    def __reduce__(self):
+        return Sublattice, (self.ambient, self.basis)
+
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -464,6 +473,9 @@ class LatticeMorphism:
 
     def __setattr__(self, name, value):
         raise AttributeError("LatticeMorphism is immutable")
+
+    def __reduce__(self):
+        return LatticeMorphism, (self.source, self.target, self.matrix)
 
     def norm_le_one(self) -> bool:
         """Operator norm <= 1, decided exactly."""

@@ -20,9 +20,9 @@ benchmark's work budget meters.
 `bareiss` is the one square elimination, the one that keeps its
 multipliers; it runs on ints and on `QElt`, whose `//` is exact division.
 `det_int` (ints and `QElt`) and `det_bareiss` (rational, on integers after
-clearing denominators) read the determinant from it, and `lattice`,
-`enumeration` and `is_positive_semidefinite` read leading minors and
-integral Gram-Schmidt data from it for positivity, LLL and Fincke-Pohst.
+clearing denominators) read the determinant from it, and `lattice` and
+`is_positive_semidefinite` read leading minors from it for positivity (a
+lattice keeps its integral Gram-Schmidt data for LLL and Fincke-Pohst).
 The other integer routines (`hnf`, `saturate`, `int_kernel_saturated`) take
 ints: `hnf` is the one row echelon over the integers (bases, containment,
 independence, integer kernels); `saturate` is the one column echelon, which

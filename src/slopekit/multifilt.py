@@ -137,6 +137,9 @@ class Filtration:
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
 
+    def __reduce__(self):
+        return Filtration, (self.ambient_dim, self.steps)
+
     def breaks(self) -> tuple[Fraction, ...]:
         return tuple(lam for lam, _ in self.steps)
 
@@ -193,6 +196,9 @@ class MultifilteredSpace:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultifilteredSpace is immutable")
+
+    def __reduce__(self):
+        return MultifilteredSpace, (self.dim, self.filtrations)
 
     @property
     def n_filtrations(self) -> int:

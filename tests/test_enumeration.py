@@ -523,12 +523,21 @@ def test_lll_matches_reference_exactly():
         red, u = lll_reduce.__wrapped__(lat)
         assert (red.gram, u) == _reference_lll(lat)
     assert ranks == set(range(1, 9))
+    # LLL-reduced bases of rank 6-8, E8's among them, in reverse order: the
+    # swaps at small k come first and move rows that k has not reached yet
+    for lat in [e8_lattice()] + [random_lattice(rng, 6 + t % 3, bound=3) for t in range(9)]:
+        g = lll_reduce(lat)[0].gram
+        rev = EuclideanLattice([row[::-1] for row in g[::-1]])
+        red, u = lll_reduce.__wrapped__(rev)
+        assert (red.gram, u) == _reference_lll(rev)
 
 
 def test_lll_makes_no_elimination(monkeypatch):
     """The integral LLL keeps its Gram-Schmidt data across iterations: the
     reduction runs no `linalg.bareiss` pass, and the one call left is the
-    positivity check of the reduced lattice's own construction."""
+    positivity check of the reduced lattice's own construction.  Once the
+    reduction is memoized, Fincke-Pohst reads the reduced lattice's record:
+    `enumerate_short_vectors` and `minimum_sq` run no `linalg.bareiss`."""
     from slopekit import enumeration
 
     calls = []
@@ -541,6 +550,12 @@ def test_lll_makes_no_elimination(monkeypatch):
         del calls[:]
         red, _ = enumeration.lll_reduce.__wrapped__(lat)
         assert calls == [red.scaled_gram()[0]] and is_lll_reduced(red)
+        enumeration.lll_reduce(lat)
+        del calls[:]
+        bound = max(red.gram[i][i] for i in range(red.rank))
+        assert enumeration.enumerate_short_vectors(lat, bound).vectors
+        assert enumeration.minimum_sq(lat) <= bound
+        assert calls == []
 
 
 def _change_basis(rng, lat):

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -565,6 +567,85 @@ def test_derived_degrees_match_factored_determinants(monkeypatch):
             ranks.add(lat.rank)
         fields.add(getattr(parents[0], "field", None))
     assert ranks >= {1, 2, 3, 4, 5, 6, 9} and len(fields) == 7
+
+
+def test_pair_keeps_the_lower_triangle_of_its_sylvester_check():
+    """Every lattice keeps as `_gso` the lower triangle of `linalg.bareiss`
+    on its own D*G (row i: lambda_i0 .. lambda_i,i-1, then d_(i+1)), on
+    seeded lattices built every way: int and Fraction Grams, `_from_scaled`
+    with a gcd to divide out, and the derived lattices of both kinds
+    (tensors, duals, rescalings and twists, exterior powers, orthogonal
+    sums, LLL reductions and restrictions of scalars)."""
+    rng = random.Random(3001)
+    lats = []
+    for n in range(120):
+        (a, b), pure, shifted = _derived_euclidean(rng, n)
+        gi, den = a.scaled_gram()
+        k = rng.randint(2, 6)
+        divided = EuclideanLattice._from_scaled([[x * k for x in row] for row in gi], den * k)
+        assert divided.scaled_gram() == (gi, den)
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+        lats += [a, b, EuclideanLattice(a.gram), divided, a.scale(c), *pure, *shifted]
+    for n in range(60):
+        parents, pure, shifted = _derived_hermitian(rng, n)
+        lats += [*parents, *pure, *shifted]
+    kinds = set()
+    for lat in lats:
+        m, swaps = linalg.bareiss(lat.scaled_gram()[0])
+        assert swaps == 0
+        assert lat._gso == tuple(tuple(row[: i + 1]) for i, row in enumerate(m))
+        kinds.add((type(lat).__name__, lat.rank))
+    assert {r for kind, r in kinds if kind == "EuclideanLattice"} >= {1, 2, 3, 4, 5, 6, 9}
+    assert {r for kind, r in kinds if kind == "HermitianLattice"} >= {1, 2, 3, 4, 6}
+
+
+def test_immutable_values_round_trip():
+    """pickle, copy.copy and copy.deepcopy rebuild each immutable value from
+    its canonical state: equal, of equal hash, repr and degree where the
+    class has them (a Sublattice and a LatticeMorphism compare by identity,
+    so their state is compared)."""
+    from slopekit.harness import ExperimentConfig, bost_experiment
+    from slopekit.multifilt import Filtration, MultifilteredSpace
+    from test_hermitian import _definite
+
+    rng = random.Random(3002)
+    a, b = _rational_lattice(rng, 3), random_lattice(rng, 2)
+    h = _definite(rng, ImagQuadField(7), 2)
+    f1 = Filtration(2, [(0, [[1, 0], [0, 1]]), (F(1, 2), [[1, 1]])])
+    f2 = Filtration(2, [(-1, [[1, 0], [0, 1]]), (3, [[1, 0]])])
+    values = [
+        LogRational(F(2, 3), {2: F(1, 2), 15: -3}),
+        half_log(F(5, 7)),
+        a,
+        b,
+        a.tensor(b),
+        a.dual().scale(F(3, 2)),
+        lll_reduce(a)[0],
+        h,
+        h.twist(5).dual(),
+        h.restrict_scalars(),
+        f1,
+        MultifilteredSpace(2, [f1, f2]),
+        bost_experiment(ExperimentConfig(count=2))[0][0],
+        Sublattice(a, [[1, 2, 0], [0, 3, 1]]),
+        tensor_vector_to_hom(a, b, range(6)),
+    ]
+    state = {
+        Sublattice: lambda s: (s.ambient, s.basis),
+        LatticeMorphism: lambda m: (m.source, m.target, m.matrix, m.is_integral),
+    }
+    for v in values:
+        for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(back) is type(v)
+            key = state.get(type(v))
+            if key:
+                assert key(back) == key(v)
+            else:
+                assert back == v and hash(back) == hash(v)
+            if type(v).__repr__ is not object.__repr__:
+                assert repr(back) == repr(v)
+            if hasattr(v, "degree"):
+                assert back.degree() == v.degree()
 
 
 def test_resolved_degree_keeps_no_parent():
