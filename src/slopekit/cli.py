@@ -84,7 +84,7 @@ def _cmd_lattice(args) -> int:
         return 0 if res.certified else 1
     if args.action == "filtration":
         poly = slope_filtration(lat, cap)
-        for k, d in poly.points:
+        for k, d in poly.hull[1:]:
             print(f"rank {k}: max degree {_fmt(d)}")
         print("hull:", [(k, d.render()) for k, d in poly.hull])
         print("quotient slopes:", [s.render() for s in poly.quotient_slopes()])

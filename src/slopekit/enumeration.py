@@ -32,9 +32,9 @@ rank of maximal slope is kept.  Ranks 1 and r - 1, where a floor is exact
 (gamma_1 = 1), are read off the shortest vectors of L and L* with no search,
 in `mu_max` and `slope_filtration` alike (see `_min_det_rank_k`).
 
-`upper_hull` turns what a slope category knows at each rank into its slope
-polygon; the slope filtrations of both categories are read off it, and their
-mu_max through `first_edge`, as one `CertifiedMuMax`.
+Both slope categories read mu_max off what they know at each rank through
+`first_edge`, as one `CertifiedMuMax`, and build the canonical filtration
+as first edges of quotients in `quotient_polygon`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 from typing import Any, NamedTuple, Optional, Sequence
 
@@ -77,7 +77,8 @@ class CertifiedMuMax:
     """The first edge of a slope polygon (see `first_edge`), for lattices
     (LogRational slopes, a Sublattice witness) and multifiltered spaces
     (Fraction slopes, RREF rows): every slope is at most `upper`, which is
-    `value` when certified."""
+    `value` when certified.  Certified proves `value` and `upper`, and the
+    witness's slope, not always that it is the largest (see `first_edge`)."""
 
     value: Any
     witness: Any
@@ -87,23 +88,19 @@ class CertifiedMuMax:
 
 @dataclass(frozen=True)
 class SlopePolygon:
-    """A polygon read off a canopy (see `upper_hull`); degrees are LogRationals
-    for lattices and Fractions for multifiltered spaces."""
+    """A slope polygon by its vertices (see `quotient_polygon`); degrees are
+    LogRationals for lattices and Fractions for multifiltered spaces."""
 
-    points: tuple[tuple[int, Any], ...]  # (rank, greatest degree found at that rank)
-    hull: tuple[tuple[int, Any], ...]  # upper-hull vertices incl. (0, 0)
-    filtration: tuple[Any, ...]  # the witnesses at the vertices after (0, 0)
+    hull: tuple[tuple[int, Any], ...]  # vertices (rank, degree) from (0, 0)
+    filtration: tuple[Any, ...]  # witnesses at the certified vertices after (0, 0)
     certified: bool
 
     def quotient_slopes(self) -> tuple[LogRational, ...]:
-        out = []
-        for (k0, d0), (k1, d1) in zip(self.hull, self.hull[1:]):
-            out.append((d1 - d0) / (k1 - k0))
-        return tuple(out)
+        return tuple((d1 - d0) / (k1 - k0) for (k0, d0), (k1, d1) in zip(self.hull, self.hull[1:]))
 
 
 # ---------------------------------------------------------------------------
-# The slope polygon of any category, from what it knows at each rank.
+# The slope polygon of any category: first edges of quotients.
 
 class RankBound(NamedTuple):
     """What a slope category knows at one rank k: the greatest degree it found
@@ -117,65 +114,65 @@ class RankBound(NamedTuple):
     upper: Any
 
 
-def upper_hull(canopy: Sequence[RankBound], edges: Optional[int] = None) -> SlopePolygon:
-    """The upper convex hull of the origin and the points (k, lower_k), and
-    whether it is the Harder-Narasimhan polygon: the concave envelope of the
-    maximal degree at each rank (Stuhler 1976, Grayson 1984).
-
-    From each vertex the next is the point of greatest slope, the largest rank
-    among ties, so points on an edge are not vertices.  `edges` stops after
-    that many edges; the first edge is (rank, degree) of the largest object of
-    maximal slope.
-
-    Let h be the hull, continued past its last vertex along its last edge.
-    Every true maximal degree lies between lower_k and upper_k, and every
-    lower point lies on or below h.  So if every upper_k <= h(k), the maximal
-    degrees are the lower points at the vertices and lie on or below h
-    elsewhere: h is the polygon, and its vertex witnesses are its canonical
-    subobjects.  With one edge that reads upper_k <= k * mu for every k, so no
-    subobject has slope above mu.  An exact rank (upper_k == lower_k) passes
-    without a comparison."""
-    pts = [(k, b.lower, b.witness) for k, b in enumerate(canopy, 1) if b.lower is not None]
-    vertices, witnesses = [(0, pts[-1][1] * 0)], []
-    i = 0
-    while i < len(pts) and (edges is None or len(witnesses) < edges):
-        (v, yv), best = vertices[-1], i
-        for j in range(i + 1, len(pts)):
-            (kj, yj, _), (kb, yb, _) = pts[j], pts[best]
-            if (yj - yv) * (kb - v) >= (yb - yv) * (kj - v):
-                best = j
-        k, y, wit = pts[best]
-        vertices.append((k, y))
-        witnesses.append(wit)
-        i = best + 1
-
-    def above_hull(k, u) -> bool:
-        j = next((j for j, (kv, _) in enumerate(vertices) if kv >= k), len(vertices) - 1)
-        (ka, ya), (kb, yb) = vertices[j - 1], vertices[j]
-        return (u - ya) * (kb - ka) > (yb - ya) * (k - ka)
-
+def first_edge(canopy: Sequence[RankBound]) -> CertifiedMuMax:
+    """mu_max of any slope category, read off its canopy: the first edge of
+    the upper convex hull of the origin and the points (k, lower_k), ending
+    at the point (k1, y1) of greatest slope, the largest rank among ties,
+    with that rank's witness.  Every rank-k degree lies in [lower_k,
+    upper_k], so every slope is at most `upper`, the largest upper_k / k.
+    Certified iff upper_k * k1 <= y1 * k for every k: no slope then exceeds
+    mu = y1 / k1, which the witness attains, and `upper` is mu.  An exact
+    rank (upper_k == lower_k) passes without a comparison.  The witness is
+    the largest subobject of slope mu unless a rank above k1 kept only a
+    bound on the edge's line, under which a subobject of slope mu may lie."""
+    pts = [(k, b) for k, b in enumerate(canopy, 1) if b.lower is not None]
+    k1, edge = pts[0]
+    for k, b in pts[1:]:
+        if b.lower * k1 >= edge.lower * k:
+            k1, edge = k, b
     certified = True
     for k, b in enumerate(canopy, 1):
         if b.upper != b.lower:
             if b.lower is not None and b.upper < b.lower:
                 raise AssertionError(f"rank-{k} upper bound fell below an exact degree")
-            certified = certified and not above_hull(k, b.upper)
-    points = tuple((k, y) for k, y, _ in pts)
-    return SlopePolygon(points, tuple(vertices), tuple(witnesses), certified)
+            certified = certified and not b.upper * k1 > edge.lower * k
+    value = edge.lower / k1
+    upper = value if certified else max(b.upper / k for k, b in enumerate(canopy, 1))
+    return CertifiedMuMax(value, edge.witness, upper, certified)
 
 
-def first_edge(canopy: Sequence[RankBound]) -> CertifiedMuMax:
-    """mu_max of any slope category, read off its canopy: the slope of the
-    first edge of `upper_hull`, its witness the largest subobject of maximal
-    slope.  Every rank-k degree is at most upper_k, so every slope is at most
-    the largest upper_k / k; when the polygon is certified that largest
-    value is the edge's own slope (no upper_k lies above k * value, and the
-    witness's rank attains it)."""
-    poly = upper_hull(canopy, edges=1)
-    (_, (k, deg)) = poly.hull
-    value = deg / k
-    upper = value if poly.certified else max(b.upper / j for j, b in enumerate(canopy, 1))
-    return CertifiedMuMax(value, poly.filtration[0], upper, poly.certified)
+def quotient_polygon(obj, top, stage, quotient, rank_of) -> SlopePolygon:
+    """The canonical filtration of obj, of (rank, degree) `top`, and its
+    polygon, as first edges of quotients (Stuhler 1976, Grayson 1984).
+    stage(q) is the `CertifiedMuMax` of q, obj first; quotient(W) is
+    (obj/W, lift), lift taking a subobject of obj/W to its preimage in obj.
+
+    A stage of value mu and witness X on obj/W, W at the vertex (k, d), adds
+    the vertex (k + rk X, d + rk X * mu) of the lift of X, the degree being
+    additive.  Merge rule: if the stage before had value mu' and witness W/V
+    on obj/V, any U in obj/W lifts to one of obj/V of degree
+    deg(W/V) + deg U <= mu' (rk(W/V) + rk U), so mu <= mu'.  At mu = mu', W
+    was not the largest of slope mu' and the new vertex replaces its one; so
+    the chain over V grows up to the sum of the subobjects of obj/V of slope
+    mu' (one of them, deg being supermodular), and the next slope is lower.
+    A witness thus need only have maximal slope (see `first_edge`).  The
+    loop stops at the first uncertified stage, with the certified vertices
+    and the rank-r point."""
+    hull, chain, last = [(0, top[1] * 0)], [], None
+    q, lift = obj, None
+    while True:
+        res = stage(q)
+        if not res.certified:
+            return SlopePolygon(tuple(hull) + (top,), tuple(chain), False)
+        (k, deg), k1 = hull[-1], rank_of(res.witness)
+        if res.value == last:
+            del hull[-1], chain[-1]
+        hull.append((k + k1, deg + res.value * k1))
+        chain.append(lift(res.witness) if lift else res.witness)
+        if k + k1 == top[0]:
+            return SlopePolygon(tuple(hull), tuple(chain), True)
+        q, lift = quotient(chain[-1])
+        last = res.value
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +636,7 @@ def _minkowski_floors(lat: EuclideanLattice, node_cap: int) -> list[Optional[Fra
     return floors
 
 
-def _lattice_canopy(
-    lat: EuclideanLattice, node_cap: int, edges: Optional[int] = None
-) -> list[RankBound]:
+def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
     """The exact maximal degree -1/2 log d_k(L) of each rank k, which is its
     own upper bound; the full rank needs no search.  Ranks from the first
     whose search exceeds the node cap have no degree and the integrality
@@ -651,9 +646,9 @@ def _lattice_canopy(
     the origin to the rank-r point, so the lattice is semistable.  That covers
     the unimodular lattices (L = 1) and their rational rescalings.
 
-    With edges=1 (`mu_max`, which reads only the first edge) the search is
-    bound-first.  (k0, d0) is the exact rank of greatest slope so far, mu0 its
-    slope, starting from (r, det L); it moves to an exact rank k whenever
+    The search is bound-first, for `mu_max`, which reads only the first edge.
+    (k0, d0) is the exact rank of greatest slope so far, mu0 its slope,
+    starting from (r, det L); it moves to an exact rank k whenever
     d_k^k0 < d0^k.  F_k is the larger Minkowski floor of `_minkowski_floors`.
     Every comparison is between Fractions.
 
@@ -671,15 +666,14 @@ def _lattice_canopy(
       slope.
 
     So a skipped or capped rank never holds a point on or above the first
-    edge, and its upper bound never lies above it: wherever the full search
-    certifies, the first edge, its witness and the flag are unchanged.
-    Ranks skipped after a node cap take the same upper bound."""
+    edge, and its upper bound never lies above it: wherever a full search
+    certifies, the first edge, its witness and the flag are the same.  Ranks
+    skipped after a node cap take the integrality bound (see `first_edge`)."""
     r = lat.rank
     scale = lat.scaled_gram()[1]
     # no rank is searched once one hits the node cap, nor any if det(L * G) = 1
     capped = lat.det() * scale**r == 1
-    bound_first = edges == 1 and not capped
-    floors = _minkowski_floors(lat, node_cap) if bound_first else [None] * r
+    floors = [None] * r if capped else _minkowski_floors(lat, node_cap)
     deg_r, half_log_scale = lat.degree(), half_log(scale)
     k0, d0, mu0 = r, lat.det(), deg_r / r
     canopy: list[RankBound] = []
@@ -689,7 +683,7 @@ def _lattice_canopy(
             canopy.append(RankBound(None, None, k * mu0))
             continue
         if not capped:
-            cap = _root_ceil(d0k, k0) if bound_first else None
+            cap = _root_ceil(d0k, k0)
             try:
                 det_k, wit = _min_det_rank_k(lat, k, node_cap, cap)
             except EnumerationCapExceeded:
@@ -698,7 +692,7 @@ def _lattice_canopy(
             canopy.append(RankBound(None, None, k * half_log_scale))
             continue
         deg = -half_log(det_k)
-        if cap is not None and det_k > cap:
+        if det_k > cap:
             canopy.append(RankBound(deg, wit, k * mu0))
             continue
         canopy.append(RankBound(deg, wit, deg))
@@ -710,9 +704,9 @@ def _lattice_canopy(
 
 def mu_max(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> CertifiedMuMax:
     """Certified supremum of slopes over nonzero sublattices: the first edge
-    of the slope polygon, whose witness is the largest sublattice of maximal
-    slope.  Searched bound-first (see `_lattice_canopy`)."""
-    res = first_edge(_lattice_canopy(lat, node_cap, edges=1))
+    of the slope polygon, searched bound-first (see `_lattice_canopy`); see
+    `first_edge` for what its flag proves of the witness."""
+    res = first_edge(_lattice_canopy(lat, node_cap))
     if res.certified and lat.is_integral() and res.value.sign() > 0:
         raise AssertionError("integral lattice reported positive mu_max")
     return res
@@ -733,15 +727,35 @@ def is_semistable(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> bo
     return res.value == lat.slope()
 
 
+def _lattice_quotient(lat: EuclideanLattice, w: Sublattice):
+    """L/W for a saturated W, and the lift of its saturated sublattices to L.
+    L/W is the dual of W's annihilator A in L*, with the metric of L*: for a
+    basis a_i of A (`linalg.int_kernel_saturated`), v -> (a_i(v))_i maps L
+    onto Z^(r-k) with kernel W, giving L/W's coordinates in the basis dual to
+    the a_i; its Gram is (A G^-1 A^T)^-1.  A saturated X of L/W, with Psi a
+    basis of its annihilator, lifts to {v : Psi A v = 0}; L/W lifts to L."""
+    r = lat.rank
+    gi, scale = lat.dual().scaled_gram()
+    ann = linalg.int_kernel_saturated(w.basis, r)
+    q = EuclideanLattice._from_scaled(linalg.matmul(linalg.matmul(ann, gi), linalg.transpose(ann)), scale)
+
+    def lift(x: Sublattice) -> Sublattice:
+        psi = linalg.int_kernel_saturated(x.basis, len(ann))
+        return Sublattice(lat, linalg.int_kernel_saturated(linalg.matmul(psi, ann), r))
+
+    return q.dual(), lift
+
+
 def slope_filtration(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> SlopePolygon:
-    """The maximal degree at each rank, their upper convex hull, and the
-    canonical chain of saturated witnesses at the hull vertices.  Uncertified
-    when a search exceeds the node cap, unless the integrality bound of the
-    capped ranks lies on or below the hull; the rank-r point is always there."""
-    poly = upper_hull(_lattice_canopy(lat, node_cap))
+    """The canonical filtration of saturated sublattices and its polygon:
+    `quotient_polygon` over `mu_max` of each L/W (`_lattice_quotient`),
+    uncertified from the first stage whose search exceeds the node cap."""
+    poly = quotient_polygon(
+        lat, (lat.rank, lat.degree()), lambda q: mu_max(q, node_cap), partial(_lattice_quotient, lat), lambda x: x.rank
+    )
     chain = poly.filtration
-    if poly.certified and not all(b.contains(a) for a, b in zip(chain, chain[1:])):
-        raise AssertionError("hull witnesses failed to form a chain")
+    if not all(b.contains(a) for a, b in zip(chain, chain[1:])):
+        raise AssertionError("quotient witnesses failed to form a chain")
     return poly
 
 

@@ -410,19 +410,18 @@ def emit_records(records: Sequence[GapRecord], summary: dict, fmt: str = "text")
 
 
 def polygon_csv(poly: SlopePolygon) -> str:
+    """The polygon's vertices after the origin, one rank and degree a line."""
     lines = ["rank,max_degree_exact,max_degree_float"]
-    for k, deg in poly.points:
+    for k, deg in poly.hull[1:]:
         lines.append(f"{k},\"{deg.render()}\",{deg.float_approx()!r}")
     return "\n".join(lines)
 
 
 def polygon_svg(poly: SlopePolygon) -> str:
-    """Rank vs degree plot of the polygon points with the hull highlighted."""
+    """Rank vs degree plot of the polygon, its vertices marked."""
     width, height = 480, 360
-    pts = [(0, 0.0)] + [(k, d.float_approx()) for k, d in poly.points]
-    hull = [(k, d.float_approx()) for k, d in poly.hull]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    pts = [(k, d.float_approx()) for k, d in poly.hull]
+    xs, ys = zip(*pts)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if y1 == y0:
@@ -440,16 +439,14 @@ def polygon_svg(poly: SlopePolygon) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    hull_path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in hull)
+    path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
     parts.append(
-        f'<polyline points="{hull_path}" fill="none" stroke="#c03030" stroke-width="2"/>'
+        f'<polyline points="{path}" fill="none" stroke="#c03030" stroke-width="2"/>'
     )
     for x, y in pts:
-        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="#3050c0"/>')
-    for x, y in hull:
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4" fill="#c03030"/>')
     parts.append(
-        f'<text x="{pad}" y="{height - 8}" font-size="11">rank (hull highlighted; '
+        f'<text x="{pad}" y="{height - 8}" font-size="11">rank (polygon vertices; '
         f"y = max degree)</text>"
     )
     parts.append("</svg>")

@@ -414,6 +414,12 @@ class Sublattice:
     def __reduce__(self):
         return Sublattice, (self.ambient, self.basis)
 
+    def __eq__(self, other):
+        return isinstance(other, Sublattice) and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
     @property
     def rank(self) -> int:
         return len(self.basis)
@@ -476,6 +482,12 @@ class LatticeMorphism:
 
     def __reduce__(self):
         return LatticeMorphism, (self.source, self.target, self.matrix)
+
+    def __eq__(self, other):
+        return isinstance(other, LatticeMorphism) and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
 
     def norm_le_one(self) -> bool:
         """Operator norm <= 1, decided exactly."""

@@ -1,7 +1,7 @@
 """Finite-dimensional rational vector spaces with several decreasing
 exhaustive separated filtrations: slopes, multigraded dimensions, witness
-lines, certified mu_max and canonical filtration (read off
-`enumeration.first_edge` and `upper_hull`), tensor products, and the
+lines, certified mu_max and canonical filtration (through
+`enumeration.first_edge` and `quotient_polygon`), tensor products, and the
 slope-inequality suite shared with euclidean lattices.
 
 A filtration is stored as its value at each break: pairs (lambda, subspace)
@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .enumeration import DEFAULT_NODE_CAP, CertifiedMuMax, RankBound, first_edge, minimum_sq, mu_max, upper_hull
+from .enumeration import DEFAULT_NODE_CAP, CertifiedMuMax, RankBound, first_edge, minimum_sq, mu_max, quotient_polygon
 from .exactval import fmt_rat, half_log, parse_rat
 from .report import Report, ReproFailure
 
@@ -600,20 +600,17 @@ def _quotient_bounds(m: MultifilteredSpace, rows) -> list[Fraction]:
     return _profile_upper_bound(quotient_object(m, rows)[0])
 
 
-def _mf_canopy(m: MultifilteredSpace, extra, edges: Optional[int] = None) -> list[RankBound]:
+def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
     """For each dimension k, the best degree over the candidates of dimension
     k (the first in family order among ties), and k times the relaxation's
-    slope bound.
-
-    `edges` is how much of the polygon the caller reads, as in `upper_hull`.
-    With edges=1 the extra candidates are all reduced, then probed before
+    slope bound.  The extra candidates are all reduced, then probed before
     the closure, and the search stops at the first candidate that passes
     `certifies`: a candidate W of slope mu_b such that every larger rank j
     has its bound strictly below mu_b or, where that bound ties mu_b, m/W
     has its rank-(j - dim W) bound strictly below mu_b.  The canopy then
     holds that candidate and the closure members scored before it, and its
-    first edge is the one the whole closure gives.  Otherwise, or when no
-    candidate passes, the whole closure is read."""
+    first edge is the one the whole closure gives.  When no candidate
+    passes, the whole closure is read."""
     bounds = _profile_upper_bound(m)
     mu_b = max(bounds)
     degrees: dict[Matrix, Fraction] = {}
@@ -666,40 +663,46 @@ def _mf_canopy(m: MultifilteredSpace, extra, edges: Optional[int] = None) -> lis
     def canopy() -> list[RankBound]:
         return [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
 
-    if edges == 1:
-        for rows in filter(None, [_rref_rows(e, m.dim) for e in extra]):
-            if certifies(rows):
-                best[len(rows)] = (degree(rows), rows)
-                return canopy()
+    for rows in filter(None, [_rref_rows(e, m.dim) for e in extra]):
+        if certifies(rows):
+            best[len(rows)] = (degree(rows), rows)
+            return canopy()
     for rows in _candidate_family(m, extra):
         k, deg = len(rows), degree(rows)
         if k not in best or deg > best[k][0]:
             best[k] = (deg, rows)
-        if edges == 1 and certifies(rows):
+        if certifies(rows):
             break
     return canopy()
 
 
 def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> CertifiedMuMax:
     """Certified-when-bounds-meet supremum of subspace slopes: the first edge
-    of the slope polygon (see `_mf_canopy`).
+    (`enumeration.first_edge`) of `_mf_canopy`, bounded above by the
+    dimension-profile relaxation and below by the exact slopes of the extra
+    candidates (row lists in ambient coordinates), then of the capped
+    intersection/sum closure of the filtration steps.  The witness is the
+    largest candidate of maximal slope; when the closure is complete it is
+    the sum of all of them, deg being supermodular.
 
-    Upper bound: the dimension-profile relaxation, the max mu_b of its per-k
-    bounds, computed first.  Lower bound: exact slopes of the extra candidates
-    (row lists in ambient coordinates), then of the capped intersection/sum
-    closure of the filtration steps, scored as they are made.  The search
-    stops at the first candidate W of slope mu_b such that every larger
-    dimension j has its bound strictly below mu_b or, where it ties mu_b,
-    the quotient m/W has its dimension-(j - dim W) bound strictly below
-    mu_b: a larger maximizer W' would make (W + W')/W a subspace of m/W of
-    slope mu_b (supermodularity and the modular law, see `_mf_canopy`), so
-    W is the largest subspace of maximal slope, and the result is the one
-    the whole closure gives.  certified = bounds meet, and `upper` is read
-    as in `enumeration.first_edge`.  The witness is the largest candidate of
-    maximal slope; when the closure is complete it is the sum of all of
-    them, because deg is supermodular (deg(A + B) + deg(A ∩ B) >= deg A + deg B).
-    """
-    return first_edge(_mf_canopy(m, extra_candidates, edges=1))
+    Where the bounds do not meet, the edge's witness S, of dimension v,
+    tightens the bounds above it, once.  A W of dimension k > v, with
+    j = dim(W ∩ S) >= k + v - dim, has deg W <= deg(W ∩ S) + deg((W + S)/S)
+    by supermodularity: at most the rank-j bound (0 for j = 0) plus k - j
+    times the rank-(k - j) bound of the relaxation of m/S."""
+    canopy = _mf_canopy(m, extra_candidates)
+    res = first_edge(canopy)
+    v, n = len(res.witness), m.dim
+    if res.certified or v == n:
+        return res
+    quot = _quotient_bounds(m, res.witness)
+    for k in range(v + 1, n + 1):
+        via_s = max(
+            (canopy[j - 1].upper if j else 0) + (k - j) * quot[k - j - 1]
+            for j in range(max(0, k + v - n), v + 1)
+        )
+        canopy[k - 1] = canopy[k - 1]._replace(upper=min(canopy[k - 1].upper, via_s))
+    return first_edge(canopy)
 
 
 def is_semistable_mf(m: MultifilteredSpace) -> bool:
@@ -755,37 +758,21 @@ def dual_mf(m: MultifilteredSpace) -> MultifilteredSpace:
 # Canonical filtration.
 
 def slope_filtration_mf(m: MultifilteredSpace) -> tuple[Matrix, ...]:
-    """The canonical filtration: the candidates at the vertices of the slope
-    polygon, whose quotient slopes strictly decrease.  Raises ValueError
-    unless every dimension's bound lies on or below the polygon.
+    """The canonical filtration: `enumeration.quotient_polygon` over
+    `mu_max_mf` of each m/W, `quotient_object`, whose i-th unit vector is the
+    image of the i-th completion row, so X lifts to W + X * completion.
+    Raises ValueError at the first uncertified stage."""
 
-    Past the first vertex the relaxation of m alone is often loose, so each
-    vertex witness S (dimension v) tightens the bounds above it.  For W of
-    dimension k, with j = dim(W ∩ S), supermodularity of deg gives
-    deg W <= deg(W ∩ S) + deg(W + S) - deg S, where the first term is at
-    most the rank-j bound and the last two are the degree of (W + S)/S, a
-    (k - j)-dimensional subspace of m/S, at most its relaxation bound.  Taken
-    in order, the vertices certify at least every polygon that the quotients
-    by its vertices certify stage by stage: for k up to the next vertex, such
-    a bound is at most hull(j) + (k - j) * (the next edge's slope) <= hull(k),
-    since the hull's slopes up to rank k are at least that edge's."""
-    canopy = _mf_canopy(m, ())
-    n = m.dim
-    for s in upper_hull(canopy).filtration[:-1]:
-        v = len(s)
-        quot = _quotient_bounds(m, s)
-        for k in range(v + 1, n + 1):
-            via_s = max(
-                (canopy[j - 1].upper if j else 0) + (k - j) * quot[k - j - 1]
-                for j in range(max(0, k + v - n), v + 1)
-            )
-            canopy[k - 1] = canopy[k - 1]._replace(upper=min(canopy[k - 1].upper, via_s))
-    poly = upper_hull(canopy)
+    def quotient(w: Matrix):
+        q, completion = quotient_object(m, w)
+        return q, lambda x: _rref_rows(w + linalg.matmul(x, completion), m.dim)
+
+    poly = quotient_polygon(m, (m.dim, m.dim * slope_faltings(m)), mu_max_mf, quotient, len)
     if not poly.certified:
         raise ValueError("uncertified slope polygon; filtration aborted")
     chain = poly.filtration
     if not all(_meet_dim(a, b) == len(a) for a, b in zip(chain, chain[1:])):
-        raise AssertionError("hull witnesses failed to form a chain")
+        raise AssertionError("quotient witnesses failed to form a chain")
     return chain
 
 

@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from slopekit import linalg
 from slopekit.exactval import LogRational, half_log, log_of_rational
 from slopekit.enumeration import (
+    CertifiedMuMax,
     EnumerationCapExceeded,
     densest_sublattice,
     enumerate_short_vectors,
@@ -220,7 +223,7 @@ def test_mu_max_unimodular_fast_path():
     assert is_semistable(e8_lattice())
     assert mu_min(e8_lattice()) == LogRational(0)
     poly = slope_filtration(e8_lattice())
-    assert poly.certified and poly.points == ((8, LogRational(0)),)
+    assert poly.certified
     assert poly.hull == ((0, LogRational(0)), (8, LogRational(0)))
     assert [s.hnf_basis() for s in poly.filtration] == [linalg.int_mat(linalg.identity(8))]
 
@@ -253,7 +256,7 @@ def test_fast_path_matches_search():
             _, hull, chain, cert = _reference_slope_filtration(lat, DEFAULT_NODE_CAP)
             assert cert and fast.certified and poly.certified
             assert poly.hull == hull and tuple(s.hnf_basis() for s in poly.filtration) == chain
-            assert poly.points == ((3, lat.degree()),)
+            assert poly.hull == ((0, LogRational(0)), (3, lat.degree()))
             assert fast.value == poly.quotient_slopes()[0] == lat.slope()
             assert len(poly.filtration) == 1
             assert fast.witness.hnf_basis() == chain[0] == linalg.int_mat(linalg.identity(3))
@@ -884,7 +887,49 @@ def test_scaled_integer_search_matches_fraction_reference():
 
 
 # ---------------------------------------------------------------------------
-# upper_hull, against a brute-force hull and the earlier readers.
+# first_edge, against a brute-force hull and the earlier polygon reader.
+
+class _Polygon(NamedTuple):
+    points: tuple
+    hull: tuple
+    filtration: tuple
+    certified: bool
+
+
+def _reference_upper_hull(canopy, edges=None):
+    """Reference copy of the earlier `upper_hull`: the upper convex hull of
+    the origin and the points (k, lower_k), from each vertex the point of
+    greatest slope and the largest rank among ties, stopped after `edges`
+    edges; certified iff no upper_k lies above the hull continued past its
+    last vertex."""
+    pts = [(k, b.lower, b.witness) for k, b in enumerate(canopy, 1) if b.lower is not None]
+    vertices, witnesses = [(0, pts[-1][1] * 0)], []
+    i = 0
+    while i < len(pts) and (edges is None or len(witnesses) < edges):
+        (v, yv), best = vertices[-1], i
+        for j in range(i + 1, len(pts)):
+            (kj, yj, _), (kb, yb, _) = pts[j], pts[best]
+            if (yj - yv) * (kb - v) >= (yb - yv) * (kj - v):
+                best = j
+        k, y, wit = pts[best]
+        vertices.append((k, y))
+        witnesses.append(wit)
+        i = best + 1
+
+    def above_hull(k, u) -> bool:
+        j = next((j for j, (kv, _) in enumerate(vertices) if kv >= k), len(vertices) - 1)
+        (ka, ya), (kb, yb) = vertices[j - 1], vertices[j]
+        return (u - ya) * (kb - ka) > (yb - ya) * (k - ka)
+
+    certified = True
+    for k, b in enumerate(canopy, 1):
+        if b.upper != b.lower:
+            if b.lower is not None and b.upper < b.lower:
+                raise AssertionError(f"rank-{k} upper bound fell below an exact degree")
+            certified = certified and not above_hull(k, b.upper)
+    points = tuple((k, y) for k, y, _ in pts)
+    return _Polygon(points, tuple(vertices), tuple(witnesses), certified)
+
 
 def _brute_force_hull(points, r):
     """Vertex ranks of the upper hull of the origin and the points {k: y}, and
@@ -906,12 +951,14 @@ def _brute_force_hull(points, r):
     return vertices, height
 
 
-def test_upper_hull_matches_brute_force(monkeypatch):
-    """Vertices, witnesses and both certification rules of `upper_hull` on 400
-    random canopies with collinear ties and missing ranks, over
-    Fractions and over LogRationals (y -> y*log 2); an exact LogRational
-    canopy costs one sign() per comparison of the first edge and no more."""
-    from slopekit.enumeration import RankBound, upper_hull
+def test_first_edge_matches_brute_force(monkeypatch):
+    """The first edge's vertex, witness, flag and upper bound on 400 random
+    canopies with collinear ties and missing ranks, over Fractions and over
+    LogRationals (y -> y*log 2), against a brute-force hull; an exact
+    LogRational canopy costs one sign() per comparison of the first edge and
+    no more.  The reference copy of the earlier whole-polygon reader, which
+    other tests compare with, matches the brute-force hull too."""
+    from slopekit.enumeration import RankBound, first_edge
 
     signs = []
     real_sign = LogRational.sign
@@ -940,28 +987,27 @@ def test_upper_hull_matches_brute_force(monkeypatch):
         mu = max(y / k for k, y in points.items())
         k1 = max(k for k, y in points.items() if y / k == mu)
         first_certified = all(b.upper <= k * mu for k, b in enumerate(canopy, 1))
+        upper = mu if first_certified else max(b.upper / k for k, b in enumerate(canopy, 1))
         log2 = [
             RankBound(*(None if x is None else LogRational(0, {2: x}) for x in (b.lower, None, b.upper)))
             ._replace(witness=b.witness)
             for b in canopy
         ]
         for deg, can in ((lambda y: y, canopy), (lambda y: LogRational(0, {2: y}), log2)):
-            poly = upper_hull(can)
+            poly = _reference_upper_hull(can)
             assert poly.points == tuple((k, deg(y)) for k, y in sorted(points.items()))
             assert poly.hull == ((0, deg(F(0))),) + tuple((k, deg(points[k])) for k in vertices)
             assert poly.filtration == tuple(("w", k) for k in vertices)
             assert poly.certified == certified
             del signs[:]
-            first = upper_hull(can, edges=1)
-            assert first.hull == ((0, deg(F(0))), (k1, deg(points[k1])))
-            assert first.filtration == (("w", k1),)
-            assert first.certified == first_certified
+            first = first_edge(can)
+            assert first == CertifiedMuMax(deg(mu), ("w", k1), deg(upper), first_certified)
             if can is log2 and all_exact:
                 assert len(signs) == len(points) - 1
                 exact += 1
     assert ties >= 50 and exact >= 50
     with pytest.raises(AssertionError, match="rank-1 upper bound"):
-        upper_hull([RankBound(F(1), None, F(0)), RankBound(F(0), None, F(0))])
+        first_edge([RankBound(F(1), None, F(0)), RankBound(F(0), None, F(0))])
 
 
 def _reference_mu_max(lat, node_cap):
@@ -1010,25 +1056,34 @@ def _reference_slope_filtration(lat, node_cap):
 
 
 def test_polygon_readers_match_parent_reference():
-    """mu_max is the earlier result on 300 seeded lattices and caps wherever
-    that certified; slope_filtration is the earlier polygon wherever that
-    certified, and otherwise adds only the rank-r point.  Where the earlier
-    result was uncertified, the integrality bound on the capped ranks may
-    certify a result, which must then be the earlier one at the default cap
-    (for the polygon: its hull and chain, with the points found a subset of
-    its points).  A lattice with det(L * G) = 1, L the Gram denominator, is
-    searched at no rank: its polygon has the rank-r point alone, and the hull
-    and chain of the earlier result at the default cap."""
+    """mu_max is the earlier result on 312 seeded lattices and caps wherever
+    that certified; slope_filtration is the earlier polygon (hull, chain and
+    flag) wherever that certified.  Where the earlier result was uncertified,
+    the integrality bound on the capped ranks, or the smaller searches of
+    the quotients, may certify a result, which must then be the earlier one
+    at the default cap.  An uncertified polygon is the vertices certified so
+    far, each a maximal degree of the earlier polygon at the default cap,
+    with their witnesses, and the rank-r point.  A lattice with
+    det(L * G) = 1, L the Gram denominator, is searched at no rank: its
+    polygon has the rank-r point alone, and the hull and chain of the
+    earlier result at the default cap.  The first 300 lattices are of rank
+    1-4 at caps 3, 12, 40 and the default; the quotient loop certifies some
+    that the earlier polygon did not, so 12 rank-4 lattices at cap 3, which
+    stay uncertified, close the corpus."""
     from slopekit.enumeration import DEFAULT_NODE_CAP
 
     rng = random.Random(157)
-    certified_polygons = uncertified = unsearched = 0
+    corpus = []
     for t in range(300):
         r = 1 + t % 4
         lat = _random_rational_lattice(rng, r) if t % 3 else random_lattice(rng, r)
         if rng.random() < 0.3:
             lat = lat.dual()
-        cap = rng.choice((3, 12, 40, DEFAULT_NODE_CAP, DEFAULT_NODE_CAP))
+        corpus.append((lat, rng.choice((3, 12, 40, DEFAULT_NODE_CAP, DEFAULT_NODE_CAP))))
+    corpus += [(random_lattice(rng, 4, bound=3), 3) for _ in range(12)]
+    certified_polygons = uncertified = unsearched = 0
+    for lat, cap in corpus:
+        r = lat.rank
         value, witness, cert = _reference_mu_max(lat, cap)
         res = mu_max(lat, cap)
         got = (res.value, res.witness.hnf_basis(), res.certified)
@@ -1039,24 +1094,110 @@ def test_polygon_readers_match_parent_reference():
             assert got == (value, witness.hnf_basis(), cert)
         points, hull, chain, cert = _reference_slope_filtration(lat, cap)
         poly = slope_filtration(lat, cap)
-        got = (poly.points, poly.hull, tuple(s.hnf_basis() for s in poly.filtration), poly.certified)
+        got = (poly.hull, tuple(s.hnf_basis() for s in poly.filtration), poly.certified)
         if linalg.det_int(lat.scaled_gram()[0]) == 1:
             # searched at no rank: the rank-r point alone, and the reference hull
             points, hull, chain, cert = _reference_slope_filtration(lat, DEFAULT_NODE_CAP)
-            assert got == (((r, lat.degree()),), hull, chain, True) and cert
+            assert got == (hull, chain, True) and hull == ((0, LogRational(0)), (r, lat.degree())) and cert
             unsearched += 1
         elif cert:
-            assert got == (points, hull, chain, cert)
+            assert got == (hull, chain, cert)
             certified_polygons += 1
         elif poly.certified:
             points, hull, chain, cert = _reference_slope_filtration(lat, DEFAULT_NODE_CAP)
-            assert got[1:] == (hull, chain, cert)
-            assert set(poly.points) <= set(points)
+            assert got == (hull, chain, cert)
         else:
-            assert poly.points == points + ((r, lat.degree()),)
+            points, _, _, _ = _reference_slope_filtration(lat, DEFAULT_NODE_CAP)
             assert poly.hull[-1] == (r, lat.degree())
+            assert set(poly.hull[1:-1]) <= set(points)
+            assert [s.rank for s in poly.filtration] == [k for k, _ in poly.hull[1:-1]]
             uncertified += 1
     assert certified_polygons >= 150 and uncertified >= 30 and unsearched >= 5
+
+
+def test_capped_witness_of_slope_zero_merges_to_the_largest():
+    """The second 3x3 tensor drawn after 42 random lattices of rank 2-8 from
+    `random_lattice(Random(7), .)`: at node cap 200 `mu_max` certifies the
+    value 0 with a rank-2 witness, since the cap leaves the higher ranks the
+    integrality bound 0, on the edge; the largest sublattice of slope 0 has
+    rank 6.  The merge rule of `quotient_polygon` still gives the default
+    cap's polygon (0, 0), (6, 0), (9, -3 log 2), with the same chain."""
+    rng = random.Random(7)
+    for r in range(2, 9):
+        for _ in range(6):
+            random_lattice(rng, r)
+    for a, b in ((2, 3), (2, 4), (3, 2), (2, 2), (3, 3), (3, 3)):
+        for _ in range(4 if (a, b) != (3, 3) else 1):
+            lat = random_lattice(rng, a).tensor(random_lattice(rng, b))
+    capped, full = mu_max(lat, 200), mu_max(lat)
+    assert capped.certified and full.certified and capped.value == full.value == 0
+    assert (capped.witness.rank, full.witness.rank) == (2, 6)
+    poly, want = slope_filtration(lat, 200), slope_filtration(lat)
+    assert poly == want and poly.certified
+    assert poly.hull == ((0, 0), (6, 0), (9, -3 * log_of_rational(2)))
+
+
+def _unimodular(rng, n):
+    """A random unimodular n x n integer matrix: row operations on I."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(8 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + q * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return u
+
+
+def test_lattice_quotient_oracle():
+    """`_lattice_quotient` on 240 seeded pairs (L, W), L of rank 2-6
+    (integral, rational, and the duals of both) and W spanned by the first
+    k rows of a random unimodular U.  deg(L/W) = deg L - deg W.  The Gram of
+    L/W, in the basis dual to `linalg.int_kernel_saturated`'s basis of W's
+    annihilator, is the Schur complement of W's block in the Gram of L on
+    W's basis completed by lifts c_j of that dual basis (c = N^-1 U[k:], N
+    the images of U[k:]).  The lift of L/W is L, and the lift of a saturated
+    X of L/W (the first rows of a random unimodular) is saturated (its
+    maximal minors have gcd 1), holds W, has rank k + rk X, and maps into
+    the span of X."""
+    from slopekit.enumeration import _lattice_quotient
+    from test_linalg import _reference_det_int, _reference_inverse
+
+    rng = random.Random(211)
+    for t in range(240):
+        r, kind = 2 + t % 5, t // 5 % 4
+        lat = random_lattice(rng, r) if kind % 2 == 0 else _random_rational_lattice(rng, r)
+        if kind >= 2:
+            lat = lat.dual()
+        k = rng.randint(1, r - 1)
+        u = _unimodular(rng, r)
+        w = Sublattice(lat, u[:k])
+        q, lift = _lattice_quotient(lat, w)
+        assert q.rank == r - k and q.degree() == lat.degree() - w.degree()
+        ann = linalg.int_kernel_saturated(w.basis, r)
+
+        def image(v):
+            return [sum(a * x for a, x in zip(row, v)) for row in ann]
+
+        ninv = _reference_inverse(linalg.mat([image(v) for v in u[k:]]))
+        c = [[sum(x * v[col] for x, v in zip(row, u[k:])) for col in range(r)] for row in ninv]
+        assert all(x.denominator == 1 for row in c for x in row)
+        assert [image(v) for v in c] == [[int(i == j) for j in range(r - k)] for i in range(r - k)]
+        basis = linalg.mat(list(w.basis) + c)
+        g = linalg.matmul(linalg.matmul(basis, lat.gram), linalg.transpose(basis))
+        a, b, d = [row[:k] for row in g[:k]], [row[k:] for row in g[:k]], [row[k:] for row in g[k:]]
+        schur = linalg.sub(d, linalg.matmul(linalg.matmul(linalg.transpose(b), _reference_inverse(a)), b))
+        assert q.gram == schur
+        assert lift(q.full_sublattice()) == lat.full_sublattice()
+        j = rng.randint(1, r - k)
+        x = Sublattice(q, _unimodular(rng, r - k)[:j])
+        up = lift(x)
+        assert up.rank == k + j and up.contains(w)
+        minors = [
+            _reference_det_int([[row[col] for col in cols] for row in up.basis])
+            for cols in itertools.combinations(range(r), k + j)
+        ]
+        assert math.gcd(*minors) == 1
+        assert all(linalg.rank(linalg.mat(x.basis + (tuple(image(v)),))) == j for v in up.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,8 +1206,8 @@ def test_polygon_readers_match_parent_reference():
 def _full_canopy_mu_max(lat, node_cap):
     """Reference copy of mu_max before it searched bound-first: every rank
     up to the first node cap, the integrality bound past it, and the first
-    edge of `upper_hull`."""
-    from slopekit.enumeration import RankBound, _min_det_rank_k, upper_hull
+    edge of the earlier `upper_hull` (`_reference_upper_hull`)."""
+    from slopekit.enumeration import RankBound, _min_det_rank_k
 
     r = lat.rank
     scale = lat.scaled_gram()[1]
@@ -1081,7 +1222,7 @@ def _full_canopy_mu_max(lat, node_cap):
         pass
     canopy += [RankBound(None, None, k * half_log(scale)) for k in range(len(canopy) + 1, r)]
     canopy.append(RankBound(lat.degree(), lat.full_sublattice(), lat.degree()))
-    poly = upper_hull(canopy, edges=1)
+    poly = _reference_upper_hull(canopy, edges=1)
     (_, (k, deg)) = poly.hull
     return deg / k, poly.filtration[0].hnf_basis(), poly.certified
 

@@ -602,8 +602,8 @@ def test_pair_keeps_the_lower_triangle_of_its_sylvester_check():
 def test_immutable_values_round_trip():
     """pickle, copy.copy and copy.deepcopy rebuild each immutable value from
     its canonical state: equal, of equal hash, repr and degree where the
-    class has them (a Sublattice and a LatticeMorphism compare by identity,
-    so their state is compared)."""
+    class has them.  A Sublattice and a LatticeMorphism compare by value,
+    unequal to one of another basis or matrix."""
     from slopekit.harness import ExperimentConfig, bost_experiment
     from slopekit.multifilt import Filtration, MultifilteredSpace
     from test_hermitian import _definite
@@ -630,22 +630,18 @@ def test_immutable_values_round_trip():
         Sublattice(a, [[1, 2, 0], [0, 3, 1]]),
         tensor_vector_to_hom(a, b, range(6)),
     ]
-    state = {
-        Sublattice: lambda s: (s.ambient, s.basis),
-        LatticeMorphism: lambda m: (m.source, m.target, m.matrix, m.is_integral),
-    }
     for v in values:
         for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
             assert type(back) is type(v)
-            key = state.get(type(v))
-            if key:
-                assert key(back) == key(v)
-            else:
-                assert back == v and hash(back) == hash(v)
+            assert back == v and hash(back) == hash(v)
             if type(v).__repr__ is not object.__repr__:
                 assert repr(back) == repr(v)
             if hasattr(v, "degree"):
                 assert back.degree() == v.degree()
+    sub, hom = values[-2:]
+    assert sub == Sublattice(a, [[1, 5, 1], [0, 3, 1]]) and len({sub, Sublattice(a, sub.basis)}) == 1
+    assert sub != Sublattice(a, [[1, 2, 0]]) and sub != Sublattice(a.scale(2), sub.basis)
+    assert hom == tensor_vector_to_hom(a, b, range(6)) != tensor_vector_to_hom(a, b, range(1, 7))
 
 
 def test_resolved_degree_keeps_no_parent():

@@ -1130,8 +1130,7 @@ def test_slope_filtration_bounds_ranks_past_a_vertex_through_its_quotient():
     polygon of the canopy alone is uncertified, and the bounds through the
     quotients by its vertex witnesses certify the chain the earlier per-stage
     code found."""
-    from slopekit.enumeration import upper_hull
-    from slopekit.multifilt import _mf_canopy
+    from test_enumeration import _reference_upper_hull
 
     h = F(1, 2)
     full = linalg.identity(4)
@@ -1157,7 +1156,7 @@ def test_slope_filtration_bounds_ranks_past_a_vertex_through_its_quotient():
     ]
     for steps, chain in cases:
         m = MultifilteredSpace(4, [Filtration(4, s) for s in steps])
-        assert not upper_hull(_mf_canopy(m, ())).certified
+        assert not _reference_upper_hull(_full_closure_canopy(m)).certified
         expected = tuple(linalg.rref(linalg.mat(rows))[0] for rows in chain) + (full,)
         assert slope_filtration_mf(m) == expected == _reference_slope_filtration_mf(m)
 
@@ -1242,10 +1241,11 @@ def test_nu_witness_matches_parent_avoidance():
         assert slope_of_subspace(m, (line,)) == val
 
 
-def _full_closure_mu_max_mf(m, extra=()):
-    """Reference copy of the earlier mu_max_mf: the canopy over the whole
-    closure, the profile bound after it, then the polygon's first edge."""
-    from slopekit.enumeration import RankBound, upper_hull
+def _full_closure_canopy(m, extra=()):
+    """Reference copy of the earlier whole-closure read: for each dimension
+    k the best candidate of the whole closure (the first among ties), and k
+    times the profile bound."""
+    from slopekit.enumeration import RankBound
     from slopekit.multifilt import _candidate_family, _profile_upper_bound
 
     best = {}
@@ -1255,10 +1255,34 @@ def _full_closure_mu_max_mf(m, extra=()):
         if k not in best or deg > best[k][0]:
             best[k] = (deg, rows)
     bounds = _profile_upper_bound(m)
-    canopy = [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
-    poly = upper_hull(canopy, edges=1)
+    return [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
+
+
+def _full_closure_mu_max_mf(m, extra=()):
+    """Reference copy of the earlier mu_max_mf: the canopy over the whole
+    closure, the profile bound after it, then the polygon's first edge.
+    Where that edge is uncertified, the bounds above its witness are
+    tightened through the quotient by it, as the earlier slope_filtration_mf
+    did at each vertex, and the edge is read again."""
+    from slopekit.multifilt import _quotient_bounds
+    from test_enumeration import _reference_upper_hull
+
+    canopy = _full_closure_canopy(m, extra)
+    poly = _reference_upper_hull(canopy, edges=1)
+    s, n = poly.filtration[0], m.dim
+    if not poly.certified and len(s) < n:
+        v = len(s)
+        quot = _quotient_bounds(m, s)
+        for k in range(v + 1, n + 1):
+            via_s = max(
+                (canopy[j - 1].upper if j else 0) + (k - j) * quot[k - j - 1]
+                for j in range(max(0, k + v - n), v + 1)
+            )
+            canopy[k - 1] = canopy[k - 1]._replace(upper=min(canopy[k - 1].upper, via_s))
+        poly = _reference_upper_hull(canopy, edges=1)
     (_, (k, deg)) = poly.hull
-    return deg / k, poly.filtration[0], max(bounds), poly.certified
+    upper = deg / k if poly.certified else max(b.upper / j for j, b in enumerate(canopy, 1))
+    return deg / k, poly.filtration[0], upper, poly.certified
 
 
 def _witness_products(m1, m2):
@@ -1312,20 +1336,25 @@ def _track_family(monkeypatch):
 def test_bound_first_stop_matches_full_closure(monkeypatch, cap, seed, count, heavy):
     """Stopping at the first candidate that certifies, after the profile bound
     and a probe of the extra candidates, gives the full closure's value,
-    witness, upper bound and flag on 480 seeded spaces and tensors, with and
+    witness, upper bound and flag on 608 seeded spaces and tensors, with and
     without extras, at the default cap and with the closure cut at 25.  Each
     corpus has inputs that stop at the probe, inside the closure, and that
-    read the whole closure, some of them uncertified."""
+    read the whole closure, some of them uncertified.  The tightening
+    through the quotient by the edge's witness certifies two of the four
+    uncertified inputs of the default-cap corpus, so it also takes 128 heavy
+    draws (seeds 2 and 3), two of which stay uncertified."""
     from slopekit import multifilt
 
     monkeypatch.setattr(multifilt, "_FAMILY_CAP", cap)
     corpus = _stop_corpus(random.Random(seed), count, heavy)
+    if not heavy:
+        corpus += _stop_corpus(random.Random(2), 64, True) + _stop_corpus(random.Random(3), 64, True)
     ref = [_full_closure_mu_max_mf(m, extra) for m, extra in corpus]
     counts = _track_family(monkeypatch)
     new = [mu_max_mf(m, extra) for m, extra in corpus]
     assert [(r.value, r.witness, r.upper, r.certified) for r in new] == ref
     assert sum(not r.certified for r in new) >= 4
-    assert count - counts["started"] >= 30  # an extra certified at the probe
+    assert len(corpus) - counts["started"] >= 30  # an extra certified at the probe
     assert counts["started"] - counts["exhausted"] >= 100  # stopped in the closure
     assert counts["exhausted"] >= 4
 

@@ -149,36 +149,59 @@ def _budget_corpus():
     return cases
 
 
-def _run_budget_case(m1, m2):
+def _run_budget_op(m1, m2):
+    """The benchmark's mf-tensor op: both factors' mu_max, the tensor's
+    mu_max with the witness products, and nu of the tensor.  Returns the
+    first factor's mu_max."""
     mf = slopekit.multifilt
     r1, r2 = mf.mu_max_mf(m1), mf.mu_max_mf(m2)
     t = mf.tensor_mf(m1, m2)
     products = [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
     mf.mu_max_mf(t, extra_candidates=[products])
     mf.nu_witness(t)
+    return r1
+
+
+def _run_budget_rest(m1, r1):
+    """The rest of a case: the first factor's multigraded dimensions, dual
+    and, where its mu_max certified, slope filtration."""
+    mf = slopekit.multifilt
     mf.multigraded_dims(m1)
     mf.dual_mf(m1)
     if r1.certified:
         mf.slope_filtration_mf(m1)
 
 
-# (units, rref calls) of each `_budget_corpus` case, as computed before
-# subspaces were kept as integer RREF rows: every elimination still goes
-# through `linalg.rref` with the same shapes, so the work budget charges the
-# same.  Change these only with a benchmark change that says why.
-_BUDGET_PINNED = [
-    (12289, 112), (240, 7), (1126, 36), (3943, 53), (189, 7), (1326, 30),
-    (578, 12), (14671, 84), (4563, 66), (4694, 59), (16, 2), (56, 7),
-    (851, 11), (8710, 40), (9215, 28), (54, 2), (10778, 48), (168, 5),
-    (5898, 32), (16, 2), (1948, 45), (4599, 63), (4146, 25), (372, 5),
-    (12289, 112), (62000, 275),
+# (units, rref calls) of the benchmark's op on each `_budget_corpus` case
+# (`_run_budget_op`), as computed before subspaces were kept as integer RREF
+# rows: every elimination still goes through `linalg.rref` with the same
+# shapes, so the work budget charges the same.  These are the benchmark's:
+# change them only with a benchmark change that says why.
+_BUDGET_PINNED_OP = [
+    (12184, 92), (232, 6), (1084, 21), (3522, 28), (108, 4), (990, 11),
+    (548, 5), (13755, 42), (4521, 56), (4582, 34), (16, 2), (32, 4),
+    (732, 5), (8373, 21), (9093, 21), (54, 2), (10464, 30), (168, 5),
+    (5775, 22), (16, 2), (1422, 13), (4222, 31), (4065, 18), (372, 5),
+    (12184, 92), (60078, 187),
+]
+
+# The same for the rest of each case (`_run_budget_rest`), outside the
+# benchmark's op.  The slope filtration builds its chain as first edges of
+# quotients, each stage a `mu_max_mf`.
+_BUDGET_PINNED_REST = [
+    (97, 20), (8, 1), (50, 16), (414, 27), (81, 3), (329, 21),
+    (38, 8), (466, 31), (50, 11), (104, 25), (0, 0), (24, 3),
+    (146, 7), (330, 21), (149, 8), (0, 0), (295, 19), (0, 0),
+    (150, 11), (0, 0), (519, 34), (370, 34), (108, 8), (0, 0),
+    (97, 20), (897, 69),
 ]
 
 
 def test_work_budget_units_are_pinned(monkeypatch):
     """The mf-tensor work budget charges each `linalg.rref` call rows x
     columns x min(rows, columns), as `WorkBudget` does.  On a fixed seeded
-    corpus the units and calls are the pinned ones, and `_rref_rows` makes
+    corpus the units and calls of the benchmark's op and, separately, of
+    the rest of each case are the pinned ones, and `_rref_rows` makes
     no `rref` call on integer RREF rows or on unit-pivot Fraction RREF rows,
     the forms stored subspaces and their printed bases take."""
     linalg, mf = slopekit.linalg, slopekit.multifilt
@@ -193,12 +216,16 @@ def test_work_budget_units_are_pinned(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(linalg, "rref", charged)
-    got = []
+    op, rest = [], []
     for m1, m2 in cases:
         calls.clear()
-        _run_budget_case(m1, m2)
-        got.append((sum(calls), len(calls)))
-    assert got == _BUDGET_PINNED
+        r1 = _run_budget_op(m1, m2)
+        op.append((sum(calls), len(calls)))
+        calls.clear()
+        _run_budget_rest(m1, r1)
+        rest.append((sum(calls), len(calls)))
+    assert op == _BUDGET_PINNED_OP
+    assert rest == _BUDGET_PINNED_REST
     stored = [space for m in itertools.chain.from_iterable(cases) for f in m.filtrations for _, space in f.steps]
     assert len(stored) >= 50
     calls.clear()
@@ -450,34 +477,44 @@ def _patch_everywhere(monkeypatch, real, fake) -> int:
     return patched
 
 
-def test_polygon_readers_reach_upper_hull(monkeypatch):
-    """mu_max, slope_filtration, their multifiltered twins and both kinds of
-    inequality_suite read their results off `enumeration.upper_hull`, so a
-    second polygon path cannot come back silently."""
+def test_polygon_readers_reach_quotient_polygon(monkeypatch):
+    """slope_filtration and slope_filtration_mf build their polygons in
+    `enumeration.quotient_polygon`, one stage through their category's
+    mu_max per edge at least, and mu_max, mu_max_mf and both kinds of
+    inequality_suite read `enumeration.first_edge`, all looked up by name,
+    so a second polygon path cannot come back silently."""
     en, mf = slopekit.enumeration, slopekit.multifilt
-    calls = []
-    real = en.upper_hull
+    polygons, edges = [], []
+    real_polygon, real_edge = en.quotient_polygon, en.first_edge
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def polygon(*args):
+        polygons.append(real_polygon(*args))
+        return polygons[-1]
 
-    assert _patch_everywhere(monkeypatch, real, counted) >= 2
+    def edge(canopy):
+        edges.append(real_edge(canopy))
+        return edges[-1]
+
+    assert _patch_everywhere(monkeypatch, real_polygon, polygon) >= 2
+    assert _patch_everywhere(monkeypatch, real_edge, edge) >= 2
     lat = slopekit.lattice.EuclideanLattice([[5, 2, 1], [2, 6, 2], [1, 2, 7]])
     a2 = slopekit.lattice.a2_lattice()
     m = _sample_space(random.Random(5), 3, 2)
+    poly = en.slope_filtration(lat)
+    assert polygons == [poly] and len(edges) >= len(poly.hull) - 1 == 3
+    del polygons[:], edges[:]
+    chain = mf.slope_filtration_mf(m)
+    assert len(polygons) == 1 and polygons[0].filtration == chain and len(edges) >= len(chain)
     routes = {
         "mu_max": lambda: en.mu_max(lat),
-        "slope_filtration": lambda: en.slope_filtration(lat),
         "mu_max_mf": lambda: mf.mu_max_mf(m),
-        "slope_filtration_mf": lambda: mf.slope_filtration_mf(m),
         "inequality_suite lattice": lambda: mf.inequality_suite(("lattice", a2, a2)),
         "inequality_suite multifilt": lambda: mf.inequality_suite(("multifilt", m, m)),
     }
     for name, route in routes.items():
-        before = len(calls)
+        del polygons[:], edges[:]
         route()
-        assert len(calls) > before, f"{name} computed a polygon around upper_hull"
+        assert edges and not polygons, f"{name} computed mu_max around first_edge"
 
 
 def test_mu_max_readers_reach_first_edge(monkeypatch):
@@ -501,12 +538,13 @@ def test_mu_max_readers_reach_first_edge(monkeypatch):
         del calls[:]
 
 
-def test_mu_max_skips_ranks_that_slope_filtration_searches(monkeypatch):
+def test_slope_filtration_searches_what_mu_max_searches_on_its_quotients(monkeypatch):
     """On a 2x3 tensor whose ranks 4 and 5 lie below their Minkowski floors,
-    mu_max runs the dense-sublattice search at fewer ranks than
-    slope_filtration, which still reaches `_min_det_rank_k` at every rank
-    1..r-1 (both look the names up at call time).  mu_max of a rank-2
-    lattice builds no dual."""
+    mu_max runs the dense-sublattice search at ranks 2 and 3 alone (ranks 1
+    and 5 are exact), and slope_filtration runs exactly the searches of
+    mu_max on each of its stages' lattices, the tensor and then its
+    quotients, in turn (all names looked up at call time).  mu_max of a
+    rank-2 lattice builds no dual."""
     en, lattice = slopekit.enumeration, slopekit.lattice
 
     def gram(b):
@@ -515,11 +553,11 @@ def test_mu_max_skips_ranks_that_slope_filtration_searches(monkeypatch):
     t = lattice.EuclideanLattice(gram([[-1, -2], [0, -2]])).tensor(
         lattice.EuclideanLattice(gram([[-1, -1, 2], [-1, 2, 2], [-1, 1, 1]]))
     )
-    searches, ranks = [], []
-    real_search, real_min_det = en.densest_sublattice, en._min_det_rank_k
+    searches, ranks, stages = [], [], []
+    real_search, real_min_det, real_mu_max = en.densest_sublattice, en._min_det_rank_k, en.mu_max
 
     def search(lat, k, *args):
-        searches.append(k)
+        searches.append((lat, k, args))
         return real_search(lat, k, *args)
 
     def min_det(lat, k, *args):
@@ -527,14 +565,24 @@ def test_mu_max_skips_ranks_that_slope_filtration_searches(monkeypatch):
             ranks.append(k)
         return real_min_det(lat, k, *args)
 
+    def stage(lat, *args):
+        stages.append(lat)
+        return real_mu_max(lat, *args)
+
     monkeypatch.setattr(en, "densest_sublattice", search)
     monkeypatch.setattr(en, "_min_det_rank_k", min_det)
     en.mu_max(t)
-    bound_first, mu_ranks = len(searches), set(ranks)
-    del searches[:], ranks[:]
-    en.slope_filtration(t)
-    assert bound_first < len(searches)
-    assert mu_ranks == {1, 2, 3} and set(ranks) == set(range(1, t.rank))
+    assert set(ranks) == {1, 2, 3} and {k for lat, k, _ in searches if lat is t} == {2, 3}
+    monkeypatch.setattr(en, "mu_max", stage)
+    del searches[:]
+    poly = en.slope_filtration(t)
+    assert poly.certified and stages[0] is t and len(stages) >= len(poly.hull) - 1 >= 2
+    assert {k for lat, k, _ in searches if lat is t} == {2, 3}
+    filtration_searches = searches[:]
+    del searches[:]
+    for lat in stages:
+        real_mu_max(lat)
+    assert searches == filtration_searches
     # at rank 2 the primal floor is exact, so no dual is built
     duals = []
     real_dual = lattice.EuclideanLattice.dual
