@@ -78,7 +78,9 @@ class CertifiedMuMax:
     (LogRational slopes, a Sublattice witness) and multifiltered spaces
     (Fraction slopes, RREF rows): every slope is at most `upper`, which is
     `value` when certified.  Certified proves `value` and `upper`, and the
-    witness's slope, not always that it is the largest (see `first_edge`)."""
+    witness's slope, not always that it is the largest (see `first_edge`);
+    for a multifiltered space of dimension at most 3, whose canopy is
+    exact, it is the largest."""
 
     value: Any
     witness: Any
@@ -124,7 +126,8 @@ def first_edge(canopy: Sequence[RankBound]) -> CertifiedMuMax:
     mu = y1 / k1, which the witness attains, and `upper` is mu.  An exact
     rank (upper_k == lower_k) passes without a comparison.  The witness is
     the largest subobject of slope mu unless a rank above k1 kept only a
-    bound on the edge's line, under which a subobject of slope mu may lie."""
+    bound on the edge's line, under which a subobject of slope mu may lie;
+    an exact canopy keeps no such rank."""
     pts = [(k, b) for k, b in enumerate(canopy, 1) if b.lower is not None]
     k1, edge = pts[0]
     for k, b in pts[1:]:

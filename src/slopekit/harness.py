@@ -294,8 +294,9 @@ def repro_thm07(seed: int = 0, count: int = 50) -> Report:
         r1 = mu_max_mf(m1)
         r2 = mu_max_mf(m2)
         if not (r1.certified and r2.certified):
-            redraws += 1
-            continue
+            # a space of dimension <= 3 has an exact canopy, so no factor is
+            # left uncertified, and none is redrawn
+            raise AssertionError(f"mu_max of a factor of dimension <= {THM07_MAX_DIM} did not certify")
         t = tensor_mf(m1, m2)
         seed_cand = [
             tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness

@@ -29,7 +29,15 @@ one rank, dim(W ∩ S) = dim W + dim S - rank(W + S), and a vector of a
 stored span has its coordinates at the span's pivot columns; intersection
 bases are built only where a basis is used (the candidate closure,
 `subobject`, `nu_witness` and the profile bound's triple intersections).
-All elimination runs through `linalg.rref`."""
+All elimination runs through `linalg.rref`.
+
+mu_max is the first edge of a canopy (`enumeration.first_edge`).  In
+dimension n <= 3 every rank is 1, n - 1 or n, and the canopy is exact: the
+best line is `nu_witness`'s and the best hyperplane is scored off the sums
+of steps it can hold (`_best_hyperplane`), with no relaxation and no
+closure.  Larger spaces bound each rank by the dimension-profile relaxation
+and score a capped intersection/sum closure of the steps, which can be
+infinite from three flags on (Gelfand-Ponomarev)."""
 
 from __future__ import annotations
 
@@ -458,6 +466,90 @@ def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[int, ...]]:
     raise AssertionError("no witness line found")
 
 
+def _best_hyperplane(m: MultifilteredSpace) -> tuple[Fraction, Matrix]:
+    """The greatest degree of a hyperplane of m (dimension n >= 2), with a
+    hyperplane of that degree as integer RREF rows.
+
+    A hyperplane H meets a step F in dim F if F ⊂ H, and in dim F - 1
+    otherwise (then H + F = V).  So in the Abel form (module docstring)
+    deg H is a constant, the degree H would have if it held no proper step,
+    plus the gaps of the proper steps it holds; the steps decrease, so
+    those are, in each filtration, the steps from some index on, or none.
+    A choice of one such index per filtration (or none) scores the sum of
+    the chosen suffixes of gaps.  The choice of H itself scores deg H minus
+    the constant; and a choice is held by some H iff the sum S of its
+    chosen steps is proper, when every hyperplane holding S scores at least
+    as much.  So the first choice with S proper, in order of decreasing
+    score, scores the greatest degree, and any hyperplane holding its S
+    attains it (`_hyperplane_holding`).  Deciding a choice takes one `rref`
+    of its steps, none for a single step, and the whole space never enters.
+
+    Duality gives the same degree: a hyperplane H of V is the annihilator
+    of a line l of V*, and V/H is dual to l with the filtrations of
+    `dual_mf` (the image of F^lam in V/H is nonzero iff F^lam ⊄ H iff l is
+    not in the annihilator of F^lam), so deg H = deg V - deg(V/H) =
+    deg V + deg l, and the best hyperplane has degree deg V + nu(m*).
+    Building m* costs a kernel per step, more than this search."""
+    n = m.dim
+    den, lam_0, gaps = m.integer_gaps()
+    base = lam_0 * (n - 1)
+    options = []
+    for f, g in zip(m.filtrations, gaps):
+        steps = [space for _, space in f.steps[1:]]
+        base += sum(gap * (len(space) - 1) for gap, space in zip(g, steps))
+        options.append([(0, ())] + [(sum(g[i:]), space) for i, space in enumerate(steps)])
+    choices = [(sum(s for s, _ in c), [space for _, space in c if space]) for c in itertools.product(*options)]
+    choices.sort(key=lambda t: t[0], reverse=True)
+    for score, spaces in choices:
+        rows = tuple(itertools.chain(*spaces))
+        span = linalg.rref(rows)[0] if len(spaces) > 1 else rows
+        if len(span) < n:
+            return F(base + score, den), _hyperplane_holding(span, n)
+    raise AssertionError("no proper sum of steps")
+
+
+def _hyperplane_holding(span: Matrix, n: int) -> Matrix:
+    """A hyperplane holding the proper subspace of integer RREF rows `span`,
+    as integer RREF rows, with no elimination: H = {x : a.x = 0} for the
+    kernel vector a of span's last free column f (a_f = 1, a_c = -r[f]/r[c]
+    at the pivot c of each row r, 0 elsewhere).  Each row r has r[f] = 0
+    when its pivot c lies right of f (every column there is a pivot, so
+    r is a multiple of e_c), so a is 0 right of f, and H's RREF holds, for
+    j != f, the row r[c] e_c + r[f] e_f of the pivot c = j, made primitive,
+    or e_j at a free column j.  Each row r of span is the sum of the row of
+    its pivot and of its entries at free columns other than f, so H holds
+    it."""
+    by_pivot = {_pivot(r): r for r in span}
+    f = max(c for c in range(n) if c not in by_pivot)
+    rows = []
+    for j in (j for j in range(n) if j != f):
+        row = [0] * n
+        if j in by_pivot:
+            row[j], row[f] = by_pivot[j][j], by_pivot[j][f]
+        else:
+            row[j] = 1
+        rows.append(tuple(linalg.primitive(row)))
+    return tuple(rows)
+
+
+def _exact_canopy(m: MultifilteredSpace) -> list[RankBound]:
+    """The exact canopy of a space of dimension n <= 3, whose every rank is
+    1, n - 1 or n: the best line (`nu_witness`), the best hyperplane
+    (`_best_hyperplane`) and V, each degree its own upper bound.  Its first
+    edge is certified, and its witness is the largest subspace of maximal
+    slope: that subspace, the sum of all maximizers (deg is supermodular),
+    is the only maximizer of its rank, which is the largest rank of maximal
+    slope, the one `first_edge` takes."""
+    n = m.dim
+    exact = {n: (slope_faltings(m) * n, linalg.identity(n))}
+    if n > 1:
+        deg, line = nu_witness(m)
+        exact[1] = (deg, (line,))
+    if n > 2:
+        exact[n - 1] = _best_hyperplane(m)
+    return [RankBound(deg, rows, deg) for deg, rows in (exact[k] for k in range(1, n + 1))]
+
+
 # The closure can be infinite (three or more flags), so it stops at this size.
 _FAMILY_CAP = 400
 
@@ -601,16 +693,23 @@ def _quotient_bounds(m: MultifilteredSpace, rows) -> list[Fraction]:
 
 
 def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
-    """For each dimension k, the best degree over the candidates of dimension
-    k (the first in family order among ties), and k times the relaxation's
-    slope bound.  The extra candidates are all reduced, then probed before
-    the closure, and the search stops at the first candidate that passes
+    """The extra candidates are all reduced first, so rows of the wrong
+    width raise whatever the dimension.  A space of dimension at most 3 has
+    the exact canopy of `_exact_canopy`, with no relaxation and no closure.
+
+    Otherwise, for each dimension k, the best degree over the candidates of
+    dimension k (the first in family order among ties), and k times the
+    relaxation's slope bound.  The extra candidates are probed before the
+    closure, and the search stops at the first candidate that passes
     `certifies`: a candidate W of slope mu_b such that every larger rank j
     has its bound strictly below mu_b or, where that bound ties mu_b, m/W
     has its rank-(j - dim W) bound strictly below mu_b.  The canopy then
     holds that candidate and the closure members scored before it, and its
     first edge is the one the whole closure gives.  When no candidate
     passes, the whole closure is read."""
+    probes = [rows for rows in (_rref_rows(e, m.dim) for e in extra) if rows]
+    if m.dim <= 3:
+        return _exact_canopy(m)
     bounds = _profile_upper_bound(m)
     mu_b = max(bounds)
     degrees: dict[Matrix, Fraction] = {}
@@ -663,7 +762,7 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
     def canopy() -> list[RankBound]:
         return [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
 
-    for rows in filter(None, [_rref_rows(e, m.dim) for e in extra]):
+    for rows in probes:
         if certifies(rows):
             best[len(rows)] = (degree(rows), rows)
             return canopy()
@@ -677,13 +776,16 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
 
 
 def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> CertifiedMuMax:
-    """Certified-when-bounds-meet supremum of subspace slopes: the first edge
-    (`enumeration.first_edge`) of `_mf_canopy`, bounded above by the
-    dimension-profile relaxation and below by the exact slopes of the extra
-    candidates (row lists in ambient coordinates), then of the capped
-    intersection/sum closure of the filtration steps.  The witness is the
-    largest candidate of maximal slope; when the closure is complete it is
-    the sum of all of them, deg being supermodular.
+    """Supremum of subspace slopes: the first edge
+    (`enumeration.first_edge`) of `_mf_canopy`.  A space of dimension at
+    most 3 has an exact canopy: the result is certified, and its witness is
+    the largest subspace of maximal slope.  A larger one is bounded above by
+    the dimension-profile relaxation and below by the exact slopes of the
+    extra candidates (row lists in ambient coordinates), then of the capped
+    intersection/sum closure of the filtration steps, and is certified
+    where the bounds meet.  The witness is the largest candidate of maximal
+    slope; when the closure is complete it is the sum of all of them, deg
+    being supermodular.
 
     Where the bounds do not meet, the edge's witness S, of dimension v,
     tightens the bounds above it, once.  A W of dimension k > v, with

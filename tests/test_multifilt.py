@@ -592,11 +592,12 @@ def _holds_whole_space(a, n):
 
 def test_proper_steps_only_reach_rref(monkeypatch):
     """The relaxation, slopes, witness lines, filtrations, tensor products,
-    subobjects, multigraded dimensions and the candidate closure never hand
-    `linalg.rref` the whole space next to another operand: its meets are
-    known, so they are not computed.  (Only the whole space of the input is
-    watched, not those of the graded pieces.)"""
-    from slopekit.multifilt import _candidate_family, _profile_upper_bound
+    subobjects, multigraded dimensions, the hyperplane search and the
+    candidate closure never hand `linalg.rref` the whole space next to
+    another operand: its meets are known, so they are not computed.  (Only
+    the whole space of the input is watched, not those of the graded
+    pieces.)"""
+    from slopekit.multifilt import _best_hyperplane, _candidate_family, _profile_upper_bound
 
     seen = {"calls": 0, "whole": [], "n": None}
     real = linalg.rref
@@ -622,6 +623,7 @@ def test_proper_steps_only_reach_rref(monkeypatch):
             seen["n"] = m.dim
             _profile_upper_bound(m)
             nu_witness(m)
+            _best_hyperplane(m)
             multigraded_dims(m)
             if m.dim <= 4:
                 list(_candidate_family(m, ()))
@@ -1048,7 +1050,9 @@ def test_rank_dims_and_pivot_coords_match_parent(monkeypatch):
 
 def _reference_mu_max_mf(m, extra=()):
     """Reference copy of the earlier mu_max_mf: the best slope over the
-    family, then the span of all its maximizers."""
+    family, then the span of all its maximizers.  Where the profile bound
+    lies above, the bounds of the ranks above the witness are tightened
+    through the quotient by it (`_tightened_through_quotient`)."""
     from slopekit.multifilt import _candidate_family, _profile_upper_bound
 
     best, maximizers = None, []
@@ -1066,16 +1070,58 @@ def _reference_mu_max_mf(m, extra=()):
         best, witness = s_span, span
     else:
         witness = max(maximizers, key=len)
-    upper = max(_profile_upper_bound(m))
+    uppers = [k * b for k, b in enumerate(_profile_upper_bound(m), 1)]
+    if max(u / k for k, u in enumerate(uppers, 1)) != best and len(witness) < m.dim:
+        uppers = _tightened_through_quotient(m, uppers, witness)
+    upper = max(u / k for k, u in enumerate(uppers, 1))
     return best, witness, upper, upper == best
+
+
+def _tightened_through_quotient(m, uppers, s):
+    """The per-rank degree bounds `uppers` (rank k at index k - 1) with those
+    of the ranks above the proper subspace s bounded through the quotient
+    by s, as `mu_max_mf` does."""
+    from slopekit.multifilt import _quotient_bounds
+
+    v, n = len(s), m.dim
+    quot = _quotient_bounds(m, s)
+    out = list(uppers)
+    for k in range(v + 1, n + 1):
+        via_s = max((out[j - 1] if j else 0) + (k - j) * quot[k - j - 1] for j in range(max(0, k + v - n), v + 1))
+        out[k - 1] = min(out[k - 1], via_s)
+    return out
+
+
+def _duality_mu_max_mf(m):
+    """mu_max of a space of dimension n <= 3 as (value, witness, upper,
+    certified), from its three kinds of subspace: the best line
+    (`nu_witness`), the best hyperplane as the annihilator of the best line
+    l of the dual (deg l^⊥ = deg V + deg l), and V.  The witness is the best
+    subspace of the largest rank of maximal slope, the only maximizer of
+    that rank (the sum of two would be a larger one)."""
+    n = m.dim
+    deg_v = slope_faltings(m) * n
+    best = {n: (deg_v, linalg.identity(n))}
+    if n > 1:
+        value, line = nu_witness(m)
+        best[1] = (value, (line,))
+    if n > 2:
+        value, line = nu_witness(dual_mf(m))
+        best[n - 1] = (deg_v + value, linalg.rref(linalg.kernel((line,)))[0])
+    mu = max(deg / k for k, (deg, _) in best.items())
+    k = max(k for k, (deg, _) in best.items() if deg == k * mu)
+    return mu, best[k][1], mu, True
 
 
 def _reference_slope_filtration_mf(m):
     """Reference copy of the earlier slope_filtration_mf: the largest
-    destabilizer of each quotient in turn, every stage certified."""
+    destabilizer of each quotient in turn, every stage certified.  A stage
+    of dimension at most 3 takes `_duality_mu_max_mf`, exact at every rank,
+    as the library does."""
     chain, prev, current, lift = [], (), m, linalg.identity(m.dim)
     while True:
-        _, witness, _, certified = _reference_mu_max_mf(current)
+        stage = _duality_mu_max_mf if current.dim <= 3 else _reference_mu_max_mf
+        _, witness, _, certified = stage(current)
         if not certified:
             raise ValueError("uncertified mu_max stage; filtration aborted")
         wit = linalg.rref(linalg.mat([[sum(x * y for x, y in zip(col, r)) for col in zip(*lift)] for r in witness]))[0]
@@ -1088,10 +1134,12 @@ def _reference_slope_filtration_mf(m):
 
 def test_polygon_readers_match_parent_reference(monkeypatch):
     """mu_max_mf and slope_filtration_mf, read off one polygon, give the
-    earlier per-stage results on 330 seeded spaces and tensors: every value,
-    witness, upper bound, flag and chain, and a ValueError exactly where the
-    earlier code raised one.  The closure is capped at 25 members on both
-    sides, which keeps the corpus quick and leaves some of it uncertified."""
+    earlier per-stage results on 330 seeded spaces of dimension 4 and 5 and
+    tensors of two planes: every value, witness, upper bound, flag and
+    chain, and a ValueError exactly where the earlier code raised one.  The
+    closure is capped at 25 members on both sides, which keeps the corpus
+    quick and leaves some of it uncertified; quotients of dimension at most
+    3 are exact on both sides."""
     from slopekit import multifilt
 
     def kind(f, *args):
@@ -1106,12 +1154,11 @@ def test_polygon_readers_match_parent_reference(monkeypatch):
     for i in range(330):
         extra = ()
         if i % 3 == 0:
-            m = random_mf(rng, rng.randint(1, 4), rng.randint(1, 2))
+            m = random_mf(rng, rng.randint(4, 5), rng.randint(1, 2))
         elif i % 3 == 1:
-            m = random_mf(rng, rng.randint(2, 3), 3)
+            m = tensor_mf(random_mf(rng, 2, 3), random_mf(rng, 2, 3))
         else:
-            n_filts = rng.randint(1, 3)
-            m1, m2 = random_mf(rng, 2, n_filts), random_mf(rng, rng.randint(1, 2), n_filts)
+            m1, m2 = random_mf(rng, 2, 3), random_mf(rng, 2, 3)
             r1, r2 = mu_max_mf(m1), mu_max_mf(m2)
             m = tensor_mf(m1, m2)
             extra = [[tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]]
@@ -1264,21 +1311,14 @@ def _full_closure_mu_max_mf(m, extra=()):
     Where that edge is uncertified, the bounds above its witness are
     tightened through the quotient by it, as the earlier slope_filtration_mf
     did at each vertex, and the edge is read again."""
-    from slopekit.multifilt import _quotient_bounds
     from test_enumeration import _reference_upper_hull
 
     canopy = _full_closure_canopy(m, extra)
     poly = _reference_upper_hull(canopy, edges=1)
-    s, n = poly.filtration[0], m.dim
-    if not poly.certified and len(s) < n:
-        v = len(s)
-        quot = _quotient_bounds(m, s)
-        for k in range(v + 1, n + 1):
-            via_s = max(
-                (canopy[j - 1].upper if j else 0) + (k - j) * quot[k - j - 1]
-                for j in range(max(0, k + v - n), v + 1)
-            )
-            canopy[k - 1] = canopy[k - 1]._replace(upper=min(canopy[k - 1].upper, via_s))
+    s = poly.filtration[0]
+    if not poly.certified and len(s) < m.dim:
+        uppers = _tightened_through_quotient(m, [b.upper for b in canopy], s)
+        canopy = [b._replace(upper=u) for b, u in zip(canopy, uppers)]
         poly = _reference_upper_hull(canopy, edges=1)
     (_, (k, deg)) = poly.hull
     upper = deg / k if poly.certified else max(b.upper / j for j, b in enumerate(canopy, 1))
@@ -1293,13 +1333,13 @@ def _witness_products(m1, m2):
 def _stop_corpus(rng, count, heavy):
     """`count` seeded inputs in turn: a space alone, a space with a random
     subspace as extra, a tensor alone and a tensor with its witness product.
-    Heavy inputs all have three filtrations, and their spaces dimension 3 or
-    4 and tensors dimension 4 or 6, where a closure cut at 25 often leaves
-    the bound unmet."""
+    Heavy inputs all have three filtrations, and their spaces dimension 4
+    or 5 and tensors dimension 4 or 6, where a closure cut at 25 often
+    leaves the bound unmet."""
     out = []
     for i in range(count):
         if i % 4 < 2:
-            dim = rng.randint(3 if heavy else 1, 4)
+            dim = rng.randint(4, 5) if heavy else rng.randint(1, 4)
             m = random_mf(rng, dim, 3 if heavy else rng.randint(1, 3))
             extra = ()
             if i % 4 == 1:
@@ -1340,9 +1380,9 @@ def test_bound_first_stop_matches_full_closure(monkeypatch, cap, seed, count, he
     without extras, at the default cap and with the closure cut at 25.  Each
     corpus has inputs that stop at the probe, inside the closure, and that
     read the whole closure, some of them uncertified.  The tightening
-    through the quotient by the edge's witness certifies two of the four
+    through the quotient by the edge's witness certifies one of the three
     uncertified inputs of the default-cap corpus, so it also takes 128 heavy
-    draws (seeds 2 and 3), two of which stay uncertified."""
+    draws (seeds 2 and 3), six of which stay uncertified."""
     from slopekit import multifilt
 
     monkeypatch.setattr(multifilt, "_FAMILY_CAP", cap)
@@ -1415,30 +1455,36 @@ def _track_quotients(monkeypatch):
 
 def test_bound_tied_by_a_larger_maximizer_does_not_stop(monkeypatch):
     """A candidate of the bound's slope does not stop the search while a
-    larger maximizer may hold it.  In the crossed example the line e1 has
-    slope 1 and so has the plane, the largest maximizer: the rank-2 bound
-    ties 1, and so does the rank-1 bound of the quotient by e1, a line of
-    slope 1.  In Q^3 = e1 + P, where P carries three weight-1 lines and e1
-    weight 1/2 in each filtration, e1, P and the whole space all have slope
-    3/2: the quotient by e1 is P, whose lines have slope at most 1, so only
-    its rank-2 bound, 3/2, shows the larger maximizer.  The probed e1 fails
-    the quotient test in both, and the search reads the closure, which
-    starts with the whole space."""
-    full = linalg.identity(3)
-    lines = ([0, 1, 0], [0, 0, 1], [0, 1, 1])
-    halves = MultifilteredSpace(3, [
-        Filtration(3, [(0, full), (F(1, 2), [[1, 0, 0], line]), (1, [line])]) for line in lines
+    larger maximizer may hold it.  In Q^4 crossed by the planes A = (e1, e2)
+    and B = (e3, e4), weight 1 each, the line e1 has slope 1 and so has the
+    whole space, the largest maximizer: the rank-4 bound ties 1, and so does
+    the rank-3 bound of the quotient by e1, of slope 1.  In Q^4 = e1 + e2 +
+    P, where P = (e3, e4) carries three weight-1 lines and e1 weight 1/2 in
+    each filtration (e2 in the first two), e1, P and e1 + P all have slope
+    3/2: the quotient by e1 has lines of slope at most 1, so only its rank-2
+    bound, 3/2, shows the larger maximizer.  The probed e1 fails the
+    quotient test in both, and the search reads the closure, which starts
+    with the whole space; in the second, P fails it too."""
+    full = linalg.identity(4)
+    crossed = MultifilteredSpace(4, [
+        Filtration(4, [(0, full), (1, plane)]) for plane in (full[:2], full[2:])
     ])
-    cases = [(crossed_example(), [[[1, 0]]]), (halves, [[[1, 0, 0]]])]
+    lines = ([0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1])
+    halves = MultifilteredSpace(4, [
+        Filtration(4, [(0, full), (F(1, 2), full[:2 - i // 2] + (line,)), (1, [line])])
+        for i, line in enumerate(lines)
+    ])
+    cases = [(crossed, [[[1, 0, 0, 0]]]), (halves, [[[1, 0, 0, 0]]])]
     refs = [_full_closure_mu_max_mf(m, extra) for m, extra in cases]
     counts = _track_family(monkeypatch)
     quotients = _track_quotients(monkeypatch)
-    for (m, extra), ref in zip(cases, refs):
+    for (m, extra), ref, want in zip(cases, refs, [[full[:1]], [full[:1], full[2:]]]):
         res = mu_max_mf(m, extra)
         assert (res.value, res.witness, res.upper, res.certified) == ref
-        assert quotients.pop() == linalg.identity(m.dim)[:1] and quotients == []
+        assert quotients == want
+        quotients.clear()
     assert counts["started"] == 2
-    assert refs == [(1, linalg.identity(2), 1, True), (F(3, 2), full, F(3, 2), True)]
+    assert refs == [(1, full, 1, True), (F(3, 2), (full[0],) + full[2:], F(3, 2), True)]
 
 
 def test_quotient_bound_below_the_tie_stops_at_the_probe(monkeypatch):
@@ -1526,23 +1572,115 @@ def test_quotient_stop_matches_full_closure_on_tied_bounds(monkeypatch, cap, see
 
 def test_probe_leaves_ties_to_family_order(monkeypatch):
     """An extra candidate probed first but not certifying takes its family
-    place: e1 and e2 of the crossed space in Q^3 both have the maximal slope
+    place: e1 and e2 of the crossed space in Q^4 both have the maximal slope
     1, their plane is cut off with the closure at 3 members, and its rank-2
     bound ties 1, so the witness is e1, the first in family order, though
-    the extra e2 was scored first."""
+    the extra e2 was scored first.  The crossed space in Q^3 has an exact
+    canopy, and its witness is that plane, the largest maximizer."""
     from slopekit import multifilt
 
     monkeypatch.setattr(multifilt, "_FAMILY_CAP", 3)
-    full = linalg.identity(3)
-    m = MultifilteredSpace(3, [
-        Filtration(3, [(0, full), (1, [[1, 0, 0]])]),
-        Filtration(3, [(0, full), (1, [[0, 1, 0]])]),
-    ])
-    extra = [[[0, 2, 0]]]
-    ref = _full_closure_mu_max_mf(m, extra)
-    res = mu_max_mf(m, extra)
-    assert (res.value, res.witness, res.upper, res.certified) == ref
-    assert res.witness == ((1, 0, 0),) and res.certified
+    for n, witness in [(4, ((1, 0, 0, 0),)), (3, ((1, 0, 0), (0, 1, 0)))]:
+        full = linalg.identity(n)
+        m = MultifilteredSpace(n, [
+            Filtration(n, [(0, full), (1, full[:1])]),
+            Filtration(n, [(0, full), (1, full[1:2])]),
+        ])
+        extra = [[[2 * x for x in full[1]]]]
+        res = mu_max_mf(m, extra)
+        assert res.witness == witness and res.value == res.upper == 1 and res.certified
+        if n == 4:
+            assert (res.value, res.witness, res.upper, res.certified) == _full_closure_mu_max_mf(m, extra)
+
+
+def test_best_hyperplane_matches_duality():
+    """The hyperplane search gives the degree that duality gives, deg V plus
+    the best line value of the dual, on 360 seeded spaces of dimension 2 to
+    5 with 0 to 4 filtrations, breaks with denominators up to 3, and duals;
+    its witness is a hyperplane of that degree, in integer RREF."""
+    from slopekit.multifilt import _best_hyperplane
+
+    rng = random.Random(3203)
+    dens = set()
+    for i in range(360):
+        n = rng.randint(2, 5)
+        m = random_mf(rng, n, rng.randint(0, 4), denominator=rng.choice([1, 2, 3]))
+        if i % 3 == 2:
+            m = dual_mf(m)
+        deg, rows = _best_hyperplane(m)
+        assert deg == slope_faltings(m) * n + nu_witness(dual_mf(m))[0]
+        assert len(rows) == n - 1 and linalg.rref(rows)[0] == rows
+        assert deg == (n - 1) * slope_of_subspace(m, rows)
+        dens |= {lam.denominator for f in m.filtrations for lam in f.breaks()}
+    assert dens == {1, 2, 3}
+
+
+def _small_corpus(rng, count):
+    """`count` seeded spaces of dimension 1 to 3 with 0 to 4 filtrations,
+    alone, with breaks of denominator 2, as duals, and as tensors of two
+    smaller factors with the witness product as extra."""
+    out = []
+    for i in range(count):
+        extra = ()
+        if i % 4 == 3:
+            m1 = random_mf(rng, 1, rng.randint(1, 3))
+            m2 = random_mf(rng, rng.randint(1, 3), m1.n_filtrations)
+            m, extra = tensor_mf(m1, m2), [_witness_products(m1, m2)]
+        else:
+            m = random_mf(rng, rng.randint(1, 3), rng.randint(0, 4), denominator=1 + (i % 4 == 1))
+            if i % 4 == 2:
+                m = dual_mf(m)
+        out.append((m, extra))
+    return out
+
+
+def test_small_spaces_match_the_full_closure(monkeypatch):
+    """A space of dimension at most 3 gets the exact result: the one of
+    `_duality_mu_max_mf`, and the whole closure's (value, witness, upper,
+    certified) wherever that closure certifies; where it does not, the
+    certified value lies between its value and its upper bound.  Checked on
+    every such space among the mf-tensor factors and tensors at seed 1 and
+    on 640 seeded ones, of which some certify only now."""
+    spaces = [(m, ()) for m in _mf_tensor_spaces(monkeypatch) if m.dim <= 3]
+    corpus = spaces + _small_corpus(random.Random(3209), 640)
+    newly = 0
+    for m, extra in corpus:
+        res = mu_max_mf(m, extra)
+        got = (res.value, res.witness, res.upper, res.certified)
+        assert got == _duality_mu_max_mf(m)
+        ref = _full_closure_mu_max_mf(m, extra)
+        if ref[3]:
+            assert got == ref
+        else:
+            assert ref[0] <= res.value <= ref[2]
+            newly += 1
+    assert len(spaces) >= 250 and newly >= 5
+
+
+def test_small_spaces_skip_the_relaxation_and_the_closure(monkeypatch):
+    """mu_max_mf and slope_filtration_mf of a space of dimension at most 3
+    run neither the profile bound nor the closure, at any stage, and
+    certify; the hyperplane search eliminates through `linalg.rref`, looked
+    up by name, which the benchmark's work budget meters."""
+    from slopekit import multifilt
+
+    def forbid(*args):
+        raise AssertionError("relaxation or closure on a small space")
+
+    for name in ("_candidate_family", "_profile_upper_bound", "_quotient_bounds"):
+        monkeypatch.setattr(multifilt, name, forbid)
+    calls = []
+    real = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or real(a))
+    searched = 0
+    for m, extra in _small_corpus(random.Random(3217), 200):
+        assert mu_max_mf(m, extra).certified
+        assert len(slope_filtration_mf(m)[-1]) == m.dim
+        if m.dim == 3:
+            del calls[:]
+            multifilt._best_hyperplane(m)
+            searched += bool(calls)
+    assert searched >= 20
 
 
 _LINE = MultifilteredSpace(1, [Filtration(1, [(0, [[1]])])])
