@@ -37,7 +37,11 @@ best line is `nu_witness`'s and the best hyperplane is scored off the sums
 of steps it can hold (`_best_hyperplane`), with no relaxation and no
 closure.  Larger spaces bound each rank by the dimension-profile relaxation
 and score a capped intersection/sum closure of the steps, which can be
-infinite from three flags on (Gelfand-Ponomarev)."""
+infinite from three flags on (Gelfand-Ponomarev).  A caller's candidate S
+(for a tensor, the product of its factors' witnesses) is tried before the
+closure: by the relaxation's bounds, and then by the split of every rank
+over S and m/S, deg U <= deg(U ∩ S) + deg((U + S)/S), whose pieces of
+dimension <= 3 are exact."""
 
 from __future__ import annotations
 
@@ -692,6 +696,37 @@ def _quotient_bounds(m: MultifilteredSpace, rows) -> list[Fraction]:
     return _profile_upper_bound(quotient_object(m, rows)[0])
 
 
+def _degree_bounds(m: MultifilteredSpace) -> list[Fraction]:
+    """Entry t - 1 bounds the degree of every t-dimensional subspace of m:
+    the exact degree in dimension at most 3 (`_exact_canopy`), t times the
+    relaxation's rank-t bound above."""
+    if m.dim <= 3:
+        return [b.upper for b in _exact_canopy(m)]
+    return [t * b for t, b in enumerate(_profile_upper_bound(m), 1)]
+
+
+def _split_uppers(sub: Sequence, quot: Sequence) -> list:
+    """Per-rank degree bounds of m from a proper nonzero subspace S, given
+    sub[i - 1], a bound on the degree of every i-dimensional subspace of S,
+    and quot[t - 1], one on every t-dimensional subspace of m/S.  Entry
+    j - 1 bounds every j-dimensional U of m by the largest
+    sub[i - 1] + quot[j - i - 1] (a missing term is 0) over the i that
+    dim(U ∩ S) can take, max(0, j - dim m/S) .. min(j, dim S).
+
+    deg is supermodular, deg U + deg S <= deg(U ∩ S) + deg(U + S), and
+    additive over S: for X ⊃ S the image (F + S)/S of a step meets X/S in
+    ((F + S) ∩ X)/S = ((F ∩ X) + S)/S (modular law), of dimension
+    dim(F ∩ X) - dim(F ∩ S), so in the Abel form deg_{m/S}(X/S) =
+    deg X - deg S.  With X = U + S, deg U <= deg(U ∩ S) + deg_{m/S}((U + S)/S),
+    and U ∩ S has in S the degree it has in m (the subobject's steps are
+    the F ∩ S)."""
+    k, q = len(sub), len(quot)
+    return [
+        max((sub[i - 1] if i else 0) + (quot[j - i - 1] if j > i else 0) for i in range(max(0, j - q), min(j, k) + 1))
+        for j in range(1, k + q + 1)
+    ]
+
+
 def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
     """The extra candidates are all reduced first, so rows of the wrong
     width raise whatever the dimension.  A space of dimension at most 3 has
@@ -699,14 +734,24 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
 
     Otherwise, for each dimension k, the best degree over the candidates of
     dimension k (the first in family order among ties), and k times the
-    relaxation's slope bound.  The extra candidates are probed before the
-    closure, and the search stops at the first candidate that passes
-    `certifies`: a candidate W of slope mu_b such that every larger rank j
-    has its bound strictly below mu_b or, where that bound ties mu_b, m/W
-    has its rank-(j - dim W) bound strictly below mu_b.  The canopy then
-    holds that candidate and the closure members scored before it, and its
-    first edge is the one the whole closure gives.  When no candidate
-    passes, the whole closure is read."""
+    relaxation's slope bound.  Three certificates are tried in turn.
+    First `certifies`, on the extra candidates (the probes) and then on
+    each closure member as it is made: a candidate W of slope mu_b such
+    that every larger rank j has its bound strictly below mu_b or, where
+    that bound ties mu_b, m/W has its rank-(j - dim W) bound strictly below
+    mu_b.  The canopy then holds that candidate and the closure members
+    scored before it, and its first edge is the one the whole closure
+    gives.  Second, before the closure starts, the split (`split`) of each
+    probe S: every rank is bounded through S and m/S (`_split_uppers`),
+    and the bounds certify S when they lie on or below the line of slope
+    mu_S, strictly above dim S; the canopy is then S and those bounds.  The
+    split costs a subobject, a quotient and their degree bounds, each an
+    exact canopy (dimension <= 3) or one relaxation: no closure and no
+    recursion.  Third, the closure, read to the end when no member passes;
+    it is capped at _FAMILY_CAP members, and the benchmark's work budget
+    meters its eliminations, which all run through `linalg.rref`, as do
+    those of the split.  A probe's quotient is made once, for whichever of
+    `certifies` and the split needs it first."""
     probes = [rows for rows in (_rref_rows(e, m.dim) for e in extra) if rows]
     if m.dim <= 3:
         return _exact_canopy(m)
@@ -719,6 +764,13 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
         if rows not in degrees:
             degrees[rows] = slope_of_subspace(m, rows) * len(rows)
         return degrees[rows]
+
+    quotients: dict[Matrix, MultifilteredSpace] = {}
+
+    def quotient(rows) -> MultifilteredSpace:
+        if rows not in quotients:
+            quotients[rows] = quotient_object(m, rows)[0]
+        return quotients[rows]
 
     def certifies(rows) -> bool:
         # W passes when its slope is mu_b and, for every rank j > dim W = k,
@@ -752,10 +804,36 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
             tied = [j for j, b in enumerate(bounds[k:], k + 1) if not b < mu_b]
             passes = degree(rows) == k * mu_b
             if passes and tied:
-                quot = _quotient_bounds(m, rows)
+                quot = _profile_upper_bound(quotient(rows))
                 passes = all(quot[j - k - 1] < mu_b for j in tied)
             verdicts[rows] = passes
         return verdicts[rows]
+
+    def split(rows) -> Optional[list[RankBound]]:
+        # The split certificate of a probe S of dimension k < n and slope
+        # mu_S: the uppers min(j bound_j, upper_j), upper_j from
+        # `_split_uppers` over the degree bounds of the subobject S and of
+        # m/S (exact in dimension <= 3), are at most j mu_S at every rank
+        # j <= k and strictly below it at every j > k.  Then mu_max = mu_S,
+        # which S attains, and S is the unique largest maximizer: for any
+        # maximizer U, supermodularity gives deg(U + S) >= mu_S dim(U + S),
+        # as in `certifies`, so U + S is a maximizer, and one of dimension
+        # above k would break its strict bound; so U + S = S and U ⊂ S.  The
+        # canopy of S alone and these uppers has rank k exact (its upper is
+        # at most deg S and at least it) and every other upper on or below
+        # the line of slope mu_S, so `first_edge` certifies S, as after a
+        # `certifies` stop.  The whole closure holds S, so its first edge has
+        # the same value and witness (a member of slope mu_S lies in S, and
+        # one of rank k is S); it is certified only where its bounds meet.
+        k = len(rows)
+        if k == m.dim:
+            return None
+        deg = degree(rows)
+        via_s = _split_uppers(_degree_bounds(subobject(m, rows)), _degree_bounds(quotient(rows)))
+        uppers = [min(j * b, u) for j, (b, u) in enumerate(zip(bounds, via_s), 1)]
+        if any(u * k > deg * j or (j > k and u * k == deg * j) for j, u in enumerate(uppers, 1)):
+            return None
+        return [RankBound(deg, rows, u) if j == k else RankBound(None, None, u) for j, u in enumerate(uppers, 1)]
 
     best: dict[int, tuple[Fraction, Matrix]] = {}
 
@@ -766,6 +844,10 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
         if certifies(rows):
             best[len(rows)] = (degree(rows), rows)
             return canopy()
+    for rows in probes:
+        certified = split(rows)
+        if certified is not None:
+            return certified
     for rows in _candidate_family(m, extra):
         k, deg = len(rows), degree(rows)
         if k not in best or deg > best[k][0]:
@@ -783,27 +865,29 @@ def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> Certifi
     the dimension-profile relaxation and below by the exact slopes of the
     extra candidates (row lists in ambient coordinates), then of the capped
     intersection/sum closure of the filtration steps, and is certified
-    where the bounds meet.  The witness is the largest candidate of maximal
-    slope; when the closure is complete it is the sum of all of them, deg
+    where the bounds meet.  The canopy tries, in order, the stop test
+    `certifies` on the extra candidates, the split certificate of each
+    extra S through its subobject and m/S, which reads no closure, and the
+    closure, each member through `certifies` again (see `_mf_canopy`, also
+    for the work each costs).  The witness is the largest candidate of
+    maximal slope; when the closure is complete, or `certifies` or the split
+    stopped the search, it is the largest subspace of maximal slope, deg
     being supermodular.
 
     Where the bounds do not meet, the edge's witness S, of dimension v,
     tightens the bounds above it, once.  A W of dimension k > v, with
     j = dim(W ∩ S) >= k + v - dim, has deg W <= deg(W ∩ S) + deg((W + S)/S)
     by supermodularity: at most the rank-j bound (0 for j = 0) plus k - j
-    times the rank-(k - j) bound of the relaxation of m/S."""
+    times the rank-(k - j) bound of the relaxation of m/S (`_split_uppers`)."""
     canopy = _mf_canopy(m, extra_candidates)
     res = first_edge(canopy)
     v, n = len(res.witness), m.dim
     if res.certified or v == n:
         return res
     quot = _quotient_bounds(m, res.witness)
+    via_s = _split_uppers([b.upper for b in canopy[:v]], [t * b for t, b in enumerate(quot, 1)])
     for k in range(v + 1, n + 1):
-        via_s = max(
-            (canopy[j - 1].upper if j else 0) + (k - j) * quot[k - j - 1]
-            for j in range(max(0, k + v - n), v + 1)
-        )
-        canopy[k - 1] = canopy[k - 1]._replace(upper=min(canopy[k - 1].upper, via_s))
+        canopy[k - 1] = canopy[k - 1]._replace(upper=min(canopy[k - 1].upper, via_s[k - 1]))
     return first_edge(canopy)
 
 

@@ -1325,6 +1325,57 @@ def _full_closure_mu_max_mf(m, extra=()):
     return deg / k, poly.filtration[0], upper, poly.certified
 
 
+def _exact_degrees(m):
+    """The greatest degree of a subspace of each rank 1..n of a space of
+    dimension n <= 3: the best line, the best hyperplane by duality
+    (deg V + nu of the dual) and V."""
+    n = m.dim
+    deg_v = slope_faltings(m) * n
+    best = {n: deg_v}
+    if n > 1:
+        best[1] = nu_witness(m)[0]
+    if n > 2:
+        best[n - 1] = deg_v + nu_witness(dual_mf(m))[0]
+    return [best[k] for k in range(1, n + 1)]
+
+
+def _split_rule_mu_max_mf(m, extra):
+    """Test-local copy of the split certificate on the first extra S, of
+    dimension 0 < k < n, or None where it does not certify.  Rank j of m is
+    bounded by the least of j times the profile bound and, over the
+    dimensions i that U ∩ S can take, the largest bound on an i-dimensional
+    subspace of S plus the bound on a (j - i)-dimensional subspace of m/S
+    (exact degrees in dimension <= 3, else the profile bound).  Where those
+    bounds lie at or below j * mu_S for j <= k and strictly below it for
+    j > k, the result is (mu_S, S, mu_S, True)."""
+    from slopekit.multifilt import _profile_upper_bound
+
+    if not extra:
+        return None
+    s = linalg.rref(linalg.mat(extra[0]))[0]
+    k, n = len(s), m.dim
+    if not 0 < k < n:
+        return None
+
+    def bounds(p):
+        if p.dim <= 3:
+            return _exact_degrees(p)
+        return [t * b for t, b in enumerate(_profile_upper_bound(p), 1)]
+
+    sub, quot = bounds(subobject(m, s)), bounds(quotient_object(m, s)[0])
+    mu = slope_of_subspace(m, s)
+    for j, b in enumerate(_profile_upper_bound(m), 1):
+        split = max(
+            (sub[i - 1] if i else 0) + (quot[j - i - 1] if i < j else 0)
+            for i in range(n + 1)
+            if i <= min(j, k) and j - i <= n - k
+        )
+        upper = min(j * b, split)
+        if upper > j * mu or (j > k and upper == j * mu):
+            return None
+    return mu, s, mu, True
+
+
 def _witness_products(m1, m2):
     r1, r2 = mu_max_mf(m1), mu_max_mf(m2)
     return [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
@@ -1376,23 +1427,33 @@ def _track_family(monkeypatch):
 def test_bound_first_stop_matches_full_closure(monkeypatch, cap, seed, count, heavy):
     """Stopping at the first candidate that certifies, after the profile bound
     and a probe of the extra candidates, gives the full closure's value,
-    witness, upper bound and flag on 608 seeded spaces and tensors, with and
-    without extras, at the default cap and with the closure cut at 25.  Each
-    corpus has inputs that stop at the probe, inside the closure, and that
-    read the whole closure, some of them uncertified.  The tightening
-    through the quotient by the edge's witness certifies one of the three
-    uncertified inputs of the default-cap corpus, so it also takes 128 heavy
-    draws (seeds 2 and 3), six of which stay uncertified."""
+    witness, upper bound and flag wherever that closure certifies, on 640
+    seeded spaces and tensors, with and without extras, at the default cap
+    and with the closure cut at 25.  Where it does not, the result is the
+    test-local split rule's wherever that certifies (4 inputs: the split
+    needs no closure), and the full closure's elsewhere.  Each corpus has
+    inputs that stop at the probe, inside the closure, and that read the
+    whole closure, some of them uncertified.  The tightening through the
+    quotient by the edge's witness certifies one of the three uncertified
+    inputs of the default-cap corpus and the split the other two, so it
+    also takes 128 heavy draws (seeds 2 and 3), five of which stay
+    uncertified; the cap-25 corpus also takes 32 heavy draws without
+    extras (seed 2), where no split applies, two of which stay
+    uncertified."""
     from slopekit import multifilt
 
     monkeypatch.setattr(multifilt, "_FAMILY_CAP", cap)
     corpus = _stop_corpus(random.Random(seed), count, heavy)
     if not heavy:
         corpus += _stop_corpus(random.Random(2), 64, True) + _stop_corpus(random.Random(3), 64, True)
-    ref = [_full_closure_mu_max_mf(m, extra) for m, extra in corpus]
+    else:
+        corpus += [(m, ()) for m, _ in _stop_corpus(random.Random(2), 32, True)]
+    full = [_full_closure_mu_max_mf(m, extra) for m, extra in corpus]
+    ref = [r if r[3] else _split_rule_mu_max_mf(m, extra) or r for r, (m, extra) in zip(full, corpus)]
     counts = _track_family(monkeypatch)
     new = [mu_max_mf(m, extra) for m, extra in corpus]
     assert [(r.value, r.witness, r.upper, r.certified) for r in new] == ref
+    assert sum(r[3] and not f[3] for r, f in zip(ref, full)) >= 1  # certified by the split alone
     assert sum(not r.certified for r in new) >= 4
     assert len(corpus) - counts["started"] >= 30  # an extra certified at the probe
     assert counts["started"] - counts["exhausted"] >= 100  # stopped in the closure
@@ -1439,17 +1500,27 @@ _OP26_FACTORS = (
 
 
 def _track_quotients(monkeypatch):
-    """Records the subspaces that mu_max_mf's stop test quotients by."""
+    """Records the subspaces W whose quotient m/W mu_max_mf bounds by the
+    relaxation: in its stop test and in the tightening after the closure.
+    The split certificate shares the stop test's quotient, and reads exact
+    degrees off a quotient of dimension at most 3."""
     from slopekit import multifilt
 
-    real = multifilt._quotient_bounds
-    quotients = []
+    real_quotient, real_bound = multifilt.quotient_object, multifilt._profile_upper_bound
+    made, quotients = {}, []
 
-    def tracked(m, rows):
-        quotients.append(rows)
-        return real(m, rows)
+    def quotient(m, rows):
+        out = real_quotient(m, rows)
+        made[id(out[0])] = (out[0], rows)  # keeps the object, so its id stays its own
+        return out
 
-    monkeypatch.setattr(multifilt, "_quotient_bounds", tracked)
+    def bound(m):
+        if id(m) in made:
+            quotients.append(made[id(m)][1])
+        return real_bound(m)
+
+    monkeypatch.setattr(multifilt, "quotient_object", quotient)
+    monkeypatch.setattr(multifilt, "_profile_upper_bound", bound)
     return quotients
 
 
@@ -1591,6 +1662,167 @@ def test_probe_leaves_ties_to_family_order(monkeypatch):
         assert res.witness == witness and res.value == res.upper == 1 and res.certified
         if n == 4:
             assert (res.value, res.witness, res.upper, res.certified) == _full_closure_mu_max_mf(m, extra)
+
+
+def _track_split(monkeypatch):
+    """Records the pieces (subobject and quotient of a probe) whose degree
+    bounds mu_max_mf's split certificate reads: `_degree_bounds` has no
+    other caller."""
+    from slopekit import multifilt
+
+    real = multifilt._degree_bounds
+    pieces = []
+
+    def tracked(m):
+        pieces.append(m)
+        return real(m)
+
+    monkeypatch.setattr(multifilt, "_degree_bounds", tracked)
+    return pieces
+
+
+def test_split_certificate_agrees_with_the_tensor_theorem(monkeypatch):
+    """On 320 seeded tensors of two spaces of dimension at most 3 with three
+    filtrations, the witness product as extra: every result the split
+    certifies (it ran and the closure never started) has the value
+    mu1 + mu2, which the paper's tensor theorem gives, and the probe as
+    witness; wherever the full closure certifies, the result is its (the
+    closure is cut at 25 on both sides)."""
+    from slopekit import multifilt
+
+    monkeypatch.setattr(multifilt, "_FAMILY_CAP", 25)
+    rng = random.Random(11)
+    corpus = []
+    for _ in range(320):
+        m1, m2 = random_mf(rng, rng.randint(1, 3), 3), random_mf(rng, rng.randint(2, 3), 3)
+        extra = [_witness_products(m1, m2)]
+        corpus.append((tensor_mf(m1, m2), extra, mu_max_mf(m1).value + mu_max_mf(m2).value))
+    refs = [_full_closure_mu_max_mf(m, extra) for m, extra, _ in corpus]
+    counts = _track_family(monkeypatch)
+    pieces = _track_split(monkeypatch)
+    split = compared = 0
+    for (m, extra, mu), ref in zip(corpus, refs):
+        started, pieces[:] = counts["started"], []
+        res = mu_max_mf(m, extra)
+        if pieces and counts["started"] == started:
+            split += 1
+            assert res.certified and res.value == res.upper == mu
+            assert res.witness == linalg.rref(linalg.mat(extra[0]))[0]
+        if ref[3]:
+            compared += 1
+            assert (res.value, res.witness, res.upper, res.certified) == ref
+    assert split >= 8 and compared >= 250
+
+
+# mf-tensor (seed 1) op 23, as the benchmark builds it: both factors certify
+# (-8/3 and 3), but the tensor's relaxation reaches 2/3 at rank 3, above the
+# witness product's 1/3, so no candidate can pass the stop test, and the
+# closure overspent the work budget.
+_OP23_FACTORS = (
+    [
+        [(-2, [[0, 1, -1], [2, 1, -1], [-2, 1, 2]]), (1, [[0, 1, -1]])],
+        [(-3, [[-2, -1, -1], [1, 1, -2], [0, 1, -2]]), (0, [[-2, -1, -1], [1, 1, -2]]), (1, [[-2, -1, -1]])],
+        [(-2, [[-2, 2, -2], [1, -1, -2], [1, 0, 0]]), (-1, [[-2, 2, -2], [1, -1, -2]]), (0, [[-2, 2, -2]])],
+    ],
+    [
+        [(0, [[-1, 0], [0, 1]]), (3, [[-1, 0]])],
+        [(0, [[1, -2], [2, 1]])],
+        [(0, [[-2, 1], [1, 0]]), (2, [[-2, 1]])],
+    ],
+)
+
+
+def test_op23_certifies_through_the_split(monkeypatch):
+    """The op-23 tensor certifies 1/3 = -8/3 + 3 with its witness product
+    as witness, through the split: the product S and m/S both have
+    dimension 3, so both are exact.  The closure never starts, and the
+    whole op (both factors, the tensor and nu of the tensor) charges fewer
+    than 50,000 units to `linalg.rref`, looked up by name, where it spent
+    the 1.3M-unit budget before."""
+    from slopekit.multifilt import _profile_upper_bound
+
+    m1, m2 = (MultifilteredSpace(d, [Filtration(d, s) for s in f]) for d, f in zip((3, 2), _OP23_FACTORS))
+    t, products = tensor_mf(m1, m2), _witness_products(m1, m2)
+    s = linalg.rref(linalg.mat(products))[0]
+    assert (m1.dim, m2.dim, len(s)) == (3, 2, 3)
+    assert max(_profile_upper_bound(t)) == F(2, 3) and slope_of_subspace(t, s) == F(1, 3)
+    counts = _track_family(monkeypatch)
+    pieces = _track_split(monkeypatch)
+    units = []
+    real = linalg.rref
+
+    def charged(a):
+        units.append(len(a) * len(a[0]) * min(len(a), len(a[0])) if a else 0)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "rref", charged)
+    r1, r2 = mu_max_mf(m1), mu_max_mf(m2)
+    res = mu_max_mf(t, [products])
+    nu_witness(t)
+    assert (r1.value, r2.value) == (F(-8, 3), 3) and r1.certified and r2.certified
+    assert (res.value, res.witness, res.upper, res.certified) == (F(1, 3), s, F(1, 3), True)
+    assert counts["started"] == 0 and [p.dim for p in pieces] == [3, 3]
+    assert 0 < sum(units) < 50_000
+
+
+def _direct_sum(a, b):
+    """a ⊕ b on the coordinates of a followed by those of b: each step is
+    the sum of the factors' steps at the same break."""
+    n = a.dim + b.dim
+    filts = []
+    for fa, fb in zip(a.filtrations, b.filtrations):
+        steps = [
+            (lam, [r + (0,) * b.dim for r in fa.space_at(lam)] + [(0,) * a.dim + r for r in fb.space_at(lam)])
+            for lam in sorted(set(fa.breaks()) | set(fb.breaks()))
+        ]
+        filts.append(Filtration(n, steps))
+    return MultifilteredSpace(n, filts)
+
+
+# Two semistable planes with three filtrations, of slopes 1/2 and 0.
+_PLANE = [[1, 0], [0, 1]]
+_HIGH = [[(1, _PLANE), (3, [[1, -2]])], [(-1, _PLANE), (2, [[1, 0]])], [(-3, _PLANE), (-1, [[0, 1]])]]
+_LOW = [[(-2, _PLANE), (1, [[2, 1]])], [(-1, _PLANE), (3, [[1, -1]])], [(-1, _PLANE), (0, [[0, 1]])]]
+
+
+def test_split_certifies_the_higher_summand_of_a_direct_sum(monkeypatch):
+    """In A ⊕ B, A and B semistable planes of slopes 1/2 > 0, the relaxation
+    reaches 2/3 at rank 3, so the stop test cannot pass at the probe A; the
+    split can: A and m/A ≅ B are exact, and every plane or larger subspace
+    other than A lies strictly below slope 1/2.  The result is certified
+    with A as witness, the closure never starts, and it is the full
+    closure's."""
+    from slopekit.multifilt import _profile_upper_bound
+
+    a, b = (MultifilteredSpace(2, [Filtration(2, s) for s in f]) for f in (_HIGH, _LOW))
+    assert (mu_max_mf(a).value, slope_faltings(a), mu_max_mf(b).value, slope_faltings(b)) == (F(1, 2), F(1, 2), 0, 0)
+    m, probe = _direct_sum(a, b), [(1, 0, 0, 0), (0, 1, 0, 0)]
+    assert max(_profile_upper_bound(m)) == F(2, 3)
+    ref = _full_closure_mu_max_mf(m, [probe])
+    counts = _track_family(monkeypatch)
+    pieces = _track_split(monkeypatch)
+    res = mu_max_mf(m, [probe])
+    assert (res.value, res.witness, res.upper, res.certified) == ref == (F(1, 2), tuple(probe), F(1, 2), True)
+    assert counts["started"] == 0 and [p.dim for p in pieces] == [2, 2]
+
+
+def test_split_does_not_certify_a_tie(monkeypatch):
+    """In A ⊕ A, of slope 1/2 like A, the quotient by the probe A has slope
+    1/2 too, so the whole space ties the probe's slope at rank 4 and the
+    split must not certify; likewise the lower summand of A ⊕ B, below the
+    slope of A.  Both run the split, then the closure, and return the full
+    closure's result: the whole space, and A."""
+    a, b = (MultifilteredSpace(2, [Filtration(2, s) for s in f]) for f in (_HIGH, _LOW))
+    cases = [(_direct_sum(a, a), [[(1, 0, 0, 0), (0, 1, 0, 0)]]), (_direct_sum(b, a), [[(1, 0, 0, 0), (0, 1, 0, 0)]])]
+    refs = [_full_closure_mu_max_mf(m, extra) for m, extra in cases]
+    counts = _track_family(monkeypatch)
+    pieces = _track_split(monkeypatch)
+    for (m, extra), ref in zip(cases, refs):
+        res = mu_max_mf(m, extra)
+        assert (res.value, res.witness, res.upper, res.certified) == ref
+    assert counts["started"] == 2 and [p.dim for p in pieces] == [2, 2, 2, 2]
+    assert [r[1] for r in refs] == [linalg.identity(4), ((0, 0, 1, 0), (0, 0, 0, 1))]
+    assert all(r[0] == r[2] == F(1, 2) and r[3] for r in refs)
 
 
 def test_best_hyperplane_matches_duality():

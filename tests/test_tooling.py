@@ -99,8 +99,8 @@ def test_multifilt_eliminates_only_through_rref(monkeypatch):
     # charged for it, in the units `WorkBudget` counts
     from test_multifilt import _OP26_FACTORS
 
-    units, quotient_units = [], []
-    real_rref, real_quotient = linalg.rref, mf._quotient_bounds
+    units, quotients, quotient_units = [], [], []
+    real_rref, real_quotient, real_bound = linalg.rref, mf.quotient_object, mf._profile_upper_bound
 
     def charged(a):
         units.append(len(a) * len(a[0]) * min(len(a), len(a[0])) if a else 0)
@@ -109,11 +109,20 @@ def test_multifilt_eliminates_only_through_rref(monkeypatch):
     def quotient(m, rows):
         before = sum(units)
         out = real_quotient(m, rows)
+        quotients.append(out[0])
         quotient_units.append(sum(units) - before)
         return out
 
+    def bound(m):
+        before = sum(units)
+        out = real_bound(m)
+        if any(m is q for q in quotients):
+            quotient_units[-1] += sum(units) - before
+        return out
+
     monkeypatch.setattr(linalg, "rref", charged)
-    monkeypatch.setattr(mf, "_quotient_bounds", quotient)
+    monkeypatch.setattr(mf, "quotient_object", quotient)
+    monkeypatch.setattr(mf, "_profile_upper_bound", bound)
     m1, m2 = (mf.MultifilteredSpace(3, [mf.Filtration(3, s) for s in f]) for f in _OP26_FACTORS)
     r1, r2 = mf.mu_max_mf(m1), mf.mu_max_mf(m2)
     products = [tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]
@@ -125,13 +134,15 @@ def test_multifilt_eliminates_only_through_rref(monkeypatch):
 def _budget_corpus():
     """The seeded mf corpus whose elimination work is pinned: 24 pairs of
     `_sample_space` factors (dimensions 2..3 and 1..3, 1..3 filtrations),
-    one with its bases scaled by Fractions, and the op-26 factors.  Each case
-    is one op of the benchmark's mf-tensor workload (both factors' mu_max,
-    the tensor's mu_max with the witness products, nu of the tensor) plus
-    the first factor's multigraded dimensions, dual and slope filtration."""
+    one with its bases scaled by Fractions, the op-26 factors, and the op-23
+    factors, whose tensor certifies through the split certificate.  Each
+    case is one op of the benchmark's mf-tensor workload (both factors'
+    mu_max, the tensor's mu_max with the witness products, nu of the
+    tensor) plus the first factor's multigraded dimensions, dual and slope
+    filtration."""
     from fractions import Fraction
 
-    from test_multifilt import _OP26_FACTORS
+    from test_multifilt import _OP23_FACTORS, _OP26_FACTORS
 
     mf = slopekit.multifilt
     rng = random.Random(23)
@@ -146,6 +157,7 @@ def _budget_corpus():
     ]
     cases.append((mf.MultifilteredSpace(m1.dim, scaled), m2))
     cases.append(tuple(mf.MultifilteredSpace(3, [mf.Filtration(3, s) for s in f]) for f in _OP26_FACTORS))
+    cases.append(tuple(mf.MultifilteredSpace(d, [mf.Filtration(d, s) for s in f]) for d, f in zip((3, 2), _OP23_FACTORS)))
     return cases
 
 
@@ -182,7 +194,7 @@ _BUDGET_PINNED_OP = [
     (540, 4), (13578, 33), (4095, 31), (4456, 26), (16, 2), (32, 4),
     (696, 4), (8235, 16), (8955, 16), (54, 2), (10260, 22), (160, 4),
     (5661, 17), (16, 2), (1320, 9), (4096, 24), (3951, 13), (360, 4),
-    (11845, 73), (59637, 159),
+    (11845, 73), (59637, 159), (27511, 179),
 ]
 
 # The same for the rest of each case (`_run_budget_rest`), outside the
@@ -193,7 +205,7 @@ _BUDGET_PINNED_REST = [
     (30, 7), (399, 26), (42, 10), (80, 21), (0, 0), (24, 3),
     (110, 6), (220, 16), (113, 7), (0, 0), (185, 14), (0, 0),
     (138, 10), (0, 0), (409, 29), (260, 29), (96, 7), (0, 0),
-    (73, 16), (612, 47),
+    (73, 16), (612, 47), (1199, 50),
 ]
 
 
@@ -203,11 +215,14 @@ def test_work_budget_units_are_pinned(monkeypatch):
     corpus the units and calls of the benchmark's op and, separately, of
     the rest of each case are the pinned ones, and `_rref_rows` makes
     no `rref` call on integer RREF rows or on unit-pivot Fraction RREF rows,
-    the forms stored subspaces and their printed bases take."""
+    the forms stored subspaces and their printed bases take.  The split
+    certificate runs in the op-23 case alone, and the degree bounds of its
+    pieces (the probe's subobject and quotient) eliminate through `rref`,
+    so the budget charges them."""
     linalg, mf = slopekit.linalg, slopekit.multifilt
     cases = _budget_corpus()
-    calls = []
-    real = linalg.rref
+    calls, split_units = [], []
+    real, real_bounds = linalg.rref, mf._degree_bounds
 
     def charged(a):
         rows = len(a)
@@ -215,10 +230,18 @@ def test_work_budget_units_are_pinned(monkeypatch):
         calls.append(rows * cols * min(rows, cols))
         return real(a)
 
+    def piece_bounds(m):
+        before = sum(calls)
+        out = real_bounds(m)
+        split_units[-1] += sum(calls) - before
+        return out
+
     monkeypatch.setattr(linalg, "rref", charged)
+    monkeypatch.setattr(mf, "_degree_bounds", piece_bounds)
     op, rest = [], []
     for m1, m2 in cases:
         calls.clear()
+        split_units.append(0)
         r1 = _run_budget_op(m1, m2)
         op.append((sum(calls), len(calls)))
         calls.clear()
@@ -226,6 +249,7 @@ def test_work_budget_units_are_pinned(monkeypatch):
         rest.append((sum(calls), len(calls)))
     assert op == _BUDGET_PINNED_OP
     assert rest == _BUDGET_PINNED_REST
+    assert split_units[:-1] == [0] * (len(cases) - 1) and split_units[-1] > 0
     stored = [space for m in itertools.chain.from_iterable(cases) for f in m.filtrations for _, space in f.steps]
     assert len(stored) >= 50
     calls.clear()
