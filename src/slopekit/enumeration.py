@@ -195,9 +195,13 @@ def lll_reduce(lat: EuclideanLattice):
     G' = U G U^T.  Integral LLL (Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7) on the integer Gram matrix L * G: the leading
     minors d_j and lambda_kj = d_(j+1) * mu_kj start as the lattice's own
-    record of them (`_GramPair._init_pair`) and are kept current for every
-    row by size reduction and by exact divisions on a swap.  Each mu_kj,
-    j = k-1 .. 0, is rounded with ties to even before the Lovasz test.
+    record of them (`_GramPair._gso`) and are kept current for every row by
+    size reduction and by exact divisions on a swap.  Each mu_kj,
+    j = k-1 .. 0, is rounded with ties to even before the Lovasz test.  The
+    final d and lambda are the reduced lattice's record, handed over, and
+    the reduced lattice is law-built: G' = U G U^T with U unimodular is
+    positive definite (congruent to G) with det G' = det G, so no
+    elimination runs.
 
     Memoized: lattices hash and compare by their Gram matrix."""
     n = lat.rank
@@ -257,8 +261,11 @@ def lll_reduce(lat: EuclideanLattice):
             li[k - 1] = (b * t + lkk * li[k]) // d[k + 1]
         d[k] = b
         k = max(k - 1, 1)
-    # G' = U G U^T with det U = +-1, so det G' = det G and the degrees agree
-    return EuclideanLattice._from_scaled(g, scale)._by_law((1, lat)), tuple(map(tuple, u))
+    # G' = U G U^T with det U = +-1, so det G' = det G and the degrees agree;
+    # the content of g is that of L * G, so the pair (g, L) is least as given
+    gso = tuple(tuple(lam[i]) + (d[i + 1],) for i in range(n))
+    reduced = EuclideanLattice._new(None, g, scale, det=lat.det(), gso=gso)
+    return reduced._by_law((1, lat)), tuple(map(tuple, u))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +287,9 @@ def enumerate_short_vectors(
     """All nonzero vectors of squared length <= bound, complete up to sign.
 
     Fincke-Pohst over the LLL-reduced basis, on integers only.  With L * G the
-    reduced integer Gram matrix, the reduced lattice's `_gso` gives its leading
-    minors d_l and lambda_jl = d_(l+1) * mu_jl, and x has squared length
+    reduced integer Gram matrix, the record `lll_reduce` handed to the
+    reduced lattice (its `_gso`) gives its leading minors d_l and
+    lambda_jl = d_(l+1) * mu_jl, with no elimination, and x has squared length
     sum_l (d_(l+1) x_l + s_l)^2 / (L d_l d_(l+1)), s_l = sum_(j>l) lambda_jl x_j.
     Times N = lcm_l L d_l d_(l+1) the term of level l is the integer
     w_l (d_(l+1) x_l + s_l)^2, w_l = N / (L d_l d_(l+1)), so the length is at

@@ -425,7 +425,10 @@ class HermitianLattice(_GramPair):
         [[Re H, -Im H], [Im H, Re H]], of determinant |det H|^2 = (det H)^2.
         With omega = t/2 + i*s, s^2 = N(omega) - t^2/4 = |Delta_K|/4, the
         change to (e_j, omega*e_j) is triangular with diagonal (1, s) in each
-        coordinate, so det Res E = (det E)^2 * (|Delta_K|/4)^r."""
+        coordinate, so det Res E = (det E)^2 * (|Delta_K|/4)^r.  The real
+        part of a positive definite hermitian form is positive definite on
+        the underlying real space, Re h(x, x) = h(x, x) > 0 for x != 0, and
+        (e_j, omega*e_j) is an R-basis of it, omega not being real."""
         r = self.rank
         field = self.field
         disc_quarter = field.omega_norm - F(field.omega_trace) ** 2 / 4
@@ -439,7 +442,8 @@ class HermitianLattice(_GramPair):
             [(coeff(pa).conj() * self._s[i][j] * coeff(pb)).trace() for (j, pb) in gens]
             for (i, pa) in gens
         ]
-        out = EuclideanLattice._from_scaled(gram, 2 * self._den)
+        det = self._det**2 * disc_quarter**r
+        out = EuclideanLattice._new(None, gram, 2 * self._den, det=det)
         return out._by_law((1, self), base=disc_quarter, power=r)
 
     def __hash__(self):

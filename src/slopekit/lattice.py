@@ -12,15 +12,20 @@ and duals all work on D*G, and G is a view, built on first use.
 Q(sqrt(-d)).  Degrees and slopes land in LogRational.  The degree of a
 euclidean lattice is minus the log of the covolume, i.e. -1/2*log(det Gram).
 
-A lattice built from a Gram matrix factors its determinant for its degree.
-A lattice derived from others (tensor product, dual, rescaling, exterior
-power, orthogonal sum, LLL reduction, restriction of scalars) records the
-degree law that its operation proves, a constant log plus a combination of
-its parents' degrees, and `degree` resolves that record on first call, so
-nothing is factored beyond the parents' own determinants.  Every lattice,
-derived or not, is still checked by Sylvester's criterion when it is built;
-the pair keeps that elimination's determinant (`det`) and lower triangle,
-the integral Gram-Schmidt data that LLL starts from and Fincke-Pohst reads.
+A Gram matrix that comes from outside (either constructor, `load`, a
+pickle or copy, the Schur complement of a lattice quotient) is checked by
+Sylvester's criterion, and the pair keeps that elimination's determinant
+(`det`) and lower triangle (`_gso`), the integral Gram-Schmidt data that
+LLL starts from and Fincke-Pohst reads; its degree factors that
+determinant.  A lattice derived from others (tensor product, dual,
+rescaling, exterior power, orthogonal sum, LLL reduction, restriction of
+scalars) is proven by the law of its operation instead: a written proof
+that the derived Gram is positive definite, and its determinant as a
+product of powers of its parents' and a constant.  It runs no check, and
+records the matching degree law, a constant log plus a combination of its
+parents' degrees, which `degree` resolves on first call, so nothing is
+factored beyond the parents' own determinants.  Its `_gso` is built by one
+elimination on first read, unless LLL hands over the record it kept.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ from .exactval import LogRational, fmt_rat, half_log, log_of_rational, parse_rat
 Rat = int | Fraction
 
 _set = object.__setattr__
+
+
+def _lower_triangle(m) -> tuple:
+    """Rows i of m cut after column i."""
+    return tuple(tuple(row[: i + 1]) for i, row in enumerate(m))
 
 
 class _GramPair:
@@ -56,53 +66,81 @@ class _GramPair:
     lattices) the whole symmetry check comes first, and a diagonal entry
     <= 0 fails Sylvester's test."""
 
-    __slots__ = ("_field", "_s", "_den", "_det", "_gso", "_gram", "_dual", "_hash", "_degree", "__weakref__")
+    __slots__ = ("_field", "_s", "_den", "_det", "_gso_memo", "_gram", "_dual", "_hash", "_degree", "__weakref__")
 
     _DIAGONAL = None
 
     @classmethod
-    def _new(cls, field, s, den: int):
+    def _new(cls, field, s, den: int, *, det=None, gso=None):
         """The lattice of Gram matrix s / den, for a square s of the ring's
-        integers and an integer den >= 1."""
+        integers and an integer den >= 1: checked, or law-built when the
+        caller passes det (see `_init_pair`).  det is keyword-only, so the
+        positional arguments of a `__reduce__` payload always reach the
+        check."""
         out = object.__new__(cls)
-        out._init_pair(field, s, den)
+        out._init_pair(field, s, den, det, gso)
         return out
 
-    def _init_pair(self, field, s, den: int) -> None:
-        """Check s / den and store it as its pair, den made least by dividing
-        both by gcd(den, content(s)).  Scaling by den > 0 keeps each verdict
-        and the row swaps of `bareiss`, whose k-th step holds k x k minors,
-        den^k times those of G; det G is the last minor over den^r."""
-        r = len(s)
-        if not r or any(len(row) != r for row in s):
-            raise ValueError("Gram matrix must be square and nonempty")
+    def _init_pair(self, field, s, den: int, det=None, gso=None) -> None:
+        """Store s / den as its pair, den made least by dividing both by
+        gcd(den, content(s)).
+
+        With det None the Gram comes from outside and is checked: square,
+        equal to its adjoint, and positive definite by Sylvester's
+        criterion on one `bareiss` run, whose last minor over den^r is
+        det G and whose lower triangle is kept as `_gso`.  Scaling by
+        den > 0 keeps each verdict and the row swaps of `bareiss`, whose
+        k-th step holds k x k minors, den^k times those of G.
+
+        Otherwise the pair is law-built: the caller's operation proves s / den
+        positive definite (the proof is written next to each law) and det is
+        det G, by its law; nothing is checked or eliminated.  gso, if given,
+        is the record `_gso` of s as passed, kept unless a gcd divides it."""
+        if det is None:
+            r = len(s)
+            if not r or any(len(row) != r for row in s):
+                raise ValueError("Gram matrix must be square and nonempty")
         if den > 1:
             g = math.gcd(den, *self._content(s))
             if g > 1:
                 den //= g
                 s = [[x // g for x in row] for row in s]
+                gso = None
         s = tuple(map(tuple, s))
-        adj, real, diagonal = self._adjoint(s), self._real, self._DIAGONAL
-        for i, row in enumerate(s):
-            if diagonal and (row[i] != adj[i][i] or real(row[i]) <= 0):
-                raise ValueError(diagonal)
-            if row != adj[i]:
-                raise ValueError(self._SYMMETRIC)
-        # Sylvester: positive definite iff every leading principal minor is
-        # positive.  Each is real, as the determinant of a matrix equal to its
-        # adjoint.  `bareiss` swaps only past a zero minor and leaves the
-        # leading minors on the diagonal of a run without swaps.
-        m, swaps = linalg.bareiss(s)
-        if swaps or any(real(m[k][k]) <= 0 for k in range(r)):
-            raise ValueError("Gram matrix must be positive definite")
+        if det is None:
+            adj, real, diagonal = self._adjoint(s), self._real, self._DIAGONAL
+            for i, row in enumerate(s):
+                if diagonal and (row[i] != adj[i][i] or real(row[i]) <= 0):
+                    raise ValueError(diagonal)
+                if row != adj[i]:
+                    raise ValueError(self._SYMMETRIC)
+            # Sylvester: positive definite iff every leading principal minor
+            # is positive.  Each is real, as the determinant of a matrix equal
+            # to its adjoint.  `bareiss` swaps only past a zero minor and
+            # leaves the leading minors on the diagonal of a run without swaps.
+            m, swaps = linalg.bareiss(s)
+            if swaps or any(real(m[k][k]) <= 0 for k in range(r)):
+                raise ValueError("Gram matrix must be positive definite")
+            det = Fraction(real(m[-1][-1]), den**r)
+            gso = _lower_triangle(m)
         _set(self, "_field", field)
         _set(self, "_s", s)
         _set(self, "_den", den)
-        _set(self, "_det", Fraction(real(m[-1][-1]), den**r))
-        # row i: lambda_i0 .. lambda_i,i-1, then d_(i+1) (see `linalg.bareiss`)
-        _set(self, "_gso", tuple(tuple(row[: i + 1]) for i, row in enumerate(m)))
+        _set(self, "_det", det)
+        _set(self, "_gso_memo", gso)
         for name in ("_gram", "_dual", "_hash", "_degree"):
             _set(self, name, None)
+
+    @property
+    def _gso(self) -> tuple:
+        """The integral Gram-Schmidt record of D*G, the lower triangle of
+        `linalg.bareiss` on it: row i holds lambda_i0 .. lambda_i,i-1, then
+        d_(i+1).  G is positive definite, so the run swaps no row.  A
+        checked Gram keeps its Sylvester run's, an LLL reduction the one
+        its loop kept; any other is built on first read."""
+        if self._gso_memo is None:
+            _set(self, "_gso_memo", _lower_triangle(linalg.bareiss(self._s)[0]))
+        return self._gso_memo
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -191,7 +229,10 @@ class _GramPair:
         D * (P / n_i) * c_i * (right half of row i) make P * G^-1 on the
         ring's integers: transposed, over P, the pair of the dual.
 
-        Degree law: deg L* = -deg L, since det(G^-1)^T = 1/det G."""
+        Law: det (G^-1)^T = 1/det G, so deg L* = -deg L.  (G^-1)^T is
+        positive definite: G^-1 = G^-1 G G^-1* is congruent to G, and the
+        transpose of a positive definite form is its conjugate, positive
+        definite too."""
         if self._dual is None:
             s, n = self._s, len(self._s)
             rows, _ = linalg.rref(tuple(row + e for row, e in zip(s, linalg.identity(n))))
@@ -199,7 +240,7 @@ class _GramPair:
             den = math.lcm(*(m for _, m in clears))
             factors = [self._den * (den // m) * c for c, m in clears]
             inv = [[x * f for x in row[n:]] for row, f in zip(rows, factors)]
-            dual = self._new(self._field, tuple(zip(*inv)), den)._by_law((-1, self))
+            dual = self._new(self._field, tuple(zip(*inv)), den, det=1 / self._det)._by_law((-1, self))
             _set(self, "_dual", dual)
             _set(dual, "_dual", self)
         return self._dual
@@ -207,19 +248,23 @@ class _GramPair:
     def tensor(self, other):
         """Gram matrix kron(A, B), the pair (kron(S_A, S_B), D_A * D_B).
 
-        Degree law: deg(A (x) B) = rk B * deg A + rk A * deg B.  Proof:
-        kron(A, B) = kron(A, I_m) * kron(I_n, B) for ranks n, m; kron(I_n, B)
-        is block diagonal with n blocks B, and kron(A, I_m) is that for A
-        after the same permutation of rows and columns, so
-        det kron(A, B) = det(A)^m * det(B)^n."""
+        Law: det kron(A, B) = det(A)^m * det(B)^n for ranks n, m, so
+        deg(A (x) B) = m * deg A + n * deg B.  Proof: kron(A, B) =
+        kron(A, I_m) * kron(I_n, B); kron(I_n, B) is block diagonal with n
+        blocks B, and kron(A, I_m) is that for A after the same permutation
+        of rows and columns.  kron(A, B) is positive definite: it is
+        hermitian, and its eigenvalues are the products of those of A and
+        B, all positive."""
         if self._field != other._field:
             raise ValueError("field mismatch")
-        out = self._new(self._field, linalg.kron(self._s, other._s), self._den * other._den)
+        det = self._det**other.rank * other._det**self.rank
+        out = self._new(self._field, linalg.kron(self._s, other._s), self._den * other._den, det=det)
         return out._by_law((other.rank, self), (self.rank, other))
 
     def orthogonal_sum(self, other):
-        """Block diagonal Gram matrix; det is the product of the blocks' dets,
-        so deg(A + B) = deg A + deg B."""
+        """Block diagonal Gram matrix.  Law: det is the product of the
+        blocks' dets, so deg(A + B) = deg A + deg B; a block diagonal form
+        of two positive definite blocks is positive definite."""
         if self._field != other._field:
             raise ValueError("field mismatch")
         scale = math.lcm(self._den, other._den)
@@ -231,34 +276,40 @@ class _GramPair:
             [tuple(x * ma for x in row) + za for row in self._s]
             + [zb + tuple(x * mb for x in row) for row in other._s],
             scale,
+            det=self._det * other._det,
         )._by_law((1, self), (1, other))
 
     def _rescale(self, c: Rat):
-        """Multiply the Gram matrix by c > 0.  Degree law: det(c*G) =
-        c^r * det G, so the degree shifts by -w*r*log(c): by -r/2*log(c) for
-        a euclidean lattice (the twist by lambda = -1/2*log c) and by
-        -r*log(c) for a hermitian one."""
+        """Multiply the Gram matrix by c > 0, which keeps it positive
+        definite.  Law: det(c*G) = c^r * det G, so the degree shifts by
+        -w*r*log(c): by -r/2*log(c) for a euclidean lattice (the twist by
+        lambda = -1/2*log c) and by -r*log(c) for a hermitian one."""
         c = Fraction(c)
         if c <= 0:
             raise ValueError(self._RESCALE)
         n = c.numerator
-        out = self._new(self._field, [[x * n for x in row] for row in self._s], c.denominator * self._den)
+        s, den = [[x * n for x in row] for row in self._s], c.denominator * self._den
+        out = self._new(self._field, s, den, det=c**self.rank * self._det)
         return out._by_law((1, self), base=c, power=self.rank)
 
     def exterior_power(self, p: int):
         """Gram matrix of the p-th alternating power: entries det(G[S][T]),
         the minors of D*G over D^p.
 
-        Degree law: deg(Lambda^p L) = C(r - 1, p - 1) * deg L.  The Gram
-        matrix is the p-th compound of G, and by the Sylvester-Franke theorem
-        det C_p(G) = det(G)^C(r - 1, p - 1)."""
+        Law: the Gram matrix is the p-th compound of G, and by the
+        Sylvester-Franke theorem det C_p(G) = det(G)^C(r - 1, p - 1), so
+        deg(Lambda^p L) = C(r - 1, p - 1) * deg L.  C_p(G) is positive
+        definite: write G = B B* with B invertible; Cauchy-Binet gives
+        C_p(G) = C_p(B) C_p(B)*, and C_p(B) is invertible, of determinant
+        det(B)^C(r - 1, p - 1)."""
         r = self.rank
         if not 1 <= p <= r:
             raise ValueError(f"exterior power degree {p} out of range 1..{r}")
         s = self._s
         subsets = list(combinations(range(r), p))
         minors = [[linalg.det_int([[s[i][j] for j in t] for i in u]) for t in subsets] for u in subsets]
-        return self._new(self._field, minors, self._den**p)._by_law((math.comb(r - 1, p - 1), self))
+        e = math.comb(r - 1, p - 1)
+        return self._new(self._field, minors, self._den**p, det=self._det**e)._by_law((e, self))
 
     def is_integral(self) -> bool:
         return self._den == 1

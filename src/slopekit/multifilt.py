@@ -49,7 +49,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import linalg
 from .enumeration import DEFAULT_NODE_CAP, CertifiedMuMax, RankBound, first_edge, minimum_sq, mu_max, quotient_polygon
@@ -689,13 +689,6 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
     return bounds
 
 
-def _quotient_bounds(m: MultifilteredSpace, rows) -> list[Fraction]:
-    """The relaxation's per-k slope bounds of the quotient m/W by a proper
-    subspace W: entry i bounds the slope of every (i + 1)-dimensional
-    subspace of m/W, such as (W + U)/W for U with dim(W + U) = dim W + i + 1."""
-    return _profile_upper_bound(quotient_object(m, rows)[0])
-
-
 def _degree_bounds(m: MultifilteredSpace) -> list[Fraction]:
     """Entry t - 1 bounds the degree of every t-dimensional subspace of m:
     the exact degree in dimension at most 3 (`_exact_canopy`), t times the
@@ -727,8 +720,11 @@ def _split_uppers(sub: Sequence, quot: Sequence) -> list:
     ]
 
 
-def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
-    """The extra candidates are all reduced first, so rows of the wrong
+def _mf_canopy(m: MultifilteredSpace, extra) -> tuple[list[RankBound], Callable]:
+    """The canopy of m, and the memo of its quotients m/W by W (rows in
+    reduced form), for the caller to read further ones through.
+
+    The extra candidates are all reduced first, so rows of the wrong
     width raise whatever the dimension.  A space of dimension at most 3 has
     the exact canopy of `_exact_canopy`, with no relaxation and no closure.
 
@@ -753,8 +749,15 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
     those of the split.  A probe's quotient is made once, for whichever of
     `certifies` and the split needs it first."""
     probes = [rows for rows in (_rref_rows(e, m.dim) for e in extra) if rows]
+    quotients: dict[Matrix, MultifilteredSpace] = {}
+
+    def quotient(rows) -> MultifilteredSpace:
+        if rows not in quotients:
+            quotients[rows] = quotient_object(m, rows)[0]
+        return quotients[rows]
+
     if m.dim <= 3:
-        return _exact_canopy(m)
+        return _exact_canopy(m), quotient
     bounds = _profile_upper_bound(m)
     mu_b = max(bounds)
     degrees: dict[Matrix, Fraction] = {}
@@ -764,13 +767,6 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
         if rows not in degrees:
             degrees[rows] = slope_of_subspace(m, rows) * len(rows)
         return degrees[rows]
-
-    quotients: dict[Matrix, MultifilteredSpace] = {}
-
-    def quotient(rows) -> MultifilteredSpace:
-        if rows not in quotients:
-            quotients[rows] = quotient_object(m, rows)[0]
-        return quotients[rows]
 
     def certifies(rows) -> bool:
         # W passes when its slope is mu_b and, for every rank j > dim W = k,
@@ -843,18 +839,18 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
     for rows in probes:
         if certifies(rows):
             best[len(rows)] = (degree(rows), rows)
-            return canopy()
+            return canopy(), quotient
     for rows in probes:
         certified = split(rows)
         if certified is not None:
-            return certified
+            return certified, quotient
     for rows in _candidate_family(m, extra):
         k, deg = len(rows), degree(rows)
         if k not in best or deg > best[k][0]:
             best[k] = (deg, rows)
         if certifies(rows):
             break
-    return canopy()
+    return canopy(), quotient
 
 
 def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> CertifiedMuMax:
@@ -878,13 +874,15 @@ def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> Certifi
     tightens the bounds above it, once.  A W of dimension k > v, with
     j = dim(W ∩ S) >= k + v - dim, has deg W <= deg(W ∩ S) + deg((W + S)/S)
     by supermodularity: at most the rank-j bound (0 for j = 0) plus k - j
-    times the rank-(k - j) bound of the relaxation of m/S (`_split_uppers`)."""
-    canopy = _mf_canopy(m, extra_candidates)
+    times the rank-(k - j) bound of the relaxation of m/S (`_split_uppers`).
+    m/S is read from the canopy's memo, so a probe whose quotient the
+    canopy already made is not made again."""
+    canopy, quotient = _mf_canopy(m, extra_candidates)
     res = first_edge(canopy)
     v, n = len(res.witness), m.dim
     if res.certified or v == n:
         return res
-    quot = _quotient_bounds(m, res.witness)
+    quot = _profile_upper_bound(quotient(res.witness))
     via_s = _split_uppers([b.upper for b in canopy[:v]], [t * b for t, b in enumerate(quot, 1)])
     for k in range(v + 1, n + 1):
         canopy[k - 1] = canopy[k - 1]._replace(upper=min(canopy[k - 1].upper, via_s[k - 1]))

@@ -599,10 +599,77 @@ def test_pair_keeps_the_lower_triangle_of_its_sylvester_check():
     assert {r for kind, r in kinds if kind == "HermitianLattice"} >= {1, 2, 3, 4, 6}
 
 
+def _check_against_elimination(lat):
+    """lat's det() and `_gso` are those one `linalg.bareiss` run on its D*G
+    gives, and that run meets Sylvester's criterion: no swap, every leading
+    minor of positive real part."""
+    s, den = lat.scaled_gram()
+    m, swaps = linalg.bareiss(s)
+    assert swaps == 0
+    assert all(lat._real(m[k][k]) > 0 for k in range(lat.rank))
+    assert lat.det() == F(lat._real(m[-1][-1]), den**lat.rank)
+    assert lat._gso == tuple(tuple(row[: i + 1]) for i, row in enumerate(m))
+
+
+def test_law_built_lattices_match_their_elimination():
+    """Derived lattices are proven by the laws of their operations, with no
+    Sylvester check.  On the corpus of
+    `test_derived_degrees_match_factored_determinants` (300 euclidean and
+    210 hermitian lattices with their tensors, duals, rescalings and
+    twists, exterior powers, orthogonal sums, LLL reductions and
+    restrictions of scalars), each law-built lattice's det() and `_gso` are
+    those of an elimination of its Gram, which would have passed the
+    check; `_gso` is so whether LLL reads it first or not, and the reduced
+    lattice's handed-over record is so too."""
+    rng = random.Random(2902)
+    cases = [_derived_euclidean(rng, n) for n in range(300)]
+    cases += [_derived_hermitian(rng, n) for n in range(210)]
+    reduced = 0
+    for t, (_, pure, shifted) in enumerate(cases):
+        for lat in pure + shifted:
+            if type(lat) is EuclideanLattice:
+                if t % 2:
+                    _check_against_elimination(lat)
+                red, _ = lll_reduce.__wrapped__(lat)
+                _check_against_elimination(red)
+                assert red.det() == lat.det()
+                reduced += 1
+            _check_against_elimination(lat)
+    assert reduced == 300 * 7 + 210 * 3
+
+
+def _conjugated(u, gram):
+    """U G U^T."""
+    um = linalg.mat(u)
+    return linalg.matmul(linalg.matmul(um, gram), linalg.transpose(um))
+
+
+def test_lll_hands_over_the_record_of_its_reduced_gram(monkeypatch):
+    """On every lattice that the criterion-4 tensor experiment reduces
+    (the factors and tensors of its 200 seeded pairs, and what their
+    mu_max searches reduce), the record `lll_reduce` hands to the reduced
+    lattice is that of an elimination of the reduced Gram, and the
+    reduction equals the memoized one."""
+    from slopekit import enumeration
+    from slopekit.harness import ExperimentConfig, bost_experiment
+
+    seen = {}
+    real = enumeration.lll_reduce
+    monkeypatch.setattr(enumeration, "lll_reduce", lambda lat: seen.setdefault(lat, lat) and real(lat))
+    bost_experiment(ExperimentConfig(seed=20260809, count=200))
+    assert len(seen) >= 400
+    for lat in seen:
+        red, u = lll_reduce.__wrapped__(lat)
+        _check_against_elimination(red)
+        assert (red, u) == real(lat) and red.det() == lat.det()
+        assert red.gram == _conjugated(u, lat.gram)
+
+
 def test_immutable_values_round_trip():
     """pickle, copy.copy and copy.deepcopy rebuild each immutable value from
     its canonical state: equal, of equal hash, repr and degree where the
-    class has them.  A Sublattice and a LatticeMorphism compare by value,
+    class has them, and a lattice, derived ones included, of equal det()
+    and `_gso`.  A Sublattice and a LatticeMorphism compare by value,
     unequal to one of another basis or matrix."""
     from slopekit.harness import ExperimentConfig, bost_experiment
     from slopekit.multifilt import Filtration, MultifilteredSpace
@@ -620,9 +687,11 @@ def test_immutable_values_round_trip():
         b,
         a.tensor(b),
         a.dual().scale(F(3, 2)),
+        a.exterior_power(2).orthogonal_sum(b),
         lll_reduce(a)[0],
         h,
         h.twist(5).dual(),
+        h.tensor(h).exterior_power(2),
         h.restrict_scalars(),
         f1,
         MultifilteredSpace(2, [f1, f2]),
@@ -638,10 +707,53 @@ def test_immutable_values_round_trip():
                 assert repr(back) == repr(v)
             if hasattr(v, "degree"):
                 assert back.degree() == v.degree()
+            if hasattr(v, "_gso"):
+                assert back.det() == v.det() and back._gso == v._gso
     sub, hom = values[-2:]
     assert sub == Sublattice(a, [[1, 5, 1], [0, 3, 1]]) and len({sub, Sublattice(a, sub.basis)}) == 1
     assert sub != Sublattice(a, [[1, 2, 0]]) and sub != Sublattice(a.scale(2), sub.basis)
     assert hom == tensor_vector_to_hom(a, b, range(6)) != tensor_vector_to_hom(a, b, range(1, 7))
+
+
+class _Payload:
+    """Pickles as the given (callable, args) pair."""
+
+    def __init__(self, reduced):
+        self.reduced = reduced
+
+    def __reduce__(self):
+        return self.reduced
+
+
+def test_reduce_payloads_are_checked():
+    """Pickle and `copy` rebuild a lattice through the checked constructor,
+    so the law-built path cannot be reached from outside: a `__reduce__`
+    payload of a derived lattice whose Gram is made non-symmetric, or
+    symmetric but not positive definite, raises the constructor's
+    ValueError, for both kinds."""
+    from test_hermitian import _definite
+
+    rng = random.Random(3404)
+    k7 = ImagQuadField(7)
+    lats = [
+        _rational_lattice(rng, 2).tensor(random_lattice(rng, 2)),
+        random_lattice(rng, 3).dual().scale(F(2, 5)),
+        _definite(rng, k7, 2).tensor(_definite(rng, k7, 2)),
+        _definite(rng, k7, 3).twist(F(3, 4)).dual(),
+    ]
+    for lat in lats:
+        make, (field, s, den) = lat.__reduce__()
+        assert pickle.loads(pickle.dumps(_Payload((make, (field, s, den))))) == lat
+        rows = [list(row) for row in s]
+        rows[0][1] += 1
+        symmetric = "Gram matrix must be " + ("symmetric" if field is None else "conjugate-symmetric")
+        with pytest.raises(ValueError, match=symmetric):
+            pickle.loads(pickle.dumps(_Payload((make, (field, rows, den)))))
+        # a 2 x 2 leading minor a*b - (a + b)^2 < 0
+        rows = [list(row) for row in s]
+        rows[0][1] = rows[1][0] = s[0][0] + s[1][1]
+        with pytest.raises(ValueError, match="Gram matrix must be positive definite"):
+            pickle.loads(pickle.dumps(_Payload((make, (field, rows, den)))))
 
 
 def test_resolved_degree_keeps_no_parent():

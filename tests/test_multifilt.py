@@ -1081,10 +1081,10 @@ def _tightened_through_quotient(m, uppers, s):
     """The per-rank degree bounds `uppers` (rank k at index k - 1) with those
     of the ranks above the proper subspace s bounded through the quotient
     by s, as `mu_max_mf` does."""
-    from slopekit.multifilt import _quotient_bounds
+    from slopekit.multifilt import _profile_upper_bound
 
     v, n = len(s), m.dim
-    quot = _quotient_bounds(m, s)
+    quot = _profile_upper_bound(quotient_object(m, s)[0])
     out = list(uppers)
     for k in range(v + 1, n + 1):
         via_s = max((out[j - 1] if j else 0) + (k - j) * quot[k - j - 1] for j in range(max(0, k + v - n), v + 1))
@@ -1566,7 +1566,7 @@ def test_quotient_bound_below_the_tie_stops_at_the_probe(monkeypatch):
     the probe, before the closure starts, and returns the closure's
     result."""
     from slopekit import multifilt
-    from slopekit.multifilt import _profile_upper_bound, _quotient_bounds
+    from slopekit.multifilt import _profile_upper_bound
 
     monkeypatch.setattr(multifilt, "_FAMILY_CAP", 25)
     m1, m2 = (MultifilteredSpace(3, [Filtration(3, s) for s in f]) for f in _OP26_FACTORS)
@@ -1575,7 +1575,7 @@ def test_quotient_bound_below_the_tie_stops_at_the_probe(monkeypatch):
     bounds = _profile_upper_bound(t)
     assert bounds[0] == bounds[1] == max(bounds) == -1 and max(bounds[2:]) < -1
     assert slope_of_subspace(t, products) == -1 and len(line) == 1
-    assert _quotient_bounds(t, line)[0] == -3
+    assert _profile_upper_bound(quotient_object(t, line)[0])[0] == -3
     ref = _full_closure_mu_max_mf(t, [products])
     counts = _track_family(monkeypatch)
     quotients = _track_quotients(monkeypatch)
@@ -1765,6 +1765,40 @@ def test_op23_certifies_through_the_split(monkeypatch):
     assert 0 < sum(units) < 50_000
 
 
+# mf-tensor seed-1 op 287, a plane and a 3-space with three filtrations.
+_OP287_FACTORS = (
+    [
+        [(0, [[0, 1], [1, -1]])],
+        [(0, [[1, 2], [-2, -2]]), (2, [[1, 2]])],
+        [(-2, [[-2, -1], [0, 1]]), (0, [[-2, -1]])],
+    ],
+    [
+        [(-1, [[-2, 1, 1], [1, -1, -1], [-2, 1, 0]]), (2, [[-2, 1, 1], [1, -1, -1]]), (3, [[-2, 1, 1]])],
+        [(2, [[0, -1, -1], [-1, -1, -1], [2, 2, 0]])],
+        [(1, [[0, 2, 0], [-1, 2, 2], [-1, 1, 1]]), (2, [[0, 2, 0], [-1, 2, 2]])],
+    ],
+)
+
+
+def test_tightening_reads_the_canopys_quotient(monkeypatch):
+    """On the op-287 tensor the witness product S fails the stop test and
+    the split, the closure leaves the result uncertified with S as witness,
+    and the tightening through m/S reads the quotient the canopy made for
+    S: `quotient_object(t, S)` runs once, where it ran twice, and the
+    result is the one the tightening gave before."""
+    from slopekit import multifilt
+
+    m1, m2 = (MultifilteredSpace(d, [Filtration(d, s) for s in f]) for d, f in zip((2, 3), _OP287_FACTORS))
+    t, products = tensor_mf(m1, m2), _witness_products(m1, m2)
+    s = linalg.rref(linalg.mat(products))[0]
+    calls = []
+    real = multifilt.quotient_object
+    monkeypatch.setattr(multifilt, "quotient_object", lambda m, rows: calls.append(rows) or real(m, rows))
+    res = mu_max_mf(t, [products])
+    assert calls == [s]
+    assert (res.value, res.witness, res.upper, res.certified) == (6, s, F(13, 2), False)
+
+
 def _direct_sum(a, b):
     """a ⊕ b on the coordinates of a followed by those of b: each step is
     the sum of the factors' steps at the same break."""
@@ -1899,7 +1933,7 @@ def test_small_spaces_skip_the_relaxation_and_the_closure(monkeypatch):
     def forbid(*args):
         raise AssertionError("relaxation or closure on a small space")
 
-    for name in ("_candidate_family", "_profile_upper_bound", "_quotient_bounds"):
+    for name in ("_candidate_family", "_profile_upper_bound"):
         monkeypatch.setattr(multifilt, name, forbid)
     calls = []
     real = linalg.rref

@@ -322,10 +322,13 @@ def test_multifilt_defines_no_result_type():
 
 
 def test_hermitian_grams_go_through_bareiss(monkeypatch):
-    """`bareiss` is the one square elimination: a hermitian Gram's positivity
-    and determinant, and the minors of its exterior powers, come from it,
-    looked up by its module name.  `tensor`, `twist` and `dual` work on the
-    integral pair (D*G, D), so each runs exactly one, on int coordinates."""
+    """`bareiss` is the one square elimination, looked up by its module name:
+    an input hermitian Gram's positivity and determinant come from exactly
+    one run, on int coordinates, and so do the minors of its exterior
+    powers, one run each.  `tensor`, `twist` and `dual` are proven by their
+    laws and run none at construction; the first read of a derived
+    lattice's `_gso` runs exactly one, on int coordinates, and a second
+    read runs none."""
     linalg, herm = slopekit.linalg, slopekit.hermitian
     calls = []
     real = linalg.bareiss
@@ -334,15 +337,20 @@ def test_hermitian_grams_go_through_bareiss(monkeypatch):
         calls.append(a)
         return real(a)
 
+    def int_coordinates(m):
+        return all(type(c) is int for row in m for x in row for c in (x.a, x.b))
+
     monkeypatch.setattr(linalg, "bareiss", counted)
     field = herm.ImagQuadField(7)
     w = field.omega
     lat = herm.HermitianLattice(field, [[2, w], [w.conj(), 3]])
-    assert len(calls) == 1 and lat.det() == 4
+    assert len(calls) == 1 and lat.det() == 4 and int_coordinates(calls[0])
     calls.clear()
-    ext = lat.exterior_power(2)
-    assert len(calls) >= 2 and ext.det() == lat.det()
+    ext = lat.exterior_power(1)
+    assert len(calls) == 4 and all(len(m) == 1 for m in calls) and ext.det() == lat.det()
+    calls.clear()
     half = herm.HermitianLattice(field, [[Fraction(3, 2), w / 2], [w.conj() / 2, 1]])
+    assert len(calls) == 1 and int_coordinates(calls[0])
     ops = {
         "tensor": lambda: lat.tensor(half),
         "twist": lambda: half.twist(Fraction(5, 3)),
@@ -351,10 +359,87 @@ def test_hermitian_grams_go_through_bareiss(monkeypatch):
     for name, op in ops.items():
         calls.clear()
         out = op()
-        assert len(calls) == 1, f"{name} ran {len(calls)} bareiss"
+        assert calls == [], f"{name} ran {len(calls)} bareiss"
+        gso = out._gso
+        assert len(calls) == 1, name
         (m,) = calls
-        assert all(type(c) is int for row in m for x in row for c in (x.a, x.b)), name
-        assert len(m) == out.rank
+        assert int_coordinates(m) and len(m) == out.rank and m == out.scaled_gram()[0], name
+        assert out._gso is gso and len(calls) == 1, name
+
+
+def test_law_built_lattices_run_no_sylvester_check(monkeypatch, tmp_path):
+    """A lattice derived by an operation whose law proves it positive
+    definite, with its determinant, runs no `linalg.bareiss`: `tensor`,
+    `dual`, `_rescale` (`scale`, `twist`), `orthogonal_sum`, `lll_reduce`
+    and `restrict_scalars` run none, and `exterior_power` one per minor
+    and no more.  Every path that takes a Gram from outside runs exactly
+    one, on its own D*G: both constructors, `_from_scaled`, `load` and both
+    `from_json_dict`s, pickle and `copy` (through `__reduce__`), and the
+    Schur complement of `_lattice_quotient`."""
+    import copy
+    import json
+    import math
+    import pickle
+
+    from slopekit.enumeration import _lattice_quotient, lll_reduce
+    from slopekit.lattice import EuclideanLattice, Sublattice
+
+    linalg, herm = slopekit.linalg, slopekit.hermitian
+    calls = []
+    real = linalg.bareiss
+    monkeypatch.setattr(linalg, "bareiss", lambda a: calls.append(a) or real(a))
+
+    def run(route):
+        del calls[:]
+        return route()
+
+    field = herm.ImagQuadField(7)
+    w = field.omega
+    e = EuclideanLattice([[Fraction(5, 2), 1, 0], [1, 3, 1], [0, 1, 4]])
+    f = EuclideanLattice([[2, 1], [1, 2]])
+    h = herm.HermitianLattice(field, [[2, w], [w.conj(), 3]])
+    g = herm.HermitianLattice(field, [[Fraction(3, 2), w / 2], [w.conj() / 2, 1]])
+    t = e.tensor(f).dual()
+    assert t._gso  # LLL starts from its parent's record, built on first read
+    derived = {
+        "tensor": lambda: e.tensor(f),
+        "dual": lambda: e.dual(),
+        "scale": lambda: e.scale(Fraction(3, 7)),
+        "orthogonal_sum": lambda: e.orthogonal_sum(f),
+        "lll_reduce": lambda: lll_reduce.__wrapped__(t)[0],
+        "hermitian tensor": lambda: h.tensor(g),
+        "hermitian dual": lambda: g.dual(),
+        "twist": lambda: g.twist(Fraction(5, 3)),
+        "hermitian orthogonal_sum": lambda: h.orthogonal_sum(g),
+        "restrict_scalars": lambda: g.tensor(h).restrict_scalars(),
+    }
+    outs = {}
+    for name, route in derived.items():
+        outs[name] = run(route)
+        assert calls == [], f"{name} ran {len(calls)} bareiss"
+    for lat, p in [(e, 1), (e, 2), (e, 3), (h, 1), (h, 2)]:
+        run(lambda: lat.exterior_power(p))
+        assert len(calls) == math.comb(lat.rank, p) ** 2 and all(len(m) == p for m in calls)
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(e.to_json_dict()))
+    line = Sublattice(e, [[1, 0, 0]])
+    inputs = {
+        "int Gram": lambda: EuclideanLattice([[2, 1], [1, 2]]),
+        "Fraction Gram": lambda: EuclideanLattice(e.gram),
+        "_from_scaled": lambda: EuclideanLattice._from_scaled([[4, 2], [2, 6]], 4),
+        "load": lambda: EuclideanLattice.load(str(path)),
+        "from_json_dict": lambda: EuclideanLattice.from_json_dict(e.to_json_dict()),
+        "hermitian Gram": lambda: herm.HermitianLattice(field, g.gram),
+        "hermitian from_json_dict": lambda: herm.HermitianLattice.from_json_dict(g.to_json_dict()),
+        "quotient": lambda: _lattice_quotient(e, line)[0].dual(),
+    }
+    for name, out in outs.items():
+        inputs[f"pickle {name}"] = lambda out=out: pickle.loads(pickle.dumps(out))
+        inputs[f"copy {name}"] = lambda out=out: copy.copy(out)
+        inputs[f"deepcopy {name}"] = lambda out=out: copy.deepcopy(out)
+    for name, route in inputs.items():
+        out = run(route)
+        assert calls == [out.scaled_gram()[0]], f"{name} ran {len(calls)} bareiss"
 
 
 def test_candidate_family_reduces_only_pairs_and_extras(monkeypatch):
