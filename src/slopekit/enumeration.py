@@ -80,8 +80,8 @@ class CertifiedMuMax:
     `value` when certified.  Certified proves `value` and `upper`, and the
     witness's slope, not always that it is the largest (see `first_edge`);
     for a multifiltered space of dimension at most 3, whose canopy is
-    exact, and for one certified by the split of a caller's candidate
-    (`multifilt._mf_canopy`), it is the largest."""
+    exact, and for one whose certificate passed (`multifilt._mf_canopy`),
+    it is the largest."""
 
     value: Any
     witness: Any

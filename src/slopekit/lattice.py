@@ -301,13 +301,22 @@ class _GramPair:
         deg(Lambda^p L) = C(r - 1, p - 1) * deg L.  C_p(G) is positive
         definite: write G = B B* with B invertible; Cauchy-Binet gives
         C_p(G) = C_p(B) C_p(B)*, and C_p(B) is invertible, of determinant
-        det(B)^C(r - 1, p - 1)."""
+        det(B)^C(r - 1, p - 1).
+
+        C_p(G) is hermitian like G: the minor on rows T and columns U is the
+        conjugate of the one on rows U and columns T (G[T][U] = G[U][T]*), so
+        only those on and above the diagonal are eliminated, and the rest are
+        read off the adjoint."""
         r = self.rank
         if not 1 <= p <= r:
             raise ValueError(f"exterior power degree {p} out of range 1..{r}")
         s = self._s
         subsets = list(combinations(range(r), p))
-        minors = [[linalg.det_int([[s[i][j] for j in t] for i in u]) for t in subsets] for u in subsets]
+        upper = [[linalg.det_int([[s[i][j] for j in t] for i in u]) for t in subsets[a:]] for a, u in enumerate(subsets)]
+        # row a of `upper` holds columns a.. of C_p; the adjoint of its
+        # symmetric completion has the conjugates below the diagonal
+        full = [[upper[min(a, b)][abs(b - a)] for b in range(len(subsets))] for a in range(len(subsets))]
+        minors = [list(adj[:a]) + upper[a] for a, adj in enumerate(self._adjoint(full))]
         e = math.comb(r - 1, p - 1)
         return self._new(self._field, minors, self._den**p, det=self._det**e)._by_law((e, self))
 

@@ -37,11 +37,16 @@ best line is `nu_witness`'s and the best hyperplane is scored off the sums
 of steps it can hold (`_best_hyperplane`), with no relaxation and no
 closure.  Larger spaces bound each rank by the dimension-profile relaxation
 and score a capped intersection/sum closure of the steps, which can be
-infinite from three flags on (Gelfand-Ponomarev).  A caller's candidate S
-(for a tensor, the product of its factors' witnesses) is tried before the
-closure: by the relaxation's bounds, and then by the split of every rank
-over S and m/S, deg U <= deg(U ∩ S) + deg((U + S)/S), whose pieces of
-dimension <= 3 are exact."""
+infinite from three flags on (Gelfand-Ponomarev).  One certificate proves a
+subspace S the largest of maximal slope (`_mf_canopy`): per-rank degree
+bounds on or below the line of slope mu_S, and, at each rank above dim S
+where they touch it, the relaxation of m/S strictly below mu_S.  A
+caller's candidate S (for a tensor, the product of its factors' witnesses)
+is tested before the closure, on the relaxation's bounds and then on the
+bounds through S and m/S, deg U <= deg(U ∩ S) + deg((U + S)/S), whose
+pieces of dimension <= 3 are exact; each closure member is tested on the
+relaxation's bounds; and where the closure leaves the first edge
+uncertified, the bounds through its witness replace the relaxation's."""
 
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .enumeration import DEFAULT_NODE_CAP, CertifiedMuMax, RankBound, first_edge, minimum_sq, mu_max, quotient_polygon
@@ -720,137 +725,113 @@ def _split_uppers(sub: Sequence, quot: Sequence) -> list:
     ]
 
 
-def _mf_canopy(m: MultifilteredSpace, extra) -> tuple[list[RankBound], Callable]:
-    """The canopy of m, and the memo of its quotients m/W by W (rows in
-    reduced form), for the caller to read further ones through.
-
-    The extra candidates are all reduced first, so rows of the wrong
-    width raise whatever the dimension.  A space of dimension at most 3 has
-    the exact canopy of `_exact_canopy`, with no relaxation and no closure.
+def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
+    """The canopy of m.  The extra candidates are all reduced first, so rows
+    of the wrong width raise whatever the dimension.  A space of dimension
+    at most 3 has the exact canopy of `_exact_canopy`.
 
     Otherwise, for each dimension k, the best degree over the candidates of
-    dimension k (the first in family order among ties), and k times the
-    relaxation's slope bound.  Three certificates are tried in turn.
-    First `certifies`, on the extra candidates (the probes) and then on
-    each closure member as it is made: a candidate W of slope mu_b such
-    that every larger rank j has its bound strictly below mu_b or, where
-    that bound ties mu_b, m/W has its rank-(j - dim W) bound strictly below
-    mu_b.  The canopy then holds that candidate and the closure members
-    scored before it, and its first edge is the one the whole closure
-    gives.  Second, before the closure starts, the split (`split`) of each
-    probe S: every rank is bounded through S and m/S (`_split_uppers`),
-    and the bounds certify S when they lie on or below the line of slope
-    mu_S, strictly above dim S; the canopy is then S and those bounds.  The
-    split costs a subobject, a quotient and their degree bounds, each an
-    exact canopy (dimension <= 3) or one relaxation: no closure and no
-    recursion.  Third, the closure, read to the end when no member passes;
-    it is capped at _FAMILY_CAP members, and the benchmark's work budget
-    meters its eliminations, which all run through `linalg.rref`, as do
-    those of the split.  A probe's quotient is made once, for whichever of
-    `certifies` and the split needs it first."""
+    dimension k (the first in family order among ties), and a bound on
+    every k-dimensional degree: the relaxation's (`plain`), or the bounds
+    through a subspace S (`through`), which read only S and m/S, each an
+    exact canopy in dimension <= 3 or one relaxation.  One certificate
+    (`passes`) proves S the largest subspace of maximal slope.  Each probe
+    (extra candidate) is tested on `plain`, then through itself, and one
+    that passes is the canopy alone; then each closure member on `plain`,
+    as it is made, and one that passes stops the closure.  A closure read
+    to the end whose first edge is uncertified takes the bounds through
+    that edge's witness: they only tighten, and the edge, read off the
+    degrees found, keeps its value and witness.  The closure is capped at
+    _FAMILY_CAP members; the benchmark's work budget meters all of this
+    elimination, which runs through `linalg.rref`.  Each subspace's degree,
+    quotient, quotient relaxation and bounds through it are made once."""
     probes = [rows for rows in (_rref_rows(e, m.dim) for e in extra) if rows]
-    quotients: dict[Matrix, MultifilteredSpace] = {}
-
-    def quotient(rows) -> MultifilteredSpace:
-        if rows not in quotients:
-            quotients[rows] = quotient_object(m, rows)[0]
-        return quotients[rows]
-
     if m.dim <= 3:
-        return _exact_canopy(m), quotient
+        return _exact_canopy(m)
     bounds = _profile_upper_bound(m)
     mu_b = max(bounds)
-    degrees: dict[Matrix, Fraction] = {}
-    verdicts: dict[Matrix, bool] = {}
+    plain = [k * b for k, b in enumerate(bounds, 1)]
+    memo: dict = {}
+
+    def once(key, make):
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
     def degree(rows) -> Fraction:
-        if rows not in degrees:
-            degrees[rows] = slope_of_subspace(m, rows) * len(rows)
-        return degrees[rows]
+        return once(("degree", rows), lambda: slope_of_subspace(m, rows) * len(rows))
 
-    def certifies(rows) -> bool:
-        # W passes when its slope is mu_b and, for every rank j > dim W = k,
-        # the rank-j bound is strictly below mu_b or the rank-(j - k) bound
-        # of m/W is.  Such a W is the largest subspace of maximal slope.
-        # mu_b bounds every slope, so W is a maximizer.  For any maximizer
-        # W', supermodularity of the degree gives
-        #   deg(W + W') >= deg W + deg W' - deg(W ∩ W')
-        #              >= mu_b (dim W + dim W' - dim(W ∩ W')) = mu_b dim(W + W'),
-        # since deg(W ∩ W') <= mu_b dim(W ∩ W') (also when W ∩ W' = 0).  So
-        # W + W' is a maximizer, of dimension j say.  If j > k, the rank-j
-        # bound is at least its slope mu_b, so it ties mu_b, and U = (W + W')/W
-        # is a (j - k)-dimensional subspace of m/W.  The image of a step F
-        # meets U in ((F + W) ∩ (W + W'))/W = ((F ∩ (W + W')) + W)/W
-        # (modular law, W ⊂ W + W'), of dimension
-        # dim(F ∩ (W + W')) - dim(F ∩ W); in the Abel form that makes
-        # deg U = deg(W + W') - deg W = (j - k) mu_b, so the quotient's
-        # rank-(j - k) bound is at least mu_b, against the test.  Hence
-        # W + W' = W: W holds every maximizer and is the only one of its
-        # dimension.  The whole closure holds W, so its canopy reaches
-        # dim W * mu_b at dim W with W alone, and stays below the line of
-        # slope mu_b at every larger rank: its first edge ends at W, its upper
-        # is mu_b and it is certified (bounds on that line do not lie above
-        # the hull), as this canopy's.  At most one candidate passes, so the
-        # probe order cannot pick another; and a probed extra that does not
-        # pass enters `best` only at its place in the family, so without a
-        # stop every tie-break is the whole closure's.  The quotient is made
-        # only when the strict test fails, once per candidate.
-        if rows not in verdicts:
-            k = len(rows)
-            tied = [j for j, b in enumerate(bounds[k:], k + 1) if not b < mu_b]
-            passes = degree(rows) == k * mu_b
-            if passes and tied:
-                quot = _profile_upper_bound(quotient(rows))
-                passes = all(quot[j - k - 1] < mu_b for j in tied)
-            verdicts[rows] = passes
-        return verdicts[rows]
+    def quotient(rows) -> MultifilteredSpace:
+        return once(("quotient", rows), lambda: quotient_object(m, rows)[0])
 
-    def split(rows) -> Optional[list[RankBound]]:
-        # The split certificate of a probe S of dimension k < n and slope
-        # mu_S: the uppers min(j bound_j, upper_j), upper_j from
-        # `_split_uppers` over the degree bounds of the subobject S and of
-        # m/S (exact in dimension <= 3), are at most j mu_S at every rank
-        # j <= k and strictly below it at every j > k.  Then mu_max = mu_S,
-        # which S attains, and S is the unique largest maximizer: for any
-        # maximizer U, supermodularity gives deg(U + S) >= mu_S dim(U + S),
-        # as in `certifies`, so U + S is a maximizer, and one of dimension
-        # above k would break its strict bound; so U + S = S and U ⊂ S.  The
-        # canopy of S alone and these uppers has rank k exact (its upper is
-        # at most deg S and at least it) and every other upper on or below
-        # the line of slope mu_S, so `first_edge` certifies S, as after a
-        # `certifies` stop.  The whole closure holds S, so its first edge has
-        # the same value and witness (a member of slope mu_S lies in S, and
-        # one of rank k is S); it is certified only where its bounds meet.
-        k = len(rows)
-        if k == m.dim:
-            return None
-        deg = degree(rows)
-        via_s = _split_uppers(_degree_bounds(subobject(m, rows)), _degree_bounds(quotient(rows)))
-        uppers = [min(j * b, u) for j, (b, u) in enumerate(zip(bounds, via_s), 1)]
-        if any(u * k > deg * j or (j > k and u * k == deg * j) for j, u in enumerate(uppers, 1)):
-            return None
-        return [RankBound(deg, rows, u) if j == k else RankBound(None, None, u) for j, u in enumerate(uppers, 1)]
+    def relaxation(rows) -> list[Fraction]:
+        return once(("relaxation", rows), lambda: _profile_upper_bound(quotient(rows)))
 
+    def through(rows) -> list[Fraction]:
+        # a subspace of S is one of m, so both bounds on it hold, and
+        # `_split_uppers` proves the bounds through S and m/S
+        def make():
+            sub = list(map(min, plain, _degree_bounds(subobject(m, rows))))
+            q = quotient(rows)
+            quot = _degree_bounds(q) if q.dim <= 3 else [t * b for t, b in enumerate(relaxation(rows), 1)]
+            return list(map(min, plain, _split_uppers(sub, quot)))
+
+        return once(("through", rows), make)
+
+    def passes(rows, uppers=None) -> bool:
+        # The one certificate.  S = rows, of dimension k and slope mu, passes
+        # on bounds u_j on every j-dimensional degree (`plain` when uppers
+        # is None) when (i) u_j <= j mu at every rank and (ii) at each tight
+        # rank j > k, u_j = j mu, the rank-(j - k) relaxation bound of m/S is
+        # below mu.  Then S holds every subspace of maximal slope.  By (i)
+        # no slope exceeds mu, which S attains.  For any maximizer W,
+        # supermodularity of the degree gives
+        #   deg(S + W) >= deg S + deg W - deg(S ∩ W)
+        #              >= mu (dim S + dim W - dim(S ∩ W)) = mu dim(S + W),
+        # since deg(S ∩ W) <= mu dim(S ∩ W) (also when S ∩ W = 0).  So S + W
+        # is a maximizer, of dimension j say.  If j > k, u_j >= j mu makes j
+        # tight, and (S + W)/S is a (j - k)-dimensional subspace of m/S of
+        # degree deg(S + W) - deg S = (j - k) mu (deg is additive over S,
+        # `_split_uppers`), against (ii).  So S + W = S.  A canopy with these
+        # bounds and S at rank k thus has its first edge at S, certified:
+        # every candidate on the line of slope mu lies in S, the only one
+        # of rank k, and no bound lies above the line.  The whole closure
+        # holds S, so its first edge is the same, and no other candidate
+        # can pass.  On `plain`, whose slopes are at most mu_b, (i) is
+        # deg S = k mu_b and a rank is tight when its bound is mu_b.
+        k, deg = len(rows), degree(rows)
+        if uppers is None:
+            if deg != k * mu_b:
+                return False
+            tight = [j for j, b in enumerate(bounds[k:], k + 1) if b == mu_b]
+        elif any(u * k > deg * j for j, u in enumerate(uppers, 1)):
+            return False
+        else:
+            tight = [j for j, u in enumerate(uppers[k:], k + 1) if u * k == deg * j]
+        return all(relaxation(rows)[j - k - 1] * k < deg for j in tight)
+
+    def canopy(found, uppers=plain) -> list[RankBound]:
+        return [RankBound(*found.get(k, (None, None)), u) for k, u in enumerate(uppers, 1)]
+
+    for rows in probes:
+        if passes(rows):
+            return canopy({len(rows): (degree(rows), rows)})
+    for rows in probes:
+        if len(rows) < m.dim and passes(rows, through(rows)):
+            return canopy({len(rows): (degree(rows), rows)}, through(rows))
+    # a probe that did not pass enters `best` only at its place in the
+    # family, so without a stop every tie-break is the whole closure's
     best: dict[int, tuple[Fraction, Matrix]] = {}
-
-    def canopy() -> list[RankBound]:
-        return [RankBound(*best.get(k, (None, None)), k * bounds[k - 1]) for k in range(1, m.dim + 1)]
-
-    for rows in probes:
-        if certifies(rows):
-            best[len(rows)] = (degree(rows), rows)
-            return canopy(), quotient
-    for rows in probes:
-        certified = split(rows)
-        if certified is not None:
-            return certified, quotient
     for rows in _candidate_family(m, extra):
         k, deg = len(rows), degree(rows)
         if k not in best or deg > best[k][0]:
             best[k] = (deg, rows)
-        if certifies(rows):
-            break
-    return canopy(), quotient
+        if passes(rows):
+            return canopy(best)
+    edge = first_edge(canopy(best))
+    if edge.certified or len(edge.witness) == m.dim:
+        return canopy(best)
+    return canopy(best, through(edge.witness))
 
 
 def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> CertifiedMuMax:
@@ -858,35 +839,14 @@ def mu_max_mf(m: MultifilteredSpace, extra_candidates: Sequence = ()) -> Certifi
     (`enumeration.first_edge`) of `_mf_canopy`.  A space of dimension at
     most 3 has an exact canopy: the result is certified, and its witness is
     the largest subspace of maximal slope.  A larger one is bounded above by
-    the dimension-profile relaxation and below by the exact slopes of the
-    extra candidates (row lists in ambient coordinates), then of the capped
-    intersection/sum closure of the filtration steps, and is certified
-    where the bounds meet.  The canopy tries, in order, the stop test
-    `certifies` on the extra candidates, the split certificate of each
-    extra S through its subobject and m/S, which reads no closure, and the
-    closure, each member through `certifies` again (see `_mf_canopy`, also
-    for the work each costs).  The witness is the largest candidate of
-    maximal slope; when the closure is complete, or `certifies` or the split
-    stopped the search, it is the largest subspace of maximal slope, deg
-    being supermodular.
-
-    Where the bounds do not meet, the edge's witness S, of dimension v,
-    tightens the bounds above it, once.  A W of dimension k > v, with
-    j = dim(W ∩ S) >= k + v - dim, has deg W <= deg(W ∩ S) + deg((W + S)/S)
-    by supermodularity: at most the rank-j bound (0 for j = 0) plus k - j
-    times the rank-(k - j) bound of the relaxation of m/S (`_split_uppers`).
-    m/S is read from the canopy's memo, so a probe whose quotient the
-    canopy already made is not made again."""
-    canopy, quotient = _mf_canopy(m, extra_candidates)
-    res = first_edge(canopy)
-    v, n = len(res.witness), m.dim
-    if res.certified or v == n:
-        return res
-    quot = _profile_upper_bound(quotient(res.witness))
-    via_s = _split_uppers([b.upper for b in canopy[:v]], [t * b for t, b in enumerate(quot, 1)])
-    for k in range(v + 1, n + 1):
-        canopy[k - 1] = canopy[k - 1]._replace(upper=min(canopy[k - 1].upper, via_s[k - 1]))
-    return first_edge(canopy)
+    the dimension-profile relaxation, and through subspaces, and below by
+    the exact slopes of the extra candidates (row lists in ambient
+    coordinates), then of the capped intersection/sum closure of the
+    filtration steps, and is certified where the bounds meet.  The witness
+    is the largest candidate of maximal slope; when the one certificate
+    passed, or the closure is complete, it is the largest subspace of
+    maximal slope, deg being supermodular."""
+    return first_edge(_mf_canopy(m, extra_candidates))
 
 
 def is_semistable_mf(m: MultifilteredSpace) -> bool:

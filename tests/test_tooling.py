@@ -135,11 +135,11 @@ def _budget_corpus():
     """The seeded mf corpus whose elimination work is pinned: 24 pairs of
     `_sample_space` factors (dimensions 2..3 and 1..3, 1..3 filtrations),
     one with its bases scaled by Fractions, the op-26 factors, and the op-23
-    factors, whose tensor certifies through the split certificate.  Each
-    case is one op of the benchmark's mf-tensor workload (both factors'
-    mu_max, the tensor's mu_max with the witness products, nu of the
-    tensor) plus the first factor's multigraded dimensions, dual and slope
-    filtration."""
+    factors, whose tensor certifies on the bounds through its witness
+    product.  Each case is one op of the benchmark's mf-tensor workload
+    (both factors' mu_max, the tensor's mu_max with the witness products,
+    nu of the tensor) plus the first factor's multigraded dimensions, dual
+    and slope filtration."""
     from fractions import Fraction
 
     from test_multifilt import _OP23_FACTORS, _OP26_FACTORS
@@ -321,14 +321,46 @@ def test_multifilt_defines_no_result_type():
     assert own == {"Filtration", "MultifilteredSpace"}
 
 
+def test_multifiltered_mu_max_has_one_certificate():
+    """multifilt proves a subspace the largest of maximal slope in one place
+    (`_mf_canopy`'s `passes`), so the source has one of each step: one call
+    of `_split_uppers`, inside the bounds through a subspace (`through`);
+    one relaxation of a quotient (`_profile_upper_bound` on anything but the
+    space itself), of the one quotient `_mf_canopy` makes per subspace; and
+    `mu_max_mf` reads the first edge of the canopy with
+    no bound arithmetic of its own.  The three earlier certificates
+    (`certifies`, `split` and the tightening after the closure) are gone."""
+    tree = ast.parse(Path(slopekit.multifilt.__file__).read_text())
+    calls: dict[str, list] = {}
+
+    def visit(node, stack):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                calls.setdefault(child.func.id, []).append((stack, child))
+            visit(child, stack + (child.name,) if isinstance(child, ast.FunctionDef) else stack)
+
+    visit(tree, ())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not {"certifies", "split"} & set(functions)
+    split = [stack for stack, _ in calls["_split_uppers"]]
+    assert len(split) == 1 and split[0][:2] == ("_mf_canopy", "through")
+    own = [(stack, call) for stack, call in calls["_profile_upper_bound"] if ast.unparse(call.args[0]) != "m"]
+    assert len(own) == 1 and own[0][0][:2] == ("_mf_canopy", "relaxation")
+    assert ast.unparse(own[0][1].args[0]) == "quotient(rows)"
+    assert [stack[:1] for stack, _ in calls["quotient_object"]].count(("_mf_canopy",)) == 1
+    _, *body = functions["mu_max_mf"].body  # after the docstring
+    assert [ast.unparse(s) for s in body] == ["return first_edge(_mf_canopy(m, extra_candidates))"]
+
+
 def test_hermitian_grams_go_through_bareiss(monkeypatch):
     """`bareiss` is the one square elimination, looked up by its module name:
     an input hermitian Gram's positivity and determinant come from exactly
     one run, on int coordinates, and so do the minors of its exterior
-    powers, one run each.  `tensor`, `twist` and `dual` are proven by their
-    laws and run none at construction; the first read of a derived
-    lattice's `_gso` runs exactly one, on int coordinates, and a second
-    read runs none."""
+    powers on and above the diagonal, one run each (3 for the first power
+    of a rank-2 lattice; the minor below is the conjugate of the one
+    above).  `tensor`, `twist` and `dual` are proven by their laws and run
+    none at construction; the first read of a derived lattice's `_gso` runs
+    exactly one, on int coordinates, and a second read runs none."""
     linalg, herm = slopekit.linalg, slopekit.hermitian
     calls = []
     real = linalg.bareiss
@@ -347,7 +379,7 @@ def test_hermitian_grams_go_through_bareiss(monkeypatch):
     assert len(calls) == 1 and lat.det() == 4 and int_coordinates(calls[0])
     calls.clear()
     ext = lat.exterior_power(1)
-    assert len(calls) == 4 and all(len(m) == 1 for m in calls) and ext.det() == lat.det()
+    assert len(calls) == 3 and all(len(m) == 1 for m in calls) and ext.det() == lat.det()
     calls.clear()
     half = herm.HermitianLattice(field, [[Fraction(3, 2), w / 2], [w.conj() / 2, 1]])
     assert len(calls) == 1 and int_coordinates(calls[0])
@@ -372,7 +404,7 @@ def test_law_built_lattices_run_no_sylvester_check(monkeypatch, tmp_path):
     definite, with its determinant, runs no `linalg.bareiss`: `tensor`,
     `dual`, `_rescale` (`scale`, `twist`), `orthogonal_sum`, `lll_reduce`
     and `restrict_scalars` run none, and `exterior_power` one per minor
-    and no more.  Every path that takes a Gram from outside runs exactly
+    on or above the diagonal (the others are adjoints) and no more.  Every path that takes a Gram from outside runs exactly
     one, on its own D*G: both constructors, `_from_scaled`, `load` and both
     `from_json_dict`s, pickle and `copy` (through `__reduce__`), and the
     Schur complement of `_lattice_quotient`."""
@@ -419,7 +451,8 @@ def test_law_built_lattices_run_no_sylvester_check(monkeypatch, tmp_path):
         assert calls == [], f"{name} ran {len(calls)} bareiss"
     for lat, p in [(e, 1), (e, 2), (e, 3), (h, 1), (h, 2)]:
         run(lambda: lat.exterior_power(p))
-        assert len(calls) == math.comb(lat.rank, p) ** 2 and all(len(m) == p for m in calls)
+        c = math.comb(lat.rank, p)
+        assert len(calls) == c * (c + 1) // 2 and all(len(m) == p for m in calls)
     path = tmp_path / "e.json"
     path.write_text(json.dumps(e.to_json_dict()))
     line = Sublattice(e, [[1, 0, 0]])
