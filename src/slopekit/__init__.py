@@ -41,7 +41,6 @@ from .multifilt import (
     Filtration,
     MultifilteredSpace,
     dual_mf,
-    inequality_suite,
     mu_max_mf,
     multigraded_dims,
     nu_witness,
@@ -49,6 +48,7 @@ from .multifilt import (
     slope_filtration_mf,
     tensor_mf,
 )
+from .harness import inequality_suite
 from .report import Check, Report, ReproFailure
 
 __version__ = "0.1.0"

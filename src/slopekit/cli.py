@@ -16,7 +16,6 @@ from .exactval import FactoringCapExceeded, LogRational, parse_rat
 from .lattice import EuclideanLattice
 from .multifilt import (
     MultifilteredSpace,
-    inequality_suite,
     mu_max_mf,
     nu_witness,
     slope_faltings,
@@ -49,7 +48,7 @@ def _tensor_check(args, kind: str, a, load, files: str, *cap) -> int:
     """The slope-inequality report of a and the object in args.file2."""
     if not args.file2:
         raise ValueError(f"tensor-check needs two {files}")
-    rep = inequality_suite((kind, a, load(args.file2)), *cap)
+    rep = harness.inequality_suite((kind, a, load(args.file2)), *cap)
     print(harness.emit_report(rep, args.format))
     return 0 if rep.passed else 1
 

@@ -671,8 +671,8 @@ def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
     - Cap: otherwise rank k is searched only for determinants
       <= C_k = `_root_ceil`(d0^k, k0) >= d0^(k/k0).  If the search finds
       none, every rank-k determinant exceeds C_k, so every rank-k degree is
-      again below k * mu0; the greedy incumbent is kept as a lower point,
-      strictly below that line.  A rank-k sublattice of slope mu0 has
+      again below k * mu0, its recorded upper bound, as for a skipped rank.
+      A rank-k sublattice of slope mu0 has
       determinant d0^(k/k0) <= C_k, so ties with the best slope are still
       found, and the first edge still ends at the largest rank of maximal
       slope.
@@ -703,10 +703,10 @@ def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
         if capped:
             canopy.append(RankBound(None, None, k * half_log_scale))
             continue
-        deg = -half_log(det_k)
         if det_k > cap:
-            canopy.append(RankBound(deg, wit, k * mu0))
+            canopy.append(RankBound(None, None, k * mu0))
             continue
+        deg = -half_log(det_k)
         canopy.append(RankBound(deg, wit, deg))
         if det_k**k0 < d0k:
             k0, d0, mu0 = k, det_k, deg / k

@@ -15,8 +15,10 @@ from typing import Sequence
 
 from . import linalg
 from .enumeration import (
+    DEFAULT_NODE_CAP,
     SlopePolygon,
     hermite_constant_pow,
+    minimum_sq,
     mu_max,
 )
 from .exactval import LogRational, half_log, log_of_rational
@@ -26,6 +28,7 @@ from .multifilt import (
     MultifilteredSpace,
     mu_max_mf,
     multigraded_dims,
+    nu_witness,
     slope_faltings,
     tensor_mf,
 )
@@ -136,6 +139,82 @@ def random_multifiltered(rng: random.Random, dim: int, n_filts: int) -> Multifil
 
 
 # ---------------------------------------------------------------------------
+# The tensor step of both slope categories, and the inequality suite.
+
+def tensor_mu_max(kind: str, a, b, node_cap: int = DEFAULT_NODE_CAP) -> tuple:
+    """(a ⊗ b, mu_max a, mu_max b, mu_max(a ⊗ b)) for kind "lattice" or
+    "multifilt"; node_cap bounds each lattice search.  A multifiltered
+    tensor is probed by the product of its factors' witnesses, of slope
+    mu_max a + mu_max b by the tensor product theorem."""
+    if kind == "lattice":
+        t = a.tensor(b)
+        return (t, *(mu_max(lat, node_cap) for lat in (a, b, t)))
+    if kind == "multifilt":
+        t = tensor_mf(a, b)
+        r1, r2 = mu_max_mf(a), mu_max_mf(b)
+        return t, r1, r2, mu_max_mf(t, [linalg.kron(r1.witness, r2.witness)])
+    raise ValueError(f"unknown instance kind {kind!r}")
+
+
+def inequality_suite(instance, node_cap: int = DEFAULT_NODE_CAP) -> Report:
+    """The slope inequalities for instance = (kind, a, b), kind "lattice" or
+    "multifilt"; raises ReproFailure at the first that fails.  node_cap
+    bounds each lattice search.  The three mu_max results come from the one
+    tensor step (`tensor_mu_max`); each kind supplies the best line value nu
+    of the tensor (computed once the inputs are certified) and the
+    corrections rho.
+
+    tensor_line_bound, nu(t) <= mu1 + mu2.  Multifiltered: nu(t) is the
+    slope of a rank-one subobject (the witness line of `nu_witness`), so it
+    is at most mu_max(t) = mu1 + mu2, the tensor product theorem.  Lattices:
+    a shortest vector v of a spans a rank-one sublattice of degree -log|v|,
+    so nu(a) <= mu1, and likewise nu(b) <= mu2; and min(a⊗b) = min(a)min(b)
+    when a factor has rank at most 43 (Kitaoka, Arithmetic of Quadratic
+    Forms, 1993, §7.1), so nu(t) = nu(a) + nu(b).  Past rank 43 the bound is
+    only observed.
+
+    line_plus_correction_bound, lattices only: mu_max(t) <= nu(t) + 1/2*log
+    rk t.  Let M of rank k attain mu_max(t).  Hermite's constant gives
+    det M >= lambda_1(M)^(2k) / gamma_k^k, and lambda_1(M) >= lambda_1(t), so
+    mu_max(t) = -log(det M)/(2k) <= nu(t) + 1/2*log gamma_k; and gamma_k <= k
+    <= rk t (Minkowski's theorem with the cube of side 2/sqrt(k) inside the
+    unit ball).  No such line bound holds for multifiltered spaces: three
+    weight-1 lines in Q^2 have mu_max = 3/2 and nu = 1."""
+    kind, a, b = instance
+    t, r1, r2, rt = tensor_mu_max(kind, a, b, node_cap)
+    if kind == "lattice":
+        nu = lambda: -half_log(minimum_sq(t, node_cap))
+        rho1, rho2 = half_log(a.rank), half_log(b.rank)
+    else:
+        nu = lambda: nu_witness(t)[0]
+        rho1 = rho2 = F(0)
+    rep = Report(name=f"slope-inequalities-{kind}")
+    rep.require(
+        "inputs_certified",
+        r1.certified and r2.certified and rt.certified,
+        "all three mu_max searches certified",
+    )
+    nu_t = nu()
+    mu1, mu2, mu_t = r1.value, r2.value, rt.value
+    upper = mu1 + rho1 + mu2 + rho2
+    rep.require("tensor_line_bound", nu_t <= mu1 + mu2, f"nu(tensor) = {nu_t} <= {mu1 + mu2}")
+    if kind == "lattice":
+        rho_t = half_log(t.rank)
+        rep.require(
+            "line_plus_correction_bound",
+            mu_t <= nu_t + rho_t,
+            f"mu_max(tensor) = {mu_t} <= nu + rho = {nu_t + rho_t}",
+        )
+    rep.require(
+        "tensor_mu_max_upper",
+        mu_t <= upper,
+        f"mu_max(tensor) = {mu_t} <= sum of mu_max + corrections = {upper}",
+    )
+    rep.require("tensor_mu_max_lower", mu_t >= mu1 + mu2, f"mu_max(tensor) = {mu_t} >= {mu1 + mu2}")
+    return rep
+
+
+# ---------------------------------------------------------------------------
 # Tensor-bound experiment.
 
 @dataclass(frozen=True)
@@ -200,9 +279,7 @@ def bost_experiment(cfg: ExperimentConfig, unimodular: bool = False) -> tuple[li
         else:
             l1 = random_lattice(rng, r1, cfg.entry_bound)
             l2 = random_lattice(rng, r2, cfg.entry_bound)
-        m1 = mu_max(l1, cfg.node_cap)
-        m2 = mu_max(l2, cfg.node_cap)
-        mt = mu_max(l1.tensor(l2), cfg.node_cap)
+        _, m1, m2, mt = tensor_mu_max("lattice", l1, l2, cfg.node_cap)
         certified = m1.certified and m2.certified and mt.certified
         bound1 = m1.value + m2.value + half_log(r1) + half_log(r2)
         bound2 = m1.value + m2.value + half_log_hermite(r1 * r2)
@@ -278,8 +355,6 @@ def repro_thm07(seed: int = 0, count: int = 50) -> Report:
     """Certified random pairs: slope-maximum additivity under tensor product,
     with the tensor's line value and slope checked against its mu_max on
     every instance."""
-    from .multifilt import nu_witness
-
     if count < 1:
         raise ValueError("count must be positive")
     rep = Report(name="thm07")
@@ -291,17 +366,11 @@ def repro_thm07(seed: int = 0, count: int = 50) -> Report:
             rng, rng.randint(1, THM07_MAX_DIM), rng.randint(1, THM07_MAX_FILTS)
         )
         m2 = random_multifiltered(rng, rng.randint(1, THM07_MAX_DIM), m1.n_filtrations)
-        r1 = mu_max_mf(m1)
-        r2 = mu_max_mf(m2)
+        t, r1, r2, rt = tensor_mu_max("multifilt", m1, m2)
         if not (r1.certified and r2.certified):
             # a space of dimension <= 3 has an exact canopy, so no factor is
             # left uncertified, and none is redrawn
             raise AssertionError(f"mu_max of a factor of dimension <= {THM07_MAX_DIM} did not certify")
-        t = tensor_mf(m1, m2)
-        seed_cand = [
-            tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness
-        ]
-        rt = mu_max_mf(t, extra_candidates=[seed_cand])
         if not rt.certified:
             redraws += 1
             continue

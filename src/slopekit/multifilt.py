@@ -1,8 +1,8 @@
 """Finite-dimensional rational vector spaces with several decreasing
 exhaustive separated filtrations: slopes, multigraded dimensions, witness
 lines, certified mu_max and canonical filtration (through
-`enumeration.first_edge` and `quotient_polygon`), tensor products, and the
-slope-inequality suite shared with euclidean lattices.
+`enumeration.first_edge` and `quotient_polygon`), tensor products and duals;
+the tensor step and the slope-inequality suite are in `harness`.
 
 A filtration is stored as its value at each break: pairs (lambda, subspace)
 with strictly increasing labels and strictly decreasing subspaces, the lowest
@@ -54,12 +54,13 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from . import linalg
-from .enumeration import DEFAULT_NODE_CAP, CertifiedMuMax, RankBound, first_edge, minimum_sq, mu_max, quotient_polygon
-from .exactval import fmt_rat, half_log, parse_rat
-from .report import Report, ReproFailure
+from .enumeration import CertifiedMuMax, RankBound, first_edge, quotient_polygon
+from .exactval import fmt_rat, parse_rat
+from .report import ReproFailure
 
 F = Fraction
 
@@ -748,44 +749,36 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
     probes = [rows for rows in (_rref_rows(e, m.dim) for e in extra) if rows]
     if m.dim <= 3:
         return _exact_canopy(m)
-    bounds = _profile_upper_bound(m)
-    mu_b = max(bounds)
-    plain = [k * b for k, b in enumerate(bounds, 1)]
-    memo: dict = {}
+    plain = [k * b for k, b in enumerate(_profile_upper_bound(m), 1)]
 
-    def once(key, make):
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
-
+    @cache
     def degree(rows) -> Fraction:
-        return once(("degree", rows), lambda: slope_of_subspace(m, rows) * len(rows))
+        return slope_of_subspace(m, rows) * len(rows)
 
+    @cache
     def quotient(rows) -> MultifilteredSpace:
-        return once(("quotient", rows), lambda: quotient_object(m, rows)[0])
+        return quotient_object(m, rows)[0]
 
+    @cache
     def relaxation(rows) -> list[Fraction]:
-        return once(("relaxation", rows), lambda: _profile_upper_bound(quotient(rows)))
+        return _profile_upper_bound(quotient(rows))
 
+    @cache
     def through(rows) -> list[Fraction]:
         # a subspace of S is one of m, so both bounds on it hold, and
         # `_split_uppers` proves the bounds through S and m/S
-        def make():
-            sub = list(map(min, plain, _degree_bounds(subobject(m, rows))))
-            q = quotient(rows)
-            quot = _degree_bounds(q) if q.dim <= 3 else [t * b for t, b in enumerate(relaxation(rows), 1)]
-            return list(map(min, plain, _split_uppers(sub, quot)))
+        sub = list(map(min, plain, _degree_bounds(subobject(m, rows))))
+        q = quotient(rows)
+        quot = _degree_bounds(q) if q.dim <= 3 else [t * b for t, b in enumerate(relaxation(rows), 1)]
+        return list(map(min, plain, _split_uppers(sub, quot)))
 
-        return once(("through", rows), make)
-
-    def passes(rows, uppers=None) -> bool:
+    def passes(rows, uppers) -> bool:
         # The one certificate.  S = rows, of dimension k and slope mu, passes
-        # on bounds u_j on every j-dimensional degree (`plain` when uppers
-        # is None) when (i) u_j <= j mu at every rank and (ii) at each tight
-        # rank j > k, u_j = j mu, the rank-(j - k) relaxation bound of m/S is
-        # below mu.  Then S holds every subspace of maximal slope.  By (i)
-        # no slope exceeds mu, which S attains.  For any maximizer W,
-        # supermodularity of the degree gives
+        # on bounds u_j on every j-dimensional degree when (i) u_j <= j mu at
+        # every rank and (ii) at each tight rank j > k, u_j = j mu, the
+        # rank-(j - k) relaxation bound of m/S is below mu.  Then S holds
+        # every subspace of maximal slope.  By (i) no slope exceeds mu, which
+        # S attains.  For any maximizer W, supermodularity of the degree gives
         #   deg(S + W) >= deg S + deg W - deg(S ∩ W)
         #              >= mu (dim S + dim W - dim(S ∩ W)) = mu dim(S + W),
         # since deg(S ∩ W) <= mu dim(S ∩ W) (also when S ∩ W = 0).  So S + W
@@ -797,24 +790,20 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
         # every candidate on the line of slope mu lies in S, the only one
         # of rank k, and no bound lies above the line.  The whole closure
         # holds S, so its first edge is the same, and no other candidate
-        # can pass.  On `plain`, whose slopes are at most mu_b, (i) is
-        # deg S = k mu_b and a rank is tight when its bound is mu_b.
+        # can pass.  On `plain`, u_j = j b_j with mu_b the largest b_j, (i)
+        # forces deg S = k mu_b, since deg S <= k b_k <= k mu_b, and the
+        # tight ranks are those with b_j = mu_b.
         k, deg = len(rows), degree(rows)
-        if uppers is None:
-            if deg != k * mu_b:
-                return False
-            tight = [j for j, b in enumerate(bounds[k:], k + 1) if b == mu_b]
-        elif any(u * k > deg * j for j, u in enumerate(uppers, 1)):
+        if any(u * k > deg * j for j, u in enumerate(uppers, 1)):
             return False
-        else:
-            tight = [j for j, u in enumerate(uppers[k:], k + 1) if u * k == deg * j]
+        tight = [j for j, u in enumerate(uppers[k:], k + 1) if u * k == deg * j]
         return all(relaxation(rows)[j - k - 1] * k < deg for j in tight)
 
     def canopy(found, uppers=plain) -> list[RankBound]:
         return [RankBound(*found.get(k, (None, None)), u) for k, u in enumerate(uppers, 1)]
 
     for rows in probes:
-        if passes(rows):
+        if passes(rows, plain):
             return canopy({len(rows): (degree(rows), rows)})
     for rows in probes:
         if len(rows) < m.dim and passes(rows, through(rows)):
@@ -826,7 +815,7 @@ def _mf_canopy(m: MultifilteredSpace, extra) -> list[RankBound]:
         k, deg = len(rows), degree(rows)
         if k not in best or deg > best[k][0]:
             best[k] = (deg, rows)
-        if passes(rows):
+        if passes(rows, plain):
             return canopy(best)
     edge = first_edge(canopy(best))
     if edge.certified or len(edge.witness) == m.dim:
@@ -877,7 +866,7 @@ def tensor_mf(m1: MultifilteredSpace, m2: MultifilteredSpace) -> MultifilteredSp
             # V2, the later, smaller F1^{l1} add nothing
             for l1, s1 in f1.steps:
                 s2 = f2.space_at(s - l1)
-                rows += (tuple(x * y for x in r1 for y in r2) for r1 in s1 for r2 in s2)
+                rows += linalg.kron(s1, s2)
                 if len(s2) == m2.dim:
                     break
             steps.append((s, rows))
@@ -918,70 +907,3 @@ def slope_filtration_mf(m: MultifilteredSpace) -> tuple[Matrix, ...]:
     if not all(_meet_dim(a, b) == len(a) for a, b in zip(chain, chain[1:])):
         raise AssertionError("quotient witnesses failed to form a chain")
     return chain
-
-
-# ---------------------------------------------------------------------------
-# Abstract inequality suite (lattices: correction 1/2*log rank; here: 0).
-
-def inequality_suite(instance, node_cap: int = DEFAULT_NODE_CAP) -> Report:
-    """The slope inequalities for instance = (kind, a, b), kind "lattice" or
-    "multifilt"; raises ReproFailure at the first that fails.  node_cap
-    bounds each lattice search.  Each kind supplies the three mu_max results,
-    the best line value nu of the tensor (computed once the inputs are
-    certified) and the corrections rho.
-
-    tensor_line_bound, nu(t) <= mu1 + mu2.  Multifiltered: nu(t) is the
-    slope of a rank-one subobject (the witness line of `nu_witness`), so it
-    is at most mu_max(t) = mu1 + mu2, the tensor product theorem.  Lattices:
-    a shortest vector v of a spans a rank-one sublattice of degree -log|v|,
-    so nu(a) <= mu1, and likewise nu(b) <= mu2; and min(a⊗b) = min(a)min(b)
-    when a factor has rank at most 43 (Kitaoka, Arithmetic of Quadratic
-    Forms, 1993, §7.1), so nu(t) = nu(a) + nu(b).  Past rank 43 the bound is
-    only observed.
-
-    line_plus_correction_bound, lattices only: mu_max(t) <= nu(t) + 1/2*log
-    rk t.  Let M of rank k attain mu_max(t).  Hermite's constant gives
-    det M >= lambda_1(M)^(2k) / gamma_k^k, and lambda_1(M) >= lambda_1(t), so
-    mu_max(t) = -log(det M)/(2k) <= nu(t) + 1/2*log gamma_k; and gamma_k <= k
-    <= rk t (Minkowski's theorem with the cube of side 2/sqrt(k) inside the
-    unit ball).  No such line bound holds for multifiltered spaces: three
-    weight-1 lines in Q^2 have mu_max = 3/2 and nu = 1."""
-    kind, a, b = instance
-    if kind == "lattice":
-        t = a.tensor(b)
-        r1, r2, rt = (mu_max(lat, node_cap) for lat in (a, b, t))
-        nu = lambda: -half_log(minimum_sq(t, node_cap))
-        rho1, rho2 = half_log(a.rank), half_log(b.rank)
-    elif kind == "multifilt":
-        t = tensor_mf(a, b)
-        r1, r2 = mu_max_mf(a), mu_max_mf(b)
-        w = [tuple(x * y for x in wa for y in wb) for wa in r1.witness for wb in r2.witness]
-        rt = mu_max_mf(t, extra_candidates=[w])
-        nu = lambda: nu_witness(t)[0]
-        rho1 = rho2 = F(0)
-    else:
-        raise ValueError(f"unknown instance kind {kind!r}")
-    rep = Report(name=f"slope-inequalities-{kind}")
-    rep.require(
-        "inputs_certified",
-        r1.certified and r2.certified and rt.certified,
-        "all three mu_max searches certified",
-    )
-    nu_t = nu()
-    mu1, mu2, mu_t = r1.value, r2.value, rt.value
-    upper = mu1 + rho1 + mu2 + rho2
-    rep.require("tensor_line_bound", nu_t <= mu1 + mu2, f"nu(tensor) = {nu_t} <= {mu1 + mu2}")
-    if kind == "lattice":
-        rho_t = half_log(t.rank)
-        rep.require(
-            "line_plus_correction_bound",
-            mu_t <= nu_t + rho_t,
-            f"mu_max(tensor) = {mu_t} <= nu + rho = {nu_t + rho_t}",
-        )
-    rep.require(
-        "tensor_mu_max_upper",
-        mu_t <= upper,
-        f"mu_max(tensor) = {mu_t} <= sum of mu_max + corrections = {upper}",
-    )
-    rep.require("tensor_mu_max_lower", mu_t >= mu1 + mu2, f"mu_max(tensor) = {mu_t} >= {mu1 + mu2}")
-    return rep

@@ -1,0 +1,100 @@
+"""Writes tests/data/golden.json, the outputs a refactor of the tensor step
+must keep, from public functions only:
+
+- the tensor step, mu_max of both factors and of their tensor, on 100 seeded
+  pairs of each kind (value, witness HNF or RREF, upper, certified), the
+  multifiltered tensor probed by the product of its factors' witnesses.
+  Draw 72 of the multifiltered pairs is a 9-dimensional tensor that does
+  not certify;
+- `inequality_suite(...).to_dict()` on the first 40 pairs of each kind, or
+  the failure it raises;
+- thm07 at seeds 0 and 7;
+- the JSON records of the tensor-bound experiment at the default config and
+  at seed 77, unimodular.
+
+Run from the repository root: `PYTHONPATH=src python tests/make_golden.py`.
+`test_harness.test_golden_outputs_are_kept` compares every entry."""
+
+import json
+import random
+from pathlib import Path
+
+from slopekit import ReproFailure, harness, inequality_suite, mu_max, mu_max_mf, tensor_mf
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
+PAIRS = 100
+SUITE_PAIRS = 40
+
+
+def lattice_pairs():
+    """Pairs of `random_lattice`s of ranks r1, r2 with r1 * r2 <= 6, drawn
+    as the tensor-bound experiment draws them."""
+    rng = random.Random(36)
+    out = []
+    for _ in range(PAIRS):
+        while True:
+            r1, r2 = rng.randint(1, 3), rng.randint(1, 3)
+            if r1 * r2 <= 6:
+                break
+        out.append((harness.random_lattice(rng, r1), harness.random_lattice(rng, r2)))
+    return out
+
+
+def mf_pairs():
+    """Pairs of `random_multifiltered` spaces of dimension 1..3 with 1..3
+    filtrations, the same number in both."""
+    rng = random.Random(36)
+    out = []
+    for _ in range(PAIRS):
+        n = rng.randint(1, 3)
+        out.append((harness.random_multifiltered(rng, rng.randint(1, 3), n), harness.random_multifiltered(rng, rng.randint(1, 3), n)))
+    return out
+
+
+def lattice_step(a, b):
+    results = [mu_max(lat) for lat in (a, b, a.tensor(b))]
+    return [
+        {"value": r.value.render(), "witness": [list(row) for row in r.witness.basis], "upper": r.upper.render(), "certified": r.certified}
+        for r in results
+    ]
+
+
+def mf_step(a, b):
+    r1, r2 = mu_max_mf(a), mu_max_mf(b)
+    probe = [tuple(x * y for x in wa for y in wb) for wa in r1.witness for wb in r2.witness]
+    results = [r1, r2, mu_max_mf(tensor_mf(a, b), [probe])]
+    return [
+        {"value": str(r.value), "witness": [list(row) for row in r.witness], "upper": str(r.upper), "certified": r.certified}
+        for r in results
+    ]
+
+
+def suite(kind, a, b):
+    try:
+        return inequality_suite((kind, a, b)).to_dict()
+    except ReproFailure as exc:
+        return {"failure": str(exc)}
+
+
+def golden() -> dict:
+    lat, mf = lattice_pairs(), mf_pairs()
+    cfgs = {"default": (harness.ExperimentConfig(), False), "seed-77-unimodular": (harness.ExperimentConfig(seed=77), True)}
+    return {
+        "tensor_step": {
+            "lattice": [lattice_step(a, b) for a, b in lat],
+            "multifilt": [mf_step(a, b) for a, b in mf],
+        },
+        "inequality_suite": {
+            "lattice": [suite("lattice", a, b) for a, b in lat[:SUITE_PAIRS]],
+            "multifilt": [suite("multifilt", a, b) for a, b in mf[:SUITE_PAIRS]],
+        },
+        "thm07": {str(seed): harness.repro_thm07(seed=seed).to_dict() for seed in (0, 7)},
+        "bost_experiment": {
+            name: json.loads(harness.emit_records(*harness.bost_experiment(cfg, unimodular), "json"))
+            for name, (cfg, unimodular) in cfgs.items()
+        },
+    }
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(golden(), indent=1) + "\n")

@@ -646,3 +646,22 @@ def test_cli_factoring_cap_exits_2(tmp_path, capsys):
     assert captured.out == ""
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(p * q) in err
+
+
+def test_golden_outputs_are_kept():
+    """Every entry of tests/data/golden.json, written by tests/make_golden.py
+    from public functions, is what the library gives now: the tensor step of
+    both categories on 100 seeded pairs each, the inequality suite on 40,
+    thm07 and the tensor-bound experiment.  The corpus holds an uncertified
+    9-dimensional tensor (draw 72), so the flag and the upper bound of a
+    failed certificate are kept too."""
+    from make_golden import GOLDEN, golden
+
+    want = json.loads(GOLDEN.read_text())
+    mf_72 = want["tensor_step"]["multifilt"][72][2]
+    assert not mf_72["certified"] and len(mf_72["witness"][0]) == 9
+    got = golden()
+    assert got.keys() == want.keys()
+    for section, entries in want.items():
+        for key, value in entries.items():
+            assert got[section][key] == value, f"{section}/{key}"

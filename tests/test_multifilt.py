@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from slopekit import linalg
+from slopekit.harness import inequality_suite
 from slopekit.multifilt import (
     Filtration,
     MultifilteredSpace,
     dual_mf,
-    inequality_suite,
     is_semistable_mf,
     mu_max_mf,
     multigraded_dims,

@@ -215,10 +215,10 @@ def test_work_budget_units_are_pinned(monkeypatch):
     corpus the units and calls of the benchmark's op and, separately, of
     the rest of each case are the pinned ones, and `_rref_rows` makes
     no `rref` call on integer RREF rows or on unit-pivot Fraction RREF rows,
-    the forms stored subspaces and their printed bases take.  The split
-    certificate runs in the op-23 case alone, and the degree bounds of its
-    pieces (the probe's subobject and quotient) eliminate through `rref`,
-    so the budget charges them."""
+    the forms stored subspaces and their printed bases take.  Only the
+    op-23 case reads the bounds through a probe (`through`), and the degree
+    bounds of its pieces (the probe's subobject and quotient) eliminate
+    through `rref`, so the budget charges them."""
     linalg, mf = slopekit.linalg, slopekit.multifilt
     cases = _budget_corpus()
     calls, split_units = [], []
@@ -329,7 +329,9 @@ def test_multifiltered_mu_max_has_one_certificate():
     space itself), of the one quotient `_mf_canopy` makes per subspace; and
     `mu_max_mf` reads the first edge of the canopy with
     no bound arithmetic of its own.  The three earlier certificates
-    (`certifies`, `split` and the tightening after the closure) are gone."""
+    (`certifies`, `split` and the tightening after the closure) are gone,
+    and `passes` has one form: every call hands it its bounds, the
+    relaxation's (`plain`) included, and no hand-made memo remains."""
     tree = ast.parse(Path(slopekit.multifilt.__file__).read_text())
     calls: dict[str, list] = {}
 
@@ -350,6 +352,35 @@ def test_multifiltered_mu_max_has_one_certificate():
     assert [stack[:1] for stack, _ in calls["quotient_object"]].count(("_mf_canopy",)) == 1
     _, *body = functions["mu_max_mf"].body  # after the docstring
     assert [ast.unparse(s) for s in body] == ["return first_edge(_mf_canopy(m, extra_candidates))"]
+    passes = [call for stack, call in calls["passes"] if stack[:1] == ("_mf_canopy",)]
+    assert len(passes) >= 3 and all(len(call.args) == 2 and not call.keywords for call in passes)
+    assert len(calls["passes"]) == len(passes)
+    names = {node.id for node in ast.walk(functions["_mf_canopy"]) if isinstance(node, ast.Name)}
+    assert not {"memo", "once"} & (names | set(functions))
+
+
+def test_one_tensor_step():
+    """Both slope categories take mu_max of a tensor and its factors in one
+    place, `harness.tensor_mu_max`, the only `mu_max_mf` call in the sources
+    that passes a probe; the suite and the seeded loops read it, and
+    multifilt binds none of the lattice search or the report type."""
+    mf = slopekit.multifilt
+    assert not {"mu_max", "minimum_sq", "DEFAULT_NODE_CAP", "half_log", "Report", "inequality_suite"} & set(vars(mf))
+    probed = []
+    for path in sorted((Path(slopekit.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text())
+
+        def visit(node, stack):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "mu_max_mf" and (len(child.args) > 1 or child.keywords):
+                        probed.append((path.stem,) + stack)
+                visit(child, stack + (child.name,) if isinstance(child, ast.FunctionDef) else stack)
+
+        visit(tree, ())
+    assert probed == [("harness", "tensor_mu_max")]
 
 
 def test_hermitian_grams_go_through_bareiss(monkeypatch):
@@ -651,8 +682,8 @@ def test_polygon_readers_reach_quotient_polygon(monkeypatch):
     routes = {
         "mu_max": lambda: en.mu_max(lat),
         "mu_max_mf": lambda: mf.mu_max_mf(m),
-        "inequality_suite lattice": lambda: mf.inequality_suite(("lattice", a2, a2)),
-        "inequality_suite multifilt": lambda: mf.inequality_suite(("multifilt", m, m)),
+        "inequality_suite lattice": lambda: slopekit.harness.inequality_suite(("lattice", a2, a2)),
+        "inequality_suite multifilt": lambda: slopekit.harness.inequality_suite(("multifilt", m, m)),
     }
     for name, route in routes.items():
         del polygons[:], edges[:]
