@@ -48,7 +48,6 @@ from .multifilt import (
     slope_filtration_mf,
     tensor_mf,
 )
-from .harness import inequality_suite
 from .report import Check, Report, ReproFailure
 
 __version__ = "0.1.0"
@@ -102,3 +101,11 @@ __all__ = [
     "Report",
     "ReproFailure",
 ]
+
+
+def __getattr__(name):  # PEP 562: the experiment harness loads on first use
+    if name != "inequality_suite":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .harness import inequality_suite
+
+    return inequality_suite

@@ -24,13 +24,13 @@ det L * min_sq(L*)^(r-k) / gamma_(r-k)^(r-k).  Let (k0, d0) be the exact rank
 of greatest slope found so far, starting from (r, det L).  A rank whose floor
 exceeds d0^(k/k0) is not searched (skip), and any other rank is searched
 only up to a rational C_k >= d0^(k/k0) (cap).  Both are complete: a skipped
-or capped rank has every determinant above d0^(k/k0), so every rank-k degree
-lies strictly below k times the best slope so far, hence below the final
-first edge; a rank-k sublattice of equal slope has determinant
-d0^(k/k0) <= C_k, so a capped search still finds every tie and the largest
-rank of maximal slope is kept.  Ranks 1 and r - 1, where a floor is exact
-(gamma_1 = 1), are read off the shortest vectors of L and L* with no search,
-in `mu_max` and `slope_filtration` alike (see `_min_det_rank_k`).
+rank, or a capped one that finds nothing, has every determinant above
+d0^(k/k0), so every rank-k degree lies strictly below the final first edge
+and the rank records no bound; a rank-k sublattice of equal slope has
+determinant d0^(k/k0) <= C_k, so a capped search still finds every tie and
+the largest rank of maximal slope is kept.  Ranks 1 and r - 1, where a floor
+is exact (gamma_1 = 1), are read off the shortest vectors of L and L* with
+no search, in `mu_max` and `slope_filtration` alike (see `_min_det_rank_k`).
 
 Both slope categories read mu_max off what they know at each rank through
 `first_edge`, as one `CertifiedMuMax`, and build the canonical filtration
@@ -79,9 +79,10 @@ class CertifiedMuMax:
     (Fraction slopes, RREF rows): every slope is at most `upper`, which is
     `value` when certified.  Certified proves `value` and `upper`, and the
     witness's slope, not always that it is the largest (see `first_edge`);
-    for a multifiltered space of dimension at most 3, whose canopy is
-    exact, and for one whose certificate passed (`multifilt._mf_canopy`),
-    it is the largest."""
+    for a lattice whose canopy kept no integrality bound, for a
+    multifiltered space of dimension at most 3, whose canopy is exact, and
+    for one whose certificate passed (`multifilt._mf_canopy`), it is the
+    largest."""
 
     value: Any
     witness: Any
@@ -108,8 +109,10 @@ class SlopePolygon:
 class RankBound(NamedTuple):
     """What a slope category knows at one rank k: the greatest degree it found
     among rank-k subobjects, with that subobject as witness (both None if it
-    found none), and an upper bound on every rank-k degree.  A list of these
-    for k = 1..r is a canopy; its last entry, the whole object, has a lower
+    found none), and an upper bound on every rank-k degree, None where it
+    proved every rank-k degree strictly below k times the first edge's slope
+    (such a rank can neither hold the edge nor tie it).  A list of these for
+    k = 1..r is a canopy; its last entry, the whole object, has a lower
     degree."""
 
     lower: Any
@@ -122,13 +125,14 @@ def first_edge(canopy: Sequence[RankBound]) -> CertifiedMuMax:
     the upper convex hull of the origin and the points (k, lower_k), ending
     at the point (k1, y1) of greatest slope, the largest rank among ties,
     with that rank's witness.  Every rank-k degree lies in [lower_k,
-    upper_k], so every slope is at most `upper`, the largest upper_k / k.
-    Certified iff upper_k * k1 <= y1 * k for every k: no slope then exceeds
-    mu = y1 / k1, which the witness attains, and `upper` is mu.  An exact
-    rank (upper_k == lower_k) passes without a comparison.  The witness is
-    the largest subobject of slope mu unless a rank above k1 kept only a
-    bound on the edge's line, under which a subobject of slope mu may lie;
-    an exact canopy keeps no such rank."""
+    upper_k], so every slope is at most `upper`, the largest upper_k / k
+    among the bounded ranks.  Certified iff upper_k * k1 <= y1 * k for every
+    k: no slope then exceeds mu = y1 / k1, which the witness attains, and
+    `upper` is mu.  An exact rank (upper_k == lower_k), or one with no bound
+    (see `RankBound`), passes without a comparison.  The witness is the
+    largest subobject of slope mu unless a rank above k1 kept only a bound
+    on the edge's line, under which a subobject of slope mu may lie; no
+    exact or unbounded rank is such a rank."""
     pts = [(k, b) for k, b in enumerate(canopy, 1) if b.lower is not None]
     k1, edge = pts[0]
     for k, b in pts[1:]:
@@ -141,7 +145,7 @@ def first_edge(canopy: Sequence[RankBound]) -> CertifiedMuMax:
                 raise AssertionError(f"rank-{k} upper bound fell below an exact degree")
             certified = certified and not b.upper * k1 > edge.lower * k
     value = edge.lower / k1
-    upper = value if certified else max(b.upper / k for k, b in enumerate(canopy, 1))
+    upper = value if certified else max(b.upper / k for k, b in enumerate(canopy, 1) if b.upper is not None)
     return CertifiedMuMax(value, edge.witness, upper, certified)
 
 
@@ -540,10 +544,10 @@ def densest_sublattice(
 # mu_max / slope filtration.
 
 def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> tuple[Fraction, Sublattice]:
-    """Cheap incumbent: best k-subset of an LLL-reduced basis.  A subset of a
-    basis is saturated, so it needs no saturation, and its determinant is a
-    principal minor of the reduced Gram matrix, so only the winner becomes a
-    Sublattice."""
+    """Cheap incumbent, the search's budget: best k-subset of an LLL-reduced
+    basis.  A subset of a basis is saturated, so it needs no saturation, and
+    its determinant is a principal minor of the reduced Gram matrix, so only
+    the winner becomes a Sublattice."""
     from itertools import combinations
 
     reduced, u = lll_reduce(lat)
@@ -559,47 +563,39 @@ def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> tuple[Fraction, Sublatt
 
 def _min_det_rank_k(
     lat: EuclideanLattice, k: int, node_cap: int, cap: Optional[Fraction] = None
-) -> tuple[Fraction, Sublattice]:
-    """Global minimal determinant over rank-k sublattices, with witness.
+) -> Optional[tuple[Fraction, Sublattice]]:
+    """Global minimal determinant d_k over rank-k sublattices, with witness.
 
     With a cap the search covers only determinants <= cap: if none is that
-    small, the greedy incumbent comes back with its determinant, above cap,
-    and every rank-k determinant exceeds cap.  At k = 1 nothing is searched
-    and the cap is not read: d_1 = min_sq comes back with a shortest vector
-    as witness, above the cap if min_sq is.  At k = r - 1 the Rankin branch
-    below reaches k = 1 on the dual, so there too d_(r-1) is exact whatever
-    the cap."""
+    small, None comes back, and every rank-k determinant exceeds cap.  The
+    greedy incumbent only tightens the search's budget to min(greedy, cap).
+    At k = 1 nothing is searched and the cap is not read: d_1 = min_sq comes
+    back with a shortest vector as witness, above the cap if min_sq is.  At
+    k = r - 1 the Rankin branch below reaches k = 1 on the dual, so there
+    too d_(r-1) is exact whatever the cap."""
     r = lat.rank
     if k == r:
         return lat.det(), lat.full_sublattice()
     if k == 1:
-        # The search returned pool[0], the first vector of the enumeration
-        # sorted by (length, coords) up to the budget; every such enumeration
-        # with a bound >= min_sq starts with the memo's vector.  So the result
-        # differs only when a cap below min_sq empties the pool: the search
-        # then returned the greedy vector, here the exact minimum comes back,
-        # above the cap all the same.  `_lattice_canopy` never meets that
-        # case: the exact floor at k = 1 skips the rank first.  A node cap
-        # raises from this same minimum as it did from the search.
+        # The memoized shortest vector is pool[0] of the search at any budget
+        # >= min_sq (the enumeration is sorted by (length, coords)); below
+        # min_sq it still comes back, where `_lattice_canopy`'s exact floor
+        # skips the rank first.  A node cap raises from this same minimum.
         coords, min_sq = _minimum_sq(lat, node_cap)
         return min_sq, Sublattice(lat, [coords])  # a shortest vector is primitive
     if k > r - k:
-        # Rankin duality: d_k(L) = det(L) * d_{r-k}(dual L)
-        dual_cap = None if cap is None else cap / lat.det()
-        ddet, dwit = _min_det_rank_k(lat.dual(), r - k, node_cap, dual_cap)
-        ann = linalg.int_kernel_saturated(dwit.basis, r)
-        wit = Sublattice(lat, ann)
-        det_k = wit.det()
-        expected = lat.det() * ddet
-        if det_k != expected:
-            raise AssertionError("Rankin duality mismatch: annihilator witness is not optimal")
-        return det_k, wit
-    greedy = _greedy_rank_k_det(lat, k)
-    budget = greedy[0] if cap is None else min(greedy[0], cap)
-    sub = densest_sublattice(lat, k, budget, node_cap)
-    if sub is None:
-        return greedy
-    return sub.det(), sub
+        # Rankin duality: the annihilator of a saturated rank-(r-k) M of L*
+        # is a saturated rank-k sublattice of L of determinant det L * det M,
+        # so d_k(L) = det L * d_(r-k)(L*), witnessed by the annihilator.
+        found = _min_det_rank_k(lat.dual(), r - k, node_cap, None if cap is None else cap / lat.det())
+        if found is None:
+            return None
+        det_k = lat.det() * found[0]
+        return det_k, Sublattice(lat, linalg.int_kernel_saturated(found[1].basis, r))._proved_det(det_k)
+    budget = _greedy_rank_k_det(lat, k)[0]
+    sub = densest_sublattice(lat, k, budget if cap is None else min(budget, cap), node_cap)
+    # without a cap the greedy sublattice itself is within the budget
+    return None if sub is None else (sub.det(), sub)
 
 
 def _root_ceil(q: Fraction, n: int) -> Fraction:
@@ -659,57 +655,52 @@ def _lattice_canopy(lat: EuclideanLattice, node_cap: int) -> list[RankBound]:
     the unimodular lattices (L = 1) and their rational rescalings.
 
     The search is bound-first, for `mu_max`, which reads only the first edge.
-    (k0, d0) is the exact rank of greatest slope so far, mu0 its slope,
-    starting from (r, det L); it moves to an exact rank k whenever
-    d_k^k0 < d0^k.  F_k is the larger Minkowski floor of `_minkowski_floors`.
-    Every comparison is between Fractions.
+    (k0, d0) is the exact rank of greatest slope so far, starting from
+    (r, det L); it moves to an exact rank k whenever d_k^k0 < d0^k.  F_k is
+    the larger Minkowski floor of `_minkowski_floors`.  Every comparison is
+    between Fractions.
 
-    - Skip: if F_k^k0 > d0^k, rank k is not searched.  Every rank-k
-      determinant is >= F_k > d0^(k/k0), so every rank-k degree is below
-      k * mu0, its recorded upper bound, and mu0 never exceeds the final
-      first edge's slope.
+    - Skip: if F_k^k0 > d0^k, rank k is not searched: every rank-k
+      determinant is >= F_k > d0^(k/k0).
     - Cap: otherwise rank k is searched only for determinants
-      <= C_k = `_root_ceil`(d0^k, k0) >= d0^(k/k0).  If the search finds
-      none, every rank-k determinant exceeds C_k, so every rank-k degree is
-      again below k * mu0, its recorded upper bound, as for a skipped rank.
-      A rank-k sublattice of slope mu0 has
-      determinant d0^(k/k0) <= C_k, so ties with the best slope are still
-      found, and the first edge still ends at the largest rank of maximal
-      slope.
+      <= C_k = `_root_ceil`(d0^k, k0) >= d0^(k/k0); if it finds none, every
+      rank-k determinant exceeds C_k.  A rank-k sublattice of the slope of
+      (k0, d0) has determinant d0^(k/k0) <= C_k, so ties with the best slope
+      are still found and the first edge still ends at the largest rank of
+      maximal slope; any determinant the search returns is d_k.
 
-    So a skipped or capped rank never holds a point on or above the first
-    edge, and its upper bound never lies above it: wherever a full search
-    certifies, the first edge, its witness and the flag are the same.  Ranks
-    skipped after a node cap take the integrality bound (see `first_edge`)."""
+    Either way every rank-k degree lies strictly below k times the slope of
+    (k0, d0), hence of the final first edge: the rank can neither hold the
+    edge nor tie it, and records no bound (`RankBound`), as does a rank the
+    floor skips after a node cap.  Wherever a full search certifies, the
+    first edge, its witness and the flag are the same."""
     r = lat.rank
     scale = lat.scaled_gram()[1]
     # no rank is searched once one hits the node cap, nor any if det(L * G) = 1
     capped = lat.det() * scale**r == 1
     floors = [None] * r if capped else _minkowski_floors(lat, node_cap)
     deg_r, half_log_scale = lat.degree(), half_log(scale)
-    k0, d0, mu0 = r, lat.det(), deg_r / r
+    k0, d0 = r, lat.det()
     canopy: list[RankBound] = []
     for k in range(1, r):
-        d0k = d0**k
-        if floors[k] is not None and floors[k] ** k0 > d0k:
-            canopy.append(RankBound(None, None, k * mu0))
+        d0k, found = d0**k, None
+        if floors[k] is None or floors[k] ** k0 <= d0k:  # not skipped
+            if not capped:
+                try:
+                    found = _min_det_rank_k(lat, k, node_cap, _root_ceil(d0k, k0))
+                except EnumerationCapExceeded:
+                    capped = True
+            if capped:
+                canopy.append(RankBound(None, None, k * half_log_scale))
+                continue
+        if found is None:
+            canopy.append(RankBound(None, None, None))
             continue
-        if not capped:
-            cap = _root_ceil(d0k, k0)
-            try:
-                det_k, wit = _min_det_rank_k(lat, k, node_cap, cap)
-            except EnumerationCapExceeded:
-                capped = True
-        if capped:
-            canopy.append(RankBound(None, None, k * half_log_scale))
-            continue
-        if det_k > cap:
-            canopy.append(RankBound(None, None, k * mu0))
-            continue
+        det_k, wit = found
         deg = -half_log(det_k)
         canopy.append(RankBound(deg, wit, deg))
         if det_k**k0 < d0k:
-            k0, d0, mu0 = k, det_k, deg / k
+            k0, d0 = k, det_k
     canopy.append(RankBound(deg_r, lat.full_sublattice(), deg_r))
     return canopy
 

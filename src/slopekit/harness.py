@@ -43,7 +43,7 @@ class ExperimentConfig:
     count: int = 50
     max_rank: int = 3
     entry_bound: int = 2
-    node_cap: int = 2_000_000
+    node_cap: int = DEFAULT_NODE_CAP
     max_tensor_rank: int = 6
 
     def __post_init__(self):

@@ -10,7 +10,11 @@ must keep, from public functions only:
   the failure it raises;
 - thm07 at seeds 0 and 7;
 - the JSON records of the tensor-bound experiment at the default config and
-  at seed 77, unimodular.
+  at seed 77, unimodular;
+- `mu_max` at node caps 20, 200 and the default (value, witness HNF, upper,
+  certified), and `slope_filtration` at cap 200 (hull, chain HNFs,
+  certified), on 120 seeded `random_lattice`s of rank 2-8; 34 of the
+  `mu_max` results at cap 20 and 16 at cap 200 are uncertified.
 
 Run from the repository root: `PYTHONPATH=src python tests/make_golden.py`.
 `test_harness.test_golden_outputs_are_kept` compares every entry."""
@@ -19,11 +23,12 @@ import json
 import random
 from pathlib import Path
 
-from slopekit import ReproFailure, harness, inequality_suite, mu_max, mu_max_mf, tensor_mf
+from slopekit import ReproFailure, harness, inequality_suite, mu_max, mu_max_mf, slope_filtration, tensor_mf
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
 PAIRS = 100
 SUITE_PAIRS = 40
+LATTICES = 120
 
 
 def lattice_pairs():
@@ -51,12 +56,26 @@ def mf_pairs():
     return out
 
 
+def lattices():
+    """`random_lattice`s of rank 2..8."""
+    rng = random.Random(31)
+    return [harness.random_lattice(rng, rng.randint(2, 8)) for _ in range(LATTICES)]
+
+
+def lattice_mu_max(r):
+    return {"value": r.value.render(), "witness": [list(row) for row in r.witness.basis], "upper": r.upper.render(), "certified": r.certified}
+
+
 def lattice_step(a, b):
-    results = [mu_max(lat) for lat in (a, b, a.tensor(b))]
-    return [
-        {"value": r.value.render(), "witness": [list(row) for row in r.witness.basis], "upper": r.upper.render(), "certified": r.certified}
-        for r in results
-    ]
+    return [lattice_mu_max(mu_max(lat)) for lat in (a, b, a.tensor(b))]
+
+
+def filtration(poly):
+    return {
+        "hull": [[k, deg.render()] for k, deg in poly.hull],
+        "chain": [[list(row) for row in w.basis] for w in poly.filtration],
+        "certified": poly.certified,
+    }
 
 
 def mf_step(a, b):
@@ -77,7 +96,7 @@ def suite(kind, a, b):
 
 
 def golden() -> dict:
-    lat, mf = lattice_pairs(), mf_pairs()
+    lat, mf, single = lattice_pairs(), mf_pairs(), lattices()
     cfgs = {"default": (harness.ExperimentConfig(), False), "seed-77-unimodular": (harness.ExperimentConfig(seed=77), True)}
     return {
         "tensor_step": {
@@ -92,6 +111,12 @@ def golden() -> dict:
         "bost_experiment": {
             name: json.loads(harness.emit_records(*harness.bost_experiment(cfg, unimodular), "json"))
             for name, (cfg, unimodular) in cfgs.items()
+        },
+        "lattice_caps": {
+            "mu_max-20": [lattice_mu_max(mu_max(x, 20)) for x in single],
+            "mu_max-200": [lattice_mu_max(mu_max(x, 200)) for x in single],
+            "mu_max-default": [lattice_mu_max(mu_max(x)) for x in single],
+            "slope_filtration-200": [filtration(slope_filtration(x, 200)) for x in single],
         },
     }
 

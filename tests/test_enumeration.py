@@ -956,8 +956,11 @@ def test_first_edge_matches_brute_force(monkeypatch):
     canopies with collinear ties and missing ranks, over Fractions and over
     LogRationals (y -> y*log 2), against a brute-force hull; an exact
     LogRational canopy costs one sign() per comparison of the first edge and
-    no more.  The reference copy of the earlier whole-polygon reader, which
-    other tests compare with, matches the brute-force hull too."""
+    no more.  A rank with neither a degree nor a bound, which a canopy
+    proved below the edge, passes the certificate and is left out of an
+    uncertified `upper`.  The reference copy of the earlier whole-polygon
+    reader, which other tests compare with, matches the brute-force hull
+    too."""
     from slopekit.enumeration import RankBound, first_edge
 
     signs = []
@@ -965,12 +968,16 @@ def test_first_edge_matches_brute_force(monkeypatch):
     monkeypatch.setattr(LogRational, "sign", lambda self: signs.append(1) or real_sign(self))
     rng = random.Random(151)
     ties = exact = 0
+    blank = {True: 0, False: 0}  # results whose canopy has a rank with no bound, by flag
     for _ in range(400):
         r = rng.randint(1, 7)
         c = F(rng.randint(-3, 3), rng.randint(1, 2))
         all_exact = rng.random() < 0.3
         canopy, points = [], {}
         for k in range(1, r + 1):
+            if k < r and not all_exact and rng.random() < 0.15:
+                canopy.append(RankBound(None, None, None))
+                continue
             lower = None
             if k == r or all_exact or rng.random() < 0.8:
                 lower = k * c if rng.random() < 0.4 else F(rng.randint(-6, 6), rng.choice((1, 2)))
@@ -983,11 +990,14 @@ def test_first_edge_matches_brute_force(monkeypatch):
             canopy.append(RankBound(lower, ("w", k), upper))
         vertices, height = _brute_force_hull(points, r)
         ties += any(k not in vertices and points[k] == height[k] for k in points)
-        certified = all(b.upper <= height[k] for k, b in enumerate(canopy, 1))
+        bounded = [(k, b.upper) for k, b in enumerate(canopy, 1) if b.upper is not None]
+        certified = all(u <= height[k] for k, u in bounded)
         mu = max(y / k for k, y in points.items())
         k1 = max(k for k, y in points.items() if y / k == mu)
-        first_certified = all(b.upper <= k * mu for k, b in enumerate(canopy, 1))
-        upper = mu if first_certified else max(b.upper / k for k, b in enumerate(canopy, 1))
+        first_certified = all(u <= k * mu for k, u in bounded)
+        upper = mu if first_certified else max(u / k for k, u in bounded)
+        if len(bounded) < r:
+            blank[first_certified] += 1
         log2 = [
             RankBound(*(None if x is None else LogRational(0, {2: x}) for x in (b.lower, None, b.upper)))
             ._replace(witness=b.witness)
@@ -1005,7 +1015,7 @@ def test_first_edge_matches_brute_force(monkeypatch):
             if can is log2 and all_exact:
                 assert len(signs) == len(points) - 1
                 exact += 1
-    assert ties >= 50 and exact >= 50
+    assert ties >= 50 and exact >= 50 and min(blank.values()) >= 20
     with pytest.raises(AssertionError, match="rank-1 upper bound"):
         first_edge([RankBound(F(1), None, F(0)), RankBound(F(0), None, F(0))])
 
@@ -1239,6 +1249,7 @@ def test_bound_first_mu_max_matches_full_canopy(monkeypatch):
 
     real = en._min_det_rank_k
     calls = []
+    nothing = "nothing at or below the cap"
 
     def counted(lat, k, node_cap, cap=None):
         try:
@@ -1246,7 +1257,7 @@ def test_bound_first_mu_max_matches_full_canopy(monkeypatch):
         except EnumerationCapExceeded:
             calls.append((lat, k, cap, None))
             raise
-        calls.append((lat, k, cap, out[0]))
+        calls.append((lat, k, cap, nothing if out is None else out[0]))
         return out
 
     rng = random.Random(163)
@@ -1282,12 +1293,92 @@ def test_bound_first_mu_max_matches_full_canopy(monkeypatch):
             assert want[2] and got == want
             newly += 1
         top = [(k, cap_k, det_k) for m, k, cap_k, det_k in calls if m is lat]
-        caps += sum(det_k is not None and cap_k is not None and det_k > cap_k for _, cap_k, det_k in top)
+        caps += sum(det_k is nothing for _, _, det_k in top)
         if linalg.det_int(lat.scaled_gram()[0]) != 1:
             # every rank up to the first node cap is searched unless skipped
             last = next((k for k, _, det_k in top if det_k is None), lat.rank - 1)
             skips += last - len({k for k, _, _ in top if k <= last})
     assert skips >= 50 and caps >= 50 and checked >= 300 and newly > 0
+
+
+def test_lattice_canopy_records_only_what_it_proved():
+    """Every proper rank of the lattice canopy is one of three things, on 240
+    seeded lattices (random and rational of rank 2-4, duals, the 2x2, 2x3
+    and 3x2 tensors, det(L * G) = 1 rescalings) at node caps 3, 12, 40 and
+    the default: exact, the degree of its witness, which is d_k; no bound,
+    RankBound(None, None, None), where every rank-k determinant d has
+    d^k1 > d_(k1)^k for the first edge's rank k1, so the rank lies strictly
+    below the edge; or the integrality bound k/2 log L, from the first
+    node-capped rank on, and at every rank when det(L * G) = 1.  The full
+    rank is exact."""
+    from slopekit.enumeration import DEFAULT_NODE_CAP, RankBound, _lattice_canopy, _min_det_rank_k, first_edge
+
+    rng = random.Random(193)
+    seen = {"exact": 0, "none": 0, "integrality": 0, "unit": 0}
+    for t in range(240):
+        kind, r = t % 6, 2 + t % 3
+        if kind == 0:
+            lat = random_lattice(rng, r)
+        elif kind in (1, 2):
+            lat = _random_rational_lattice(rng, r)
+        elif kind == 3:
+            lat = _random_rational_lattice(rng, r).dual()
+        elif kind == 4:
+            r1, r2 = ((2, 2), (2, 3), (3, 2))[t // 6 % 3]
+            lat = random_lattice(rng, r1).tensor(random_lattice(rng, r2))
+        else:  # det(L * G) = 1 with L = q
+            lat = _change_basis(rng, unit_lattice(r)).scale(F(1, rng.randint(1, 6)))
+        node_cap = (3, 12, 40, DEFAULT_NODE_CAP)[t // 6 % 4]
+        canopy = _lattice_canopy(lat, node_cap)
+        r, scale = lat.rank, lat.scaled_gram()[1]
+        assert len(canopy) == r and canopy[-1] == RankBound(lat.degree(), lat.full_sublattice(), lat.degree())
+        edge = first_edge(canopy).witness
+        unit = capped = lat.det() * scale**r == 1
+        seen["unit"] += unit
+        for k, b in enumerate(canopy[:-1], 1):
+            if b.lower is not None:
+                assert not capped and b.upper == b.lower == -half_log(b.witness.det()) and b.witness.rank == k
+                assert b.witness.det() == _min_det_rank_k(lat, k, DEFAULT_NODE_CAP)[0]
+                seen["exact"] += 1
+            elif b.upper is None:
+                assert not unit and b.witness is None
+                d_k = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP)[0]
+                assert d_k**edge.rank > edge.det() ** k
+                seen["none"] += 1
+            else:
+                assert b == RankBound(None, None, k * half_log(scale))
+                capped = True
+                seen["integrality"] += not unit
+    assert seen["exact"] >= 150 and seen["none"] >= 100 and seen["integrality"] >= 80 and seen["unit"] >= 30
+
+
+def test_rankin_witness_determinant_is_the_law():
+    """At every rank k > r - k of 60 seeded lattices of rank 3-8 (integral,
+    rational, duals, tensors), the determinant the Rankin witness carries
+    by law, det L * d_(r-k)(L*), is that of a fresh Sublattice on its basis,
+    built from the induced Gram."""
+    from slopekit.enumeration import DEFAULT_NODE_CAP, _min_det_rank_k
+
+    rng = random.Random(197)
+    checked = 0
+    for t in range(60):
+        r = 3 + t % 6
+        kind = t // 6 % 4
+        if kind == 0:
+            lat = random_lattice(rng, r)
+        elif kind == 1:
+            lat = _random_rational_lattice(rng, r)
+        elif kind == 2:
+            lat = _random_rational_lattice(rng, r).dual()
+        elif r % 2 == 0:
+            lat = random_lattice(rng, 2).tensor(random_lattice(rng, r // 2))
+        else:
+            lat = random_lattice(rng, r).scale(F(1, 3))
+        for k in range(r // 2 + 1, r):
+            det_k, wit = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP)
+            assert wit.rank == k and det_k == wit.det() == Sublattice(lat, wit.basis).det()
+            checked += 1
+    assert checked >= 100
 
 
 def test_minkowski_floors_are_sound():
@@ -1354,8 +1445,9 @@ _NON_GREEDY_RANK5 = EuclideanLattice([
 
 def test_capped_min_det_is_exact_up_to_its_cap():
     """_min_det_rank_k with a cap: at cap = d_k it returns d_k, with a witness
-    of that determinant, and below d_k it returns a determinant above the
-    cap; at Rankin ranks (k > r - k) the cap reaches the dual as cap / det L.
+    of that determinant, and below d_k it returns None, save at ranks 1 and
+    r - 1, which give d_k above the cap; at Rankin ranks (k > r - k) the cap
+    reaches the dual as cap / det L.
     Seeded lattices of rank 2-5, their duals and rescalings by 1/3, and a
     lattice, its dual and a rescaling where the greedy incumbent of the rank
     actually searched is not the minimum."""
@@ -1375,8 +1467,8 @@ def test_capped_min_det_is_exact_up_to_its_cap():
             d_k = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP)[0]
             det_k, wit = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP, d_k)
             assert det_k == d_k == wit.det() and wit.rank == k
-            below = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP, d_k * F(99, 100))[0]
-            assert below > d_k * F(99, 100)
+            below = _min_det_rank_k(lat, k, DEFAULT_NODE_CAP, d_k * F(99, 100))
+            assert below is None if 1 < k < r - 1 else below[0] == d_k
             rankin += k > r - k
             searched = (lat.dual(), r - k, lat.det()) if k > r - k else (lat, k, 1)
             not_greedy += _greedy_rank_k_det(*searched[:2])[0] * searched[2] > d_k

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import slopekit
+import slopekit.harness  # `import slopekit` alone does not load it
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -794,9 +795,10 @@ def _module_references(nodes: list[ast.AST], module: str, own_module: bool) -> s
 
 def _defined_names(node: ast.stmt) -> list[str]:
     """The function or the upper-case constants a top-level statement
-    defines."""
+    defines.  A module `__getattr__` (PEP 562) is left out: the interpreter
+    calls it, not a name in the sources."""
     if isinstance(node, ast.FunctionDef):
-        return [node.name]
+        return [] if node.name == "__getattr__" else [node.name]
     targets = node.targets if isinstance(node, ast.Assign) else []
     return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
 
@@ -836,3 +838,21 @@ def test_linalg_helpers_have_callers():
                 if name not in (in_src if helper else used):
                     unused.append(f"{module}.{name}")
     assert checked >= 100 and private >= 40 and not unused, unused
+
+
+def test_package_import_leaves_out_the_harness():
+    """`import slopekit` does not load the experiment harness; the package
+    still serves `inequality_suite` from it, on first use."""
+    import os
+    import subprocess
+
+    src = str(PERFBENCH.parent / "src")
+    code = (
+        "import sys, slopekit\n"
+        "assert 'slopekit.harness' not in sys.modules\n"
+        "from slopekit import inequality_suite\n"
+        "import slopekit.harness\n"
+        "assert inequality_suite is slopekit.harness.inequality_suite\n"
+        "assert 'inequality_suite' in slopekit.__all__\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
