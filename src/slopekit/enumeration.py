@@ -207,7 +207,7 @@ def lll_reduce(lat: EuclideanLattice):
     positive definite (congruent to G) with det G' = det G, so no
     elimination runs.
 
-    Memoized: lattices hash and compare by their Gram matrix."""
+    Memoized: lattices hash and compare by their integral pair."""
     n = lat.rank
     gi, scale = lat.scaled_gram()
     g = [list(row) for row in gi]
@@ -543,22 +543,16 @@ def densest_sublattice(
 # ---------------------------------------------------------------------------
 # mu_max / slope filtration.
 
-def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> tuple[Fraction, Sublattice]:
-    """Cheap incumbent, the search's budget: best k-subset of an LLL-reduced
-    basis.  A subset of a basis is saturated, so it needs no saturation, and
-    its determinant is a principal minor of the reduced Gram matrix, so only
-    the winner becomes a Sublattice."""
+def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> Fraction:
+    """The search's budget, and nothing else: the least determinant of a
+    k-subset of an LLL-reduced basis.  A subset of a basis spans a saturated
+    rank-k sublattice, so this bounds d_k from above, and its determinant is
+    a principal minor of the reduced Gram matrix."""
     from itertools import combinations
 
-    reduced, u = lll_reduce(lat)
-    gi, scale = reduced.scaled_gram()
-    best = None
-    for subset in combinations(range(lat.rank), k):
-        d = linalg.det_int([[gi[i][j] for j in subset] for i in subset])
-        if best is None or d < best[0]:
-            best = (d, subset)
-    d, subset = best
-    return F(d, scale**k), Sublattice(lat, [u[i] for i in subset])
+    gi, scale = lll_reduce(lat)[0].scaled_gram()
+    subsets = combinations(range(lat.rank), k)
+    return F(min(linalg.det_int([[gi[i][j] for j in s] for i in s]) for s in subsets), scale**k)
 
 
 def _min_det_rank_k(
@@ -592,9 +586,9 @@ def _min_det_rank_k(
             return None
         det_k = lat.det() * found[0]
         return det_k, Sublattice(lat, linalg.int_kernel_saturated(found[1].basis, r))._proved_det(det_k)
-    budget = _greedy_rank_k_det(lat, k)[0]
+    budget = _greedy_rank_k_det(lat, k)
     sub = densest_sublattice(lat, k, budget if cap is None else min(budget, cap), node_cap)
-    # without a cap the greedy sublattice itself is within the budget
+    # without a cap the greedy k-subset itself is within the budget
     return None if sub is None else (sub.det(), sub)
 
 

@@ -580,7 +580,6 @@ def parse(text: str) -> LogRational:
     sign = 1
     buf = ""
     depth = 0
-    first = True
     for ch in s:
         if ch == "(":
             depth += 1
@@ -590,7 +589,6 @@ def parse(text: str) -> LogRational:
             chunks.append(("-" if sign < 0 else "") + buf.strip())
             sign = 1 if ch == "+" else -1
             buf = ""
-            first = False
             continue
         buf += ch
     chunks.append(("-" if sign < 0 else "") + buf.strip())

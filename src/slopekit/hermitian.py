@@ -446,11 +446,6 @@ class HermitianLattice(_GramPair):
         out = EuclideanLattice._new(None, gram, 2 * self._den, det=det)
         return out._by_law((1, self), base=disc_quarter, power=r)
 
-    def __hash__(self):
-        if self._hash is None:
-            _set(self, "_hash", hash((self._field, self._den, self._s)))
-        return self._hash
-
     def __repr__(self):
         return f"HermitianLattice(d={self.field.d}, rank={self.rank}, det={self._det})"
 

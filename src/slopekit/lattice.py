@@ -64,7 +64,11 @@ class _GramPair:
     kind that sets `_DIAGONAL` has each diagonal entry checked to be a
     positive rational before the rest of its row; without it (euclidean
     lattices) the whole symmetry check comes first, and a diagonal entry
-    <= 0 fails Sylvester's test."""
+    <= 0 fails Sylvester's test.
+
+    Equality and hash are on the pair as well, for both kinds: `__eq__`
+    compares the field, D and D*G, and `__hash__` hashes (D, D*G), so no
+    view G is built to hash a lattice."""
 
     __slots__ = ("_field", "_s", "_den", "_det", "_gso_memo", "_gram", "_dual", "_hash", "_degree", "__weakref__")
 
@@ -334,6 +338,15 @@ class _GramPair:
             and self._s == other._s
         )
 
+    def __hash__(self):
+        # The memos of enumeration look lattices up many times, and most other
+        # lattices are never hashed: hash the pair once, on first use.  The
+        # field is left out, since hash(None) varies between processes;
+        # `__eq__` still tells the kinds apart.
+        if self._hash is None:
+            _set(self, "_hash", hash((self._den, self._s)))
+        return self._hash
+
 
 class EuclideanLattice(_GramPair):
     """Free Z-module of finite rank with a positive definite rational Gram matrix."""
@@ -382,15 +395,6 @@ class EuclideanLattice(_GramPair):
         return Sublattice(self, linalg.identity(self.rank))
 
     # -- identifications
-
-    def __hash__(self):
-        # The memos of enumeration look lattices up many times, and most other
-        # lattices are never hashed: hash the Gram matrix once, on first use.
-        # A tuple's hash depends only on its items' hashes, and
-        # hash(Fraction(n)) == hash(n), so an integral Gram hashes as L*G.
-        if self._hash is None:
-            _set(self, "_hash", hash(self._s if self._den == 1 else self.gram))
-        return self._hash
 
     def __repr__(self):
         return f"EuclideanLattice(rank={self.rank}, det={self._det})"

@@ -14,7 +14,12 @@ must keep, from public functions only:
 - `mu_max` at node caps 20, 200 and the default (value, witness HNF, upper,
   certified), and `slope_filtration` at cap 200 (hull, chain HNFs,
   certified), on 120 seeded `random_lattice`s of rank 2-8; 34 of the
-  `mu_max` results at cap 20 and 16 at cap 200 are uncertified.
+  `mu_max` results at cap 20 and 16 at cap 200 are uncertified; on the same
+  lattices, `mu_max` at node cap 2 and `minimum_sq` with the first vector
+  of the enumeration up to it, a shortest vector;
+- `lll_reduce` (the reduced `scaled_gram()` and U) on each lattice of the
+  criterion-4 corpus, the pairs `bost_experiment(ExperimentConfig())` draws
+  and their tensors, and on its dual.
 
 Run from the repository root: `PYTHONPATH=src python tests/make_golden.py`.
 `test_harness.test_golden_outputs_are_kept` compares every entry."""
@@ -23,7 +28,18 @@ import json
 import random
 from pathlib import Path
 
-from slopekit import ReproFailure, harness, inequality_suite, mu_max, mu_max_mf, slope_filtration, tensor_mf
+from slopekit import (
+    ReproFailure,
+    enumerate_short_vectors,
+    harness,
+    inequality_suite,
+    lll_reduce,
+    minimum_sq,
+    mu_max,
+    mu_max_mf,
+    slope_filtration,
+    tensor_mf,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
 PAIRS = 100
@@ -31,12 +47,12 @@ SUITE_PAIRS = 40
 LATTICES = 120
 
 
-def lattice_pairs():
+def lattice_pairs(seed=36, count=PAIRS):
     """Pairs of `random_lattice`s of ranks r1, r2 with r1 * r2 <= 6, drawn
     as the tensor-bound experiment draws them."""
-    rng = random.Random(36)
+    rng = random.Random(seed)
     out = []
-    for _ in range(PAIRS):
+    for _ in range(count):
         while True:
             r1, r2 = rng.randint(1, 3), rng.randint(1, 3)
             if r1 * r2 <= 6:
@@ -68,6 +84,24 @@ def lattice_mu_max(r):
 
 def lattice_step(a, b):
     return [lattice_mu_max(mu_max(lat)) for lat in (a, b, a.tensor(b))]
+
+
+def shortest(x):
+    vector, length = enumerate_short_vectors(x, minimum_sq(x)).vectors[0]
+    return {"min_sq": str(length), "vector": list(vector)}
+
+
+def reduction(x):
+    reduced, u = lll_reduce(x)
+    gi, scale = reduced.scaled_gram()
+    return {"gram": [list(row) for row in gi], "scale": scale, "u": [list(row) for row in u]}
+
+
+def criterion_4_corpus():
+    """The lattices of `bost_experiment(ExperimentConfig())`: each drawn
+    pair and its tensor."""
+    cfg = harness.ExperimentConfig()
+    return [x for a, b in lattice_pairs(cfg.seed, cfg.count) for x in (a, b, a.tensor(b))]
 
 
 def filtration(poly):
@@ -117,6 +151,11 @@ def golden() -> dict:
             "mu_max-200": [lattice_mu_max(mu_max(x, 200)) for x in single],
             "mu_max-default": [lattice_mu_max(mu_max(x)) for x in single],
             "slope_filtration-200": [filtration(slope_filtration(x, 200)) for x in single],
+            "mu_max-2": [lattice_mu_max(mu_max(x, 2)) for x in single],
+        },
+        "lattice_memos": {
+            "minimum_sq": [shortest(x) for x in single],
+            "lll_reduce-criterion-4": [{"lattice": reduction(x), "dual": reduction(x.dual())} for x in criterion_4_corpus()],
         },
     }
 

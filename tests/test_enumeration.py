@@ -391,7 +391,7 @@ def test_densest_sublattice_against_duality_oracle():
     rng = random.Random(71)
     for _ in range(10):
         lat = random_lattice(rng, 3)
-        budget, _ = _greedy_rank_k_det(lat, 2)
+        budget = _greedy_rank_k_det(lat, 2)
         sub = densest_sublattice(lat, 2, budget)
         # independent oracle: minimal rank-2 det = det(L) * min_sq(dual)
         # (the shortest dual vector is primitive, so it spans the minimal line)
@@ -407,10 +407,10 @@ def test_densest_sublattice_self_dual_cross_check():
     rng = random.Random(73)
     for _ in range(4):
         lat = random_lattice(rng, 4, bound=1)
-        b1, _ = _greedy_rank_k_det(lat, 2)
+        b1 = _greedy_rank_k_det(lat, 2)
         d_direct = densest_sublattice(lat, 2, b1).det()
         dual = lat.dual()
-        b2, _ = _greedy_rank_k_det(dual, 2)
+        b2 = _greedy_rank_k_det(dual, 2)
         d_dual = densest_sublattice(dual, 2, b2).det()
         assert d_direct == lat.det() * d_dual
 
@@ -598,7 +598,7 @@ def test_densest_sublattice_rankin_duality_rank5_rank6():
     ]
     for lat in lats:
         k = lat.rank - 1
-        budget, _ = _greedy_rank_k_det(lat, k)
+        budget = _greedy_rank_k_det(lat, k)
         sub = densest_sublattice(lat, k, budget)
         assert sub.det() == lat.det() * minimum_sq(lat.dual())
         assert sub.basis == sub.saturation().basis
@@ -648,7 +648,7 @@ def test_densest_sublattice_brute_force_rank_le_4():
     from slopekit.enumeration import _greedy_rank_k_det
 
     def check(lat, k):
-        budget, _ = _greedy_rank_k_det(lat, k)
+        budget = _greedy_rank_k_det(lat, k)
         sub = densest_sublattice(lat, k, budget)
         want = _brute_force_densest(lat, k, sub.det())
         assert (sub.det(), sub.hnf_basis()) == want
@@ -685,7 +685,7 @@ def test_densest_sublattice_hands_over_its_proved_det():
     cases = [(lat, k) for lat, ks in _brute_force_corpus() for k in ks if k > 1]
     assert len(cases) == 10
     for lat, k in cases:
-        sub = densest_sublattice(lat, k, _greedy_rank_k_det(lat, k)[0])
+        sub = densest_sublattice(lat, k, _greedy_rank_k_det(lat, k))
         b = linalg.mat(sub.basis)
         induced = linalg.matmul(linalg.matmul(b, lat.gram), linalg.transpose(b))
         assert sub._det is not None and sub._det == linalg.det_bareiss(induced)
@@ -878,7 +878,7 @@ def test_scaled_integer_search_matches_fraction_reference():
         assert got == _capped(_reference_enumerate, lat, bound, cap)
         outcomes.append(got == ("cap", cap))
         for k in sorted({k for k in (1, 2, 3, r) if k <= r}):
-            budget = _greedy_rank_k_det(lat, k)[0] * rng.choice((1, 1, F(3, 2)))
+            budget = _greedy_rank_k_det(lat, k) * rng.choice((1, 1, F(3, 2)))
             got = sub_key(_capped(densest_sublattice, lat, k, budget, cap))
             assert got == sub_key(_capped(_reference_densest, lat, k, budget, cap))
             outcomes.append(got == ("cap", cap))
@@ -1471,16 +1471,26 @@ def test_capped_min_det_is_exact_up_to_its_cap():
             assert below is None if 1 < k < r - 1 else below[0] == d_k
             rankin += k > r - k
             searched = (lat.dual(), r - k, lat.det()) if k > r - k else (lat, k, 1)
-            not_greedy += _greedy_rank_k_det(*searched[:2])[0] * searched[2] > d_k
+            not_greedy += _greedy_rank_k_det(*searched[:2]) * searched[2] > d_k
     assert rankin >= 50 and not_greedy >= 3
+
+
+def _greedy_incumbent(lat, k):
+    """The greedy incumbent with its witness, as `_greedy_rank_k_det` built
+    it before it returned the budget alone: the first k-subset of the
+    LLL-reduced basis of least determinant, as a Sublattice."""
+    reduced, u = lll_reduce(lat)
+    gi, scale = reduced.scaled_gram()
+    d, subset = min(
+        (linalg.det_int([[gi[i][j] for j in s] for i in s]), s) for s in itertools.combinations(range(lat.rank), k)
+    )
+    return F(d, scale**k), Sublattice(lat, [u[i] for i in subset])
 
 
 def _searched_min_det_rank_k(lat, k, node_cap, cap=None):
     """Reference copy of `_min_det_rank_k` as it was before ranks 1 and
     r - 1 were read off the shortest vectors: the greedy incumbent, the
     budget min(incumbent, cap), and `densest_sublattice`."""
-    from slopekit.enumeration import _greedy_rank_k_det
-
     r = lat.rank
     if k == r:
         return lat.det(), lat.full_sublattice()
@@ -1489,7 +1499,7 @@ def _searched_min_det_rank_k(lat, k, node_cap, cap=None):
         _, dwit = _searched_min_det_rank_k(lat.dual(), r - k, node_cap, dual_cap)
         wit = Sublattice(lat, linalg.int_kernel_saturated(dwit.basis, r))
         return wit.det(), wit
-    greedy = _greedy_rank_k_det(lat, k)
+    greedy = _greedy_incumbent(lat, k)
     budget = greedy[0] if cap is None else min(greedy[0], cap)
     sub = densest_sublattice(lat, k, budget, node_cap)
     if sub is None or sub.det() > budget:

@@ -652,18 +652,19 @@ def test_golden_outputs_are_kept():
     """Every entry of tests/data/golden.json, written by tests/make_golden.py
     from public functions, is what the library gives now: the tensor step of
     both categories on 100 seeded pairs each, the inequality suite on 40,
-    thm07, the tensor-bound experiment, and lattice `mu_max` and
-    `slope_filtration` at node caps on 120 seeded lattices.  The corpus
-    holds an uncertified 9-dimensional tensor (draw 72) and 50 uncertified
-    lattice `mu_max` results at caps 20 and 200, so the flag and the upper
-    bound of a failed certificate are kept too."""
+    thm07, the tensor-bound experiment, lattice `mu_max` and
+    `slope_filtration` at node caps and `minimum_sq` with a shortest vector
+    on 120 seeded lattices, and `lll_reduce` on the criterion-4 corpus and
+    its duals.  The corpus holds an uncertified 9-dimensional tensor (draw
+    72) and 163 uncertified lattice `mu_max` results at caps 2, 20 and 200,
+    so the flag and the upper bound of a failed certificate are kept too."""
     from make_golden import GOLDEN, golden
 
     want = json.loads(GOLDEN.read_text())
     mf_72 = want["tensor_step"]["multifilt"][72][2]
     assert not mf_72["certified"] and len(mf_72["witness"][0]) == 9
     caps = want["lattice_caps"]
-    assert [sum(not e["certified"] for e in caps[f"mu_max-{cap}"]) for cap in ("20", "200", "default")] == [34, 16, 0]
+    assert [sum(not e["certified"] for e in caps[f"mu_max-{cap}"]) for cap in ("2", "20", "200", "default")] == [113, 34, 16, 0]
     got = golden()
     assert got.keys() == want.keys()
     for section, entries in want.items():

@@ -302,6 +302,7 @@ def test_lattice_kinds_share_one_pair_implementation():
     shared = (
         "_init_pair", "__setattr__", "gram", "rank", "det", "scaled_gram", "slope", "dual",
         "tensor", "orthogonal_sum", "exterior_power", "is_integral", "is_unimodular", "__eq__",
+        "__hash__",
     )
     for name in shared:
         assert name not in vars(e) and name not in vars(h), name
@@ -312,6 +313,25 @@ def test_lattice_kinds_share_one_pair_implementation():
     assert e.degree is h.degree is vars(lat._GramPair)["degree"] and "degree" not in vars(h)
     # a bound classmethod is a fresh object on every access, so `is` cannot test `load`
     assert "load" in vars(lat._GramPair) and "load" not in vars(e) and "load" not in vars(h)
+
+
+def test_hashing_builds_no_gram_view():
+    """A lattice hashes on its pair: hashing a law-built non-integral
+    lattice (a euclidean dual, rescaling or tensor of duals, a hermitian
+    dual or twist) leaves its `Fraction` view G unbuilt."""
+    lat, herm = slopekit.lattice, slopekit.hermitian
+    a2, g = lat.a2_lattice(), lat.EuclideanLattice([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    k7 = herm.ImagQuadField(7)
+    h = herm.HermitianLattice(k7, [[2, 1], [1, 2]])
+    derived = [
+        a2.dual(), g.dual(), a2.scale(Fraction(1, 3)), g.scale(Fraction(2, 5)),
+        a2.dual().tensor(g.dual()), a2.tensor(g.dual()), g.dual().scale(Fraction(1, 2)),
+        h.dual(), h.twist(Fraction(1, 3)), h.dual().tensor(h.dual()),
+    ]
+    for x in derived:
+        assert not x.is_integral() and x._gram is None
+        hash(x)
+        assert x._gram is None, x
 
 
 def test_multifilt_defines_no_result_type():
@@ -803,6 +823,41 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
 
 
+def _unread_locals(func: ast.FunctionDef) -> list[str]:
+    """The names a function binds in its own scope (outside nested
+    functions, lambdas and classes, and not declared global or nonlocal)
+    that neither it nor a nested function reads.  An augmented assignment
+    reads its target; `_` is the name of a value meant to be dropped."""
+    own, todo = [], list(func.body)
+    while todo:
+        node = todo.pop()
+        own.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    declared = {name for node in own if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names}
+    stores = {n.id for n in own if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)} - declared - {"_"}
+    reads = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            reads.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            reads.add(node.target.id)
+    return sorted(stores - reads)
+
+
+def test_functions_read_every_local_they_assign():
+    """No function of `src/slopekit` assigns a local name that it, or a
+    function nested in it, never reads: such an assignment is dead code."""
+    unread = []
+    checked = 0
+    for path in sorted((PERFBENCH.parent / "src" / "slopekit").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                checked += 1
+                unread += [f"{path.stem}.{func.name}: {name}" for name in _unread_locals(func)]
+    assert checked >= 300 and not unread, unread
+
+
 def test_linalg_helpers_have_callers():
     """Every top-level function and every upper-case constant of each
     slopekit module, `linalg` included, is used outside its own definition:
@@ -856,3 +911,23 @@ def test_package_import_leaves_out_the_harness():
         "assert 'inequality_suite' in slopekit.__all__\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_euclidean_hashes_repeat_across_interpreters():
+    """A euclidean lattice hashes the same in every process, integral or
+    not, under string hash randomization: its hash reads only ints."""
+    import os
+    import subprocess
+
+    code = (
+        "from fractions import Fraction as F\n"
+        "from slopekit.lattice import EuclideanLattice, a2_lattice, unit_lattice\n"
+        "g = EuclideanLattice([[2, 1, 0], [1, 3, 1], [0, 1, 4]])\n"
+        "lats = [unit_lattice(2), a2_lattice(), g, a2_lattice().dual(), g.scale(F(2, 5)),\n"
+        "        g.dual().tensor(a2_lattice()), EuclideanLattice([[F(1, 2), F(1, 3)], [F(1, 3), 1]])]\n"
+        "print([hash(x) for x in lats])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src"), "PYTHONHASHSEED": "random"}
+    run = [sys.executable, "-c", code]
+    runs = [subprocess.run(run, check=True, env=env, capture_output=True, text=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0].count(",") == 6
