@@ -4,22 +4,21 @@ and the canonical slope filtration at desk scale.
 Certification rests on classical reduction theory.  Let M be a saturated
 rank-k sublattice of determinant <= D, and min_sq the minimum of the ambient
 lattice.  The dense-sublattice search enumerates a pool of vectors of squared
-length at most a radius B and branches over k-subsets of it:
+length at most B = gamma_k^k * D / min_sq^(k-1) and branches over k-subsets
+of it, gamma_k^k being any upper bound on Hermite's constant (`_gamma_pow`:
+the exact value for k <= 8, and k^k past the table).  By Minkowski's second
+theorem the successive minima of M, each >= min_sq, have product
+<= gamma_k^k * det M, so vectors attaining them lie within B.  For k <= 4
+they form a basis of M; from k = 5 on they need not, so there a candidate is
+judged by the determinant of its saturation, which is M.
 
-- k <= 8: B = gamma_k^k * D / min_sq^(k-1).  By Minkowski's second theorem
-  the successive minima of M, each >= min_sq, have product
-  <= gamma_k^k * det M, so vectors attaining them lie within B.  For k <= 4
-  they form a basis of M; for 5 <= k <= 8 they need not, so there a
-  candidate is judged by the determinant of its saturation, which is M.
-- k > 8, where gamma_k is not tabulated: B = 2^(k(k-1)/2) * D / min_sq^(k-1),
-  which bounds every vector of an LLL-reduced basis of M.
-
-So the branch-and-bound is complete.  Past a resource cap a rank keeps only
-the integrality bound (see `_lattice_canopy`), never a silent wrong answer.
+So the branch-and-bound is complete at every rank.  Past a resource cap a
+rank keeps only the integrality bound (see `_lattice_canopy`), never a silent
+wrong answer.
 
 `mu_max` reads only the first edge of the slope polygon, so it searches
-bound-first.  Minkowski floors every rank-k determinant twice, by
-min_sq(L)^k / gamma_k^k and, through the dual, by
+bound-first.  Minkowski floors every rank-k determinant twice, with the same
+bounds on gamma, by min_sq(L)^k / gamma_k^k and, through the dual, by
 det L * min_sq(L*)^(r-k) / gamma_(r-k)^(r-k).  Let (k0, d0) be the exact rank
 of greatest slope found so far, starting from (r, det L).  A rank whose floor
 exceeds d0^(k/k0) is not searched (skip), and any other rank is searched
@@ -396,6 +395,13 @@ def hermite_constant_pow(r: int) -> Fraction:
     return _HERMITE_POW[r]
 
 
+def _gamma_pow(k: int) -> Fraction:
+    """An upper bound on gamma_k^k at every rank: the exact value for k <= 8,
+    and k^k past the table, since gamma_k <= k by Minkowski's convex-body
+    theorem (the cube of side 2/sqrt(k) lies inside the unit ball)."""
+    return _HERMITE_POW[k] if k in _HERMITE_POW else F(k**k)
+
+
 # ---------------------------------------------------------------------------
 # Dense sublattice search.
 
@@ -410,9 +416,8 @@ def densest_sublattice(
     least HNF basis; None if no rank-k determinant is <= det_budget.
 
     The DFS branches over the vectors of squared length at most
-    B = gamma_k^k * det_budget / min_sq^(k-1) for k <= 8, and
-    B = 2^(k(k-1)/2) * det_budget / min_sq^(k-1) for k > 8, where gamma_k is
-    not tabulated (see the module docstring for why each is complete), and
+    B = gamma_k^k * det_budget / min_sq^(k-1), gamma_k^k from `_gamma_pow`
+    at every rank (see the module docstring for why it is complete), and
     prunes by det_budget until it finds a determinant below it.
     """
     det_budget = F(det_budget)
@@ -422,7 +427,7 @@ def densest_sublattice(
     if k == r:
         return lat.full_sublattice() if lat.det() <= det_budget else None
     min_sq = minimum_sq(lat, node_cap)
-    gamma_pow = _HERMITE_POW.get(k)
+    gamma_pow = _gamma_pow(k)
     # Let M be a saturated rank-k sublattice with det M <= det_budget.  Its
     # successive minima are each >= min_sq, and by Minkowski's second
     # theorem their product is <= gamma_k^k * det M, so every vector attaining
@@ -436,13 +441,8 @@ def densest_sublattice(
     # whatever the radius.  From k = 5 the minima need not span M
     # (Z^5 + 1/2(1,...,1) has minima e_1..e_5 of index 2), but any k
     # independent vectors of M saturate to M, so there the leaf is judged by
-    # its saturation.  For k > 8 the pool holds an LLL-reduced basis of M,
-    # whose squared norms have product <= 2^(k(k-1)/2) * det M.
-    if gamma_pow is None:
-        b_sq = F(2) ** (k * (k - 1) // 2) * det_budget / min_sq ** (k - 1)
-    else:
-        b_sq = gamma_pow * det_budget / min_sq ** (k - 1)
-    span_is_basis = k <= 4 or gamma_pow is None
+    # its saturation.
+    b_sq = gamma_pow * det_budget / min_sq ** (k - 1)
     if b_sq < min_sq:
         return None
     pool = [v for v, _ in enumerate_short_vectors(lat, b_sq, node_cap).vectors]
@@ -466,15 +466,11 @@ def densest_sublattice(
     # With m vectors chosen, of scaled norm product prod, the Minkowski bound on
     # the next norm is gamma_k^k * det / (prod / L^m * min_sq^(k-m-1)); times L
     # that is coef[m] * inc / prod.
-    coef = None if gamma_pow is None else [
-        gamma_pow * F(scale) ** (m + 1 - k) / min_sq ** (k - m - 1) for m in range(k)
-    ]
+    coef = [gamma_pow * F(scale) ** (m + 1 - k) / min_sq ** (k - m - 1) for m in range(k)]
 
     def level_limit(m: int, prod: int) -> int:
         # A pool vector (sorted by norm) is a candidate iff L * norm, an
         # integer, is at most the floor of L * min(Minkowski bound, b_sq).
-        if coef is None:
-            return b_lim
         c = coef[m]
         return min(c.numerator * inc // (c.denominator * prod), b_lim)
 
@@ -521,7 +517,7 @@ def densest_sublattice(
                 lams.pop()
                 ds.pop()
                 continue
-            if span_is_basis and dm > inc:
+            if k <= 4 and dm > inc:
                 continue
             # the saturation's det is the span's over [saturation : span]^2
             index, rows = linalg.saturate([pool[i] for i in path] + [pool[idx]])
@@ -558,7 +554,8 @@ def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> Fraction:
 def _min_det_rank_k(
     lat: EuclideanLattice, k: int, node_cap: int, cap: Optional[Fraction] = None
 ) -> Optional[tuple[Fraction, Sublattice]]:
-    """Global minimal determinant d_k over rank-k sublattices, with witness.
+    """Global minimal determinant d_k over rank-k sublattices, with witness,
+    for a proper rank 0 < k < r (the full rank needs no search: d_r = det L).
 
     With a cap the search covers only determinants <= cap: if none is that
     small, None comes back, and every rank-k determinant exceeds cap.  The
@@ -568,8 +565,6 @@ def _min_det_rank_k(
     k = r - 1 the Rankin branch below reaches k = 1 on the dual, so there
     too d_(r-1) is exact whatever the cap."""
     r = lat.rank
-    if k == r:
-        return lat.det(), lat.full_sublattice()
     if k == 1:
         # The memoized shortest vector is pool[0] of the search at any budget
         # >= min_sq (the enumeration is sorted by (length, coords)); below
@@ -609,8 +604,10 @@ def _minkowski_floors(lat: EuclideanLattice, node_cap: int) -> list[Optional[Fra
     and min(M)^k <= gamma_k^k * det M (Hermite), so
     d_k >= min_sq(L)^k / gamma_k^k.  Its annihilator in the dual L* has rank
     r - k, minimum >= min_sq(L*) and determinant det M / det L, so likewise
-    d_k >= det L * min_sq(L*)^(r-k) / gamma_(r-k)^(r-k).  The larger floor is
-    kept; each is exact where its gamma is gamma_1 = 1, at k = 1 and k = r - 1.
+    d_k >= det L * min_sq(L*)^(r-k) / gamma_(r-k)^(r-k).  Both hold with any
+    upper bound on gamma, so `_gamma_pow` floors every proper rank.  The
+    larger floor is kept; each is exact where its gamma is gamma_1 = 1, at
+    k = 1 and k = r - 1.
     There `_min_det_rank_k` reads d_k off the same memoized minima and their
     shortest vectors, so those ranks are never searched.  The dual floor is
     taken from r = 3 on: at r = 2 the first is already exact at the one
@@ -620,8 +617,8 @@ def _minkowski_floors(lat: EuclideanLattice, node_cap: int) -> list[Optional[Fra
     floors: list[Optional[Fraction]] = [None] * r
     try:
         m = minimum_sq(lat, node_cap)
-        for k in range(1, min(r, 9)):
-            floors[k] = m**k / _HERMITE_POW[k]
+        for k in range(1, r):
+            floors[k] = m**k / _gamma_pow(k)
     except EnumerationCapExceeded:
         pass
     if r < 3:
@@ -631,8 +628,8 @@ def _minkowski_floors(lat: EuclideanLattice, node_cap: int) -> list[Optional[Fra
         m = minimum_sq(lat.dual(), node_cap)
     except EnumerationCapExceeded:
         return floors
-    for k in range(max(1, r - 8), r):
-        f = det * m ** (r - k) / _HERMITE_POW[r - k]
+    for k in range(1, r):
+        f = det * m ** (r - k) / _gamma_pow(r - k)
         if floors[k] is None or f > floors[k]:
             floors[k] = f
     return floors

@@ -8,7 +8,7 @@ must keep, from public functions only:
   not certify;
 - `inequality_suite(...).to_dict()` on the first 40 pairs of each kind, or
   the failure it raises;
-- thm07 at seeds 0 and 7;
+- thm07 and mf-lemma at seeds 0 and 7;
 - the JSON records of the tensor-bound experiment at the default config and
   at seed 77, unimodular;
 - `mu_max` at node caps 20, 200 and the default (value, witness HNF, upper,
@@ -19,7 +19,10 @@ must keep, from public functions only:
   of the enumeration up to it, a shortest vector;
 - `lll_reduce` (the reduced `scaled_gram()` and U) on each lattice of the
   criterion-4 corpus, the pairs `bost_experiment(ExperimentConfig())` draws
-  and their tensors, and on its dual.
+  and their tensors, and on its dual;
+- `mu_max` at node caps 20, 200 and 2,000 on 30 seeded tensors of rank 9-12
+  (shapes 2x5, 5x2, 3x4, 4x3, 2x6 and 3x3), the ranks whose Minkowski
+  floors read a Hermite bound past the table; 15 of the 90 results certify.
 
 Run from the repository root: `PYTHONPATH=src python tests/make_golden.py`.
 `test_harness.test_golden_outputs_are_kept` compares every entry."""
@@ -45,6 +48,8 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
 PAIRS = 100
 SUITE_PAIRS = 40
 LATTICES = 120
+TENSOR_SHAPES = ((2, 5), (5, 2), (3, 4), (4, 3), (2, 6), (3, 3))
+TENSORS = 30
 
 
 def lattice_pairs(seed=36, count=PAIRS):
@@ -76,6 +81,17 @@ def lattices():
     """`random_lattice`s of rank 2..8."""
     rng = random.Random(31)
     return [harness.random_lattice(rng, rng.randint(2, 8)) for _ in range(LATTICES)]
+
+
+def tensors():
+    """Tensors of two `random_lattice`s with entries up to 2, cycling through
+    `TENSOR_SHAPES`, tensor i drawn from `Random(5000 + i)`."""
+    out = []
+    for i in range(TENSORS):
+        r1, r2 = TENSOR_SHAPES[i % len(TENSOR_SHAPES)]
+        rng = random.Random(5000 + i)
+        out.append(harness.random_lattice(rng, r1, 2).tensor(harness.random_lattice(rng, r2, 2)))
+    return out
 
 
 def lattice_mu_max(r):
@@ -130,7 +146,7 @@ def suite(kind, a, b):
 
 
 def golden() -> dict:
-    lat, mf, single = lattice_pairs(), mf_pairs(), lattices()
+    lat, mf, single, big = lattice_pairs(), mf_pairs(), lattices(), tensors()
     cfgs = {"default": (harness.ExperimentConfig(), False), "seed-77-unimodular": (harness.ExperimentConfig(seed=77), True)}
     return {
         "tensor_step": {
@@ -142,6 +158,7 @@ def golden() -> dict:
             "multifilt": [suite("multifilt", a, b) for a, b in mf[:SUITE_PAIRS]],
         },
         "thm07": {str(seed): harness.repro_thm07(seed=seed).to_dict() for seed in (0, 7)},
+        "mf_lemma": {str(seed): harness.repro_mf_lemma(seed=seed).to_dict() for seed in (0, 7)},
         "bost_experiment": {
             name: json.loads(harness.emit_records(*harness.bost_experiment(cfg, unimodular), "json"))
             for name, (cfg, unimodular) in cfgs.items()
@@ -153,6 +170,7 @@ def golden() -> dict:
             "slope_filtration-200": [filtration(slope_filtration(x, 200)) for x in single],
             "mu_max-2": [lattice_mu_max(mu_max(x, 2)) for x in single],
         },
+        "tensor_caps": {f"mu_max-{cap}": [lattice_mu_max(mu_max(x, cap)) for x in big] for cap in (20, 200, 2000)},
         "lattice_memos": {
             "minimum_sq": [shortest(x) for x in single],
             "lll_reduce-criterion-4": [{"lattice": reduction(x), "dual": reduction(x.dual())} for x in criterion_4_corpus()],

@@ -1047,7 +1047,7 @@ def _reference_slope_filtration(lat, node_cap):
     points, witnesses, certified = [], {}, True
     try:
         for k in range(1, lat.rank + 1):
-            det_k, wit = _min_det_rank_k(lat, k, node_cap)
+            det_k, wit = _min_det_rank_k(lat, k, node_cap) if k < lat.rank else (lat.det(), lat.full_sublattice())
             points.append((k, -half_log(det_k)))
             witnesses[k] = wit
     except EnumerationCapExceeded:
@@ -1406,6 +1406,47 @@ def test_minkowski_floors_are_sound():
                 assert floors[k] == d_k
             strict += floors[k] < d_k
     assert strict >= 20
+
+
+def test_gamma_bound_is_the_table_then_k_to_the_k():
+    """_gamma_pow reads the exact Hermite table up to rank 8 and bounds
+    gamma_k^k by k^k past it (gamma_k <= k, Minkowski)."""
+    from slopekit.enumeration import _gamma_pow
+
+    for k in range(1, 9):
+        assert _gamma_pow(k) == hermite_constant_pow(k) <= k**k
+    for k in range(9, 21):
+        assert _gamma_pow(k) == k**k
+
+
+def test_minkowski_floors_reach_every_rank_past_the_table():
+    """A lattice of rank 18 has a floor at every proper rank, rank 9 (past
+    the Hermite table on both sides) included: the unit lattice and a seeded
+    3x6 tensor.  Each floor is exact at k = 1 and r - 1, and at most the
+    determinant of the first k vectors of the LLL-reduced basis, a saturated
+    rank-k sublattice (for the unit lattice that is d_k = 1)."""
+    from slopekit.enumeration import DEFAULT_NODE_CAP, _min_det_rank_k, _minkowski_floors
+
+    rng = random.Random(191)
+    tensor = random_lattice(rng, 3).tensor(random_lattice(rng, 6))
+    for lat in (unit_lattice(18), tensor):
+        r = lat.rank
+        floors = _minkowski_floors(lat, DEFAULT_NODE_CAP)
+        assert floors[0] is None and None not in floors[1:]
+        for k in (1, r - 1):
+            assert floors[k] == _min_det_rank_k(lat, k, DEFAULT_NODE_CAP)[0]
+        gi, scale = lll_reduce(lat)[0].scaled_gram()
+        for k in range(1, r):
+            assert floors[k] <= F(linalg.det_int([row[:k] for row in gi[:k]]), scale**k)
+
+
+def test_densest_sublattice_past_the_table_prunes_by_the_hermite_bound():
+    """At rank 9, a budget below min_sq^9 / 9^9 is below every rank-9
+    determinant (gamma_9 <= 9), so the search returns None before it
+    enumerates anything, well within a small node cap."""
+    lat = random_lattice(random.Random(4), 10, 1)
+    m = minimum_sq(lat)
+    assert densest_sublattice(lat, 9, m**9 / F(9) ** 9 * F(99, 100), 10_000) is None
 
 
 def test_root_ceil_is_the_least_rational_over_b():

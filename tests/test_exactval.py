@@ -522,3 +522,21 @@ def test_pure_log_sign_matches_interval_sign():
         assert (-v).sign() == -got
         signs[got] += 1
     assert min(signs.values()) >= 4000
+
+
+def test_sign_doubles_its_precision_until_the_enclosure_clears_zero(monkeypatch):
+    """x = log 2 - (the lower end of its 200-bit enclosure) is positive but
+    narrower than the 64- and 128-bit enclosures, so sign() doubles its
+    precision twice and decides at 256 bits, for x and for -x alike."""
+    x = log_of_rational(2) - log_of_rational(2).bounds(200).lo
+    seen = []
+    bounds = LogRational.bounds
+
+    def spy(self, bits):
+        seen.append(bits)
+        return bounds(self, bits)
+
+    monkeypatch.setattr(LogRational, "bounds", spy)
+    assert x.sign() == 1
+    assert (-x).sign() == -1
+    assert seen == [64, 128, 256] * 2

@@ -652,12 +652,14 @@ def test_golden_outputs_are_kept():
     """Every entry of tests/data/golden.json, written by tests/make_golden.py
     from public functions, is what the library gives now: the tensor step of
     both categories on 100 seeded pairs each, the inequality suite on 40,
-    thm07, the tensor-bound experiment, lattice `mu_max` and
+    thm07 and mf-lemma, the tensor-bound experiment, lattice `mu_max` and
     `slope_filtration` at node caps and `minimum_sq` with a shortest vector
-    on 120 seeded lattices, and `lll_reduce` on the criterion-4 corpus and
-    its duals.  The corpus holds an uncertified 9-dimensional tensor (draw
-    72) and 163 uncertified lattice `mu_max` results at caps 2, 20 and 200,
-    so the flag and the upper bound of a failed certificate are kept too."""
+    on 120 seeded lattices, `mu_max` at node caps on 30 seeded tensors of
+    rank 9-12, and `lll_reduce` on the criterion-4 corpus and its duals.
+    The corpus holds an uncertified 9-dimensional tensor (draw 72), 163
+    uncertified lattice `mu_max` results at caps 2, 20 and 200 and 75 on the
+    tensors, so the flag and the upper bound of a failed certificate are
+    kept too."""
     from make_golden import GOLDEN, golden
 
     want = json.loads(GOLDEN.read_text())
@@ -665,6 +667,8 @@ def test_golden_outputs_are_kept():
     assert not mf_72["certified"] and len(mf_72["witness"][0]) == 9
     caps = want["lattice_caps"]
     assert [sum(not e["certified"] for e in caps[f"mu_max-{cap}"]) for cap in ("2", "20", "200", "default")] == [113, 34, 16, 0]
+    tensor_caps = want["tensor_caps"]
+    assert [sum(e["certified"] for e in tensor_caps[f"mu_max-{cap}"]) for cap in (20, 200, 2000)] == [2, 4, 9]
     got = golden()
     assert got.keys() == want.keys()
     for section, entries in want.items():

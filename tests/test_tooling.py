@@ -404,6 +404,20 @@ def test_one_tensor_step():
     assert probed == [("harness", "tensor_mu_max")]
 
 
+def test_one_hermite_bound_for_every_rank():
+    """The dense-sublattice search and the Minkowski floors read gamma_k^k
+    through `_gamma_pow`, one bound for every rank, so only it and the exact
+    `hermite_constant_pow` read the Hermite table."""
+    tree = ast.parse(Path(slopekit.enumeration.__file__).read_text())
+    readers = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "_HERMITE_POW" for n in ast.walk(func))
+    }
+    assert readers == {"hermite_constant_pow", "_gamma_pow"}
+
+
 def test_hermitian_grams_go_through_bareiss(monkeypatch):
     """`bareiss` is the one square elimination, looked up by its module name:
     an input hermitian Gram's positivity and determinant come from exactly
