@@ -244,6 +244,44 @@ _INT_SIGN_BITS = 1 << 14
 _set = object.__setattr__
 _ZERO = Fraction(0)
 
+
+class _Value:
+    """Base of the package's immutable values: `LogRational`, both lattice
+    kinds, `Sublattice`, `LatticeMorphism`, `Filtration`,
+    `MultifilteredSpace`, `QuadField` and `QElt`.
+
+    A value is the state its `__reduce__` rebuilds it from, through the
+    checking constructor, so every subclass defines `__reduce__`: `object`'s
+    default would give every slotted instance the same empty state.  `==`
+    compares the two states of values of one type and returns NotImplemented
+    for any other; `hash` hashes the state.  Assigning or deleting an
+    attribute raises AttributeError, so no value can be changed or unmade;
+    `__init__` and the memos built on first read set slots through
+    `object.__setattr__` (`QElt` through its slot descriptors).
+
+    Three classes override identity, each for a reason of its own:
+    `LogRational` equals an int or Fraction of its value and hashes as it;
+    `QuadField` equals an `ImagQuadField` of the same omega, whose state is d
+    alone; `_GramPair` caches its hash and leaves the field out of it, since
+    hash(None) differs between processes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__()[1] == other.__reduce__()[1]
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+
 _Key = tuple[Fraction, int, tuple[tuple[int, int], ...]]
 
 
@@ -268,7 +306,7 @@ def _canonical(constant: Fraction, den: int, exps: Iterable[tuple[int, int]]) ->
     return constant, den, exps
 
 
-class LogRational:
+class LogRational(_Value):
     """Immutable value q0 + (1/den)*sum_p e_p*log(p) over primes p.
 
     The canonical form is the key (q0, den, exps): q0 a Fraction, den >= 1 an
@@ -294,9 +332,6 @@ class LogRational:
             for p, e in factor_positive_int(base).items():
                 exps[p] = exps.get(p, 0) + e * m
         _set(self, "_key", _canonical(Fraction(constant), den, sorted(exps.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogRational is immutable")
 
     def __reduce__(self):
         return _lr, (self._key,)
@@ -430,6 +465,8 @@ class LogRational:
                 hi += e * b.lo
         return RIv(c + lo / den, c + hi / den)
 
+    # Not `_Value`'s: a value equals an int or Fraction of its value, so one
+    # with no log term hashes as its constant q0.
     def __eq__(self, other) -> bool:
         if isinstance(other, LogRational):
             return self._key == other._key
@@ -438,7 +475,8 @@ class LogRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key)
+        c, _, exps = self._key
+        return hash(self._key) if exps else hash(c)
 
     def __lt__(self, other):
         return (self - other).sign() < 0

@@ -43,6 +43,7 @@ from typing import Sequence
 from . import linalg
 from .exactval import (
     LogRational,
+    _Value,
     factor_positive_int,
     fmt_rat,
     half_log,
@@ -91,7 +92,7 @@ def _omega_data(t: int) -> tuple[int, int]:
     return (1, (1 - t) // 4) if t % 4 == 1 else (0, -t)
 
 
-class QuadField:
+class QuadField(_Value):
     """The quadratic extension base(omega) with omega^2 = trace*omega - norm.
 
     `base` maps a rational, or an element of the base ring, to a coefficient:
@@ -104,15 +105,14 @@ class QuadField:
         object.__setattr__(self, "omega_norm", omega_norm)
         object.__setattr__(self, "base", base)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __reduce__(self):
         return QuadField, self._key()
 
     def _key(self):
         return self.omega_trace, self.omega_norm, self.base
 
+    # Not `_Value`'s: an `ImagQuadField` is rebuilt from d alone, and it
+    # equals the QuadField of its omega.
     def __eq__(self, other):
         return self is other or (isinstance(other, QuadField) and self._key() == other._key())
 
@@ -163,17 +163,17 @@ class ImagQuadField(QuadField):
         return self.d in (1, 2, 3, 7, 11)
 
 
-class QElt:
+class QElt(_Value):
     """a + b*omega in a QuadField, with a and b in its base ring.
 
     Over Q, a and b are ints where integral and Fractions otherwise, never
     floats; `==` and `hash` are on (field, a, b), so an int and the equal
     Fraction give equal elements with equal hashes.  Every division is exact
     (`_div`), so a quotient that lies in the ring of integers keeps int
-    coordinates.  An element is immutable: `__setattr__` refuses, and
-    `__init__` fills the three slots once through their slot descriptors,
-    the cheapest way past that refusal (elements are made by the
-    thousand in every manifest)."""
+    coordinates.  An element is immutable: `_Value` refuses assignment and
+    deletion, and `__init__` fills the three slots once through their slot
+    descriptors, the cheapest way past that refusal (elements are made by
+    the thousand in every manifest)."""
 
     __slots__ = ("field", "a", "b")
 
@@ -182,22 +182,8 @@ class QElt:
         _set_a(self, a)
         _set_b(self, b)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         return QElt, (self.field, self.a, self.b)
-
-    def __eq__(self, other):
-        if other.__class__ is not QElt:
-            return NotImplemented
-        return (self.field, self.a, self.b) == (other.field, other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.field, self.a, self.b))
 
     def _is_elt(self, other) -> bool:
         """Whether other lies in this field; False for a scalar of the base

@@ -37,7 +37,7 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from . import linalg
-from .exactval import LogRational, fmt_rat, half_log, log_of_rational, parse_rat
+from .exactval import LogRational, _Value, fmt_rat, half_log, log_of_rational, parse_rat
 
 Rat = int | Fraction
 
@@ -49,7 +49,7 @@ def _lower_triangle(m) -> tuple:
     return tuple(tuple(row[: i + 1]) for i, row in enumerate(m))
 
 
-class _GramPair:
+class _GramPair(_Value):
     """A lattice as its integral pair (S, D) = (D*G, D), D >= 1 least, with
     the field of its entries (None for Z).
 
@@ -67,8 +67,9 @@ class _GramPair:
     <= 0 fails Sylvester's test.
 
     Equality and hash are on the pair as well, for both kinds: `__eq__`
-    compares the field, D and D*G, and `__hash__` hashes (D, D*G), so no
-    view G is built to hash a lattice."""
+    (`_Value`'s) compares the field, D*G and D of two lattices of one kind,
+    and `__hash__` hashes (D, D*G), so no view G is built to hash a
+    lattice."""
 
     __slots__ = ("_field", "_s", "_den", "_det", "_gso_memo", "_gram", "_dual", "_hash", "_degree", "__weakref__")
 
@@ -145,9 +146,6 @@ class _GramPair:
         if self._gso_memo is None:
             _set(self, "_gso_memo", _lower_triangle(linalg.bareiss(self._s)[0]))
         return self._gso_memo
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return self._new, (self._field, self._s, self._den)
@@ -330,14 +328,6 @@ class _GramPair:
     def is_unimodular(self) -> bool:
         return self._den == 1 and self._det == 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, _GramPair)
-            and self._field == other._field
-            and self._den == other._den
-            and self._s == other._s
-        )
-
     def __hash__(self):
         # The memos of enumeration look lattices up many times, and most other
         # lattices are never hashed: hash the pair once, on first use.  The
@@ -452,7 +442,7 @@ def e8_lattice() -> EuclideanLattice:
     return EuclideanLattice(E8_GRAM)
 
 
-class Sublattice:
+class Sublattice(_Value):
     """Finite-rank sublattice of an ambient lattice.  `basis` is stored in
     Hermite normal form, whatever basis it was given, so two sublattices are
     equal iff their bases are."""
@@ -472,17 +462,8 @@ class Sublattice:
         object.__setattr__(self, "basis", h)
         object.__setattr__(self, "_det", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Sublattice is immutable")
-
     def __reduce__(self):
         return Sublattice, (self.ambient, self.basis)
-
-    def __eq__(self, other):
-        return isinstance(other, Sublattice) and self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__()[1])
 
     @property
     def rank(self) -> int:
@@ -525,7 +506,7 @@ class Sublattice:
         return f"Sublattice(rank={self.rank}, ambient_rank={self.ambient.rank})"
 
 
-class LatticeMorphism:
+class LatticeMorphism(_Value):
     """Linear map between lattices in coordinates: y = matrix @ x."""
 
     __slots__ = ("source", "target", "matrix", "is_integral")
@@ -541,17 +522,8 @@ class LatticeMorphism:
             self, "is_integral", all(x.denominator == 1 for row in m for x in row)
         )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeMorphism is immutable")
-
     def __reduce__(self):
         return LatticeMorphism, (self.source, self.target, self.matrix)
-
-    def __eq__(self, other):
-        return isinstance(other, LatticeMorphism) and self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__()[1])
 
     def norm_le_one(self) -> bool:
         """Operator norm <= 1, decided exactly."""

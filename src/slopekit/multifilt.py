@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .enumeration import CertifiedMuMax, RankBound, first_edge, quotient_polygon
-from .exactval import fmt_rat, parse_rat
+from .exactval import _Value, fmt_rat, parse_rat
 from .report import ReproFailure
 
 F = Fraction
@@ -120,7 +120,7 @@ def _scaled_rref(rows) -> Optional[Matrix]:
     return tuple(out)
 
 
-class Filtration:
+class Filtration(_Value):
     """Decreasing exhaustive separated filtration with rational breaks."""
 
     __slots__ = ("ambient_dim", "steps")
@@ -151,9 +151,6 @@ class Filtration:
                 raise ValueError("filtration subspaces must be decreasing")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "steps", tuple(merged))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Filtration is immutable")
 
     def __reduce__(self):
         return Filtration, (self.ambient_dim, self.steps)
@@ -188,18 +185,8 @@ class Filtration:
             out.append((lam, len(space) - len(nxt)))
         return tuple(out)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Filtration)
-            and self.ambient_dim == other.ambient_dim
-            and self.steps == other.steps
-        )
 
-    def __hash__(self):
-        return hash((self.ambient_dim, self.steps))
-
-
-class MultifilteredSpace:
+class MultifilteredSpace(_Value):
     __slots__ = ("dim", "filtrations", "_gaps")
 
     def __init__(self, dim: int, filtrations: Sequence[Filtration]):
@@ -211,9 +198,6 @@ class MultifilteredSpace:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "filtrations", filts)
         object.__setattr__(self, "_gaps", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultifilteredSpace is immutable")
 
     def __reduce__(self):
         return MultifilteredSpace, (self.dim, self.filtrations)
@@ -236,16 +220,6 @@ class MultifilteredSpace:
 
     def permuted(self, order: Sequence[int]) -> "MultifilteredSpace":
         return MultifilteredSpace(self.dim, [self.filtrations[i] for i in order])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultifilteredSpace)
-            and self.dim == other.dim
-            and self.filtrations == other.filtrations
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.filtrations))
 
     # -- JSON wire format
 

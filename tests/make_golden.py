@@ -22,13 +22,24 @@ must keep, from public functions only:
   and their tensors, and on its dual;
 - `mu_max` at node caps 20, 200 and 2,000 on 30 seeded tensors of rank 9-12
   (shapes 2x5, 5x2, 3x4, 4x3, 2x6 and 3x3), the ranks whose Minkowski
-  floors read a Hermite bound past the table; 15 of the 90 results certify.
+  floors read a Hermite bound past the table; 15 of the 90 results certify;
+- stdout, stderr and exit code of `cli.main`, run in process, on seeded
+  files written to a temporary directory: `lattice info`, `mu-max` and
+  `filtration` (the last two at the default cap and at `--cap 20`, which
+  leaves the rank-7 lattice uncertified), `lattice tensor-check` in text
+  and JSON, `mf slope`, `mu-max` and `tensor-check`; `lattice tensor-check`
+  of E8 and Z^1 at `--cap 1`, whose unimodular inputs certify with no
+  search but whose nu needs `minimum_sq`, so it exits 1 with stdout empty;
+  and two exit-2 errors, malformed JSON and `--csv` on `lattice mu-max`.
 
 Run from the repository root: `PYTHONPATH=src python tests/make_golden.py`.
 `test_harness.test_golden_outputs_are_kept` compares every entry."""
 
+import contextlib
+import io
 import json
 import random
+import tempfile
 from pathlib import Path
 
 from slopekit import (
@@ -43,6 +54,8 @@ from slopekit import (
     slope_filtration,
     tensor_mf,
 )
+from slopekit.cli import main
+from slopekit.lattice import e8_lattice, unit_lattice
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
 PAIRS = 100
@@ -145,6 +158,65 @@ def suite(kind, a, b):
         return {"failure": str(exc)}
 
 
+def cli_files() -> dict:
+    """The JSON files the CLI runs read, by name: a rank-3 dual (rational
+    Gram), a rank-2 and a rank-7 `random_lattice`, E8, Z^1, two
+    `random_multifiltered` spaces, and a truncated file."""
+    rng = random.Random(40)
+    objects = {
+        "a.json": harness.random_lattice(rng, 3).dual(),
+        "b.json": harness.random_lattice(rng, 2),
+        "c.json": harness.random_lattice(rng, 7),
+        "e8.json": e8_lattice(),
+        "z1.json": unit_lattice(1),
+        "m.json": harness.random_multifiltered(rng, 3, 2),
+        "n.json": harness.random_multifiltered(rng, 2, 2),
+    }
+    files = {name: json.dumps(x.to_json_dict()) for name, x in objects.items()}
+    files["bad.json"] = '{"gram": [[1]'
+    return files
+
+
+CLI_RUNS = (
+    *(
+        cmd
+        for f in ("a.json", "c.json")
+        for cmd in (
+            ["lattice", "info", f],
+            ["lattice", "mu-max", f],
+            ["lattice", "mu-max", f, "--cap", "20"],
+            ["lattice", "filtration", f],
+            ["lattice", "filtration", f, "--cap", "20"],
+        )
+    ),
+    ["lattice", "tensor-check", "a.json", "b.json"],
+    ["lattice", "tensor-check", "a.json", "b.json", "--format", "json"],
+    ["lattice", "tensor-check", "e8.json", "z1.json", "--cap", "1"],
+    ["mf", "slope", "m.json"],
+    ["mf", "mu-max", "m.json"],
+    ["mf", "tensor-check", "m.json", "n.json"],
+    ["lattice", "info", "bad.json"],
+    ["lattice", "mu-max", "a.json", "--csv", "out.csv"],
+)
+
+
+def cli_runs() -> dict:
+    """Each of `CLI_RUNS`, keyed by its command line, with every file name
+    taken inside a temporary directory that holds `cli_files()`."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in cli_files().items():
+            (Path(tmp) / name).write_text(text)
+        for argv in CLI_RUNS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([str(Path(tmp) / x) if x.endswith((".json", ".csv")) else x for x in argv])
+            run = {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+            assert tmp not in run["stdout"] + run["stderr"], argv
+            out[" ".join(argv)] = run
+    return out
+
+
 def golden() -> dict:
     lat, mf, single, big = lattice_pairs(), mf_pairs(), lattices(), tensors()
     cfgs = {"default": (harness.ExperimentConfig(), False), "seed-77-unimodular": (harness.ExperimentConfig(seed=77), True)}
@@ -175,6 +247,7 @@ def golden() -> dict:
             "minimum_sq": [shortest(x) for x in single],
             "lll_reduce-criterion-4": [{"lattice": reduction(x), "dual": reduction(x.dual())} for x in criterion_4_corpus()],
         },
+        "cli": cli_runs(),
     }
 
 

@@ -770,12 +770,8 @@ def _reference_densest(lat, k, det_budget, node_cap):
         return lat.full_sublattice()
     reduced, _ = lll_reduce(lat)
     min_sq = _reference_enumerate(lat, min(reduced.gram[i][i] for i in range(r)), node_cap)[0][1]
-    gamma_pow = hermite_constant_pow(k) if k <= 8 else None
-    if gamma_pow is None:
-        b_sq = F(2) ** (k * (k - 1) // 2) * det_budget / min_sq ** (k - 1)
-    else:
-        b_sq = gamma_pow * det_budget / min_sq ** (k - 1)
-    span_is_basis = k <= 4 or gamma_pow is None
+    gamma_pow = hermite_constant_pow(k)
+    b_sq = gamma_pow * det_budget / min_sq ** (k - 1)
     if b_sq < min_sq:
         return None
     vectors = _reference_enumerate(lat, b_sq, node_cap)
@@ -797,8 +793,6 @@ def _reference_densest(lat, k, det_budget, node_cap):
     nodes = 0
 
     def norm_level_bound(prod_so_far, chosen):
-        if gamma_pow is None:
-            return b_sq
         bound = gamma_pow * incumbent_det / (prod_so_far * min_sq ** (k - chosen - 1))
         return min(bound, b_sq)
 
@@ -818,7 +812,7 @@ def _reference_densest(lat, k, det_budget, node_cap):
             if len(cand) < k:
                 dfs(idx + 1, cand, prod_so_far * norms[idx])
                 continue
-            if span_is_basis and F(d, scale**k) > incumbent_det:
+            if k <= 4 and F(d, scale**k) > incumbent_det:
                 continue
             diag, cinv = _reference_diagonalize_int([pool[i] for i in cand])
             index = 1

@@ -181,6 +181,25 @@ def test_to_float_one_minus_2log2_negative():
     assert v.sign() == -1
 
 
+def test_to_float_doubles_its_precision_until_the_enclosure_is_narrow(monkeypatch):
+    """v = 10**12*log 3 - 1584962500721*log 2, about 0.108, cancels 41 bits,
+    so its 64-bit enclosure is too wide for 53 bits and to_float asks again
+    at 128; the float interval it returns holds v."""
+    v = 10**12 * log_of_rational(3) - 1584962500721 * log_of_rational(2)
+    seen = []
+    bounds = LogRational.bounds
+
+    def spy(self, bits):
+        seen.append(bits)
+        return bounds(self, bits)
+
+    monkeypatch.setattr(LogRational, "bounds", spy)
+    lo, hi = v.to_float(53)
+    assert seen == [64, 128]
+    tight = bounds(v, 300)
+    assert F(lo) <= tight.lo and tight.hi <= F(hi) and 0.10825673431 < lo <= hi < 0.10825673432
+
+
 def test_to_float_precision_floor():
     with pytest.raises(ValueError):
         to_float(log_of_rational(2), 15)

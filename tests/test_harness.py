@@ -655,11 +655,13 @@ def test_golden_outputs_are_kept():
     thm07 and mf-lemma, the tensor-bound experiment, lattice `mu_max` and
     `slope_filtration` at node caps and `minimum_sq` with a shortest vector
     on 120 seeded lattices, `mu_max` at node caps on 30 seeded tensors of
-    rank 9-12, and `lll_reduce` on the criterion-4 corpus and its duals.
-    The corpus holds an uncertified 9-dimensional tensor (draw 72), 163
-    uncertified lattice `mu_max` results at caps 2, 20 and 200 and 75 on the
-    tensors, so the flag and the upper bound of a failed certificate are
-    kept too."""
+    rank 9-12, `lll_reduce` on the criterion-4 corpus and its duals, and
+    stdout, stderr and exit code of the `lattice` and `mf` commands on
+    seeded files. The corpus holds an uncertified 9-dimensional tensor
+    (draw 72), 163 uncertified lattice `mu_max` results at caps 2, 20 and
+    200 and 75 on the tensors, so the flag and the upper bound of a failed
+    certificate are kept too; and a command that exits 1 with stdout empty
+    and two that exit 2."""
     from make_golden import GOLDEN, golden
 
     want = json.loads(GOLDEN.read_text())
@@ -669,6 +671,11 @@ def test_golden_outputs_are_kept():
     assert [sum(not e["certified"] for e in caps[f"mu_max-{cap}"]) for cap in ("2", "20", "200", "default")] == [113, 34, 16, 0]
     tensor_caps = want["tensor_caps"]
     assert [sum(e["certified"] for e in tensor_caps[f"mu_max-{cap}"]) for cap in (20, 200, 2000)] == [2, 4, 9]
+    cli = want["cli"]
+    assert cli["lattice tensor-check e8.json z1.json --cap 1"] == {
+        "exit": 1, "stdout": "", "stderr": "uncertified: enumeration node cap 1 exceeded\n"
+    }
+    assert [run["exit"] for run in cli.values()].count(2) == 2
     got = golden()
     assert got.keys() == want.keys()
     for section, entries in want.items():

@@ -672,15 +672,20 @@ def test_immutable_values_round_trip():
     """pickle, copy.copy and copy.deepcopy rebuild each immutable value from
     its canonical state: equal, of equal hash, repr and degree where the
     class has them, and a lattice, derived ones included, of equal det()
-    and `_gso`.  A Sublattice and a LatticeMorphism compare by value,
-    unequal to one of another basis or matrix."""
+    and `_gso`.  No slot of a value can be assigned or deleted, and the
+    value stays equal to its copy.  A Sublattice and a LatticeMorphism
+    compare by value, unequal to one of another basis or matrix.  Equal
+    values hash equal, also a LogRational with no log term and the int or
+    Fraction it equals, and a QuadField and the equal ImagQuadField."""
     from slopekit.harness import ExperimentConfig, bost_experiment
+    from slopekit.hermitian import QuadField, _omega_data
     from slopekit.multifilt import Filtration, MultifilteredSpace
     from test_hermitian import _definite
 
     rng = random.Random(3002)
     a, b = _rational_lattice(rng, 3), random_lattice(rng, 2)
-    h = _definite(rng, ImagQuadField(7), 2)
+    k7 = ImagQuadField(7)
+    h = _definite(rng, k7, 2)
     f1 = Filtration(2, [(0, [[1, 0], [0, 1]]), (F(1, 2), [[1, 1]])])
     f2 = Filtration(2, [(-1, [[1, 0], [0, 1]]), (3, [[1, 0]])])
     values = [
@@ -699,6 +704,9 @@ def test_immutable_values_round_trip():
         f1,
         MultifilteredSpace(2, [f1, f2]),
         bost_experiment(ExperimentConfig(count=2))[0][0],
+        k7,
+        QuadField(0, -2, k7),
+        k7.elt(3, F(-1, 2)),
         Sublattice(a, [[1, 2, 0], [0, 3, 1]]),
         tensor_vector_to_hom(a, b, range(6)),
     ]
@@ -712,10 +720,26 @@ def test_immutable_values_round_trip():
                 assert back.degree() == v.degree()
             if hasattr(v, "_gso"):
                 assert back.det() == v.det() and back._gso == v._gso
+        slots = [name for cls in type(v).__mro__ for name in getattr(cls, "__slots__", ()) if name != "__weakref__"]
+        for name in slots:
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        back = copy.copy(v)
+        assert back == v and hash(back) == hash(v)
     sub, hom = values[-2:]
     assert sub == Sublattice(a, [[1, 5, 1], [0, 3, 1]]) and len({sub, Sublattice(a, sub.basis)}) == 1
     assert sub != Sublattice(a, [[1, 2, 0]]) and sub != Sublattice(a.scale(2), sub.basis)
     assert hom == tensor_vector_to_hom(a, b, range(6)) != tensor_vector_to_hom(a, b, range(1, 7))
+    equal = [
+        (LogRational(2), 2),
+        (LogRational(F(1, 2)), F(1, 2)),
+        (log_of_rational(1), 0),
+        (QuadField(*_omega_data(-7)), k7),
+    ]
+    for x, y in equal:
+        assert x == y and hash(x) == hash(y) and y in {x} and x in {y}
 
 
 class _Payload:
@@ -788,7 +812,9 @@ def test_resolved_degree_keeps_no_parent():
 
 def test_long_chain_of_derivations_resolves():
     """The laws of a chain of derived lattices longer than the recursion
-    limit resolve, each once; the ends agree with the factored value."""
+    limit resolve, each once; the ends agree with the factored value.  The
+    tensor square of a dual meets its unresolved parent twice, and resolves
+    it once."""
     lat = _rational_lattice(random.Random(2905), 2)
     chain = [lat]
     for n in range(3000):
@@ -796,6 +822,9 @@ def test_long_chain_of_derivations_resolves():
     top = chain[-1]
     assert top.degree() == log_of_rational(top.det()) * -top._WEIGHT
     assert all(type(x._degree) is LogRational for x in chain)
+    d = random_lattice(random.Random(5), 3).dual()
+    t = d.tensor(d)
+    assert t.degree() == 6 * d.degree() == EuclideanLattice(t.gram).degree()
 
 
 @pytest.mark.parametrize(

@@ -296,23 +296,70 @@ def test_linalg_eliminates_through_rref(monkeypatch):
 
 def test_lattice_kinds_share_one_pair_implementation():
     """Euclidean and hermitian lattices are one integral pair: each operation
-    on it is one function object, defined once in `lattice._GramPair`."""
+    on it is one function object, defined once in `lattice._GramPair`, or
+    in `exactval._Value` for immutability and equality."""
     lat, herm = slopekit.lattice, slopekit.hermitian
     e, h = lat.EuclideanLattice, herm.HermitianLattice
     shared = (
-        "_init_pair", "__setattr__", "gram", "rank", "det", "scaled_gram", "slope", "dual",
-        "tensor", "orthogonal_sum", "exterior_power", "is_integral", "is_unimodular", "__eq__",
-        "__hash__",
+        "_init_pair", "gram", "rank", "det", "scaled_gram", "slope", "dual", "tensor",
+        "orthogonal_sum", "exterior_power", "is_integral", "is_unimodular", "__hash__",
     )
     for name in shared:
         assert name not in vars(e) and name not in vars(h), name
         assert getattr(e, name) is getattr(h, name) is vars(lat._GramPair)[name], name
+    for name in ("__setattr__", "__delattr__", "__eq__"):
+        assert name not in vars(e) and name not in vars(h) and name not in vars(lat._GramPair), name
+        assert getattr(e, name) is getattr(h, name) is vars(slopekit.exactval._Value)[name], name
     assert e._new.__func__ is h._new.__func__
     assert e.scale is h.twist is lat._GramPair._rescale
     # EuclideanLattice names `degree` too, for the tracer (test_traced_names_resolve)
     assert e.degree is h.degree is vars(lat._GramPair)["degree"] and "degree" not in vars(h)
     # a bound classmethod is a fresh object on every access, so `is` cannot test `load`
     assert "load" in vars(lat._GramPair) and "load" not in vars(e) and "load" not in vars(h)
+
+
+def test_immutable_values_share_one_base():
+    """Immutability and identity are written once, in `exactval._Value`:
+    no other class of `src/slopekit` refuses assignment or deletion, every
+    class with `__slots__` derives from it, and each of its subclasses
+    defines `__reduce__` below it (with `object`'s empty state, every
+    instance would equal every other).  Only `LogRational` (equal to an int
+    or Fraction), `QuadField` (equal to an `ImagQuadField`) and `_GramPair`
+    (a cached hash without the field) override `__eq__` or `__hash__`."""
+    classes = {}
+    for path in sorted((PERFBENCH.parent / "src" / "slopekit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                assert node.name not in classes, node.name
+                names = set()
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        names.add(item.name)
+                    elif isinstance(item, ast.Assign):
+                        names |= {t.id for t in item.targets if isinstance(t, ast.Name)}
+                bases = [b.id if isinstance(b, ast.Name) else b.attr for b in node.bases]
+                classes[node.name] = (bases, names)
+
+    def lineage(name):
+        """name, its first base, that base's first base and so on, up to
+        `_Value` or to a class defined outside `src/slopekit`."""
+        out = [name]
+        while out[-1] != "_Value" and out[-1] in classes and classes[out[-1]][0]:
+            out.append(classes[out[-1]][0][0])
+        return out
+
+    def defining(method):
+        return {name for name, (_, names) in classes.items() if method in names}
+
+    values = {name for name in classes if "_Value" in lineage(name)}
+    assert values >= {"_Value", "LogRational", "_GramPair", "EuclideanLattice", "HermitianLattice", "Sublattice",
+                      "LatticeMorphism", "Filtration", "MultifilteredSpace", "QuadField", "ImagQuadField", "QElt"}
+    assert defining("__setattr__") == defining("__delattr__") == {"_Value"}
+    assert defining("__slots__") <= values
+    for name in values - {"_Value"}:
+        assert any("__reduce__" in classes[c][1] for c in lineage(name)[:-1]), name
+    assert defining("__eq__") == {"_Value", "LogRational", "QuadField"}
+    assert defining("__hash__") == {"_Value", "LogRational", "QuadField", "_GramPair"}
 
 
 def test_hashing_builds_no_gram_view():
