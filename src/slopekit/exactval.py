@@ -211,8 +211,6 @@ def _log2_bounds(bits: int) -> RIv:
 @lru_cache(maxsize=1024)
 def _log_int_bounds(n: int, bits: int) -> RIv:
     """Rigorous lo <= log n <= hi for integer n >= 1, width <= 2**(1-bits)."""
-    if n == 1:
-        return RIv(Fraction(0), Fraction(0))
     k = n.bit_length() - 1
     inner = bits + k.bit_length() + 2
     l2 = _log2_bounds(inner)

@@ -23,8 +23,8 @@ which `EuclideanLattice` shares: D is the least common denominator of the
 coordinates of G's entries, so D*G has int coordinates.  The pair's checks,
 tensor products, twists, duals, sums and exterior powers are the euclidean
 ones, run on `QElt` entries through the few hooks this class sets
-(conjugation, the rational value of a real entry, 1/p = conj(p)/N(p));
-`inner` divides by D once, and G is a view built on first use.
+(conjugation, the rational value of a real entry); `inner` divides by D
+once, and G is a view built on first use.
 
 Where a construction has half-integral elements, the checks run on their
 doubles, which are integral: the norm products of `qp_checks` on 2a for
@@ -376,7 +376,6 @@ class HermitianLattice(_GramPair):
     _adjoint = staticmethod(lambda s: tuple(tuple(x.conj() for x in col) for col in zip(*s)))
     _real = attrgetter("a")
     _entry = truediv  # coordinates ints where integral (`_div`)
-    _clear = staticmethod(lambda p: (p.conj(), p.norm()))  # 1/p = conj(p)/N(p)
     _SYMMETRIC = "Gram matrix must be conjugate-symmetric"
     _DIAGONAL = "diagonal Gram entries must be positive rationals"
     _RESCALE = "twist multiplier must be positive"

@@ -6,7 +6,9 @@ common denominator of G's entries (of their coordinates over Q, for a
 hermitian lattice), so that two lattices are equal iff their pairs are.
 `_GramPair` holds the pair and each operation on it, once for both kinds:
 the checks, tensor products, rescalings, exterior powers, orthogonal sums
-and duals all work on D*G, and G is a view, built on first use.
+and duals all work on D*G, and G is a view, built on first use.  A dual
+reads G^-1 = D*adj(S)/det S, S = D*G, off one `linalg.bareiss` run on
+[S | I], in the ring of the entries.
 `EuclideanLattice` is the pair over Z (D*G of ints, D written L) and
 `hermitian.HermitianLattice` the pair over the ring of integers of
 Q(sqrt(-d)).  Degrees and slopes land in LogRational.  The degree of a
@@ -57,9 +59,8 @@ class _GramPair(_Value):
     each called per matrix or per row, never per entry of an int matrix:
     `_content(S)` the ints whose gcd with D is divided out; `_adjoint(S)` the
     conjugate transpose; `_real(x)` the rational value of an entry fixed by
-    conjugation; `_entry(x, D)` an entry x/D of the view G; `_clear(p)` a
-    pair (c, n) with n a positive int and c/n = 1/p; `_WEIGHT` the weight
-    of the infinite place in the degree; `from_json_dict`, which `load`
+    conjugation; `_entry(x, D)` an entry x/D of the view G; `_WEIGHT` the
+    weight of the infinite place in the degree; `from_json_dict`, which `load`
     reads; and the wording of its errors, `_SYMMETRIC` and `_RESCALE`.  A
     kind that sets `_DIAGONAL` has each diagonal entry checked to be a
     positive rational before the rest of its row; without it (euclidean
@@ -225,24 +226,23 @@ class _GramPair(_Value):
 
     def dual(self):
         """The dual lattice, built once; its own dual is self.  Its Gram
-        matrix is the transpose of G^-1 = D * S^-1.  The fraction-free RREF of
-        [S | I] (`linalg.rref`) has rows (p_i e_i | p_i * row i of S^-1), so
-        with (c_i, n_i) = clear(p_i) and P = lcm(n_i) the rows
-        D * (P / n_i) * c_i * (right half of row i) make P * G^-1 on the
-        ring's integers: transposed, over P, the pair of the dual.
+        matrix is the transpose of G^-1 = D * S^-1 = D * adj(S) / det S,
+        both read off one `linalg.bareiss` run on [S | I] (fraction-free
+        Gauss-Jordan, which swaps no row, S being positive definite): the
+        pair ((D * adj(S))^T, det S), which `_init_pair` makes least.
 
         Law: det (G^-1)^T = 1/det G, so deg L* = -deg L.  (G^-1)^T is
         positive definite: G^-1 = G^-1 G G^-1* is congruent to G, and the
         transpose of a positive definite form is its conjugate, positive
         definite too."""
         if self._dual is None:
-            s, n = self._s, len(self._s)
-            rows, _ = linalg.rref(tuple(row + e for row, e in zip(s, linalg.identity(n))))
-            clears = [self._clear(row[i]) for i, row in enumerate(rows)]
-            den = math.lcm(*(m for _, m in clears))
-            factors = [self._den * (den // m) * c for c, m in clears]
-            inv = [[x * f for x in row[n:]] for row, f in zip(rows, factors)]
-            dual = self._new(self._field, tuple(zip(*inv)), den, det=1 / self._det)._by_law((-1, self))
+            s, n, den = self._s, len(self._s), self._den
+            zero = s[0][0] * 0  # of the entries' ring
+            one = zero + 1
+            m, _ = linalg.bareiss([row + (zero,) * i + (one,) + (zero,) * (n - 1 - i) for i, row in enumerate(s)])
+            inv = [[den * x for x in row[n:]] for row in m]
+            dual = self._new(self._field, tuple(zip(*inv)), self._real(m[-1][n - 1]), det=1 / self._det)
+            dual._by_law((-1, self))
             _set(self, "_dual", dual)
             _set(dual, "_dual", self)
         return self._dual
@@ -347,7 +347,6 @@ class EuclideanLattice(_GramPair):
     _adjoint = staticmethod(linalg.transpose)
     _real = int
     _entry = Fraction
-    _clear = staticmethod(lambda p: (1, p))
     _SYMMETRIC = "Gram matrix must be symmetric"
     _RESCALE = "scale factor must be positive"
     _WEIGHT = Fraction(1, 2)

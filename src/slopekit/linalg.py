@@ -3,26 +3,25 @@
 Matrices are tuples of tuples of Fractions or ints; everything here is pure
 and allocation-happy, sized for ranks <= ~10.
 
-This is the only module that eliminates.  `rref` is the one Gauss-Jordan
-loop, fraction-free on every field: it takes entries of any exact field
-whose zero is falsy (`Fraction`, `hermitian.QElt`) and never divides, so
-each row it returns is an RREF row times its pivot.  On rational input (ints
-and Fractions) that row is scaled to primitive integers with a positive
-pivot, which is unique for each row space and so serves as its key.
-`unit_rref` divides the rows by their pivots, for `kernel`, whose results
-are Fractions; `in_row_space` reduces fraction-free and never divides;
-`lattice` reads a dual's Gram matrix off the rows of [S | I].  Every
-rational elimination (`rank`, `kernel`, `intersect_and_sum`,
-`intersect_row_spaces`, `sum_row_spaces`, `in_row_space`,
-`is_positive_semidefinite`) calls it by its module name, the name the
-benchmark's work budget meters.
+This is the only module that eliminates, with one kernel per job.
+`rref` is the one Gauss-Jordan loop over Q: it takes ints and Fractions,
+and returns the integer RREF, each RREF row scaled to primitive integers
+with a positive pivot, which is unique for each row space and so serves as
+its key.  `unit_rref` divides the rows by their pivots, for `kernel`,
+whose results are Fractions.  Every rational elimination (`rank`,
+`kernel`, `intersect_and_sum`, `intersect_row_spaces`, `sum_row_spaces`,
+`in_row_space`, `is_positive_semidefinite`) calls it by its module name,
+the name the benchmark's work budget meters.
 `intersect_and_sum` gives a meet and a sum of two row spaces from one rref.
-`bareiss` is the one square elimination, the one that keeps its
-multipliers; it runs on ints and on `QElt`, whose `//` is exact division.
-`det_int` (ints and `QElt`) and `det_bareiss` (rational, on integers after
-clearing denominators) read the determinant from it, and `lattice` and
+`bareiss` is the one ring kernel, the fraction-free elimination that keeps
+its multipliers; it runs on ints and on `QElt`, whose `//` is exact
+division, on a square matrix or on [S | I].  `det_int` (ints and `QElt`)
+and `det_bareiss` (rational, on integers after clearing denominators) read
+the determinant from a square run, and `lattice` and
 `is_positive_semidefinite` read leading minors from it for positivity (a
-lattice keeps its integral Gram-Schmidt data for LLL and Fincke-Pohst).
+lattice keeps its integral Gram-Schmidt data for LLL and Fincke-Pohst);
+`lattice` reads a dual's Gram matrix, adj(S) over det S, off a run on
+[S | I], which is fraction-free Gauss-Jordan.
 The other integer routines (`hnf`, `saturate`, `int_kernel_saturated`) take
 ints: `hnf` is the one row echelon over the integers (bases, containment,
 independence, integer kernels); `saturate` is the one column echelon, which
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -83,22 +81,35 @@ def clear_denominators(a: Matrix) -> tuple[list[list[int]], int]:
 
 
 def bareiss(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Fraction-free Gaussian elimination of a square matrix that keeps its
-    multipliers (Bareiss 1968): returns the eliminated matrix m and the
-    number of row swaps.  Entries are ints, or `QElt`s of one field, whose
-    `//` is exact division; every division here is exact (Sylvester's
-    identity).  For j <= i, m[i][j] is the minor of the (swapped) input on
-    rows 0..j-1, i and columns 0..j.  A row is swapped in only past a zero
+    """Fraction-free Gaussian elimination that keeps its multipliers
+    (Bareiss 1968), of a square matrix or of an n x 2n matrix [S | I]:
+    returns the eliminated matrix m and the number of row swaps.  Entries
+    are ints, or `QElt`s of one field, whose `//` is exact division; every
+    division here is exact (Sylvester's identity).  This is the one ring
+    kernel: the only elimination that runs on ints and on `QElt`.
+
+    For j <= i, m[i][j] is the minor of the (swapped) input on rows
+    0..j-1, i and columns 0..j.  A row is swapped in only past a zero
     pivot; elimination stops at the first column without a pivot, whose
     diagonal entry stays 0.  So a Gram matrix run without swaps has the
     leading minors d_1, d_2, ... on the diagonal and the integral
     Gram-Schmidt coefficients lambda_ij = d_(j+1) * mu_ij below it (Cohen,
-    A Course in Computational Algebraic Number Theory, 2.6.7)."""
+    A Course in Computational Algebraic Number Theory, 2.6.7).
+
+    On an input wider than it is tall, [S | I] for S invertible, the run is
+    fraction-free Gauss-Jordan: each pivot also clears the rows above it,
+    right of its column, with the same exact division by the previous
+    pivot, and the last column of S gets a pivot too.  Its row operations
+    E take S to d I, d the last pivot m[n-1][n-1] (the cleared entries are
+    left in place, as below the diagonal), so the right half is E = d S^-1:
+    with no swap, d = det S and the right half is adj(S).  A square run
+    leaves its upper triangle alone, since nobody reads it."""
     m = [list(row) for row in a]
     n = len(m)
+    jordan = n and len(m[0]) > n
     swaps = 0
     prev = 1
-    for k in range(n - 1):
+    for k in range(n if jordan else n - 1):
         if not m[k][k]:
             piv = next((i for i in range(k + 1, n) if m[i][k]), None)
             if piv is None:
@@ -107,10 +118,11 @@ def bareiss(a: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
             swaps += 1
         rk = m[k]
         p = rk[k]
-        for i in range(k + 1, n):
+        cols, below = range(k + 1, len(rk)), range(k + 1, n)
+        for i in itertools.chain(range(k), below) if jordan else below:
             ri = m[i]
             f = ri[k]
-            for j in range(k + 1, n):
+            for j in cols:
                 ri[j] = (ri[j] * p - f * rk[j]) // prev
         prev = p
     return m, swaps
@@ -151,10 +163,6 @@ def is_positive_semidefinite(a: Matrix) -> bool:
     return not swaps and all(m[k][k] > 0 for k in range(len(m)))
 
 
-# The entry types of a rational matrix, which `rref` keeps on integers.
-_RATIONAL = frozenset((int, bool, Fraction))
-
-
 def primitive(row: Sequence[int]) -> Sequence[int]:
     """The integer row divided by the gcd of its entries (a list), or the row
     itself if that gcd is 1 or 0."""
@@ -174,28 +182,20 @@ def _integer_rows(a: Matrix) -> list[list[int]]:
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form, each row times a nonzero factor, and the
-    pivot columns; zero rows dropped.
+    """The integer RREF of a rational matrix (entries ints and Fractions)
+    and its pivot columns; zero rows dropped.
 
-    Entries may come from any exact field whose zero is falsy.  One
-    fraction-free Gauss-Jordan loop, which never divides:
-    row_i <- p*row_i - f*row_r clears column c of row i against the pivot
-    p = row_r[c].  Each output row is so its RREF row times its pivot, and
-    `unit_rref` divides the pivots out.
-
-    On rational input (ints and Fractions) rows of ints enter as they are, a
-    row holding a Fraction is first scaled by the lcm of its denominators,
-    each row is made primitive (divided by the gcd of its entries) on entry
-    and after each update, and the output is the integer RREF, int tuples
-    with positive pivots.  Row scalings keep the row space, the loop clears
-    every pivot column outside its pivot row, and the RREF of a row space is
-    unique, so each output row is the primitive integer multiple with
-    positive pivot of an RREF row: unique for each row space."""
-    kinds = set(map(type, itertools.chain.from_iterable(a)))
-    rational = kinds <= _RATIONAL
-    if not rational:
-        m = list(a)
-    elif Fraction in kinds:
+    Rows of ints enter as they are, a row holding a Fraction is first
+    scaled by the lcm of its denominators, and each row is made primitive
+    (divided by the gcd of its entries) on entry and after each update.
+    One fraction-free Gauss-Jordan loop, which never divides but by those
+    gcds: row_i <- p*row_i - f*row_r clears column c of row i against the
+    pivot p = row_r[c].  Row scalings keep the row space, the loop clears
+    every pivot column outside its pivot row, and the RREF of a row space
+    is unique, so each output row, an int tuple with positive pivot, is the
+    primitive integer multiple of an RREF row: unique for each row space.
+    `unit_rref` divides the pivots out."""
+    if Fraction in set(map(type, itertools.chain.from_iterable(a))):
         m = _integer_rows(a)
     else:
         m = [primitive(row) for row in a]
@@ -215,26 +215,24 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         for i in range(rows):
             f = m[i][c]
             if i != r and f:
-                row = [p * x - f * y for x, y in zip(m[i], pr)]
-                m[i] = primitive(row) if rational else row
+                m[i] = primitive([p * x - f * y for x, y in zip(m[i], pr)])
         pivots.append(c)
         r += 1
         if r == rows:
             break
     out = []
     for row, c in zip(m, pivots):
-        out.append(tuple(row) if not rational or row[c] > 0 else tuple([-x for x in row]))
+        out.append(tuple(row) if row[c] > 0 else tuple([-x for x in row]))
     return tuple(out), pivots
 
 
 def unit_rref(rows: Matrix) -> Matrix:
     """The RREF from rows that `rref` returns: each row divided by its pivot
-    (its first nonzero entry); integer rows give Fractions."""
+    (its first nonzero entry), as Fractions."""
     out = []
     for row in rows:
         p = next(x for x in row if x)
-        div = Fraction if type(p) is int else operator.truediv
-        out.append(tuple([div(x, p) for x in row]))
+        out.append(tuple([Fraction(x, p) for x in row]))
     return tuple(out)
 
 
@@ -284,20 +282,9 @@ def sum_row_spaces(a: Matrix, b: Matrix) -> Matrix:
 
 
 def in_row_space(v: Sequence, a: Matrix) -> bool:
-    if all(x == 0 for x in v):
-        return True
-    if not a:
-        return False
-    r, pivots = rref(a)
-    w = list(v)
-    # fraction-free: w <- q*w - w[c]*row clears column c against the pivot q
-    # and only scales w by q != 0 otherwise, so w lands in the row space iff
-    # it reduces to 0
-    for row, c in zip(r, pivots):
-        if f := w[c]:
-            q = row[c]
-            w = [q * x - f * y for x, y in zip(w, row)]
-    return not any(w)
+    """Whether the rational vector v lies in the row space of a: iff adding
+    it keeps the rank."""
+    return rank(tuple(a) + (tuple(v),)) == rank(a)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -195,6 +195,9 @@ def test_polygon_outputs():
     assert len(csv.splitlines()) == 3
     svg = polygon_svg(poly)
     assert svg.startswith("<svg") and "polyline" in svg
+    flat = slope_filtration(unit_lattice(3))  # all degrees 0: a flat plot
+    assert [(k, d) for k, d in flat.hull] == [(0, 0), (3, 0)]
+    assert polygon_svg(flat).count("<circle") == 2
 
 
 def test_multifiltered_generator_valid():

@@ -65,6 +65,9 @@ def test_field_arithmetic():
     assert w * w.conj() == k.elt(2)  # N(w) = 2
     assert (w + w.conj()) == k.one  # tr(w) = 1
     assert (w / w) == k.one
+    assert k.elt(3, 2) - 1 == k.elt(2, 2)  # a rational acts on the first coordinate
+    with pytest.raises(ValueError, match="not rational"):
+        k.elt(3, 2).as_fraction()
     k5 = ImagQuadField(5)
     assert k5.omega * k5.omega == k5.elt(-5)
     with pytest.raises(ValueError):
@@ -564,8 +567,8 @@ def _reference_dual_pair(lat):
 
 
 def test_dual_matches_field_inverse_route():
-    """The dual read off the fraction-free RREF of [D*G | I] equals the dual
-    built through the field inverse, on 240 seeded lattices of rank 1-4
+    """The dual read off one `bareiss` run on [D*G | I], adj(D*G) over
+    det(D*G), equals the dual built through the field inverse, on 240 seeded lattices of rank 1-4
     over six fields, three rank-9 tensors, q7 and its twist: the same pair
     (int coordinates, D least), det and Gram, the transpose of G^-1; it is
     built once, and its own dual is the lattice it came from."""

@@ -469,8 +469,8 @@ def _reference_dual_pair(lat):
 
 
 def test_dual_from_integer_rref_matches_inverse():
-    """The dual read off the integer RREF of [L*G | I] equals the dual
-    built through the Fraction inverse, on 330 seeded integral, scaled and
+    """The dual read off one `bareiss` run on [L*G | I], adj(L*G) over
+    det(L*G), equals the dual built through the Fraction inverse, on 330 seeded integral, scaled and
     tensor lattices of rank 1-6: the same pair, det, gram, and its own dual
     is the lattice it came from."""
     rng = random.Random(2215)
@@ -832,12 +832,13 @@ def test_long_chain_of_derivations_resolves():
     [
         (lambda: Sublattice(unit_lattice(2), []), "sublattice must be nonzero"),
         (lambda: Sublattice(unit_lattice(2), [[1, 0, 0]]), "basis width must equal ambient rank"),
+        (lambda: Sublattice(unit_lattice(2), [[Fraction(1, 2), 0]]), "expected integer entries"),
         (lambda: LatticeMorphism(unit_lattice(2), unit_lattice(3), [[1, 0, 0]] * 3),
          "morphism matrix shape must be target_rank x source_rank"),
         (lambda: tensor_vector_to_hom(unit_lattice(2), unit_lattice(2), [1, 0, 0]),
          "tensor vector has wrong length"),
     ],
-    ids=["sublattice-no-rows", "sublattice-wrong-width", "morphism-wrong-shape", "tensor-vector-wrong-length"],
+    ids=["sublattice-no-rows", "sublattice-wrong-width", "sublattice-non-integer", "morphism-wrong-shape", "tensor-vector-wrong-length"],
 )
 def test_shape_rejections(call, message):
     with pytest.raises(ValueError, match=message):

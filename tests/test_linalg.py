@@ -252,26 +252,6 @@ def test_rref_of_int_rows_is_ints_and_kernel_is_fractions():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
-def test_rref_matches_reference_over_imaginary_quadratic_field(d):
-    """Over Q(sqrt(-d)) `rref` never divides: its rows divided by their
-    pivots (`unit_rref`), and its pivots, are the reference RREF."""
-    field = ImagQuadField(d)
-    rng = random.Random(310 + d)
-    deficient = 0
-    for t in range(60):
-        n = 1 + t % 4
-        a = _qelt_rows(rng, field, n, singular=n > 1 and t % 3 == 0)
-        if t % 2:  # a wide matrix: an extra column, a multiple of the first
-            c = field.elt(rng.randint(-3, 3), rng.randint(-3, 3))
-            a = tuple(row + (c * row[0],) for row in a)
-        expect = _reference_rref(a)
-        got, pivots = linalg.rref(a)
-        assert (linalg.unit_rref(got), pivots) == expect
-        deficient += len(expect[0]) < len(a)
-    assert deficient >= 10
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 7])
 def test_field_inverse_and_det_match_reference(d):
     """`det_int` over Q(sqrt(-d)) against the old field determinant; the
     inverse it was checked with here is now the hermitian dual's
@@ -451,6 +431,41 @@ def test_bareiss_keeps_minors_below_the_diagonal():
                 rows = list(range(j)) + [i]
                 assert m[i][j] == _reference_det_int([[a[r][c] for c in range(j + 1)] for r in rows])
     assert checked >= 50
+
+
+@pytest.mark.parametrize("d", [None, 1, 2, 3, 7])
+def test_bareiss_of_s_and_identity_leaves_adjugate_and_det(d):
+    """On [S | I] `bareiss` runs as fraction-free Gauss-Jordan: it leaves
+    adj(S) in its right half and det S as its last pivot, both times -1 if
+    it swapped an odd number of rows, against the cofactors from `det_int`,
+    on ints (d None) and on `QElt`s of Q(sqrt(-d)), at ranks 1-5."""
+    field = d and ImagQuadField(d)
+    zero, one = (0, 1) if field is None else (field.zero, field.one)
+    rng = random.Random(316 + (d or 0))
+
+    def entry():
+        a = rng.choice((0, rng.randint(-5, 5), rng.randint(-5, 5)))
+        return a if field is None else field.elt(a, rng.choice((0, 0, rng.randint(-3, 3))))
+
+    def cofactor(s, i, j):
+        minor = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(s) if r != i]
+        c = linalg.det_int(minor) if minor else one
+        return -c if (i + j) % 2 else c
+
+    checked = swapped = 0
+    for t in range(120):
+        n = 1 + t % 5
+        s = [[entry() for _ in range(n)] for _ in range(n)]
+        det = linalg.det_int(s)
+        if not det:
+            continue
+        m, swaps = linalg.bareiss([row + [one if i == j else zero for j in range(n)] for i, row in enumerate(s)])
+        sign = -1 if swaps % 2 else 1
+        assert m[-1][n - 1] == det * sign
+        assert [row[n:] for row in m] == [[cofactor(s, j, i) * sign for j in range(n)] for i in range(n)]
+        checked += 1
+        swapped += swaps > 0
+    assert checked >= 80 and swapped >= 20
 
 
 def test_construction_matches_leading_principal_minors():

@@ -77,6 +77,10 @@ def test_filtration_validation():
         Filtration(3, [(0, linalg.identity(3)), (1, [[1, 0, 0], [0, 1, 0]]), (2, [[1, 0, 0], [0, 0, 1]])])
     f = Filtration(2, [(0, [[1, 0], [0, 1]]), (1, [[2, 0]])])
     assert f.steps[1][1] == ((F(1), F(0)),)  # rref-normalized
+    # float rows are read as the rationals they are
+    assert Filtration(2, [(0, [[1.0, 0.0], [0.5, 1.0]]), (1, [[0.5, 1.0]])]) == Filtration(
+        2, [(0, [[1, 0], [F(1, 2), 1]]), (1, [[F(1, 2), 1]])]
+    )
 
 
 def test_weight_and_spaces():

@@ -262,9 +262,10 @@ def test_work_budget_units_are_pinned(monkeypatch):
 
 def test_linalg_eliminates_through_rref(monkeypatch):
     """The work budget wraps `linalg.rref` by name, so each rational route of
-    `linalg`, and the dual of each lattice kind, must look that name up at
-    call time."""
-    linalg, herm = slopekit.linalg, slopekit.hermitian
+    `linalg` must look that name up at call time.  (Lattice duals run on
+    `bareiss`, and the budget meters only multifiltered ops, which build no
+    lattice.)"""
+    linalg = slopekit.linalg
     calls = []
     real = linalg.rref
 
@@ -276,7 +277,6 @@ def test_linalg_eliminates_through_rref(monkeypatch):
     a = linalg.mat([[1, 2, 3], [2, 4, 7]])
     b = linalg.mat([[1, 2, 4]])
     g = linalg.mat([[2, 1], [1, 1]])
-    k = herm.ImagQuadField(7)
     routes = {
         "linalg.rank": lambda: linalg.rank(a),
         "linalg.kernel": lambda: linalg.kernel(a),
@@ -285,13 +285,32 @@ def test_linalg_eliminates_through_rref(monkeypatch):
         "linalg.sum_row_spaces": lambda: linalg.sum_row_spaces(a, b),
         "linalg.in_row_space": lambda: linalg.in_row_space(b[0], a),
         "linalg.is_positive_semidefinite": lambda: linalg.is_positive_semidefinite(g),
-        "EuclideanLattice.dual": lambda: slopekit.lattice.EuclideanLattice(g).dual(),
-        "HermitianLattice.dual": lambda: herm.HermitianLattice(k, [[2, k.omega], [k.omega.conj(), 3]]).dual(),
     }
     for name, route in routes.items():
         before = len(calls)
         route()
         assert len(calls) > before, f"{name} eliminated around rref"
+
+
+def test_rref_takes_only_rational_entries(monkeypatch):
+    """`rref` works over Q only: the hermitian manifests and a hermitian
+    dual hand it ints, bools and Fractions and nothing else (a dual runs on
+    `bareiss`).  The entries are recorded, not asserted on, since a
+    manifest turns a failed assertion into a failed check."""
+    linalg, herm = slopekit.linalg, slopekit.hermitian
+    real = linalg.rref
+    other = []
+
+    def rational(a):
+        other.extend(x for x in itertools.chain.from_iterable(a) if type(x) not in (int, bool, Fraction))
+        return real(a)
+
+    monkeypatch.setattr(linalg, "rref", rational)
+    for report in (herm.a2_twist_checks(), herm.q7_checks(), herm.qp_checks(5)):
+        assert report.passed, report.name
+    k = herm.ImagQuadField(7)
+    herm.HermitianLattice(k, [[2, k.omega], [k.omega.conj(), 3]]).dual()
+    assert other == []
 
 
 def test_lattice_kinds_share_one_pair_implementation():
@@ -312,6 +331,9 @@ def test_lattice_kinds_share_one_pair_implementation():
         assert getattr(e, name) is getattr(h, name) is vars(slopekit.exactval._Value)[name], name
     assert e._new.__func__ is h._new.__func__
     assert e.scale is h.twist is lat._GramPair._rescale
+    # a dual is one `bareiss` run in the entries' ring, with no per-kind hook
+    assert e.dual is h.dual is vars(lat._GramPair)["dual"]
+    assert not any(hasattr(kind, "_clear") for kind in (e, h, lat._GramPair))
     # EuclideanLattice names `degree` too, for the tracer (test_traced_names_resolve)
     assert e.degree is h.degree is vars(lat._GramPair)["degree"] and "degree" not in vars(h)
     # a bound classmethod is a fresh object on every access, so `is` cannot test `load`
@@ -465,15 +487,27 @@ def test_one_hermite_bound_for_every_rank():
     assert readers == {"hermite_constant_pow", "_gamma_pow"}
 
 
+def _is_dual_run(m, s):
+    """Whether the `bareiss` input m is [s | I], the one run of a dual."""
+    n = len(s)
+    one = s[0][0] * 0 + 1
+    return len(m) == n and all(
+        tuple(row[:n]) == tuple(r) and all(x == one if i == j else not x for j, x in enumerate(row[n:]))
+        for i, (row, r) in enumerate(zip(m, s))
+    )
+
+
 def test_hermitian_grams_go_through_bareiss(monkeypatch):
-    """`bareiss` is the one square elimination, looked up by its module name:
+    """`bareiss` is the one ring kernel, looked up by its module name:
     an input hermitian Gram's positivity and determinant come from exactly
     one run, on int coordinates, and so do the minors of its exterior
     powers on and above the diagonal, one run each (3 for the first power
     of a rank-2 lattice; the minor below is the conjugate of the one
     above).  `tensor`, `twist` and `dual` are proven by their laws and run
-    none at construction; the first read of a derived lattice's `_gso` runs
-    exactly one, on int coordinates, and a second read runs none."""
+    no square run at construction: `tensor` and `twist` none at all, and
+    `dual` exactly one, on [D*G | I]; the first read of a derived lattice's
+    `_gso` runs exactly one, on int coordinates, and a second read runs
+    none."""
     linalg, herm = slopekit.linalg, slopekit.hermitian
     calls = []
     real = linalg.bareiss
@@ -504,6 +538,10 @@ def test_hermitian_grams_go_through_bareiss(monkeypatch):
     for name, op in ops.items():
         calls.clear()
         out = op()
+        if name == "dual":
+            assert len(calls) == 1 and _is_dual_run(calls[0], half.scaled_gram()[0])
+            assert int_coordinates(calls[0])
+            calls.clear()
         assert calls == [], f"{name} ran {len(calls)} bareiss"
         gso = out._gso
         assert len(calls) == 1, name
@@ -514,13 +552,16 @@ def test_hermitian_grams_go_through_bareiss(monkeypatch):
 
 def test_law_built_lattices_run_no_sylvester_check(monkeypatch, tmp_path):
     """A lattice derived by an operation whose law proves it positive
-    definite, with its determinant, runs no `linalg.bareiss`: `tensor`,
-    `dual`, `_rescale` (`scale`, `twist`), `orthogonal_sum`, `lll_reduce`
-    and `restrict_scalars` run none, and `exterior_power` one per minor
-    on or above the diagonal (the others are adjoints) and no more.  Every path that takes a Gram from outside runs exactly
-    one, on its own D*G: both constructors, `_from_scaled`, `load` and both
+    definite, with its determinant, runs no Sylvester check, the square
+    `linalg.bareiss` run: `tensor`, `_rescale` (`scale`, `twist`),
+    `orthogonal_sum`, `lll_reduce` and `restrict_scalars` run none, `dual`
+    only its one run on [D*G | I], and `exterior_power` one per minor on or
+    above the diagonal (the others are adjoints) and no more.  Every path
+    that takes a Gram from outside runs exactly one square run, on its own
+    D*G: both constructors, `_from_scaled`, `load` and both
     `from_json_dict`s, pickle and `copy` (through `__reduce__`), and the
-    Schur complement of `_lattice_quotient`."""
+    Schur complement of `_lattice_quotient`, whose dual adds its one run
+    on [D*G | I]."""
     import copy
     import json
     import math
@@ -558,9 +599,13 @@ def test_law_built_lattices_run_no_sylvester_check(monkeypatch, tmp_path):
         "hermitian orthogonal_sum": lambda: h.orthogonal_sum(g),
         "restrict_scalars": lambda: g.tensor(h).restrict_scalars(),
     }
+    parents = {"dual": e, "hermitian dual": g}
     outs = {}
     for name, route in derived.items():
         outs[name] = run(route)
+        if name in parents:
+            assert len(calls) == 1 and _is_dual_run(calls[0], parents[name].scaled_gram()[0]), name
+            del calls[:]
         assert calls == [], f"{name} ran {len(calls)} bareiss"
     for lat, p in [(e, 1), (e, 2), (e, 3), (h, 1), (h, 2)]:
         run(lambda: lat.exterior_power(p))
@@ -585,6 +630,8 @@ def test_law_built_lattices_run_no_sylvester_check(monkeypatch, tmp_path):
         inputs[f"deepcopy {name}"] = lambda out=out: copy.deepcopy(out)
     for name, route in inputs.items():
         out = run(route)
+        if name == "quotient":
+            assert len(calls) == 2 and _is_dual_run(calls.pop(), out.scaled_gram()[0])
         assert calls == [out.scaled_gram()[0]], f"{name} ran {len(calls)} bareiss"
 
 
