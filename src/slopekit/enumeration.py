@@ -731,7 +731,7 @@ def _lattice_quotient(lat: EuclideanLattice, w: Sublattice):
     r = lat.rank
     gi, scale = lat.dual().scaled_gram()
     ann = linalg.int_kernel_saturated(w.basis, r)
-    q = EuclideanLattice._from_scaled(linalg.matmul(linalg.matmul(ann, gi), linalg.transpose(ann)), scale)
+    q = EuclideanLattice._new(None, linalg.matmul(linalg.matmul(ann, gi), linalg.transpose(ann)), scale)
 
     def lift(x: Sublattice) -> Sublattice:
         psi = linalg.int_kernel_saturated(x.basis, len(ann))

@@ -18,13 +18,18 @@ products of ints stay ints, and every division goes through `_div`, which
 divides exactly (`int / int` would be a float).  A quotient in the ring of
 integers, such as each division `linalg.bareiss` makes, so stays on ints.
 
+Complex conjugation is `QElt.conjugate()` and the rational real part
+`QElt.real`, the members of Python's number protocol that ints and
+Fractions have too, so `lattice` and `linalg.sesquilinear` read every
+entry type alike.
+
 `HermitianLattice` is the integral pair (D*G, D) of `lattice._GramPair`,
 which `EuclideanLattice` shares: D is the least common denominator of the
 coordinates of G's entries, so D*G has int coordinates.  The pair's checks,
-tensor products, twists, duals, sums and exterior powers are the euclidean
-ones, run on `QElt` entries through the few hooks this class sets
-(conjugation, the rational value of a real entry); `inner` divides by D
-once, and G is a view built on first use.
+tensor products, twists, duals, sums, exterior powers, `inner` and
+`norm_sq` are the euclidean ones, run on `QElt` entries through the few
+hooks this class sets (the conjugate transpose, the coordinates a vector
+may have, an entry of the view), and G is a view built on first use.
 
 Where a construction has half-integral elements, the checks run on their
 doubles, which are integral: the norm products of `qp_checks` on 2a for
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter, truediv
+from operator import truediv
 from typing import Sequence
 
 from . import linalg
@@ -50,7 +55,7 @@ from .exactval import (
     log_of_rational,
     parse_rat,
 )
-from .lattice import EuclideanLattice, _GramPair
+from .lattice import EuclideanLattice, _GramPair, _rational, evaluation_vector
 from .report import Report, SCOPE_NOTE
 
 F = Fraction
@@ -235,6 +240,7 @@ class QElt(_Value):
     __rmul__ = __mul__
 
     def conj(self) -> "QElt":
+        """The automorphism omega -> trace - omega, fixing the base ring."""
         t = self.field.omega_trace
         return QElt(self.field, self.a + self.b * t if t else self.a, -self.b)
 
@@ -285,37 +291,30 @@ class QElt(_Value):
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
 
-    def real_part(self) -> Fraction:
-        return self.a + self.b * F(self.field.omega_trace, 2)
+    def conjugate(self) -> "QElt":
+        """Complex conjugation: conjugate each coordinate, then apply `conj`
+        iff omega is not real (trace^2 < 4*norm): `conj` on Q(sqrt(-d)), the
+        identity on a real field, and on K(i) conjugation of K and i -> -i."""
+        f = self.field
+        x = QElt(f, self.a.conjugate(), self.b.conjugate())
+        t = f.omega_trace
+        return x.conj() if t * t < 4 * f.omega_norm else x
+
+    @property
+    def real(self) -> Rat:
+        """The real part a + b*trace/2 over Q(sqrt(-d)), an int where
+        integral; ValueError over a real field or a tower."""
+        f = self.field
+        t = f.omega_trace
+        if f.base is not _rat or t * t >= 4 * f.omega_norm:
+            raise ValueError(f"{self} has no rational real part over {f!r}")
+        return _rat(self.a + _div(self.b * t, 2))
 
     def __repr__(self):
         return f"({self.a}+{self.b}w)"
 
 
 _set_field, _set_a, _set_b = QElt.field.__set__, QElt.a.__set__, QElt.b.__set__
-
-
-def sesquilinear(gram, x: Sequence[QElt], y: Sequence[QElt], conj=QElt.conj) -> QElt:
-    """sum_ij conj(x_i) * gram[i][j] * y_j: antilinear in x through the
-    conjugation `conj`, linear in y."""
-    return sum(conj(xi) * sum(g * yj for g, yj in zip(row, y)) for xi, row in zip(x, gram))
-
-
-# Towers K(omega) over an imaginary quadratic K, elements x0 + x1*omega with
-# x0, x1 in K: K(i) for the class-field rings, K(sqrt 2) for the q7 frame.
-# There `conj` is the automorphism fixing K (omega -> its conjugate) and
-# `norm` the relative norm to K.  Complex conjugation conjugates both
-# coordinates, and omega too where omega is not real.
-
-def _cconj(x: QElt) -> QElt:
-    """Complex conjugation of K(i): conjugate both coordinates, then i -> -i."""
-    return QElt(x.field, x.a.conj(), x.b.conj()).conj()
-
-
-def _cconj_real(x: QElt) -> QElt:
-    """Complex conjugation of K(omega) with omega real, such as sqrt(2):
-    conjugate both coordinates."""
-    return QElt(x.field, x.a.conj(), x.b.conj())
 
 
 def _round_half(q: Fraction) -> int:
@@ -352,9 +351,10 @@ def euclid_gcd(elts: Sequence[QElt]) -> QElt:
 
 def _normalised(field: ImagQuadField, x) -> QElt:
     """x as an element of field with int coordinates where integral;
-    ValueError for an element of another field."""
+    ValueError for an element of another field ("field mismatch") and for
+    anything that is neither an element nor an int or a Fraction."""
     if not isinstance(x, QElt):
-        return field.elt(x)
+        return field.elt(_rational(x))
     if x.field != field:
         raise ValueError("field mismatch")
     if type(x.a) is int and type(x.b) is int:
@@ -373,8 +373,7 @@ class HermitianLattice(_GramPair):
     __slots__ = ()
 
     _content = staticmethod(lambda s: (c for row in s for x in row for c in (x.a, x.b)))
-    _adjoint = staticmethod(lambda s: tuple(tuple(x.conj() for x in col) for col in zip(*s)))
-    _real = attrgetter("a")
+    _adjoint = staticmethod(lambda s: tuple(tuple(x.conjugate() for x in col) for col in zip(*s)))
     _entry = truediv  # coordinates ints where integral (`_div`)
     _SYMMETRIC = "Gram matrix must be conjugate-symmetric"
     _DIAGONAL = "diagonal Gram entries must be positive rationals"
@@ -393,12 +392,8 @@ class HermitianLattice(_GramPair):
 
     twist = _GramPair._rescale
 
-    def inner(self, v: Sequence[QElt], w: Sequence[QElt]) -> QElt:
-        x = sesquilinear(self._s, v, w)
-        return x if self._den == 1 else x / self._den
-
-    def norm_sq(self, v: Sequence[QElt]) -> Fraction:
-        return self.inner(v, v).as_fraction()
+    def _coordinate(self, x) -> QElt:
+        return _normalised(self._field, x)
 
     def restrict_scalars(self) -> EuclideanLattice:
         """Rank-2r euclidean lattice on the Z-basis (e_j, omega*e_j), with the
@@ -417,16 +412,8 @@ class HermitianLattice(_GramPair):
         r = self.rank
         field = self.field
         disc_quarter = field.omega_norm - F(field.omega_trace) ** 2 / 4
-        gens = [(j, pow_w) for j in range(r) for pow_w in (0, 1)]
-        one, w = field.one, field.omega
-
-        def coeff(pw):
-            return one if pw == 0 else w
-
-        gram = [
-            [(coeff(pa).conj() * self._s[i][j] * coeff(pb)).trace() for (j, pb) in gens]
-            for (i, pa) in gens
-        ]
+        gens = [(j, c) for j in range(r) for c in (field.one, field.omega)]
+        gram = [[(a.conjugate() * self._s[i][j] * b).trace() for j, b in gens] for i, a in gens]
         det = self._det**2 * disc_quarter**r
         out = EuclideanLattice._new(None, gram, 2 * self._den, det=det)
         return out._by_law((1, self), base=disc_quarter, power=r)
@@ -473,7 +460,7 @@ def unit_hermitian(field: ImagQuadField, rank: int) -> HermitianLattice:
 def rank_one_degree(lat: HermitianLattice, v: Sequence[QElt]) -> LogRational:
     """Degree of the saturated rank-one sublattice through v:
     log #(sat / o_K v) - log ||v||^2."""
-    v = tuple(x if isinstance(x, QElt) else lat.field.elt(x) for x in v)
+    v = tuple(map(lat._coordinate, v))
     if all(x.is_zero() for x in v):
         raise ValueError("vector must be nonzero")
     nsq = lat.norm_sq(v)
@@ -486,12 +473,7 @@ def rank_one_degree(lat: HermitianLattice, v: Sequence[QElt]) -> LogRational:
 
 def identity_tensor_sq(lat: HermitianLattice) -> Fraction:
     """Squared length of sum_i e_i⊗e_i^∨ in L ⊗ dual(L); equals the rank."""
-    r = lat.rank
-    t = lat.tensor(lat.dual())
-    w = [lat.field.zero] * (r * r)
-    for i in range(r):
-        w[i * r + i] = lat.field.one
-    return t.norm_sq(w)
+    return lat.tensor(lat.dual()).norm_sq(evaluation_vector(lat))
 
 
 def faltings_height_sq(lat: HermitianLattice) -> LogRational:
@@ -653,14 +635,7 @@ def q7_checks() -> Report:
     )
     # its pairing functional generates the line in the dual square that cuts
     # out the rank-one quotient of the twisted square
-    vec_f = [
-        sum(
-            (w_id[j * 3 + l].conj() * lat.gram[j][i] * lat.gram[l][kk] for j in range(3) for l in range(3)),
-            k.zero,
-        )
-        for i in range(3)
-        for kk in range(3)
-    ]
+    vec_f = linalg.matmul([[x.conjugate() for x in w_id]], square.gram)[0]  # conj(w)^T (G (x) G)
     tw_dual = lat.twist(c_exp).dual()  # Gram multiplied by e^lambda = the <-lambda> twist
     dual_sq = tw_dual.tensor(tw_dual)
     nsq = dual_sq.norm_sq(vec_f)
@@ -719,22 +694,22 @@ def q7_checks() -> Report:
         theta2 = k2(w.conj()) * k2.elt(-2, sign)  # 2*theta, theta = conj(w)*(sign*sqrt(2)/2 - 1)
         rep.require(
             f"theta_{label}_abs_sq",
-            theta2 * _cconj_real(theta2) == k2.elt(12, -8 * sign),
+            theta2 * theta2.conjugate() == k2.elt(12, -8 * sign),
             f"|theta_{label}|^2 = 3 {op} 2*sqrt(2)",
         )
         # 2*f1 and 2*f2, for f1 = e1 + theta e2 and f2 = conj(theta) e1 + e2
         f1 = [two, theta2]
-        f2 = [_cconj_real(theta2), two]
+        f2 = [theta2.conjugate(), two]
         frame_target = k2.elt(16, -8 * sign)  # 4 * 2*sqrt2*(sqrt2 -+ 1)
         rep.require(
             f"frame_{label}_norms",
-            sesquilinear(g2, f1, f1, _cconj_real) == frame_target
-            and sesquilinear(g2, f2, f2, _cconj_real) == frame_target,
+            linalg.sesquilinear(g2, f1, f1) == frame_target
+            and linalg.sesquilinear(g2, f2, f2) == frame_target,
             f"|f1|^2 = |f2|^2 = 2*sqrt(2)*(sqrt(2) {op} 1)",
         )
         rep.require(
             f"frame_{label}_orthogonal",
-            sesquilinear(g2, f1, f2, _cconj_real).is_zero(),
+            linalg.sesquilinear(g2, f1, f2).is_zero(),
             "<f1, f2> = 0",
         )
     rep.note(
@@ -753,7 +728,7 @@ def q7_checks() -> Report:
 def _sixteen_bound_norms(kp: QuadField) -> list[tuple[int, int]]:
     """(N(E), N(ab)) for each ordered pair of the samples a, b in
     (1, i, u, 1 + i, u + i, 2u - 1, u + 1) of K' = K(i), u = (1 + sqrt p)/2,
-    with E = a*cconj(a) + b*cconj(b) and N the absolute norm of K'.
+    with E = a*conjugate(a) + b*conjugate(b) and N the absolute norm of K'.
 
     They run on the doubled samples 2a, which stay on ints: 2u = 1 - w*i is
     integral over (1, i).  N has degree 4 over Q, so N(2x) = 16*N(x), and
@@ -761,7 +736,7 @@ def _sixteen_bound_norms(kp: QuadField) -> list[tuple[int, int]]:
     two, i2 = kp.elt(2), kp.omega * 2
     u2 = kp.elt(1, -kp.base.omega)
     samples2 = [two, i2, u2, two + i2, u2 + i2, u2 * 2 - two, u2 + two]
-    abs_sq = [x * _cconj(x) for x in samples2]  # 4*a*cconj(a), once per sample
+    abs_sq = [x * x.conjugate() for x in samples2]  # 4*|a|^2, once per sample
     return [
         (_div((xx + yy).norm().norm(), 256), _div((x * y).norm().norm(), 256))
         for x, xx in zip(samples2, abs_sq)
@@ -785,8 +760,8 @@ def qp_checks(p: int) -> Report:
     u = kp.elt(k.elt(F(1, 2)), k.elt(0, F(-1, 2)))
 
     def pair(x: QElt, y: QElt) -> QElt:
-        """(1/2) tr_{K'/K}(cconj(x) * y) on coordinates over (1, i)."""
-        return (_cconj(x) * y).a
+        """(1/2) tr_{K'/K}(conjugate(x) * y) on coordinates over (1, i)."""
+        return (x.conjugate() * y).a
 
     basis = [u, i_elt]
     gram = [[pair(x, y) for y in basis] for x in basis]
@@ -870,10 +845,10 @@ def qp_checks(p: int) -> Report:
 
     # hermitian form on the base change, sesquilinear over K'
     gq = [[kp.elt(gram[a][b2]) for b2 in range(2)] for a in range(2)]
-    cross = sesquilinear(gq, e_plus, e_minus, _cconj)
+    cross = linalg.sesquilinear(gq, e_plus, e_minus)
     rep.require("split_orthogonal", cross.is_zero(), "the two split generators are orthogonal")
-    h_p = sesquilinear(gq, e_plus, e_plus, _cconj)
-    h_m = sesquilinear(gq, e_minus, e_minus, _cconj)
+    h_p = linalg.sesquilinear(gq, e_plus, e_plus)
+    h_m = linalg.sesquilinear(gq, e_minus, e_minus)
     rep.require(
         "split_norms_equal_rational",
         h_p == h_m and h_p.b.is_zero() and h_p.a.is_rational() and h_p.a.as_fraction() > 0,
@@ -922,8 +897,8 @@ def qp_checks(p: int) -> Report:
         b2 = k.elt(rows[1][0], rows[1][1])
         form = EuclideanLattice(
             [
-                [b1.norm(), (b1.conj() * b2).real_part()],
-                [(b2.conj() * b1).real_part(), b2.norm()],
+                [b1.norm(), (b1.conj() * b2).real],
+                [(b2.conj() * b1).real, b2.norm()],
             ]
         )
         iota = _min_sq(form) / ideal_norm

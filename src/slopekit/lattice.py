@@ -5,10 +5,10 @@ A lattice is its integral pair (D*G, D): G its Gram matrix and D the least
 common denominator of G's entries (of their coordinates over Q, for a
 hermitian lattice), so that two lattices are equal iff their pairs are.
 `_GramPair` holds the pair and each operation on it, once for both kinds:
-the checks, tensor products, rescalings, exterior powers, orthogonal sums
-and duals all work on D*G, and G is a view, built on first use.  A dual
-reads G^-1 = D*adj(S)/det S, S = D*G, off one `linalg.bareiss` run on
-[S | I], in the ring of the entries.
+the checks, tensor products, rescalings, exterior powers, orthogonal sums,
+duals, `inner` and `norm_sq` all work on D*G, and G is a view, built on
+first use.  A dual reads G^-1 = D*adj(S)/det S, S = D*G, off one
+`linalg.bareiss` run on [S | I], in the ring of the entries.
 `EuclideanLattice` is the pair over Z (D*G of ints, D written L) and
 `hermitian.HermitianLattice` the pair over the ring of integers of
 Q(sqrt(-d)).  Degrees and slopes land in LogRational.  The degree of a
@@ -46,6 +46,13 @@ Rat = int | Fraction
 _set = object.__setattr__
 
 
+def _rational(x) -> Rat:
+    """x if it is an int or a Fraction, else ValueError (never a float)."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise ValueError(f"cannot coerce {x!r}")
+
+
 def _lower_triangle(m) -> tuple:
     """Rows i of m cut after column i."""
     return tuple(tuple(row[: i + 1]) for i, row in enumerate(m))
@@ -55,17 +62,19 @@ class _GramPair(_Value):
     """A lattice as its integral pair (S, D) = (D*G, D), D >= 1 least, with
     the field of its entries (None for Z).
 
-    A kind states what the pair needs to know of its entries in a few hooks,
-    each called per matrix or per row, never per entry of an int matrix:
-    `_content(S)` the ints whose gcd with D is divided out; `_adjoint(S)` the
-    conjugate transpose; `_real(x)` the rational value of an entry fixed by
-    conjugation; `_entry(x, D)` an entry x/D of the view G; `_WEIGHT` the
-    weight of the infinite place in the degree; `from_json_dict`, which `load`
-    reads; and the wording of its errors, `_SYMMETRIC` and `_RESCALE`.  A
-    kind that sets `_DIAGONAL` has each diagonal entry checked to be a
-    positive rational before the rest of its row; without it (euclidean
-    lattices) the whole symmetry check comes first, and a diagonal entry
-    <= 0 fails Sylvester's test.
+    Each entry conjugates itself and gives its rational real part through
+    Python's number protocol, `conjugate()` and `real`.  A kind states the
+    rest in a few hooks, each called per matrix, per row or per coordinate,
+    never per entry of an int matrix: `_content(S)` the ints whose gcd with
+    D is divided out; `_adjoint(S)` the conjugate transpose (`transpose`
+    over Z); `_coordinate(x)` a vector coordinate in the ring of the
+    entries, or ValueError; `_entry(x, D)` an entry x/D of the view G;
+    `_WEIGHT` the weight of the infinite place in the degree;
+    `from_json_dict`, which `load` reads; and the wording of its errors,
+    `_SYMMETRIC` and `_RESCALE`.  A kind that sets `_DIAGONAL` has each
+    diagonal entry checked to be a positive rational before the rest of its
+    row; without it (euclidean lattices) the whole symmetry check comes
+    first, and a diagonal entry <= 0 fails Sylvester's test.
 
     Equality and hash are on the pair as well, for both kinds: `__eq__`
     (`_Value`'s) compares the field, D*G and D of two lattices of one kind,
@@ -114,9 +123,9 @@ class _GramPair(_Value):
                 gso = None
         s = tuple(map(tuple, s))
         if det is None:
-            adj, real, diagonal = self._adjoint(s), self._real, self._DIAGONAL
+            adj, diagonal = self._adjoint(s), self._DIAGONAL
             for i, row in enumerate(s):
-                if diagonal and (row[i] != adj[i][i] or real(row[i]) <= 0):
+                if diagonal and (row[i] != adj[i][i] or row[i].real <= 0):
                     raise ValueError(diagonal)
                 if row != adj[i]:
                     raise ValueError(self._SYMMETRIC)
@@ -125,9 +134,9 @@ class _GramPair(_Value):
             # to its adjoint.  `bareiss` swaps only past a zero minor and
             # leaves the leading minors on the diagonal of a run without swaps.
             m, swaps = linalg.bareiss(s)
-            if swaps or any(real(m[k][k]) <= 0 for k in range(r)):
+            if swaps or any(m[k][k].real <= 0 for k in range(r)):
                 raise ValueError("Gram matrix must be positive definite")
-            det = Fraction(real(m[-1][-1]), den**r)
+            det = Fraction(m[-1][-1].real, den**r)
             gso = _lower_triangle(m)
         _set(self, "_field", field)
         _set(self, "_s", s)
@@ -165,6 +174,20 @@ class _GramPair(_Value):
 
     def det(self) -> Fraction:
         return self._det
+
+    def inner(self, v, w):
+        """`linalg.sesquilinear` of v and w on D*G, divided by D once.
+        ValueError for a vector whose length is not the rank, or a
+        coordinate that `_coordinate` refuses."""
+        r, coordinate = self.rank, self._coordinate
+        if len(v) != r or len(w) != r:
+            raise ValueError(f"vectors must have {r} coordinates, the rank")
+        x = linalg.sesquilinear(self._s, [coordinate(c) for c in v], [coordinate(c) for c in w])
+        return self._entry(x, self._den)
+
+    def norm_sq(self, v) -> Fraction:
+        """<v, v>, a Fraction for either kind."""
+        return Fraction(self.inner(v, v).real)
 
     def scaled_gram(self) -> tuple:
         """(D * gram, D) with D the least common denominator of the Gram
@@ -241,7 +264,7 @@ class _GramPair(_Value):
             one = zero + 1
             m, _ = linalg.bareiss([row + (zero,) * i + (one,) + (zero,) * (n - 1 - i) for i, row in enumerate(s)])
             inv = [[den * x for x in row[n:]] for row in m]
-            dual = self._new(self._field, tuple(zip(*inv)), self._real(m[-1][n - 1]), det=1 / self._det)
+            dual = self._new(self._field, tuple(zip(*inv)), m[-1][n - 1].real, det=1 / self._det)
             dual._by_law((-1, self))
             _set(self, "_dual", dual)
             _set(dual, "_dual", self)
@@ -345,7 +368,7 @@ class EuclideanLattice(_GramPair):
 
     _content = chain.from_iterable
     _adjoint = staticmethod(linalg.transpose)
-    _real = int
+    _coordinate = staticmethod(_rational)
     _entry = Fraction
     _SYMMETRIC = "Gram matrix must be symmetric"
     _RESCALE = "scale factor must be positive"
@@ -360,25 +383,8 @@ class EuclideanLattice(_GramPair):
         self._init_pair(None, *linalg.clear_denominators(g))
         _set(self, "_gram", g)
 
-    @staticmethod
-    def _from_scaled(gi: Sequence[Sequence[int]], scale: int) -> "EuclideanLattice":
-        """The lattice of Gram matrix gi / scale, for a square integer gi and
-        an integer scale >= 1."""
-        return EuclideanLattice._new(None, gi, scale)
-
     scale = _GramPair._rescale
     degree = _GramPair.degree  # in this class's dict, where perfbench/tracing.py wraps it
-
-    def inner(self, v: Sequence[Rat], w: Sequence[Rat]) -> Fraction:
-        gram = self.gram
-        return sum(
-            Fraction(v[i]) * gram[i][j] * Fraction(w[j])
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-
-    def norm_sq(self, v: Sequence[Rat]) -> Fraction:
-        return self.inner(v, v)
 
     def full_sublattice(self) -> "Sublattice":
         return Sublattice(self, linalg.identity(self.rank))

@@ -22,6 +22,8 @@ the determinant from a square run, and `lattice` and
 lattice keeps its integral Gram-Schmidt data for LLL and Fincke-Pohst);
 `lattice` reads a dual's Gram matrix, adj(S) over det S, off a run on
 [S | I], which is fraction-free Gauss-Jordan.
+`sesquilinear` is the one scalar product, on every entry type: each entry
+conjugates itself (`conjugate()`, the identity on ints and Fractions).
 The other integer routines (`hnf`, `saturate`, `int_kernel_saturated`) take
 ints: `hnf` is the one row echelon over the integers (bases, containment,
 independence, integer kernels); `saturate` is the one column echelon, which
@@ -293,6 +295,12 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for rb in b:
             out.append(tuple(x * y for x in ra for y in rb))
     return tuple(out)
+
+
+def sesquilinear(gram: Matrix, x: Sequence, y: Sequence):
+    """sum_ij conj(x_i) * gram[i][j] * y_j, conj(x_i) = x_i.conjugate():
+    antilinear in x, linear in y."""
+    return sum(xi.conjugate() * sum(g * yj for g, yj in zip(row, y)) for xi, row in zip(x, gram))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,13 @@ must keep, from public functions only:
   and JSON, `mf slope`, `mu-max` and `tensor-check`; `lattice tensor-check`
   of E8 and Z^1 at `--cap 1`, whose unimodular inputs certify with no
   search but whose nu needs `minimum_sq`, so it exits 1 with stdout empty;
-  and two exit-2 errors, malformed JSON and `--csv` on `lattice mu-max`.
+  and two exit-2 errors, malformed JSON and `--csv` on `lattice mu-max`;
+- `pair_forms`: the pair (D, D*G), `det()`, and `inner` and `norm_sq` on
+  seeded vectors with int and with Fraction coordinates, on 24 seeded
+  euclidean lattices with D > 1 (duals, rescalings by p/q, tensors with a
+  dual) and on 30 seeded hermitian lattices over Q(sqrt(-d)), d in 1, 2, 3,
+  7, 11 (twists, duals, tensors), whose coordinates are field elements
+  with int and with Fraction coordinates.
 
 Run from the repository root: `PYTHONPATH=src python tests/make_golden.py`.
 `test_harness.test_golden_outputs_are_kept` compares every entry."""
@@ -40,6 +46,7 @@ import io
 import json
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from slopekit import (
@@ -55,6 +62,7 @@ from slopekit import (
     tensor_mf,
 )
 from slopekit.cli import main
+from slopekit.hermitian import HermitianLattice, ImagQuadField
 from slopekit.lattice import e8_lattice, unit_lattice
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
@@ -217,6 +225,67 @@ def cli_runs() -> dict:
     return out
 
 
+def hermitian_lattice(rng, field, r):
+    """A hermitian lattice of rank r over field, its Gram drawn again until
+    it is positive definite."""
+    while True:
+        g = [[None] * r for _ in range(r)]
+        for i in range(r):
+            g[i][i] = field.elt(Fraction(rng.randint(2, 12), rng.randint(1, 3)))
+            for j in range(i + 1, r):
+                g[i][j] = field.elt(Fraction(rng.randint(-2, 2), rng.randint(1, 2)), rng.randint(-1, 1))
+                g[j][i] = g[i][j].conj()
+        try:
+            return HermitianLattice(field, g)
+        except ValueError:
+            continue
+
+
+def pair_form_lattices():
+    """Euclidean lattices with D > 1 (duals, rescalings by p/q and tensors
+    with a dual of `random_lattice`s of rank 1..3), then hermitian ones over
+    Q(sqrt(-d)) (twists by p/q, duals and tensors of seeded Grams of rank
+    1..3), each with a `coordinate` that draws a vector coordinate with an
+    int or, when `frac`, a Fraction value."""
+    rng = random.Random(42)
+    out = []
+    while len(out) < 24:
+        a, b = harness.random_lattice(rng, rng.randint(1, 3)), harness.random_lattice(rng, rng.randint(1, 3))
+        c = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        out += [x for x in (a.dual(), a.scale(c), a.tensor(b.dual())) if x.scaled_gram()[1] > 1]
+    out = out[:24]
+
+    def rational(frac):
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if frac else rng.randint(-3, 3)
+
+    lats = [(lat, rational) for lat in out]
+    for d in (1, 2, 3, 7, 11):
+        field = ImagQuadField(d)
+        a, b = hermitian_lattice(rng, field, rng.randint(1, 3)), hermitian_lattice(rng, field, rng.randint(1, 3))
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        for lat in (a, b, a.twist(c), a.dual(), a.tensor(b), a.tensor(b.dual())):
+            lats.append((lat, lambda frac, field=field: field.elt(rational(frac), rational(frac))))
+    return lats
+
+
+def pair_forms() -> list:
+    def text(x):
+        return [str(x.a), str(x.b)] if hasattr(x, "field") else str(x)
+
+    out = []
+    for lat, coordinate in pair_form_lattices():
+        s, den = lat.scaled_gram()
+        forms = []
+        for frac in (False, True):
+            v, w = ([coordinate(frac) for _ in range(lat.rank)] for _ in range(2))
+            forms.append({
+                "v": [text(x) for x in v], "w": [text(x) for x in w],
+                "inner": text(lat.inner(v, w)), "norm_sq": text(lat.norm_sq(v)),
+            })
+        out.append({"den": den, "scaled": [[text(x) for x in row] for row in s], "det": text(lat.det()), "forms": forms})
+    return out
+
+
 def golden() -> dict:
     lat, mf, single, big = lattice_pairs(), mf_pairs(), lattices(), tensors()
     cfgs = {"default": (harness.ExperimentConfig(), False), "seed-77-unimodular": (harness.ExperimentConfig(seed=77), True)}
@@ -248,6 +317,7 @@ def golden() -> dict:
             "lll_reduce-criterion-4": [{"lattice": reduction(x), "dual": reduction(x.dual())} for x in criterion_4_corpus()],
         },
         "cli": cli_runs(),
+        "pair_forms": {"lattices": pair_forms()},
     }
 
 

@@ -660,7 +660,11 @@ def test_golden_outputs_are_kept():
     on 120 seeded lattices, `mu_max` at node caps on 30 seeded tensors of
     rank 9-12, `lll_reduce` on the criterion-4 corpus and its duals, and
     stdout, stderr and exit code of the `lattice` and `mf` commands on
-    seeded files. The corpus holds an uncertified 9-dimensional tensor
+    seeded files, and `pair_forms`: the pair, `det()`, `inner` and
+    `norm_sq` of 24 euclidean lattices with D > 1 and 30 hermitian ones,
+    on vectors with int and with Fraction coordinates, whose values were
+    written before both kinds shared one `inner` and `norm_sq`.
+    The corpus holds an uncertified 9-dimensional tensor
     (draw 72), 163 uncertified lattice `mu_max` results at caps 2, 20 and
     200 and 75 on the tensors, so the flag and the upper bound of a failed
     certificate are kept too; and a command that exits 1 with stdout empty
@@ -679,6 +683,10 @@ def test_golden_outputs_are_kept():
         "exit": 1, "stdout": "", "stderr": "uncertified: enumeration node cap 1 exceeded\n"
     }
     assert [run["exit"] for run in cli.values()].count(2) == 2
+    forms = want["pair_forms"]["lattices"]
+    kinds = [isinstance(e["scaled"][0][0], list) for e in forms]
+    assert kinds.count(False) == 24 and kinds.count(True) == 30
+    assert all(e["den"] > 1 for e, hermitian in zip(forms, kinds) if not hermitian)
     got = golden()
     assert got.keys() == want.keys()
     for section, entries in want.items():

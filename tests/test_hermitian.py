@@ -15,7 +15,6 @@ from slopekit.hermitian import (
     HermitianLattice,
     ImagQuadField,
     QuadField,
-    _cconj,
     _sixteen_bound_norms,
     a2_twist_checks,
     euclid_gcd,
@@ -118,7 +117,7 @@ def test_rejection_messages_match_parent_wording():
         (lambda: EuclideanLattice([[1, 2]]), square),
         (lambda: EuclideanLattice([[1, 2], [3, 4]]), "Gram matrix must be symmetric"),
         (lambda: EuclideanLattice([[0, 2], [3, 4]]), "Gram matrix must be symmetric"),
-        (lambda: EuclideanLattice._from_scaled([[1, 2], [3, 4]], 2), "Gram matrix must be symmetric"),
+        (lambda: EuclideanLattice._new(None, [[1, 2], [3, 4]], 2), "Gram matrix must be symmetric"),
         (lambda: EuclideanLattice([[1, 2], [2, 1]]), definite),
         (lambda: EuclideanLattice([[-1]]), definite),
         (lambda: e1.scale(0), "scale factor must be positive"),
@@ -504,7 +503,7 @@ def _fraction_sixteen_norms(p):
         for b in samples:
             if a.is_zero() or b.is_zero():
                 continue
-            e_val = a * _cconj(a) + b * _cconj(b)
+            e_val = a * a.conjugate() + b * b.conjugate()
             out.append((e_val.norm().norm(), (a * b).norm().norm()))
     return out
 
@@ -651,6 +650,55 @@ _K7, _K3 = ImagQuadField(7), ImagQuadField(3)
 def test_field_rejections(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_inner_rejects_a_vector_whose_length_is_not_the_rank():
+    """Both kinds' one `inner` refuses a vector longer or shorter than the
+    rank; the euclidean one ignored an extra coordinate or raised
+    IndexError, and the hermitian `norm_sq` cut the vector to the rank."""
+    a2, h = a2_lattice(), unit_hermitian(_K7, 2)
+    for call in (
+        lambda: a2.inner([1, 0, 7], [1, 0]),
+        lambda: a2.inner([1], [1, 0]),
+        lambda: a2.norm_sq([1, 1, 1]),
+        lambda: h.norm_sq([_K7.one, _K7.zero, _K7.one]),
+        lambda: h.norm_sq([_K7.one]),
+        lambda: h.inner([_K7.one, _K7.zero], [_K7.one]),
+    ):
+        with pytest.raises(ValueError, match="vectors must have 2 coordinates, the rank"):
+            call()
+    assert a2.inner([1, 0], [0, 1]) == 1 and h.norm_sq([_K7.one, _K7.one]) == 2
+
+
+def test_euclidean_inner_takes_ints_and_fractions_only():
+    """A euclidean coordinate is an int or a Fraction, never a float or a
+    string, which were read as their Fraction values."""
+    a2 = a2_lattice()
+    for bad in (0.5, "1/2", None, _K7.one):
+        with pytest.raises(ValueError, match="cannot coerce"):
+            a2.inner([bad, 0], [1, 0])
+        with pytest.raises(ValueError, match="cannot coerce"):
+            a2.norm_sq([1, bad])
+    assert a2.inner([F(1, 2), 0], [1, 0]) == 1
+    assert a2.scale(F(1, 3)).norm_sq([F(1, 2), 1]) == F(7, 6)
+
+
+def test_hermitian_inner_brings_its_coordinates_into_the_field():
+    """A hermitian coordinate is an element of the lattice's field or an int
+    or Fraction, which coerces (an int raised AttributeError); anything else
+    is refused, and an element of another field stays "field mismatch".
+    A Gram entry goes through the same coercion."""
+    h = unit_hermitian(_K7, 2).twist(F(1, 3))
+    w = _K7.omega
+    assert h.norm_sq([1, 0]) == F(1, 3) and h.norm_sq([F(3, 2), w]) == F(17, 12)
+    assert h.inner([1, w], [w, 2]) == h.inner([_K7.one, w], [w, _K7.elt(2)]) == (w + w.conj() * 2) / 3
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(ValueError, match="cannot coerce"):
+            h.inner([bad, 0], [1, 0])
+    with pytest.raises(ValueError, match="field mismatch"):
+        h.norm_sq([_K3.one, 0])
+    with pytest.raises(ValueError, match="cannot coerce 1.5"):
+        HermitianLattice(_K7, [[1.5]])
 
 
 def test_hermitian_load(tmp_path):

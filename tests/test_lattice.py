@@ -415,13 +415,13 @@ def test_invalid_grams_raise_the_same_errors():
         kinds[want] += 1
         if want is None:
             lat = EuclideanLattice(g)
-            assert EuclideanLattice._from_scaled(*linalg.clear_denominators(m)) == lat
+            assert EuclideanLattice._new(None, *linalg.clear_denominators(m)) == lat
             continue
         with pytest.raises(ValueError, match=want):
             EuclideanLattice(g)
         if want != "square":
             with pytest.raises(ValueError, match=want):
-                EuclideanLattice._from_scaled(*linalg.clear_denominators(m))
+                EuclideanLattice._new(None, *linalg.clear_denominators(m))
     assert min(kinds.values()) >= 30
 
 
@@ -575,17 +575,17 @@ def test_derived_degrees_match_factored_determinants(monkeypatch):
 def test_pair_keeps_the_lower_triangle_of_its_sylvester_check():
     """Every lattice keeps as `_gso` the lower triangle of `linalg.bareiss`
     on its own D*G (row i: lambda_i0 .. lambda_i,i-1, then d_(i+1)), on
-    seeded lattices built every way: int and Fraction Grams, `_from_scaled`
-    with a gcd to divide out, and the derived lattices of both kinds
-    (tensors, duals, rescalings and twists, exterior powers, orthogonal
-    sums, LLL reductions and restrictions of scalars)."""
+    seeded lattices built every way: int and Fraction Grams, `_new` on a
+    scaled pair with a gcd to divide out, and the derived lattices of both
+    kinds (tensors, duals, rescalings and twists, exterior powers,
+    orthogonal sums, LLL reductions and restrictions of scalars)."""
     rng = random.Random(3001)
     lats = []
     for n in range(120):
         (a, b), pure, shifted = _derived_euclidean(rng, n)
         gi, den = a.scaled_gram()
         k = rng.randint(2, 6)
-        divided = EuclideanLattice._from_scaled([[x * k for x in row] for row in gi], den * k)
+        divided = EuclideanLattice._new(None, [[x * k for x in row] for row in gi], den * k)
         assert divided.scaled_gram() == (gi, den)
         c = F(rng.randint(1, 9), rng.randint(1, 9))
         lats += [a, b, EuclideanLattice(a.gram), divided, a.scale(c), *pure, *shifted]
@@ -609,8 +609,8 @@ def _check_against_elimination(lat):
     s, den = lat.scaled_gram()
     m, swaps = linalg.bareiss(s)
     assert swaps == 0
-    assert all(lat._real(m[k][k]) > 0 for k in range(lat.rank))
-    assert lat.det() == F(lat._real(m[-1][-1]), den**lat.rank)
+    assert all(m[k][k].real > 0 for k in range(lat.rank))
+    assert lat.det() == F(m[-1][-1].real, den**lat.rank)
     assert lat._gso == tuple(tuple(row[: i + 1]) for i, row in enumerate(m))
 
 

@@ -9,6 +9,7 @@ the q7 frame against a pair-of-coordinates model.  The same Fraction
 models check that int coordinates stay ints through + - * and through
 exact quotients, and that no result has a float coordinate."""
 
+import cmath
 import itertools
 import math
 import random
@@ -25,10 +26,9 @@ from slopekit.hermitian import (
     ImagQuadField,
     QElt,
     QuadField,
-    _cconj,
-    _cconj_real,
     _omega_data,
 )
+from slopekit.lattice import EuclideanLattice
 from test_linalg import _reference_field_inverse
 
 F = Fraction
@@ -142,11 +142,11 @@ def _loop_dual(g):
     return [[inv[j][i] for j in range(len(g))] for i in range(len(g))]
 
 
-def _loop_inner(g, v, w, zero):
+def _loop_inner(g, v, w, zero, conj=QElt.conj):
     acc = zero
     for i in range(len(g)):
         for j in range(len(g)):
-            acc = acc + v[i].conj() * g[i][j] * w[j]
+            acc = acc + conj(v[i]) * g[i][j] * w[j]
     return acc
 
 
@@ -223,10 +223,20 @@ def _pair(x):
     return x.a, x.b
 
 
+def _embed(x, t):
+    """x = a + b*omega of Q(sqrt t) as a complex number, omega = sqrt(t) or
+    (1 + sqrt(t))/2 when t = 1 mod 4, with sqrt(t) = i*sqrt(-t) for t < 0."""
+    root = cmath.sqrt(t)
+    return float(x.a) + float(x.b) * ((1 + root) / 2 if t % 4 == 1 else root)
+
+
 # -- tests --------------------------------------------------------------------
 
-@pytest.mark.parametrize("t", [-1, -2, -3, -7, 2, 3])
+@pytest.mark.parametrize("t", [-1, -2, -3, -7, -11, 2, 3, 5])
 def test_quadratic_field_matches_quadint(t):
+    """Arithmetic against `QuadInt`, and `conjugate()` and `real` against the
+    complex embedding: `conjugate()` is `conj` on Q(sqrt(-d)) and the
+    identity on a real field, where `real` raises."""
     field = QuadField(*_omega_data(t))
     if t < 0:
         assert field == ImagQuadField(-t)
@@ -238,10 +248,22 @@ def test_quadratic_field_matches_quadint(t):
         assert _pair(x + y) == ((rx + ry).p, (rx + ry).q)
         assert _pair(x * y) == ((rx * ry).p, (rx * ry).q)
         assert _pair(x.conj()) == (rx.conj().p, rx.conj().q)
+        z = _embed(x, t)
+        assert abs(_embed(x.conjugate(), t) - z.conjugate()) <= 1e-9 * (1 + abs(z))
+        if t < 0:
+            assert x.conjugate() == x.conj()
+            assert x.real == F(x.trace(), 2) and abs(float(x.real) - z.real) <= 1e-9 * (1 + abs(z))
+            assert type(x.real) is (int if F(x.real).denominator == 1 else Fraction)
+        else:
+            assert x.conjugate() == x
+            with pytest.raises(ValueError, match="no rational real part"):
+                x.real
         assert x.norm() == rx.norm()
         assert x.trace() == rx.trace()
         e, re = x * x + x * y + y * y, rx * rx + rx * ry + ry * ry
         assert _pair(e) == (re.p, re.q) and e.norm() == re.norm()
+    if t == -7:
+        assert field.omega.real == F(1, 2)
 
 
 @pytest.mark.parametrize("p", [5, 13, 37])
@@ -261,12 +283,14 @@ def test_tower_matches_quartelt(p):
         assert _pair(x * scalar) == ((rx * scalar).x0, (rx * scalar).x1)
         assert _pair(x * 3) == ((rx * 3).x0, (rx * 3).x1)
         assert _pair(x.conj()) == (rx.tau().x0, rx.tau().x1)
-        assert _pair(_cconj(x)) == (rx.cconj().x0, rx.cconj().x1)
-        assert _pair(QElt(kp, x.a.conj(), x.b.conj()).conj()) == _pair(_cconj(x))
+        assert _pair(x.conjugate()) == (rx.cconj().x0, rx.cconj().x1)
+        assert _pair(QElt(kp, x.a.conj(), x.b.conj()).conj()) == _pair(x.conjugate())
         assert x.norm() == rx.relative_norm()
         assert x.norm().norm() == rx.absolute_norm()
-        e, re = x * _cconj(x) + y * _cconj(y), rx * rx.cconj() + ry * ry.cconj()
+        e, re = x * x.conjugate() + y * y.conjugate(), rx * rx.cconj() + ry * ry.cconj()
         assert _pair(e) == (re.x0, re.x1) and e.norm().norm() == re.absolute_norm()
+        with pytest.raises(ValueError, match="no rational real part"):
+            x.real
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7])
@@ -278,7 +302,7 @@ def test_sqrt2_tower_matches_pair_model(d):
     el = QuadField(0, -2, k)  # omega^2 = 2
     rng = random.Random(650 + d)
     assert el.omega * el.omega == el.elt(2)
-    assert _cconj_real(el.omega) == el.omega
+    assert el.omega.conjugate() == el.omega
 
     def draw():
         x0, x1 = k.elt(_rat(rng), _rat(rng)), k.elt(_rat(rng), _rat(rng))
@@ -286,12 +310,12 @@ def test_sqrt2_tower_matches_pair_model(d):
 
     for _ in range(50):
         (x, rx), (y, ry) = draw(), draw()
-        cx, cy = _cconj_real(x), _cconj_real(y)
+        cx, cy = x.conjugate(), y.conjugate()
         assert _pair(cx) == (rx.cconj().x0, rx.cconj().x1)
         assert _pair(x * y) == ((rx * ry).x0, (rx * ry).x1)
-        assert _cconj_real(x * y) == cx * cy
-        assert _cconj_real(x + y) == cx + cy
-        assert _cconj_real(cx) == x
+        assert (x * y).conjugate() == cx * cy
+        assert (x + y).conjugate() == cx + cy
+        assert cx.conjugate() == x
         z = (rx.to_complex() * ry.to_complex()).conjugate()
         assert abs((rx.cconj() * ry.cconj()).to_complex() - z) <= 1e-9 * (1 + abs(z))
         abs_sq = x * cx
@@ -300,12 +324,15 @@ def test_sqrt2_tower_matches_pair_model(d):
         want = abs(rx.to_complex()) ** 2
         got = float(abs_sq.a.as_fraction()) + float(abs_sq.b.as_fraction()) * math.sqrt(2)
         assert abs(got - want) <= 1e-9 * (1 + want)
+        with pytest.raises(ValueError, match="no rational real part"):
+            x.real
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 11])
 def test_gram_operations_match_loops(d):
     """tensor, orthogonal_sum, twist, dual and inner through `linalg` give
-    the entrywise loops they replaced."""
+    the entrywise loops they replaced; inner also on euclidean lattices with
+    D > 1 and Fraction coordinates, where the loop conjugates nothing."""
     field = ImagQuadField(d)
     rng = random.Random(660 + d)
     zero = field.zero
@@ -334,6 +361,21 @@ def test_gram_operations_match_loops(d):
         v = [field.elt(_rat(rng), _rat(rng)) for _ in range(a.rank)]
         w = [field.elt(_rat(rng), _rat(rng)) for _ in range(a.rank)]
         assert a.inner(v, w) == _loop_inner(a.gram, v, w, zero)
+    euclidean = 0
+    while euclidean < 12:
+        r = rng.randint(1, 4)
+        g = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r)] for _ in range(r)]
+        try:
+            e = EuclideanLattice([[g[i][j] + g[j][i] + 4 * (i == j) for j in range(r)] for i in range(r)])
+        except ValueError:
+            continue
+        if e.scaled_gram()[1] == 1:
+            continue
+        euclidean += 1
+        for lat in (e, e.dual()):
+            v, w = [_rat(rng) for _ in range(r)], [_rat(rng) for _ in range(r)]
+            assert lat.inner(v, w) == _loop_inner(lat.gram, v, w, 0, Fraction)
+            assert lat.norm_sq(v) == _loop_inner(lat.gram, v, v, 0, Fraction)
 
 
 def test_int_range_bounds_match_sqrt_frac_upper():

@@ -322,6 +322,7 @@ def test_lattice_kinds_share_one_pair_implementation():
     shared = (
         "_init_pair", "gram", "rank", "det", "scaled_gram", "slope", "dual", "tensor",
         "orthogonal_sum", "exterior_power", "is_integral", "is_unimodular", "__hash__",
+        "inner", "norm_sq",
     )
     for name in shared:
         assert name not in vars(e) and name not in vars(h), name
@@ -334,10 +335,23 @@ def test_lattice_kinds_share_one_pair_implementation():
     # a dual is one `bareiss` run in the entries' ring, with no per-kind hook
     assert e.dual is h.dual is vars(lat._GramPair)["dual"]
     assert not any(hasattr(kind, "_clear") for kind in (e, h, lat._GramPair))
+    # entries conjugate themselves and give their own real part: no per-kind hook
+    assert not any(hasattr(kind, "_real") for kind in (e, h, lat._GramPair))
     # EuclideanLattice names `degree` too, for the tracer (test_traced_names_resolve)
     assert e.degree is h.degree is vars(lat._GramPair)["degree"] and "degree" not in vars(h)
     # a bound classmethod is a fresh object on every access, so `is` cannot test `load`
     assert "load" in vars(lat._GramPair) and "load" not in vars(e) and "load" not in vars(h)
+
+
+def test_one_conjugation():
+    """Complex conjugation is the entries' own `conjugate()`: `hermitian`
+    keeps no conjugation function of its own and no scalar product, and
+    the one `linalg.sesquilinear` takes no conjugation argument."""
+    herm = slopekit.hermitian
+    for name in ("_cconj", "_cconj_real", "sesquilinear"):
+        assert not hasattr(herm, name), name
+    assert list(inspect.signature(slopekit.linalg.sesquilinear).parameters) == ["gram", "x", "y"]
+    assert "real_part" not in vars(herm.QElt) and isinstance(vars(herm.QElt)["real"], property)
 
 
 def test_immutable_values_share_one_base():
@@ -558,7 +572,7 @@ def test_law_built_lattices_run_no_sylvester_check(monkeypatch, tmp_path):
     only its one run on [D*G | I], and `exterior_power` one per minor on or
     above the diagonal (the others are adjoints) and no more.  Every path
     that takes a Gram from outside runs exactly one square run, on its own
-    D*G: both constructors, `_from_scaled`, `load` and both
+    D*G: both constructors, `_new` on a scaled pair, `load` and both
     `from_json_dict`s, pickle and `copy` (through `__reduce__`), and the
     Schur complement of `_lattice_quotient`, whose dual adds its one run
     on [D*G | I]."""
@@ -617,7 +631,7 @@ def test_law_built_lattices_run_no_sylvester_check(monkeypatch, tmp_path):
     inputs = {
         "int Gram": lambda: EuclideanLattice([[2, 1], [1, 2]]),
         "Fraction Gram": lambda: EuclideanLattice(e.gram),
-        "_from_scaled": lambda: EuclideanLattice._from_scaled([[4, 2], [2, 6]], 4),
+        "_new": lambda: EuclideanLattice._new(None, [[4, 2], [2, 6]], 4),
         "load": lambda: EuclideanLattice.load(str(path)),
         "from_json_dict": lambda: EuclideanLattice.from_json_dict(e.to_json_dict()),
         "hermitian Gram": lambda: herm.HermitianLattice(field, g.gram),
