@@ -46,7 +46,7 @@ from operator import mul
 from typing import Any, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .exactval import LogRational, _iroot, half_log
+from .exactval import LogRational, _iroot, half_log, rational
 from .lattice import EuclideanLattice, Sublattice
 
 F = Fraction
@@ -300,7 +300,7 @@ def enumerate_short_vectors(
     budget R_l left, x_l is admissible iff (d_(l+1) x_l + s_l)^2 <= R_l // w_l
     (the square is an integer), which `_isqrt_range` solves exactly.  The
     top nonzero x_l is kept positive, so each +-pair is visited once."""
-    bound = F(bound)
+    bound = F(rational(bound))
     if bound <= 0:
         raise ValueError("bound must be positive")
     reduced, u = lll_reduce(lat)
@@ -418,14 +418,18 @@ def densest_sublattice(
     The DFS branches over the vectors of squared length at most
     B = gamma_k^k * det_budget / min_sq^(k-1), gamma_k^k from `_gamma_pow`
     at every rank (see the module docstring for why it is complete), and
-    prunes by det_budget until it finds a determinant below it.
+    prunes by det_budget until it finds a determinant below it.  At k = 1
+    it is the memoized shortest vector, pool[0] at any budget >= min_sq.
     """
-    det_budget = F(det_budget)
+    det_budget = F(rational(det_budget))
     r = lat.rank
     if not 1 <= k <= r:
         raise ValueError(f"rank {k} out of range 1..{r}")
     if k == r:
         return lat.full_sublattice() if lat.det() <= det_budget else None
+    if k == 1:
+        coords, min_sq = _minimum_sq(lat, node_cap)
+        return Sublattice(lat, [coords])._proved_det(min_sq) if min_sq <= det_budget else None
     min_sq = minimum_sq(lat, node_cap)
     gamma_pow = _gamma_pow(k)
     # Let M be a saturated rank-k sublattice with det M <= det_budget.  Its
@@ -446,8 +450,6 @@ def densest_sublattice(
     if b_sq < min_sq:
         return None
     pool = [v for v, _ in enumerate_short_vectors(lat, b_sq, node_cap).vectors]
-    if k == 1:
-        return Sublattice(lat, [pool[0]])  # a shortest vector is primitive
 
     # Everything below is scaled by L, the Gram denominator: inner products
     # L <v, w> are integers, and a rank-j Gram determinant is an integer over

@@ -22,6 +22,10 @@ the faithfulness of the canonical form rests on that.
 
 `RIv`, the closed rational interval, is the package's one rigorous-enclosure
 type: the enclosure `LogRational.bounds` returns.
+
+`rational` is the one rule for every number a caller hands over: an int or
+a Fraction, never a float or a string; text is read, exactly, only by
+`parse_rat`, at the JSON and command-line boundary.
 """
 
 from __future__ import annotations
@@ -320,7 +324,7 @@ class LogRational(_Value):
         for base, coeff in (terms or {}).items():
             if not isinstance(base, int) or base < 1:
                 raise ValueError(f"log base must be a positive integer, got {base!r}")
-            coeff = Fraction(coeff)
+            coeff = rational(coeff)
             if coeff:
                 coeffs.append((base, coeff))
         den = math.lcm(*(c.denominator for _, c in coeffs))
@@ -329,7 +333,7 @@ class LogRational(_Value):
             m = c.numerator * (den // c.denominator)
             for p, e in factor_positive_int(base).items():
                 exps[p] = exps.get(p, 0) + e * m
-        _set(self, "_key", _canonical(Fraction(constant), den, sorted(exps.items())))
+        _set(self, "_key", _canonical(Fraction(rational(constant)), den, sorted(exps.items())))
 
     def __reduce__(self):
         return _lr, (self._key,)
@@ -553,9 +557,19 @@ def fmt_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def rational(x) -> Rat:
+    """x itself if an int, a Fraction's int where integral, else the Fraction;
+    ValueError for anything else, a float or a string included."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise ValueError(f"cannot coerce {x!r} to a rational: not an int or a Fraction")
+
+
 def parse_rat(x) -> Fraction:
-    """Read a rational from its text ("p", "p/q", "1.5") or a JSON number;
-    every malformed input, a zero denominator included, is a ValueError."""
+    """Read a rational from its text ("p", "p/q", "1.5") or a JSON number, a
+    decimal exactly (0.1 is 1/10); every malformed input is a ValueError."""
     try:
         return Fraction(str(x))
     except ZeroDivisionError:
@@ -566,12 +580,9 @@ def parse_rat(x) -> Fraction:
 # Module-level operations.
 
 def log_of_rational(q: Rat) -> LogRational:
-    """Exact log q for a positive rational q; log 1 = 0."""
-    if isinstance(q, int):
-        num, den = q, 1
-    else:
-        q = Fraction(q)
-        num, den = q.numerator, q.denominator
+    """Exact log q for a positive rational q (read by `rational`); log 1 = 0."""
+    q = rational(q)
+    num, den = q.numerator, q.denominator
     if num <= 0:
         raise ValueError(f"log argument must be positive, got {q}")
     exps = list(factor_positive_int(num).items())

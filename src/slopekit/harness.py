@@ -102,7 +102,7 @@ def random_lattice(rng: random.Random, rank: int, entry_bound: int = 2) -> Eucli
     """Gram = B*B^T for a random invertible integer matrix B (1000 draws)."""
     for _ in range(1000):
         b = [[rng.randint(-entry_bound, entry_bound) for _ in range(rank)] for _ in range(rank)]
-        if linalg.det_bareiss(linalg.mat(b)) != 0:
+        if linalg.det_int(b) != 0:
             gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in b] for r1 in b]
             return EuclideanLattice(gram)
     raise RuntimeError("failed to draw an invertible matrix")
@@ -126,7 +126,7 @@ def random_multifiltered(rng: random.Random, dim: int, n_filts: int) -> Multifil
     for _ in range(n_filts):
         while True:
             b = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
-            if linalg.rank(linalg.mat(b)) == dim:
+            if linalg.rank(b) == dim:
                 break
         n_steps = rng.randint(1, min(3, dim))
         breaks = sorted(rng.sample(range(-3, 4), n_steps))

@@ -13,10 +13,11 @@ and the towers K(i) over K = Q(sqrt(-p)) and Q(sqrt(-7))(sqrt(2)).  Every
 check is exact, the sqrt(2) frame of the rank-3 lattice included.
 
 Coordinates over Q are Python ints where they are integral and Fractions
-otherwise, never floats: the fields coerce their input so, sums and
-products of ints stay ints, and every division goes through `_div`, which
-divides exactly (`int / int` would be a float).  A quotient in the ring of
-integers, such as each division `linalg.bareiss` makes, so stays on ints.
+otherwise, never floats: calling a field, K(x), is the one way into it,
+reading a rational by `exactval.rational`; sums and products of ints stay
+ints, and every division goes through `_div`, which divides exactly
+(`int / int` would be a float).  A quotient in the ring of integers, such
+as each division `linalg.bareiss` makes, so stays on ints.
 
 Complex conjugation is `QElt.conjugate()` and the rational real part
 `QElt.real`, the members of Python's number protocol that ints and
@@ -54,24 +55,14 @@ from .exactval import (
     half_log,
     log_of_rational,
     parse_rat,
+    rational,
 )
-from .lattice import EuclideanLattice, _GramPair, _rational, evaluation_vector
+from .lattice import EuclideanLattice, _GramPair, evaluation_vector
 from .report import Report, SCOPE_NOTE
 
 F = Fraction
 
 Rat = int | Fraction
-
-_set = object.__setattr__
-
-
-def _rat(x) -> Rat:
-    """x as a coordinate over Q: an int if it is integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = F(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def _div(x, n):
@@ -101,11 +92,11 @@ class QuadField(_Value):
     """The quadratic extension base(omega) with omega^2 = trace*omega - norm.
 
     `base` maps a rational, or an element of the base ring, to a coefficient:
-    `_rat` for Q (an int where integral), a `QuadField` for a tower."""
+    `exactval.rational` for Q (an int where integral), a `QuadField` for a tower."""
 
     __slots__ = ("omega_trace", "omega_norm", "base")
 
-    def __init__(self, omega_trace: Rat, omega_norm: Rat, base=_rat):
+    def __init__(self, omega_trace: Rat, omega_norm: Rat, base=rational):
         object.__setattr__(self, "omega_trace", omega_trace)
         object.__setattr__(self, "omega_norm", omega_norm)
         object.__setattr__(self, "base", base)
@@ -128,8 +119,18 @@ class QuadField(_Value):
         return f"QuadField(trace={self.omega_trace}, norm={self.omega_norm}, base={self.base!r})"
 
     def __call__(self, x) -> "QElt":
-        """x as an element of this field."""
-        return x if isinstance(x, QElt) and x.field == self else self.elt(x)
+        """x as an element of this field, each coordinate read by `base`; an
+        element of the base ring or a rational goes through `elt`.  ValueError
+        "field mismatch" for an element of another field."""
+        if isinstance(x, QElt):
+            f = x.field
+            if f is self or f == self:
+                if type(x.a) is int and type(x.b) is int:
+                    return x
+                return QElt(f, self.base(x.a), self.base(x.b))
+            if f != self.base:
+                raise ValueError("field mismatch")
+        return self.elt(x)
 
     def elt(self, a, b=0) -> "QElt":
         return QElt(self, self.base(a), self.base(b))
@@ -306,9 +307,9 @@ class QElt(_Value):
         integral; ValueError over a real field or a tower."""
         f = self.field
         t = f.omega_trace
-        if f.base is not _rat or t * t >= 4 * f.omega_norm:
+        if f.base is not rational or t * t >= 4 * f.omega_norm:
             raise ValueError(f"{self} has no rational real part over {f!r}")
-        return _rat(self.a + _div(self.b * t, 2))
+        return rational(self.a + _div(self.b * t, 2))
 
     def __repr__(self):
         return f"({self.a}+{self.b}w)"
@@ -349,19 +350,6 @@ def euclid_gcd(elts: Sequence[QElt]) -> QElt:
 
 # ---------------------------------------------------------------------------
 
-def _normalised(field: ImagQuadField, x) -> QElt:
-    """x as an element of field with int coordinates where integral;
-    ValueError for an element of another field ("field mismatch") and for
-    anything that is neither an element nor an int or a Fraction."""
-    if not isinstance(x, QElt):
-        return field.elt(_rational(x))
-    if x.field != field:
-        raise ValueError("field mismatch")
-    if type(x.a) is int and type(x.b) is int:
-        return x
-    return QElt(x.field, _rat(x.a), _rat(x.b))
-
-
 class HermitianLattice(_GramPair):
     """Free o_K-module with conjugate-symmetric positive definite Gram matrix.
 
@@ -381,10 +369,7 @@ class HermitianLattice(_GramPair):
     _WEIGHT = 1
 
     def __init__(self, field: ImagQuadField, gram: Sequence[Sequence[QElt]]):
-        g = tuple(tuple(_normalised(field, x) for x in row) for row in gram)
-        den = math.lcm(*(c.denominator for c in self._content(g)))
-        self._init_pair(field, g if den == 1 else [[_normalised(field, x * den) for x in row] for row in g], den)
-        _set(self, "_gram", g)
+        self._read(field, gram)
 
     @property
     def field(self) -> ImagQuadField:
@@ -393,7 +378,7 @@ class HermitianLattice(_GramPair):
     twist = _GramPair._rescale
 
     def _coordinate(self, x) -> QElt:
-        return _normalised(self._field, x)
+        return self._field(x)
 
     def restrict_scalars(self) -> EuclideanLattice:
         """Rank-2r euclidean lattice on the Z-basis (e_j, omega*e_j), with the
@@ -508,7 +493,7 @@ def a2_twist_checks(gram_multiplier: Rat = F(2, 3)) -> Report:
     from .enumeration import minimum_sq, mu_max
     from .lattice import a2_lattice
 
-    c = F(gram_multiplier)
+    c = rational(gram_multiplier)
     rep = Report(name="a2-twist")
     lam = -half_log(c)  # Gram multiplier c = e^(-2*lambda)
     lo, hi = half_log(F(3, 2)), half_log(3) / 2

@@ -14,8 +14,11 @@ first use.  A dual reads G^-1 = D*adj(S)/det S, S = D*G, off one
 Q(sqrt(-d)).  Degrees and slopes land in LogRational.  The degree of a
 euclidean lattice is minus the log of the covolume, i.e. -1/2*log(det Gram).
 
-A Gram matrix that comes from outside (either constructor, `load`, a
-pickle or copy, the Schur complement of a lattice quotient) is checked by
+Both constructors read a Gram by one reader, `_GramPair._read`, each entry
+by the kind's `_coordinate`; every number a caller hands over is read by
+`exactval.rational`, so a float or a string is a ValueError.  A Gram
+matrix from outside (either constructor, `load`, a pickle or copy, the
+Schur complement of a lattice quotient) is checked by
 Sylvester's criterion, and the pair keeps that elimination's determinant
 (`det`) and lower triangle (`_gso`), the integral Gram-Schmidt data that
 LLL starts from and Fincke-Pohst reads; its degree factors that
@@ -39,18 +42,11 @@ from itertools import chain, combinations
 from typing import Sequence
 
 from . import linalg
-from .exactval import LogRational, _Value, fmt_rat, half_log, log_of_rational, parse_rat
+from .exactval import LogRational, _Value, fmt_rat, half_log, log_of_rational, parse_rat, rational
 
 Rat = int | Fraction
 
 _set = object.__setattr__
-
-
-def _rational(x) -> Rat:
-    """x if it is an int or a Fraction, else ValueError (never a float)."""
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise ValueError(f"cannot coerce {x!r}")
 
 
 def _lower_triangle(m) -> tuple:
@@ -65,10 +61,11 @@ class _GramPair(_Value):
     Each entry conjugates itself and gives its rational real part through
     Python's number protocol, `conjugate()` and `real`.  A kind states the
     rest in a few hooks, each called per matrix, per row or per coordinate,
-    never per entry of an int matrix: `_content(S)` the ints whose gcd with
-    D is divided out; `_adjoint(S)` the conjugate transpose (`transpose`
-    over Z); `_coordinate(x)` a vector coordinate in the ring of the
-    entries, or ValueError; `_entry(x, D)` an entry x/D of the view G;
+    never per entry of a computed int matrix: `_content(S)` the ints whose
+    gcd with D is divided out; `_adjoint(S)` the conjugate transpose
+    (`transpose` over Z); `_coordinate(x)` a caller's Gram entry or vector
+    coordinate in the ring of the entries, or ValueError; `_entry(x, D)` an
+    entry x/D of the view G;
     `_WEIGHT` the weight of the infinite place in the degree;
     `from_json_dict`, which `load` reads; and the wording of its errors,
     `_SYMMETRIC` and `_RESCALE`.  A kind that sets `_DIAGONAL` has each
@@ -84,6 +81,16 @@ class _GramPair(_Value):
     __slots__ = ("_field", "_s", "_den", "_det", "_gso_memo", "_gram", "_dual", "_hash", "_degree", "__weakref__")
 
     _DIAGONAL = None
+
+    def _read(self, field, gram) -> None:
+        """The one reader of a caller's Gram, for both kinds: each entry read
+        by `_coordinate`, then scaled by D, the least common denominator of
+        `_content`, into the pair `_init_pair` checks; G waits for use."""
+        _set(self, "_field", field)
+        coordinate = self._coordinate
+        g = [[coordinate(x) for x in row] for row in gram]
+        den = math.lcm(*[c.denominator for c in self._content(g)])
+        self._init_pair(field, g if den == 1 else [[coordinate(x * den) for x in row] for row in g], den)
 
     @classmethod
     def _new(cls, field, s, den: int, *, det=None, gso=None):
@@ -309,7 +316,7 @@ class _GramPair(_Value):
         definite.  Law: det(c*G) = c^r * det G, so the degree shifts by
         -w*r*log(c): by -r/2*log(c) for a euclidean lattice (the twist by
         lambda = -1/2*log c) and by -r*log(c) for a hermitian one."""
-        c = Fraction(c)
+        c = rational(c)
         if c <= 0:
             raise ValueError(self._RESCALE)
         n = c.numerator
@@ -368,20 +375,14 @@ class EuclideanLattice(_GramPair):
 
     _content = chain.from_iterable
     _adjoint = staticmethod(linalg.transpose)
-    _coordinate = staticmethod(_rational)
+    _coordinate = staticmethod(rational)
     _entry = Fraction
     _SYMMETRIC = "Gram matrix must be symmetric"
     _RESCALE = "scale factor must be positive"
     _WEIGHT = Fraction(1, 2)
 
     def __init__(self, gram: Sequence[Sequence[Rat]]):
-        if all(type(x) is int for row in gram for x in row):
-            # an int Gram is its own pair (G, 1); its Fraction view waits for use
-            self._init_pair(None, gram, 1)
-            return
-        g = linalg.mat(gram)
-        self._init_pair(None, *linalg.clear_denominators(g))
-        _set(self, "_gram", g)
+        self._read(None, gram)
 
     scale = _GramPair._rescale
     degree = _GramPair.degree  # in this class's dict, where perfbench/tracing.py wraps it
@@ -504,7 +505,10 @@ class Sublattice(_Value):
 
     def contains(self, other: "Sublattice") -> bool:
         """Integer containment of other's row lattice in self's: adding other's
-        rows leaves the HNF unchanged."""
+        rows leaves the HNF unchanged.  ValueError for another lattice's
+        sublattice (ambients compared by `is` first, then `==`)."""
+        if other.ambient is not self.ambient and other.ambient != self.ambient:
+            raise ValueError("sublattices of different lattices")
         return linalg.hnf(self.basis + other.basis) == self.basis
 
     def __repr__(self):
@@ -538,7 +542,7 @@ class LatticeMorphism(_Value):
         """Operator norm squared <= bound, decided exactly."""
         mt = linalg.transpose(self.matrix)
         pulled = linalg.matmul(linalg.matmul(mt, self.target.gram), self.matrix)
-        scaled = linalg.scalar_mul(Fraction(bound), self.source.gram)
+        scaled = linalg.scalar_mul(rational(bound), self.source.gram)
         return linalg.is_positive_semidefinite(linalg.sub(scaled, pulled))
 
     def hilbert_schmidt_sq(self) -> Fraction:
@@ -567,7 +571,7 @@ def tensor_vector_to_hom(
     which equals the length of w in the tensor lattice.
     """
     r1, r2 = l1.rank, l2.rank
-    w = [Fraction(x) for x in coeffs]
+    w = [rational(x) for x in coeffs]
     if len(w) != r1 * r2:
         raise ValueError("tensor vector has wrong length")
     if all(x == 0 for x in w):

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and the integers.
 
 Matrices are tuples of tuples of Fractions or ints; everything here is pure
-and allocation-happy, sized for ranks <= ~10.
+and allocation-happy, sized for ranks <= ~10.  `mat` and `int_mat` read a
+caller's entries by `exactval.rational`; the rest take entries as they are.
 
 This is the only module that eliminates, with one kernel per job.
 `rref` is the one Gauss-Jordan loop over Q: it takes ints and Fractions,
@@ -37,12 +38,14 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .exactval import rational
+
 Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    """rows as a matrix of Fractions, each entry read by `rational`."""
+    return tuple(tuple(Fraction(rational(x)) for x in row) for row in rows)
 
 
 def identity(n: int) -> Matrix:
@@ -63,7 +66,6 @@ def sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def scalar_mul(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
     return tuple(tuple(c * x for x in row) for row in a)
 
 
@@ -310,17 +312,12 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def int_mat(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError("expected integer entries")
-                x = x.numerator
-            r.append(int(x))
-        out.append(tuple(r))
-    return tuple(out)
+    """rows as a matrix of ints, each entry read by `rational`; ValueError
+    for an entry that is not integral, never a truncation."""
+    out = tuple(tuple(map(rational, row)) for row in rows)
+    if not all(isinstance(x, int) for row in out for x in row):
+        raise ValueError("expected integer entries")
+    return out
 
 
 def hnf(a: IntMatrix) -> IntMatrix:

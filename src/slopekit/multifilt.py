@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .enumeration import CertifiedMuMax, RankBound, first_edge, quotient_polygon
-from .exactval import _Value, fmt_rat, parse_rat
+from .exactval import _Value, fmt_rat, parse_rat, rational
 from .report import ReproFailure
 
 F = Fraction
@@ -74,9 +74,9 @@ def _check_width(rows, n: int) -> None:
 
 
 def _rref_rows(rows, n: int) -> Matrix:
-    """The integer RREF (`linalg.rref`) of rows of n entries each; ValueError
-    for any other width.  Rows already in RREF up to row scaling (see
-    `_scaled_rref`) are only scaled, with no elimination."""
+    """The integer RREF (`linalg.rref`) of rows of n entries each, read by
+    `rational`; ValueError for any other width.  Rows already in RREF up to
+    row scaling (`_scaled_rref`) are only scaled, with no elimination."""
     _check_width(rows, n)
     if not rows:
         return ()
@@ -84,7 +84,7 @@ def _rref_rows(rows, n: int) -> Matrix:
     if red is not None:
         return red
     if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, Fraction}:
-        rows = linalg.mat(rows)
+        rows = [[rational(x) for x in row] for row in rows]
     return linalg.rref(rows)[0]
 
 
@@ -128,7 +128,7 @@ class Filtration(_Value):
     def __init__(self, ambient_dim: int, steps: Sequence[tuple]):
         cleaned: list[tuple[Fraction, Matrix]] = []
         for lam, rows in steps:
-            cleaned.append((F(lam), _rref_rows(rows, ambient_dim)))
+            cleaned.append((F(rational(lam)), _rref_rows(rows, ambient_dim)))
         cleaned.sort(key=lambda t: t[0])
         merged: list[tuple[Fraction, Matrix]] = []
         for lam, space in cleaned:
@@ -169,6 +169,7 @@ class Filtration(_Value):
         """The largest break whose step holds the nonzero vector v; every
         vector of V lies in the lowest step."""
         _check_width([v], self.ambient_dim)
+        v = [rational(x) for x in v]
         if not any(v):
             raise ValueError("zero vector has no weight")
         w = self.steps[0][0]

@@ -30,7 +30,11 @@ must keep, from public functions only:
   and JSON, `mf slope`, `mu-max` and `tensor-check`; `lattice tensor-check`
   of E8 and Z^1 at `--cap 1`, whose unimodular inputs certify with no
   search but whose nu needs `minimum_sq`, so it exits 1 with stdout empty;
-  and two exit-2 errors, malformed JSON and `--csv` on `lattice mu-max`;
+  two exit-2 errors, malformed JSON and `--csv` on `lattice mu-max`; and
+  `lattice info` and `mf slope` on files that hold the JSON decimals 0.1
+  and 1.5 and the text "2/3", which the JSON reader takes exactly (0.1 is
+  1/10, so the Gram's det is 99/100), while the library itself refuses a
+  Python float;
 - `pair_forms`: the pair (D, D*G), `det()`, and `inner` and `norm_sq` on
   seeded vectors with int and with Fraction coordinates, on 24 seeded
   euclidean lattices with D > 1 (duals, rescalings by p/q, tensors with a
@@ -182,7 +186,19 @@ def cli_files() -> dict:
     }
     files = {name: json.dumps(x.to_json_dict()) for name, x in objects.items()}
     files["bad.json"] = '{"gram": [[1]'
+    files.update(DECIMAL_FILES)
     return files
+
+
+# Files whose numbers are JSON decimals and text: `parse_rat` reads 1.5 as
+# 3/2 and 0.1 as exactly 1/10, never as the binary fraction of a float.
+DECIMAL_FILES = {
+    "decimal.json": json.dumps({"gram": [[1.5, 0.1], [0.1, "2/3"]]}),
+    "mf-decimal.json": json.dumps({"dim": 2, "filtrations": [
+        {"steps": [{"lambda": 0.1, "basis": [[1, 0], [0, 1]]}, {"lambda": "2/3", "basis": [[1.5, 1]]}]},
+        {"steps": [{"lambda": 1.5, "basis": [[1, 0], [0, 1]]}, {"lambda": 2, "basis": [[0.1, 1]]}]},
+    ]}),
+}
 
 
 CLI_RUNS = (
@@ -205,6 +221,8 @@ CLI_RUNS = (
     ["mf", "tensor-check", "m.json", "n.json"],
     ["lattice", "info", "bad.json"],
     ["lattice", "mu-max", "a.json", "--csv", "out.csv"],
+    ["lattice", "info", "decimal.json"],
+    ["mf", "slope", "mf-decimal.json"],
 )
 
 

@@ -1641,3 +1641,28 @@ def test_uncertified_mu_max_carries_an_upper_bound():
 def test_search_rejections(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_rank_one_densest_sublattice_is_the_memoized_minimum():
+    """`densest_sublattice(lat, 1, budget)` searches nothing: it is the
+    shortest vector of `minimum_sq`, with its determinant proved, at every
+    budget >= min_sq, and None below.  That is pool[0] of the enumeration
+    up to the budget, the answer of the pool search, on seeded lattices of
+    rank 2-6 at budgets min - 1/7, min, 2*min and 5*min."""
+    from slopekit import harness
+
+    rng = random.Random(4)
+    nones = 0
+    for _ in range(200):
+        lat = harness.random_lattice(rng, rng.randint(2, 6))
+        m = minimum_sq(lat)
+        for budget in (m - F(1, 7), m, 2 * m, 5 * m):
+            got = densest_sublattice(lat, 1, budget)
+            pool = enumerate_short_vectors(lat, budget).vectors
+            if not pool:
+                assert got is None
+                nones += 1
+                continue
+            vector, length = pool[0]
+            assert got == Sublattice(lat, [vector]) and got._det == length == m == got.det()
+    assert nones == 200

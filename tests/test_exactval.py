@@ -18,6 +18,8 @@ from slopekit.exactval import (
     half_log,
     log_of_rational,
     parse,
+    parse_rat,
+    rational,
     to_float,
 )
 
@@ -559,3 +561,104 @@ def test_sign_doubles_its_precision_until_the_enclosure_clears_zero(monkeypatch)
     assert x.sign() == 1
     assert (-x).sign() == -1
     assert seen == [64, 128, 256] * 2
+
+
+def test_rational_is_the_one_rule():
+    """`rational` keeps an int, turns an integral Fraction into its int,
+    keeps any other Fraction, and refuses everything else; text is the job
+    of `parse_rat`, which reads a JSON decimal exactly."""
+    assert rational(3) == 3 and type(rational(3)) is int
+    assert rational(F(6, 2)) == 3 and type(rational(F(6, 2))) is int
+    assert rational(F(1, 2)) == F(1, 2) and type(rational(F(1, 2))) is F
+    for x in (0.5, 1.0, "1/2", None, 1j, [1]):
+        with pytest.raises(ValueError, match="^cannot coerce "):
+            rational(x)
+    assert parse_rat(0.1) == F(1, 10) and parse_rat(1.5) == F(3, 2) and parse_rat("2/3") == F(2, 3)
+
+
+def test_every_entry_point_reads_numbers_by_the_one_rule():
+    """Every public entry point that takes a number from a caller reads it
+    by `rational`: 0.5, "1/2" and None each raise "cannot coerce".  Floats
+    and strings used to be read as binary fractions (`LogRational(0.1)`
+    was 3602879701896397/36028797018963968), truncated (a sublattice basis
+    [[1.5, 0]] became [[1, 0]]) or failed with a TypeError (`weight`).  An
+    int or a Fraction gives the value it always gave, each pinned below."""
+    from slopekit import enumeration, hermitian, lattice, multifilt
+    from slopekit.report import ReproFailure
+
+    k = hermitian.ImagQuadField(7)
+    z1, a2 = lattice.unit_lattice(1), lattice.a2_lattice()
+    h1 = hermitian.unit_hermitian(k, 1)
+    f = multifilt.Filtration(2, [(0, linalg.identity(2)), (1, [[1, 0]])])
+    m = multifilt.MultifilteredSpace(2, [f])
+    hom = lattice.LatticeMorphism(z1, z1, [[1]])
+    entry_points = {
+        "LogRational constant": LogRational,
+        "LogRational coefficient": lambda x: LogRational(0, {2: x}),
+        "log_of_rational": log_of_rational,
+        "half_log": half_log,
+        "EuclideanLattice": lambda x: lattice.EuclideanLattice([[x]]),
+        "HermitianLattice": lambda x: hermitian.HermitianLattice(k, [[x]]),
+        "scale": a2.scale,
+        "twist": h1.twist,
+        "Sublattice": lambda x: lattice.Sublattice(a2, [[x, 1]]),
+        "LatticeMorphism": lambda x: lattice.LatticeMorphism(z1, z1, [[x]]),
+        "norm_sq_le": hom.norm_sq_le,
+        "tensor_vector_to_hom": lambda x: lattice.tensor_vector_to_hom(z1, z1, [x]),
+        "inner": lambda x: a2.inner([x, 0], [1, 0]),
+        "a2_twist_checks": hermitian.a2_twist_checks,
+        "QuadField.elt": k.elt,
+        "QuadField.elt b": lambda x: k.elt(0, x),
+        "QuadField call": k,
+        "enumerate_short_vectors": lambda x: enumeration.enumerate_short_vectors(a2, x),
+        "densest_sublattice": lambda x: enumeration.densest_sublattice(a2, 1, x),
+        "Filtration break": lambda x: multifilt.Filtration(1, [(x, [[1]])]),
+        "Filtration row": lambda x: multifilt.Filtration(2, [(0, [[1, 0], [x, 1]])]),
+        "weight": lambda x: f.weight((x, 0)),
+        "slope_of_subspace": lambda x: multifilt.slope_of_subspace(m, [[x, 1]]),
+        "subobject": lambda x: multifilt.subobject(m, [[x, 1]]),
+        "quotient_object": lambda x: multifilt.quotient_object(m, [[x, 1]]),
+        "mu_max_mf extra": lambda x: multifilt.mu_max_mf(m, [[[x, 1]]]),
+    }
+    for name, call in entry_points.items():
+        for x in (0.5, "1/2", None):
+            with pytest.raises(ValueError, match="^cannot coerce "):
+                call(x)
+                pytest.fail(f"{name} took {x!r}")
+
+    half, two = F(1, 2), F(4, 2)
+    assert LogRational(half).constant == half and LogRational(two) == 2
+    assert LogRational(0, {2: half}) == half_log(2) and LogRational(0, {2: two}) == log_of_rational(4)
+    assert log_of_rational(F(9, 4)) == 2 * log_of_rational(3) - 2 * log_of_rational(2)
+    assert half_log(F(1, 4)) == -log_of_rational(2) and half_log(two) == half_log(2)
+    assert lattice.EuclideanLattice([[half]]).scaled_gram() == (((1,),), 2)
+    s, den = lattice.EuclideanLattice([[two, 1], [1, two]]).scaled_gram()
+    assert (s, den) == (((2, 1), (1, 2)), 1) and type(s[0][0]) is int
+    assert hermitian.HermitianLattice(k, [[half]]).det() == half
+    assert hermitian.HermitianLattice(k, [[two]]) == hermitian.HermitianLattice(k, [[2]])
+    assert a2.scale(half).det() == F(3, 4) and a2.scale(two).det() == 12
+    assert h1.twist(half).det() == half and h1.twist(two).det() == 2
+    basis = lattice.Sublattice(a2, [[two, 1]]).basis
+    assert basis == ((2, 1),) and type(basis[0][0]) is int
+    with pytest.raises(ValueError, match="^expected integer entries$"):
+        lattice.Sublattice(a2, [[F(3, 2), 0]])
+    assert lattice.LatticeMorphism(z1, z1, [[half]]).matrix == ((half,),)
+    assert lattice.LatticeMorphism(z1, z1, [[two]]).is_integral
+    assert hom.norm_sq_le(1) and not hom.norm_sq_le(half) and hom.norm_sq_le(two)
+    assert lattice.tensor_vector_to_hom(z1, z1, [half]).norm_sq_le(F(1, 4))
+    assert a2.inner([half, 0], [1, 0]) == 1 and a2.inner([two, 0], [1, 0]) == 4
+    assert hermitian.a2_twist_checks(F(2, 3)).passed
+    with pytest.raises(ReproFailure, match="twist_in_admissible_interval"):
+        hermitian.a2_twist_checks(half)
+    x = k.elt(two, half)
+    assert (x.a, x.b) == (2, half) and type(x.a) is int and type(k(two).a) is int
+    assert len(enumeration.enumerate_short_vectors(a2, two).vectors) == 3
+    assert enumeration.densest_sublattice(a2, 1, two).det() == 2
+    assert enumeration.densest_sublattice(a2, 1, F(3, 2)) is None
+    assert multifilt.Filtration(1, [(half, [[1]])]).breaks() == (half,)
+    assert multifilt.Filtration(2, [(0, [[1, 0], [half, 1]])]) == multifilt.Filtration(2, [(0, [[2, 0], [1, 2]])])
+    assert f.weight((half, 0)) == 1 and f.weight((two, 1)) == 0
+    assert multifilt.slope_of_subspace(m, [[half, 0]]) == 1
+    assert multifilt.subobject(m, [[half, 0]]) == multifilt.subobject(m, [[1, 0]])
+    assert multifilt.quotient_object(m, [[half, 0]]) == multifilt.quotient_object(m, [[1, 0]])
+    assert multifilt.mu_max_mf(m, [[[two, 0]]]).value == 1

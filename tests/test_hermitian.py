@@ -424,7 +424,7 @@ def _rational_hermitian(rng, field, r, kind):
                 g[j][i] = g[i][j].conj()
         if kind == "zero_minor" and r > 1:
             g[0][0] = field.elt(F(rng.randint(1, 6), rng.randint(1, 3)))
-            g[1][1] = field.elt(g[0][1].norm() / g[0][0].a)
+            g[1][1] = field.elt(F(g[0][1].norm()) / g[0][0].a)
         if kind == "asymmetric" and r > 1:
             g[1][0] = g[1][0] + field.omega
         return g

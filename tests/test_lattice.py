@@ -843,3 +843,20 @@ def test_long_chain_of_derivations_resolves():
 def test_shape_rejections(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_contains_refuses_a_sublattice_of_another_lattice():
+    """`Sublattice.contains` compares the two ambients (`is`, then `==`)
+    before the HNF: a sublattice of a lattice of another rank, or of
+    another lattice of the same rank, is a ValueError, where the HNF of
+    rows of unequal width, or of two Grams, answered True.  An ambient
+    built again is the same lattice."""
+    z2 = unit_lattice(2)
+    s = Sublattice(z2, [[1, 0]])
+    for other in (Sublattice(unit_lattice(3), [[1, 0, 0]]), Sublattice(a2_lattice(), [[1, 0]])):
+        for a, b in ((s, other), (other, s)):
+            with pytest.raises(ValueError, match="^sublattices of different lattices$"):
+                a.contains(b)
+    assert s.contains(Sublattice(unit_lattice(2), [[2, 0]]))
+    assert not s.contains(Sublattice(z2, [[0, 1]]))
+    assert z2.full_sublattice().contains(s)

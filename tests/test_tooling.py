@@ -354,6 +354,32 @@ def test_one_conjugation():
     assert "real_part" not in vars(herm.QElt) and isinstance(vars(herm.QElt)["real"], property)
 
 
+def test_one_rational_rule(monkeypatch):
+    """One coercion, `exactval.rational`, reads a caller's numbers, and one
+    reader, `_GramPair._read`, builds both lattice kinds from a Gram:
+    `lattice` defines no `_rational`, `hermitian` neither `_rat` nor
+    `_normalised`, a field's default `base` and the euclidean coordinate
+    are `rational`, and both kinds' `__init__` reach the one reader, which
+    neither kind overrides."""
+    lat, herm, rational = slopekit.lattice, slopekit.hermitian, slopekit.exactval.rational
+    assert not hasattr(lat, "_rational")
+    assert not hasattr(herm, "_rat") and not hasattr(herm, "_normalised")
+    assert inspect.signature(herm.QuadField).parameters["base"].default is rational
+    assert lat.EuclideanLattice._coordinate is rational
+    e, h = lat.EuclideanLattice, herm.HermitianLattice
+    assert "_read" not in vars(e) and "_read" not in vars(h)
+    real, seen = lat._GramPair._read, []
+
+    def spy(self, field, gram):
+        seen.append(type(self).__name__)
+        return real(self, field, gram)
+
+    monkeypatch.setattr(lat._GramPair, "_read", spy)
+    e([[2, 1], [1, 2]])
+    h(herm.ImagQuadField(7), [[2]])
+    assert seen == ["EuclideanLattice", "HermitianLattice"]
+
+
 def test_immutable_values_share_one_base():
     """Immutability and identity are written once, in `exactval._Value`:
     no other class of `src/slopekit` refuses assignment or deletion, every
