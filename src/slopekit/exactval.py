@@ -558,12 +558,14 @@ def fmt_rat(q: Fraction) -> str:
 
 
 def rational(x) -> Rat:
-    """x itself if an int, a Fraction's int where integral, else the Fraction;
-    ValueError for anything else, a float or a string included."""
-    if isinstance(x, int):
+    """x itself if an int (a bool as its int), a Fraction's int where integral,
+    else the Fraction; ValueError for anything else, a float or a string."""
+    if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
     raise ValueError(f"cannot coerce {x!r} to a rational: not an int or a Fraction")
 
 

@@ -33,10 +33,12 @@ hooks this class sets (the conjugate transpose, the coordinates a vector
 may have, an entry of the view), and G is a view built on first use.
 
 Where a construction has half-integral elements, the checks run on their
-doubles, which are integral: the norm products of `qp_checks` on 2a for
-a in K(i), and the sqrt(2) frame of `q7_checks` on 2*theta.  Doubling is
+doubles, which are integral: every K(i) computation of `qp_checks` on 2u =
+1 - omega*i for u = (1 + sqrt p)/2 (its Gram, split generators and norm
+products), and the sqrt(2) frame of `q7_checks` on 2*theta.  Doubling is
 exact: the absolute norm of K(i) has degree 4, so N(2x) = 16*N(x), and an
-identity between sesquilinear values holds iff it holds times 4.
+identity between (sesqui)linear values holds iff it holds times 2, 4 or 16.
+Both norm-product loops read the norm multiplicatively, N(ab) = N(a)*N(b).
 """
 
 from __future__ import annotations
@@ -469,18 +471,26 @@ def faltings_height_sq(lat: HermitianLattice) -> LogRational:
     return lat.degree() + LogRational(r * harmonic)
 
 
-def _norm_product_holds(t: int, a: QElt, b: QElt) -> tuple[bool, str]:
+def _norm_product_holds(t: int, x: tuple, y: tuple) -> tuple[bool, str]:
     """Exact check of prod_sigma(|sigma(a)|^2+|sigma(b)|^2+Re(conj(sigma a) sigma b))
-    >= |N(ab)| >= 1 over Q(sqrt t)."""
-    nab = abs((a * b).norm())
+    >= |N(ab)| >= 1 over Q(sqrt t) for the samples x = (a, N(a), a*a) and
+    y = (b, N(b), b*b), with |N(ab)| = |N(a)*N(b)| as N is multiplicative.
+    For t < 0 the product is v^2, v = N(a) + N(b) + tr(conj(a)*b)/2, checked
+    times 4 on the int 2v: (2v)^2 >= 4*|N(a)N(b)| >= 4.  The detail is built
+    only when the check fails, and is "" when it holds."""
+    a, na, aa = x
+    b, nb, bb = y
+    nab = abs(na * nb)
     if t < 0:
-        val = a.norm() + b.norm() + F((a.conj() * b).trace(), 2)
-        prod = val**2
+        v2 = 2 * (na + nb) + (a.conj() * b).trace()
+        if v2 * v2 >= 4 * nab >= 4:
+            return True, ""
+        prod = F(v2 * v2, 4)
     else:
-        e = a * a + a * b + b * b
-        prod = e.norm()
-    ok = prod >= nab >= 1
-    return ok, f"product={prod}, |N(ab)|={nab}"
+        prod = (aa + a * b + bb).norm()
+        if prod >= nab >= 1:
+            return True, ""
+    return False, f"product={prod}, |N(ab)|={nab}"
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +549,11 @@ def a2_twist_checks(gram_multiplier: Rat = F(2, 3)) -> Report:
     samples = [(1, 0), (1, 1), (2, -1), (0, 1), (3, 2), (-1, 2)]
     for t in (-1, -2, -3, -7, 2, 3):
         field = QuadField(*_omega_data(t))
-        for pa, qa in samples:
-            for pb, qb in samples:
-                a = field.elt(pa, qa)
-                b = field.elt(pb, qb)
-                if a.is_zero() or b.is_zero():
-                    continue
-                ok, detail = _norm_product_holds(t, a, b)
+        elts = [field.elt(pa, qa) for pa, qa in samples]
+        data = [(a, a.norm(), a * a) for a in elts if a]  # each norm and square once
+        for x in data:
+            for y in data:
+                ok, detail = _norm_product_holds(t, x, y)
                 if not ok:
                     rep.require(f"norm_product_bound_t{t}", False, detail)
     rep.require(
@@ -717,39 +725,47 @@ def _sixteen_bound_norms(kp: QuadField) -> list[tuple[int, int]]:
 
     They run on the doubled samples 2a, which stay on ints: 2u = 1 - w*i is
     integral over (1, i).  N has degree 4 over Q, so N(2x) = 16*N(x), and
-    N(4E) = 256*N(E), N(4ab) = 256*N(ab): exact quotients by 256."""
+    N(4E) = 256*N(E), N(4ab) = 256*N(ab): exact quotients by 256.  N is
+    multiplicative, so N(2a*2b) = N(2a)*N(2b), from one norm per sample."""
     two, i2 = kp.elt(2), kp.omega * 2
     u2 = kp.elt(1, -kp.base.omega)
     samples2 = [two, i2, u2, two + i2, u2 + i2, u2 * 2 - two, u2 + two]
     abs_sq = [x * x.conjugate() for x in samples2]  # 4*|a|^2, once per sample
+    norms = [x.norm().norm() for x in samples2]  # N(2a), once per sample
     return [
-        (_div((xx + yy).norm().norm(), 256), _div((x * y).norm().norm(), 256))
-        for x, xx in zip(samples2, abs_sq)
-        for y, yy in zip(samples2, abs_sq)
-        if x and y
+        (_div((xx + yy).norm().norm(), 256), _div(nx * ny, 256))
+        for xx, nx in zip(abs_sq, norms)
+        for yy, ny in zip(abs_sq, norms)
     ]
 
 
 def qp_checks(p: int) -> Report:
     """Class-field ring of integers over Q(sqrt(-p)), p in {5, 13, 37}:
     index-4 subring, degree 2*log 2, negative height term of its dual,
-    base-change splitting, and the rank-one degree bounds."""
+    base-change splitting, and the rank-one degree bounds.
+
+    Every K(i) computation runs on 2u = 1 - w*i, integral over (1, i), so
+    on ints; a check reads a power-of-2 multiple, exact since the pairing is
+    sesquilinear and N has degree 4: the Gram of (2u, 2i) is 4*G,
+    `split_equations` reads twice the images, the base change pairs
+    2e_pm = (2, 2b_pm) under 4*G, 16 times the form, and
+    `split_basis_unimodular` checks N(2b_- - 2b_+) = 16*N(b_- - b_+)."""
     if p not in (5, 13, 37):
         raise ValueError("p must be one of 5, 13, 37")
     rep = Report(name=f"qp-{p}")
     # the ring of integers of K(i) as a hermitian lattice over K
     k = ImagQuadField(p)  # omega = sqrt(-p)
     kp = QuadField(0, 1, k)  # K(i)
-    w, i_elt, one = k.omega, kp.omega, kp.one
+    w, i_elt, one, two = k.omega, kp.omega, kp.one, kp.elt(2)
     # u = (1 + sqrt(p))/2 = 1/2 - (omega/2) i;  basis (u, i)
-    u = kp.elt(k.elt(F(1, 2)), k.elt(0, F(-1, 2)))
+    u2 = kp.elt(1, -w)  # 2u
 
     def pair(x: QElt, y: QElt) -> QElt:
         """(1/2) tr_{K'/K}(conjugate(x) * y) on coordinates over (1, i)."""
         return (x.conjugate() * y).a
 
-    basis = [u, i_elt]
-    gram = [[pair(x, y) for y in basis] for x in basis]
+    gram4 = [[pair(x, y) for y in (u2, 2 * i_elt)] for x in (u2, 2 * i_elt)]  # 4*G
+    gram = [[x / 4 for x in row] for row in gram4]
     expected = [[k.elt(F(p + 1, 4)), w * F(1, 2)], [w * F(-1, 2), k.one]]
     rep.require(
         "ring_gram_matrix",
@@ -760,15 +776,10 @@ def qp_checks(p: int) -> Report:
 
     # 1 = 2u + w*i, so the orthogonal subring o ⊥ o*sqrt(-1) has basis rows
     # [2, w], [0, 1] in (u, i) coordinates; its index is |N(det)| = N(2) = 4
-    unit_check = u * 2 + i_elt * w
-    rep.require("unit_in_basis", unit_check == one, "1 = 2u + w*i")
-    det_incl = k.elt(2) * k.one - w * k.zero
-    index = det_incl.norm()
+    rep.require("unit_in_basis", u2 + i_elt * w == one, "1 = 2u + w*i")
+    index = (k.elt(2) * k.one - w * k.zero).norm()
     rep.require("index_four_subring", index == 4, f"index = |N(2)| = {index}")
-    sub_gram = [
-        [pair(one, one), pair(one, i_elt)],
-        [pair(i_elt, one), pair(i_elt, i_elt)],
-    ]
+    sub_gram = [[pair(x, y) for y in (one, i_elt)] for x in (one, i_elt)]
     rep.require(
         "orthonormal_subring",
         sub_gram == [[k.one, k.zero], [k.zero, k.one]],
@@ -793,47 +804,34 @@ def qp_checks(p: int) -> Report:
     )
 
     # base-change splitting: idempotent-derived orthogonal generators
-    # e_pm = 1*(u⊗1) + b_pm*(i⊗1), coordinates (1, b_pm) over (u⊗1, i⊗1)
-    b_plus = (one - u) * -i_elt  # (1-u)/i
-    b_minus = i_elt * u  # -u/i
-    e_plus = (one, b_plus)
-    e_minus = (one, b_minus)
-
-    def eval_split(b_coeff: QElt, sigma_minus: bool) -> QElt:
-        """Image of 1*(u⊗1) + b*(i⊗1) under x⊗s -> sigma(x)*s."""
-        uu = u.conj() if sigma_minus else u
-        ii = i_elt.conj() if sigma_minus else i_elt
-        return uu + b_coeff * ii
-
+    # e_pm = 1*(u⊗1) + b_pm*(i⊗1), coordinates (1, b_pm) over (u⊗1, i⊗1),
+    # run on 2b_pm: 2b_+ = 2(1-u)/i and 2b_- = -2u/i
+    b2s = ((two - u2) * -i_elt, i_elt * u2)
+    # twice the images of e_pm under x⊗s -> sigma(x)*s, sigma = id and conj
+    images = [(u2 + b2 * i_elt, u2.conj() - b2 * i_elt) for b2 in b2s]
     rep.require(
         "split_equations",
-        eval_split(b_plus, False) == one
-        and eval_split(b_plus, True).is_zero()
-        and eval_split(b_minus, False).is_zero()
-        and eval_split(b_minus, True) == one,
+        images == [(two, kp.zero), (kp.zero, two)],
         "the two generators project to (1,0) and (0,1) under the algebra splitting",
     )
-
-    def okprime_coords(x: QElt) -> tuple[QElt, QElt]:
-        """Coordinates over the integral basis (u, i): x = c_u*u + c_i*i."""
-        c_u = x.a * 2
-        c_i = x.b + x.a * w
-        return c_u, c_i
-
-    for name, b in (("plus", b_plus), ("minus", b_minus)):
-        cu, ci = okprime_coords(b)
+    for name, b2 in zip(("plus", "minus"), b2s):
+        # b = c_u*u + c_i*i with c_u = (2b).a and c_i = ((2b).b + (2b).a*w)/2
+        cu, ci = b2.a, (b2.b + b2.a * w) / 2
         rep.require(
             f"split_generator_{name}_integral",
             cu.is_integral() and ci.is_integral(),
             f"b_{name} = ({cu})*u + ({ci})*i lies in the ring",
         )
 
-    # hermitian form on the base change, sesquilinear over K'
-    gq = [[kp.elt(gram[a][b2]) for b2 in range(2)] for a in range(2)]
-    cross = linalg.sesquilinear(gq, e_plus, e_minus)
-    rep.require("split_orthogonal", cross.is_zero(), "the two split generators are orthogonal")
-    h_p = linalg.sesquilinear(gq, e_plus, e_plus)
-    h_m = linalg.sesquilinear(gq, e_minus, e_minus)
+    # hermitian form on the base change, sesquilinear over K', 16 times
+    gq4 = [[kp.elt(x) for x in row] for row in gram4]
+    e2_plus, e2_minus = ((two, b2) for b2 in b2s)
+    rep.require(
+        "split_orthogonal",
+        linalg.sesquilinear(gq4, e2_plus, e2_minus).is_zero(),
+        "the two split generators are orthogonal",
+    )
+    h_p, h_m = (linalg.sesquilinear(gq4, e, e) / 16 for e in (e2_plus, e2_minus))
     rep.require(
         "split_norms_equal_rational",
         h_p == h_m and h_p.b.is_zero() and h_p.a.is_rational() and h_p.a.as_fraction() > 0,
@@ -852,10 +850,9 @@ def qp_checks(p: int) -> Report:
         piece_deg + piece_deg == 2 * deg,
         "sum of piece degrees equals twice the base degree",
     )
-    det_basis = b_minus - b_plus
     rep.require(
         "split_basis_unimodular",
-        det_basis.norm().norm() == 1,
+        (b2s[1] - b2s[0]).norm().norm() == 16,
         "the change of basis to the split generators is unimodular",
     )
     rep.require(

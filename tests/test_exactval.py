@@ -662,3 +662,19 @@ def test_every_entry_point_reads_numbers_by_the_one_rule():
     assert multifilt.subobject(m, [[half, 0]]) == multifilt.subobject(m, [[1, 0]])
     assert multifilt.quotient_object(m, [[half, 0]]) == multifilt.quotient_object(m, [[1, 0]])
     assert multifilt.mu_max_mf(m, [[[two, 0]]]).value == 1
+
+
+def test_rational_reads_a_bool_as_its_int():
+    """A bool is an int subclass, and `rational` returns it as its int, so
+    no entry point stores or prints True for 1."""
+    from slopekit import hermitian, lattice
+
+    for x, want in ((True, 1), (False, 0)):
+        assert rational(x) == want and type(rational(x)) is int
+    basis = lattice.Sublattice(lattice.unit_lattice(2), [[True, False]]).basis
+    assert basis == ((1, 0),) and all(type(x) is int for row in basis for x in row)
+    assert str(basis) == "((1, 0),)"
+    s, den = lattice.EuclideanLattice([[True]]).scaled_gram()
+    assert (s, den) == (((1,),), 1) and type(s[0][0]) is int and type(den) is int
+    z = hermitian.ImagQuadField(7).elt(True, False)
+    assert type(z.a) is int and type(z.b) is int and repr(z) == "(1+0w)"

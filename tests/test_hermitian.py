@@ -710,3 +710,76 @@ def test_hermitian_load(tmp_path):
     path.write_text(json.dumps({"gram": [[{"a": "1"}]]}))
     with pytest.raises(ValueError, match='hermitian lattice JSON must be an object with an integer "d"'):
         HermitianLattice.load(str(path))
+
+
+def _product_norm_product_holds(t, a, b):
+    """The a2 norm-product check on the elements themselves: |N(ab)| from
+    the product, and for t < 0 the value with its Fraction half-trace."""
+    nab = abs((a * b).norm())
+    if t < 0:
+        val = a.norm() + b.norm() + F((a.conj() * b).trace(), 2)
+        prod = val**2
+    else:
+        e = a * a + a * b + b * b
+        prod = e.norm()
+    return prod >= nab >= 1, prod, nab
+
+
+def test_norm_products_from_sample_norms_match_product_loop():
+    """`_norm_product_holds` on each sample's norm and square gives the
+    verdict of the product loop on all 6 fields x 36 pairs of a2's samples,
+    and those inputs give its values: |N(ab)| = |N(a)*N(b)|, and for t < 0
+    the product is (2v)^2/4 for the int 2v.  A failing pair reports the
+    product loop's values in its wording."""
+    from slopekit.hermitian import _norm_product_holds, _omega_data
+
+    samples = [(1, 0), (1, 1), (2, -1), (0, 1), (3, 2), (-1, 2)]
+    for t in (-1, -2, -3, -7, 2, 3):
+        field = QuadField(*_omega_data(t))
+        data = [(a, a.norm(), a * a) for a in (field.elt(p, q) for p, q in samples)]
+        pairs = 0
+        for x in data:
+            for y in data:
+                (a, na, aa), (b, nb, bb) = x, y
+                ok, prod, nab = _product_norm_product_holds(t, a, b)
+                assert _norm_product_holds(t, x, y) == (ok, "") and ok
+                assert abs(na * nb) == nab and type(na * nb) is int
+                if t < 0:
+                    v2 = 2 * (na + nb) + (a.conj() * b).trace()
+                    assert type(v2) is int and F(v2 * v2, 4) == prod
+                else:
+                    assert (aa + a * b + bb).norm() == prod
+                pairs += 1
+        assert pairs == 36
+        half = field.elt(F(1, 2))
+        for a, b in ((field.zero, field.one), (half, half), (half, field.elt(1, F(-1, 2)))):
+            ok, prod, nab = _product_norm_product_holds(t, a, b)
+            got = _norm_product_holds(t, (a, a.norm(), a * a), (b, b.norm(), b * b))
+            assert not ok and got == (False, f"product={prod}, |N(ab)|={nab}")
+
+
+def test_qp_multiplies_in_k_i_on_ints_only(monkeypatch):
+    """No product of two K(i) elements in `qp_checks` has a Fraction among
+    its operands' coordinates: every check runs on 2u = 1 - w*i, not on
+    u = (1 + sqrt p)/2.  The operands are recorded, not asserted on, since
+    a manifest turns a failed assertion into a failed check."""
+    real = QElt.__mul__
+    products, with_fraction = [], []
+
+    def coordinates(x):
+        return coordinates(x.a) + coordinates(x.b) if isinstance(x, QElt) else [x]
+
+    def in_tower(x):  # an element of K(i), whose base is a field itself
+        return isinstance(x, QElt) and isinstance(x.field.base, QuadField)
+
+    def recording(self, other):
+        if in_tower(self) and in_tower(other):
+            products.append((self, other))
+            if any(type(c) is F for c in coordinates(self) + coordinates(other)):
+                with_fraction.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(QElt, "__mul__", recording)
+    for p in (5, 13, 37):
+        assert qp_checks(p).passed, p
+    assert products and with_fraction == []
