@@ -25,11 +25,12 @@ and no step of it builds a Fraction.  They are reduced once when made,
 never again; rows already in RREF up to row scaling are only scaled.  Code
 that shows a subspace (`to_json_dict`, the CLI) divides by the pivots, so
 what it prints is the RREF.  Where only a dimension is read it comes from
-one rank, dim(W ∩ S) = dim W + dim S - rank(W + S), and a vector of a
-stored span has its coordinates at the span's pivot columns; intersection
-bases are built only where a basis is used (the candidate closure,
-`subobject`, `nu_witness` and the profile bound's triple intersections).
-All elimination runs through `linalg.rref`.
+one rank, dim(W ∩ S) = dim W + dim S - rank(W + S), and the profile bound
+reads a subspace's meets with every step of a flag off one rank profile
+(`_flag_meet_dims`); a vector of a stored span has its coordinates at the
+span's pivot columns.  Intersection bases are built only where a basis is
+used (the candidate closure, `subobject`, `nu_witness` and the profile
+bound's triple meets).  All elimination runs through `linalg.rref`.
 
 mu_max is the first edge of a canopy (`enumeration.first_edge`).  In
 dimension n <= 3 every rank is 1, n - 1 or n, and the canopy is exact: the
@@ -50,6 +51,7 @@ uncertified, the bounds through its witness replace the relaxation's."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -433,21 +435,25 @@ def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[int, ...]]:
     choice of t; so every nonzero vector of I has weights exactly t.  An
     entry at its filtration's lowest break selects V, so only the other
     entries' steps are met; with none, I = V and the witness is e_1.  The
-    witness is the first integer RREF row of I: primitive, pivot positive."""
-    tuples = sorted(
-        itertools.product(*(f.breaks() for f in m.filtrations)), key=lambda t: sum(t), reverse=True
-    )
+    witness is the first integer RREF row of I: primitive, pivot positive.
+    Break sums are compared as integers, the breaks scaled by the D of
+    `integer_gaps`, which keeps their order and ties."""
+    den = m.integer_gaps()[0]
+    options = [
+        [(lam.numerator * (den // lam.denominator), i) for i, lam in enumerate(f.breaks())] for f in m.filtrations
+    ]
+    tuples = sorted(itertools.product(*options), key=lambda t: sum(s for s, _ in t), reverse=True)
     for tup in tuples:
-        proper = [f.space_at(lam) for f, lam in zip(m.filtrations, tup) if lam != f.steps[0][0]]
+        proper = [f.steps[i][1] for f, (_, i) in zip(m.filtrations, tup) if i]
         if not proper:  # I = V, whose first RREF row is e_1
-            return sum(tup, F(0)), tuple(int(j == 0) for j in range(m.dim))
+            return F(sum(s for s, _ in tup), den), tuple(int(j == 0) for j in range(m.dim))
         inter = proper[0]
         for space in proper[1:]:
             inter = linalg.intersect_row_spaces(inter, space, m.dim)
             if not inter:
                 break
         else:
-            return sum(tup, F(0)), inter[0]
+            return F(sum(s for s, _ in tup), den), inter[0]
     raise AssertionError("no witness line found")
 
 
@@ -581,93 +587,213 @@ def _candidate_family(m: MultifilteredSpace, extra):
     yield from filter(fresh, (_rref_rows(e, m.dim) for e in extra))
 
 
+def _flag_meet_dims(a: Matrix, flag: Sequence[Matrix]) -> list[int]:
+    """dim(A ∩ G_j) for the span A of independent rows a and each step G_j
+    of a flag G_1 > G_2 > ... > G_t, from one `rref`.  In the stack
+    [a; G_t; ...; G_1] the rows up to the end of G_j span
+    A + G_t + ... + G_j = A + G_j, so rank(A + G_j) is the number of rows
+    there that are independent of the rows before them: the stack's row
+    rank profile, which is the pivot columns of the RREF of its transpose
+    (a column takes a pivot iff it is no combination of the columns before
+    it).  Then dim(A ∩ G_j) = dim A + dim G_j - rank(A + G_j)."""
+    stack = a + tuple(itertools.chain.from_iterable(reversed(flag)))
+    pivots = linalg.rref(linalg.transpose(stack))[1]
+    dims = []
+    end = len(a)
+    for g in reversed(flag):
+        end += len(g)
+        dims.append(len(a) + len(g) - bisect.bisect_left(pivots, end))
+    return dims[::-1]
+
+
+def _triple_meet_dims(x, y, z, xy, xz, yz, n: int) -> list[list[list[int]]]:
+    """t[i][j][l] = dim(X_i ∩ Y_j ∩ Z_l) for three flags of proper steps in
+    Q^n, given their pair tables (xy[i][j] = dim(X_i ∩ Y_j), and so on).  A
+    meet X_i ∩ Y_j of dimension 0, dim X_i or dim Y_j is 0, X_i or Y_j, whose
+    meets with the Z_l are known; any other is built once and met with all
+    of Z by one `_flag_meet_dims`."""
+    out = []
+    for xi, xyi, xzi in zip(x, xy, xz):
+        rows = []
+        for yj, d, yzj in zip(y, xyi, yz):
+            if d == 0:
+                rows.append([0] * len(z))
+            elif d == len(xi):
+                rows.append(xzi)
+            elif d == len(yj):
+                rows.append(yzj)
+            else:
+                rows.append(_flag_meet_dims(linalg.intersect_row_spaces(xi, yj, n), z))
+        out.append(rows)
+    return out
+
+
+def _profiles(k: int, a: Sequence[int], g: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """Every profile (d_1, d_2, ...) of a k-dimensional W against one
+    filtration, a[i] = dim F_i (a[0] = dim V) and g its integer gaps, with
+    its score sum_i g_i d_i, by decreasing score."""
+    level = [(0, (), k)]
+    for i, gi in enumerate(g):
+        # W ∩ F_(i+1) lies in W ∩ F_i (W for i = 0) and in F_(i+1), and
+        # (W ∩ F_i) / (W ∩ F_(i+1)) embeds in F_i / F_(i+1)
+        drop = a[i] - a[i + 1]
+        level = [
+            (score + gi * d, prof + (d,), d)
+            for score, prof, prev in level
+            for d in range(min(prev, a[i + 1]), max(0, prev - drop) - 1, -1)
+        ]
+    level.sort(key=lambda t: t[0], reverse=True)
+    return [(score, prof) for score, prof, _ in level]
+
+
+def _greatest_profile_score(k: int, a: Sequence[int], g: Sequence[int], caps: Sequence[int]) -> Optional[int]:
+    """The best score of a profile of `_profiles(k, a, g)` with every
+    d_i <= caps[i], or None if there is none; caps[i] >= 0.
+
+    A profile's own constraints, d_i <= d_(i-1) and
+    d_(i-1) - d_i <= a_(i-1) - a_i (d_0 = k), are difference constraints;
+    with d_i >= 0 and the upper bounds d_i <= caps_i they are kept by the
+    entrywise max of two profiles (if max(x_(i-1), y_(i-1)) = x_(i-1), then
+    x_(i-1) - max(x_i, y_i) <= x_(i-1) - x_i).  So the profiles that meet the
+    caps, if any, have a greatest one, and as every gap g_i is > 0 it has
+    the best score.  It is read off in closed form.  Backwards,
+    up_i = min(caps_i, up_(i+1) + a_i - a_(i+1)), with up = a = 0 past the
+    last step (so up_i <= a_i), bounds d_i on every such profile, since
+    d_(i+1) >= d_i - (a_i - a_(i+1)).  Forwards, d_i = min(d_(i-1), up_i) is
+    the least of those bounds and of k.  It meets every constraint: d_i >= 0
+    as caps_i >= 0, and d_(i-1) - d_i is 0 or d_(i-1) - up_i
+    <= up_(i-1) - up_i <= a_(i-1) - a_i, except at the first step, which
+    needs k - up_1 <= a_0 - a_1; where that fails there is no profile."""
+    ups = []
+    up = below = 0
+    for i in range(len(g), 0, -1):
+        up += a[i] - below
+        below = a[i]
+        if caps[i - 1] < up:
+            up = caps[i - 1]
+        ups.append(up)
+    if k > up + a[0] - a[1]:
+        return None
+    d, score = k, 0
+    for gi, up in zip(g, reversed(ups)):
+        if up < d:
+            d = up
+        score += gi * d
+    return score
+
+
+def _lowered(caps: Sequence[int], e: Sequence[int], table) -> list[int]:
+    """caps with each entry i lowered to table[j][i] - e[j] for every j."""
+    for ej, row in zip(e, table):
+        caps = [c if c <= x - ej else x - ej for c, x in zip(caps, row)]
+    return caps
+
+
+def _search(problem, t: int, total: int, caps, limits, bound: int, best: Optional[int]) -> Optional[int]:
+    """The best total score over the feasible profiles of the filtrations
+    t, t+1, ... of `_best_score`'s order, given profiles of those before
+    that score `total`; `best` is the best total found so far.
+
+    The constraints are upper bounds on later profiles.  Subspaces of W of
+    dims d, e meet in dim >= d + e - k, so d + e - k <= dim(F ∩ G) for
+    W ∩ F and W ∩ G; meeting that with W ∩ H gives
+    d + e + h - 2k <= dim(F ∩ G ∩ H); each bound is >= 0 as d, e, h <= k.
+    So the chosen profiles leave caps[r][i] on d_(r,i) for each later
+    filtration r, and limits[q, r][j][i] for later q < r: once e is chosen
+    for q, d_(r,i) <= limits[q, r][j][i] - e_j, the pair bound
+    (k + dim(F_(q,j) ∩ F_(r,i))) and each chosen h's triple bounds
+    (2k - h_l + dim(F_(p,l) ∩ F_(q,j) ∩ F_(r,i))) folded into one table.
+
+    The last filtration is never enumerated: once all the others are
+    chosen, its constraints are its own and upper bounds, so its best
+    profile is `_greatest_profile_score` of its caps.  Its caps only fall
+    as more profiles are chosen, so that score under a prefix, `bound`,
+    bounds its share in every completion, and with the later enumerated
+    filtrations' best unconstrained scores (`rest`) it prunes.  Profiles
+    come by decreasing score, so the first that cannot beat `best` ends the
+    loop."""
+    k, a, g, triples, profiles, suffix = problem
+    last = len(a) - 1
+    rest = suffix[t + 1]
+    for score, prof in profiles[t]:
+        if best is not None and total + score + rest + bound <= best:
+            break
+        if any(d > c for d, c in zip(prof, caps[t])):
+            continue
+        last_caps = _lowered(caps[last], prof, limits[t, last])
+        top = _greatest_profile_score(k, a[last], g[last], last_caps)
+        if top is None or (best is not None and total + score + rest + top <= best):
+            continue
+        if t + 1 == last:
+            best = total + score + top
+            continue
+        later = {r: _lowered(caps[r], prof, limits[t, r]) for r in range(t + 1, last)}
+        later[last] = last_caps
+        shifted = [el - 2 * k for el in prof]
+        folded = {
+            (q, r): [
+                _lowered(row, shifted, [block[j] for block in triples[t, q, r]])
+                for j, row in enumerate(limits[q, r])
+            ]
+            for q, r in itertools.combinations(range(t + 1, last + 1), 2)
+        }
+        best = _search(problem, t + 1, total + score, later, folded, top, best)
+    return best
+
+
+def _best_score(k: int, a, g, pairs, triples) -> int:
+    """The best total score sum_f sum_i g_(f,i) d_(f,i) of feasible profiles
+    of a k-dimensional subspace, for the filtrations of `_profile_upper_bound`
+    in its order (the last one has the most steps).  Every k-dimensional
+    subspace has feasible profiles, so there is one."""
+    last = len(a) - 1
+    caps = {r: list(ar[1:]) for r, ar in enumerate(a)}
+    top = _greatest_profile_score(k, a[last], g[last], caps[last])
+    if last == 0:
+        return top
+    profiles = [_profiles(k, ar, gr) for ar, gr in zip(a[:-1], g[:-1])]
+    suffix = list(itertools.accumulate((p[0][0] for p in reversed(profiles)), initial=0))[::-1]
+    limits = {qr: [[k + x for x in row] for row in table] for qr, table in pairs.items()}
+    return _search((k, a, g, triples, profiles, suffix), 0, 0, caps, limits, top, None)
+
+
 def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
     """For each k = 1..dim, the max over dimension-profile relaxations of the
     induced slope of a k-dimensional subspace W: per filtration the profile
     d_i = dim(W ∩ F_i) over the proper steps F_1 > F_2 > ... is a bounded
     monotone sequence, coupled across filtrations by the exact meet
     dimensions of the proper steps (V drops out: module docstring).  Every
-    constraint below holds for the true profiles, so the best feasible score
+    constraint holds for the true profiles, so the best feasible score
     bounds deg W.  A profile scores sum_i g_i d_i, with integers
     g_i = (lam_i - lam_(i-1)) D (`integer_gaps`), and
     bound_k = sum_f lam_(f,0) + best / (D k): the scaling, and the lam_0 k
     every profile of a filtration shares, keep the profile order and the
-    pruning."""
-    n = m.n_filtrations
-    steps = [f.steps[1:] for f in m.filtrations]
+    pruning.
+
+    A filtration with no proper step has one empty profile and no
+    constraint, so it drops out.  The others are taken by increasing number
+    of steps, so the last has the most, and it is not enumerated
+    (`_search`).  In that order, each pair's meet dimensions come from one
+    `_flag_meet_dims` per step of the earlier, shorter flag, and each
+    triple's from one per meet of steps of its two shorter flags
+    (`_triple_meet_dims`)."""
     den, lam_0, gaps = m.integer_gaps()
-    dims = [[m.dim] + [len(s) for _, s in st] for st in steps]
-    pair_dim: dict[tuple, int] = {}
-    for v, w in itertools.combinations(range(n), 2):
-        for i, (_, si) in enumerate(steps[v]):
-            for j, (_, sj) in enumerate(steps[w]):
-                pair_dim[(v, i, w, j)] = _meet_dim(si, sj)
-    triple_dim: dict[tuple, int] = {}
-    for v, w, x in itertools.combinations(range(n), 3):
-        for i, (_, si) in enumerate(steps[v]):
-            for j, (_, sj) in enumerate(steps[w]):
-                sij = linalg.intersect_row_spaces(si, sj, m.dim)
-                for l, (_, sl) in enumerate(steps[x]):
-                    triple_dim[(v, i, w, j, x, l)] = _meet_dim(sij, sl)
-    bounds: list[Fraction] = []
-    for k in range(1, m.dim + 1):
-        per_v: list[list[tuple[int, tuple[int, ...]]]] = []
-        for g, a in zip(gaps, dims):
-            profs: list[tuple[int, tuple[int, ...]]] = []
-
-            def rec(i, prev, acc, score):
-                if i == len(g):
-                    profs.append((score, acc))
-                    return
-                # a[i] = dim F_i: W ∩ F_(i+1) lies in W ∩ F_i (W for i = 0) and
-                # in F_(i+1), and (W ∩ F_i) / (W ∩ F_(i+1)) embeds in F_i / F_(i+1)
-                for d in range(min(prev, a[i + 1]), max(0, prev - (a[i] - a[i + 1])) - 1, -1):
-                    rec(i + 1, d, acc + (d,), score + g[i] * d)
-
-            rec(0, k, (), 0)
-            profs.sort(key=lambda t: t[0], reverse=True)
-            per_v.append(profs)
-
-        best: Optional[int] = None
-        suffix_max = [0] * (n + 1)
-        for v in range(n - 1, -1, -1):
-            suffix_max[v] = suffix_max[v + 1] + per_v[v][0][0]
-
-        def feasible(chosen, v, prof):
-            # subspaces of W of dims d, e meet in dim >= d + e - k, so
-            # d + e - k <= dim(F ∩ G) for W ∩ F and W ∩ G; meeting that with
-            # W ∩ H gives d + e + h - 2k <= dim(F ∩ G ∩ H)
-            for w in range(v):
-                for i, d in enumerate(prof):
-                    for j, e in enumerate(chosen[w]):
-                        if d + e - k > pair_dim[(w, j, v, i)]:
-                            return False
-            for w, x in itertools.combinations(range(v), 2):
-                for i, d in enumerate(prof):
-                    for j, e in enumerate(chosen[w]):
-                        for l, h in enumerate(chosen[x]):
-                            if d + e + h - 2 * k > triple_dim[(w, j, x, l, v, i)]:
-                                return False
-            return True
-
-        def dfs(v, chosen, total):
-            nonlocal best
-            if v == n:
-                if best is None or total > best:
-                    best = total
-                return
-            for score, prof in per_v[v]:
-                # profiles come by decreasing score and suffix_max bounds
-                # the later filtrations' share: no later profile beats best
-                if best is not None and total + score + suffix_max[v + 1] <= best:
-                    break
-                if feasible(chosen, v, prof):
-                    dfs(v + 1, chosen + [prof], total + score)
-
-        dfs(0, [], 0)
-        # every k-dimensional subspace has a feasible profile
-        bounds.append(F(lam_0 * k + best, den * k))
-    return bounds
+    order = sorted((v for v, g in enumerate(gaps) if g), key=lambda v: len(gaps[v]))
+    flags = [[space for _, space in m.filtrations[v].steps[1:]] for v in order]
+    a = [[m.dim] + [len(space) for space in flag] for flag in flags]
+    g = [gaps[v] for v in order]
+    pairs = {
+        (p, q): [_flag_meet_dims(x, flags[q]) for x in flags[p]]
+        for p, q in itertools.combinations(range(len(order)), 2)
+    }
+    triples = {
+        (p, q, r): _triple_meet_dims(*(flags[v] for v in (p, q, r)), pairs[p, q], pairs[p, r], pairs[q, r], m.dim)
+        for p, q, r in itertools.combinations(range(len(order)), 3)
+    }
+    return [
+        F(lam_0 * k + (_best_score(k, a, g, pairs, triples) if order else 0), den * k)
+        for k in range(1, m.dim + 1)
+    ]
 
 
 def _degree_bounds(m: MultifilteredSpace) -> list[Fraction]:

@@ -585,6 +585,116 @@ def test_integer_profile_bound_matches_parent_on_mf_tensor_spaces(monkeypatch):
         assert _profile_upper_bound(m) == _parent_profile_upper_bound(m)
 
 
+def test_profile_bound_matches_parent_on_many_filtrations():
+    """The same on 320 seeded spaces of dimension 2..5 with 4 or 5
+    filtrations, where three or more are enumerated ahead of the one read in
+    closed form and triples of enumerated filtrations bound each other."""
+    from slopekit.multifilt import _profile_upper_bound
+
+    rng = random.Random(4501)
+    corpus = [
+        random_mf(rng, rng.choice((2, 3, 4, 4, 5, 5)), rng.choice((4, 5)), denominator=rng.choice((1, 2, 6)))
+        for _ in range(320)
+    ]
+    for m in corpus:
+        assert _profile_upper_bound(m) == _parent_profile_upper_bound(m)
+    proper = [sum(len(f.steps) > 1 for f in m.filtrations) for m in corpus]
+    assert sum(p >= 4 for p in proper) >= 80 and sum(p == 5 for p in proper) >= 10
+
+
+def _own_profiles(k, a):
+    """Every (d_1, ..., d_s) with d_0 = k, d_i <= min(d_(i-1), a_i) and
+    d_(i-1) - d_i <= a_(i-1) - a_i, d_i >= 0, by brute force."""
+    s = len(a) - 1
+    out = []
+    for prof in itertools.product(range(k + 1), repeat=s):
+        d = (k,) + prof
+        if all(d[i] <= min(d[i - 1], a[i]) and d[i - 1] - d[i] <= a[i - 1] - a[i] for i in range(1, s + 1)):
+            out.append(prof)
+    return out
+
+
+def test_closed_form_profile_is_the_best_under_caps():
+    """`_profiles` lists exactly the profiles of a filtration, by decreasing
+    score, and `_greatest_profile_score` is the best score of a profile
+    under random caps, or None where none meets them, over every profile of
+    1,500 seeded flags of dimension up to 7."""
+    from slopekit.multifilt import _greatest_profile_score, _profiles
+
+    rng = random.Random(4502)
+    infeasible = 0
+    for _ in range(1500):
+        n = rng.randint(2, 7)
+        dims = sorted(rng.sample(range(1, n), rng.randint(1, min(4, n - 1))), reverse=True)
+        a = [n] + dims
+        g = [rng.randint(1, 6) for _ in dims]
+        k = rng.randint(1, n)
+        everything = _own_profiles(k, a)
+        listed = _profiles(k, a, g)
+        assert sorted(prof for _, prof in listed) == everything
+        assert all(score == sum(x * y for x, y in zip(g, prof)) for score, prof in listed)
+        assert [score for score, _ in listed] == sorted((score for score, _ in listed), reverse=True)
+        caps = [rng.randint(0, dim) for dim in dims]
+        scores = [sum(x * y for x, y in zip(g, prof)) for prof in everything if all(map(int.__le__, prof, caps))]
+        want = max(scores) if scores else None
+        assert _greatest_profile_score(k, a, g, caps) == want
+        assert _greatest_profile_score(k, a, g, dims) == listed[0][0]
+        infeasible += want is None
+    assert infeasible >= 100
+
+
+def test_stacked_meet_dimensions_match_meet_dim(monkeypatch):
+    """One `rref` per step against a whole flag gives `_meet_dim` of that
+    step with every step of the flag, and the triple tables give the meet
+    of three steps, for every pair and triple of filtrations (either way
+    round) of the 405 mf-tensor spaces, `built` counting the pairs of steps
+    whose meet the triple tables build and meet with the third flag."""
+    from slopekit.multifilt import _flag_meet_dims, _meet_dim, _triple_meet_dims
+
+    pairs = triples = built = 0
+    for m in _mf_tensor_spaces(monkeypatch):
+        flags = [[space for _, space in f.steps[1:]] for f in m.filtrations]
+        table = {}
+        for v, w in itertools.permutations(range(len(flags)), 2):
+            table[v, w] = [_flag_meet_dims(x, flags[w]) for x in flags[v]]
+            assert table[v, w] == [[_meet_dim(x, y) for y in flags[w]] for x in flags[v]]
+            pairs += len(flags[v]) * len(flags[w])
+        for v, w, x in itertools.permutations(range(len(flags)), 3):
+            got = _triple_meet_dims(flags[v], flags[w], flags[x], table[v, w], table[v, x], table[w, x], m.dim)
+            want = [
+                [[_meet_dim(linalg.intersect_row_spaces(fv, fw, m.dim), fx) for fx in flags[x]] for fw in flags[w]]
+                for fv in flags[v]
+            ]
+            assert got == want
+            triples += len(flags[v]) * len(flags[w]) * len(flags[x])
+            built += sum(
+                0 < d < min(len(fv), len(fw)) for fv, row in zip(flags[v], table[v, w]) for fw, d in zip(flags[w], row)
+            )
+    assert pairs >= 1000 and triples >= 900 and built >= 100
+
+
+def test_relaxation_witness_and_mu_max_leave_no_cycles():
+    """One call of the relaxation, of `mu_max_mf` or of `nu_witness` leaves
+    nothing for the cyclic garbage collector: with it disabled, a
+    collection right after the call finds no unreachable object."""
+    import gc
+
+    from slopekit.multifilt import _profile_upper_bound
+
+    rng = random.Random(4503)
+    spaces = [tensor_mf(random_mf(rng, 3, 3), random_mf(rng, rng.randint(2, 3), 3)) for _ in range(4)]
+    spaces.append(random_mf(rng, 5, 4))
+    for fn in (_profile_upper_bound, mu_max_mf, nu_witness):
+        for m in spaces:
+            gc.collect()
+            gc.disable()
+            try:
+                fn(m)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
+
 def _holds_whole_space(a, n):
     """Whether rows of `a`, cut to their first n entries, hold the n x n
     identity (the stored whole space) as a block, next to other rows."""

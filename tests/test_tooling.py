@@ -191,11 +191,11 @@ def _run_budget_rest(m1, r1):
 # saves metered work re-pins them, and says so, and a change that moves
 # elimination off `linalg.rref` must not pass by re-pinning.
 _BUDGET_PINNED_OP = [
-    (11845, 73), (224, 5), (1084, 20), (3412, 22), (108, 4), (888, 7),
-    (540, 4), (13578, 33), (4095, 31), (4456, 26), (16, 2), (32, 4),
+    (10105, 53), (224, 5), (1032, 18), (3136, 19), (108, 4), (888, 7),
+    (540, 4), (12921, 28), (3939, 27), (3166, 20), (16, 2), (32, 4),
     (696, 4), (8235, 16), (8955, 16), (54, 2), (10260, 22), (160, 4),
-    (5661, 17), (16, 2), (1320, 9), (4096, 24), (3951, 13), (360, 4),
-    (11845, 73), (59637, 159), (27511, 179),
+    (5661, 17), (16, 2), (1320, 9), (3106, 19), (3951, 13), (360, 4),
+    (10105, 53), (50344, 91), (25471, 149),
 ]
 
 # The same for the rest of each case (`_run_budget_rest`), outside the
