@@ -43,11 +43,11 @@ def _refuse_unread(args) -> None:
         raise ValueError("--cap is supported only by lattice mu-max, filtration and tensor-check")
 
 
-def _tensor_check(args, kind: str, a, load, files: str, *cap) -> int:
+def _tensor_check(args, a, load, files: str, *cap) -> int:
     """The slope-inequality report of a and the object in args.file2."""
     if not args.file2:
         raise ValueError(f"tensor-check needs two {files}")
-    rep = harness.inequality_suite((kind, a, load(args.file2)), *cap)
+    rep = harness.inequality_suite((a, load(args.file2)), *cap)
     print(harness.emit_report(rep, args.format))
     return 0 if rep.passed else 1
 
@@ -98,7 +98,7 @@ def _cmd_lattice(args) -> int:
             print(f"uncertified: {EnumerationCapExceeded(cap)}", file=sys.stderr)
         return 0 if poly.certified else 1
     if args.action == "tensor-check":
-        return _tensor_check(args, "lattice", lat, EuclideanLattice.load, "lattice files", cap)
+        return _tensor_check(args, lat, EuclideanLattice.load, "lattice files", cap)
     raise AssertionError(args.action)
 
 
@@ -120,7 +120,7 @@ def _cmd_mf(args) -> int:
         print(f"certified: {res.certified}")
         return 0 if res.certified else 1
     if args.action == "tensor-check":
-        return _tensor_check(args, "multifilt", m, MultifilteredSpace.load, "input files")
+        return _tensor_check(args, m, MultifilteredSpace.load, "input files")
     raise AssertionError(args.action)
 
 

@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations
 from operator import mul
 from typing import Any, NamedTuple, Optional, Sequence
 
@@ -98,7 +99,7 @@ class SlopePolygon:
     filtration: tuple[Any, ...]  # witnesses at the certified vertices after (0, 0)
     certified: bool
 
-    def quotient_slopes(self) -> tuple[LogRational, ...]:
+    def quotient_slopes(self) -> tuple[Any, ...]:
         return tuple((d1 - d0) / (k1 - k0) for (k0, d0), (k1, d1) in zip(self.hull, self.hull[1:]))
 
 
@@ -148,11 +149,13 @@ def first_edge(canopy: Sequence[RankBound]) -> CertifiedMuMax:
     return CertifiedMuMax(value, edge.witness, upper, certified)
 
 
-def quotient_polygon(obj, top, stage, quotient, rank_of) -> SlopePolygon:
+def quotient_polygon(obj, top, stage, quotient, rank_of, contains) -> SlopePolygon:
     """The canonical filtration of obj, of (rank, degree) `top`, and its
     polygon, as first edges of quotients (Stuhler 1976, Grayson 1984).
     stage(q) is the `CertifiedMuMax` of q, obj first; quotient(W) is
-    (obj/W, lift), lift taking a subobject of obj/W to its preimage in obj.
+    (obj/W, lift), lift taking a subobject of obj/W to its preimage in obj;
+    rank_of(X) is the rank of a subobject and contains(A, B) says whether
+    A lies in B.
 
     A stage of value mu and witness X on obj/W, W at the vertex (k, d), adds
     the vertex (k + rk X, d + rk X * mu) of the lift of X, the degree being
@@ -164,22 +167,27 @@ def quotient_polygon(obj, top, stage, quotient, rank_of) -> SlopePolygon:
     mu' (one of them, deg being supermodular), and the next slope is lower.
     A witness thus need only have maximal slope (see `first_edge`).  The
     loop stops at the first uncertified stage, with the certified vertices
-    and the rank-r point."""
+    and the rank-r point, flagged uncertified.  Either way the chain is
+    checked, once, to increase."""
     hull, chain, last = [(0, top[1] * 0)], [], None
     q, lift = obj, None
     while True:
         res = stage(q)
         if not res.certified:
-            return SlopePolygon(tuple(hull) + (top,), tuple(chain), False)
+            hull.append(top)
+            break
         (k, deg), k1 = hull[-1], rank_of(res.witness)
         if res.value == last:
             del hull[-1], chain[-1]
         hull.append((k + k1, deg + res.value * k1))
         chain.append(lift(res.witness) if lift else res.witness)
         if k + k1 == top[0]:
-            return SlopePolygon(tuple(hull), tuple(chain), True)
+            break
         q, lift = quotient(chain[-1])
         last = res.value
+    if not all(contains(a, b) for a, b in zip(chain, chain[1:])):
+        raise AssertionError("quotient witnesses failed to form a chain")
+    return SlopePolygon(tuple(hull), tuple(chain), res.certified)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +554,6 @@ def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> Fraction:
     k-subset of an LLL-reduced basis.  A subset of a basis spans a saturated
     rank-k sublattice, so this bounds d_k from above, and its determinant is
     a principal minor of the reduced Gram matrix."""
-    from itertools import combinations
-
     gi, scale = lll_reduce(lat)[0].scaled_gram()
     subsets = combinations(range(lat.rank), k)
     return F(min(linalg.det_int([[gi[i][j] for j in s] for i in s]) for s in subsets), scale**k)
@@ -746,13 +752,10 @@ def slope_filtration(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) ->
     """The canonical filtration of saturated sublattices and its polygon:
     `quotient_polygon` over `mu_max` of each L/W (`_lattice_quotient`),
     uncertified from the first stage whose search exceeds the node cap."""
-    poly = quotient_polygon(
-        lat, (lat.rank, lat.degree()), lambda q: mu_max(q, node_cap), partial(_lattice_quotient, lat), lambda x: x.rank
+    return quotient_polygon(
+        lat, (lat.rank, lat.degree()), lambda q: mu_max(q, node_cap), partial(_lattice_quotient, lat),
+        lambda x: x.rank, lambda a, b: b.contains(a),
     )
-    chain = poly.filtration
-    if not all(b.contains(a) for a, b in zip(chain, chain[1:])):
-        raise AssertionError("quotient witnesses failed to form a chain")
-    return poly
 
 
 def minkowski_check(lat: EuclideanLattice, node_cap: int = DEFAULT_NODE_CAP) -> bool:

@@ -643,13 +643,10 @@ def parse(text: str) -> LogRational:
     chunks.append(("-" if sign < 0 else "") + buf.strip())
     result = LogRational(0)
     for chunk in chunks:
-        if not chunk:
-            continue
-        neg = False
-        body = chunk
-        if body.startswith("-"):
-            neg = True
-            body = body[1:].strip()
+        neg = chunk.startswith("-")
+        body = chunk[1:].strip() if neg else chunk
+        if not body:  # an operator with no term after it
+            raise ValueError(f"cannot parse LogRational term {chunk!r}")
         if "log" in body:
             m = _TERM_RE.match(body)
             if not m:

@@ -7,6 +7,7 @@ in a report carries its exact form next to a float rendering.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .enumeration import (
     mu_max,
 )
 from .exactval import LogRational, half_log, log_of_rational
+from .hermitian import a2_twist_checks, q7_checks, qp_checks
 from .lattice import EuclideanLattice
 from .multifilt import (
     Filtration,
@@ -141,28 +143,33 @@ def random_multifiltered(rng: random.Random, dim: int, n_filts: int) -> Multifil
 # ---------------------------------------------------------------------------
 # The tensor step of both slope categories, and the inequality suite.
 
-def tensor_mu_max(kind: str, a, b, node_cap: int = DEFAULT_NODE_CAP) -> tuple:
-    """(a ⊗ b, mu_max a, mu_max b, mu_max(a ⊗ b)) for kind "lattice" or
-    "multifilt"; node_cap bounds each lattice search.  A multifiltered
-    tensor is probed by the product of its factors' witnesses, of slope
-    mu_max a + mu_max b by the tensor product theorem."""
-    if kind == "lattice":
+def tensor_mu_max(a, b, node_cap: int = DEFAULT_NODE_CAP) -> tuple:
+    """(a ⊗ b, mu_max a, mu_max b, mu_max(a ⊗ b)) for two EuclideanLattices
+    or two MultifilteredSpaces, the category read off the inputs; any other
+    pair is a ValueError.  node_cap bounds each lattice search.  A
+    multifiltered tensor is probed by the product of its factors'
+    witnesses, of slope mu_max a + mu_max b by the tensor product theorem."""
+    if isinstance(a, EuclideanLattice) and isinstance(b, EuclideanLattice):
         t = a.tensor(b)
         return (t, *(mu_max(lat, node_cap) for lat in (a, b, t)))
-    if kind == "multifilt":
+    if isinstance(a, MultifilteredSpace) and isinstance(b, MultifilteredSpace):
         t = tensor_mf(a, b)
         r1, r2 = mu_max_mf(a), mu_max_mf(b)
         return t, r1, r2, mu_max_mf(t, [linalg.kron(r1.witness, r2.witness)])
-    raise ValueError(f"unknown instance kind {kind!r}")
+    raise ValueError(
+        f"the tensor step needs two EuclideanLattices or two MultifilteredSpaces, "
+        f"not {type(a).__name__} and {type(b).__name__}"
+    )
 
 
 def inequality_suite(instance, node_cap: int = DEFAULT_NODE_CAP) -> Report:
-    """The slope inequalities for instance = (kind, a, b), kind "lattice" or
-    "multifilt"; raises ReproFailure at the first that fails.  node_cap
-    bounds each lattice search.  The three mu_max results come from the one
-    tensor step (`tensor_mu_max`); each kind supplies the best line value nu
-    of the tensor (computed once the inputs are certified) and the
-    corrections rho.
+    """The slope inequalities for instance = (a, b), two EuclideanLattices
+    (report "slope-inequalities-lattice") or two MultifilteredSpaces
+    ("slope-inequalities-multifilt"); raises ReproFailure at the first that
+    fails, and ValueError for any other pair.  node_cap bounds each lattice
+    search.  The three mu_max results come from the one tensor step
+    (`tensor_mu_max`); each category supplies the best line value nu of the
+    tensor (computed once the inputs are certified) and the corrections rho.
 
     tensor_line_bound, nu(t) <= mu1 + mu2.  Multifiltered: nu(t) is the
     slope of a rank-one subobject (the witness line of `nu_witness`), so it
@@ -180,15 +187,16 @@ def inequality_suite(instance, node_cap: int = DEFAULT_NODE_CAP) -> Report:
     <= rk t (Minkowski's theorem with the cube of side 2/sqrt(k) inside the
     unit ball).  No such line bound holds for multifiltered spaces: three
     weight-1 lines in Q^2 have mu_max = 3/2 and nu = 1."""
-    kind, a, b = instance
-    t, r1, r2, rt = tensor_mu_max(kind, a, b, node_cap)
-    if kind == "lattice":
+    a, b = instance
+    t, r1, r2, rt = tensor_mu_max(a, b, node_cap)
+    lattice = isinstance(t, EuclideanLattice)
+    if lattice:
         nu = lambda: -half_log(minimum_sq(t, node_cap))
         rho1, rho2 = half_log(a.rank), half_log(b.rank)
     else:
         nu = lambda: nu_witness(t)[0]
         rho1 = rho2 = F(0)
-    rep = Report(name=f"slope-inequalities-{kind}")
+    rep = Report(name="slope-inequalities-" + ("lattice" if lattice else "multifilt"))
     rep.require(
         "inputs_certified",
         r1.certified and r2.certified and rt.certified,
@@ -198,7 +206,7 @@ def inequality_suite(instance, node_cap: int = DEFAULT_NODE_CAP) -> Report:
     mu1, mu2, mu_t = r1.value, r2.value, rt.value
     upper = mu1 + rho1 + mu2 + rho2
     rep.require("tensor_line_bound", nu_t <= mu1 + mu2, f"nu(tensor) = {nu_t} <= {mu1 + mu2}")
-    if kind == "lattice":
+    if lattice:
         rho_t = half_log(t.rank)
         rep.require(
             "line_plus_correction_bound",
@@ -279,7 +287,7 @@ def bost_experiment(cfg: ExperimentConfig, unimodular: bool = False) -> tuple[li
         else:
             l1 = random_lattice(rng, r1, cfg.entry_bound)
             l2 = random_lattice(rng, r2, cfg.entry_bound)
-        _, m1, m2, mt = tensor_mu_max("lattice", l1, l2, cfg.node_cap)
+        _, m1, m2, mt = tensor_mu_max(l1, l2, cfg.node_cap)
         certified = m1.certified and m2.certified and mt.certified
         bound1 = m1.value + m2.value + half_log(r1) + half_log(r2)
         bound2 = m1.value + m2.value + half_log_hermite(r1 * r2)
@@ -328,8 +336,6 @@ THM07_MAX_FILTS = 3
 def repro_mf_lemma(seed: int = 0, count: int = 50) -> Report:
     """Random multifiltered spaces: the multigraded aggregate equals the slope
     for every permutation of the filtration order."""
-    import itertools
-
     if count < 1:
         raise ValueError("count must be positive")
     rep = Report(name="mf-lemma")
@@ -366,7 +372,7 @@ def repro_thm07(seed: int = 0, count: int = 50) -> Report:
             rng, rng.randint(1, THM07_MAX_DIM), rng.randint(1, THM07_MAX_FILTS)
         )
         m2 = random_multifiltered(rng, rng.randint(1, THM07_MAX_DIM), m1.n_filtrations)
-        t, r1, r2, rt = tensor_mu_max("multifilt", m1, m2)
+        t, r1, r2, rt = tensor_mu_max(m1, m2)
         if not (r1.certified and r2.certified):
             # a space of dimension <= 3 has an exact canopy, so no factor is
             # left uncertified, and none is redrawn
@@ -420,8 +426,6 @@ def repro_thm07(seed: int = 0, count: int = 50) -> Report:
 
 
 def repro(target: str, **kw) -> Report:
-    from .hermitian import a2_twist_checks, q7_checks, qp_checks
-
     if target == "a2":
         return a2_twist_checks(**kw)
     if target == "q7":

@@ -59,7 +59,8 @@ from .exactval import (
     parse_rat,
     rational,
 )
-from .lattice import EuclideanLattice, _GramPair, evaluation_vector
+from .enumeration import minimum_sq, mu_max
+from .lattice import EuclideanLattice, _GramPair, a2_lattice, evaluation_vector
 from .report import Report, SCOPE_NOTE
 
 F = Fraction
@@ -500,9 +501,6 @@ def _norm_product_holds(t: int, x: tuple, y: tuple) -> tuple[bool, str]:
 def a2_twist_checks(gram_multiplier: Rat = F(2, 3)) -> Report:
     """Rank-2 root lattice twisted to small negative degree: stability, line
     degrees, and the norm-product bound behind its rank-one quotient claims."""
-    from .enumeration import minimum_sq, mu_max
-    from .lattice import a2_lattice
-
     c = rational(gram_multiplier)
     rep = Report(name="a2-twist")
     lam = -half_log(c)  # Gram multiplier c = e^(-2*lambda)
@@ -867,23 +865,22 @@ def qp_checks(p: int) -> Report:
     # ideal times a vector, so its degree is log(minimal principal index of
     # its class) - log(length^2 of its shortest vector); the class group here
     # has order two (the degree-2 everywhere-unramified extension above), with
-    # the ramified prime over 2 representing the nontrivial class
-    from .enumeration import minimum_sq as _min_sq
-
+    # the ramified prime over 2 representing the nontrivial class; its class
+    # index iota depends only on K
+    gens = [k.elt(2), k.elt(0, 2), k.elt(1, 1), k.omega * k.elt(1, 1)]
+    rows = linalg.hnf(tuple((int(g.a), int(g.b)) for g in gens))
+    ideal_norm = abs(rows[0][0] * rows[1][1])
+    b1 = k.elt(rows[0][0], rows[0][1])
+    b2 = k.elt(rows[1][0], rows[1][1])
+    form = EuclideanLattice(
+        [
+            [b1.norm(), (b1.conj() * b2).real],
+            [(b2.conj() * b1).real, b2.norm()],
+        ]
+    )
+    iota = minimum_sq(form) / ideal_norm
     for name, lham in (("ring", lat), ("dual", dual)):
-        lam1 = _min_sq(lham.restrict_scalars())
-        gens = [k.elt(2), k.elt(0, 2), k.elt(1, 1), k.omega * k.elt(1, 1)]
-        rows = linalg.hnf(tuple((int(g.a), int(g.b)) for g in gens))
-        ideal_norm = abs(rows[0][0] * rows[1][1])
-        b1 = k.elt(rows[0][0], rows[0][1])
-        b2 = k.elt(rows[1][0], rows[1][1])
-        form = EuclideanLattice(
-            [
-                [b1.norm(), (b1.conj() * b2).real],
-                [(b2.conj() * b1).real, b2.norm()],
-            ]
-        )
-        iota = _min_sq(form) / ideal_norm
+        lam1 = minimum_sq(lham.restrict_scalars())
         line_bound = max(
             -log_of_rational(lam1), log_of_rational(iota) - log_of_rational(lam1)
         )

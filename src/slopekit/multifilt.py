@@ -60,7 +60,7 @@ from functools import cache
 from typing import Optional, Sequence
 
 from . import linalg
-from .enumeration import CertifiedMuMax, RankBound, first_edge, quotient_polygon
+from .enumeration import CertifiedMuMax, RankBound, SlopePolygon, first_edge, quotient_polygon
 from .exactval import _Value, fmt_rat, parse_rat, rational
 from .report import ReproFailure
 
@@ -181,13 +181,6 @@ class Filtration(_Value):
             w = lam
         return w
 
-    def graded_dims(self) -> tuple[tuple[Fraction, int], ...]:
-        out = []
-        for i, (lam, space) in enumerate(self.steps):
-            nxt = self.steps[i + 1][1] if i + 1 < len(self.steps) else ()
-            out.append((lam, len(space) - len(nxt)))
-        return tuple(out)
-
 
 class MultifilteredSpace(_Value):
     __slots__ = ("dim", "filtrations", "_gaps")
@@ -209,16 +202,16 @@ class MultifilteredSpace(_Value):
     def n_filtrations(self) -> int:
         return len(self.filtrations)
 
-    def integer_gaps(self) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-        """(D, D * sum_f lam_(f,0), gaps), made once: D the lcm of the break
-        denominators and, per filtration, the integer gaps
+    def integer_gaps(self) -> tuple[int, int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(D, D * sum_f lam_(f,0), gaps, breaks), made once: D the lcm of the
+        break denominators and, per filtration, the integer gaps
         (lam_i - lam_(i-1)) * D of its proper steps (the Abel form, module
-        docstring)."""
+        docstring) and its breaks times D."""
         if self._gaps is None:
             den = math.lcm(*(lam.denominator for f in self.filtrations for lam in f.breaks()))
-            scaled = [[lam.numerator * (den // lam.denominator) for lam in f.breaks()] for f in self.filtrations]
+            scaled = tuple(tuple(x.numerator * (den // x.denominator) for x in f.breaks()) for f in self.filtrations)
             gaps = tuple(tuple(hi - lo for lo, hi in itertools.pairwise(b)) for b in scaled)
-            object.__setattr__(self, "_gaps", (den, sum(b[0] for b in scaled), gaps))
+            object.__setattr__(self, "_gaps", (den, sum(b[0] for b in scaled), gaps, scaled))
         return self._gaps
 
     def permuted(self, order: Sequence[int]) -> "MultifilteredSpace":
@@ -280,12 +273,14 @@ class MultifilteredSpace(_Value):
 # Slope and graded data.
 
 def slope_faltings(m: MultifilteredSpace) -> Fraction:
-    """Break-weighted graded dimensions divided by the dimension."""
-    total = F(0)
-    for f in m.filtrations:
-        for lam, d in f.graded_dims():
-            total += lam * d
-    return total / m.dim
+    """Break-weighted graded dimensions over the dimension n, in the Abel
+    form (module docstring) in integers over D (`integer_gaps`):
+    (D lam_0 n + sum gap * dim F) / (D n), each step meeting V in itself."""
+    den, lam_0, gaps, _ = m.integer_gaps()
+    total = lam_0 * m.dim
+    for f, g in zip(m.filtrations, gaps):
+        total += sum(gap * len(space) for gap, (_, space) in zip(g, f.steps[1:]))
+    return F(total, den * m.dim)
 
 
 def _meet_dim(a: Matrix, b: Matrix) -> int:
@@ -305,7 +300,7 @@ def slope_of_subspace(m: MultifilteredSpace, rows: Matrix) -> Fraction:
         raise ValueError("zero subspace has no slope")
     if k == m.dim:
         return slope_faltings(m)
-    den, lam_0, gaps = m.integer_gaps()
+    den, lam_0, gaps, _ = m.integer_gaps()
     total = lam_0 * k
     for f, g in zip(m.filtrations, gaps):
         for gap, (_, space) in zip(g, f.steps[1:]):
@@ -436,12 +431,10 @@ def nu_witness(m: MultifilteredSpace) -> tuple[Fraction, tuple[int, ...]]:
     entry at its filtration's lowest break selects V, so only the other
     entries' steps are met; with none, I = V and the witness is e_1.  The
     witness is the first integer RREF row of I: primitive, pivot positive.
-    Break sums are compared as integers, the breaks scaled by the D of
+    Break sums are compared as integers, the breaks times the D of
     `integer_gaps`, which keeps their order and ties."""
-    den = m.integer_gaps()[0]
-    options = [
-        [(lam.numerator * (den // lam.denominator), i) for i, lam in enumerate(f.breaks())] for f in m.filtrations
-    ]
+    den, _, _, scaled = m.integer_gaps()
+    options = [[(s, i) for i, s in enumerate(b)] for b in scaled]
     tuples = sorted(itertools.product(*options), key=lambda t: sum(s for s, _ in t), reverse=True)
     for tup in tuples:
         proper = [f.steps[i][1] for f, (_, i) in zip(m.filtrations, tup) if i]
@@ -482,7 +475,7 @@ def _best_hyperplane(m: MultifilteredSpace) -> tuple[Fraction, Matrix]:
     deg V + deg l, and the best hyperplane has degree deg V + nu(m*).
     Building m* costs a kernel per step, more than this search."""
     n = m.dim
-    den, lam_0, gaps = m.integer_gaps()
+    den, lam_0, gaps, _ = m.integer_gaps()
     base = lam_0 * (n - 1)
     options = []
     for f, g in zip(m.filtrations, gaps):
@@ -777,7 +770,7 @@ def _profile_upper_bound(m: MultifilteredSpace) -> list[Fraction]:
     `_flag_meet_dims` per step of the earlier, shorter flag, and each
     triple's from one per meet of steps of its two shorter flags
     (`_triple_meet_dims`)."""
-    den, lam_0, gaps = m.integer_gaps()
+    den, lam_0, gaps, _ = m.integer_gaps()
     order = sorted((v for v, g in enumerate(gaps) if g), key=lambda v: len(gaps[v]))
     flags = [[space for _, space in m.filtrations[v].steps[1:]] for v in order]
     a = [[m.dim] + [len(space) for space in flag] for flag in flags]
@@ -991,20 +984,17 @@ def dual_mf(m: MultifilteredSpace) -> MultifilteredSpace:
 # ---------------------------------------------------------------------------
 # Canonical filtration.
 
-def slope_filtration_mf(m: MultifilteredSpace) -> tuple[Matrix, ...]:
-    """The canonical filtration: `enumeration.quotient_polygon` over
-    `mu_max_mf` of each m/W, `quotient_object`, whose i-th unit vector is the
-    image of the i-th completion row, so X lifts to W + X * completion.
-    Raises ValueError at the first uncertified stage."""
+def slope_filtration_mf(m: MultifilteredSpace) -> SlopePolygon:
+    """The canonical filtration of integer RREF rows and its polygon, with
+    Fraction degrees: `enumeration.quotient_polygon` over `mu_max_mf` of
+    each m/W, `quotient_object`, whose i-th unit vector is the image of the
+    i-th completion row, so X lifts to W + X * completion; uncertified from
+    the first stage whose `mu_max_mf` is uncertified, as for lattices."""
 
     def quotient(w: Matrix):
         q, completion = quotient_object(m, w)
         return q, lambda x: _rref_rows(w + linalg.matmul(x, completion), m.dim)
 
-    poly = quotient_polygon(m, (m.dim, m.dim * slope_faltings(m)), mu_max_mf, quotient, len)
-    if not poly.certified:
-        raise ValueError("uncertified slope polygon; filtration aborted")
-    chain = poly.filtration
-    if not all(_meet_dim(a, b) == len(a) for a, b in zip(chain, chain[1:])):
-        raise AssertionError("quotient witnesses failed to form a chain")
-    return chain
+    return quotient_polygon(
+        m, (m.dim, m.dim * slope_faltings(m)), mu_max_mf, quotient, len, lambda a, b: _meet_dim(a, b) == len(a)
+    )

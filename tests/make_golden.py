@@ -8,6 +8,11 @@ must keep, from public functions only:
   not certify;
 - `inequality_suite(...).to_dict()` on the first 40 pairs of each kind, or
   the failure it raises;
+- `slope_filtration_mf` (hull, chain rows, certified) on 30 seeded
+  `random_multifiltered` spaces of dimension 4-6 with 3-4 filtrations and
+  on the tensors of the 100 multifiltered pairs; spaces 0, 8, 11, 23 and
+  28 and tensor 72 come back uncertified, space 23 after two certified
+  stages;
 - thm07 and mf-lemma at seeds 0 and 7;
 - the JSON records of the tensor-bound experiment at the default config and
   at seed 77, unimodular;
@@ -63,6 +68,7 @@ from slopekit import (
     mu_max,
     mu_max_mf,
     slope_filtration,
+    slope_filtration_mf,
     tensor_mf,
 )
 from slopekit.cli import main
@@ -75,6 +81,7 @@ SUITE_PAIRS = 40
 LATTICES = 120
 TENSOR_SHAPES = ((2, 5), (5, 2), (3, 4), (4, 3), (2, 6), (3, 3))
 TENSORS = 30
+MF_SPACES = 30
 
 
 def lattice_pairs(seed=36, count=PAIRS):
@@ -100,6 +107,13 @@ def mf_pairs():
         n = rng.randint(1, 3)
         out.append((harness.random_multifiltered(rng, rng.randint(1, 3), n), harness.random_multifiltered(rng, rng.randint(1, 3), n)))
     return out
+
+
+def mf_spaces():
+    """`random_multifiltered` spaces of dimension 4..6 with 3..4
+    filtrations."""
+    rng = random.Random(41)
+    return [harness.random_multifiltered(rng, rng.randint(4, 6), rng.randint(3, 4)) for _ in range(MF_SPACES)]
 
 
 def lattices():
@@ -153,6 +167,15 @@ def filtration(poly):
     }
 
 
+def mf_filtration(m):
+    poly = slope_filtration_mf(m)
+    return {
+        "hull": [[k, str(deg)] for k, deg in poly.hull],
+        "chain": [[list(row) for row in w] for w in poly.filtration],
+        "certified": poly.certified,
+    }
+
+
 def mf_step(a, b):
     r1, r2 = mu_max_mf(a), mu_max_mf(b)
     probe = [tuple(x * y for x in wa for y in wb) for wa in r1.witness for wb in r2.witness]
@@ -163,9 +186,9 @@ def mf_step(a, b):
     ]
 
 
-def suite(kind, a, b):
+def suite(a, b):
     try:
-        return inequality_suite((kind, a, b)).to_dict()
+        return inequality_suite((a, b)).to_dict()
     except ReproFailure as exc:
         return {"failure": str(exc)}
 
@@ -313,8 +336,12 @@ def golden() -> dict:
             "multifilt": [mf_step(a, b) for a, b in mf],
         },
         "inequality_suite": {
-            "lattice": [suite("lattice", a, b) for a, b in lat[:SUITE_PAIRS]],
-            "multifilt": [suite("multifilt", a, b) for a, b in mf[:SUITE_PAIRS]],
+            "lattice": [suite(a, b) for a, b in lat[:SUITE_PAIRS]],
+            "multifilt": [suite(a, b) for a, b in mf[:SUITE_PAIRS]],
+        },
+        "mf_filtration": {
+            "spaces": [mf_filtration(m) for m in mf_spaces()],
+            "tensors": [mf_filtration(tensor_mf(a, b)) for a, b in mf],
         },
         "thm07": {str(seed): harness.repro_thm07(seed=seed).to_dict() for seed in (0, 7)},
         "mf_lemma": {str(seed): harness.repro_mf_lemma(seed=seed).to_dict() for seed in (0, 7)},

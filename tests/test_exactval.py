@@ -260,11 +260,30 @@ def test_parse_zero_denominator_is_value_error(text):
     "text, message",
     [("", "empty LogRational text"), ("  ", "empty LogRational text"),
      ("2*log[3]", r"cannot parse LogRational term '2\*log\[3\]'"),
-     ("1 + log(x)", r"cannot parse LogRational term 'log\(x\)'")],
+     ("1 + log(x)", r"cannot parse LogRational term 'log\(x\)'"),
+     ("3 +", "cannot parse LogRational term ''"), ("log(2) +", "cannot parse LogRational term ''"),
+     ("3 -", "cannot parse LogRational term '-'")],
 )
 def test_parse_rejects_empty_and_malformed_text(text, message):
     with pytest.raises(ValueError, match=message):
         parse(text)
+
+
+def test_parse_reads_a_sign_after_the_coefficient():
+    assert parse("3*-log(2)") == -3 * log_of_rational(2)
+    assert parse("1 - 1/2*-log(3)") == 1 + half_log(3)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+def test_arithmetic_with_a_float_is_a_type_error(op):
+    """A float is no exact number: +, -, * and / with one, on either side,
+    raise TypeError."""
+    import operator
+
+    x = log_of_rational(2)
+    for args in ((x, 1.5), (1.5, x)):
+        with pytest.raises(TypeError):
+            getattr(operator, op)(*args)
 
 
 def test_total_order():

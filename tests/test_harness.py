@@ -13,6 +13,7 @@ from slopekit.harness import (
     emit_records,
     emit_report,
     half_log_hermite,
+    inequality_suite,
     polygon_csv,
     polygon_svg,
     random_lattice,
@@ -20,6 +21,7 @@ from slopekit.harness import (
     random_unimodular_lattice,
     read_flat_toml,
     repro,
+    tensor_mu_max,
 )
 
 F = Fraction
@@ -382,6 +384,38 @@ def test_cli_bost_config(tmp_path, capsys):
     assert data["summary"]["count"] == 2
 
 
+def test_bost_experiment_lists_every_uncertified_pair(tmp_path, capsys):
+    """At node cap 1 no pair certifies: all 12 indices are listed as
+    uncertified, none is a violation or redrawn, and the command exits 1."""
+    records, summary = bost_experiment(ExperimentConfig(count=12, node_cap=1))
+    assert summary["certified"] == 0 and summary["uncertified_indices"] == list(range(12))
+    assert summary["violations"] == [] and summary["max_gap"] is None
+    assert [r.index for r in records] == list(range(12)) and not any(r.certified for r in records)
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text("count = 12\nnode_cap = 1\n")
+    assert main(["bost-experiment", "--config", str(cfg), "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["summary"] == summary
+
+
+def test_tensor_step_reads_the_category_off_its_inputs():
+    """The tensor step and the suite take two lattices or two multifiltered
+    spaces; a mixed pair, or hermitian lattices, is one ValueError naming
+    both types."""
+    from slopekit.hermitian import ImagQuadField, unit_hermitian
+    from slopekit.lattice import unit_lattice
+
+    lat, m, h = unit_lattice(2), random_multifiltered(random.Random(0), 2, 2), unit_hermitian(ImagQuadField(1), 2)
+    assert tensor_mu_max(lat, lat)[0] == lat.tensor(lat)
+    assert inequality_suite((m, m)).name == "slope-inequalities-multifilt"
+    assert inequality_suite((lat, lat)).name == "slope-inequalities-lattice"
+    for a, b, names in ((lat, m, "EuclideanLattice and MultifilteredSpace"),
+                        (m, lat, "MultifilteredSpace and EuclideanLattice"),
+                        (h, h, "HermitianLattice and HermitianLattice")):
+        for call in (lambda: tensor_mu_max(a, b), lambda: inequality_suite((a, b))):
+            with pytest.raises(ValueError, match=f"two EuclideanLattices or two MultifilteredSpaces, not {names}"):
+                call()
+
+
 @pytest.mark.parametrize("opt", ["--seed", "--count"])
 def test_cli_bost_config_refuses_seed_and_count(tmp_path, capsys, opt):
     """The config file sets seed and count: either option with --config is
@@ -655,7 +689,8 @@ def test_golden_outputs_are_kept():
     """Every entry of tests/data/golden.json, written by tests/make_golden.py
     from public functions, is what the library gives now: the tensor step of
     both categories on 100 seeded pairs each, the inequality suite on 40,
-    thm07 and mf-lemma, the tensor-bound experiment, lattice `mu_max` and
+    `slope_filtration_mf` on 30 seeded spaces and the 100 tensors, thm07
+    and mf-lemma, the tensor-bound experiment, lattice `mu_max` and
     `slope_filtration` at node caps and `minimum_sq` with a shortest vector
     on 120 seeded lattices, `mu_max` at node caps on 30 seeded tensors of
     rank 9-12, `lll_reduce` on the criterion-4 corpus and its duals, and
@@ -665,7 +700,8 @@ def test_golden_outputs_are_kept():
     on vectors with int and with Fraction coordinates, whose values were
     written before both kinds shared one `inner` and `norm_sq`.
     The corpus holds an uncertified 9-dimensional tensor
-    (draw 72), 163 uncertified lattice `mu_max` results at caps 2, 20 and
+    (draw 72), whose polygon is uncertified too, five uncertified
+    polygons among the 30 spaces, one after two certified stages, 163 uncertified lattice `mu_max` results at caps 2, 20 and
     200 and 75 on the tensors, so the flag and the upper bound of a failed
     certificate are kept too; and a command that exits 1 with stdout empty
     and two that exit 2."""
@@ -674,6 +710,11 @@ def test_golden_outputs_are_kept():
     want = json.loads(GOLDEN.read_text())
     mf_72 = want["tensor_step"]["multifilt"][72][2]
     assert not mf_72["certified"] and len(mf_72["witness"][0]) == 9
+    polygons = want["mf_filtration"]
+    assert [[i for i, e in enumerate(polygons[k]) if not e["certified"]] for k in ("spaces", "tensors")] == [
+        [0, 8, 11, 23, 28], [72]
+    ]
+    assert len(polygons["spaces"][23]["chain"]) == 2 and len(polygons["spaces"][23]["hull"]) == 4
     caps = want["lattice_caps"]
     assert [sum(not e["certified"] for e in caps[f"mu_max-{cap}"]) for cap in ("2", "20", "200", "default")] == [113, 34, 16, 0]
     tensor_caps = want["tensor_caps"]

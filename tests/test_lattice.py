@@ -137,6 +137,15 @@ def test_morphism_norms():
     assert not half.is_integral
 
 
+def test_compose_refuses_mismatched_lattices():
+    """g ∘ f needs f's target to be g's source."""
+    z1, z2 = unit_lattice(1), unit_lattice(2)
+    f = LatticeMorphism(z1, z2, [[1], [0]])
+    assert LatticeMorphism(z2, z1, [[0, 1]]).compose(f).matrix == ((0,),)
+    with pytest.raises(ValueError, match="composition mismatch"):
+        f.compose(f)
+
+
 def _contraction(rng, source, target):
     """A random nonzero map source -> target, halved until its norm is <= 1."""
     m = [[F(rng.randint(-2, 2)) for _ in range(source.rank)] for _ in range(target.rank)]

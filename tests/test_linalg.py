@@ -768,3 +768,7 @@ def test_saturate_matches_minors_and_double_kernel():
         assert linalg.hnf(sat + a) == sat
         unsaturated += index > 1
     assert unsaturated >= 300
+
+
+def test_det_int_of_the_empty_matrix_is_one():
+    assert linalg.det_int(()) == 1 and linalg.det_int([]) == 1

@@ -303,15 +303,18 @@ def test_theorem_tensor_mu_max_additive_small():
 
 def test_slope_filtration_semistable():
     m = crossed_example()
-    chain = slope_filtration_mf(m)
-    assert len(chain) == 1 and len(chain[0]) == 2
+    poly = slope_filtration_mf(m)
+    chain = poly.filtration
+    assert poly.certified and len(chain) == 1 and len(chain[0]) == 2
 
 
 def test_slope_filtration_split():
     # direct sum of unit objects with breaks 3 and 0
     f = Filtration(2, [(0, linalg.identity(2)), (3, [[1, 0]])])
     m = MultifilteredSpace(2, [f])
-    chain = slope_filtration_mf(m)
+    poly = slope_filtration_mf(m)
+    chain = poly.filtration
+    assert poly.certified and poly.hull == ((0, 0), (1, 3), (2, 3))
     assert len(chain) == 2
     assert chain[0] == ((F(1), F(0)),)
     assert len(chain[1]) == 2
@@ -321,10 +324,10 @@ def test_slope_filtration_matches_brute_force():
     rng = random.Random(23)
     for _ in range(5):
         m = random_mf(rng, rng.randint(2, 3), rng.randint(1, 2))
-        try:
-            chain = slope_filtration_mf(m)
-        except ValueError:
+        poly = slope_filtration_mf(m)
+        if not poly.certified:
             continue
+        chain = poly.filtration
         # breaks: piece slopes strictly decreasing, first = mu_max
         res = mu_max_mf(m)
         assert slope_of_subspace(m, chain[0]) == res.value
@@ -332,7 +335,7 @@ def test_slope_filtration_matches_brute_force():
 
 def test_inequality_suite_unit_objects():
     u = unit_object(2)
-    rep = inequality_suite(("multifilt", u, u))
+    rep = inequality_suite((u, u))
     assert rep.passed
     for c in rep.checks:
         if "bound" in c.name:
@@ -341,7 +344,7 @@ def test_inequality_suite_unit_objects():
 
 def test_inequality_suite_crossed():
     m = crossed_example()
-    rep = inequality_suite(("multifilt", m, m))
+    rep = inequality_suite((m, m))
     assert rep.passed
 
 
@@ -350,7 +353,7 @@ def test_inequality_suite_lattices():
     from fractions import Fraction as FF
 
     lat = a2_lattice().scale(FF(2, 3))
-    rep = inequality_suite(("lattice", lat, lat))
+    rep = inequality_suite((lat, lat))
     assert rep.passed
 
 
@@ -849,10 +852,10 @@ def test_slope_filtration_subquotient_rederivation():
     checked = 0
     for _ in range(12):
         m = random_mf(rng, rng.randint(2, 3), rng.randint(1, 2))
-        try:
-            chain = slope_filtration_mf(m)
-        except ValueError:
+        poly = slope_filtration_mf(m)
+        if not poly.certified:
             continue
+        chain = poly.filtration
         prev = None
         prev_slope = None
         for rows in chain:
@@ -883,10 +886,10 @@ def test_slope_filtration_breaks_match_candidate_polygon():
     checked = 0
     for _ in range(14):
         m = random_mf(rng, rng.randint(2, 4), rng.randint(1, 2))
-        try:
-            chain = slope_filtration_mf(m)
-        except ValueError:
+        poly = slope_filtration_mf(m)
+        if not poly.certified:
             continue
+        chain = poly.filtration
         draw = random.Random(0)
         subspaces = []
         for _ in range(12):
@@ -1147,7 +1150,7 @@ def test_rank_dims_and_pivot_coords_match_parent(monkeypatch):
                 multigraded_dims(m.permuted(order))
                 for order in itertools.permutations(range(m.n_filtrations))
             ]
-            out.append((sub, quot, graded, mu_max_mf(m), _outcome(slope_filtration_mf, m)))
+            out.append((sub, quot, graded, mu_max_mf(m), slope_filtration_mf(m)))
         return out
 
     new = run()
@@ -1158,7 +1161,7 @@ def test_rank_dims_and_pivot_coords_match_parent(monkeypatch):
     old = run()
     assert new == old
     assert sum(isinstance(q[0], dict) for _, q, _, _, _ in new) >= 75
-    assert sum(isinstance(c[0], tuple) and len(c) > 1 for *_, c in new) >= 50
+    assert sum(c.certified and len(c.filtration) > 1 for *_, c in new) >= 50
 
 
 def _reference_mu_max_mf(m, extra=()):
@@ -1251,12 +1254,16 @@ def test_polygon_readers_match_parent_reference(monkeypatch):
     tensors of two planes: every value and witness is the whole closure's,
     every upper bound is at most its, and every result is certified where
     it is (`_no_worse`); every chain is the earlier per-stage code's where
-    that code gave one.  The one certificate certifies two results (inputs
-    145 and 181) that the earlier bounds left open, where the earlier chain
-    raised a ValueError: each chain then runs from the certified witness to
-    the whole space, with strictly decreasing quotient slopes.  The closure is capped at 25 members on both sides,
-    which keeps the corpus quick and leaves some of it uncertified;
-    quotients of dimension at most 3 are exact on both sides."""
+    that code gave one, and every polygon is uncertified where that code
+    raised a ValueError, with the vertices of its certified stages.  The one
+    certificate certifies two results (inputs 145 and 181) that the earlier
+    bounds left open, where the earlier chain raised a ValueError: each
+    chain then runs from the certified witness to the whole space, with
+    strictly decreasing quotient slopes.  Every vertex after the origin is
+    that of its chain member, and an uncertified polygon ends at the whole
+    space's.  The closure is capped at 25 members on both sides, which
+    keeps the corpus quick and leaves some of it uncertified; quotients of
+    dimension at most 3 are exact on both sides."""
     from slopekit import multifilt
 
     def kind(f, *args):
@@ -1281,19 +1288,23 @@ def test_polygon_readers_match_parent_reference(monkeypatch):
             extra = [[tuple(a * b for a in wa for b in wb) for wa in r1.witness for wb in r2.witness]]
         res = mu_max_mf(m, extra)
         newly += _no_worse(res, _full_closure_mu_max_mf(m, extra))
-        chain, ref = kind(slope_filtration_mf, m), kind(_reference_slope_filtration_mf, m)
-        if ref == "ValueError" and chain != ref:
+        poly, ref = slope_filtration_mf(m), kind(_reference_slope_filtration_mf, m)
+        chain = poly.filtration
+        points = [(len(w), len(w) * slope_of_subspace(m, w)) for w in chain]
+        top = () if poly.certified else ((m.dim, m.dim * slope_faltings(m)),)
+        assert poly.hull == ((0, 0), *points, *top)
+        if ref == "ValueError" and poly.certified:
             # a chain from the certified witness to V whose quotients have
             # strictly decreasing slopes, the first the certified value
-            points = [(0, 0)] + [(len(w), len(w) * slope_of_subspace(m, w)) for w in chain]
-            slopes = [(d1 - d0) / (k1 - k0) for (k0, d0), (k1, d1) in zip(points, points[1:])]
+            slopes = poly.quotient_slopes()
             assert res.certified and chain[0] == res.witness and len(chain[-1]) == m.dim
             assert slopes[0] == res.value and all(a > b for a, b in zip(slopes, slopes[1:]))
             chains += 1
         else:
-            assert chain == ref
+            assert poly.certified == (ref != "ValueError")
+            assert chain == ref or not poly.certified
         uncertified += not res.certified
-        raised += chain == "ValueError"
+        raised += not poly.certified
     assert uncertified >= 3 and raised >= 5 and newly == chains == 2
 
 
@@ -1330,7 +1341,7 @@ def test_slope_filtration_bounds_ranks_past_a_vertex_through_its_quotient():
         m = MultifilteredSpace(4, [Filtration(4, s) for s in steps])
         assert not _reference_upper_hull(_full_closure_canopy(m)).certified
         expected = tuple(linalg.rref(linalg.mat(rows))[0] for rows in chain) + (full,)
-        assert slope_filtration_mf(m) == expected == _reference_slope_filtration_mf(m)
+        assert slope_filtration_mf(m).filtration == expected == _reference_slope_filtration_mf(m)
 
 
 def _parent_meet(a, b, n):
@@ -2135,7 +2146,8 @@ def test_small_spaces_skip_the_relaxation_and_the_closure(monkeypatch):
     searched = 0
     for m, extra in _small_corpus(random.Random(3217), 200):
         assert mu_max_mf(m, extra).certified
-        assert len(slope_filtration_mf(m)[-1]) == m.dim
+        poly = slope_filtration_mf(m)
+        assert poly.certified and len(poly.filtration[-1]) == m.dim
         if m.dim == 3:
             del calls[:]
             multifilt._best_hyperplane(m)

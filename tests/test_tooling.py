@@ -846,18 +846,52 @@ def test_polygon_readers_reach_quotient_polygon(monkeypatch):
     poly = en.slope_filtration(lat)
     assert polygons == [poly] and len(edges) >= len(poly.hull) - 1 == 3
     del polygons[:], edges[:]
-    chain = mf.slope_filtration_mf(m)
-    assert len(polygons) == 1 and polygons[0].filtration == chain and len(edges) >= len(chain)
+    poly = mf.slope_filtration_mf(m)
+    assert polygons == [poly] and len(edges) >= len(poly.filtration)
     routes = {
         "mu_max": lambda: en.mu_max(lat),
         "mu_max_mf": lambda: mf.mu_max_mf(m),
-        "inequality_suite lattice": lambda: slopekit.harness.inequality_suite(("lattice", a2, a2)),
-        "inequality_suite multifilt": lambda: slopekit.harness.inequality_suite(("multifilt", m, m)),
+        "inequality_suite lattice": lambda: slopekit.harness.inequality_suite((a2, a2)),
+        "inequality_suite multifilt": lambda: slopekit.harness.inequality_suite((m, m)),
     }
     for name, route in routes.items():
         del polygons[:], edges[:]
         route()
         assert edges and not polygons, f"{name} computed mu_max around first_edge"
+
+
+def test_one_filtration_contract_for_both_categories():
+    """Both canonical filtrations are one return of
+    `enumeration.quotient_polygon`, which alone checks that its chain
+    increases; the tensor step and the suite read the category off their
+    inputs, so neither takes a kind parameter and no module compares a
+    kind string."""
+    chain_checks, functions, compared = [], {}, []
+    for path in sorted(Path(slopekit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                functions[path.stem, func.name] = func
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Constant) and node.value == "quotient witnesses failed to form a chain":
+                        chain_checks.append((path.stem, func.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                for side in (node.left, *node.comparators):
+                    if isinstance(side, ast.Name) and side.id == "kind" or (
+                        isinstance(side, ast.Constant) and side.value in ("lattice", "multifilt")
+                    ):
+                        compared.append((path.stem, ast.unparse(node)))
+    assert chain_checks == [("enumeration", "quotient_polygon")]
+    assert not compared
+    for key in (("enumeration", "slope_filtration"), ("multifilt", "slope_filtration_mf")):
+        _, *body = functions[key].body  # after the docstring
+        body = [stmt for stmt in body if not isinstance(stmt, ast.FunctionDef)]
+        assert len(body) == 1 and isinstance(body[0], ast.Return), key
+        assert isinstance(body[0].value, ast.Call) and ast.unparse(body[0].value.func) == "quotient_polygon", key
+    harness = slopekit.harness
+    assert list(inspect.signature(harness.tensor_mu_max).parameters) == ["a", "b", "node_cap"]
+    assert list(inspect.signature(harness.inequality_suite).parameters) == ["instance", "node_cap"]
 
 
 def test_mu_max_readers_reach_first_edge(monkeypatch):
