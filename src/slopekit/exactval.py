@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 Rat = int | Fraction
 
@@ -223,17 +224,14 @@ def _log_int_bounds(n: int, bits: int) -> RIv:
     return RIv(k * l2.lo + s.lo, k * l2.hi + s.hi)
 
 
-def _fraction_to_float_down(q: Fraction) -> float:
+def _float_toward(q: Fraction, direction: float) -> float:
+    """The float next to q toward direction (-inf or inf): the greatest float
+    <= q, or the least float >= q.  One nextafter step is enough: float(q) is
+    correctly rounded, so when it lies on the wrong side of q no float lies
+    strictly between the two, and the next float in that direction lies past q."""
     f = float(q)
-    while Fraction(f) > q:
-        f = math.nextafter(f, -math.inf)
-    return f
-
-
-def _fraction_to_float_up(q: Fraction) -> float:
-    f = float(q)
-    while Fraction(f) < q:
-        f = math.nextafter(f, math.inf)
+    if (Fraction(f) > q) if direction < 0 else (Fraction(f) < q):
+        f = math.nextafter(f, direction)
     return f
 
 
@@ -308,6 +306,18 @@ def _canonical(constant: Fraction, den: int, exps: Iterable[tuple[int, int]]) ->
     return constant, den, exps
 
 
+def _ordering(op):
+    """The comparison `self op other`, decided by the sign of self - other;
+    NotImplemented, for an operand `-` does not take, is passed on, so the
+    TypeError Python raises names the comparison written."""
+
+    def compare(self, other):
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else op(diff.sign(), 0)
+
+    return compare
+
+
 class LogRational(_Value):
     """Immutable value q0 + (1/den)*sum_p e_p*log(p) over primes p.
 
@@ -320,20 +330,17 @@ class LogRational(_Value):
     __slots__ = ("_key",)
 
     def __init__(self, constant: Rat = 0, terms: Mapping[int, Rat] | None = None):
-        coeffs: list[tuple[int, Fraction]] = []
+        """constant + sum coeff*log(base) over terms, summed by `+` from
+        `log_of_rational(base) * coeff`, so `log_of_rational` is the one route
+        from a base to a canonical key."""
+        value = _lr((Fraction(rational(constant)), 1, ()))
         for base, coeff in (terms or {}).items():
             if not isinstance(base, int) or base < 1:
                 raise ValueError(f"log base must be a positive integer, got {base!r}")
             coeff = rational(coeff)
             if coeff:
-                coeffs.append((base, coeff))
-        den = math.lcm(*(c.denominator for _, c in coeffs))
-        exps: dict[int, int] = {}
-        for base, c in coeffs:
-            m = c.numerator * (den // c.denominator)
-            for p, e in factor_positive_int(base).items():
-                exps[p] = exps.get(p, 0) + e * m
-        _set(self, "_key", _canonical(Fraction(rational(constant)), den, sorted(exps.items())))
+                value += log_of_rational(base) * coeff
+        _set(self, "_key", value._key)
 
     def __reduce__(self):
         return _lr, (self._key,)
@@ -383,7 +390,7 @@ class LogRational(_Value):
         return self + (-other)
 
     def __rsub__(self, other) -> "LogRational":
-        return (-self) + other
+        return (-self).__add__(other)
 
     def _times(self, a: int, b: int) -> "LogRational":
         """self * (a/b) for b > 0."""
@@ -442,14 +449,15 @@ class LogRational(_Value):
                         neg *= p**-e
                 return 1 if pos > neg else -1
         # nonzero canonical form with log terms denotes a nonzero real
-        bits = 64
-        while True:
-            iv = self.bounds(bits)
-            if iv.lo > 0:
-                return 1
-            if iv.hi < 0:
-                return -1
+        iv = self._enclosure(64, lambda iv: iv.lo > 0 or iv.hi < 0)
+        return 1 if iv.lo > 0 else -1
+
+    def _enclosure(self, bits: int, good: Callable[[RIv], bool]) -> RIv:
+        """The first of bounds(bits), bounds(2*bits), ... that `good` accepts:
+        the one precision loop of `sign` and `to_float`."""
+        while not good(iv := self.bounds(bits)):
             bits *= 2
+        return iv
 
     def bounds(self, bits: int) -> RIv:
         """Rigorous rational enclosure, width <= 2**(3-bits)*sum(1+|coeff|)."""
@@ -480,17 +488,10 @@ class LogRational(_Value):
         c, _, exps = self._key
         return hash(self._key) if exps else hash(c)
 
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
+    __lt__ = _ordering(operator.lt)
+    __le__ = _ordering(operator.le)
+    __gt__ = _ordering(operator.gt)
+    __ge__ = _ordering(operator.ge)
 
     # -- rendering
 
@@ -543,13 +544,13 @@ class LogRational(_Value):
         if precision_bits < 16:
             raise ValueError("precision_bits must be >= 16")
         target = Fraction(1, 1 << (precision_bits - 1))
-        bits = max(precision_bits + 8, 64)
-        while True:
-            iv = self.bounds(bits)
+
+        def narrow(iv: RIv) -> bool:
             scale = max(Fraction(1), min(abs(iv.lo), abs(iv.hi)) if iv.lo * iv.hi > 0 else Fraction(1))
-            if iv.width() <= target * scale:
-                return _fraction_to_float_down(iv.lo), _fraction_to_float_up(iv.hi)
-            bits *= 2
+            return iv.width() <= target * scale
+
+        iv = self._enclosure(max(precision_bits + 8, 64), narrow)
+        return _float_toward(iv.lo, -math.inf), _float_toward(iv.hi, math.inf)
 
 
 def fmt_rat(q: Fraction) -> str:
@@ -610,53 +611,41 @@ def to_float(a: LogRational, precision_bits: int = 53) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Parsing of the rendered grammar: "q0 + q1*log(n1) - q2*log(n2) ...".
 
-_TERM_RE = re.compile(
-    r"""^\s*
-        (?:(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*)?   # optional rational coefficient
-        (?:(?P<neg>-)\s*)?                       # or a bare sign before log
-        log\(\s*(?P<arg>\d+(?:/\d+)?)\s*\)\s*$""",
-    re.VERBOSE,
+_RAT = r"\d+(?:/\d+)?"
+
+# One term with its sign, and the space after it, so that the next match
+# starts at an operator; a term ends at the next operator or at the end of
+# the text.
+_SIGNED_TERM = re.compile(
+    rf"""(?P<sign>[+-]?)\s*
+        (?:(?:(?P<coeff>{_RAT})\s*\*\s*(?P<neg>-?)\s*)?log\(\s*(?P<arg>{_RAT})\s*\)
+          | (?P<rat>{_RAT}))
+        \s*(?=[+-]|\Z)""",
+    re.VERBOSE | re.ASCII,
 )
 
 
 def parse(text: str) -> LogRational:
-    """Parse the rendering grammar; log arguments may be positive integers or a/b."""
+    """Read what `render` and `render_compact` write: term (op term)*, op
+    "+" or "-" and one optional leading sign on the first term; a term is a
+    rational or [rational "*" ["-"]] "log(" rational ")", a rational "p" or
+    "p/q" in decimal digits, with optional spaces around every token.  Any
+    other text, a doubled sign included, is a ValueError quoting the text
+    from the term that fails on (an operator "+" left out)."""
     s = text.strip()
     if not s:
         raise ValueError("empty LogRational text")
-    # split into signed chunks at top level
-    chunks: list[str] = []
-    sign = 1
-    buf = ""
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and buf.strip() and buf.rstrip()[-1] not in "*/(":
-            chunks.append(("-" if sign < 0 else "") + buf.strip())
-            sign = 1 if ch == "+" else -1
-            buf = ""
-            continue
-        buf += ch
-    chunks.append(("-" if sign < 0 else "") + buf.strip())
-    result = LogRational(0)
-    for chunk in chunks:
-        neg = chunk.startswith("-")
-        body = chunk[1:].strip() if neg else chunk
-        if not body:  # an operator with no term after it
-            raise ValueError(f"cannot parse LogRational term {chunk!r}")
-        if "log" in body:
-            m = _TERM_RE.match(body)
-            if not m:
-                raise ValueError(f"cannot parse LogRational term {chunk!r}")
-            coeff = parse_rat(m.group("coeff")) if m.group("coeff") else Fraction(1)
-            if m.group("neg"):
-                coeff = -coeff
-            arg = parse_rat(m.group("arg"))
-            term = log_of_rational(arg) * coeff
+    result, pos = LogRational(0), 0
+    while pos < len(s):
+        m = _SIGNED_TERM.match(s, pos)
+        if not m:
+            rest = s[pos:]
+            bad = rest[1:].lstrip() if rest[0] == "+" else rest
+            raise ValueError(f"cannot parse LogRational term {bad!r}")
+        if m["rat"]:
+            term = LogRational(parse_rat(m["rat"]))
         else:
-            term = LogRational(parse_rat(body))
-        result = result + (-term if neg else term)
+            term = log_of_rational(parse_rat(m["arg"])) * parse_rat(m["coeff"] or 1)
+        result = result - term if (m["sign"] == "-") != (m["neg"] == "-") else result + term
+        pos = m.end()
     return result

@@ -76,7 +76,7 @@ class ExperimentConfig:
 def read_flat_toml(path: str) -> dict:
     """Minimal flat TOML subset: `key = value` lines with integer values, and
     # comments.  Enough to mirror ExperimentConfig, whose fields are all
-    integers."""
+    integers.  As in TOML, a key may be given once."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -91,9 +91,12 @@ def read_flat_toml(path: str) -> dict:
             key = key.strip()
             value = value.strip()
             try:
-                out[key] = int(value)
+                number = int(value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: unsupported value {value!r}") from exc
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            out[key] = number
     return out
 
 

@@ -1,6 +1,10 @@
+import json
 import math
+import operator
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from slopekit import linalg
 from slopekit.exactval import (
     LogRational,
     RIv,
+    _float_toward,
     _is_prime,
     _log_int_bounds,
     compare,
@@ -202,6 +207,38 @@ def test_to_float_doubles_its_precision_until_the_enclosure_is_narrow(monkeypatc
     assert F(lo) <= tight.lo and tight.hi <= F(hi) and 0.10825673431 < lo <= hi < 0.10825673432
 
 
+def _float_down_by_steps(q):
+    f = float(q)
+    while F(f) > q:
+        f = math.nextafter(f, -math.inf)
+    return f
+
+
+def _float_up_by_steps(q):
+    f = float(q)
+    while F(f) < q:
+        f = math.nextafter(f, math.inf)
+    return f
+
+
+def test_directed_rounding_matches_stepping_until_past():
+    """The one nextafter step of `_float_toward` gives what stepping until
+    the float lies past q gave, at binade edges (2^e and just off it, from
+    the subnormals up to 2^1023), among subnormals and at zero."""
+    tiny = F(5e-324)
+    qs = [F(0), tiny, tiny / 2, tiny / 3, tiny * F(7, 3), F(2) ** -1022 - tiny / 3]
+    for e in list(range(-1080, -1015)) + list(range(-60, 60)) + list(range(1010, 1024)):
+        edge = F(2) ** e
+        for off in (F(0), F(2) ** (e - 53), F(2) ** (e - 54), F(2) ** (e - 80), F(2) ** (e - 52) / 3):
+            qs += [edge + off, edge - off]
+        qs.append(edge * F(2, 3))
+    qs += [-q for q in qs]
+    for q in qs:
+        down, up = _float_toward(q, -math.inf), _float_toward(q, math.inf)
+        assert (down, up) == (_float_down_by_steps(q), _float_up_by_steps(q)), q
+        assert F(down) <= q <= F(up)
+
+
 def test_to_float_precision_floor():
     with pytest.raises(ValueError):
         to_float(log_of_rational(2), 15)
@@ -274,16 +311,77 @@ def test_parse_reads_a_sign_after_the_coefficient():
     assert parse("1 - 1/2*-log(3)") == 1 + half_log(3)
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
-def test_arithmetic_with_a_float_is_a_type_error(op):
-    """A float is no exact number: +, -, * and / with one, on either side,
-    raise TypeError."""
-    import operator
+def test_parse_reads_one_leading_sign():
+    assert parse("-3") == -3 and parse("+3") == 3
+    assert parse("- log(2)") == -log_of_rational(2)
+    assert parse(" -3/2 +1*log(2)-  2 * - log( 5 ) ") == F(-3, 2) + log_of_rational(2) + 2 * log_of_rational(5)
 
-    x = log_of_rational(2)
-    for args in ((x, 1.5), (1.5, x)):
-        with pytest.raises(TypeError):
-            getattr(operator, op)(*args)
+
+@pytest.mark.parametrize("text", ["3 - -2", "3 - - log(2)", "3 + + 2", "3 + -log(2)", "3 + -2*log(2)", "--3"])
+def test_parse_refuses_a_doubled_sign(text):
+    """The rendering grammar never writes two signs in a row.  These used to
+    read three ways: "3 - -2" as 5, "3 - - log(2)" as 3 + log 2, and
+    "3 + + 2" as a `Fraction` error."""
+    with pytest.raises(ValueError, match="^cannot parse LogRational term "):
+        parse(text)
+
+
+@given(st.text(alphabet="0123456789/+-*log() x[]", max_size=20))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_parse_returns_a_value_or_raises_value_error(text):
+    try:
+        value = parse(text)
+    except ValueError:
+        return
+    assert isinstance(value, LogRational)
+
+
+_RAT = r"\d+(?:/\d+)?"
+_LOG_TERM = rf"{_RAT}\*log\({_RAT}\)"
+# What `render` writes, with at least one log term: a rational alone is left
+# out, as golden.json holds many that are no LogRational.
+_RENDERED = re.compile(rf"-?(?:{_RAT}(?= [+-] )|{_LOG_TERM})(?: [+-] {_LOG_TERM})*")
+
+
+def _strings(node):
+    if isinstance(node, str):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _strings(value)
+
+
+def test_golden_renderings_round_trip():
+    """Every rendered LogRational in tests/data/golden.json, 1,767 strings
+    written by `render` across every kind of output, parses back to itself."""
+    golden = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
+    rendered = [s for s in _strings(golden) if _RENDERED.fullmatch(s)]
+    assert len(rendered) == 1767 and len(set(rendered)) == 279
+    for s in set(rendered):
+        assert parse(s).render() == s
+
+
+_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "truediv": "/", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+
+
+@pytest.mark.parametrize("op", list(_SYMBOLS))
+def test_arithmetic_with_a_float_is_a_type_error(op):
+    """A float is no exact number, nor is a str or None: +, -, *, / and the
+    four order comparisons with one, on either side, raise a TypeError that
+    names the operator written.  Reflected `-` and the comparisons used to
+    name `+` and `-`.  Python's str concatenation and repetition word their
+    own message for str + x and for * with a str, so those are only checked
+    to be TypeErrors."""
+    x, symbol = log_of_rational(2), _SYMBOLS[op]
+    for other in (1.5, "1/2", None):
+        for args in ((x, other), (other, x)):
+            with pytest.raises(TypeError) as error:
+                getattr(operator, op)(*args)
+            if not (isinstance(other, str) and (symbol == "*" or symbol == "+" and args[0] is other)):
+                assert f"for {symbol}:" in str(error.value) or f"'{symbol}' not supported" in str(error.value)
 
 
 def test_total_order():

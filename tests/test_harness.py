@@ -74,6 +74,19 @@ def test_flat_toml_rejects_a_line_without_equals(tmp_path):
         read_flat_toml(str(p))
 
 
+def test_flat_toml_rejects_a_repeated_key(tmp_path, capsys):
+    """TOML forbids a repeated key; the reader kept the last value given
+    (`seed = 1` then `seed = 2` read as {'seed': 2}).  It is an error, and
+    `bost-experiment --config` exits 2 on it."""
+    p = tmp_path / "bad.toml"
+    p.write_text("seed = 1\ncount = 3\n# seed again\n seed = 2\n")
+    with pytest.raises(ValueError, match=r"^.*bad\.toml:4: duplicate key 'seed'$"):
+        read_flat_toml(str(p))
+    assert main(["bost-experiment", "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {p}:4: duplicate key 'seed'\n"
+
+
 def test_emitters_reject_unknown_formats():
     rep = repro("a2")
     with pytest.raises(ValueError, match="unsupported report format 'csv'"):

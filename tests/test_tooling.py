@@ -380,6 +380,22 @@ def test_one_rational_rule(monkeypatch):
     assert seen == ["EuclideanLattice", "HermitianLattice"]
 
 
+def test_one_path_per_logrational_job():
+    """`LogRational` does each job by one path: its constructor names
+    neither `factor_positive_int` nor `_canonical`, so `log_of_rational` is
+    the one route from a base to a key; `parse` runs no `for` loop (it scans
+    one signed-term regular expression); `sign` and `bounds` stay in the
+    class's own namespace, where the benchmark's tracer wraps them."""
+    ev = slopekit.exactval
+    init = ast.parse(inspect.getsource(ev.LogRational.__init__).strip()).body[0]
+    names = {n.id for n in ast.walk(init) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(init) if isinstance(n, ast.Attribute)}
+    assert "log_of_rational" in names and not names & {"factor_positive_int", "_canonical"}
+    parse = ast.parse(inspect.getsource(ev.parse)).body[0]
+    assert not [n for n in ast.walk(parse) if isinstance(n, (ast.For, ast.comprehension))]
+    assert {"sign", "bounds"} <= set(vars(ev.LogRational))
+
+
 def test_immutable_values_share_one_base():
     """Immutability and identity are written once, in `exactval._Value`:
     no other class of `src/slopekit` refuses assignment or deletion, every
