@@ -9,8 +9,12 @@ of it, gamma_k^k being any upper bound on Hermite's constant (`_gamma_pow`:
 the exact value for k <= 8, and k^k past the table).  By Minkowski's second
 theorem the successive minima of M, each >= min_sq, have product
 <= gamma_k^k * det M, so vectors attaining them lie within B.  For k <= 4
-they form a basis of M; from k = 5 on they need not, so there a candidate is
-judged by the determinant of its saturation, which is M.
+some of them form a basis of M, so a candidate is judged by the determinant
+of its span alone: a span of index > 1 in its saturation M has the larger
+determinant det M * index^2, and the search reaches a basis of M as well, so
+no such span is kept (see `densest_sublattice`).  From k = 5 on they need
+not span M, so there a candidate is judged by the determinant of its
+saturation, which is M.
 
 So the branch-and-bound is complete at every rank.  Past a resource cap a
 rank keeps only the integrality bound (see `_lattice_canopy`), never a silent
@@ -42,7 +46,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations
 from operator import mul
 from typing import Any, NamedTuple, Optional, Sequence
 
@@ -413,6 +416,24 @@ def _gamma_pow(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Dense sublattice search.
 
+def _gs_row(dots: list[int], lams: list[list[int]], ds: list[int]) -> list[int]:
+    """The integral Gram-Schmidt row of a vector v against a path of m
+    independent vectors b_0 .. b_(m-1) (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.6.7), all on the scaled Gram L * G: dots holds
+    L <b_j, v> for j < m, then L <v, v>; ds[j] is the scaled Gram
+    determinant of b_0 .. b_(j-1) and lams[j][i] = ds[i + 1] * mu_ji, the
+    path's own rows.  Returns lambda_v0 .. lambda_v,m-1 and, last, the scaled
+    Gram determinant of the path and v, in O(m^2) steps whose divisions are
+    all exact; a dependent v ends in 0."""
+    row: list[int] = []
+    for j, t in enumerate(dots):
+        lam_j = lams[j] if j < len(lams) else row  # the last is v against itself
+        for i in range(j):
+            t = (ds[i + 1] * t - row[i] * lam_j[i]) // ds[i]
+        row.append(t)
+    return row
+
+
 def densest_sublattice(
     lat: EuclideanLattice,
     k: int,
@@ -427,7 +448,8 @@ def densest_sublattice(
     B = gamma_k^k * det_budget / min_sq^(k-1), gamma_k^k from `_gamma_pow`
     at every rank (see the module docstring for why it is complete), and
     prunes by det_budget until it finds a determinant below it.  At k = 1
-    it is the memoized shortest vector, pool[0] at any budget >= min_sq.
+    it is the memoized shortest vector, pool[0] at any budget >= min_sq:
+    one row whose first nonzero entry is positive, its own HNF.
     """
     det_budget = F(rational(det_budget))
     r = lat.rank
@@ -437,7 +459,7 @@ def densest_sublattice(
         return lat.full_sublattice() if lat.det() <= det_budget else None
     if k == 1:
         coords, min_sq = _minimum_sq(lat, node_cap)
-        return Sublattice(lat, [coords])._proved_det(min_sq) if min_sq <= det_budget else None
+        return Sublattice._of_hnf(lat, (coords,))._proved_det(min_sq) if min_sq <= det_budget else None
     min_sq = minimum_sq(lat, node_cap)
     gamma_pow = _gamma_pow(k)
     # Let M be a saturated rank-k sublattice with det M <= det_budget.  Its
@@ -450,8 +472,15 @@ def densest_sublattice(
     # "Low-dimensional lattice basis reduction revisited", 2009), so the DFS
     # reaches that basis and its span determinant, det M, passes the leaf
     # test; so it does for every tied optimum, and the least-HNF tie is found
-    # whatever the radius.  From k = 5 the minima need not span M
-    # (Z^5 + 1/2(1,...,1) has minima e_1..e_5 of index 2), but any k
+    # whatever the radius.  So at k <= 4 a leaf is judged by its span S
+    # alone, and the HNF of S is recorded as the tie, with no saturation.
+    # That keeps only saturated ties: let S pass, with determinant dm <= inc,
+    # and have index [M : S] > 1 in its saturation M.  Then
+    # det M = dm / [M : S]^2 < dm, and M, of determinant below the budget,
+    # has a basis attaining its minima in the pool that passes every level
+    # bound, so the DFS reaches M too and lowers inc below dm: S is no final
+    # tie, whichever of the two comes first.  From k = 5 the minima need not
+    # span M (Z^5 + 1/2(1,...,1) has minima e_1..e_5 of index 2), but any k
     # independent vectors of M saturate to M, so there the leaf is judged by
     # its saturation.
     b_sq = gamma_pow * det_budget / min_sq ** (k - 1)
@@ -487,8 +516,8 @@ def densest_sublattice(
     # The path of chosen pool indices carries its integral Gram-Schmidt data
     # (Cohen, A Course in Computational Algebraic Number Theory, 2.6.7):
     # ds[j] is the scaled Gram determinant of the first j chosen vectors and
-    # lams[j][i] = ds[i + 1] * mu_ji.  A candidate's row against the path then
-    # gives its determinant with the path in O(m^2), all divisions exact.
+    # lams[j][i] = ds[i + 1] * mu_ji.  A candidate's row against the path,
+    # from `_gs_row`, then gives its determinant with the path in O(m^2).
     path: list[int] = []
     lams: list[list[int]] = []
     ds = [1]
@@ -506,15 +535,7 @@ def densest_sublattice(
             if lnorm[idx] > limit:
                 break  # pool sorted by norm
             g = gv[idx]
-            row: list[int] = []
-            for j in range(m + 1):
-                if j < m:
-                    t, lam_j = sum(map(mul, pool[path[j]], g)), lams[j]
-                else:  # the last entry is the Gram determinant with the path
-                    t, lam_j = lnorm[idx], row
-                for i in range(j):
-                    t = (ds[i + 1] * t - row[i] * lam_j[i]) // ds[i]
-                row.append(t)
+            row = _gs_row([sum(map(mul, pool[p], g)) for p in path] + [lnorm[idx]], lams, ds)
             dm = row.pop()
             if dm == 0:
                 continue
@@ -527,23 +548,25 @@ def densest_sublattice(
                 lams.pop()
                 ds.pop()
                 continue
-            if k <= 4 and dm > inc:
+            # the leaf: its span at k <= 4, its saturation from k = 5 (see
+            # above), whose det is the span's over [saturation : span]^2
+            rows = [pool[i] for i in path] + [pool[idx]]
+            if k > 4:
+                index, rows = linalg.saturate(rows)
+                dm //= index * index
+            if dm > inc:
                 continue
-            # the saturation's det is the span's over [saturation : span]^2
-            index, rows = linalg.saturate([pool[i] for i in path] + [pool[idx]])
-            index_sq = index**2
-            if dm > inc * index_sq:
-                continue
-            sat = linalg.hnf(rows)
-            if dm < inc * index_sq:
-                inc, ties = dm // index_sq, {sat}
+            tie = linalg.hnf(rows)
+            if dm < inc:
+                inc, ties = dm, {tie}
                 limit = level_limit(m, prod)
             else:
-                ties.add(sat)
+                ties.add(tie)
 
     dfs(0, 1)
-    # every tie's saturation has the least determinant, inc / L^k
-    return Sublattice(lat, min(ties))._proved_det(F(inc, scale**k)) if ties else None
+    # every tie is saturated, of the least determinant inc / L^k, and the
+    # least of them is `linalg.hnf` output
+    return Sublattice._of_hnf(lat, min(ties))._proved_det(F(inc, scale**k)) if ties else None
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +576,33 @@ def _greedy_rank_k_det(lat: EuclideanLattice, k: int) -> Fraction:
     """The search's budget, and nothing else: the least determinant of a
     k-subset of an LLL-reduced basis.  A subset of a basis spans a saturated
     rank-k sublattice, so this bounds d_k from above, and its determinant is
-    a principal minor of the reduced Gram matrix."""
+    a principal minor of the reduced Gram matrix.  The subsets grow in
+    lexicographic order, sharing prefixes, each index by one `_gs_row`
+    against the prefix, as in the DFS of `densest_sublattice`."""
     gi, scale = lll_reduce(lat)[0].scaled_gram()
-    subsets = combinations(range(lat.rank), k)
-    return F(min(linalg.det_int([[gi[i][j] for j in s] for i in s]) for s in subsets), scale**k)
+    r = lat.rank
+    path: list[int] = []
+    lams: list[list[int]] = []
+    ds = [1]
+
+    def minors(start: int):
+        # the k x k minors of the subsets that extend path by indices >= start
+        m = len(path)
+        for idx in range(start, r - k + m + 1):
+            row = _gs_row([gi[p][idx] for p in path] + [gi[idx][idx]], lams, ds)
+            dm = row.pop()
+            if m + 1 == k:
+                yield dm
+                continue
+            path.append(idx)
+            lams.append(row)
+            ds.append(dm)
+            yield from minors(idx + 1)
+            path.pop()
+            lams.pop()
+            ds.pop()
+
+    return F(min(minors(0)), scale**k)
 
 
 def _min_det_rank_k(
@@ -579,16 +625,20 @@ def _min_det_rank_k(
         # min_sq it still comes back, where `_lattice_canopy`'s exact floor
         # skips the rank first.  A node cap raises from this same minimum.
         coords, min_sq = _minimum_sq(lat, node_cap)
-        return min_sq, Sublattice(lat, [coords])  # a shortest vector is primitive
+        # a shortest vector is primitive, and this one row, its first nonzero
+        # entry positive, is its own HNF
+        return min_sq, Sublattice._of_hnf(lat, (coords,))._proved_det(min_sq)
     if k > r - k:
         # Rankin duality: the annihilator of a saturated rank-(r-k) M of L*
         # is a saturated rank-k sublattice of L of determinant det L * det M,
-        # so d_k(L) = det L * d_(r-k)(L*), witnessed by the annihilator.
+        # so d_k(L) = det L * d_(r-k)(L*), witnessed by the annihilator, whose
+        # basis `linalg.int_kernel_saturated` returns in HNF.
         found = _min_det_rank_k(lat.dual(), r - k, node_cap, None if cap is None else cap / lat.det())
         if found is None:
             return None
         det_k = lat.det() * found[0]
-        return det_k, Sublattice(lat, linalg.int_kernel_saturated(found[1].basis, r))._proved_det(det_k)
+        ann = linalg.int_kernel_saturated(found[1].basis, r)
+        return det_k, Sublattice._of_hnf(lat, ann)._proved_det(det_k)
     budget = _greedy_rank_k_det(lat, k)
     sub = densest_sublattice(lat, k, budget if cap is None else min(budget, cap), node_cap)
     # without a cap the greedy k-subset itself is within the budget
@@ -743,7 +793,8 @@ def _lattice_quotient(lat: EuclideanLattice, w: Sublattice):
 
     def lift(x: Sublattice) -> Sublattice:
         psi = linalg.int_kernel_saturated(x.basis, len(ann))
-        return Sublattice(lat, linalg.int_kernel_saturated(linalg.matmul(psi, ann), r))
+        # an integer kernel comes back in HNF
+        return Sublattice._of_hnf(lat, linalg.int_kernel_saturated(linalg.matmul(psi, ann), r))
 
     return q.dual(), lift
 

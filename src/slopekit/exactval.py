@@ -228,14 +228,28 @@ def _float_toward(q: Fraction, direction: float) -> float:
     """The float next to q toward direction (-inf or inf): the greatest float
     <= q, or the least float >= q.  One nextafter step is enough: float(q) is
     correctly rounded, so when it lies on the wrong side of q no float lies
-    strictly between the two, and the next float in that direction lies past q."""
-    f = float(q)
+    strictly between the two, and the next float in that direction lies past q.
+    A q past the float range overflows float(q) and is read as the infinity
+    on its side: toward that side the answer is the infinity, and the other
+    way the float next to it, +-sys.float_info.max."""
+    try:
+        f = float(q)
+    except OverflowError:
+        f = math.inf if q > 0 else -math.inf
+    if math.isinf(f):
+        return f if (f > 0) == (direction > 0) else math.nextafter(f, direction)
     if (Fraction(f) > q) if direction < 0 else (Fraction(f) < q):
         f = math.nextafter(f, direction)
     return f
 
 
 # ---------------------------------------------------------------------------
+
+# The most precision `to_float` takes.  No float interval is narrower than one
+# ulp, and the least ulp is 2**-1074, so past about 1,100 bits a precision
+# changes no float it returns; the cap keeps a caller's argument from running
+# the precision loop without bound.
+_MAX_FLOAT_PRECISION_BITS = 2048
 
 # Pure-log signs are decided on integers when the two products have at most
 # this many bits together; larger ones go through the interval loop.
@@ -540,9 +554,13 @@ class LogRational(_Value):
 
 
     def to_float(self, precision_bits: int = 53) -> tuple[float, float]:
-        """Rigorous enclosing float interval of width <= 2**(1-precision_bits)*max(1,|value|)."""
+        """Rigorous enclosing float interval of width <= 2**(1-precision_bits)*max(1,|value|),
+        for 16 <= precision_bits <= 2048 (`_MAX_FLOAT_PRECISION_BITS`); past
+        the float range an end is +-sys.float_info.max or +-inf."""
         if precision_bits < 16:
             raise ValueError("precision_bits must be >= 16")
+        if precision_bits > _MAX_FLOAT_PRECISION_BITS:
+            raise ValueError(f"precision_bits must be <= {_MAX_FLOAT_PRECISION_BITS}")
         target = Fraction(1, 1 << (precision_bits - 1))
 
         def narrow(iv: RIv) -> bool:

@@ -388,7 +388,8 @@ class EuclideanLattice(_GramPair):
     degree = _GramPair.degree  # in this class's dict, where perfbench/tracing.py wraps it
 
     def full_sublattice(self) -> "Sublattice":
-        return Sublattice(self, linalg.identity(self.rank))
+        # the identity is its own HNF
+        return Sublattice._of_hnf(self, linalg.identity(self.rank))
 
     # -- identifications
 
@@ -450,8 +451,10 @@ def e8_lattice() -> EuclideanLattice:
 
 class Sublattice(_Value):
     """Finite-rank sublattice of an ambient lattice.  `basis` is stored in
-    Hermite normal form, whatever basis it was given, so two sublattices are
-    equal iff their bases are."""
+    Hermite normal form, so two sublattices are equal iff their bases are:
+    by reduction, whatever basis the checking constructor was given (the
+    public path, and the path of a pickle or copy), or by construction,
+    where a caller hands `_of_hnf` rows that already are their own HNF."""
 
     __slots__ = ("ambient", "basis", "_det")
 
@@ -467,6 +470,18 @@ class Sublattice(_Value):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", h)
         object.__setattr__(self, "_det", None)
+
+    @classmethod
+    def _of_hnf(cls, ambient: EuclideanLattice, basis: linalg.IntMatrix) -> "Sublattice":
+        """The sublattice of basis, a tuple of int tuples of the ambient's
+        width that is already its own `linalg.hnf` (nonzero, one row per
+        rank), stored as given: no reduction and no check.  Each caller
+        states why its rows are in HNF by construction."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ambient", ambient)
+        object.__setattr__(out, "basis", basis)
+        object.__setattr__(out, "_det", None)
+        return out
 
     def __reduce__(self):
         return Sublattice, (self.ambient, self.basis)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -604,6 +605,193 @@ def test_densest_sublattice_rankin_duality_rank5_rank6():
         assert sub.basis == sub.saturation().basis
     # the glued Z^5 + 1/2(1,...,1) summand is the densest hyperplane
     assert sub.det() == F(1, 4)
+
+
+def _half_glued_z4(last_row):
+    """Z^4 + 1/2(1,1,1,1) in the first four coordinates of Q^5, plus one more
+    basis row.  Its 24 shortest vectors, of norm 1, fall into three
+    orthogonal frames (e_1..e_4 and two of half vectors), each spanning an
+    index-2 sublattice of the glued Z^4."""
+    h = F(1, 2)
+    basis = [[int(i == j) for j in range(5)] for i in range(3)]
+    basis += [[h, h, h, h, 0], last_row]
+    return EuclideanLattice(
+        [[sum(F(x) * y for x, y in zip(r1, r2)) for r2 in basis] for r1 in basis]
+    )
+
+
+def _box_densest(lat, k, box):
+    """Least determinant, and least HNF among its ties, over the saturated
+    rank-k sublattices that a coefficient box reaches, by brute force, for
+    min(k, r - k) <= 2.  For k <= r - k these are the saturations of
+    k-subsets of the vectors of L with coordinates in [-box, box] over an
+    LLL-reduced basis; past that, by Rankin duality, the annihilators of the
+    saturations N of (r - k)-subsets of such vectors of the dual L*, of
+    determinant det L * det N.  [saturation : span] is the gcd of the
+    maximal minors; the saturation itself, the integer kernel of the integer
+    kernel, is built only for a least determinant."""
+    from itertools import combinations, product
+    from math import gcd
+
+    r = lat.rank
+    dual = k > r - k
+    side, j = (lat.dual(), r - k) if dual else (lat, k)
+    assert j <= 2
+    u = lll_reduce(side)[1]
+    vecs = [
+        tuple(sum(c * row[i] for c, row in zip(x, u)) for i in range(r))
+        for x in product(range(-box, box + 1), repeat=r)
+        if any(x) and next(c for c in x if c) > 0
+    ]
+    gi, scale = side.scaled_gram()
+    gv = {v: [sum(map(operator.mul, row, v)) for row in gi] for v in vecs}
+    best, ties = None, set()
+    for rows in combinations(vecs, j):
+        if j == 1:
+            (v,) = rows
+            span_det, index = sum(map(operator.mul, v, gv[v])), gcd(*v)
+        else:
+            v, w = rows
+            vw = sum(map(operator.mul, v, gv[w]))
+            span_det = sum(map(operator.mul, v, gv[v])) * sum(map(operator.mul, w, gv[w])) - vw * vw
+            index = gcd(*(v[a] * w[b] - v[b] * w[a] for a, b in combinations(range(r), 2)))
+        if span_det == 0:
+            continue
+        d = F(span_det, scale**j * index**2) * (lat.det() if dual else 1)
+        if best is not None and d > best:
+            continue
+        if best is None or d < best:
+            best, ties = d, set()
+        sat = linalg.int_kernel_saturated(linalg.int_kernel_saturated(rows, r), r)
+        ties.add(linalg.int_kernel_saturated(sat, r) if dual else sat)
+    return best, min(ties)
+
+
+def _span_rule_corpus():
+    """Rank-5 lattices holding the glued Z^4 of `_half_glued_z4`, whose
+    frames span index-2 sublattices, in the given basis and in seeded new
+    ones, and two random rank-5 lattices."""
+    rng = random.Random(211)
+    lats = []
+    for last in ([0, 0, 0, 0, 1], [0, 0, 0, 0, 2], [F(1, 2), 0, 0, 0, 1], [1, 1, 0, 0, 2]):
+        lat = _half_glued_z4(last)
+        lats += [lat, _change_basis(rng, lat)]
+    return lats + [random_lattice(rng, 5) for _ in range(2)]
+
+
+def _orthogonal_ties_first(monkeypatch):
+    """Reorder the pool of every `densest_sublattice` call within each norm,
+    keeping it sorted by norm, the only order the DFS relies on: first a
+    greedy set of pairwise orthogonal vectors, then the rest, so that a
+    frame of the glued Z^4 leads its norm."""
+    import sys
+
+    from slopekit import enumeration
+
+    real = enumeration.enumerate_short_vectors
+
+    def reordered(lat, bound, node_cap=enumeration.DEFAULT_NODE_CAP):
+        report = real(lat, bound, node_cap)
+        if sys._getframe(1).f_code.co_name != "densest_sublattice":
+            return report
+        out = []
+        for _, group in itertools.groupby(report.vectors, key=lambda t: t[1]):
+            group, first = list(group), []
+            for t in group:
+                if all(lat.inner(t[0], o[0]) == 0 for o in first):
+                    first.append(t)
+            out += first + [t for t in group if t not in first]
+        return type(report)(report.bound, tuple(out))
+
+    monkeypatch.setattr(enumeration, "enumerate_short_vectors", reordered)
+
+
+def test_span_leaf_rule_keeps_only_saturated_ties_at_k_le_4(monkeypatch):
+    """At k <= 4 a DFS leaf is judged by its span determinant alone and its
+    span's HNF is recorded as the tie, with no saturation: a span S of index
+    > 1 in its saturation M has det M = det S / index^2 < det S, and the DFS
+    reaches a basis of M attaining its minima, so S is never a final tie.
+
+    The leaf's `linalg.hnf` call is wrapped to saturate the rows it gets and
+    count those of index > 1.  In the pool's own (norm, coordinates) order
+    a spanning set of the glued Z^4 comes before each of its frames, so none
+    passes the leaf test; the argument uses only the norm order, so the test
+    also puts orthogonal vectors first within each norm, where index-2
+    frames do pass first.  Either way the result is the brute force over a coefficient box
+    (`_box_densest`), at the greedy budget and at four times it, which
+    admits the frames (det 1 on the glued Z^4 of det 1/4)."""
+    from slopekit.enumeration import _greedy_rank_k_det
+
+    real_hnf = linalg.hnf
+    indices = []
+
+    def counting_hnf(rows):
+        import sys
+
+        if sys._getframe(1).f_code.co_name == "dfs":
+            indices.append(linalg.saturate(rows)[0])
+        return real_hnf(rows)
+
+    monkeypatch.setattr(linalg, "hnf", counting_hnf)
+    cases = []
+    for lat in _span_rule_corpus():
+        for k in (2, 3, 4):
+            want = _box_densest(lat, k, 1)
+            greedy = _greedy_rank_k_det(lat, k)
+            for budget in (greedy, 4 * greedy):
+                sub = densest_sublattice(lat, k, budget)
+                assert (sub.det(), sub.basis) == want
+                cases.append((lat, k, budget, want))
+    assert indices and set(indices) == {1}
+
+    _orthogonal_ties_first(monkeypatch)
+    indices.clear()
+    for lat, k, budget, want in cases:
+        sub = densest_sublattice(lat, k, budget)
+        assert (sub.det(), sub.basis) == want
+    assert indices.count(2) >= 4 and set(indices) == {1, 2}
+
+
+def test_saturation_leaf_rule_from_k_5():
+    """From k = 5 on the successive minima need not span the sublattice M
+    attaining them, so a leaf is judged by its saturation.  On the glued
+    Z^5 of `_half_glued_z5`, d_5 = 1/4, but its minima e_1..e_5 span an
+    index-2 sublattice of det 1.  Restricted to those minima (a pool cut
+    down to the norm-1 layer), the search still finds M through its
+    saturation rule, while the span determinant alone would find nothing at
+    budget 1/4 and, at budget 1, a non-saturated span of det 1.  (On the
+    full pool a glued basis e_1..e_4, h lies within the Hermite bound, so
+    there both rules agree; the cut pool is the one the k <= 4 argument
+    needs.)"""
+    import sys
+
+    from slopekit import enumeration
+
+    rng = random.Random(227)
+    real_enum, real_sat = enumeration.enumerate_short_vectors, linalg.saturate
+
+    def minima_only(lat, bound, node_cap=enumeration.DEFAULT_NODE_CAP):
+        report = real_enum(lat, bound, node_cap)
+        if sys._getframe(1).f_code.co_name != "densest_sublattice":
+            return report
+        least = report.vectors[0][1]
+        return type(report)(report.bound, tuple(t for t in report.vectors if t[1] == least))
+
+    def span_rule(rows):
+        return 1, tuple(map(tuple, rows))
+
+    for lat in (_half_glued_z5([0, 0, 0, 0, 0, 3]), _change_basis(rng, _half_glued_z5([1, 0, 0, 0, 0, 2]))):
+        want = densest_sublattice(lat, 5, F(1, 4))
+        assert want.det() == F(1, 4) and want.basis == want.saturation().basis
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "enumerate_short_vectors", minima_only)
+            for budget in (F(1, 4), F(1)):
+                sub = densest_sublattice(lat, 5, budget)
+                assert (sub.det(), sub.basis) == (want.det(), want.basis)
+            mp.setattr(linalg, "saturate", span_rule)
+            assert densest_sublattice(lat, 5, F(1, 4)) is None
+            wrong = densest_sublattice(lat, 5, F(1))
+        assert wrong.det() == 1 and real_sat(wrong.basis)[0] == 2
 
 
 def _brute_force_densest(lat, k, det_bound):
@@ -1666,3 +1854,40 @@ def test_rank_one_densest_sublattice_is_the_memoized_minimum():
             vector, length = pool[0]
             assert got == Sublattice(lat, [vector]) and got._det == length == m == got.det()
     assert nones == 200
+
+
+def test_every_witness_is_its_own_hnf():
+    """Sublattices built from rows already in HNF skip the reduction
+    (`Sublattice._of_hnf`), so every witness of `mu_max`, `densest_sublattice`
+    and `slope_filtration` must still be `linalg.hnf` of itself, and a
+    determinant it carries must be that of its induced Gram, recomputed.
+    `mu_max` and `slope_filtration` run on the golden lattices at the
+    default cap and at cap 200, `mu_max` on the golden tensors at caps 200
+    and 2,000 (the default cap takes minutes there), and
+    `densest_sublattice` on the brute-force corpus at every rank."""
+    from make_golden import lattices, tensors
+
+    from slopekit.enumeration import _greedy_rank_k_det
+
+    def check(w):
+        assert linalg.hnf(w.basis) == w.basis
+        if w._det is None:
+            return 0
+        b = linalg.mat(w.basis)
+        assert w._det == linalg.det_bareiss(linalg.matmul(linalg.matmul(b, w.ambient.gram), linalg.transpose(b)))
+        return 1
+
+    single, big = lattices(), tensors()
+    proved = 0
+    for caps, lats in (((None, 200), single), ((200, 2000), big)):
+        for cap in caps:
+            args = () if cap is None else (cap,)
+            for lat in lats:
+                proved += check(mu_max(lat, *args).witness)
+                if lats is single:
+                    for w in slope_filtration(lat, *args).filtration:
+                        check(w)
+    for lat, ks in _brute_force_corpus():
+        for k in ks:
+            proved += check(densest_sublattice(lat, k, _greedy_rank_k_det(lat, k)))
+    assert proved > 100

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from slopekit import linalg
 from slopekit.exactval import (
     LogRational,
     RIv,
+    _MAX_FLOAT_PRECISION_BITS,
     _float_toward,
     _is_prime,
     _log_int_bounds,
@@ -242,6 +244,38 @@ def test_directed_rounding_matches_stepping_until_past():
 def test_to_float_precision_floor():
     with pytest.raises(ValueError):
         to_float(log_of_rational(2), 15)
+
+
+def test_to_float_past_the_float_range_is_rigorous():
+    """An enclosure end past the float range is read as the infinity on its
+    side: toward that infinity the end is the infinity, and the other way
+    the largest finite float, so neither `to_float` nor `float_approx`
+    raises OverflowError.  Just past sys.float_info.max, where float(q)
+    still rounds to it, the upward end steps to inf as well."""
+    big = sys.float_info.max
+    assert LogRational(10**400).to_float() == (big, math.inf)
+    assert LogRational(-(10**400)).to_float() == (-math.inf, -big)
+    assert to_float(10**400 * log_of_rational(2), 64) == (big, math.inf)
+    assert to_float(5 - 10**400 * log_of_rational(3), 53) == (-math.inf, -big)
+    assert LogRational(10**400).float_approx() == math.inf
+    assert LogRational(-(10**400)).float_approx() == -math.inf
+    past = F(big) + F(2) ** 960  # within half an ulp of the largest float
+    assert (_float_toward(past, -math.inf), _float_toward(past, math.inf)) == (big, math.inf)
+    assert (_float_toward(-past, -math.inf), _float_toward(-past, math.inf)) == (-math.inf, -big)
+
+
+def test_to_float_precision_ceiling():
+    """A precision past `_MAX_FLOAT_PRECISION_BITS` is refused at once with
+    ValueError, as one below 16 is, instead of running the precision loop
+    without bound.  No float interval is narrower than one ulp, so the
+    ceiling and 1,100 bits already give log 2 between adjacent floats."""
+    assert _MAX_FLOAT_PRECISION_BITS >= 1100
+    for bits in (_MAX_FLOAT_PRECISION_BITS + 1, 10**6):
+        with pytest.raises(ValueError, match="precision_bits must be <="):
+            to_float(log_of_rational(2), bits)
+    lo, hi = to_float(log_of_rational(2), _MAX_FLOAT_PRECISION_BITS)
+    assert (lo, hi) == to_float(log_of_rational(2), 1100)
+    assert math.nextafter(lo, math.inf) == hi and lo <= math.log(2) <= hi
 
 
 rationals = st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=10**4)

@@ -1129,3 +1129,48 @@ def test_euclidean_hashes_repeat_across_interpreters():
     run = [sys.executable, "-c", code]
     runs = [subprocess.run(run, check=True, env=env, capture_output=True, text=True).stdout for _ in range(2)]
     assert runs[0] == runs[1] and runs[0].count(",") == 6
+
+
+def test_lattice_search_saturates_only_from_rank_5(monkeypatch):
+    """`mu_max` judges DFS leaves at k <= 4 by their span and reads the greedy
+    budget's minors off the DFS's Gram-Schmidt rows, so with `linalg.det_int`
+    and `linalg.saturate` raising it still runs on lattices of rank <= 7
+    (k <= 3 after Rankin duality).  `linalg.saturate` is still reached from
+    a rank-10 tensor and by a direct k = 5 call; `enumeration` names
+    `linalg.det_int` nowhere, and `_greedy_rank_k_det` and the DFS call the
+    one row helper `_gs_row`."""
+    from make_golden import tensors
+    from test_enumeration import _half_glued_z5, random_lattice
+
+    linalg, enum = slopekit.linalg, slopekit.enumeration
+    rng = random.Random(229)
+    lats = [random_lattice(rng, r) for r in (3, 4, 5, 6, 7, 7)]
+    lats += [random_lattice(rng, 2).tensor(random_lattice(rng, 3))]
+    real_sat = linalg.saturate
+    with monkeypatch.context() as mp:
+        for fn in (linalg.det_int, linalg.saturate):
+            def forbid(*args, _name=fn.__name__, **kwargs):
+                raise AssertionError(f"mu_max reached linalg.{_name}")
+
+            mp.setattr(linalg, fn.__name__, forbid)
+        for lat in lats:
+            assert enum.mu_max(lat).certified
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real_sat(rows)
+
+    monkeypatch.setattr(linalg, "saturate", counting)
+    enum.mu_max(tensors()[7], 2000)
+    assert calls and min(calls) == 5
+    calls.clear()
+    assert enum.densest_sublattice(_half_glued_z5([0, 0, 0, 0, 0, 3]), 5, Fraction(1, 4)).det() == Fraction(1, 4)
+    assert calls and set(calls) == {5}
+
+    tree = ast.parse(Path(enum.__file__).read_text())
+    assert "det_int" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    for name in ("_greedy_rank_k_det", "dfs"):
+        called = {n.func.id for n in ast.walk(functions[name]) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert "_gs_row" in called, name
